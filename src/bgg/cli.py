@@ -329,6 +329,8 @@ def _cmd_verify_maximal(args) -> int:
 def _cmd_geometry_check(args) -> int:
     import random
 
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.count):

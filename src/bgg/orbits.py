@@ -9,12 +9,14 @@ at the two placements that project onto it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from bgg import parabolic as parabolic_mod
 from bgg import weyl
+from bgg.parabolic import HasseEdge, HasseNode
 from bgg.weyl import Root, Weight, WeylElement
 
 STANDARD = "standard"
@@ -146,14 +148,22 @@ class OrbitDiagram:
         return [p for p in regular_placements(self.n) if p not in have]
 
 
+@functools.lru_cache(maxsize=8)
+def _crossed2(n: int) -> tuple[tuple[HasseNode, ...], tuple[HasseEdge, ...]]:
+    """Nodes and edges of the crossed-{2} Hasse diagram of rank n, built
+    once per n (for the 8 ranks used last).  Both are tuples of frozen
+    objects, so no caller can change them for the next one."""
+    hd = parabolic_mod.hasse_diagram(parabolic_mod.parabolic(n, (2,)))
+    return tuple(hd.nodes), tuple(hd.edges)
+
+
 def regular_orbit_projection(n: int) -> OrbitDiagram:
     """The regular orbit of rho for crossed={2}, placed at (m1, m2)."""
-    p = parabolic_mod.parabolic(n, (2,))
-    hd = parabolic_mod.hasse_diagram(p)
-    nodes = [OrbitNode(nd.weight[:2], nd.weight) for nd in hd.nodes]
+    hasse_nodes, hasse_edges = _crossed2(n)
+    nodes = [OrbitNode(nd.weight[:2], nd.weight) for nd in hasse_nodes]
     arrows = [
         OrbitArrow(e.source, e.target, STANDARD, e.root, e.order)
-        for e in hd.edges
+        for e in hasse_edges
     ]
     return OrbitDiagram(
         "regular-orbit",
@@ -162,7 +172,7 @@ def regular_orbit_projection(n: int) -> OrbitDiagram:
         nodes,
         arrows,
         [],
-        elements=[nd.element for nd in hd.nodes],
+        elements=[nd.element for nd in hasse_nodes],
     )
 
 
@@ -195,20 +205,20 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         if infer_k(base) != k:
             raise ValueError("base weight does not have the k-singular pattern")
     p = parabolic_mod.parabolic(n, (2,))
-    hd = parabolic_mod.hasse_diagram(p)
+    hasse_nodes, hasse_edges = _crossed2(n)
 
     keep = []
-    for i, nd in enumerate(hd.nodes):
+    for i, nd in enumerate(hasse_nodes):
         image = weyl.standard_action(nd.element, base)
         if weyl.is_dominant(image, p.crossed, weyl.STRICTLY_FOR_LEVI):
             keep.append((i, image))
     index = {old: new for new, (old, _) in enumerate(keep)}
     nodes = [
-        OrbitNode(hd.nodes[old].weight[:2], image) for old, image in keep
+        OrbitNode(hasse_nodes[old].weight[:2], image) for old, image in keep
     ]
 
     arrows = []
-    for e in hd.edges:
+    for e in hasse_edges:
         if e.source not in index or e.target not in index:
             continue
         s, t = index[e.source], index[e.target]
@@ -240,7 +250,7 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         arrows,
         [tuple(c) for c in coincidences],
         conjectural=(k == 0),
-        elements=[hd.nodes[old].element for old, _ in keep],
+        elements=[hasse_nodes[old].element for old, _ in keep],
     )
 
 

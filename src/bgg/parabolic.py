@@ -4,13 +4,21 @@ Hasse diagrams.
 A parabolic is recorded by the set of crossed nodes.  A positive root
 lies in the nilradical iff its expansion has a nonzero coefficient on
 some crossed simple root.  The Hasse diagram W^p consists of the Weyl
-elements w for which w(rho) is strictly dominant for the Levi factor;
-for a regular base this is enumerated directly from the admissible
-images of rho, group by group between the bars.
+elements w for which mu = w(rho) is strictly dominant for the Levi
+factor, and mu determines w.  So the diagram is keyed by mu:
+
+- nodes are enumerated directly from the admissible images of rho,
+  group by group between the bars;
+- the length of a node is the inversion count of mu, the number of
+  positive roots alpha with <mu, alpha^vee> < 0;
+- an arrow w -> s_alpha w can only come from a nilradical root alpha
+  (a Levi-root reflection leads out of W^p), so the edges are found by
+  reflecting each mu in the nilradical roots and looking the image up.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,11 +68,12 @@ def nilradical_roots(p: Parabolic) -> list[Root]:
     ]
 
 
+@functools.lru_cache(maxsize=256)
 def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     """The element E with <alpha_i, E> = 1 for crossed i and 0 otherwise.
 
     Entries are integers unless node n is crossed (then they are
-    half-integers, returned as Fractions).
+    half-integers, returned as Fractions).  Computed once per parabolic.
     """
     e = [Fraction(0)] * p.n
     e[p.n - 1] = Fraction(1, 2) if p.n in p.crossed else Fraction(0)
@@ -157,9 +166,12 @@ def hasse_diagram(p: Parabolic, base: Optional[Weight] = None) -> HasseDiagram:
     """The Hasse diagram W^p, with node weights w(base) and arrow edges.
 
     base defaults to rho and must be g-dominant and regular (for singular
-    bases use the orbit-diagram constructions instead).  Nodes are sorted
-    by (length, perm, signs); edges connect lengths l -> l+1 and carry
-    the reflecting root and the conformal order bound.
+    bases use the orbit-diagram constructions instead).  Each node is
+    found from mu = w(rho), its length is the inversion count of mu, and
+    nodes are sorted by (length, perm, signs).  An edge i -> j is a
+    nilradical root alpha with s_alpha(mu_i) = mu_j and length one more;
+    edges are listed by (source, target) and carry the root and the
+    conformal order bound.  Every call returns a fresh diagram.
     """
     n = p.n
     if base is None:
@@ -172,32 +184,30 @@ def hasse_diagram(p: Parabolic, base: Optional[Weight] = None) -> HasseDiagram:
             "by the orbits module"
         )
 
-    elements = [weyl.from_regular_image(mu) for mu in _ldominant_rho_images(p)]
-    nodes = sorted(
-        (
-            HasseNode(w, weyl.standard_action(w, base), weyl.length(w))
-            for w in elements
-        ),
-        key=lambda nd: (nd.length, nd.element.perm, nd.element.signs),
+    # (length, w, mu) sorts as (length, perm, signs): the w are distinct
+    ranked = sorted(
+        (weyl.inversion_length(mu), weyl.from_regular_image(mu), mu)
+        for mu in _ldominant_rho_images(p)
     )
+    nodes = [HasseNode(w, weyl.standard_action(w, base), ell) for ell, w, _ in ranked]
+    index = {mu: i for i, (_, _, mu) in enumerate(ranked)}
 
-    by_length: dict[int, list[int]] = {}
-    for i, nd in enumerate(nodes):
-        by_length.setdefault(nd.length, []).append(i)
-
+    # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E),
+    # and alpha(E) is alpha's coefficient sum on the crossed nodes
+    grades = {
+        r: sum(weyl.simple_coefficient(r, m, n) for m in p.crossed)
+        for r in nilradical_roots(p)
+    }
     edges = []
-    for ell, sources in sorted(by_length.items()):
-        for i in sources:
-            for j in by_length.get(ell + 1, ()):
-                root = weyl.as_reflection(
-                    weyl.compose(nodes[j].element, weyl.inverse(nodes[i].element))
-                )
-                if root is None:
-                    continue
-                order = order_bound(nodes[i].weight, nodes[j].weight, p)
-                if not isinstance(order, int) or order < 1:
-                    raise AssertionError(
-                        f"conformal drop {order} < 1 on a Hasse edge"
-                    )
-                edges.append(HasseEdge(i, j, root, order))
+    for i, (ell, _, mu) in enumerate(ranked):
+        targets = []
+        for root in grades:
+            j = index.get(weyl.reflect(mu, root))
+            if j is not None and ranked[j][0] == ell + 1:
+                targets.append((j, root))
+        for j, root in sorted(targets):
+            order = weyl.pairing(nodes[i].weight, root) * grades[root]
+            if order < 1:
+                raise AssertionError(f"conformal drop {order} < 1 on a Hasse edge")
+            edges.append(HasseEdge(i, j, root, order))
     return HasseDiagram(p, tuple(base), nodes, edges)

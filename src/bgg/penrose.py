@@ -177,13 +177,17 @@ def nonstandard_descriptor(n: int, k: int, sign: str = "+") -> Optional[Bridge]:
     Its order bound is the conformal-weight drop: two in general, three
     for k = 1."""
     _validate(n, k, sign)
-    page = e1_page(n, k, sign)
+    return _bridge(e1_page(n, k, sign))
+
+
+def _bridge(page: SpectralPage) -> Optional[Bridge]:
+    """The bridge read off an E1 page (see nonstandard_descriptor)."""
     top, bottom = page.row(1), page.row(0)
     if not top or not bottom:
         return None
     sp, tp = (top[-1], 1), (bottom[0], 0)
     src, tgt = page.entries[sp], page.entries[tp]
-    p2 = parabolic_mod.parabolic(n, (2,))
+    p2 = parabolic_mod.parabolic(page.n, (2,))
     return Bridge(
         src,
         tgt,
@@ -210,7 +214,7 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
             else:
                 entries[(p, q)] = E2Entry(BULLET, "0")
     diffs = []
-    bridge = nonstandard_descriptor(n, k, sign)
+    bridge = _bridge(page)
     if bridge is not None:
         diffs.append(
             PageMap(

@@ -441,7 +441,10 @@ def _zeros(n: int, lead: Sequence[int]) -> Weight:
 
 def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
     """The maximal vector generating the first operator of the singular
-    BGG complex for (n, k, sign)."""
+    BGG complex for (n, k, sign).  The catalogue starts at n = 3: for
+    n = 2 the complex has a single term and no first operator."""
+    if n < 3:
+        raise ValueError("the first-operator catalogue needs n >= 3")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     a13, a14 = Root("a", 1, 3), (Root("a", 1, 4) if n >= 4 else None)
@@ -449,9 +452,7 @@ def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
     c13, c23, b2 = Root("c", 1, 3), Root("c", 2, 3), Root("b", 2)
     if sign == "-":
         lam = _zeros(n, (-1, -n - k + 1))
-        mu = _zeros(n, (-2, -n - k + 1)) if n == 2 else (
-            (-2, -n - k + 1, 1) + (0,) * (n - 3)
-        )
+        mu = (-2, -n - k + 1, 1) + (0,) * (n - 3)
         terms = ((1, (a13,), (0, None)), (1, (a23,), (1, None)))
         return SingularVectorRow("first operator, negative side", n, k, sign, lam, mu, terms)
     if sign != "+":
@@ -506,12 +507,17 @@ class VerificationResult:
     d1_match: bool
     weight_ok: bool
     maximal_ok: bool
-    kernel_dim: int
+    kernel_dim: Optional[int]  # None: the kernel was not checked
     failures: list
 
     @property
     def ok(self) -> bool:
-        return self.d1_match and self.weight_ok and self.maximal_ok and self.kernel_dim == 1
+        return (
+            self.d1_match
+            and self.weight_ok
+            and self.maximal_ok
+            and self.kernel_dim in (None, 1)
+        )
 
 
 def verify_row(
@@ -541,7 +547,7 @@ def verify_row(
     v = mp.combine(terms)
     weight_ok = bool(v) and mp.weight_of(v) == row.mu
     maximal_ok, failures = mp.check_maximal(v)
-    dim = mp.maximal_vector_dimension(row.mu) if kernel else -1
+    dim = mp.maximal_vector_dimension(row.mu) if kernel else None
     return VerificationResult(row, d1_match, weight_ok, maximal_ok, dim, failures)
 
 

@@ -8,7 +8,8 @@ group element w = (perm, signs) acts by
     w(lam)[i] = signs[i] * lam[perm^{-1}(i)]
 
 so perm moves positions and signs flips the results in place.  Lengths
-are counted as the number of positive roots sent negative.
+are counted as the number of positive roots sent negative (`length`), or
+equivalently as the inversions of w(rho) (`inversion_length`).
 """
 
 from __future__ import annotations
@@ -158,6 +159,19 @@ def reflection(root: Root, n: int) -> WeylElement:
     return WeylElement(tuple(perm), tuple(signs))
 
 
+def reflect(weight: Sequence[int], root: Root) -> Weight:
+    """s_alpha(weight) for a positive root alpha, without building s_alpha."""
+    v = list(weight)
+    i, j = root.i - 1, root.j - 1
+    if root.kind == "a":
+        v[i], v[j] = v[j], v[i]
+    elif root.kind == "b":
+        v[i] = -v[i]
+    else:
+        v[i], v[j] = -v[j], -v[i]
+    return tuple(v)
+
+
 def as_reflection(w: WeylElement) -> Optional[Root]:
     """Recognize w as the reflection through a positive root, if it is one."""
     n = w.n
@@ -206,6 +220,18 @@ def length(w: WeylElement) -> int:
         for root in positive_roots(n)
         if _vector_is_negative(standard_action(w, root.vector(n)))
     )
+
+
+def inversion_length(mu: Sequence[int]) -> int:
+    """Length of the w with w(rho) = mu, read off mu alone.
+
+    It is the number of positive roots alpha with <mu, alpha^vee> < 0.
+    For a signed arrangement of rho this count is the number of pairs
+    i < j with mu_i < mu_j plus the sum of |mu_i| over the negative
+    entries (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.1).
+    """
+    ascents = sum(a < b for a, b in itertools.combinations(mu, 2))
+    return ascents - sum(x for x in mu if x < 0)
 
 
 def arrow(w: WeylElement, w2: WeylElement) -> Optional[Root]:

@@ -5,20 +5,12 @@ line with its runtime, and enforces a wall-clock budget.
 """
 
 import itertools
-import json
 import math
-import pathlib
 import random
 import time
 
 from bgg import geometry, orbits, penrose, verma, weyl
 from bgg import parabolic as pmod
-
-_FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-
-def load_fixture(name):
-    return json.loads((_FIXTURES / f"{name}.json").read_text())
 
 
 def _finish(num, desc, t0, budget):
@@ -48,9 +40,9 @@ def test_criterion_01_hasse_counts_and_oracle():
     _finish(1, "Hasse node counts n=3..8 with full-enumeration oracle", t0, 5)
 
 
-def test_criterion_02_regular_figure():
+def test_criterion_02_regular_figure(load):
     t0 = time.perf_counter()
-    fx = load_fixture("figure_regular_n8")
+    fx = load("figure_regular_n8")
     d = orbits.regular_orbit_projection(fx["n"])
     skips = set(fx["skips"])
 
@@ -73,7 +65,7 @@ def test_criterion_02_regular_figure():
     _finish(2, "regular orbit diagram matches the frozen figure (incl. labels)", t0, 5)
 
 
-def test_criterion_03_singular_figures():
+def test_criterion_03_singular_figures(load):
     t0 = time.perf_counter()
     for name in (
         "figure_singular_n8_k7",
@@ -81,7 +73,7 @@ def test_criterion_03_singular_figures():
         "figure_singular_n8_k1",
         "figure_singular_n8_k0",
     ):
-        fx = load_fixture(name)
+        fx = load(name)
         d = orbits.singular_orbit(fx["n"], fx["k"])
         skips = set(fx["skips"])
 

@@ -153,10 +153,32 @@ def test_verify_maximal_detects_failure(capsys, monkeypatch):
         (c0, ys0, f0), *rest = row.terms
         return dataclasses.replace(row, terms=((-c0, ys0, f0),) + tuple(rest))
 
+    # the genuine rows pass without the kernel check, so the failure below
+    # comes from the broken row and not from the skipped check
+    rc, out, _ = run(capsys, "verify-maximal", "--n", "3", "--no-kernel")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
     monkeypatch.setattr(verma, "singular_vector_row", broken)
     rc, out, _ = run(capsys, "verify-maximal", "--n", "3", "--no-kernel")
     assert rc == 2
     assert "FAIL" in out
+
+
+def test_verify_maximal_no_kernel_json(capsys):
+    rc, out, _ = run(
+        capsys, "verify-maximal", "--n", "3", "--k", "2", "--no-kernel", "--format", "json"
+    )
+    assert rc == 0
+    result = json.loads(out)["results"][0]
+    assert result["kernel_dim"] is None and result["ok"] is True
+
+
+@pytest.mark.parametrize("n", ["2", "1", "-3"])
+def test_verify_maximal_rejects_small_rank(capsys, n):
+    rc, out, err = run(capsys, "verify-maximal", "--n", n)
+    assert rc == 1 and not out
+    assert err.startswith("error:")
 
 
 def test_geometry_check(capsys):
@@ -170,6 +192,13 @@ def test_geometry_check_detects_failure(capsys, monkeypatch):
     rc, out, _ = run(capsys, "geometry-check", "--n", "3", "--count", "5")
     assert rc == 2
     assert out.startswith("FAIL")
+
+
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_geometry_check_rejects_empty_count(capsys, count):
+    rc, out, err = run(capsys, "geometry-check", "--n", "6", "--count", count)
+    assert rc == 1 and not out
+    assert "--count" in err
 
 
 def test_render_tikz(capsys):

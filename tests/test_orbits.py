@@ -1,5 +1,6 @@
 """Orbit diagrams, singular weight families and frozen figure fixtures."""
 
+import copy
 import itertools
 
 import pytest
@@ -298,3 +299,20 @@ def test_singular_conjugates_crossed1():
         assert orbits.singular_conjugates(orbits.tilde_lambda(n, 0), (1,)) == {
             orbits.tilde_lambda(n, 0)
         }
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: orbits.singular_orbit(5, 2), lambda: orbits.regular_orbit_projection(5)]
+)
+def test_callers_cannot_corrupt_the_memo(build):
+    """The crossed-{2} diagram is built once per n; changing what one call
+    returned must not change what the next call returns."""
+    orbits._crossed2.cache_clear()
+    fresh = copy.deepcopy(build())
+    d = build()
+    d.nodes.reverse()
+    d.arrows.clear()
+    d.elements.append(weyl.identity(5))
+    again = build()
+    assert again == fresh
+    assert again.elements == fresh.elements

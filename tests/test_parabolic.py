@@ -120,9 +120,21 @@ def _levi_subgroup(n, crossed):
     return group
 
 
-@pytest.mark.parametrize(
-    "n,crossed", [(3, (2,)), (4, (2,)), (4, (1,)), (3, (3,)), (4, (1, 3))]
+# every n <= 5 with the crossed sets {1}, {2}, {n} and (for n >= 3) {1, 3};
+# the five cases checked first keep their places, and so their test ids
+_FIRST_CASES = [(3, (2,)), (4, (2,)), (4, (1,)), (3, (3,)), (4, (1, 3))]
+ORACLE_GRID = _FIRST_CASES + sorted(
+    {
+        (n, crossed)
+        for n in (2, 3, 4, 5)
+        for crossed in ((1,), (2,), (n,), (1, 3))
+        if max(crossed) <= n
+    }
+    - set(_FIRST_CASES)
 )
+
+
+@pytest.mark.parametrize("n,crossed", ORACLE_GRID)
 def test_nodes_are_minimal_coset_representatives(n, crossed):
     """Oracle: enumerate the full Weyl group, cut it into cosets under left
     multiplication by the Levi subgroup, and check that the diagram nodes
@@ -138,8 +150,9 @@ def test_nodes_are_minimal_coset_representatives(n, crossed):
         coset = {weyl.compose(u, w) for u in wl}
         seen |= coset
         cosets += 1
-        lmin = min(weyl.length(v) for v in coset)
-        mins = [u for u in coset if weyl.length(u) == lmin]
+        lengths = {v: weyl.length(v) for v in coset}
+        lmin = min(lengths.values())
+        mins = [u for u in coset if lengths[u] == lmin]
         assert len(mins) == 1
         assert set(coset) & reps == set(mins)
     assert cosets == hd.node_count()
@@ -157,16 +170,37 @@ def test_node_order_and_weights():
 
 
 def test_edges_match_arrow_oracle():
-    hd = pmod.hasse_diagram(pmod.parabolic(3, (2,)))
-    edges = {(e.source, e.target, e.root) for e in hd.edges}
-    oracle = set()
-    for i, a in enumerate(hd.nodes):
-        for j, b in enumerate(hd.nodes):
-            r = weyl.arrow(a.element, b.element)
-            if r is not None:
-                oracle.add((i, j, r))
-    assert edges == oracle
-    assert len(edges) == 16
+    """Oracle, over the whole grid: every ordered pair of nodes tested with
+    weyl.arrow, which recognizes w2 w^-1 as a reflection and compares
+    weyl.length."""
+    for n, crossed in ORACLE_GRID:
+        p = pmod.parabolic(n, crossed)
+        hd = pmod.hasse_diagram(p)
+        edges = {(e.source, e.target, e.root) for e in hd.edges}
+        oracle = set()
+        for i, a in enumerate(hd.nodes):
+            for j, b in enumerate(hd.nodes):
+                r = weyl.arrow(a.element, b.element)
+                if r is not None:
+                    oracle.add((i, j, r))
+        assert edges == oracle, (n, crossed)
+        pairs = [(e.source, e.target) for e in hd.edges]
+        assert pairs == sorted(pairs), (n, crossed)
+        for e in hd.edges:
+            drop = pmod.order_bound(hd.nodes[e.source].weight, hd.nodes[e.target].weight, p)
+            assert e.order == drop, (n, crossed, e)
+        if (n, crossed) == (3, (2,)):
+            assert len(edges) == 16
+
+
+def test_hasse_diagram_returns_fresh_objects():
+    p = pmod.parabolic(4, (2,))
+    hd = pmod.hasse_diagram(p)
+    count, edges = hd.node_count(), list(hd.edges)
+    hd.nodes.clear()
+    hd.edges.clear()
+    again = pmod.hasse_diagram(p)
+    assert again.node_count() == count and again.edges == edges
 
 
 @pytest.mark.parametrize("crossed", [(2,), (1,), (1, 3)])

@@ -201,6 +201,25 @@ def test_e2_minus_and_single_row():
     ) - 2
 
 
+def test_e2_page_builds_e1_once(monkeypatch):
+    real, calls = penrose.e1_page, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(penrose, "e1_page", counting)
+    page = penrose.e2_page(6, 2, "+")
+    assert len(calls) == 1
+    bridge = penrose.nonstandard_descriptor(6, 2, "+")
+    d2 = page.differentials[0]
+    assert (d2.source, d2.target, d2.order) == (
+        bridge.source_position,
+        bridge.target_position,
+        bridge.order,
+    )
+
+
 def test_format_twistor_weight():
     assert penrose.format_twistor_weight(5, 2, "-") == "(-2 | 4, 3, 2, 1)"
 

@@ -279,6 +279,9 @@ def test_rows_exist_for_all_cases():
         verma.singular_vector_row(5, 5)
     with pytest.raises(ValueError):
         verma.singular_vector_row(5, 2, "x")
+    for sign in "+-":
+        with pytest.raises(ValueError, match="n >= 3"):
+            verma.singular_vector_row(2, 1, sign)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -307,3 +310,7 @@ def test_verification_result_flags(lie3):
     assert r.ok
     r.kernel_dim = 2
     assert not r.ok
+    # an unchecked kernel is None, and is not a failure
+    unchecked = verma.verify_row(r.row, lie3, kernel=False)
+    assert unchecked.kernel_dim is None and unchecked.ok
+    assert not verma.verify_row(r.row, lie3, perturb=True, kernel=False).ok

@@ -140,6 +140,18 @@ def test_length_matches_bfs_word_length(n):
         assert weyl.length(w) == d
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inversion_length_matches_length(n):
+    for w in weyl.all_elements(n):
+        assert weyl.inversion_length(weyl.standard_action(w, weyl.rho(n))) == weyl.length(w)
+
+
+def test_reflect_matches_reflection_action():
+    n, lam = 4, (7, -3, 2, 5)
+    for r in weyl.positive_roots(n):
+        assert weyl.reflect(lam, r) == weyl.standard_action(weyl.reflection(r, n), lam)
+
+
 def test_longest_element():
     w0 = WeylElement((1, 2, 3), (-1, -1, -1))
     assert weyl.length(w0) == 9
