@@ -279,9 +279,7 @@ def _cmd_verify_maximal(args) -> int:
             for sign in ("+", "-")
         ]
     results = [
-        verma.verify_row(
-            row, lie, cap=args.cap, perturb=args.perturb, kernel=not args.no_kernel
-        )
+        verma.verify_row(row, lie, perturb=args.perturb, kernel=not args.no_kernel)
         for row in rows
     ]
     if args.format == "json":
@@ -440,7 +438,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int)
     sp.add_argument("--sign", choices=("+", "-"), default="+")
-    sp.add_argument("--cap", type=int, default=4)
     sp.add_argument("--perturb", action="store_true", help="flip a coefficient; expect failure")
     sp.add_argument("--no-kernel", action="store_true", help="skip the uniqueness check")
     sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -469,7 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotImplementedError, OverflowError) as exc:
+    except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

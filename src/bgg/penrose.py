@@ -51,6 +51,8 @@ def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     The middle coordinate runs over n-1, ..., 1, -1, ..., -(n-1); the
     tail is the descending complement of |middle| in {1, ..., n-1}.
     """
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     if not 0 <= abs(k_signed) <= n - 1:
         raise ValueError("need |k| <= n-1")
     middles = list(range(n - 1, 0, -1)) + list(range(-1, -n, -1))

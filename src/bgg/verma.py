@@ -8,7 +8,7 @@ J = [[0, I], [-I, 0]], in the root basis
     e_{c_ij} = E_{i,n+j} + E_{j,n+i}   (i < j)
 
 with lowering operators the transposes and h_i = E_ii - E_{n+i,n+i}.
-Structure constants are extracted exactly from integer matrices.
+Structure constants are extracted exactly from sparse integer matrices.
 
 A generalized Verma module M_p(lam) = U(g) tensor_{U(p)} F(lam) is
 realized on U(u^-) tensor F with F an irreducible module of the Levi
@@ -19,12 +19,9 @@ in a fixed normal order by PBW straightening.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from bgg import orbits, penrose
 from bgg import parabolic as parabolic_mod
@@ -32,6 +29,7 @@ from bgg import weyl
 from bgg.weyl import Root, Weight
 
 Label = tuple  # ("e", Root) | ("y", Root) | ("h", int)
+Matrix = dict  # {(row, col): int}, nonzero entries only
 
 
 # ---------------------------------------------------------------------------
@@ -39,74 +37,97 @@ Label = tuple  # ("e", Root) | ("y", Root) | ("h", int)
 
 
 class LieData:
-    """Integer matrices and exact structure constants for sp(2n)."""
+    """Sparse integer matrices and exact structure constants for sp(2n).
+
+    A matrix is a dict {(row, col): int} holding its nonzero entries;
+    every basis element has at most two."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("rank must be at least 2")
         self.n = n
-        self._matrices: dict[Label, np.ndarray] = {}
-        size = 2 * n
-
-        def unit(r, c):
-            m = np.zeros((size, size), dtype=np.int64)
-            m[r, c] = 1
-            return m
-
-        for i in range(1, n + 1):
-            self._matrices[("h", i)] = unit(i - 1, i - 1) - unit(n + i - 1, n + i - 1)
-            self._matrices[("e", Root("b", i))] = unit(i - 1, n + i - 1)
-            for j in range(i + 1, n + 1):
-                self._matrices[("e", Root("a", i, j))] = unit(i - 1, j - 1) - unit(
-                    n + j - 1, n + i - 1
-                )
-                self._matrices[("e", Root("c", i, j))] = unit(i - 1, n + j - 1) + unit(
-                    j - 1, n + i - 1
-                )
-        for lab in [l for l in self._matrices if l[0] == "e"]:
-            self._matrices[("y", lab[1])] = self._matrices[lab].T.copy()
+        self._matrices: dict[Label, Matrix] = {}
+        m = self._matrices
+        for i in range(n):
+            m[("h", i + 1)] = {(i, i): 1, (n + i, n + i): -1}
+            m[("e", Root("b", i + 1))] = {(i, n + i): 1}
+            for j in range(i + 1, n):
+                m[("e", Root("a", i + 1, j + 1))] = {(i, j): 1, (n + j, n + i): -1}
+                m[("e", Root("c", i + 1, j + 1))] = {(i, n + j): 1, (j, n + i): 1}
+        for lab in [l for l in m if l[0] == "e"]:
+            m[("y", lab[1])] = {(c, r): v for (r, c), v in m[lab].items()}
         self._brackets: dict[tuple[Label, Label], tuple[tuple[Label, int], ...]] = {}
 
-    def matrix(self, label: Label) -> np.ndarray:
+    def matrix(self, label: Label) -> Matrix:
         return self._matrices[label]
 
-    def decompose(self, x: np.ndarray) -> list[tuple[Label, int]]:
+    def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
         """Exact expansion of x over the basis, with reconstruction check."""
         n = self.n
-        a, b, c = x[:n, :n], x[:n, n:], x[n:, :n]
+
+        def a(i, j):
+            return x.get((i, j), 0)
+
+        def b(i, j):
+            return x.get((i, n + j), 0)
+
+        def c(i, j):
+            return x.get((n + i, j), 0)
+
         terms: list[tuple[Label, int]] = []
         for i in range(n):
-            if a[i, i]:
-                terms.append((("h", i + 1), int(a[i, i])))
-            if b[i, i]:
-                terms.append((("e", Root("b", i + 1)), int(b[i, i])))
-            if c[i, i]:
-                terms.append((("y", Root("b", i + 1)), int(c[i, i])))
+            if a(i, i):
+                terms.append((("h", i + 1), a(i, i)))
+            if b(i, i):
+                terms.append((("e", Root("b", i + 1)), b(i, i)))
+            if c(i, i):
+                terms.append((("y", Root("b", i + 1)), c(i, i)))
             for j in range(i + 1, n):
-                if a[i, j]:
-                    terms.append((("e", Root("a", i + 1, j + 1)), int(a[i, j])))
-                if a[j, i]:
-                    terms.append((("y", Root("a", i + 1, j + 1)), int(a[j, i])))
-                if b[i, j]:
-                    terms.append((("e", Root("c", i + 1, j + 1)), int(b[i, j])))
-                if c[i, j]:
-                    terms.append((("y", Root("c", i + 1, j + 1)), int(c[i, j])))
-        recon = np.zeros_like(x)
+                if a(i, j):
+                    terms.append((("e", Root("a", i + 1, j + 1)), a(i, j)))
+                if a(j, i):
+                    terms.append((("y", Root("a", i + 1, j + 1)), a(j, i)))
+                if b(i, j):
+                    terms.append((("e", Root("c", i + 1, j + 1)), b(i, j)))
+                if c(i, j):
+                    terms.append((("y", Root("c", i + 1, j + 1)), c(i, j)))
+        recon: Matrix = {}
         for lab, coeff in terms:
-            recon = recon + coeff * self.matrix(lab)
-        if not np.array_equal(recon, x):
+            _accumulate(recon, self.matrix(lab), coeff)
+        if recon != {key: v for key, v in x.items() if v}:
             raise AssertionError("matrix does not lie in sp(2n)")
         return terms
 
     def bracket(self, x: Label, y: Label) -> tuple[tuple[Label, int], ...]:
         key = (x, y)
         if key not in self._brackets:
-            m = self.matrix(x) @ self.matrix(y) - self.matrix(y) @ self.matrix(x)
+            mx, my = self.matrix(x), self.matrix(y)
+            m = _product(mx, my)
+            _accumulate(m, _product(my, mx), -1)
             self._brackets[key] = tuple(self.decompose(m))
         return self._brackets[key]
 
     def coroot_pairing(self, root: Root, weight: Sequence[int]) -> int:
         return weyl.pairing(weight, root)
+
+
+def _accumulate(out: Matrix, x: Matrix, coeff: int) -> None:
+    """out += coeff * x, keeping only nonzero entries."""
+    for key, v in x.items():
+        total = out.get(key, 0) + coeff * v
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+
+
+def _product(x: Matrix, y: Matrix) -> Matrix:
+    out: Matrix = {}
+    for (r, k), u in x.items():
+        for (k2, c), v in y.items():
+            if k == k2:
+                out[r, c] = out.get((r, c), 0) + u * v
+    return {key: v for key, v in out.items() if v}
 
 
 def simple_raising_labels(n: int) -> list[Label]:
@@ -195,8 +216,8 @@ class LeviModule:
         if min([root.i] + ([root.j] if root.j else [])) <= 2:
             return []
         mat = self._lie.matrix(label)
-        col = [int(mat[r, self._slots[t]]) for r in self._slots]
-        return [(t2, c) for t2, c in enumerate(col) if c]
+        col = self._slots[t]
+        return [(t2, mat[r, col]) for t2, r in enumerate(self._slots) if (r, col) in mat]
 
     def attach(self, lie: LieData) -> "LeviModule":
         self._lie = lie
@@ -224,13 +245,16 @@ Element = dict  # {(word, fidx): Fraction} with word a tuple of letter indices
 
 
 class GeneralizedVerma:
-    """M_p(lam) = U(u^-) tensor F(lam) for the crossed-{2} parabolic,
-    truncated at a total monomial degree cap."""
+    """M_p(lam) = U(u^-) tensor F(lam) for the crossed-{2} parabolic.
 
-    def __init__(self, n: int, lam: Sequence[int], cap: int = 4, lie: Optional[LieData] = None):
+    Every lowering letter has grade 1 or 2 under the grading element
+    E = (1, 1, 0, ..., 0), so a monomial of weight mu has degree at most
+    the grade drop E(lam - mu): weight spaces are finite and are listed
+    in full."""
+
+    def __init__(self, n: int, lam: Sequence[int], lie: Optional[LieData] = None):
         self.n = n
         self.lam = tuple(lam)
-        self.cap = cap
         self.lie = lie if lie is not None else LieData(n)
         self.module = LeviModule(n, lam).attach(self.lie)
         self.parabolic = parabolic_mod.parabolic(n, (2,))
@@ -245,6 +269,8 @@ class GeneralizedVerma:
         if set(order) != nil:
             raise AssertionError("nilradical letter list out of sync")
         self.letters: list[Label] = [("y", r) for r in order]
+        self._vectors = [r.vector(n) for r in order]
+        self._grades = [v[0] + v[1] for v in self._vectors]
         self._letter_index = {lab: i for i, lab in enumerate(self.letters)}
         self._nil = nil
 
@@ -327,8 +353,6 @@ class GeneralizedVerma:
                 None,
             )
             if inv is None:
-                if len(w) > self.cap:
-                    raise OverflowError("monomial degree exceeds the cap")
                 key = (tuple(self._letter_index[l] for l in w), f)
                 self._add(out, key, c)
             else:
@@ -374,28 +398,44 @@ class GeneralizedVerma:
     # -- weight spaces and uniqueness
 
     def weight_space(self, mu: Sequence[int]) -> list[tuple[tuple, int]]:
-        """All basis monomials Y^word tensor f of weight mu with degree at
-        most the cap, in a fixed deterministic order."""
+        """All basis monomials Y^word tensor f of weight mu: for each f,
+        by degree and then by word in lexicographic order."""
         mu = tuple(mu)
-        vecs = [lab[1].vector(self.n) for lab in self.letters]
         space = []
         for fidx in range(len(self.module.basis)):
-            fw = self.module.weight(fidx)
-            need = tuple(a - b for a, b in zip(fw, mu))
-            for d in range(self.cap + 1):
-                for word in itertools.combinations_with_replacement(
-                    range(len(self.letters)), d
-                ):
-                    tot = [0] * self.n
-                    for i in word:
-                        tot = [a + b for a, b in zip(tot, vecs[i])]
-                    if tuple(tot) == need:
-                        space.append((word, fidx))
+            need = tuple(a - b for a, b in zip(self.module.weight(fidx), mu))
+            words = sorted(self._words(need), key=lambda w: (len(w), w))
+            space += [(word, fidx) for word in words]
         return space
 
+    def _words(self, need: tuple) -> list[tuple]:
+        """Non-decreasing letter-index words whose roots sum to need.
+
+        A word is extended only while the grade left, E(rest) = rest_1 +
+        rest_2, covers the next letter's grade.  Letters have nonnegative
+        first two coordinates, and a letter of grade g moves coordinates
+        3..n by at most g in total, so a rest that breaks either bound is
+        dropped."""
+        found = []
+
+        def extend(start: int, rest: tuple, word: tuple) -> None:
+            budget = rest[0] + rest[1]
+            if rest[0] < 0 or rest[1] < 0 or sum(map(abs, rest[2:])) > budget:
+                return
+            if budget == 0:
+                found.append(word)  # rest is zero here
+                return
+            for i in range(start, len(self.letters)):
+                if self._grades[i] <= budget:
+                    vec = self._vectors[i]
+                    extend(i, tuple(a - b for a, b in zip(rest, vec)), word + (i,))
+
+        extend(0, need, ())
+        return found
+
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
-        """Dimension of the space of maximal vectors of weight mu (within
-        the degree cap), by exact Gaussian elimination."""
+        """Dimension of the space of maximal vectors of weight mu, by exact
+        Gaussian elimination."""
         basis = self.weight_space(mu)
         pivots: dict = {}
         rank = 0
@@ -523,7 +563,6 @@ class VerificationResult:
 def verify_row(
     row: SingularVectorRow,
     lie: Optional[LieData] = None,
-    cap: int = 4,
     perturb: bool = False,
     kernel: bool = True,
 ) -> VerificationResult:
@@ -539,7 +578,7 @@ def verify_row(
         tuple(a - b for a, b in zip(cx.terms[1], r)),
     )
     d1_match = d1 == (row.lam, row.mu)
-    mp = GeneralizedVerma(n, row.lam, cap=cap, lie=lie)
+    mp = GeneralizedVerma(n, row.lam, lie=lie)
     terms = list(row.terms)
     if perturb:
         coeff, ys, f = terms[-1]
@@ -551,13 +590,11 @@ def verify_row(
     return VerificationResult(row, d1_match, weight_ok, maximal_ok, dim, failures)
 
 
-def verify_first_operators(
-    n: int, cap: int = 4, kernel: bool = True
-) -> list[VerificationResult]:
+def verify_first_operators(n: int, kernel: bool = True) -> list[VerificationResult]:
     """Verify every (k, sign) first-operator case at rank n."""
     lie = LieData(n)
     out = []
     for k in range(1, n):
         for sign in ("+", "-"):
-            out.append(verify_row(singular_vector_row(n, k, sign), lie, cap, kernel=kernel))
+            out.append(verify_row(singular_vector_row(n, k, sign), lie, kernel=kernel))
     return out

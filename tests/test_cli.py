@@ -1,7 +1,12 @@
 """Exit codes and output of the command-line interface."""
 
 import dataclasses
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -139,12 +144,6 @@ def test_verify_maximal_perturb(capsys):
     assert "correctly fails" in out
 
 
-def test_verify_maximal_cap_too_small(capsys):
-    rc, _, err = run(capsys, "verify-maximal", "--n", "3", "--cap", "2")
-    assert rc == 1
-    assert "cap" in err
-
-
 def test_verify_maximal_detects_failure(capsys, monkeypatch):
     real = verma.singular_vector_row
 
@@ -221,3 +220,46 @@ def test_render_regular_dot(capsys):
     rc, out, _ = run(capsys, "render", "--what", "regular", "--n", "3", "--format", "dot")
     assert rc == 0
     assert out.startswith("digraph")
+
+
+BOUNDARY = ("-1", "0", "1", "2", "3")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("hasse", ("--n",)),
+        ("regular-orbit", ("--n",)),
+        ("singular-orbit", ("--n", "--k")),
+        ("relative-bgg", ("--n", "--k")),
+        ("penrose-e1", ("--n", "--k")),
+        ("bgg-complex", ("--n", "--k")),
+        ("verify-maximal", ("--n", "--k")),
+        ("geometry-check", ("--n", "--count")),
+        ("render --what regular", ("--n",)),
+        ("render --what singular", ("--n", "--k")),
+    ],
+)
+def test_boundary_integers(capsys, command, flags):
+    """Every subcommand at boundary values of its integer options: exit 0,
+    1 or 2 with no exception, an error message on exit 1, and never
+    success below rank 2."""
+    for values in itertools.product(BOUNDARY, repeat=len(flags)):
+        argv = command.split() + [x for pair in zip(flags, values) for x in pair]
+        rc, _, err = run(capsys, *argv)
+        assert rc in (0, 1, 2), argv
+        if rc == 1:
+            assert "error:" in err, argv
+        if int(values[0]) < 2:
+            assert rc != 0, argv
+
+
+def test_import_does_not_load_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, bgg.cli; assert 'numpy' not in sys.modules"],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
