@@ -337,8 +337,10 @@ def _cmd_geometry_check(args) -> int:
             failures.append(("isotropy", pt))
         line = geometry.random_line(args.n, rng)
         try:
-            geometry.twistor_cover_solve(line)
+            plane = geometry.twistor_cover_solve(line)
         except AssertionError:
+            plane = None
+        if plane is None or not geometry.isotropy_check(plane):
             failures.append(("twistor", line))
     ok = not failures
     if args.format == "json":

@@ -193,6 +193,35 @@ def test_geometry_check_detects_failure(capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
+def test_geometry_check_checks_solved_planes(capsys, monkeypatch):
+    """Each round checks the random point and the solved plane; a solved
+    plane that is not isotropic counts as a failure."""
+    real = geometry.isotropy_check
+    calls = []
+
+    def counted(pt):
+        calls.append(pt)
+        return real(pt)
+
+    monkeypatch.setattr(geometry, "isotropy_check", counted)
+    rc, out, _ = run(capsys, "geometry-check", "--n", "4", "--count", "6")
+    assert rc == 0 and out.startswith("PASS")
+    assert len(calls) == 12
+
+    solve = geometry.twistor_cover_solve
+    solved = []
+
+    def recorded(line):
+        solved.append(solve(line))
+        return solved[-1]
+
+    monkeypatch.setattr(geometry, "twistor_cover_solve", recorded)
+    monkeypatch.setattr(geometry, "isotropy_check", lambda pt: all(pt is not p for p in solved))
+    rc, out, _ = run(capsys, "geometry-check", "--n", "4", "--count", "6", "--format", "json")
+    assert rc == 2
+    assert json.loads(out)["failures"] == 6
+
+
 @pytest.mark.parametrize("count", ["-5", "0"])
 def test_geometry_check_rejects_empty_count(capsys, count):
     rc, out, err = run(capsys, "geometry-check", "--n", "6", "--count", count)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import geometry_oracle as oracle
 from bgg import geometry
 from bgg import parabolic as pmod
 
@@ -53,7 +54,7 @@ def test_isotropy_exact():
     assert geometry.isotropy_check(pt)
 
 
-def test_correction_is_load_bearing():
+def test_correction_is_load_bearing(monkeypatch):
     """Dropping the symmetric correction S breaks isotropy."""
     pt = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
     s = pt.s_correction()
@@ -70,6 +71,19 @@ def test_correction_is_load_bearing():
     c1 = [r[0] for r in uncorrected]
     c2 = [r[1] for r in uncorrected]
     assert geometry.omega(c1, c2) != 0
+
+    # The same S dropped from the integer rows the checks read.
+    scaled = geometry._scaled_matrix
+
+    def without_s(point):
+        rows, m, s = scaled(point)
+        rows[point.n][1] += s
+        rows[point.n + 1][0] -= s
+        return rows, m, s
+
+    monkeypatch.setattr(geometry, "_scaled_matrix", without_s)
+    assert pt.matrix() == uncorrected
+    assert not geometry.isotropy_check(pt)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -124,3 +138,58 @@ def test_twistor_cover_validation():
         geometry.twistor_cover_solve([0, 1, 2, 3, 4, 5])
     with pytest.raises(ValueError):
         geometry.twistor_cover_solve([1, 2])
+
+
+@pytest.mark.parametrize("g1", [1, -7])
+def test_twistor_cover_detects_plane_off_line(monkeypatch, g1):
+    """A solved plane moved off gamma fails the reconstruction check."""
+    point = geometry.BigCellPoint
+
+    def shifted(n, a1, a2, c1, c2, b1, b2, c12):
+        return point(n, a1, a2, c1, c2, b1 + 1, b2, c12)
+
+    gamma = [g1 * x for x in geometry.random_line(4, seed=3)]
+    geometry.twistor_cover_solve(gamma)
+    monkeypatch.setattr(geometry, "BigCellPoint", shifted)
+    with pytest.raises(AssertionError):
+        geometry.twistor_cover_solve(gamma)
+
+
+def _fields(pt):
+    return (pt.n, pt.a1, pt.a2, pt.c1, pt.c2, pt.b1, pt.b2, pt.c12)
+
+
+def _same_point(pt, old):
+    assert _fields(pt) == _fields(old)
+    assert pt.s_correction() == old.s_correction()
+    assert pt.matrix() == old.matrix()
+    assert pt.columns() == old.columns()
+    assert geometry.isotropy_check(pt) and oracle.isotropy_check(old)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_matches_fraction_oracle(n):
+    """Seeded draws, S, the matrix and the solved plane equal the
+    Fraction-arithmetic reference, for Fraction and plain-int inputs."""
+    rng, old_rng, data = random.Random(n), random.Random(n), random.Random(-n)
+    for _ in range(10):
+        pt = geometry.random_point(n, rng)
+        _same_point(pt, oracle.random_point(n, old_rng))
+        line = geometry.random_line(n, rng)
+        assert line == oracle.random_line(n, old_rng)
+        assert rng.getstate() == old_rng.getstate()
+
+        ints = [data.randint(-9, 9) for _ in range(geometry.parameter_count(n))]
+        rows = [tuple(ints[i * (n - 2) : (i + 1) * (n - 2)]) for i in range(4)]
+        _same_point(
+            geometry.BigCellPoint(n, *rows, *ints[-3:]),
+            oracle.BigCellPoint(n, *rows, *ints[-3:]),
+        )
+
+        int_line = [data.randint(-9, 9) for _ in range(2 * n)]
+        for g1 in (1, 3, -7, Fraction(2, 5)):
+            for gamma in ([g1 * x for x in line], [g1] + int_line[1:]):
+                _same_point(
+                    geometry.twistor_cover_solve(gamma),
+                    oracle.twistor_cover_solve(gamma),
+                )

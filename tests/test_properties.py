@@ -1,5 +1,7 @@
 """Property tests, with hypothesis (a declared test dependency)."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -7,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgg import weyl
+from bgg import geometry, weyl
 
 
 @st.composite
@@ -24,3 +26,49 @@ def test_inversion_length_of_rho_image_is_length(w):
     mu = weyl.standard_action(w, weyl.rho(w.n))
     assert weyl.inversion_length(mu) == weyl.length(w)
     assert weyl.from_regular_image(mu) == w
+
+
+rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
+
+
+@st.composite
+def big_cell_points(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
+    row = st.tuples(*[rationals] * (n - 2))
+    return geometry.BigCellPoint(
+        n, draw(row), draw(row), draw(row), draw(row),
+        draw(rationals), draw(rationals), draw(rationals),
+    )
+
+
+@settings(deadline=None, database=None)
+@given(big_cell_points())
+def test_big_cell_points_are_isotropic(pt):
+    """Every point is isotropic; with and without S, omega of the scaled
+    integer columns is zero exactly when omega of the Fraction columns is."""
+    assert geometry.isotropy_check(pt)
+    assert geometry.omega(*pt.columns()) == 0
+    rows, m, s = geometry._scaled_matrix(pt)
+    assert m > 0
+    uncorrected = [list(r) for r in rows]
+    uncorrected[pt.n][1] += s
+    uncorrected[pt.n + 1][0] -= s
+    for scaled in (rows, uncorrected):
+        ints = [r[0] for r in scaled], [r[1] for r in scaled]
+        fracs = [[Fraction(x, m) for x in col] for col in ints]
+        assert (geometry.omega(*ints) == 0) == (geometry.omega(*fracs) == 0)
+        assert geometry.omega(*fracs) == Fraction(geometry.omega(*ints), m * m)
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(rationals, min_size=2 * n, max_size=2 * n)))
+def test_solved_plane_contains_the_line(gamma):
+    if gamma[0] == 0:
+        with pytest.raises(ValueError):
+            geometry.twistor_cover_solve(gamma)
+        return
+    pt = geometry.twistor_cover_solve(gamma)
+    assert geometry.isotropy_check(pt)
+    c1, c2 = pt.columns()
+    g = [x / gamma[0] for x in gamma]
+    assert [x + g[1] * y for x, y in zip(c1, c2)] == g
