@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from bgg import geometry, orbits, parabolic, penrose, render, verma, weyl
+from bgg import geometry, orbits, parabolic, penrose, render, verma
 
 
 class _Parser(argparse.ArgumentParser):
@@ -25,14 +25,25 @@ def _wfmt(w) -> str:
     return "(" + ", ".join(str(v) for v in w) + ")"
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated list of integers; "" is empty."""
     if not text:
         return ()
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_json(payload: dict) -> int:
+    _emit(json.dumps(payload, indent=1))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -45,44 +56,18 @@ def _cmd_hasse(args) -> int:
             "TikZ output is only available for orbit diagrams; "
             "use regular-orbit / singular-orbit / render"
         )
-    p = parabolic.parabolic(args.n, _parse_ints(args.crossed))
-    hd = parabolic.hasse_diagram(p)
-    windows = [
-        weyl.standard_action(nd.element, tuple(range(1, args.n + 1)))
-        for nd in hd.nodes
-    ]
+    hd = parabolic.hasse_diagram(parabolic.parabolic(args.n, args.crossed))
     if args.format == "json":
-        payload = {
-            "n": p.n,
-            "crossed": list(p.crossed),
-            "nodes": [
-                {
-                    "weight": list(nd.weight),
-                    "length": nd.length,
-                    "window": list(win),
-                }
-                for nd, win in zip(hd.nodes, windows)
-            ],
-            "edges": [
-                {
-                    "source": e.source,
-                    "target": e.target,
-                    "root": e.root.label(),
-                    "order": e.order,
-                }
-                for e in hd.edges
-            ],
-        }
-        _emit(json.dumps(payload, indent=1))
-        return 0
+        return _emit_json(hd.to_dict())
+    p = hd.parabolic
     lines = [
         f"Hasse diagram: n={p.n} crossed={tuple(p.crossed)} "
         f"nodes={hd.node_count()} edges={len(hd.edges)}"
     ]
-    for i, (nd, win) in enumerate(zip(hd.nodes, windows)):
+    for i, nd in enumerate(hd.nodes):
         lines.append(
             f"  {i:3d}: weight={_wfmt(nd.weight)} length={nd.length} "
-            f"window={_wfmt(win)}"
+            f"window={_wfmt(nd.window)}"
         )
     lines.append("edges:")
     for e in hd.edges:
@@ -95,9 +80,9 @@ def _cmd_hasse(args) -> int:
 
 def _render_config(args) -> render.RenderConfig:
     return render.RenderConfig(
-        skip_columns=_parse_ints(getattr(args, "skip", "") or ""),
-        show_labels=getattr(args, "labels", False),
-        show_suppressed=getattr(args, "suppressed", False),
+        skip_columns=args.skip,
+        show_labels=args.labels,
+        show_suppressed=args.suppressed,
     )
 
 
@@ -151,21 +136,7 @@ def _cmd_singular_orbit(args) -> int:
 def _cmd_relative_bgg(args) -> int:
     terms = penrose.relative_bgg(args.n, args.k)
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "terms": [
-                {
-                    "p": t.p,
-                    "first": t.first,
-                    "middle": t.middle,
-                    "tail": list(t.tail),
-                }
-                for t in terms
-            ],
-        }
-        _emit(json.dumps(payload, indent=1))
-        return 0
+        return _emit_json({"n": args.n, "k": args.k, "terms": [t.to_dict() for t in terms]})
     lines = [f"relative BGG resolution: n={args.n} twistor first coordinate {args.k}"]
     for t in terms:
         tail = ", ".join(str(v) for v in t.tail)
@@ -180,31 +151,7 @@ def _cmd_penrose_e1(args) -> int:
     else:
         page = penrose.e2_page(args.n, args.k, args.sign)
     if args.format == "json":
-        entries = []
-        for (p, q), val in sorted(page.entries.items()):
-            if page.r == 1:
-                entries.append({"p": p, "q": q, "weight": list(val)})
-            else:
-                entries.append({"p": p, "q": q, "kind": val.kind, "text": val.text})
-        payload = {
-            "n": page.n,
-            "k": page.k,
-            "sign": page.sign,
-            "page": page.r,
-            "entries": entries,
-            "differentials": [
-                {
-                    "source": list(d.source),
-                    "target": list(d.target),
-                    "kind": d.kind,
-                    "order": d.order,
-                    "note": d.note,
-                }
-                for d in page.differentials
-            ],
-        }
-        _emit(json.dumps(payload, indent=1))
-        return 0
+        return _emit_json(page.to_dict())
     lines = [f"E{page.r} page: n={page.n} k={page.k} sign={page.sign}"]
     for q in (1, 0):
         ps = page.row(q)
@@ -227,37 +174,18 @@ def _cmd_penrose_e1(args) -> int:
     return 0
 
 
-def _complex_payload(cx) -> dict:
-    return {
-        "n": cx.n,
-        "k": cx.k,
-        "sign": cx.sign,
-        "conjectural": cx.conjectural,
-        "resolved_object": cx.resolved_object,
-        "terms": [list(t) for t in cx.terms],
-        "maps": [
-            {"source": m.source, "target": m.target, "kind": m.kind, "order": m.order}
-            for m in cx.maps
-        ],
-        "branch": list(cx.branch) if hasattr(cx, "branch") else None,
-    }
-
-
 def _cmd_bgg_complex(args) -> int:
     cx = penrose.assemble_singular_bgg(
         args.n, args.k, args.sign, conjectural=args.conjectural
     )
     if args.format == "json":
-        _emit(json.dumps(_complex_payload(cx), indent=1))
-        return 0
+        return _emit_json(cx.to_dict())
     head = f"singular BGG complex: n={cx.n} k={cx.k} sign={cx.sign}"
     if cx.conjectural:
         head += "  [CONJECTURAL]"
     lines = [head, f"resolves: {cx.resolved_object}", "terms:"]
     for i, t in enumerate(cx.terms):
-        mark = ""
-        if hasattr(cx, "branch") and i in cx.branch:
-            mark = "  (direct-sum column)"
+        mark = "  (direct-sum column)" if cx.branch and i in cx.branch else ""
         lines.append(f"  {i}: {_wfmt(t)}{mark}")
     lines.append("maps:")
     for m in cx.maps:
@@ -283,26 +211,9 @@ def _cmd_verify_maximal(args) -> int:
         for row in rows
     ]
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "perturb": args.perturb,
-            "results": [
-                {
-                    "name": r.row.name,
-                    "k": r.row.k,
-                    "sign": r.row.sign,
-                    "lam": list(r.row.lam),
-                    "mu": list(r.row.mu),
-                    "d1_match": r.d1_match,
-                    "weight_ok": r.weight_ok,
-                    "maximal_ok": r.maximal_ok,
-                    "kernel_dim": r.kernel_dim,
-                    "ok": r.ok,
-                }
-                for r in results
-            ],
-        }
-        _emit(json.dumps(payload, indent=1))
+        _emit_json(
+            {"n": args.n, "perturb": args.perturb, "results": [r.to_dict() for r in results]}
+        )
     else:
         for r in results:
             if args.perturb:
@@ -344,17 +255,14 @@ def _cmd_geometry_check(args) -> int:
             failures.append(("twistor", line))
     ok = not failures
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "count": args.count,
-                    "seed": args.seed,
-                    "failures": len(failures),
-                    "ok": ok,
-                },
-                indent=1,
-            )
+        _emit_json(
+            {
+                "n": args.n,
+                "count": args.count,
+                "seed": args.seed,
+                "failures": len(failures),
+                "ok": ok,
+            }
         )
     else:
         verdict = "PASS" if ok else "FAIL"
@@ -380,7 +288,9 @@ def _cmd_render(args) -> int:
 
 
 def _add_diagram_opts(sp) -> None:
-    sp.add_argument("--skip", default="", help="comma-separated |coordinate| columns to omit")
+    sp.add_argument(
+        "--skip", type=_int_list, default="", help="comma-separated |coordinate| columns to omit"
+    )
     sp.add_argument("--labels", action="store_true", help="label arrows with roots (tikz)")
     sp.add_argument(
         "--suppressed", action="store_true", help="draw trivially-acting arrows"
@@ -393,7 +303,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("hasse", help="parabolic Hasse diagram")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--crossed", default="2", help="comma-separated crossed nodes")
+    sp.add_argument("--crossed", type=_int_list, default="2", help="comma-separated crossed nodes")
     sp.add_argument("--format", choices=("text", "json", "tikz"), default="text")
     sp.set_defaults(func=_cmd_hasse)
 

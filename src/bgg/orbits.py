@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from bgg import parabolic as parabolic_mod
 from bgg import weyl
 from bgg.parabolic import HasseEdge, HasseNode
-from bgg.weyl import Root, Weight, WeylElement
+from bgg.weyl import Root, Weight
 
 STANDARD = "standard"
 IDENTITY = "identity"
@@ -137,7 +137,6 @@ class OrbitDiagram:
     arrows: list[OrbitArrow]
     coincidences: list[tuple[int, int]]
     conjectural: bool = False
-    elements: list[WeylElement] = field(default_factory=list, compare=False)
 
     def placements(self) -> list[tuple[int, int]]:
         return [nd.placement for nd in self.nodes]
@@ -165,15 +164,7 @@ def regular_orbit_projection(n: int) -> OrbitDiagram:
         OrbitArrow(e.source, e.target, STANDARD, e.root, e.order)
         for e in hasse_edges
     ]
-    return OrbitDiagram(
-        "regular-orbit",
-        n,
-        None,
-        nodes,
-        arrows,
-        [],
-        elements=[nd.element for nd in hasse_nodes],
-    )
+    return OrbitDiagram("regular-orbit", n, None, nodes, arrows, [])
 
 
 def _suppressed(k: int, src: tuple[int, int], tgt: tuple[int, int]) -> bool:
@@ -250,7 +241,6 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         arrows,
         [tuple(c) for c in coincidences],
         conjectural=(k == 0),
-        elements=[hasse_nodes[old].element for old, _ in keep],
     )
 
 

@@ -111,6 +111,11 @@ class HasseNode:
     weight: Weight
     length: int
 
+    @property
+    def window(self) -> Weight:
+        """The element in window notation: its image of (1, ..., n)."""
+        return weyl.standard_action(self.element, tuple(range(1, self.element.n + 1)))
+
 
 @dataclass(frozen=True)
 class HasseEdge:
@@ -129,6 +134,20 @@ class HasseDiagram:
 
     def node_count(self) -> int:
         return len(self.nodes)
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.parabolic.n,
+            "crossed": list(self.parabolic.crossed),
+            "nodes": [
+                {"weight": list(nd.weight), "length": nd.length, "window": list(nd.window)}
+                for nd in self.nodes
+            ],
+            "edges": [
+                {"source": e.source, "target": e.target, "root": e.root.label(), "order": e.order}
+                for e in self.edges
+            ],
+        }
 
 
 def _ldominant_rho_images(p: Parabolic):

@@ -12,8 +12,8 @@ All weights are rho-shifted integer tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from bgg import orbits
 from bgg import parabolic as parabolic_mod
@@ -42,6 +42,9 @@ class RelativeBggTerm:
     @property
     def weight(self) -> Weight:
         return (self.first, self.middle) + self.tail
+
+    def to_dict(self) -> dict:
+        return {"p": self.p, "first": self.first, "middle": self.middle, "tail": list(self.tail)}
 
 
 def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
@@ -116,6 +119,31 @@ class SpectralPage:
 
     def row(self, q: int) -> list[int]:
         return sorted(p for (p, qq) in self.entries if qq == q)
+
+    def to_dict(self) -> dict:
+        entries = []
+        for (p, q), val in sorted(self.entries.items()):
+            if self.r == 1:
+                entries.append({"p": p, "q": q, "weight": list(val)})
+            else:
+                entries.append({"p": p, "q": q, "kind": val.kind, "text": val.text})
+        return {
+            "n": self.n,
+            "k": self.k,
+            "sign": self.sign,
+            "page": self.r,
+            "entries": entries,
+            "differentials": [
+                {
+                    "source": list(d.source),
+                    "target": list(d.target),
+                    "kind": d.kind,
+                    "order": d.order,
+                    "note": d.note,
+                }
+                for d in self.differentials
+            ],
+        }
 
 
 def _validate(n: int, k: int, sign: str) -> int:
@@ -245,7 +273,12 @@ class BggMap:
 @dataclass
 class BggComplex:
     """A singular BGG complex on iGr(2,2n): a chain of 2n-3 weights with
-    one non-standard map (none when k = n-1)."""
+    one non-standard map (none when k = n-1).
+
+    The conjectural k = 0 candidate branches instead: two chains joined
+    through a direct-sum column, the term pair `branch`, with two
+    order-three bridge maps.  `branch` is None for every other complex.
+    """
 
     n: int
     k: int
@@ -254,21 +287,22 @@ class BggComplex:
     maps: list[BggMap]
     resolved_object: str
     conjectural: bool = False
+    branch: Optional[tuple[int, int]] = None
 
-
-@dataclass
-class ConjecturalComplex:
-    """The branched k = 0 candidate: two chains joined through a
-    direct-sum column, with two order-three bridge maps."""
-
-    n: int
-    terms: list[Weight]
-    maps: list[BggMap]
-    branch: tuple[int, int]
-    resolved_object: str
-    k: int = 0
-    sign: str = "+"
-    conjectural: bool = True
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "k": self.k,
+            "sign": self.sign,
+            "conjectural": self.conjectural,
+            "resolved_object": self.resolved_object,
+            "terms": [list(t) for t in self.terms],
+            "maps": [
+                {"source": m.source, "target": m.target, "kind": m.kind, "order": m.order}
+                for m in self.maps
+            ],
+            "branch": None if self.branch is None else list(self.branch),
+        }
 
 
 def format_twistor_weight(n: int, k: int, sign: str = "+") -> str:
@@ -282,7 +316,7 @@ def _resolved(n: int, k: int, sign: str) -> str:
 
 def assemble_singular_bgg(
     n: int, k: int, sign: str = "+", conjectural: bool = False
-) -> Union[BggComplex, ConjecturalComplex]:
+) -> BggComplex:
     """Splice the E1 rows into the singular BGG complex for the twistor
     weight (±k | n-1, ..., 1).
 
@@ -313,7 +347,7 @@ def _full_k0_weight(n: int, pair: tuple[int, int]) -> Weight:
     return pair + tuple(rest)
 
 
-def _conjectural_k0(n: int) -> ConjecturalComplex:
+def _conjectural_k0(n: int) -> BggComplex:
     if n < 3:
         raise ValueError("need n >= 3")
     pairs = [(x, 0) for x in range(n - 1, 0, -1)]
@@ -333,10 +367,6 @@ def _conjectural_k0(n: int) -> ConjecturalComplex:
         for i in range(n - 1, 2 * n - 3)
     )
     maps.sort(key=lambda m: (m.source, m.target))
-    return ConjecturalComplex(
-        n,
-        terms,
-        maps,
-        (n - 2, n - 1),
-        _resolved(n, 0, "+"),
+    return BggComplex(
+        n, 0, "+", terms, maps, _resolved(n, 0, "+"), conjectural=True, branch=(n - 2, n - 1)
     )

@@ -6,8 +6,8 @@ column of arrows interrupted by omitted nodes is bridged by a single
 dotted \\skipped segment between its visible endpoints.  Crosses mark
 the regular placements that carry no node of a singular orbit.
 
-JSON output is schema-stable and round-trips through from_json (Weyl
-group elements are not serialized).
+JSON output is schema-stable and holds the whole diagram, so
+from_json(to_json(d)) == d.
 """
 
 from __future__ import annotations

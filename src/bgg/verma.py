@@ -107,9 +107,6 @@ class LieData:
             self._brackets[key] = tuple(self.decompose(m))
         return self._brackets[key]
 
-    def coroot_pairing(self, root: Root, weight: Sequence[int]) -> int:
-        return weyl.pairing(weight, root)
-
 
 def _accumulate(out: Matrix, x: Matrix, coeff: int) -> None:
     """out += coeff * x, keeping only nonzero entries."""
@@ -558,6 +555,20 @@ class VerificationResult:
             and self.maximal_ok
             and self.kernel_dim in (None, 1)
         )
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.row.name,
+            "k": self.row.k,
+            "sign": self.row.sign,
+            "lam": list(self.row.lam),
+            "mu": list(self.row.mu),
+            "d1_match": self.d1_match,
+            "weight_ok": self.weight_ok,
+            "maximal_ok": self.maximal_ok,
+            "kernel_dim": self.kernel_dim,
+            "ok": self.ok,
+        }
 
 
 def verify_row(

@@ -292,3 +292,60 @@ def test_import_does_not_load_numpy():
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
     )
+
+
+def run_any(capsys, argv):
+    """Like run, but an argparse error (SystemExit) gives its exit code."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+WELL_FORMED_LISTS = ("", "2", "1,3", " 2", "0", "-1", "9", "1,2,3,4")
+MALFORMED_LISTS = ("2,", ",", "a,b", "1,,2", "1;2", "1.5", "x")
+FORMATS = ("text", "json", "tikz", "dot")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *((f"hasse --n 4 --format {fmt}", "--crossed") for fmt in ("text", "json")),
+        *(
+            (f"{what} --format {fmt}", "--skip")
+            for what in ("regular-orbit --n 4", "singular-orbit --n 4 --k 1")
+            for fmt in FORMATS
+        ),
+        *(
+            (f"render --what singular --n 4 --k 0 --format {fmt}", "--skip")
+            for fmt in ("tikz", "dot", "json")
+        ),
+    ],
+)
+def test_boundary_lists(capsys, command, flag):
+    """--crossed and --skip values: a malformed list exits 1 with an error
+    in every format; any other value exits 0, 1 or 2 with no exception."""
+    for value in WELL_FORMED_LISTS + MALFORMED_LISTS:
+        argv = command.split() + [f"{flag}={value}"]
+        rc, out, err = run_any(capsys, argv)
+        assert rc in (0, 1, 2), argv
+        if rc == 1:
+            assert "error:" in err and not out, argv
+        if value in MALFORMED_LISTS:
+            assert rc == 1 and f"argument {flag}" in err, argv
+    rc, _, _ = run_any(capsys, command.split() + [f"{flag}=2"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("page", ["-1", "0", "1", "2", "3", "x", ""])
+def test_boundary_pages(capsys, fmt, page):
+    rc, out, err = run_any(
+        capsys, ["penrose-e1", "--n", "4", "--k", "1", "--format", fmt, f"--page={page}"]
+    )
+    if page in ("1", "2"):
+        assert rc == 0 and out and not err
+    else:
+        assert rc == 1 and not out and "error:" in err

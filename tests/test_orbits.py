@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from bgg import orbits, weyl
+from bgg import orbits, parabolic, weyl
 from bgg.weyl import Root
 
 
@@ -95,8 +95,8 @@ def test_regular_orbit_structure():
     for a in d.arrows:
         assert a.kind == orbits.STANDARD
         assert a.order in (1, 2)
-    for nd, el in zip(d.nodes, d.elements):
-        assert weyl.standard_action(el, weyl.rho(4)) == nd.weight
+    hasse = parabolic.hasse_diagram(parabolic.parabolic(4, (2,)))
+    assert [nd.weight for nd in d.nodes] == [nd.weight for nd in hasse.nodes]
 
 
 def test_regular_orbit_against_figure(figure_regular_n8):
@@ -312,7 +312,5 @@ def test_callers_cannot_corrupt_the_memo(build):
     d = build()
     d.nodes.reverse()
     d.arrows.clear()
-    d.elements.append(weyl.identity(5))
     again = build()
     assert again == fresh
-    assert again.elements == fresh.elements

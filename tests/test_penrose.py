@@ -265,3 +265,15 @@ def test_conjectural_k0_terms_cover_orbit(n):
         (n - 3, n - 1, 3),
         (n - 2, n, 3),
     ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_every_complex_is_one_bgg_complex(n):
+    """One class for every k: branch is None for k >= 1 and the direct-sum
+    column pair (n-2, n-1) for the conjectural k = 0 complex."""
+    for k in range(n):
+        for sign in ("+", "-") if k else ("+",):
+            cx = penrose.assemble_singular_bgg(n, k, sign, conjectural=True)
+            assert type(cx) is penrose.BggComplex
+            assert cx.branch == ((n - 2, n - 1) if k == 0 else None)
+            assert cx.to_dict()["branch"] == (None if cx.branch is None else list(cx.branch))

@@ -1,5 +1,6 @@
 """Property tests, with hypothesis (a declared test dependency)."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgg import geometry, weyl
+from bgg import geometry, orbits, render, weyl
 
 
 @st.composite
-def signed_permutations(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
+def signed_permutations(draw, n):
     perm = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     return weyl.WeylElement(tuple(perm), tuple(signs))
 
 
 @settings(deadline=None, database=None)
-@given(signed_permutations())
+@given(st.integers(1, 10).flatmap(signed_permutations))
 def test_inversion_length_of_rho_image_is_length(w):
     mu = weyl.standard_action(w, weyl.rho(w.n))
     assert weyl.inversion_length(mu) == weyl.length(w)
@@ -72,3 +72,46 @@ def test_solved_plane_contains_the_line(gamma):
     c1, c2 = pt.columns()
     g = [x / gamma[0] for x in gamma]
     assert [x + g[1] * y for x, y in zip(c1, c2)] == g
+
+
+@st.composite
+def two_elements_and_a_weight(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    lam = draw(st.tuples(*[st.integers(-20, 20)] * n))
+    return draw(signed_permutations(n)), draw(signed_permutations(n)), lam
+
+
+@settings(deadline=None, database=None)
+@given(two_elements_and_a_weight())
+def test_weyl_action_laws(case):
+    """standard_action is a group action, inverse undoes it, and
+    affine_action is the same action shifted by rho."""
+    w1, w2, lam = case
+    n = w1.n
+    act, dot = weyl.standard_action, weyl.affine_action
+    assert act(weyl.compose(w1, w2), lam) == act(w1, act(w2, lam))
+    assert act(weyl.inverse(w1), act(w1, lam)) == lam
+    assert weyl.compose(w1, weyl.inverse(w1)) == weyl.identity(n)
+    assert weyl.compose(weyl.inverse(w1), w1) == weyl.identity(n)
+    r = weyl.rho(n)
+    shifted = tuple(x + y for x, y in zip(lam, r))
+    assert dot(w1, lam) == tuple(x - y for x, y in zip(act(w1, shifted), r))
+    assert dot(weyl.compose(w1, w2), lam) == dot(w1, dot(w2, lam))
+    minus_rho = tuple(-x for x in r)
+    assert dot(w1, minus_rho) == minus_rho
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.none() | st.integers(0, n - 1))))
+def test_orbit_json_roundtrip_is_exact(case):
+    """An orbit diagram is its JSON: every field survives the round trip
+    and the text is stable."""
+    n, k = case
+    d = orbits.regular_orbit_projection(n) if k is None else orbits.singular_orbit(n, k)
+    assert all(f.compare for f in dataclasses.fields(d))
+    for indent in (None, 1):
+        text = render.to_json(d, indent=indent)
+        back = render.from_json(text)
+        assert back == d
+        assert render.to_json(back, indent=indent) == text
+        assert render.to_json(d, indent=indent) == text

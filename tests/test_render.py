@@ -117,7 +117,7 @@ def test_json_roundtrip():
     for d in (orbits.regular_orbit_projection(4), orbits.singular_orbit(4, 1)):
         text = render.to_json(d, indent=1)
         back = render.from_json(text)
-        assert back == d  # elements are excluded from equality
+        assert back == d
         assert render.to_json(back, indent=1) == text
 
 
