@@ -10,7 +10,6 @@ at the two placements that project onto it.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -183,11 +182,11 @@ def _suppressed(k: int, src: tuple[int, int], tgt: tuple[int, int]) -> bool:
 def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
     """The orbit diagram of a k-singular weight for crossed={2}.
 
-    Nodes are the Hasse-diagram elements w whose image w(base) is
-    strictly Levi-dominant, placed at the first two coordinates of
-    w(rho).  Arrows are the induced Hasse arrows: identity arrows join
-    the coincidence pairs, the trivially-acting families at k <= 1 are
-    kept but marked suppressed, all others are standard.
+    Nodes are the Hasse-diagram nodes mu = w(rho) whose image w(base) is
+    strictly Levi-dominant, placed at the first two coordinates of mu.
+    Arrows are the induced Hasse arrows: identity arrows join the
+    coincidence pairs, the trivially-acting families at k <= 1 are kept
+    but marked suppressed, all others are standard.
     """
     if base is None:
         base = lambda_k(n, k)
@@ -200,7 +199,7 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
 
     keep = []
     for i, nd in enumerate(hasse_nodes):
-        image = weyl.standard_action(nd.element, base)
+        image = weyl.act_from_image(nd.weight, base)
         if weyl.is_dominant(image, p.crossed, weyl.STRICTLY_FOR_LEVI):
             keep.append((i, image))
     index = {old: new for new, (old, _) in enumerate(keep)}
@@ -266,17 +265,3 @@ def singular_orbit_from_base(base: Sequence[int]) -> OrbitDiagram:
     structure depends only on the ordering pattern, not the values."""
     base = tuple(base)
     return singular_orbit(len(base), infer_k(base), base)
-
-
-def singular_conjugates(shifted: Sequence[int], crossed: Sequence[int]) -> set[Weight]:
-    """All strictly Levi-dominant images of a weight under the full Weyl
-    group, by direct orbit enumeration (oracle-grade; small n only)."""
-    shifted = tuple(shifted)
-    n = len(shifted)
-    found = set()
-    for perm in set(itertools.permutations(shifted)):
-        for signs in itertools.product((1, -1), repeat=n):
-            image = tuple(s * v for s, v in zip(signs, perm))
-            if weyl.is_dominant(image, crossed, weyl.STRICTLY_FOR_LEVI):
-                found.add(image)
-    return found

@@ -4,8 +4,8 @@ Hasse diagrams.
 A parabolic is recorded by the set of crossed nodes.  A positive root
 lies in the nilradical iff its expansion has a nonzero coefficient on
 some crossed simple root.  The Hasse diagram W^p consists of the Weyl
-elements w for which mu = w(rho) is strictly dominant for the Levi
-factor, and mu determines w.  So the diagram is keyed by mu:
+group elements w for which mu = w(rho) is strictly dominant for the Levi
+factor, and mu determines w.  So a node is its weight mu:
 
 - nodes are enumerated directly from the admissible images of rho,
   group by group between the bars;
@@ -22,10 +22,10 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from bgg import weyl
-from bgg.weyl import Root, Weight, WeylElement
+from bgg.weyl import Root, Weight
 
 Scalar = Union[int, Fraction]
 
@@ -107,14 +107,16 @@ def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic
 
 @dataclass(frozen=True)
 class HasseNode:
-    element: WeylElement
+    """The element w of W^p, named by its weight mu = w(rho)."""
+
     weight: Weight
     length: int
 
     @property
     def window(self) -> Weight:
-        """The element in window notation: its image of (1, ..., n)."""
-        return weyl.standard_action(self.element, tuple(range(1, self.element.n + 1)))
+        """w in window notation, its image of (1, ..., n):
+        window_i = sign(mu_i) * (n + 1 - |mu_i|)."""
+        return weyl.act_from_image(self.weight, range(1, len(self.weight) + 1))
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,9 @@ class HasseEdge:
 
 @dataclass
 class HasseDiagram:
+    """W^p with its arrows; base is always rho, of which the node weights
+    are the images."""
+
     parabolic: Parabolic
     base: Weight
     nodes: list[HasseNode]
@@ -181,35 +186,32 @@ def _ldominant_rho_images(p: Parabolic):
     yield from rec(0, set(range(1, n + 1)), [])
 
 
-def hasse_diagram(p: Parabolic, base: Optional[Weight] = None) -> HasseDiagram:
-    """The Hasse diagram W^p, with node weights w(base) and arrow edges.
+def _sort_key(mu: Weight) -> tuple:
+    """(length, perm, signs) of the w with w(rho) = mu, where w is the
+    signed permutation with perm[n - |mu_i|] = i and signs_i = sign(mu_i)."""
+    n = len(mu)
+    perm = [0] * n
+    for i, x in enumerate(mu, start=1):
+        perm[n - abs(x)] = i
+    return weyl.inversion_length(mu), tuple(perm), tuple(1 if x > 0 else -1 for x in mu)
 
-    base defaults to rho and must be g-dominant and regular (for singular
-    bases use the orbit-diagram constructions instead).  Each node is
-    found from mu = w(rho), its length is the inversion count of mu, and
-    nodes are sorted by (length, perm, signs).  An edge i -> j is a
-    nilradical root alpha with s_alpha(mu_i) = mu_j and length one more;
-    edges are listed by (source, target) and carry the root and the
-    conformal order bound.  Every call returns a fresh diagram.
+
+def hasse_diagram(p: Parabolic) -> HasseDiagram:
+    """The Hasse diagram W^p, with node weights w(rho) and arrow edges.
+
+    Each node is its weight mu = w(rho), its length is the inversion
+    count of mu, and nodes are sorted by (length, perm, signs) of w.  An
+    edge i -> j is a nilradical root alpha with s_alpha(mu_i) = mu_j and
+    length one more; edges are listed by (source, target) and carry the
+    root and the conformal order bound.  Every call returns a fresh
+    diagram.  Singular weights are handled by the orbits module.
     """
     n = p.n
-    if base is None:
-        base = weyl.rho(n)
-    if len(base) != n:
-        raise ValueError("rank mismatch between parabolic and base weight")
-    if weyl.classify(base) != weyl.REGULAR or not weyl.is_dominant(base):
-        raise ValueError(
-            "base must be g-dominant and regular; singular orbits are built "
-            "by the orbits module"
-        )
-
-    # (length, w, mu) sorts as (length, perm, signs): the w are distinct
-    ranked = sorted(
-        (weyl.inversion_length(mu), weyl.from_regular_image(mu), mu)
-        for mu in _ldominant_rho_images(p)
-    )
-    nodes = [HasseNode(w, weyl.standard_action(w, base), ell) for ell, w, _ in ranked]
-    index = {mu: i for i, (_, _, mu) in enumerate(ranked)}
+    nodes = [
+        HasseNode(mu, key[0])
+        for key, mu in sorted((_sort_key(mu), mu) for mu in _ldominant_rho_images(p))
+    ]
+    index = {nd.weight: i for i, nd in enumerate(nodes)}
 
     # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E),
     # and alpha(E) is alpha's coefficient sum on the crossed nodes
@@ -218,15 +220,15 @@ def hasse_diagram(p: Parabolic, base: Optional[Weight] = None) -> HasseDiagram:
         for r in nilradical_roots(p)
     }
     edges = []
-    for i, (ell, _, mu) in enumerate(ranked):
+    for i, nd in enumerate(nodes):
         targets = []
         for root in grades:
-            j = index.get(weyl.reflect(mu, root))
-            if j is not None and ranked[j][0] == ell + 1:
+            j = index.get(weyl.reflect(nd.weight, root))
+            if j is not None and nodes[j].length == nd.length + 1:
                 targets.append((j, root))
         for j, root in sorted(targets):
-            order = weyl.pairing(nodes[i].weight, root) * grades[root]
+            order = weyl.pairing(nd.weight, root) * grades[root]
             if order < 1:
                 raise AssertionError(f"conformal drop {order} < 1 on a Hasse edge")
             edges.append(HasseEdge(i, j, root, order))
-    return HasseDiagram(p, tuple(base), nodes, edges)
+    return HasseDiagram(p, weyl.rho(n), nodes, edges)

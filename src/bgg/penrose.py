@@ -321,14 +321,15 @@ def assemble_singular_bgg(
     weight (±k | n-1, ..., 1).
 
     For k = 0 there is no proof and the shape branches; that candidate
-    is only returned when conjectural=True.
+    is only returned when conjectural=True, and only for sign '+' (the
+    k = 0 twistor weight has a single conjugate).
     """
     if k == 0:
         if not conjectural:
             raise ValueError(
                 "the k = 0 complex is conjectural; pass conjectural=True"
             )
-        return _conjectural_k0(n)
+        return _conjectural_k0(n, sign)
     page = e1_page(n, k, sign)
     cells = sorted(page.entries.items(), key=lambda kv: kv[0][0])
     terms = [w for _, w in cells]
@@ -347,9 +348,10 @@ def _full_k0_weight(n: int, pair: tuple[int, int]) -> Weight:
     return pair + tuple(rest)
 
 
-def _conjectural_k0(n: int) -> BggComplex:
+def _conjectural_k0(n: int, sign: str) -> BggComplex:
     if n < 3:
         raise ValueError("need n >= 3")
+    orbits.tilde_lambda(n, 0, sign)  # only '+': k = 0 has a single conjugate
     pairs = [(x, 0) for x in range(n - 1, 0, -1)]
     pairs += [(0, y) for y in range(-1, -n, -1)]
     terms = [_full_k0_weight(n, pr) for pr in pairs]

@@ -1,22 +1,23 @@
-"""Type C_n root system and Weyl group as signed permutations.
+"""Type C_n root system, and its Weyl group named by images of rho.
 
 Weights live in epsilon-coordinates as integer tuples of length n.  The
 positive roots are a_ij = e_i - e_j, b_i = 2e_i and c_ij = e_i + e_j for
-1 <= i < j <= n; the simple roots are a_{i,i+1} (i < n) and b_n.  A Weyl
-group element w = (perm, signs) acts by
+1 <= i < j <= n; the simple roots are a_{i,i+1} (i < n) and b_n.
 
-    w(lam)[i] = signs[i] * lam[perm^{-1}(i)]
-
-so perm moves positions and signs flips the results in place.  Lengths
-are counted as the number of positive roots sent negative (`length`), or
-equivalently as the inversions of w(rho) (`inversion_length`).
+The Weyl group acts by signed permutations, and an element w is fixed
+by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
+mu alone: `act_from_image` applies it to any weight, `inversion_length`
+is its length (the number of positive roots it sends negative), and
+`reflect` applies a reflection s_alpha without building it.  The group
+as signed permutations, with products, inverses and root-counting
+lengths, is kept as the test oracle in tests/weyl_oracle.py.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 Weight = tuple[int, ...]
 
@@ -95,68 +96,12 @@ def pairing(weight: Sequence[int], root: Root) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Weyl group
+# Weyl group, named by the image of rho
 
 
-@dataclass(frozen=True, order=True)
-class WeylElement:
-    """Signed permutation: perm[j-1] is the image of position j, signs[i-1]
-    the sign applied at position i of the result."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        q = [0] * self.n
-        for j, image in enumerate(self.perm, start=1):
-            q[image - 1] = j
-        return tuple(q)
-
-
-def identity(n: int) -> WeylElement:
-    return WeylElement(tuple(range(1, n + 1)), (1,) * n)
-
-
-def standard_action(w: WeylElement, weight: Sequence[int]) -> Weight:
-    """Apply w to a weight in epsilon-coordinates."""
-    if len(weight) != w.n:
-        raise ValueError("rank mismatch between element and weight")
-    q = w.inverse_perm()
-    return tuple(w.signs[i] * weight[q[i] - 1] for i in range(w.n))
-
-
-def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """w1 after w2: (w1*w2)(lam) = w1(w2(lam))."""
-    if w1.n != w2.n:
-        raise ValueError("rank mismatch")
-    n = w1.n
-    perm = tuple(w1.perm[w2.perm[j] - 1] for j in range(n))
-    q1 = w1.inverse_perm()
-    signs = tuple(w1.signs[i] * w2.signs[q1[i] - 1] for i in range(n))
-    return WeylElement(perm, signs)
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    signs = tuple(w.signs[w.perm[j] - 1] for j in range(w.n))
-    return WeylElement(w.inverse_perm(), signs)
-
-
-def reflection(root: Root, n: int) -> WeylElement:
-    """The reflection through a positive root, as a signed permutation."""
-    perm = list(range(1, n + 1))
-    signs = [1] * n
-    if root.kind == "a":
-        perm[root.i - 1], perm[root.j - 1] = root.j, root.i
-    elif root.kind == "b":
-        signs[root.i - 1] = -1
-    elif root.kind == "c":
-        perm[root.i - 1], perm[root.j - 1] = root.j, root.i
-        signs[root.i - 1] = signs[root.j - 1] = -1
-    return WeylElement(tuple(perm), tuple(signs))
+def rho(n: int) -> Weight:
+    """Half the sum of the positive roots: (n, n-1, ..., 1)."""
+    return tuple(range(n, 0, -1))
 
 
 def reflect(weight: Sequence[int], root: Root) -> Weight:
@@ -172,54 +117,17 @@ def reflect(weight: Sequence[int], root: Root) -> Weight:
     return tuple(v)
 
 
-def as_reflection(w: WeylElement) -> Optional[Root]:
-    """Recognize w as the reflection through a positive root, if it is one."""
-    n = w.n
-    moved = [j for j in range(1, n + 1) if w.perm[j - 1] != j]
-    flips = [i for i in range(1, n + 1) if w.signs[i - 1] == -1]
-    if not moved:
-        if len(flips) == 1:
-            return Root("b", flips[0])
-        return None
-    if len(moved) != 2:
-        return None
-    i, j = moved
-    if w.perm[i - 1] != j or w.perm[j - 1] != i:
-        return None
-    if not flips:
-        return Root("a", i, j)
-    if flips == [i, j]:
-        return Root("c", i, j)
-    return None
+def act_from_image(mu: Sequence[int], weight: Sequence[int]) -> Weight:
+    """w(weight) for the w with w(rho) = mu.
 
-
-def rho(n: int) -> Weight:
-    """Half the sum of the positive roots: (n, n-1, ..., 1)."""
-    return tuple(range(n, 0, -1))
-
-
-def affine_action(w: WeylElement, weight: Sequence[int]) -> Weight:
-    """The rho-shifted (dot) action w.lam = w(lam + rho) - rho."""
-    r = rho(w.n)
-    shifted = tuple(x + y for x, y in zip(weight, r))
-    return tuple(x - y for x, y in zip(standard_action(w, shifted), r))
-
-
-def _vector_is_negative(v: Sequence[int]) -> bool:
-    for x in v:
-        if x:
-            return x < 0
-    return False
-
-
-def length(w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    n = w.n
-    return sum(
-        1
-        for root in positive_roots(n)
-        if _vector_is_negative(standard_action(w, root.vector(n)))
-    )
+    rho holds |mu_i| at coordinate n - |mu_i| (counting from 0), so w
+    moves that coordinate of any weight to position i and gives it the
+    sign of mu_i.
+    """
+    n = len(mu)
+    if len(weight) != n:
+        raise ValueError("rank mismatch between mu and weight")
+    return tuple(weight[n - x] if x > 0 else -weight[n + x] for x in mu)
 
 
 def inversion_length(mu: Sequence[int]) -> int:
@@ -232,42 +140,6 @@ def inversion_length(mu: Sequence[int]) -> int:
     """
     ascents = sum(a < b for a, b in itertools.combinations(mu, 2))
     return ascents - sum(x for x in mu if x < 0)
-
-
-def arrow(w: WeylElement, w2: WeylElement) -> Optional[Root]:
-    """The positive root alpha with w2 = s_alpha * w and l(w2) = l(w) + 1.
-
-    Returns None when the pair is not arrow-related; alpha need not be
-    simple.
-    """
-    if w.n != w2.n or w == w2:
-        return None
-    root = as_reflection(compose(w2, inverse(w)))
-    if root is None:
-        return None
-    if length(w2) != length(w) + 1:
-        return None
-    return root
-
-
-def all_elements(n: int) -> Iterator[WeylElement]:
-    """Exhaustive enumeration of the 2^n n! signed permutations (small n)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield WeylElement(perm, signs)
-
-
-def from_regular_image(mu: Sequence[int]) -> WeylElement:
-    """The unique w with w(rho) = mu, for mu a signed arrangement of rho."""
-    n = len(mu)
-    if sorted(abs(x) for x in mu) != list(range(1, n + 1)):
-        raise ValueError("not a signed arrangement of (n, ..., 1)")
-    perm = [0] * n
-    signs = [1] * n
-    for i, x in enumerate(mu, start=1):
-        perm[n - abs(x)] = i
-        signs[i - 1] = 1 if x > 0 else -1
-    return WeylElement(tuple(perm), tuple(signs))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,14 @@ def test_bgg_complex_k0_needs_flag(capsys):
     assert out.count("(direct-sum column)") == 2
 
 
+def test_bgg_complex_k0_rejects_minus_sign(capsys):
+    rc, out, err = run(
+        capsys, "bgg-complex", "--n", "3", "--k", "0", "--conjectural", "--sign", "-"
+    )
+    assert rc == 1 and not out
+    assert "error:" in err and "k = 0 has a single conjugate" in err
+
+
 def test_bgg_complex_json(capsys):
     rc, out, _ = run(
         capsys, "bgg-complex", "--n", "4", "--k", "0", "--conjectural", "--format", "json"

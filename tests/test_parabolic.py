@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import weyl_oracle as oracle
 from bgg import parabolic as pmod
 from bgg import weyl
 from bgg.weyl import Root
@@ -102,17 +103,17 @@ def test_full_flag_count():
 def _levi_subgroup(n, crossed):
     p = pmod.parabolic(n, crossed)
     gens = [
-        weyl.reflection(r, n)
+        oracle.reflection(r, n)
         for r in weyl.simple_roots(n)
         if all(weyl.simple_coefficient(r, m, n) == 0 for m in p.crossed)
     ]
-    group = {weyl.identity(n)}
+    group = {oracle.identity(n)}
     frontier = list(group)
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
-                c = weyl.compose(w, g)
+                c = oracle.compose(w, g)
                 if c not in group:
                     group.add(c)
                     nxt.append(c)
@@ -141,16 +142,16 @@ def test_nodes_are_minimal_coset_representatives(n, crossed):
     are exactly the unique minimal-length coset members."""
     wl = _levi_subgroup(n, crossed)
     hd = pmod.hasse_diagram(pmod.parabolic(n, crossed))
-    reps = {nd.element for nd in hd.nodes}
+    reps = {oracle.from_regular_image(nd.weight) for nd in hd.nodes}
     seen = set()
     cosets = 0
-    for w in weyl.all_elements(n):
+    for w in oracle.all_elements(n):
         if w in seen:
             continue
-        coset = {weyl.compose(u, w) for u in wl}
+        coset = {oracle.compose(u, w) for u in wl}
         seen |= coset
         cosets += 1
-        lengths = {v: weyl.length(v) for v in coset}
+        lengths = {v: oracle.length(v) for v in coset}
         lmin = min(lengths.values())
         mins = [u for u in coset if lengths[u] == lmin]
         assert len(mins) == 1
@@ -162,28 +163,30 @@ def test_node_order_and_weights():
     hd = pmod.hasse_diagram(pmod.parabolic(4, (2,)))
     lengths = [nd.length for nd in hd.nodes]
     assert lengths == sorted(lengths)
-    assert hd.nodes[0].element == weyl.identity(4)
+    assert oracle.from_regular_image(hd.nodes[0].weight) == oracle.identity(4)
     for nd in hd.nodes:
-        assert nd.weight == weyl.standard_action(nd.element, weyl.rho(4))
-        assert weyl.length(nd.element) == nd.length
+        w = oracle.from_regular_image(nd.weight)
+        assert nd.weight == oracle.standard_action(w, weyl.rho(4))
+        assert oracle.length(w) == nd.length
         assert weyl.is_dominant(nd.weight, (2,), weyl.STRICTLY_FOR_LEVI)
 
 
 def test_edges_match_arrow_oracle():
     """Oracle, over the whole grid: every ordered pair of nodes tested with
-    weyl.arrow, which recognizes w2 w^-1 as a reflection and compares
-    weyl.length."""
+    weyl_oracle.arrow, which recognizes w2 w^-1 as a reflection and
+    compares weyl_oracle.length."""
     for n, crossed in ORACLE_GRID:
         p = pmod.parabolic(n, crossed)
         hd = pmod.hasse_diagram(p)
         edges = {(e.source, e.target, e.root) for e in hd.edges}
-        oracle = set()
-        for i, a in enumerate(hd.nodes):
-            for j, b in enumerate(hd.nodes):
-                r = weyl.arrow(a.element, b.element)
+        elements = [oracle.from_regular_image(nd.weight) for nd in hd.nodes]
+        arrows = set()
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                r = oracle.arrow(a, b)
                 if r is not None:
-                    oracle.add((i, j, r))
-        assert edges == oracle, (n, crossed)
+                    arrows.add((i, j, r))
+        assert edges == arrows, (n, crossed)
         pairs = [(e.source, e.target) for e in hd.edges]
         assert pairs == sorted(pairs), (n, crossed)
         for e in hd.edges:
@@ -220,18 +223,16 @@ def test_edge_orders_from_pairing(crossed):
         )
 
 
-def test_custom_regular_base():
-    base = (5, 3, 1)
-    hd = pmod.hasse_diagram(pmod.parabolic(3, (2,)), base)
-    for nd in hd.nodes:
-        assert nd.weight == weyl.standard_action(nd.element, base)
 
-
-def test_base_validation():
-    p = pmod.parabolic(3, (2,))
-    with pytest.raises(ValueError, match="orbit"):
-        pmod.hasse_diagram(p, (2, 2, 1))
-    with pytest.raises(ValueError, match="orbit"):
-        pmod.hasse_diagram(p, (1, 2, 3))
-    with pytest.raises(ValueError):
-        pmod.hasse_diagram(p, (3, 2, 1, 0))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sort_key_matches_oracle(n):
+    """The node order read off mu is (length, perm, signs) of the signed
+    permutation w with w(rho) = mu."""
+    for crossed in sorted({(2,), (1,), (n,), (1, n)}):
+        hd = pmod.hasse_diagram(pmod.parabolic(n, crossed))
+        keys = []
+        for nd in hd.nodes:
+            w = oracle.from_regular_image(nd.weight)
+            keys.append(pmod._sort_key(nd.weight))
+            assert keys[-1] == (oracle.length(w), w.perm, w.signs), (n, crossed)
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), (n, crossed)

@@ -10,22 +10,45 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgg import geometry, orbits, render, weyl
+import weyl_oracle as oracle
+from bgg import geometry, orbits, parabolic, penrose, render, weyl
 
 
 @st.composite
 def signed_permutations(draw, n):
     perm = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    return weyl.WeylElement(tuple(perm), tuple(signs))
+    return oracle.WeylElement(tuple(perm), tuple(signs))
 
 
 @settings(deadline=None, database=None)
-@given(st.integers(1, 10).flatmap(signed_permutations))
-def test_inversion_length_of_rho_image_is_length(w):
-    mu = weyl.standard_action(w, weyl.rho(w.n))
-    assert weyl.inversion_length(mu) == weyl.length(w)
-    assert weyl.from_regular_image(mu) == w
+@given(st.integers(1, 10).flatmap(signed_permutations), st.data())
+def test_inversion_length_of_rho_image_is_length(w, data):
+    mu = oracle.standard_action(w, weyl.rho(w.n))
+    assert weyl.inversion_length(mu) == oracle.length(w)
+    assert oracle.from_regular_image(mu) == w
+    lam = data.draw(st.tuples(*[st.integers(-20, 20)] * w.n))
+    assert weyl.act_from_image(mu, lam) == oracle.standard_action(w, lam)
+    window = parabolic.HasseNode(mu, weyl.inversion_length(mu)).window
+    assert window == oracle.standard_action(w, tuple(range(1, w.n + 1)))
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(-8, 8), st.integers(-8, 8), st.lists(st.integers(-8, 8), max_size=5))
+def test_bbw_direct_image_is_the_a12_reflection(first, middle, tail):
+    """The direct image of (first, middle, *tail) vanishes iff the weight
+    is singular for a12; degree 0 keeps the weight, and degree 1, which
+    happens iff the a12 pairing is negative, reflects it in a12."""
+    w = (first, middle, *tail)
+    a12 = weyl.Root("a", 1, 2)
+    pairing = weyl.pairing(w, a12)
+    result = penrose.bbw_direct_image(first, middle, tail)
+    assert (result is None) == (pairing == 0)
+    if result is None:
+        return
+    image, degree = result
+    assert degree == (1 if pairing < 0 else 0)
+    assert image == (w if degree == 0 else weyl.reflect(w, a12))
 
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
@@ -88,15 +111,15 @@ def test_weyl_action_laws(case):
     affine_action is the same action shifted by rho."""
     w1, w2, lam = case
     n = w1.n
-    act, dot = weyl.standard_action, weyl.affine_action
-    assert act(weyl.compose(w1, w2), lam) == act(w1, act(w2, lam))
-    assert act(weyl.inverse(w1), act(w1, lam)) == lam
-    assert weyl.compose(w1, weyl.inverse(w1)) == weyl.identity(n)
-    assert weyl.compose(weyl.inverse(w1), w1) == weyl.identity(n)
+    act, dot = oracle.standard_action, oracle.affine_action
+    assert act(oracle.compose(w1, w2), lam) == act(w1, act(w2, lam))
+    assert act(oracle.inverse(w1), act(w1, lam)) == lam
+    assert oracle.compose(w1, oracle.inverse(w1)) == oracle.identity(n)
+    assert oracle.compose(oracle.inverse(w1), w1) == oracle.identity(n)
     r = weyl.rho(n)
     shifted = tuple(x + y for x, y in zip(lam, r))
     assert dot(w1, lam) == tuple(x - y for x, y in zip(act(w1, shifted), r))
-    assert dot(weyl.compose(w1, w2), lam) == dot(w1, dot(w2, lam))
+    assert dot(oracle.compose(w1, w2), lam) == dot(w1, dot(w2, lam))
     minus_rho = tuple(-x for x in r)
     assert dot(w1, minus_rho) == minus_rho
 
