@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 invalid arguments or unsupported request,
 2 a verification command found a failure.
+
+Each subcommand imports the bgg layers it runs when it runs, so one
+`bgg` process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ import argparse
 import json
 import sys
 from typing import Optional, Sequence
-
-from bgg import geometry, orbits, parabolic, penrose, render, verma
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,6 +52,8 @@ def _emit_json(payload: dict) -> int:
 
 
 def _cmd_hasse(args) -> int:
+    from bgg import parabolic
+
     if args.format == "tikz":
         raise ValueError(
             "TikZ output is only available for orbit diagrams; "
@@ -79,6 +82,8 @@ def _cmd_hasse(args) -> int:
 
 
 def _render_config(args) -> render.RenderConfig:
+    from bgg import render
+
     return render.RenderConfig(
         skip_columns=args.skip,
         show_labels=args.labels,
@@ -87,6 +92,8 @@ def _render_config(args) -> render.RenderConfig:
 
 
 def _emit_diagram(diag, args) -> int:
+    from bgg import render
+
     fmt = args.format
     if fmt == "json":
         _emit(render.to_json(diag, indent=1))
@@ -126,14 +133,20 @@ def _emit_diagram(diag, args) -> int:
 
 
 def _cmd_regular_orbit(args) -> int:
+    from bgg import orbits
+
     return _emit_diagram(orbits.regular_orbit_projection(args.n), args)
 
 
 def _cmd_singular_orbit(args) -> int:
+    from bgg import orbits
+
     return _emit_diagram(orbits.singular_orbit(args.n, args.k), args)
 
 
 def _cmd_relative_bgg(args) -> int:
+    from bgg import penrose
+
     terms = penrose.relative_bgg(args.n, args.k)
     if args.format == "json":
         return _emit_json({"n": args.n, "k": args.k, "terms": [t.to_dict() for t in terms]})
@@ -146,6 +159,8 @@ def _cmd_relative_bgg(args) -> int:
 
 
 def _cmd_penrose_e1(args) -> int:
+    from bgg import penrose
+
     if args.page == 1:
         page = penrose.e1_page(args.n, args.k, args.sign)
     else:
@@ -175,6 +190,8 @@ def _cmd_penrose_e1(args) -> int:
 
 
 def _cmd_bgg_complex(args) -> int:
+    from bgg import penrose
+
     cx = penrose.assemble_singular_bgg(
         args.n, args.k, args.sign, conjectural=args.conjectural
     )
@@ -197,6 +214,8 @@ def _cmd_bgg_complex(args) -> int:
 
 
 def _cmd_verify_maximal(args) -> int:
+    from bgg import verma
+
     lie = verma.LieData(args.n)
     if args.k is not None:
         rows = [verma.singular_vector_row(args.n, args.k, args.sign)]
@@ -238,6 +257,8 @@ def _cmd_verify_maximal(args) -> int:
 def _cmd_geometry_check(args) -> int:
     import random
 
+    from bgg import geometry
+
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     rng = random.Random(args.seed)
@@ -274,7 +295,11 @@ def _cmd_geometry_check(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from bgg import orbits
+
     if args.what == "regular":
+        if args.k is not None:
+            raise ValueError("regular diagrams take no --k")
         diag = orbits.regular_orbit_projection(args.n)
     else:
         if args.k is None:

@@ -207,6 +207,10 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         OrbitNode(hasse_nodes[old].weight[:2], image) for old, image in keep
     ]
 
+    # The target's image is s_alpha of the source's, so the conformal-weight
+    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E), where
+    # alpha(E) is alpha's coefficient on the crossed simple root 2.
+    grade: dict[Root, int] = {}
     arrows = []
     for e in hasse_edges:
         if e.source not in index or e.target not in index:
@@ -214,12 +218,12 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         s, t = index[e.source], index[e.target]
         if nodes[s].weight == nodes[t].weight:
             kind, order = IDENTITY, None
-        elif _suppressed(k, nodes[s].placement, nodes[t].placement):
-            kind = SUPPRESSED
-            order = parabolic_mod.order_bound(nodes[s].weight, nodes[t].weight, p)
         else:
-            kind = STANDARD
-            order = parabolic_mod.order_bound(nodes[s].weight, nodes[t].weight, p)
+            suppressed = _suppressed(k, nodes[s].placement, nodes[t].placement)
+            kind = SUPPRESSED if suppressed else STANDARD
+            if e.root not in grade:
+                grade[e.root] = weyl.simple_coefficient(e.root, 2, n)
+            order = weyl.pairing(nodes[s].weight, e.root) * grade[e.root]
         arrows.append(OrbitArrow(s, t, kind, e.root, order))
 
     by_weight: dict[Weight, list[int]] = {}

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def load_fixture(name):
@@ -16,6 +20,26 @@ def load_fixture(name):
 @pytest.fixture(scope="session")
 def load():
     return load_fixture
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter with src on the path; a non-zero
+    exit fails the test.  Returns the captured stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    return done.stdout
+
+
+@pytest.fixture(scope="session")
+def python():
+    return run_python
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,6 @@
 import dataclasses
 import itertools
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -253,6 +249,12 @@ def test_render_singular_needs_k(capsys):
     assert "--k" in err
 
 
+def test_render_regular_rejects_k(capsys):
+    rc, out, err = run(capsys, "render", "--what", "regular", "--n", "3", "--k", "9")
+    assert rc == 1 and not out
+    assert err == "error: regular diagrams take no --k\n"
+
+
 def test_render_regular_dot(capsys):
     rc, out, _ = run(capsys, "render", "--what", "regular", "--n", "3", "--format", "dot")
     assert rc == 0
@@ -291,15 +293,43 @@ def test_boundary_integers(capsys, command, flags):
             assert rc != 0, argv
 
 
-def test_import_does_not_load_numpy():
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", "import sys, bgg.cli; assert 'numpy' not in sys.modules"],
-        check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
+def test_import_does_not_load_numpy(python):
+    python(
+        "import sys, bgg.cli; assert 'numpy' not in sys.modules;"
+        " assert sorted(m for m in sys.modules if m.startswith('bgg')) == ['bgg', 'bgg.cli']"
     )
+
+
+_LOADED_BY_MAIN = """
+import contextlib, io, sys
+import bgg.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = bgg.cli.main(sys.argv[1:])
+print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.")))
+"""
+_ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render")
+_PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("hasse --n 4", ("weyl", "parabolic")),
+        ("regular-orbit --n 3", _ORBIT_LAYERS),
+        ("singular-orbit --n 4 --k 2", _ORBIT_LAYERS),
+        ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS),
+        ("relative-bgg --n 4 --k -2", _PENROSE_LAYERS),
+        ("penrose-e1 --n 4 --k 2 --page 2", _PENROSE_LAYERS),
+        ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
+        ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
+        ("geometry-check --n 3 --count 2", ("geometry",)),
+    ],
+)
+def test_subcommand_loads_only_its_layers(python, command, layers):
+    """A fresh `bgg` process imports only the layers its subcommand runs."""
+    rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()
+    assert rc == "0"
+    assert sorted(loaded) == sorted(f"bgg.{m}" for m in ("cli",) + layers)
 
 
 def run_any(capsys, argv):

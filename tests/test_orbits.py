@@ -187,6 +187,25 @@ def test_singular_orbit_against_brute_force(n, k):
     assert len(d.nodes) == len(expected)
 
 
+def test_arrow_orders_match_order_bound():
+    """Oracle: each non-identity arrow's order is the conformal-weight drop
+    between its end weights, for n = 2..10, every k and two scaled bases."""
+    cases = [(n, k, None) for n in range(2, 11) for k in range(n)]
+    cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
+    checked = 0
+    for n, k, base in cases:
+        p = parabolic.parabolic(n, (2,))
+        d = orbits.singular_orbit(n, k, base)
+        for a in d.arrows:
+            if a.kind == orbits.IDENTITY:
+                assert a.order is None
+                continue
+            bound = parabolic.order_bound(d.nodes[a.source].weight, d.nodes[a.target].weight, p)
+            assert type(a.order) is int and a.order == bound, (n, k, base, a)
+            checked += 1
+    assert checked == 2104  # 2072 of them at n = 3..10
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_weight_multiplicities_and_coincidences(n):
     for k in range(n):
