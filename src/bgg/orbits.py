@@ -208,8 +208,7 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     ]
 
     # The target's image is s_alpha of the source's, so the conformal-weight
-    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E), where
-    # alpha(E) is alpha's coefficient on the crossed simple root 2.
+    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E).
     grade: dict[Root, int] = {}
     arrows = []
     for e in hasse_edges:
@@ -222,7 +221,7 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
             suppressed = _suppressed(k, nodes[s].placement, nodes[t].placement)
             kind = SUPPRESSED if suppressed else STANDARD
             if e.root not in grade:
-                grade[e.root] = weyl.simple_coefficient(e.root, 2, n)
+                grade[e.root] = parabolic_mod.root_grade(e.root, p)
             order = weyl.pairing(nodes[s].weight, e.root) * grade[e.root]
         arrows.append(OrbitArrow(s, t, kind, e.root, order))
 

@@ -1,11 +1,13 @@
 """Parabolic subalgebras of sp(2n,C) by crossed Dynkin nodes, and their
 Hasse diagrams.
 
-A parabolic is recorded by the set of crossed nodes.  A positive root
-lies in the nilradical iff its expansion has a nonzero coefficient on
-some crossed simple root.  The Hasse diagram W^p consists of the Weyl
-group elements w for which mu = w(rho) is strictly dominant for the Levi
-factor, and mu determines w.  So a node is its weight mu:
+A parabolic is recorded by the set of crossed nodes.  Its grading
+element E is 1 on the crossed simple roots and 0 on the others, and a
+root's grade is alpha(E): a positive root lies in the Levi factor if its
+grade is 0 and in the nilradical if it is positive.  The Hasse diagram
+W^p consists of the Weyl group elements w for which mu = w(rho) is
+strictly dominant for the Levi factor, and mu determines w.  So a node
+is its weight mu:
 
 - nodes are enumerated directly from the admissible images of rho,
   group by group between the bars;
@@ -50,24 +52,6 @@ def parabolic(n: int, crossed: Sequence[int]) -> Parabolic:
     return Parabolic(n, tuple(crossed))
 
 
-def levi_roots(p: Parabolic) -> list[Root]:
-    """Positive roots whose crossed-node coefficients all vanish."""
-    return [
-        r
-        for r in weyl.positive_roots(p.n)
-        if all(weyl.simple_coefficient(r, m, p.n) == 0 for m in p.crossed)
-    ]
-
-
-def nilradical_roots(p: Parabolic) -> list[Root]:
-    """Positive roots with a nonzero coefficient on some crossed node."""
-    return [
-        r
-        for r in weyl.positive_roots(p.n)
-        if any(weyl.simple_coefficient(r, m, p.n) != 0 for m in p.crossed)
-    ]
-
-
 @functools.lru_cache(maxsize=256)
 def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     """The element E with <alpha_i, E> = 1 for crossed i and 0 otherwise.
@@ -83,13 +67,31 @@ def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
 
 
 def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
-    """Pairing of a weight with the grading element."""
+    """Pairing of a weight with the grading element.  Zero coordinates
+    are skipped: a root has at most two nonzero ones, and E may hold
+    Fractions."""
     if len(weight) != p.n:
         raise ValueError("rank mismatch")
-    total = sum(w * e for w, e in zip(weight, grading_element(p)))
+    total = sum(w * e for w, e in zip(weight, grading_element(p)) if w)
     if isinstance(total, Fraction) and total.denominator == 1:
         return int(total)
     return total
+
+
+def root_grade(root: Root, p: Parabolic) -> int:
+    """alpha(E), the pairing of a root with the grading element.  An int:
+    the half-integers of E cancel on a root."""
+    return conformal_weight(root.vector(p.n), p)
+
+
+def levi_roots(p: Parabolic) -> list[Root]:
+    """Positive roots of grade 0."""
+    return [r for r in weyl.positive_roots(p.n) if root_grade(r, p) == 0]
+
+
+def nilradical_roots(p: Parabolic) -> list[Root]:
+    """Positive roots of positive grade."""
+    return [r for r in weyl.positive_roots(p.n) if root_grade(r, p) > 0]
 
 
 def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic) -> Scalar:
@@ -213,12 +215,8 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
     ]
     index = {nd.weight: i for i, nd in enumerate(nodes)}
 
-    # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E),
-    # and alpha(E) is alpha's coefficient sum on the crossed nodes
-    grades = {
-        r: sum(weyl.simple_coefficient(r, m, n) for m in p.crossed)
-        for r in nilradical_roots(p)
-    }
+    # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E)
+    grades = {r: root_grade(r, p) for r in nilradical_roots(p)}
     edges = []
     for i, nd in enumerate(nodes):
         targets = []

@@ -35,7 +35,6 @@ _PREAMBLE = r"""% marks: \ldominant node, \trivial cross, \arrow standard map,
 class RenderConfig:
     skip_columns: tuple[int, ...] = ()
     show_labels: bool = False
-    show_crosses: bool = True
     show_suppressed: bool = False
 
 
@@ -82,7 +81,7 @@ def to_tikz(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str
     for node in diagram.nodes:
         if _visible(node.placement, skips):
             lines.append(r"\ldominant{%d}{%d}" % node.placement)
-    if config.show_crosses and diagram.kind == "singular-orbit":
+    if diagram.kind == "singular-orbit":
         for pl in diagram.cross_placements():
             if _visible(pl, skips):
                 lines.append(r"\trivial{%d}{%d}" % pl)
@@ -112,9 +111,9 @@ def to_tikz(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str
 
 
 def _root_tex(root: Root) -> str:
-    if root.kind == "b":
-        return f"b_{{{root.i}}}"
-    return f"{root.kind}_{{{root.i}{root.j}}}"
+    """Root.label() with everything after the kind as the subscript."""
+    label = root.label()
+    return f"{label[0]}_{{{label[1:]}}}"
 
 
 def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
@@ -157,10 +156,6 @@ def _root_obj(root: Optional[Root]):
     return {"kind": root.kind, "i": root.i, "j": root.j}
 
 
-def _order_obj(order):
-    return None if order is None else int(order)
-
-
 def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     payload = {
         "kind": diagram.kind,
@@ -177,7 +172,7 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
                 "target": a.target,
                 "kind": a.kind,
                 "root": _root_obj(a.root),
-                "order": _order_obj(a.order),
+                "order": a.order,
             }
             for a in diagram.arrows
         ],

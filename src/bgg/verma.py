@@ -8,7 +8,10 @@ J = [[0, I], [-I, 0]], in the root basis
     e_{c_ij} = E_{i,n+j} + E_{j,n+i}   (i < j)
 
 with lowering operators the transposes and h_i = E_ii - E_{n+i,n+i}.
-Structure constants are extracted exactly from sparse integer matrices.
+Each basis matrix holds 1 at its least (row, col) key, its leading
+entry, and no other basis matrix has that key.  So a matrix of sp(2n)
+is decomposed by reading its value at each leading entry, and structure
+constants come out exact from sparse integer matrices.
 
 A generalized Verma module M_p(lam) = U(g) tensor_{U(p)} F(lam) is
 realized on U(u^-) tensor F with F an irreducible module of the Levi
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from bgg import orbits, penrose
+from bgg import penrose
 from bgg import parabolic as parabolic_mod
 from bgg import weyl
 from bgg.weyl import Root, Weight
@@ -48,49 +51,27 @@ class LieData:
         self.n = n
         self._matrices: dict[Label, Matrix] = {}
         m = self._matrices
+        # the insertion order is the order of decompose's terms
         for i in range(n):
             m[("h", i + 1)] = {(i, i): 1, (n + i, n + i): -1}
-            m[("e", Root("b", i + 1))] = {(i, n + i): 1}
+            raising = [(Root("b", i + 1), {(i, n + i): 1})]
             for j in range(i + 1, n):
-                m[("e", Root("a", i + 1, j + 1))] = {(i, j): 1, (n + j, n + i): -1}
-                m[("e", Root("c", i + 1, j + 1))] = {(i, n + j): 1, (j, n + i): 1}
-        for lab in [l for l in m if l[0] == "e"]:
-            m[("y", lab[1])] = {(c, r): v for (r, c), v in m[lab].items()}
+                raising.append((Root("a", i + 1, j + 1), {(i, j): 1, (n + j, n + i): -1}))
+                raising.append((Root("c", i + 1, j + 1), {(i, n + j): 1, (j, n + i): 1}))
+            for root, e in raising:
+                m[("e", root)] = e
+                m[("y", root)] = {(c, r): v for (r, c), v in e.items()}
+        # the least key of each matrix holds 1 and is a key of no other
+        self._leads = [(min(mat), lab) for lab, mat in m.items()]
         self._brackets: dict[tuple[Label, Label], tuple[tuple[Label, int], ...]] = {}
 
     def matrix(self, label: Label) -> Matrix:
         return self._matrices[label]
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
-        """Exact expansion of x over the basis, with reconstruction check."""
-        n = self.n
-
-        def a(i, j):
-            return x.get((i, j), 0)
-
-        def b(i, j):
-            return x.get((i, n + j), 0)
-
-        def c(i, j):
-            return x.get((n + i, j), 0)
-
-        terms: list[tuple[Label, int]] = []
-        for i in range(n):
-            if a(i, i):
-                terms.append((("h", i + 1), a(i, i)))
-            if b(i, i):
-                terms.append((("e", Root("b", i + 1)), b(i, i)))
-            if c(i, i):
-                terms.append((("y", Root("b", i + 1)), c(i, i)))
-            for j in range(i + 1, n):
-                if a(i, j):
-                    terms.append((("e", Root("a", i + 1, j + 1)), a(i, j)))
-                if a(j, i):
-                    terms.append((("y", Root("a", i + 1, j + 1)), a(j, i)))
-                if b(i, j):
-                    terms.append((("e", Root("c", i + 1, j + 1)), b(i, j)))
-                if c(i, j):
-                    terms.append((("y", Root("c", i + 1, j + 1)), c(i, j)))
+        """Exact expansion of x over the basis, read off the leading
+        entries, with reconstruction check."""
+        terms = [(lab, x[lead]) for lead, lab in self._leads if x.get(lead)]
         recon: Matrix = {}
         for lab, coeff in terms:
             _accumulate(recon, self.matrix(lab), coeff)
@@ -138,9 +119,10 @@ def simple_raising_labels(n: int) -> list[Label]:
 class LeviModule:
     """F(lam) for the Levi gl(2) x sp(2n-4): the gl(2) factor with highest
     weight (lam_1, lam_2) tensored with a trivial or standard sp(2n-4)
-    factor according to the tail of lam."""
+    factor according to the tail of lam.  The sp(2n-4) factor acts through
+    the matrices of lie."""
 
-    def __init__(self, n: int, lam: Sequence[int]):
+    def __init__(self, n: int, lam: Sequence[int], lie: LieData):
         lam = tuple(lam)
         if len(lam) != n:
             raise ValueError("rank mismatch")
@@ -155,6 +137,7 @@ class LeviModule:
             raise NotImplementedError("tail must be zero or (1, 0, ..., 0)")
         self.n = n
         self.lam = lam
+        self._lie = lie
         self.m = lam[0] - lam[1]
         self.v_dim = 2 * (n - 2) if self.has_standard else 0
         # basis: (j, t) with w_{m-2j} in the gl(2) factor and t indexing
@@ -200,25 +183,12 @@ class LeviModule:
         return [(j + 1, self.m - j)] if j < self.m else []
 
     def _act_standard(self, label: Label, t: int) -> list[tuple[int, int]]:
-        """Action of the sp(2n-4) part on the standard factor."""
-        if label[0] == "h":
-            i = label[1]
-            if i <= 2:
-                return []
-            half = self.v_dim // 2
-            if t < half:
-                return [(t, 1)] if t == i - 3 else []
-            return [(t, -1)] if t - half == i - 3 else []
-        root = label[1]
-        if min([root.i] + ([root.j] if root.j else [])) <= 2:
-            return []
+        """Action of the sp(2n-4) part on the standard factor: the entries
+        of label's matrix in the slot rows and columns (none for h_1, h_2
+        or a root that touches coordinates 1-2)."""
         mat = self._lie.matrix(label)
         col = self._slots[t]
         return [(t2, mat[r, col]) for t2, r in enumerate(self._slots) if (r, col) in mat]
-
-    def attach(self, lie: LieData) -> "LeviModule":
-        self._lie = lie
-        return self
 
     def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
         """Levi / Cartan action on a basis vector, by the Leibniz rule."""
@@ -253,9 +223,9 @@ class GeneralizedVerma:
         self.n = n
         self.lam = tuple(lam)
         self.lie = lie if lie is not None else LieData(n)
-        self.module = LeviModule(n, lam).attach(self.lie)
-        self.parabolic = parabolic_mod.parabolic(n, (2,))
-        nil = set(parabolic_mod.nilradical_roots(self.parabolic))
+        self.module = LeviModule(n, lam, self.lie)
+        p = parabolic_mod.parabolic(n, (2,))
+        nil = set(parabolic_mod.nilradical_roots(p))
         order = (
             [Root("a", 1, j) for j in range(3, n + 1)]
             + [Root("a", 2, j) for j in range(3, n + 1)]
@@ -267,17 +237,9 @@ class GeneralizedVerma:
             raise AssertionError("nilradical letter list out of sync")
         self.letters: list[Label] = [("y", r) for r in order]
         self._vectors = [r.vector(n) for r in order]
-        self._grades = [v[0] + v[1] for v in self._vectors]
+        self._grades = [parabolic_mod.root_grade(r, p) for r in order]
         self._letter_index = {lab: i for i, lab in enumerate(self.letters)}
         self._nil = nil
-
-    # -- classification
-
-    def _is_uminus(self, label: Label) -> bool:
-        return label[0] == "y" and label[1] in self._nil
-
-    def _is_uplus(self, label: Label) -> bool:
-        return label[0] == "e" and label[1] in self._nil
 
     # -- element arithmetic
 
@@ -291,9 +253,6 @@ class GeneralizedVerma:
         else:
             elem.pop(key, None)
 
-    def zero(self) -> Element:
-        return {}
-
     def highest(self) -> Element:
         return {((), 0): Fraction(1)}
 
@@ -302,16 +261,13 @@ class GeneralizedVerma:
     ) -> Element:
         """Y_{ys[0]} ... Y_{ys[-1]} tensor f, with the product taken in the
         written order and straightened to normal form."""
-        fidx = self.module._index[f]
-        out: Element = {}
-        self._normal_form([("y", r) for r in ys], fidx, Fraction(coeff), out)
-        return out
+        return self.combine([(coeff, ys, f)])
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
         out: Element = {}
         for coeff, ys, f in parts:
-            for key, c in self.monomial(ys, f, coeff).items():
-                self._add(out, key, c)
+            word = [("y", r) for r in ys]
+            self._normal_form(word, self.module._index[f], Fraction(coeff), out)
         return out
 
     # -- straightening
@@ -319,44 +275,34 @@ class GeneralizedVerma:
     def _normal_form(
         self, word: Sequence[Label], fidx: int, coeff: Fraction, out: Element
     ) -> None:
+        """Add coeff * word tensor f, straightened, into out.
+
+        A u^- letter sorts by its index and any other letter after all of
+        them.  A word ending in another letter lets it act on F (a u^+
+        letter kills F); otherwise the first adjacent pair out of order is
+        swapped and its bracket added."""
+        rank, last = self._letter_index, len(self.letters)
         work = [(tuple(word), fidx, coeff)]
         while work:
             w, f, c = work.pop()
             if not c:
                 continue
-            pos = next(
-                (i for i in range(len(w) - 1, -1, -1) if not self._is_uminus(w[i])),
-                None,
-            )
-            if pos is not None:
-                x = w[pos]
-                if pos == len(w) - 1:
-                    if self._is_uplus(x):
-                        continue  # the nilradical kills F
-                    for f2, fc in self.module.act(x, f):
-                        work.append((w[:-1], f2, c * fc))
-                else:
-                    y = w[pos + 1]
-                    work.append((w[:pos] + (y, x) + w[pos + 2 :], f, c))
-                    for z, zc in self.lie.bracket(x, y):
-                        work.append((w[:pos] + (z,) + w[pos + 2 :], f, c * zc))
+            if w and w[-1] not in rank:
+                x = w[-1]
+                if x[0] == "e" and x[1] in self._nil:
+                    continue  # u^+ kills F
+                for f2, fc in self.module.act(x, f):
+                    work.append((w[:-1], f2, c * fc))
                 continue
-            inv = next(
-                (
-                    i
-                    for i in range(len(w) - 1)
-                    if self._letter_index[w[i]] > self._letter_index[w[i + 1]]
-                ),
-                None,
-            )
+            keys = [rank.get(x, last) for x in w]
+            inv = next((i for i in range(len(w) - 1) if keys[i] > keys[i + 1]), None)
             if inv is None:
-                key = (tuple(self._letter_index[l] for l in w), f)
-                self._add(out, key, c)
-            else:
-                x, y = w[inv], w[inv + 1]
-                work.append((w[:inv] + (y, x) + w[inv + 2 :], f, c))
-                for z, zc in self.lie.bracket(x, y):
-                    work.append((w[:inv] + (z,) + w[inv + 2 :], f, c * zc))
+                self._add(out, (tuple(keys), f), c)
+                continue
+            x, y = w[inv], w[inv + 1]
+            work.append((w[:inv] + (y, x) + w[inv + 2 :], f, c))
+            for z, zc in self.lie.bracket(x, y):
+                work.append((w[:inv] + (z,) + w[inv + 2 :], f, c * zc))
 
     # -- module structure
 
@@ -371,8 +317,7 @@ class GeneralizedVerma:
         word, f = key
         w = list(self.module.weight(f))
         for i in word:
-            root = self.letters[i][1].vector(self.n)
-            w = [a - b for a, b in zip(w, root)]
+            w = [a - b for a, b in zip(w, self._vectors[i])]
         return tuple(w)
 
     def weight_of(self, elem: Element) -> Weight:
@@ -412,7 +357,8 @@ class GeneralizedVerma:
         rest_2, covers the next letter's grade.  Letters have nonnegative
         first two coordinates, and a letter of grade g moves coordinates
         3..n by at most g in total, so a rest that breaks either bound is
-        dropped."""
+        dropped.  (At n = 2, E = (1/2, 1/2) and the budget is 2 E(rest),
+        a weaker but still valid bound.)"""
         found = []
 
         def extend(start: int, rest: tuple, word: tuple) -> None:

@@ -74,18 +74,6 @@ def simple_roots(n: int) -> list[Root]:
     return [Root("a", i, i + 1) for i in range(1, n)] + [Root("b", n)]
 
 
-def simple_coefficient(root: Root, m: int, n: int) -> int:
-    """Coefficient of the m-th simple root in the expansion of a positive root.
-
-    For m < n this is the sum of the first m epsilon-coordinates; for
-    m = n it is half the sum of all of them.
-    """
-    v = root.vector(n)
-    if m < n:
-        return sum(v[:m])
-    return sum(v) // 2
-
-
 def pairing(weight: Sequence[int], root: Root) -> int:
     """<weight, alpha^vee> for a positive root alpha (integer on our lattice)."""
     if root.kind == "a":

@@ -1,6 +1,8 @@
 """The `bgg` package loads its layers lazily."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,31 @@ def test_unknown_attribute_raises():
 def test_dir_lists_all(python):
     # in a fresh interpreter, before any layer is loaded and bound
     python("import bgg; assert set(bgg.__all__) | {'__version__'} <= set(dir(bgg)), dir(bgg)")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement anywhere in source (function
+    bodies included) that no expression in source reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_import_check_sees_one():
+    assert _unused_imports("from bgg import orbits, weyl\nweyl.rho(2)\n") == ["orbits"]
+    assert _unused_imports("def f():\n    import json\n    return json\n") == []
+
+
+def test_every_import_is_used():
+    """A subcommand loads only the layers it imports, so an unused
+    cross-layer import costs load time."""
+    modules = sorted(Path(bgg.__file__).parent.glob("*.py"))
+    assert len(modules) == len(LAYERS) + 2  # __init__ and cli
+    unused = {m.name: _unused_imports(m.read_text()) for m in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

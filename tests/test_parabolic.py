@@ -1,5 +1,6 @@
 """Parabolics, grading elements and Hasse diagrams."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,24 @@ def test_conformal_weight_and_order_bound():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_root_grade_matches_simple_coefficients(n):
+    """alpha(E) is an int equal to alpha's coefficient sum on the crossed
+    simple roots, for every crossed set of up to three nodes; the grade
+    splits the positive roots as the coefficients do."""
+    for size in (1, 2, 3):
+        for crossed in itertools.combinations(range(1, n + 1), size):
+            p = pmod.parabolic(n, crossed)
+            levi, nil = [], []
+            for r in weyl.positive_roots(n):
+                grade = pmod.root_grade(r, p)
+                coeffs = [oracle.simple_coefficient(r, m, n) for m in crossed]
+                assert type(grade) is int and grade == sum(coeffs), (r, crossed)
+                (nil if any(coeffs) else levi).append(r)
+            assert pmod.levi_roots(p) == levi
+            assert pmod.nilradical_roots(p) == nil
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_node_count_crossed2(n):
     hd = pmod.hasse_diagram(pmod.parabolic(n, (2,)))
     assert hd.node_count() == 2 * n * (n - 1)
@@ -105,7 +124,7 @@ def _levi_subgroup(n, crossed):
     gens = [
         oracle.reflection(r, n)
         for r in weyl.simple_roots(n)
-        if all(weyl.simple_coefficient(r, m, n) == 0 for m in p.crossed)
+        if all(oracle.simple_coefficient(r, m, n) == 0 for m in p.crossed)
     ]
     group = {oracle.identity(n)}
     frontier = list(group)

@@ -1,8 +1,11 @@
 """TikZ / dot / JSON rendering of orbit diagrams."""
 
+import re
+
 import pytest
 
 from bgg import orbits, render
+from bgg.weyl import Root
 
 
 def _count(text, token):
@@ -66,10 +69,9 @@ def test_suppressed_toggle(load):
 
 
 def test_crosses_toggle():
+    """Crosses are drawn on every singular diagram."""
     d = orbits.singular_orbit(4, 1)
     assert "\\trivial{" in render.to_tikz(d)
-    out = render.to_tikz(d, render.RenderConfig(show_crosses=False))
-    assert "\\trivial{" not in out
 
 
 def test_labels_toggle():
@@ -81,6 +83,17 @@ def test_labels_toggle():
     assert _count(labeled, "\\node[font=\\tiny") == n_arrows
     assert "{$b_{2}$}" in labeled
     assert "{$c_{12}$}" in labeled
+
+
+def test_root_tex_follows_root_label():
+    assert render._root_tex(Root("a", 1, 10)) == "a_{1,10}"
+    assert render._root_tex(Root("c", 10, 11)) == "c_{10,11}"
+    assert render._root_tex(Root("b", 11)) == "b_{11}"
+    d = orbits.regular_orbit_projection(11)
+    labeled = render.to_tikz(d, render.RenderConfig(show_labels=True))
+    tex = re.findall(r"\{\$(\w)_\{([\d,]+)\}\$\}", labeled)
+    assert [kind + rest for kind, rest in tex] == [a.root.label() for a in d.arrows]
+    assert any("," in rest for _, rest in tex)
 
 
 def test_skipped_segments_are_axis_aligned(figure_regular_n8):

@@ -126,6 +126,24 @@ def test_jacobi_sampled(lie4):
         assert _jacobi_holds(lie4, x, y, z)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_leading_entries_decompose(n):
+    """Each basis matrix holds 1 at its least key, which no other basis
+    matrix has; decompose reads a random combination back exactly."""
+    lie = verma.LieData(n)
+    keys = [key for m in lie._matrices.values() for key in m]
+    for lab, m in lie._matrices.items():
+        lead = min(m)
+        assert m[lead] == 1, lab
+        assert keys.count(lead) == 1, lab
+    rng = random.Random(n)
+    coeffs = {
+        lab: rng.choice([-3, -2, -1, 1, 2, 3]) for lab in lie._matrices if rng.random() < 0.6
+    }
+    x = _lin(*((c, lie.matrix(lab)) for lab, c in coeffs.items()))
+    assert dict(lie.decompose(x)) == coeffs
+
+
 def test_decompose_rejects_outside_sp(lie3):
     bad = {(0, 0): 1}  # E_11 alone is not in sp(6)
     with pytest.raises(AssertionError):
@@ -151,7 +169,7 @@ def test_simple_raising_labels():
 
 
 def test_levi_gl2_factor(lie4):
-    mod = verma.LeviModule(4, (3, 1, 0, 0)).attach(lie4)
+    mod = verma.LeviModule(4, (3, 1, 0, 0), lie4)
     assert not mod.has_standard
     assert mod.m == 2
     assert len(mod.basis) == 3
@@ -172,7 +190,7 @@ def test_levi_gl2_factor(lie4):
 
 
 def test_levi_standard_factor(lie4):
-    mod = verma.LeviModule(4, (2, 1, 1, 0)).attach(lie4)
+    mod = verma.LeviModule(4, (2, 1, 1, 0), lie4)
     assert mod.has_standard
     assert mod.v_dim == 4
     assert len(mod.basis) == 2 * 4  # (m+1) * v_dim with m = 1
@@ -191,11 +209,11 @@ def test_levi_standard_factor(lie4):
     assert mod.act(("h", 4), i_f4) == [(i_f4, -1)]
 
 
-def test_levi_module_validation():
+def test_levi_module_validation(lie4):
     with pytest.raises(ValueError):
-        verma.LeviModule(4, (1, 2, 0, 0))
+        verma.LeviModule(4, (1, 2, 0, 0), lie4)
     with pytest.raises(NotImplementedError):
-        verma.LeviModule(4, (3, 1, 2, 0))
+        verma.LeviModule(4, (3, 1, 2, 0), lie4)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +266,39 @@ def test_act_respects_brackets(m3):
         lhs = m3.act(x, m3.act(y, v))
         for key, c in m3.act(y, m3.act(x, v)).items():
             m3._add(lhs, key, -c)
-        rhs = m3.zero()
+        rhs = {}
         for z, zc in m3.lie.bracket(x, y):
             for key, c in m3.act(z, v).items():
                 m3._add(rhs, key, zc * c)
         assert lhs == rhs
+
+
+def test_module_law_standard_levi_factor(lie4):
+    """x.(y.v) - y.(x.v) = [x, y].v for every ordered pair of the 36
+    labels of sp(8), in a module whose Levi factor has the standard
+    sp(4) part."""
+    mp = verma.GeneralizedVerma(4, (2, 1, 1, 0), lie=lie4)
+    a13, a24, b2, c14 = Root("a", 1, 3), Root("a", 2, 4), Root("b", 2), Root("c", 1, 4)
+    vectors = [
+        mp.highest(),
+        mp.monomial((a24, b2), (1, 2)),
+        mp.combine([(1, (c14,), (0, 3)), (2, (a13, a24), (1, 1))]),
+    ]
+    labels = list(lie4._matrices)
+    assert len(labels) == 36
+    for v in vectors:
+        assert v
+        acted = {x: mp.act(x, v) for x in labels}
+        for x in labels:
+            for y in labels:
+                lhs = mp.act(x, acted[y])
+                for key, c in mp.act(y, acted[x]).items():
+                    mp._add(lhs, key, -c)
+                rhs = {}
+                for z, zc in lie4.bracket(x, y):
+                    for key, c in acted[z].items():
+                        mp._add(rhs, key, zc * c)
+                assert lhs == rhs, (x, y)
 
 
 def test_term_weight(m3):
@@ -329,7 +375,7 @@ def test_degree_bound_is_order_bound():
 def test_highest_vector_is_maximal(m3):
     ok, failures = m3.check_maximal(m3.highest())
     assert ok and failures == []
-    assert m3.check_maximal(m3.zero()) == (False, [])
+    assert m3.check_maximal({}) == (False, [])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Test-only reference.  `bgg` names a Weyl element w by mu = w(rho) and
 reads everything it needs off mu; here w is a signed permutation with
 its own product, inverse, reflections and root-counting length, so the
-fast paths can be checked against plain group theory.
+fast paths can be checked against plain group theory.  A root's
+coefficients on the simple roots are kept here too, as the reference for
+the grading `bgg.parabolic` reads off its grading element.
 
 An element w = (perm, signs) acts by
 
@@ -39,6 +41,18 @@ class WeylElement:
         for j, image in enumerate(self.perm, start=1):
             q[image - 1] = j
         return tuple(q)
+
+
+def simple_coefficient(root: Root, m: int, n: int) -> int:
+    """Coefficient of the m-th simple root in the expansion of a positive root.
+
+    For m < n this is the sum of the first m epsilon-coordinates; for
+    m = n it is half the sum of all of them.
+    """
+    v = root.vector(n)
+    if m < n:
+        return sum(v[:m])
+    return sum(v) // 2
 
 
 def identity(n: int) -> WeylElement:
