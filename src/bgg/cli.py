@@ -10,7 +10,6 @@ Each subcommand imports the bgg layers it runs when it runs, so one
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -43,6 +42,8 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(payload: dict) -> int:
+    import json
+
     _emit(json.dumps(payload, indent=1))
     return 0
 

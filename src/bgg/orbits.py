@@ -5,6 +5,15 @@ rho for the crossed-{2} parabolic is drawn in the plane by the first two
 coordinates (m1, m2) of w(rho); the singular orbits of the semi-regular
 weights lambda_k are drawn at the same placements, each weight appearing
 at the two placements that project onto it.
+
+Placement rule.  For a node mu = w(rho) the image w(base) sends each
+|mu_i| = r to f(r) = base[n - r], and f is weakly increasing with one
+collision: f(k) = f(k + 1) for k >= 1, or f(1) = 0 for k = 0.  The tail
+mu_3 > ... > mu_n > 0 of a node therefore has a strictly descending,
+positive image unless it holds the whole collision set ({k, k + 1}, or
+{1}).  So a node carries a point of the singular orbit exactly when
+|mu_1| or |mu_2| lies in the collision set and the image's first pair
+descends strictly; nothing else of mu needs looking at.
 """
 
 from __future__ import annotations
@@ -179,11 +188,23 @@ def _suppressed(k: int, src: tuple[int, int], tgt: tuple[int, int]) -> bool:
     return False
 
 
+def _collision_set(base: Weight) -> frozenset[int]:
+    """The values r with f(r) = base[n - r] repeated or zero: {k, k + 1}
+    for a repeated pair, {1} for a trailing 0."""
+    n = len(base)
+    return frozenset(
+        r for r in range(1, n + 1) if base[n - r] == 0 or base.count(base[n - r]) > 1
+    )
+
+
 def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
     """The orbit diagram of a k-singular weight for crossed={2}.
 
     Nodes are the Hasse-diagram nodes mu = w(rho) whose image w(base) is
     strictly Levi-dominant, placed at the first two coordinates of mu.
+    They are read off the placement rule (see the module docstring): mu
+    is kept iff |mu_1| or |mu_2| lies in the collision set of base and
+    w(base)_1 > w(base)_2; w(base) is built only for the kept nodes.
     Arrows are the induced Hasse arrows: identity arrows join the
     coincidence pairs, the trivially-acting families at k <= 1 are kept
     but marked suppressed, all others are standard.
@@ -197,11 +218,16 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     p = parabolic_mod.parabolic(n, (2,))
     hasse_nodes, hasse_edges = _crossed2(n)
 
+    collide = _collision_set(base)
     keep = []
     for i, nd in enumerate(hasse_nodes):
-        image = weyl.act_from_image(nd.weight, base)
-        if weyl.is_dominant(image, p.crossed, weyl.STRICTLY_FOR_LEVI):
-            keep.append((i, image))
+        m1, m2 = nd.weight[0], nd.weight[1]
+        if abs(m1) not in collide and abs(m2) not in collide:
+            continue
+        x1 = base[n - m1] if m1 > 0 else -base[n + m1]
+        x2 = base[n - m2] if m2 > 0 else -base[n + m2]
+        if x1 > x2:
+            keep.append((i, weyl.act_from_image(nd.weight, base)))
     index = {old: new for new, (old, _) in enumerate(keep)}
     nodes = [
         OrbitNode(hasse_nodes[old].weight[:2], image) for old, image in keep

@@ -53,35 +53,50 @@ def parabolic(n: int, crossed: Sequence[int]) -> Parabolic:
 
 
 @functools.lru_cache(maxsize=256)
+def _twice_grading(p: Parabolic) -> tuple[int, ...]:
+    """2E, which is integral: 2E_n is 1 if node n is crossed, else 0, and
+    2E_m = 2E_{m+1} + 2 for crossed m < n (else 2E_{m+1})."""
+    e = [0] * p.n
+    e[p.n - 1] = 1 if p.n in p.crossed else 0
+    for m in range(p.n - 1, 0, -1):
+        e[m - 1] = e[m] + (2 if m in p.crossed else 0)
+    return tuple(e)
+
+
+@functools.lru_cache(maxsize=256)
 def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     """The element E with <alpha_i, E> = 1 for crossed i and 0 otherwise.
 
     Entries are integers unless node n is crossed (then they are
     half-integers, returned as Fractions).  Computed once per parabolic.
     """
-    e = [Fraction(0)] * p.n
-    e[p.n - 1] = Fraction(1, 2) if p.n in p.crossed else Fraction(0)
-    for m in range(p.n - 1, 0, -1):
-        e[m - 1] = e[m] + (1 if m in p.crossed else 0)
-    return tuple(int(x) if x.denominator == 1 else x for x in e)
+    return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in _twice_grading(p))
+
+
+@functools.lru_cache(maxsize=256)
+def _grading_support(p: Parabolic) -> tuple[tuple[int, Scalar], ...]:
+    """The nonzero entries (index, E_i) of E; for crossed {2} the two
+    coordinates (0, 1) and (1, 1)."""
+    return tuple((i, e) for i, e in enumerate(grading_element(p)) if e)
 
 
 def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
-    """Pairing of a weight with the grading element.  Zero coordinates
-    are skipped: a root has at most two nonzero ones, and E may hold
-    Fractions."""
+    """Pairing of a weight with the grading element, summed over the
+    nonzero entries of E only."""
     if len(weight) != p.n:
         raise ValueError("rank mismatch")
-    total = sum(w * e for w, e in zip(weight, grading_element(p)) if w)
-    if isinstance(total, Fraction) and total.denominator == 1:
+    total = sum(weight[i] * e for i, e in _grading_support(p))
+    if type(total) is Fraction and total.denominator == 1:
         return int(total)
     return total
 
 
 def root_grade(root: Root, p: Parabolic) -> int:
-    """alpha(E), the pairing of a root with the grading element.  An int:
-    the half-integers of E cancel on a root."""
-    return conformal_weight(root.vector(p.n), p)
+    """alpha(E), the pairing of a root with the grading element, in
+    integers: <2E, alpha^vee> is 2 alpha(E) for the short roots a_ij,
+    c_ij and alpha(E) for the long roots b_i."""
+    doubled = weyl.pairing(_twice_grading(p), root)
+    return doubled if root.kind == "b" else doubled // 2
 
 
 def levi_roots(p: Parabolic) -> list[Root]:
@@ -98,7 +113,7 @@ def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic
     """Conformal-weight drop along an arrow; an upper bound for the order
     of the corresponding invariant operator."""
     drop = conformal_weight(source, p) - conformal_weight(target, p)
-    if isinstance(drop, Fraction) and drop.denominator == 1:
+    if type(drop) is Fraction and drop.denominator == 1:
         return int(drop)
     return drop
 
@@ -215,8 +230,13 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
     ]
     index = {nd.weight: i for i, nd in enumerate(nodes)}
 
-    # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E)
-    grades = {r: root_grade(r, p) for r in nilradical_roots(p)}
+    # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E);
+    # the nilradical roots are those of positive grade, graded once here
+    grades = {}
+    for r in weyl.positive_roots(n):
+        grade = root_grade(r, p)
+        if grade > 0:
+            grades[r] = grade
     edges = []
     for i, nd in enumerate(nodes):
         targets = []

@@ -42,28 +42,38 @@ def _visible(placement, skips) -> bool:
     return all(abs(c) not in skips for c in placement)
 
 
-def _skipped_segments(diagram: OrbitDiagram, skips) -> list[tuple]:
+def _node_visibility(diagram: OrbitDiagram, skips) -> list[bool]:
+    """Whether each node is drawn, indexed like diagram.nodes."""
+    if not skips:
+        return [True] * len(diagram.nodes)
+    return [_visible(node.placement, skips) for node in diagram.nodes]
+
+
+def _skipped_segments(diagram: OrbitDiagram, visible: list[bool]) -> list[tuple]:
     """Visible placement pairs joined by axis-aligned arrow paths running
-    entirely through hidden nodes (interrupted rows and columns)."""
+    entirely through hidden nodes (interrupted rows and columns); visible
+    is _node_visibility of the diagram."""
+    if all(visible):
+        return []
     succ: dict[int, list[int]] = {}
     for a in diagram.arrows:
         succ.setdefault(a.source, []).append(a.target)
     out = []
     for start, node in enumerate(diagram.nodes):
-        if not _visible(node.placement, skips):
+        if not visible[start]:
             continue
         stack = [t for t in succ.get(start, [])]
         hidden_reached = set()
         ends = set()
         while stack:
             i = stack.pop()
-            if _visible(diagram.nodes[i].placement, skips):
+            if visible[i]:
                 continue  # direct arrows are drawn normally
             if i in hidden_reached:
                 continue
             hidden_reached.add(i)
             for j in succ.get(i, []):
-                if _visible(diagram.nodes[j].placement, skips):
+                if visible[j]:
                     ends.add(j)
                 else:
                     stack.append(j)
@@ -77,19 +87,20 @@ def _skipped_segments(diagram: OrbitDiagram, skips) -> list[tuple]:
 def to_tikz(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
     config = config or RenderConfig()
     skips = set(config.skip_columns)
+    visible = _node_visibility(diagram, skips)
     lines = [_PREAMBLE, r"\begin{tikzpicture}[x=0.8cm,y=0.8cm]"]
-    for node in diagram.nodes:
-        if _visible(node.placement, skips):
+    for node, shown in zip(diagram.nodes, visible):
+        if shown:
             lines.append(r"\ldominant{%d}{%d}" % node.placement)
     if diagram.kind == "singular-orbit":
         for pl in diagram.cross_placements():
             if _visible(pl, skips):
                 lines.append(r"\trivial{%d}{%d}" % pl)
     for a in diagram.arrows:
+        if not (visible[a.source] and visible[a.target]):
+            continue
         s = diagram.nodes[a.source].placement
         t = diagram.nodes[a.target].placement
-        if not (_visible(s, skips) and _visible(t, skips)):
-            continue
         quad = s + t
         if a.kind == orbits.IDENTITY:
             lines.append(r"\equal{%d}{%d}{%d}{%d}" % quad)
@@ -104,7 +115,7 @@ def to_tikz(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str
                     r"\node[font=\tiny, above right] at (%.1f,%.1f) {$%s$};"
                     % (mx, my, _root_tex(a.root))
                 )
-    for s, t in _skipped_segments(diagram, skips):
+    for s, t in _skipped_segments(diagram, visible):
         lines.append(r"\skipped{%d}{%d}{%d}{%d}" % (s + t))
     lines.append(r"\end{tikzpicture}")
     return "\n".join(lines) + "\n"
@@ -124,8 +135,9 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
     def name(pl):
         return f'"p{pl[0]}_{pl[1]}"'.replace("-", "m")
 
-    for node in diagram.nodes:
-        if _visible(node.placement, skips):
+    visible = _node_visibility(diagram, skips)
+    for node, shown in zip(diagram.nodes, visible):
+        if shown:
             lines.append(
                 f"  {name(node.placement)} [pos=\"{node.placement[0]},{node.placement[1]}!\"];"
             )
@@ -135,12 +147,12 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
         orbits.SUPPRESSED: " [style=dotted]",
     }
     for a in diagram.arrows:
-        s = diagram.nodes[a.source].placement
-        t = diagram.nodes[a.target].placement
-        if not (_visible(s, skips) and _visible(t, skips)):
+        if not (visible[a.source] and visible[a.target]):
             continue
         if a.kind == orbits.SUPPRESSED and not config.show_suppressed:
             continue
+        s = diagram.nodes[a.source].placement
+        t = diagram.nodes[a.target].placement
         lines.append(f"  {name(s)} -> {name(t)}{styles[a.kind]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

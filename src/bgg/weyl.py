@@ -25,10 +25,6 @@ REGULAR = "regular"
 SEMIREGULAR = "semi-regular"
 SINGULAR = "singular"
 
-FOR_G = "g"
-FOR_LEVI = "levi"
-STRICTLY_FOR_LEVI = "levi-strict"
-
 
 # ---------------------------------------------------------------------------
 # roots
@@ -165,37 +161,15 @@ def _groups(n: int, crossed: Sequence[int]) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
-def is_dominant(
-    weight: Sequence[int],
-    crossed: Sequence[int] = (),
-    mode: str = FOR_G,
-) -> bool:
-    """Dominance of a weight, for g or for the Levi factor of a parabolic.
+def is_dominant(weight: Sequence[int]) -> bool:
+    """g-dominance: x_1 >= ... >= x_n >= 0.
 
-    FOR_G ignores crossed and asks for x_1 >= ... >= x_n >= 0.  The Levi
-    modes cut the coordinates into groups by putting a bar after the
-    i-th coordinate for each crossed node i; coordinates must descend in
-    each group (strictly for STRICTLY_FOR_LEVI) and the group after the
-    last bar must in addition be positive (strictly, resp. >= 0).  A bar
-    after the last coordinate removes the positivity condition.
+    Levi dominance is never tested here: `parabolic` enumerates the
+    Levi-dominant images of rho and `orbits` reads its nodes off the
+    placement rule.  The general Levi test is kept with the test oracle
+    in tests/weyl_oracle.py.
     """
     n = len(weight)
-    if mode == FOR_G:
-        return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and (
-            n == 0 or weight[-1] >= 0
-        )
-    if mode not in (FOR_LEVI, STRICTLY_FOR_LEVI):
-        raise ValueError(f"unknown dominance mode {mode!r}")
-    strict = mode == STRICTLY_FOR_LEVI
-    groups = _groups(n, crossed)
-    has_trailing_bar = bool(crossed) and max(crossed) == n
-    for gi, (start, stop) in enumerate(groups):
-        seg = weight[start:stop]
-        for a, b in zip(seg, seg[1:]):
-            if a < b or (strict and a == b):
-                return False
-        is_last_open_group = (gi == len(groups) - 1) and not has_trailing_bar
-        if is_last_open_group and seg:
-            if seg[-1] < 0 or (strict and seg[-1] == 0):
-                return False
-    return True
+    return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and (
+        n == 0 or weight[-1] >= 0
+    )

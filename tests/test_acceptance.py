@@ -33,9 +33,7 @@ def test_criterion_01_hasse_counts_and_oracle():
         brute = {
             oracle.standard_action(w, weyl.rho(n))
             for w in oracle.all_elements(n)
-            if weyl.is_dominant(
-                oracle.standard_action(w, weyl.rho(n)), (2,), weyl.STRICTLY_FOR_LEVI
-            )
+            if oracle.is_dominant(oracle.standard_action(w, weyl.rho(n)), (2,))
         }
         assert brute == {nd.weight for nd in hd.nodes}
     _finish(1, "Hasse node counts n=3..8 with full-enumeration oracle", t0, 5)

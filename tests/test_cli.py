@@ -305,9 +305,9 @@ import contextlib, io, sys
 import bgg.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = bgg.cli.main(sys.argv[1:])
-print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.")))
+print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m == "json"))
 """
-_ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render")
+_ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render", "json")  # render imports json
 _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
 
 
@@ -315,6 +315,7 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
     "command, layers",
     [
         ("hasse --n 4", ("weyl", "parabolic")),
+        ("hasse --n 4 --format json", ("weyl", "parabolic", "json")),
         ("regular-orbit --n 3", _ORBIT_LAYERS),
         ("singular-orbit --n 4 --k 2", _ORBIT_LAYERS),
         ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS),
@@ -326,10 +327,12 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
     ],
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
-    """A fresh `bgg` process imports only the layers its subcommand runs."""
+    """A fresh `bgg` process imports only the layers its subcommand runs,
+    and `json` only if it prints JSON or renders an orbit diagram."""
     rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()
     assert rc == "0"
-    assert sorted(loaded) == sorted(f"bgg.{m}" for m in ("cli",) + layers)
+    expected = [m if m == "json" else f"bgg.{m}" for m in ("cli",) + layers]
+    assert sorted(loaded) == sorted(expected)
 
 
 def run_any(capsys, argv):

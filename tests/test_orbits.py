@@ -179,9 +179,7 @@ def test_singular_orbit_against_brute_force(n, k):
     for w in oracle.all_elements(n):
         reg = oracle.standard_action(w, weyl.rho(n))
         img = oracle.standard_action(w, lam)
-        if weyl.is_dominant(
-            reg, (2,), weyl.STRICTLY_FOR_LEVI
-        ) and weyl.is_dominant(img, (2,), weyl.STRICTLY_FOR_LEVI):
+        if oracle.is_dominant(reg, (2,)) and oracle.is_dominant(img, (2,)):
             expected.add((reg[:2], img))
     assert {(nd.placement, nd.weight) for nd in d.nodes} == expected
     assert len(d.nodes) == len(expected)
@@ -204,6 +202,53 @@ def test_arrow_orders_match_order_bound():
             assert type(a.order) is int and a.order == bound, (n, k, base, a)
             checked += 1
     assert checked == 2104  # 2072 of them at n = 3..10
+
+
+def _full_scan_orbit(n, k, base):
+    """The orbit diagram as nodes, arrows and coincidences, by the full
+    scan the placement rule replaces: w(base) of every crossed-{2} node
+    (weyl.act_from_image) tested for strict Levi dominance, arrow orders
+    as conformal-weight drops (parabolic.order_bound)."""
+    p = parabolic.parabolic(n, (2,))
+    hd = parabolic.hasse_diagram(p)
+    keep, nodes = {}, []
+    for i, nd in enumerate(hd.nodes):
+        image = weyl.act_from_image(nd.weight, base)
+        if oracle.is_dominant(image, (2,)):
+            keep[i] = len(nodes)
+            nodes.append((nd.weight[:2], image))
+    arrows = []
+    for e in hd.edges:
+        if e.source in keep and e.target in keep:
+            (ps, ws), (pt, wt) = nodes[keep[e.source]], nodes[keep[e.target]]
+            if ws == wt:
+                kind, order = orbits.IDENTITY, None
+            else:
+                kind = orbits.SUPPRESSED if orbits._suppressed(k, ps, pt) else orbits.STANDARD
+                order = parabolic.order_bound(ws, wt, p)
+            arrows.append((keep[e.source], keep[e.target], kind, e.root, order))
+    coincidences = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(nodes)), 2)
+        if nodes[i][1] == nodes[j][1]
+    ]
+    return nodes, arrows, coincidences
+
+
+def test_placement_rule_matches_full_scan():
+    """Oracle: the nodes kept by the placement rule, and the arrows and
+    coincidences built on them, equal those of the full scan, for
+    n = 2..12, every k and two scaled bases."""
+    cases = [(n, k, orbits.lambda_k(n, k)) for n in range(2, 13) for k in range(n)]
+    cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
+    for n, k, base in cases:
+        d = orbits.singular_orbit(n, k, base)
+        nodes, arrows, coincidences = _full_scan_orbit(n, k, base)
+        assert [(nd.placement, nd.weight) for nd in d.nodes] == nodes, (n, k, base)
+        got = [(a.source, a.target, a.kind, a.root, a.order) for a in d.arrows]
+        assert got == arrows, (n, k, base)
+        assert d.coincidences == coincidences, (n, k, base)
+        assert len(nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
 
 
 @pytest.mark.parametrize("n", [5, 6])

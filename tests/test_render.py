@@ -99,7 +99,7 @@ def test_root_tex_follows_root_label():
 def test_skipped_segments_are_axis_aligned(figure_regular_n8):
     fx = figure_regular_n8
     d = orbits.regular_orbit_projection(fx["n"])
-    segs = render._skipped_segments(d, set(fx["skips"]))
+    segs = render._skipped_segments(d, render._node_visibility(d, set(fx["skips"])))
     assert len(segs) == 24
     for a, b in segs:
         assert a[0] == b[0] or a[1] == b[1]
@@ -108,7 +108,7 @@ def test_skipped_segments_are_axis_aligned(figure_regular_n8):
 
 def test_no_skips_no_skipped_segments():
     d = orbits.regular_orbit_projection(5)
-    assert render._skipped_segments(d, set()) == []
+    assert render._skipped_segments(d, render._node_visibility(d, set())) == []
     assert "\\skipped{" not in render.to_tikz(d)
 
 

@@ -199,23 +199,23 @@ def test_dominance_for_g():
 
 def test_dominance_for_levi():
     # crossed {2}: groups (x1, x2 | x3, ..., xn), last group positive
-    assert weyl.is_dominant((3, 1, 2), (2,), weyl.STRICTLY_FOR_LEVI)
-    assert not weyl.is_dominant((1, 3, 2), (2,), weyl.STRICTLY_FOR_LEVI)
-    assert not weyl.is_dominant((3, 1, -2), (2,), weyl.STRICTLY_FOR_LEVI)
-    assert not weyl.is_dominant((2, 2, 1), (2,), weyl.STRICTLY_FOR_LEVI)
-    assert weyl.is_dominant((2, 2, 1), (2,), weyl.FOR_LEVI)
-    assert weyl.is_dominant((2, 2, 0), (2,), weyl.FOR_LEVI)
-    assert not weyl.is_dominant((2, 2, -1), (2,), weyl.FOR_LEVI)
+    assert oracle.is_dominant((3, 1, 2), (2,), oracle.STRICTLY_FOR_LEVI)
+    assert not oracle.is_dominant((1, 3, 2), (2,), oracle.STRICTLY_FOR_LEVI)
+    assert not oracle.is_dominant((3, 1, -2), (2,), oracle.STRICTLY_FOR_LEVI)
+    assert not oracle.is_dominant((2, 2, 1), (2,), oracle.STRICTLY_FOR_LEVI)
+    assert oracle.is_dominant((2, 2, 1), (2,), oracle.FOR_LEVI)
+    assert oracle.is_dominant((2, 2, 0), (2,), oracle.FOR_LEVI)
+    assert not oracle.is_dominant((2, 2, -1), (2,), oracle.FOR_LEVI)
 
 
 def test_dominance_trailing_bar_drops_positivity():
-    assert weyl.is_dominant((3, 2, -1), (3,), weyl.STRICTLY_FOR_LEVI)
-    assert not weyl.is_dominant((3, 2, -1), (2,), weyl.STRICTLY_FOR_LEVI)
-    assert weyl.is_dominant((-1, 3, 2), (1, 3), weyl.STRICTLY_FOR_LEVI)
+    assert oracle.is_dominant((3, 2, -1), (3,), oracle.STRICTLY_FOR_LEVI)
+    assert not oracle.is_dominant((3, 2, -1), (2,), oracle.STRICTLY_FOR_LEVI)
+    assert oracle.is_dominant((-1, 3, 2), (1, 3), oracle.STRICTLY_FOR_LEVI)
 
 
 def test_dominance_validation():
     with pytest.raises(ValueError):
-        weyl.is_dominant((1, 2), (5,), weyl.FOR_LEVI)
+        oracle.is_dominant((1, 2), (5,), oracle.FOR_LEVI)
     with pytest.raises(ValueError):
-        weyl.is_dominant((1, 2), (1,), "nonsense")
+        oracle.is_dominant((1, 2), (1,), "nonsense")

@@ -5,7 +5,9 @@ reads everything it needs off mu; here w is a signed permutation with
 its own product, inverse, reflections and root-counting length, so the
 fast paths can be checked against plain group theory.  A root's
 coefficients on the simple roots are kept here too, as the reference for
-the grading `bgg.parabolic` reads off its grading element.
+the grading `bgg.parabolic` reads off its grading element, and so is
+dominance for the Levi factor of a parabolic, the reference for the
+placement rule `bgg.orbits` reads its nodes off.
 
 An element w = (perm, signs) acts by
 
@@ -53,6 +55,41 @@ def simple_coefficient(root: Root, m: int, n: int) -> int:
     if m < n:
         return sum(v[:m])
     return sum(v) // 2
+
+
+FOR_LEVI = "levi"
+STRICTLY_FOR_LEVI = "levi-strict"
+
+
+def is_dominant(
+    weight: Sequence[int],
+    crossed: Sequence[int],
+    mode: str = STRICTLY_FOR_LEVI,
+) -> bool:
+    """Dominance of a weight for the Levi factor of a parabolic.
+
+    The coordinates are cut into groups by a bar after the i-th
+    coordinate for each crossed node i; coordinates must descend in each
+    group (strictly for STRICTLY_FOR_LEVI) and the group after the last
+    bar must in addition be positive (strictly, resp. >= 0).  A bar after
+    the last coordinate removes the positivity condition.
+    """
+    if mode not in (FOR_LEVI, STRICTLY_FOR_LEVI):
+        raise ValueError(f"unknown dominance mode {mode!r}")
+    n = len(weight)
+    strict = mode == STRICTLY_FOR_LEVI
+    groups = weyl._groups(n, crossed)
+    has_trailing_bar = bool(crossed) and max(crossed) == n
+    for gi, (start, stop) in enumerate(groups):
+        seg = weight[start:stop]
+        for a, b in zip(seg, seg[1:]):
+            if a < b or (strict and a == b):
+                return False
+        is_last_open_group = (gi == len(groups) - 1) and not has_trailing_bar
+        if is_last_open_group and seg:
+            if seg[-1] < 0 or (strict and seg[-1] == 0):
+                return False
+    return True
 
 
 def identity(n: int) -> WeylElement:
@@ -187,6 +224,6 @@ def singular_conjugates(shifted: Sequence[int], crossed: Sequence[int]) -> set[W
     for perm in set(itertools.permutations(shifted)):
         for signs in itertools.product((1, -1), repeat=n):
             image = tuple(s * v for s, v in zip(signs, perm))
-            if weyl.is_dominant(image, crossed, weyl.STRICTLY_FOR_LEVI):
+            if is_dominant(image, crossed):
                 found.add(image)
     return found
