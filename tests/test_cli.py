@@ -315,7 +315,6 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
     "command, layers",
     [
         ("hasse --n 4", ("weyl", "parabolic")),
-        ("hasse --n 4 --format json", ("weyl", "parabolic", "json")),
         ("regular-orbit --n 3", _ORBIT_LAYERS),
         ("singular-orbit --n 4 --k 2", _ORBIT_LAYERS),
         ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS),
@@ -324,6 +323,7 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
         ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
         ("geometry-check --n 3 --count 2", ("geometry",)),
+        ("hasse --n 4 --format json", ("weyl", "parabolic", "json")),
     ],
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
