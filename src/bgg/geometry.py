@@ -13,6 +13,16 @@ as integer rows M over the scale m = 2 d^2 (S has denominator 2 d^2).
 `isotropy_check` and the reconstruction check of `twistor_cover_solve`
 work on these integers; a Fraction is built, and normalised once, only
 where a public value is returned.
+
+Seeded points (`random_point`, `random_line`) draw each coordinate
+uniformly from the 171 values p/q with p = -9..9 and q = 1..9.  Digit
+r = 0..170 stands for Fraction(r // 9 - 9, r % 9 + 1).  Coordinates are
+drawn in blocks of seven: one rng.randrange(171 ** 7) call per block,
+read off as its seven base-171 digits, least significant first; a last
+partial block uses its low digits only.  `random_point` takes its
+4(n-2) + 3 values in field order (a1, a2, c1, c2, b1, b2, c12), and
+`random_line` takes 2n - 1 values after its leading 1.  Only integers
+enter a draw: no call to the float random().
 """
 
 from __future__ import annotations
@@ -25,14 +35,21 @@ from typing import Optional, Sequence
 
 Scalar = Fraction  # or int
 
-# Fraction(p, q) for every draw of random_point / random_line; Fractions
-# are immutable, so the points share them.
-_DRAWS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
+# The value of each base-171 digit of a draw; Fractions are immutable, so
+# the points share them.
+_DRAWS = [Fraction(r // 9 - 9, r % 9 + 1) for r in range(171)]
+_BLOCK = 7
+_BLOCK_RANGE = len(_DRAWS) ** _BLOCK  # about 0.94 * 2^52
 
 
 def parameter_count(n: int) -> int:
     """Dimension of the big cell: 4(n-2) + 3."""
     return 4 * (n - 2) + 3
+
+
+def _check_rank(n: int) -> None:
+    if n < 2:
+        raise ValueError("rank must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -50,8 +67,7 @@ class BigCellPoint:
     c12: Scalar
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("rank must be at least 2")
+        _check_rank(self.n)
         for row in (self.a1, self.a2, self.c1, self.c2):
             if len(row) != self.n - 2:
                 raise ValueError("coordinate rows must have length n-2")
@@ -138,8 +154,7 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     if len(gamma) % 2:
         raise ValueError("gamma must have even length")
     n = len(gamma) // 2
-    if n < 2:
-        raise ValueError("rank must be at least 2")
+    _check_rank(n)
     if gamma[0] == 0:
         raise ValueError("the solve chart needs gamma_1 != 0")
     # gamma / gamma_1 == g / g0 with integers g and g0 = g[0].
@@ -163,24 +178,32 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     return point
 
 
+def _draw(rng: random.Random, count: int) -> list:
+    """count seeded coordinates, one randrange call per block of _BLOCK."""
+    table, base = _DRAWS, len(_DRAWS)
+    out = []
+    for start in range(0, count, _BLOCK):
+        r = rng.randrange(_BLOCK_RANGE)
+        for _ in range(min(_BLOCK, count - start)):
+            r, digit = divmod(r, base)
+            out.append(table[digit])
+    return out
+
+
 def random_point(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> BigCellPoint:
     """A seeded random rational point of the big cell."""
+    _check_rank(n)
     if rng is None:
         rng = random.Random(seed)
-
-    def frac():
-        return _DRAWS[rng.randint(-9, 9), rng.randint(1, 9)]
-
-    def row():
-        return tuple(frac() for _ in range(n - 2))
-
-    return BigCellPoint(n, row(), row(), row(), row(), frac(), frac(), frac())
+    k = n - 2
+    v = _draw(rng, parameter_count(n))
+    rows = (tuple(v[i * k : (i + 1) * k]) for i in range(4))
+    return BigCellPoint(n, *rows, *v[4 * k :])
 
 
 def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> list:
     """A seeded random rational vector in C^{2n} with first coordinate 1."""
+    _check_rank(n)
     if rng is None:
         rng = random.Random(seed)
-    out = [Fraction(1)]
-    out += [_DRAWS[rng.randint(-9, 9), rng.randint(1, 9)] for _ in range(2 * n - 1)]
-    return out
+    return [Fraction(1), *_draw(rng, 2 * n - 1)]

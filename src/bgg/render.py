@@ -12,7 +12,6 @@ from_json(to_json(d)) == d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -169,6 +168,8 @@ def _root_obj(root: Optional[Root]):
 
 
 def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
+    import json
+
     payload = {
         "kind": diagram.kind,
         "n": diagram.n,
@@ -194,21 +195,25 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
 
 
 def from_json(text: str) -> OrbitDiagram:
+    import json
+
     data = json.loads(text)
     nodes = [
         OrbitNode(tuple(nd["placement"]), tuple(nd["weight"]))
         for nd in data["nodes"]
     ]
+    roots: dict[tuple, Root] = {}  # each distinct root is built once
+
+    def root_of(obj) -> Optional[Root]:
+        if not obj:
+            return None
+        key = (obj["kind"], obj["i"], obj["j"])
+        if key not in roots:
+            roots[key] = Root(*key)
+        return roots[key]
+
     arrows = [
-        OrbitArrow(
-            a["source"],
-            a["target"],
-            a["kind"],
-            Root(a["root"]["kind"], a["root"]["i"], a["root"]["j"])
-            if a["root"]
-            else None,
-            a["order"],
-        )
+        OrbitArrow(a["source"], a["target"], a["kind"], root_of(a["root"]), a["order"])
         for a in data["arrows"]
     ]
     return OrbitDiagram(

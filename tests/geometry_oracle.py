@@ -75,22 +75,27 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     return point
 
 
+def _draws(rng: random.Random, count: int) -> list[Fraction]:
+    """The draw protocol as specified: blocks of 7 base-171 digits, one
+    randrange(171 ** 7) per block, digit r is (r // 9 - 9) / (r % 9 + 1)."""
+    values = []
+    while len(values) < count:
+        block = rng.randrange(171**7)
+        digits = [block // 171**i % 171 for i in range(7)]
+        values += [Fraction(r // 9 - 9, r % 9 + 1) for r in digits]
+    return values[:count]
+
+
 def random_point(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> BigCellPoint:
     if rng is None:
         rng = random.Random(seed)
-
-    def frac():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    def row():
-        return tuple(frac() for _ in range(n - 2))
-
-    return BigCellPoint(n, row(), row(), row(), row(), frac(), frac(), frac())
+    v = _draws(rng, 4 * (n - 2) + 3)
+    a1, a2, c1, c2 = (tuple(v[i * (n - 2) : (i + 1) * (n - 2)]) for i in range(4))
+    b1, b2, c12 = v[-3:]
+    return BigCellPoint(n, a1, a2, c1, c2, b1, b2, c12)
 
 
 def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> list:
     if rng is None:
         rng = random.Random(seed)
-    out = [Fraction(1)]
-    out += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2 * n - 1)]
-    return out
+    return [Fraction(1)] + _draws(rng, 2 * n - 1)

@@ -307,7 +307,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = bgg.cli.main(sys.argv[1:])
 print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m == "json"))
 """
-_ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render", "json")  # render imports json
+_ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render")
 _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
 
 
@@ -324,11 +324,12 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
         ("geometry-check --n 3 --count 2", ("geometry",)),
         ("hasse --n 4 --format json", ("weyl", "parabolic", "json")),
+        ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("json",)),
     ],
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
     """A fresh `bgg` process imports only the layers its subcommand runs,
-    and `json` only if it prints JSON or renders an orbit diagram."""
+    and `json` only if it prints JSON."""
     rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()
     assert rc == "0"
     expected = [m if m == "json" else f"bgg.{m}" for m in ("cli",) + layers]

@@ -98,6 +98,49 @@ def test_random_point_seed_determinism():
     assert geometry.random_line(4, seed=5) == geometry.random_line(4, seed=5)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_random_draws_reject_small_rank(n):
+    rng = random.Random(0)
+    state = rng.getstate()
+    for draw in (geometry.random_point, geometry.random_line):
+        with pytest.raises(ValueError, match="rank"):
+            draw(n, rng)
+        with pytest.raises(ValueError, match="rank"):
+            draw(n, seed=0)
+    assert rng.getstate() == state  # raised before any draw
+
+
+def test_seeded_draws_are_pinned():
+    """Literal values, so every supported Python gives the same points."""
+    F = Fraction
+    assert geometry.random_point(3, seed=0) == geometry.BigCellPoint(
+        3, (F(-7),), (F(-1, 2),), (F(-1, 5),), (F(-1, 9),), F(-1), F(-2, 5), F(-2, 7)
+    )
+    assert geometry.random_line(3, seed=0) == [F(1), F(-7), F(-1, 2), F(-1, 5), F(-1, 9), F(-1)]
+
+
+def test_draws_cover_every_numerator_and_denominator(monkeypatch):
+    """About 3000 draws hit all 171 pairs (p, q), and every field of a
+    point and every entry of a line sees p = -9, p = 9 and q = 9."""
+    pairs = [(p, q) for p in range(-9, 10) for q in range(1, 10)]
+    assert geometry._DRAWS == [Fraction(p, q) for p, q in pairs]
+    # Draw the pairs themselves instead of their reduced quotients.
+    monkeypatch.setattr(geometry, "_DRAWS", pairs)
+    rng = random.Random(2024)
+    positions = {}
+    for _ in range(250):
+        pt = geometry.random_point(3, rng)
+        fields = (*pt.a1, *pt.a2, *pt.c1, *pt.c2, pt.b1, pt.b2, pt.c12)
+        line = geometry.random_line(3, rng)[1:]
+        for i, pair in enumerate(fields + tuple(line)):
+            positions.setdefault(i, set()).add(pair)
+    assert len(positions) == 7 + 5
+    assert set().union(*positions.values()) == set(pairs)
+    for seen in positions.values():
+        assert {p for p, _ in seen} >= {-9, 9}
+        assert 9 in {q for _, q in seen}
+
+
 def test_twistor_cover_solve_structure():
     gamma = [Fraction(1), 2, 3, 4, 5, 6, 7, 8]  # n = 4
     pt = geometry.twistor_cover_solve(gamma)
