@@ -12,7 +12,9 @@ coordinate over one positive common denominator d and returns the matrix
 as integer rows M over the scale m = 2 d^2 (S has denominator 2 d^2).
 `isotropy_check` and the reconstruction check of `twistor_cover_solve`
 work on these integers; a Fraction is built, and normalised once, only
-where a public value is returned.
+where a public value is returned.  A point is frozen, so it computes its
+scaled form once and every later reader shares it: a solved plane is
+scaled once for the solve's check and the caller's isotropy check.
 
 Seeded points (`random_point`, `random_line`) draw each coordinate
 uniformly from the 171 values p/q with p = -9..9 and q = 1..9.  Digit
@@ -27,6 +29,7 @@ enter a draw: no call to the float random().
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,14 +75,20 @@ class BigCellPoint:
             if len(row) != self.n - 2:
                 raise ValueError("coordinate rows must have length n-2")
 
+    @functools.cached_property
+    def _scaled(self) -> tuple[list[list[int]], int, int]:
+        """_scaled_matrix(self), computed once: the fields never change.
+        Callers only read it."""
+        return _scaled_matrix(self)
+
     def s_correction(self) -> Scalar:
         """S = (1/2) sum_j (a_1j c_2j - a_2j c_1j)."""
-        _, m, s = _scaled_matrix(self)
+        _, m, s = self._scaled
         return Fraction(s, m)
 
     def matrix(self) -> list[list[Scalar]]:
         """The 2n x 2 matrix whose columns span the plane."""
-        rows, m, _ = _scaled_matrix(self)
+        rows, m, _ = self._scaled
         return [[Fraction(x, m), Fraction(y, m)] for x, y in rows]
 
     def columns(self) -> tuple[list, list]:
@@ -138,7 +147,7 @@ def isotropy_check(point: BigCellPoint) -> bool:
     omega of the integer columns of M is m^2 times omega of the plane's
     columns, and m > 0, so one is zero exactly when the other is.
     """
-    rows, _, _ = _scaled_matrix(point)
+    rows, _, _ = point._scaled
     return omega([r[0] for r in rows], [r[1] for r in rows]) == 0
 
 
@@ -172,7 +181,7 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
         Fraction(g[n + 1], g0),
     )
     # C_1 + (g[1] / g0) C_2 == g / g0, times m * g0.
-    rows, m, _ = _scaled_matrix(point)
+    rows, m, _ = point._scaled
     if any(x * g0 + g[1] * y != gi * m for (x, y), gi in zip(rows, g)):
         raise AssertionError("twistor line does not lie on the solved plane")
     return point

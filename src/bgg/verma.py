@@ -18,13 +18,24 @@ realized on U(u^-) tensor F with F an irreducible module of the Levi
 gl(2) + sp(2n-4); elements carry exact Fraction coefficients and
 monomials in the 4(n-2)+3 lowering letters of the nilradical are kept
 in a fixed normal order by PBW straightening.
+
+The basis matrices, the brackets and the nilradical letters depend on n
+alone.  They are built once per rank and process, for the last 8 ranks
+used (`_lie_tables`, `_nilradical_letters`), and every LieData and
+GeneralizedVerma of that rank shares them.  They are read-only: letters,
+vectors and grades are tuples, the nilradical a frozenset, and the
+matrices and the letter index read-only mappings.  A bracket is computed
+through decompose, reconstruction check included, the first time the
+process needs it at that rank, and read from the shared memo after.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from bgg import penrose
 from bgg import parabolic as parabolic_mod
@@ -39,33 +50,44 @@ Matrix = dict  # {(row, col): int}, nonzero entries only
 # the Lie algebra
 
 
+@functools.lru_cache(maxsize=8)
+def _lie_tables(n: int) -> tuple[Mapping, tuple, dict]:
+    """The basis matrices, the leading entries and the bracket memo of
+    sp(2n), built once per n (for the 8 ranks used last) and shared by
+    every LieData of rank n.  The matrices are read-only; the memo only
+    gains brackets that decompose has checked."""
+    m: dict[Label, Matrix] = {}
+    # the insertion order is the order of decompose's terms
+    for i in range(n):
+        m[("h", i + 1)] = {(i, i): 1, (n + i, n + i): -1}
+        raising = [(Root("b", i + 1), {(i, n + i): 1})]
+        for j in range(i + 1, n):
+            raising.append((Root("a", i + 1, j + 1), {(i, j): 1, (n + j, n + i): -1}))
+            raising.append((Root("c", i + 1, j + 1), {(i, n + j): 1, (j, n + i): 1}))
+        for root, e in raising:
+            m[("e", root)] = e
+            m[("y", root)] = {(c, r): v for (r, c), v in e.items()}
+    # the least key of each matrix holds 1 and is a key of no other
+    leads = tuple((min(mat), lab) for lab, mat in m.items())
+    matrices = MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()})
+    return matrices, leads, {}
+
+
 class LieData:
     """Sparse integer matrices and exact structure constants for sp(2n).
 
     A matrix is a dict {(row, col): int} holding its nonzero entries;
-    every basis element has at most two."""
+    every basis element has at most two.  The basis matrices and the
+    brackets depend on n alone: they come from _lie_tables, and a basis
+    matrix is a read-only mapping."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("rank must be at least 2")
         self.n = n
-        self._matrices: dict[Label, Matrix] = {}
-        m = self._matrices
-        # the insertion order is the order of decompose's terms
-        for i in range(n):
-            m[("h", i + 1)] = {(i, i): 1, (n + i, n + i): -1}
-            raising = [(Root("b", i + 1), {(i, n + i): 1})]
-            for j in range(i + 1, n):
-                raising.append((Root("a", i + 1, j + 1), {(i, j): 1, (n + j, n + i): -1}))
-                raising.append((Root("c", i + 1, j + 1), {(i, n + j): 1, (j, n + i): 1}))
-            for root, e in raising:
-                m[("e", root)] = e
-                m[("y", root)] = {(c, r): v for (r, c), v in e.items()}
-        # the least key of each matrix holds 1 and is a key of no other
-        self._leads = [(min(mat), lab) for lab, mat in m.items()]
-        self._brackets: dict[tuple[Label, Label], tuple[tuple[Label, int], ...]] = {}
+        self._matrices, self._leads, self._brackets = _lie_tables(n)
 
-    def matrix(self, label: Label) -> Matrix:
+    def matrix(self, label: Label) -> Mapping:
         return self._matrices[label]
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
@@ -211,6 +233,33 @@ class LeviModule:
 Element = dict  # {(word, fidx): Fraction} with word a tuple of letter indices
 
 
+@functools.lru_cache(maxsize=8)
+def _nilradical_letters(n: int) -> tuple[tuple, tuple, tuple, Mapping, frozenset]:
+    """The lowering letters of the crossed-{2} nilradical in normal order,
+    their weight vectors and grades, each letter's index and the nilradical
+    roots: built once per n (for the 8 ranks used last), read-only, and
+    shared by every GeneralizedVerma of rank n."""
+    p = parabolic_mod.parabolic(n, (2,))
+    nil = frozenset(parabolic_mod.nilradical_roots(p))
+    order = (
+        [Root("a", 1, j) for j in range(3, n + 1)]
+        + [Root("a", 2, j) for j in range(3, n + 1)]
+        + [Root("c", 1, j) for j in range(3, n + 1)]
+        + [Root("c", 2, j) for j in range(3, n + 1)]
+        + [Root("b", 1), Root("b", 2), Root("c", 1, 2)]
+    )
+    if set(order) != nil:
+        raise AssertionError("nilradical letter list out of sync")
+    letters = tuple(("y", r) for r in order)
+    return (
+        letters,
+        tuple(r.vector(n) for r in order),
+        tuple(parabolic_mod.root_grade(r, p) for r in order),
+        MappingProxyType({lab: i for i, lab in enumerate(letters)}),
+        nil,
+    )
+
+
 class GeneralizedVerma:
     """M_p(lam) = U(u^-) tensor F(lam) for the crossed-{2} parabolic.
 
@@ -224,22 +273,13 @@ class GeneralizedVerma:
         self.lam = tuple(lam)
         self.lie = lie if lie is not None else LieData(n)
         self.module = LeviModule(n, lam, self.lie)
-        p = parabolic_mod.parabolic(n, (2,))
-        nil = set(parabolic_mod.nilradical_roots(p))
-        order = (
-            [Root("a", 1, j) for j in range(3, n + 1)]
-            + [Root("a", 2, j) for j in range(3, n + 1)]
-            + [Root("c", 1, j) for j in range(3, n + 1)]
-            + [Root("c", 2, j) for j in range(3, n + 1)]
-            + [Root("b", 1), Root("b", 2), Root("c", 1, 2)]
-        )
-        if set(order) != nil:
-            raise AssertionError("nilradical letter list out of sync")
-        self.letters: list[Label] = [("y", r) for r in order]
-        self._vectors = [r.vector(n) for r in order]
-        self._grades = [parabolic_mod.root_grade(r, p) for r in order]
-        self._letter_index = {lab: i for i, lab in enumerate(self.letters)}
-        self._nil = nil
+        (
+            self.letters,
+            self._vectors,
+            self._grades,
+            self._letter_index,
+            self._nil,
+        ) = _nilradical_letters(n)
 
     # -- element arithmetic
 

@@ -82,8 +82,11 @@ def test_correction_is_load_bearing(monkeypatch):
         return rows, m, s
 
     monkeypatch.setattr(geometry, "_scaled_matrix", without_s)
-    assert pt.matrix() == uncorrected
-    assert not geometry.isotropy_check(pt)
+    # pt has cached its scaled form; an equal point built now scales anew
+    fresh = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
+    assert fresh == pt
+    assert fresh.matrix() == uncorrected
+    assert not geometry.isotropy_check(fresh)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -181,6 +184,25 @@ def test_twistor_cover_validation():
         geometry.twistor_cover_solve([0, 1, 2, 3, 4, 5])
     with pytest.raises(ValueError):
         geometry.twistor_cover_solve([1, 2])
+
+
+def test_solved_plane_is_scaled_once(monkeypatch):
+    """The solve's reconstruction check and the caller's isotropy check
+    share one scaled form of the plane."""
+    calls = []
+    scaled = geometry._scaled_matrix
+
+    def counting(point):
+        calls.append(point)
+        return scaled(point)
+
+    monkeypatch.setattr(geometry, "_scaled_matrix", counting)
+    plane = geometry.twistor_cover_solve(geometry.random_line(5, seed=4))
+    assert geometry.isotropy_check(plane)
+    assert calls == [plane]
+    # later readers share it too
+    assert plane.s_correction() == 0 and plane.matrix()[0] == [1, 0]
+    assert calls == [plane]
 
 
 @pytest.mark.parametrize("g1", [1, -7])

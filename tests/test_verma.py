@@ -155,6 +155,67 @@ def test_lie_data_validation():
         verma.LieData(1)
 
 
+def _clear_rank_tables():
+    verma._lie_tables.cache_clear()
+    verma._nilradical_letters.cache_clear()
+
+
+def _scratch_matrix(n, label):
+    """The basis matrix of label in sp(2n), from the definitions in the
+    verma module docstring."""
+    kind, x = label
+    if kind == "h":
+        return {(x - 1, x - 1): 1, (n + x - 1, n + x - 1): -1}
+    i, j = x.i - 1, x.j - 1
+    e = {
+        "a": {(i, j): 1, (n + j, n + i): -1},
+        "b": {(i, n + i): 1},
+        "c": {(i, n + j): 1, (j, n + i): 1},
+    }[x.kind]
+    return e if kind == "e" else _transpose(e)
+
+
+def test_shared_tables_are_kept_per_rank():
+    """Ranks interleaved on cold tables: every bracket at n = 3 and 4 is
+    the commutator of the basis matrices built from scratch.  A table
+    shared across ranks fails here, since Root("a", 1, 2) has another
+    matrix at each rank."""
+    _clear_rank_tables()
+    for n in (4, 3, 4):
+        lie = verma.LieData(n)
+        labels = [("h", i) for i in range(1, n + 1)] + [
+            (kind, r) for r in weyl.positive_roots(n) for kind in ("e", "y")
+        ]
+        assert sorted(lie._matrices, key=repr) == sorted(labels, key=repr)
+        for x in labels:
+            assert lie.matrix(x) == _scratch_matrix(n, x), x
+            for y in labels:
+                mx, my = _scratch_matrix(n, x), _scratch_matrix(n, y)
+                want = _lin((1, _mul(mx, my)), (-1, _mul(my, mx)))
+                got = _lin(*((c, _scratch_matrix(n, z)) for z, c in lie.bracket(x, y)))
+                assert got == want, (n, x, y)
+
+
+def test_shared_tables_are_read_only(lie3):
+    label = ("e", Root("a", 1, 2))
+    with pytest.raises(TypeError):
+        lie3.matrix(label)[0, 0] = 1
+    with pytest.raises(TypeError):
+        lie3._matrices[label] = {}
+    mp = verma.GeneralizedVerma(3, (0, 0, 0), lie=lie3)
+    assert type(mp.letters) is tuple and type(mp._nil) is frozenset
+    assert type(mp._vectors) is tuple and type(mp._grades) is tuple
+    with pytest.raises(TypeError):
+        mp._letter_index[("y", Root("a", 1, 2))] = 0
+
+
+def test_rank_tables_hold_eight_ranks():
+    for n in range(3, 12):
+        verma.GeneralizedVerma(n, (0,) * n)
+    assert verma._lie_tables.cache_info().currsize <= 8
+    assert verma._nilradical_letters.cache_info().currsize <= 8
+
+
 def test_simple_raising_labels():
     labels = verma.simple_raising_labels(3)
     assert labels == [
@@ -430,3 +491,30 @@ def test_verification_result_flags(lie3):
     unchecked = verma.verify_row(r.row, lie3, kernel=False)
     assert unchecked.kernel_dim is None and unchecked.ok
     assert not verma.verify_row(r.row, lie3, perturb=True, kernel=False).ok
+
+
+def test_rows_do_not_depend_on_warm_tables():
+    """Every row for n = 3..6, genuine and perturbed, verifies the same
+    with the per-rank tables cleared before each row as with them warm
+    and the ranks in reverse order."""
+
+    def run(ranks, cold):
+        out = {}
+        for n in ranks:
+            for k in range(1, n):
+                for sign in "+-":
+                    row = verma.singular_vector_row(n, k, sign)
+                    for perturb in (False, True):
+                        if cold:
+                            _clear_rank_tables()
+                        result = verma.verify_row(row, perturb=perturb, kernel=not perturb)
+                        out[n, k, sign, perturb] = result.to_dict()
+                        out[n, k, sign, perturb]["failures"] = result.failures
+        return out
+
+    cold = run((3, 4, 5, 6), cold=True)
+    warm = run((6, 5, 4, 3), cold=False)
+    assert cold == warm
+    assert len(cold) == 2 * 2 * (2 + 3 + 4 + 5)
+    assert all(d["ok"] for (_, _, _, perturb), d in cold.items() if not perturb)
+    assert not any(d["maximal_ok"] for (_, _, _, perturb), d in cold.items() if perturb)
