@@ -237,9 +237,13 @@ def _cmd_verify_maximal(args) -> int:
     else:
         for r in results:
             if args.perturb:
-                verdict = "PASS" if not r.maximal_ok else "FAIL"
-                note = "perturbed vector correctly fails" if not r.maximal_ok else \
-                    "perturbed vector is unexpectedly maximal"
+                verdict = "PASS" if r.refuted else "FAIL"
+                if r.refuted:
+                    note = "perturbed vector correctly fails"
+                elif r.maximal_ok:
+                    note = "perturbed vector is unexpectedly maximal"
+                else:
+                    note = "perturbed vector is zero or off weight; nothing was tested"
             else:
                 verdict = "PASS" if r.ok else "FAIL"
                 note = (
@@ -251,7 +255,7 @@ def _cmd_verify_maximal(args) -> int:
                 f"  ({r.row.name})"
             )
     if args.perturb:
-        return 0 if all(not r.maximal_ok for r in results) else 2
+        return 0 if all(r.refuted for r in results) else 2
     return 0 if all(r.ok for r in results) else 2
 
 

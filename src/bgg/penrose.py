@@ -154,8 +154,8 @@ def _validate(n: int, k: int, sign: str) -> int:
     return k if sign == "+" else -k
 
 
-def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
-    """First page of the direct-image spectral sequence: entry (p, q) is
+def e1_entries(n: int, k: int, sign: str = "+") -> dict[tuple[int, int], Weight]:
+    """The entries of the first page, {(p, q): weight}: entry (p, q) is
     the q-th direct image of term p of the relative resolution.  Exactly
     one term dies, leaving 2n-3 entries in two rows (one row if
     k = n-1)."""
@@ -167,6 +167,14 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
             continue
         w, q = img
         entries[(t.p, q)] = w
+    return entries
+
+
+def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
+    """First page of the direct-image spectral sequence: the entries of
+    e1_entries and the standard differentials along each row, with
+    their order bounds."""
+    entries = e1_entries(n, k, sign)
     p2 = parabolic_mod.parabolic(n, (2,))
     diffs = []
     for (p, q), w in sorted(entries.items()):

@@ -15,25 +15,42 @@ constants come out exact from sparse integer matrices.
 
 A generalized Verma module M_p(lam) = U(g) tensor_{U(p)} F(lam) is
 realized on U(u^-) tensor F with F an irreducible module of the Levi
-gl(2) + sp(2n-4); elements carry exact Fraction coefficients and
-monomials in the 4(n-2)+3 lowering letters of the nilradical are kept
-in a fixed normal order by PBW straightening.
+gl(2) + sp(2n-4).  An element is a dict {(word, fidx): coeff}: a word is
+a non-decreasing tuple of indices of the 4(n-2)+3 lowering letters of
+the nilradical, the PBW normal order.  Coefficients are exact: the
+structure constants and the Levi action are integers, so integer input
+straightens to int coefficients, and a Fraction input stays a Fraction.
+
+Straightening is one left action, memoised per module: the value of a
+label x on a normal-ordered monomial Y_y Y^rest tensor f is computed
+once, by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, with a letter that
+sorts before y simply prepended and a label acting on F at the empty
+word (a u^+ label kills F).  A suffix shared by many words is thus
+straightened once.  Labels are keyed by integer codes, a letter's code
+being its index.  The memo lives on the GeneralizedVerma and dies with
+it; act, combine, check_maximal and maximal_vector_dimension share it.
+
+maximal_vector_dimension reads each monomial's images under the simple
+raising operators straight off the memo and eliminates fraction-free
+over the integers, with sparse rows: a row is cross-multiplied with the
+pivot of its least column and divided by the gcd of its entries.
 
 The basis matrices, the brackets and the nilradical letters depend on n
 alone.  They are built once per rank and process, for the last 8 ranks
 used (`_lie_tables`, `_nilradical_letters`), and every LieData and
 GeneralizedVerma of that rank shares them.  They are read-only: letters,
-vectors and grades are tuples, the nilradical a frozenset, and the
-matrices and the letter index read-only mappings.  A bracket is computed
-through decompose, reconstruction check included, the first time the
-process needs it at that rank, and read from the shared memo after.
+vectors, grades and label codes are tuples, the u^+ codes a frozenset,
+and the matrices and the code of each label read-only mappings.  A
+bracket is computed through decompose, reconstruction check included,
+the first time the process needs it at that rank, and read from the
+shared memos (by label in LieData, by code in GeneralizedVerma) after.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -230,15 +247,20 @@ class LeviModule:
 # generalized Verma modules
 
 
-Element = dict  # {(word, fidx): Fraction} with word a tuple of letter indices
+Element = dict  # {(word, fidx): coeff} with word a tuple of letter indices
 
 
 @functools.lru_cache(maxsize=8)
-def _nilradical_letters(n: int) -> tuple[tuple, tuple, tuple, Mapping, frozenset]:
+def _nilradical_letters(n: int) -> tuple:
     """The lowering letters of the crossed-{2} nilradical in normal order,
-    their weight vectors and grades, each letter's index and the nilradical
-    roots: built once per n (for the 8 ranks used last), read-only, and
-    shared by every GeneralizedVerma of rank n."""
+    their weight vectors and grades, and an integer code for every label
+    of sp(2n): built once per n (for the 8 ranks used last), read-only,
+    and shared by every GeneralizedVerma of rank n.
+
+    A letter's code is its index in the normal order; every other label
+    follows.  Also returned: the codes of the u^+ labels, which kill F,
+    and the memo of brackets by code, which only gains brackets read
+    off LieData.bracket."""
     p = parabolic_mod.parabolic(n, (2,))
     nil = frozenset(parabolic_mod.nilradical_roots(p))
     order = (
@@ -251,12 +273,16 @@ def _nilradical_letters(n: int) -> tuple[tuple, tuple, tuple, Mapping, frozenset
     if set(order) != nil:
         raise AssertionError("nilradical letter list out of sync")
     letters = tuple(("y", r) for r in order)
+    labels = letters + tuple(lab for lab in _lie_tables(n)[0] if lab not in letters)
+    code = MappingProxyType({lab: i for i, lab in enumerate(labels)})
     return (
         letters,
         tuple(r.vector(n) for r in order),
         tuple(parabolic_mod.root_grade(r, p) for r in order),
-        MappingProxyType({lab: i for i, lab in enumerate(letters)}),
-        nil,
+        labels,
+        code,
+        frozenset(code["e", r] for r in nil),
+        {},
     )
 
 
@@ -266,7 +292,10 @@ class GeneralizedVerma:
     Every lowering letter has grade 1 or 2 under the grading element
     E = (1, 1, 0, ..., 0), so a monomial of weight mu has degree at most
     the grade drop E(lam - mu): weight spaces are finite and are listed
-    in full."""
+    in full.
+
+    The left action of a label on a normal-ordered monomial is memoised
+    per module (`_left`, see the module docstring)."""
 
     def __init__(self, n: int, lam: Sequence[int], lie: Optional[LieData] = None):
         self.n = n
@@ -277,14 +306,17 @@ class GeneralizedVerma:
             self.letters,
             self._vectors,
             self._grades,
-            self._letter_index,
-            self._nil,
+            self._labels,
+            self._code,
+            self._kills,
+            self._brackets,
         ) = _nilradical_letters(n)
+        self._memo: dict = {}
 
     # -- element arithmetic
 
     @staticmethod
-    def _add(elem: Element, key, coeff: Fraction) -> None:
+    def _add(elem: Element, key, coeff) -> None:
         if not coeff:
             return
         cur = elem.get(key, 0) + coeff
@@ -294,7 +326,7 @@ class GeneralizedVerma:
             elem.pop(key, None)
 
     def highest(self) -> Element:
-        return {((), 0): Fraction(1)}
+        return {((), 0): 1}
 
     def monomial(
         self, ys: Sequence[Root], f: tuple[int, Optional[int]], coeff=1
@@ -304,54 +336,77 @@ class GeneralizedVerma:
         return self.combine([(coeff, ys, f)])
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
+        """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts,
+        each word applied letter by letter from the right."""
         out: Element = {}
         for coeff, ys, f in parts:
-            word = [("y", r) for r in ys]
-            self._normal_form(word, self.module._index[f], Fraction(coeff), out)
+            elem = {((), self.module._index[f]): coeff}
+            for r in reversed(ys):
+                elem = self._apply(self._code["y", r], elem)
+            for key, c in elem.items():
+                self._add(out, key, c)
         return out
 
     # -- straightening
 
-    def _normal_form(
-        self, word: Sequence[Label], fidx: int, coeff: Fraction, out: Element
-    ) -> None:
-        """Add coeff * word tensor f, straightened, into out.
+    def _bracket(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
+        """[x, y] by label code, read once per rank off LieData.bracket."""
+        got = self._brackets.get((x, y))
+        if got is None:
+            code = self._code
+            got = tuple(
+                (code[z], c) for z, c in self.lie.bracket(self._labels[x], self._labels[y])
+            )
+            self._brackets[x, y] = got
+        return got
 
-        A u^- letter sorts by its index and any other letter after all of
-        them.  A word ending in another letter lets it act on F (a u^+
-        letter kills F); otherwise the first adjacent pair out of order is
-        swapped and its bracket added."""
-        rank, last = self._letter_index, len(self.letters)
-        work = [(tuple(word), fidx, coeff)]
-        while work:
-            w, f, c = work.pop()
-            if not c:
-                continue
-            if w and w[-1] not in rank:
-                x = w[-1]
-                if x[0] == "e" and x[1] in self._nil:
-                    continue  # u^+ kills F
-                for f2, fc in self.module.act(x, f):
-                    work.append((w[:-1], f2, c * fc))
-                continue
-            keys = [rank.get(x, last) for x in w]
-            inv = next((i for i in range(len(w) - 1) if keys[i] > keys[i + 1]), None)
-            if inv is None:
-                self._add(out, (tuple(keys), f), c)
-                continue
-            x, y = w[inv], w[inv + 1]
-            work.append((w[:inv] + (y, x) + w[inv + 2 :], f, c))
-            for z, zc in self.lie.bracket(x, y):
-                work.append((w[:inv] + (z,) + w[inv + 2 :], f, c * zc))
+    def _left(self, x: int, word: tuple, f: int) -> Element:
+        """x . (Y^word tensor f) in normal form, for a label code x and a
+        normal-ordered word that x does not simply extend.  Memoised per
+        module; the value is shared and never mutated.
+
+        With an empty word, x acts on F (a u^+ label kills it).  Otherwise
+        x Y_y rest = Y_y (x rest) + [x, Y_y] rest for the first letter y."""
+        key = (x, word, f)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        if not word:
+            if x in self._kills:
+                out = {}
+            else:
+                out = {((), f2): c for f2, c in self.module.act(self._labels[x], f)}
+        else:
+            y, rest = word[0], word[1:]
+            out = {}
+            for (w2, f2), c in self._left_any(x, rest, f):
+                for k3, c3 in self._left_any(y, w2, f2):
+                    self._add(out, k3, c * c3)
+            for z, zc in self._bracket(x, y):
+                for k3, c3 in self._left_any(z, rest, f):
+                    self._add(out, k3, zc * c3)
+        self._memo[key] = out
+        return out
+
+    def _left_any(self, x: int, word: tuple, f: int):
+        """The terms of x . (Y^word tensor f) for any normal-ordered word: a
+        letter that sorts first just extends the word."""
+        if x < len(self.letters) and (not word or x <= word[0]):
+            return ((((x,) + word, f), 1),)
+        return self._left(x, word, f).items()
+
+    def _apply(self, x: int, elem: Element) -> Element:
+        """x . elem as a new element, for a label code x."""
+        out: Element = {}
+        for (word, f), c in elem.items():
+            for key, c2 in self._left_any(x, word, f):
+                self._add(out, key, c * c2)
+        return out
 
     # -- module structure
 
     def act(self, label: Label, elem: Element) -> Element:
-        out: Element = {}
-        for (word, f), c in elem.items():
-            letters = tuple(self.letters[i] for i in word)
-            self._normal_form((label,) + letters, f, c, out)
-        return out
+        return self._apply(self._code[label], elem)
 
     def term_weight(self, key) -> Weight:
         word, f = key
@@ -417,28 +472,42 @@ class GeneralizedVerma:
         return found
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
-        """Dimension of the space of maximal vectors of weight mu, by exact
-        Gaussian elimination."""
+        """Dimension of the space of maximal vectors of weight mu: the size
+        of the weight space less the rank of the simple raising operators
+        on it.  Each monomial's row of images is read off the memo, with
+        columns numbered as they first appear, and rows are eliminated
+        fraction-free over the integers: a row is cross-multiplied with
+        the pivot of its least column, then divided by the gcd of its
+        entries."""
+        raising = [self._code[lab] for lab in simple_raising_labels(self.n)]
         basis = self.weight_space(mu)
+        columns: dict = {}  # (operator, monomial) -> column number
         pivots: dict = {}
-        rank = 0
-        for key in basis:
-            image: dict = {}
-            for si, lab in enumerate(simple_raising_labels(self.n)):
-                for k2, c in self.act(lab, {key: Fraction(1)}).items():
-                    self._add(image, (si, k2), c)
-            while image:
-                lead = min(image)
+        for word, f in basis:
+            row = {
+                columns.setdefault((si, key), len(columns)): c
+                for si, x in enumerate(raising)
+                for key, c in self._left(x, word, f).items()
+            }
+            while row:
+                lead = min(row)
                 piv = pivots.get(lead)
                 if piv is None:
+                    pivots[lead] = row
                     break
-                factor = image[lead] / piv[lead]
-                for k2, c in piv.items():
-                    self._add(image, k2, -factor * c)
-            if image:
-                pivots[min(image)] = image
-                rank += 1
-        return len(basis) - rank
+                g = math.gcd(piv[lead], row[lead])
+                a, b = piv[lead] // g, row[lead] // g
+                row = {key: a * c for key, c in row.items()}
+                for key, c in piv.items():
+                    v = row.get(key, 0) - b * c
+                    if v:
+                        row[key] = v
+                    else:
+                        del row[key]
+                g = math.gcd(*row.values()) if row else 1
+                if g > 1:
+                    row = {key: c // g for key, c in row.items()}
+        return len(basis) - len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +611,13 @@ class VerificationResult:
             and self.kernel_dim in (None, 1)
         )
 
+    @property
+    def refuted(self) -> bool:
+        """The vector is shown not maximal: it is a nonzero element of
+        weight mu, and a named simple raising operator does not kill it.
+        A zero vector is not maximal either, but refutes nothing."""
+        return self.weight_ok and bool(self.failures)
+
     def to_dict(self) -> dict:
         return {
             "name": self.row.name,
@@ -557,6 +633,14 @@ class VerificationResult:
         }
 
 
+def first_arrow(n: int, k: int, sign: str = "+") -> tuple[Weight, Weight]:
+    """The first two terms of the singular BGG complex for (n, k, sign),
+    read off the E1 entries: the complex's terms are the E1 cells in
+    order of p, so no order bound of a map or differential is needed."""
+    cells = sorted(penrose.e1_entries(n, k, sign).items(), key=lambda kv: kv[0][0])
+    return cells[0][1], cells[1][1]
+
+
 def verify_row(
     row: SingularVectorRow,
     lie: Optional[LieData] = None,
@@ -568,12 +652,8 @@ def verify_row(
     maximal vectors of weight mu form a line.  With perturb=True the last
     coefficient of v is flipped, which must break maximality."""
     n = row.n
-    cx = penrose.assemble_singular_bgg(n, row.k, row.sign)
     r = weyl.rho(n)
-    d1 = (
-        tuple(a - b for a, b in zip(cx.terms[0], r)),
-        tuple(a - b for a, b in zip(cx.terms[1], r)),
-    )
+    d1 = tuple(tuple(a - b for a, b in zip(t, r)) for t in first_arrow(n, row.k, row.sign))
     d1_match = d1 == (row.lam, row.mu)
     mp = GeneralizedVerma(n, row.lam, lie=lie)
     terms = list(row.terms)

@@ -168,6 +168,39 @@ def test_verify_maximal_detects_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_maximal_perturb_needs_a_refutation(capsys, monkeypatch):
+    """A perturbed row whose flipped last term cancels the one before
+    straightens to zero: not maximal, but nothing was tested, so it is
+    a FAIL with exit 2, in text and in JSON."""
+    real = verma.singular_vector_row
+
+    def cancelling(n, k, sign="+"):
+        row = real(n, k, sign)
+        if (k, sign) != (1, "-"):
+            return row
+        (c0, ys0, f0), *_ = row.terms
+        return dataclasses.replace(row, terms=((c0, ys0, f0), (c0, ys0, f0)))
+
+    monkeypatch.setattr(verma, "singular_vector_row", cancelling)
+    rc, out, _ = run(capsys, "verify-maximal", "--n", "4", "--perturb", "--no-kernel")
+    assert rc == 2
+    lines = out.splitlines()
+    assert len(lines) == 6
+    bad = [l for l in lines if l.startswith("FAIL")]
+    assert bad == [l for l in lines if "k=1 sign=-" in l]
+    assert "nothing was tested" in bad[0]
+    assert all("correctly fails" in l for l in lines if l.startswith("PASS"))
+    rc, out, _ = run(
+        capsys, "verify-maximal", "--n", "4", "--k", "1", "--sign", "-", "--perturb",
+        "--format", "json",
+    )
+    assert rc == 2
+    (result,) = json.loads(out)["results"]
+    assert result["maximal_ok"] is False and result["weight_ok"] is False
+    rc, _, _ = run(capsys, "verify-maximal", "--n", "4", "--k", "2", "--perturb")
+    assert rc == 0
+
+
 def test_verify_maximal_no_kernel_json(capsys):
     rc, out, _ = run(
         capsys, "verify-maximal", "--n", "3", "--k", "2", "--no-kernel", "--format", "json"

@@ -1,11 +1,13 @@
 """Matrix realization of sp(2n), PBW straightening and singular vectors."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import verma_oracle
 from bgg import penrose, verma, weyl
 from bgg.weyl import Root
 
@@ -203,10 +205,11 @@ def test_shared_tables_are_read_only(lie3):
     with pytest.raises(TypeError):
         lie3._matrices[label] = {}
     mp = verma.GeneralizedVerma(3, (0, 0, 0), lie=lie3)
-    assert type(mp.letters) is tuple and type(mp._nil) is frozenset
+    assert type(mp.letters) is tuple and type(mp._kills) is frozenset
     assert type(mp._vectors) is tuple and type(mp._grades) is tuple
+    assert type(mp._labels) is tuple
     with pytest.raises(TypeError):
-        mp._letter_index[("y", Root("a", 1, 2))] = 0
+        mp._code[("y", Root("a", 1, 2))] = 0
 
 
 def test_rank_tables_hold_eight_ranks():
@@ -307,11 +310,17 @@ def test_pbw_commutator_identity(m3):
 
 
 def test_monomials_are_normal_ordered(m3):
+    """Integer input straightens to int coefficients; a Fraction
+    coefficient stays an exact Fraction."""
     c23, a13 = Root("c", 2, 3), Root("a", 1, 3)
     elem = m3.monomial((c23, a13), (0, None))
+    assert len(elem) == 2
     for (word, _), coeff in elem.items():
         assert list(word) == sorted(word)
-        assert isinstance(coeff, Fraction)
+        assert type(coeff) is int
+    third = m3.monomial((c23, a13), (0, None), Fraction(1, 3))
+    assert third == {key: Fraction(c, 3) for key, c in elem.items()}
+    assert all(type(coeff) is Fraction for coeff in third.values())
 
 
 def test_act_respects_brackets(m3):
@@ -360,6 +369,44 @@ def test_module_law_standard_levi_factor(lie4):
                     for key, c in acted[z].items():
                         mp._add(rhs, key, zc * c)
                 assert lhs == rhs, (x, y)
+
+
+def test_act_results_do_not_alias_the_memo():
+    """Elements returned by act and combine are the caller's: mutating
+    them leaves a repeated act or combine unchanged."""
+    mp = verma.GeneralizedVerma(3, (0, 0, 0))
+    a23, b2 = Root("a", 2, 3), Root("b", 2)
+    parts = [(1, (a23, b2), (0, None)), (3, (Root("c", 2, 3), a23), (0, None))]
+    v = mp.combine(parts)
+    want_v = dict(v)
+    for label in (("e", a23), ("e", Root("b", 3)), ("y", Root("a", 1, 3)), ("h", 2)):
+        got = mp.act(label, v)
+        want = dict(got)
+        assert want, label
+        for key, c in list(got.items()):
+            mp._add(got, key, -c)
+        got[(0,), 0] = 99
+        assert mp.act(label, v) == want, label
+        single = mp.act(label, {key: 1 for key in list(v)[:1]})
+        single.clear()
+        assert mp.act(label, v) == want, label
+    v.clear()
+    assert mp.combine(parts) == want_v
+
+
+def test_modules_do_not_share_a_memo():
+    """Two modules with the same lam each keep their own memo: a
+    corrupted memo in one leaves the other's action equal to the oracle."""
+    lam = (0, 0, 0)
+    a, b = verma.GeneralizedVerma(3, lam), verma.GeneralizedVerma(3, lam)
+    assert a._memo is not b._memo
+    v = [(1, (Root("a", 2, 3), Root("b", 2)), (0, None))]
+    label = ("e", Root("a", 2, 3))
+    a.act(label, a.combine(v))
+    assert a._memo and not b._memo
+    for out in a._memo.values():
+        out[(0,), 0] = 7
+    assert b.act(label, b.combine(v)) == verma_oracle.act(b, label, verma_oracle.combine(b, v))
 
 
 def test_term_weight(m3):
@@ -433,6 +480,60 @@ def test_degree_bound_is_order_bound():
         assert all(len(ys) <= drop for _, ys, _ in row.terms)
 
 
+# ---------------------------------------------------------------------------
+# the memoised straightening and the integer elimination against the oracle
+
+
+def _with_perturbations(row):
+    terms = list(row.terms)
+    yield terms
+    coeff, ys, f = terms[-1]
+    yield terms[:-1] + [(-coeff, ys, f)]
+
+
+def test_combine_matches_oracle():
+    for row in _catalogue(range(3, 7)):
+        mp = verma.GeneralizedVerma(row.n, row.lam)
+        for terms in _with_perturbations(row):
+            got = mp.combine(terms)
+            assert got and got == verma_oracle.combine(mp, terms), (row.n, row.k, row.sign)
+            assert all(type(c) is int for c in got.values())
+
+
+def test_act_matches_oracle():
+    """Every simple raising label on every basis monomial of each row's
+    weight space, on one module per row, so later acts read the memo."""
+    for row in _catalogue(range(3, 7)):
+        mp = verma.GeneralizedVerma(row.n, row.lam)
+        for key in mp.weight_space(row.mu):
+            for lab in verma.simple_raising_labels(row.n):
+                want = verma_oracle.act(mp, lab, {key: Fraction(1)})
+                assert mp.act(lab, {key: 1}) == want, (row.n, row.k, row.sign, key, lab)
+
+
+def test_kernel_dimension_matches_oracle_on_catalogue():
+    for row in _catalogue(range(3, 7)):
+        mp = verma.GeneralizedVerma(row.n, row.lam)
+        dim = mp.maximal_vector_dimension(row.mu)
+        assert dim == 1, (row.n, row.k, row.sign)
+        assert dim == verma_oracle.maximal_vector_dimension(mp, row.mu)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, size",
+    [
+        ((0, -2, 0, 0, 0, 0), (-3, -4, 1, 0, 0, 0), 251),
+        ((-1, -1, 1, 0, 0, 0, 0, 0), (-3, -3, 1, 1, 1, 0, 0, 0), 156),
+    ],
+)
+def test_kernel_dimension_matches_oracle_on_large_spaces(lam, mu, size):
+    n = len(lam)
+    mp = verma.GeneralizedVerma(n, lam)
+    assert len(mp.weight_space(mu)) == size
+    want = verma_oracle.maximal_vector_dimension(verma.GeneralizedVerma(n, lam), mu)
+    assert mp.maximal_vector_dimension(mu) == want
+
+
 def test_highest_vector_is_maximal(m3):
     ok, failures = m3.check_maximal(m3.highest())
     assert ok and failures == []
@@ -473,13 +574,40 @@ def test_verify_first_operators(n):
         assert r.ok
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_verify_first_operators_at_scale(n):
+    results = verma.verify_first_operators(n)
+    assert len(results) == 2 * (n - 1)
+    for r in results:
+        assert r.ok and r.kernel_dim == 1, (r.row.name, r.row.k, r.row.sign, r.failures)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_first_arrow_is_that_of_the_assembled_complex(n):
+    for k in range(1, n):
+        for sign in "+-":
+            cx = penrose.assemble_singular_bgg(n, k, sign)
+            assert verma.first_arrow(n, k, sign) == tuple(cx.terms[:2]), (n, k, sign)
+
+
 def test_perturbed_rows_fail(lie4):
     for k in range(1, 4):
         for sign in "+-":
             row = verma.singular_vector_row(4, k, sign)
             r = verma.verify_row(row, lie4, perturb=True, kernel=False)
             assert not r.maximal_ok, row.name
-            assert r.failures
+            assert r.failures and r.refuted
+
+
+def test_vanishing_perturbation_refutes_nothing(lie4):
+    """A perturbation that straightens to zero is not maximal, but it
+    refutes nothing: no weight, no failing raising operator."""
+    row = verma.singular_vector_row(4, 1, "-")
+    (c0, ys0, f0), _ = row.terms
+    cancelling = dataclasses.replace(row, terms=((c0, ys0, f0), (c0, ys0, f0)))
+    r = verma.verify_row(cancelling, lie4, perturb=True, kernel=False)
+    assert not r.maximal_ok and not r.weight_ok
+    assert r.failures == [] and not r.refuted
 
 
 def test_verification_result_flags(lie3):

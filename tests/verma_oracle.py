@@ -1,0 +1,100 @@
+"""The work-list PBW straightening and the Fraction elimination that
+`bgg.verma` no longer carries.
+
+Test-only reference.  Each function takes a `GeneralizedVerma` for its
+letters, `LieData` and Levi module only, and none of them reads its
+straightening memo: a word is straightened from scratch by swapping the
+first adjacent pair out of order and adding its bracket, and the kernel
+is found by Gaussian elimination over `Fraction` rows.  The fast paths
+of `bgg.verma` are checked against these.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from bgg import parabolic, verma
+
+
+def _add(elem: dict, key, coeff) -> None:
+    if not coeff:
+        return
+    cur = elem.get(key, 0) + coeff
+    if cur:
+        elem[key] = cur
+    else:
+        elem.pop(key, None)
+
+
+def normal_form(mp, word: Sequence, fidx: int, coeff: Fraction, out: dict) -> None:
+    """Add coeff * word tensor f, straightened, into out.
+
+    A u^- letter sorts by its index and any other letter after all of
+    them.  A word ending in another letter lets it act on F (a u^+
+    letter kills F); otherwise the first adjacent pair out of order is
+    swapped and its bracket added."""
+    rank, last = {x: i for i, x in enumerate(mp.letters)}, len(mp.letters)
+    nil = frozenset(parabolic.nilradical_roots(parabolic.parabolic(mp.n, (2,))))
+    work = [(tuple(word), fidx, coeff)]
+    while work:
+        w, f, c = work.pop()
+        if not c:
+            continue
+        if w and w[-1] not in rank:
+            x = w[-1]
+            if x[0] == "e" and x[1] in nil:
+                continue  # u^+ kills F
+            for f2, fc in mp.module.act(x, f):
+                work.append((w[:-1], f2, c * fc))
+            continue
+        keys = [rank.get(x, last) for x in w]
+        inv = next((i for i in range(len(w) - 1) if keys[i] > keys[i + 1]), None)
+        if inv is None:
+            _add(out, (tuple(keys), f), c)
+            continue
+        x, y = w[inv], w[inv + 1]
+        work.append((w[:inv] + (y, x) + w[inv + 2 :], f, c))
+        for z, zc in mp.lie.bracket(x, y):
+            work.append((w[:inv] + (z,) + w[inv + 2 :], f, c * zc))
+
+
+def combine(mp, parts: Iterable) -> dict:
+    out: dict = {}
+    for coeff, ys, f in parts:
+        word = [("y", r) for r in ys]
+        normal_form(mp, word, mp.module._index[f], Fraction(coeff), out)
+    return out
+
+
+def act(mp, label, elem: dict) -> dict:
+    out: dict = {}
+    for (word, f), c in elem.items():
+        letters = tuple(mp.letters[i] for i in word)
+        normal_form(mp, (label,) + letters, f, c, out)
+    return out
+
+
+def maximal_vector_dimension(mp, mu: Sequence[int]) -> int:
+    """Dimension of the space of maximal vectors of weight mu, by Gaussian
+    elimination over Fraction rows."""
+    basis = mp.weight_space(mu)
+    pivots: dict = {}
+    rank = 0
+    for key in basis:
+        image: dict = {}
+        for si, lab in enumerate(verma.simple_raising_labels(mp.n)):
+            for k2, c in act(mp, lab, {key: Fraction(1)}).items():
+                _add(image, (si, k2), c)
+        while image:
+            lead = min(image)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            factor = image[lead] / piv[lead]
+            for k2, c in piv.items():
+                _add(image, k2, -factor * c)
+        if image:
+            pivots[min(image)] = image
+            rank += 1
+    return len(basis) - rank
