@@ -6,15 +6,25 @@ The 4(n-2)+3 free parameters match the nilradical letters of the
 crossed-{2} parabolic; the symmetric correction S makes the plane
 isotropic identically in the parameters.
 
-All arithmetic is exact. Coordinates are ints or Fractions, but the
-checks do not compute with Fractions: `_scaled_matrix` puts every
-coordinate over one positive common denominator d and returns the matrix
-as integer rows M over the scale m = 2 d^2 (S has denominator 2 d^2).
-`isotropy_check` and the reconstruction check of `twistor_cover_solve`
-work on these integers; a Fraction is built, and normalised once, only
-where a public value is returned.  A point is frozen, so it computes its
-scaled form once and every later reader shares it: a solved plane is
-scaled once for the solve's check and the caller's isotropy check.
+All arithmetic is exact.  A `BigCellPoint` holds its coordinates as
+integer numerators over one common denominator: `numerators` in field
+order (a1, a2, c1, c2, b1, b2, c12) and `denominator` d, the least
+positive one, so gcd(numerators, d) == 1.  Points are equal, and hash
+alike, exactly when their (n, numerators, d) are, however they were
+built.  `_layout(n, numerators, d)` is the only place where the layout
+of the matrix and S appear: it gives the matrix as integer rows M over
+the scale m = 2 d^2 and S as s / m.  `isotropy_check` and the
+reconstruction check of `twistor_cover_solve` work on these integers;
+a point computes them once, on first use, and every later reader shares
+them.  Fractions are built only where a public value is read (the
+fields a1 ... c12, `matrix()`, `columns()`, `s_correction()`), once
+per point.
+
+The public constructor takes ints or Fractions (finite floats too, at
+their exact value) and finds d once; a value that is not a number
+raises TypeError and a NaN or infinity ValueError, naming the
+coordinate.  `random_point` and `twistor_cover_solve` build their
+numerators and d from integers directly.
 
 Seeded points (`random_point`, `random_line`) draw each coordinate
 uniformly from the 171 values p/q with p = -9..9 and q = 1..9.  Digit
@@ -29,20 +39,22 @@ enter a draw: no call to the float random().
 
 from __future__ import annotations
 
-import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Callable, Optional, Sequence
 
 Scalar = Fraction  # or int
 
-# The value of each base-171 digit of a draw; Fractions are immutable, so
-# the points share them.
+# The value of each base-171 digit of a draw, as a Fraction for
+# `random_line` and as its reduced (p, q) for `random_point`; Fractions
+# are immutable, so the lines share them.
 _DRAWS = [Fraction(r // 9 - 9, r % 9 + 1) for r in range(171)]
+_PAIRS = [x.as_integer_ratio() for x in _DRAWS]
 _BLOCK = 7
 _BLOCK_RANGE = len(_DRAWS) ** _BLOCK  # about 0.94 * 2^52
+
+_FIELDS = ("a1", "a2", "c1", "c2", "b1", "b2", "c12")
 
 
 def parameter_count(n: int) -> int:
@@ -55,71 +67,142 @@ def _check_rank(n: int) -> None:
         raise ValueError("rank must be at least 2")
 
 
-@dataclass(frozen=True)
+def _ratios(values: Sequence, name: Callable[[int], str]) -> list[tuple[int, int]]:
+    """The exact (p, q) of each value; a value that has none raises,
+    naming coordinate i as name(i)."""
+    try:
+        return [x.as_integer_ratio() for x in values]
+    except (AttributeError, ValueError, OverflowError):
+        for i, x in enumerate(values):
+            try:
+                x.as_integer_ratio()
+            except AttributeError:
+                raise TypeError(
+                    f"coordinate {name(i)} must be an int or a Fraction, not {type(x).__name__}"
+                ) from None
+            except (ValueError, OverflowError):
+                raise ValueError(f"coordinate {name(i)} is not a finite number: {x!r}") from None
+        raise
+
+
+def _field(i: int) -> property:
+    return property(lambda self: self._coordinates()[i], doc=f"{_FIELDS[i]}, as Fractions")
+
+
 class BigCellPoint:
     """Affine coordinates (a_1j, a_2j, c_1j, c_2j for j = 3..n, and
-    b_1, b_2, c_12) of an isotropic 2-plane; each is an int or a Fraction."""
+    b_1, b_2, c_12) of an isotropic 2-plane, held as integer numerators
+    over their least positive common denominator.
 
-    n: int
-    a1: tuple
-    a2: tuple
-    c1: tuple
-    c2: tuple
-    b1: Scalar
-    b2: Scalar
-    c12: Scalar
+    BigCellPoint(n, a1, a2, c1, c2, b1, b2, c12) takes the four rows as
+    sequences of length n - 2 and every coordinate as an int or a
+    Fraction.  a1, a2, c1 and c2 read back as tuples of Fractions, b1,
+    b2 and c12 as Fractions.
+    """
 
-    def __post_init__(self):
-        _check_rank(self.n)
-        for row in (self.a1, self.a2, self.c1, self.c2):
-            if len(row) != self.n - 2:
-                raise ValueError("coordinate rows must have length n-2")
+    __slots__ = ("_n", "_nums", "_d", "_scaled", "_values", "_fractions")
 
-    @functools.cached_property
-    def _scaled(self) -> tuple[list[list[int]], int, int]:
-        """_scaled_matrix(self), computed once: the fields never change.
-        Callers only read it."""
-        return _scaled_matrix(self)
+    def __init__(self, n: int, a1, a2, c1, c2, b1, b2, c12):
+        _check_rank(n)
+        k = n - 2
+        if any(len(row) != k for row in (a1, a2, c1, c2)):
+            raise ValueError("coordinate rows must have length n-2")
+
+        def name(i):
+            return f"{_FIELDS[i // k]}[{i % k}]" if i < 4 * k else _FIELDS[i - 4 * k + 4]
+
+        pairs = _ratios([*a1, *a2, *c1, *c2, b1, b2, c12], name)
+        # Each ratio is reduced, so their lcm is the least common denominator.
+        d = lcm(*[q for _, q in pairs])
+        _init(self, n, tuple(p * (d // q) for p, q in pairs), d)
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """The coordinates times d, in field order."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        """d: the least positive common denominator of the coordinates."""
+        return self._d
+
+    def __eq__(self, other):
+        if not isinstance(other, BigCellPoint):
+            return NotImplemented
+        return self._n == other._n and self._d == other._d and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((self._n, self._nums, self._d))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in ("n", *_FIELDS))
+        return f"BigCellPoint({args})"
+
+    def _integer_rows(self) -> tuple[list[list[int]], int, int]:
+        """_layout(n, numerators, d), computed once.  Callers only read it."""
+        if self._scaled is None:
+            self._scaled = _layout(self._n, self._nums, self._d)
+        return self._scaled
+
+    def _coordinates(self) -> tuple:
+        """(a1, a2, c1, c2, b1, b2, c12) as Fractions, built once."""
+        if self._values is None:
+            k, d = self._n - 2, self._d
+            v = [Fraction(x, d) for x in self._nums]
+            self._values = (*(tuple(v[i * k : (i + 1) * k]) for i in range(4)), *v[4 * k :])
+        return self._values
+
+    a1, a2, c1, c2, b1, b2, c12 = (_field(i) for i in range(7))
+
+    def _matrix_and_s(self) -> tuple[list[list[Scalar]], Scalar]:
+        """matrix() and S as Fractions, built once."""
+        if self._fractions is None:
+            rows, m, s = self._integer_rows()
+            matrix = [[Fraction(x, m), Fraction(y, m)] for x, y in rows]
+            self._fractions = matrix, Fraction(s, m)
+        return self._fractions
 
     def s_correction(self) -> Scalar:
         """S = (1/2) sum_j (a_1j c_2j - a_2j c_1j)."""
-        _, m, s = self._scaled
-        return Fraction(s, m)
+        return self._matrix_and_s()[1]
 
     def matrix(self) -> list[list[Scalar]]:
         """The 2n x 2 matrix whose columns span the plane."""
-        rows, m, _ = self._scaled
-        return [[Fraction(x, m), Fraction(y, m)] for x, y in rows]
+        return [list(r) for r in self._matrix_and_s()[0]]
 
     def columns(self) -> tuple[list, list]:
-        m = self.matrix()
+        m = self._matrix_and_s()[0]
         return [r[0] for r in m], [r[1] for r in m]
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Integers nums and d > 0 with values[i] == nums[i] / d, for ints and
-    Fractions (anything with as_integer_ratio)."""
-    pairs = [x.as_integer_ratio() for x in values]
-    d = 1
-    for _, q in pairs:
-        if d % q:
-            d = lcm(d, q)
-    return [p * (d // q) for p, q in pairs], d
+def _init(point: BigCellPoint, n: int, nums: tuple, d: int) -> None:
+    point._n, point._nums, point._d = n, nums, d
+    point._scaled = point._values = point._fractions = None
 
 
-def _scaled_matrix(point: BigCellPoint) -> tuple[list[list[int]], int, int]:
+def _point(n: int, nums: Sequence[int], d: int) -> BigCellPoint:
+    """The point with these numerators over d, which must be canonical:
+    d > 0 and gcd(nums, d) == 1.  No checks."""
+    point = BigCellPoint.__new__(BigCellPoint)
+    _init(point, n, tuple(nums), d)
+    return point
+
+
+def _layout(n: int, nums: Sequence[int], d: int) -> tuple[list[list[int]], int, int]:
     """Integer rows M, a scale m > 0 and an integer s with
-    point.matrix() == M / m and point.s_correction() == s / m.
+    matrix() == M / m and s_correction() == s / m for the point whose
+    coordinates are nums / d.
 
     The only place where the layout of the matrix and S appear.
     """
     # Each coordinate is X / d, so S = T / (2 d^2) with the integer
     # T = sum_j (A_1j C_2j - A_2j C_1j); over m = 2 d^2 a coordinate's
     # numerator is X * 2d and S's numerator is T.
-    nums, d = _over_common_denominator(
-        (*point.a1, *point.a2, *point.c1, *point.c2, point.b1, point.b2, point.c12)
-    )
-    k = point.n - 2
+    k = n - 2
     a1, a2, c1, c2 = nums[:k], nums[k : 2 * k], nums[2 * k : 3 * k], nums[3 * k : 4 * k]
     b1, b2, c12 = nums[4 * k :]
     s = sum(p * q - r * t for p, q, r, t in zip(a1, c2, a2, c1))
@@ -147,7 +230,7 @@ def isotropy_check(point: BigCellPoint) -> bool:
     omega of the integer columns of M is m^2 times omega of the plane's
     columns, and m > 0, so one is zero exactly when the other is.
     """
-    rows, _, _ = point._scaled
+    rows, _, _ = point._integer_rows()
     return omega([r[0] for r in rows], [r[1] for r in rows]) == 0
 
 
@@ -164,32 +247,35 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
         raise ValueError("gamma must have even length")
     n = len(gamma) // 2
     _check_rank(n)
-    if gamma[0] == 0:
-        raise ValueError("the solve chart needs gamma_1 != 0")
+    pairs = _ratios(gamma, "gamma[{}]".format)
     # gamma / gamma_1 == g / g0 with integers g and g0 = g[0].
-    g, _ = _over_common_denominator(gamma)
+    e = lcm(*[q for _, q in pairs])
+    g = [p * (e // q) for p, q in pairs]
     g0 = g[0]
-    zeros = (Fraction(0),) * (n - 2)
-    point = BigCellPoint(
-        n,
-        tuple(Fraction(x, g0) for x in g[2:n]),
-        zeros,
-        tuple(Fraction(x, g0) for x in g[n + 2 :]),
-        zeros,
-        Fraction(g[n] * g0 - g[1] * g[n + 1], g0 * g0),
-        Fraction(0),
-        Fraction(g[n + 1], g0),
-    )
-    # C_1 + (g[1] / g0) C_2 == g / g0, times m * g0.
-    rows, m, _ = point._scaled
+    if g0 == 0:
+        raise ValueError("the solve chart needs gamma_1 != 0")
+    # The solution over g0^2, then reduced once.
+    zeros = [0] * (n - 2)
+    nums = [x * g0 for x in g[2:n]]
+    nums += zeros
+    nums += [x * g0 for x in g[n + 2 :]]
+    nums += zeros
+    nums += [g[n] * g0 - g[1] * g[n + 1], 0, g[n + 1] * g0]
+    d = g0 * g0
+    r = gcd(*nums, d)
+    point = _point(n, [x // r for x in nums], d // r)
+    # C_1 + (g[1] / g0) C_2 == g / g0, times m * g0, on the rows of the
+    # point returned.
+    rows, m, _ = point._integer_rows()
     if any(x * g0 + g[1] * y != gi * m for (x, y), gi in zip(rows, g)):
         raise AssertionError("twistor line does not lie on the solved plane")
     return point
 
 
-def _draw(rng: random.Random, count: int) -> list:
-    """count seeded coordinates, one randrange call per block of _BLOCK."""
-    table, base = _DRAWS, len(_DRAWS)
+def _draw(rng: random.Random, count: int, table: Sequence) -> list:
+    """The table entries of count seeded digits, one randrange call per
+    block of _BLOCK."""
+    base = len(_DRAWS)
     out = []
     for start in range(0, count, _BLOCK):
         r = rng.randrange(_BLOCK_RANGE)
@@ -204,10 +290,10 @@ def random_point(n: int, rng: Optional[random.Random] = None, seed: Optional[int
     _check_rank(n)
     if rng is None:
         rng = random.Random(seed)
-    k = n - 2
-    v = _draw(rng, parameter_count(n))
-    rows = (tuple(v[i * k : (i + 1) * k]) for i in range(4))
-    return BigCellPoint(n, *rows, *v[4 * k :])
+    # The pairs are reduced, as in BigCellPoint().
+    pairs = _draw(rng, parameter_count(n), _PAIRS)
+    d = lcm(*[q for _, q in pairs])
+    return _point(n, [p * (d // q) for p, q in pairs], d)
 
 
 def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> list:
@@ -215,4 +301,4 @@ def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int]
     _check_rank(n)
     if rng is None:
         rng = random.Random(seed)
-    return [Fraction(1), *_draw(rng, 2 * n - 1)]
+    return [Fraction(1), *_draw(rng, 2 * n - 1, _DRAWS)]

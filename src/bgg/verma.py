@@ -215,7 +215,7 @@ class LeviModule:
                 return [(j, self.lam[1] + j)]
             return []
         root = label[1]
-        if root != Root("a", 1, 2):
+        if root.kind != "a" or root.i != 1 or root.j != 2:
             return []
         if label[0] == "e":
             return [(j - 1, j)] if j >= 1 else []

@@ -1,5 +1,6 @@
 """Big-cell coordinates, isotropy and the twistor cover."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -73,16 +74,16 @@ def test_correction_is_load_bearing(monkeypatch):
     assert geometry.omega(c1, c2) != 0
 
     # The same S dropped from the integer rows the checks read.
-    scaled = geometry._scaled_matrix
+    layout = geometry._layout
 
-    def without_s(point):
-        rows, m, s = scaled(point)
-        rows[point.n][1] += s
-        rows[point.n + 1][0] -= s
+    def without_s(n, nums, d):
+        rows, m, s = layout(n, nums, d)
+        rows[n][1] += s
+        rows[n + 1][0] -= s
         return rows, m, s
 
-    monkeypatch.setattr(geometry, "_scaled_matrix", without_s)
-    # pt has cached its scaled form; an equal point built now scales anew
+    monkeypatch.setattr(geometry, "_layout", without_s)
+    # pt has cached its rows; an equal point built now lays them out anew
     fresh = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
     assert fresh == pt
     assert fresh.matrix() == uncorrected
@@ -127,16 +128,29 @@ def test_draws_cover_every_numerator_and_denominator(monkeypatch):
     point and every entry of a line sees p = -9, p = 9 and q = 9."""
     pairs = [(p, q) for p in range(-9, 10) for q in range(1, 10)]
     assert geometry._DRAWS == [Fraction(p, q) for p, q in pairs]
-    # Draw the pairs themselves instead of their reduced quotients.
-    monkeypatch.setattr(geometry, "_DRAWS", pairs)
+    assert geometry._PAIRS == [x.as_integer_ratio() for x in geometry._DRAWS]
+    # Record the digit behind every value a draw reads off the tables.
+    digits = []
+
+    class Recording(list):
+        def __getitem__(self, r):
+            digits.append(r)
+            return super().__getitem__(r)
+
+    monkeypatch.setattr(geometry, "_DRAWS", Recording(geometry._DRAWS))
+    monkeypatch.setattr(geometry, "_PAIRS", Recording(geometry._PAIRS))
     rng = random.Random(2024)
     positions = {}
     for _ in range(250):
+        digits.clear()
         pt = geometry.random_point(3, rng)
-        fields = (*pt.a1, *pt.a2, *pt.c1, *pt.c2, pt.b1, pt.b2, pt.c12)
         line = geometry.random_line(3, rng)[1:]
-        for i, pair in enumerate(fields + tuple(line)):
-            positions.setdefault(i, set()).add(pair)
+        assert len(digits) == 7 + 5
+        values = [Fraction(*pairs[r]) for r in digits]
+        assert pt == geometry.BigCellPoint(3, *[values[i : i + 1] for i in range(4)], *values[4:7])
+        assert line == values[7:]
+        for i, r in enumerate(digits):
+            positions.setdefault(i, set()).add(pairs[r])
     assert len(positions) == 7 + 5
     assert set().union(*positions.values()) == set(pairs)
     for seen in positions.values():
@@ -188,34 +202,37 @@ def test_twistor_cover_validation():
 
 def test_solved_plane_is_scaled_once(monkeypatch):
     """The solve's reconstruction check and the caller's isotropy check
-    share one scaled form of the plane."""
+    share one integer layout of the plane."""
     calls = []
-    scaled = geometry._scaled_matrix
+    layout = geometry._layout
 
-    def counting(point):
-        calls.append(point)
-        return scaled(point)
+    def counting(n, nums, d):
+        calls.append((n, nums, d))
+        return layout(n, nums, d)
 
-    monkeypatch.setattr(geometry, "_scaled_matrix", counting)
+    monkeypatch.setattr(geometry, "_layout", counting)
     plane = geometry.twistor_cover_solve(geometry.random_line(5, seed=4))
     assert geometry.isotropy_check(plane)
-    assert calls == [plane]
+    key = (plane.n, plane.numerators, plane.denominator)
+    assert calls == [key]
     # later readers share it too
     assert plane.s_correction() == 0 and plane.matrix()[0] == [1, 0]
-    assert calls == [plane]
+    assert calls == [key]
 
 
 @pytest.mark.parametrize("g1", [1, -7])
 def test_twistor_cover_detects_plane_off_line(monkeypatch, g1):
     """A solved plane moved off gamma fails the reconstruction check."""
-    point = geometry.BigCellPoint
+    point = geometry._point
 
-    def shifted(n, a1, a2, c1, c2, b1, b2, c12):
-        return point(n, a1, a2, c1, c2, b1 + 1, b2, c12)
+    def shifted(n, nums, d):
+        nums = list(nums)
+        nums[4 * (n - 2)] += d  # b1 + 1
+        return point(n, nums, d)
 
     gamma = [g1 * x for x in geometry.random_line(4, seed=3)]
     geometry.twistor_cover_solve(gamma)
-    monkeypatch.setattr(geometry, "BigCellPoint", shifted)
+    monkeypatch.setattr(geometry, "_point", shifted)
     with pytest.raises(AssertionError):
         geometry.twistor_cover_solve(gamma)
 
@@ -258,3 +275,127 @@ def test_matches_fraction_oracle(n):
                     geometry.twistor_cover_solve(gamma),
                     oracle.twistor_cover_solve(gamma),
                 )
+
+
+def _rows(n, values):
+    k = n - 2
+    return [values[i * k : (i + 1) * k] for i in range(4)]
+
+
+def _canonical(pt):
+    d = pt.denominator
+    assert isinstance(d, int) and d > 0
+    assert all(isinstance(x, int) for x in pt.numerators)
+    assert len(pt.numerators) == geometry.parameter_count(pt.n)
+    assert math.gcd(*pt.numerators, d) == 1
+    fields = (*pt.a1, *pt.a2, *pt.c1, *pt.c2, pt.b1, pt.b2, pt.c12)
+    assert fields == tuple(Fraction(x, d) for x in pt.numerators)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_points_are_canonical(n):
+    """Numerators over their least positive common denominator, however
+    the point was built."""
+    rng, data = random.Random(100 + n), random.Random(-100 - n)
+    for _ in range(20):
+        _canonical(geometry.random_point(n, rng))
+        _canonical(geometry.twistor_cover_solve(geometry.random_line(n, rng)))
+        values = [
+            Fraction(data.randint(-30, 30), data.randint(1, 12))
+            for _ in range(geometry.parameter_count(n))
+        ]
+        _canonical(geometry.BigCellPoint(n, *_rows(n, values), *values[-3:]))
+    _canonical(geometry.BigCellPoint(n, *_rows(n, [0] * geometry.parameter_count(n)), 0, 0, 0))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_equality_and_hash_follow_the_values(n):
+    """A point built from ints, from equal Fractions, from a mix of both
+    or by a solve is the same point: equal and with equal hashes."""
+    data = random.Random(200 + n)
+    for _ in range(20):
+        ints = [data.randint(-9, 9) for _ in range(geometry.parameter_count(n))]
+        fracs = [Fraction(x * 6, 6) for x in ints]
+        mixed = [x if i % 2 else Fraction(x) for i, x in enumerate(ints)]
+        points = [geometry.BigCellPoint(n, *_rows(n, v), *v[-3:]) for v in (ints, fracs, mixed)]
+        assert points[0] == points[1] == points[2]
+        assert len({hash(p) for p in points}) == 1
+        assert len(set(points)) == 1
+        moved = ints[:-1] + [Fraction(2 * ints[-1] + 1, 2)]
+        other = geometry.BigCellPoint(n, *_rows(n, moved), *moved[-3:])
+        assert other != points[0] and other not in set(points)
+
+        line = [data.randint(-9, 9) for _ in range(2 * n)]
+        line[0] = 1
+        solves = [
+            geometry.twistor_cover_solve([g0 * x for x in line])
+            for g0 in (1, -7, Fraction(2, 5))
+        ]
+        solves.append(geometry.twistor_cover_solve([Fraction(x) for x in line]))
+        assert all(s == solves[0] for s in solves)
+        assert len({hash(s) for s in solves}) == 1
+        # the same plane from its own fields
+        s = solves[0]
+        rebuilt = geometry.BigCellPoint(n, s.a1, s.a2, s.c1, s.c2, s.b1, s.b2, s.c12)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+    assert points[0] != object()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_check_paths_build_no_fraction(monkeypatch, n):
+    """The seeded point's isotropy check and the solve with its check work
+    on integers only; reading the fields, the matrix or S builds their
+    Fractions once."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    rng = random.Random(300 + n)
+    lines = [geometry.random_line(n, rng) for _ in range(10)]
+    monkeypatch.setattr(geometry, "Fraction", counting)
+    for line in lines:
+        pt = geometry.random_point(n, rng)
+        assert geometry.isotropy_check(pt)
+        plane = geometry.twistor_cover_solve(line)
+        assert geometry.isotropy_check(plane)
+    assert built == []
+
+    for point in (pt, plane):
+        fields = (point.a1, point.a2, point.c1, point.c2, point.b1, point.b2, point.c12)
+        assert len(built) == geometry.parameter_count(n)
+        assert (point.a1, point.a2, point.c1, point.c2, point.b1, point.b2, point.c12) == fields
+        assert len(built) == geometry.parameter_count(n)
+        built.clear()
+        matrix = point.matrix()
+        assert point.columns() == ([r[0] for r in matrix], [r[1] for r in matrix])
+        assert point.s_correction() == oracle.BigCellPoint(n, *fields).s_correction()
+        assert point.matrix() == matrix
+        assert len(built) == 2 * (2 * n) + 1
+        built.clear()
+
+
+def test_bad_coordinates_are_named():
+    """A coordinate that is not a rational number is rejected when the
+    point is built: TypeError for a non-number, ValueError for a NaN or an
+    infinity, each naming the coordinate."""
+    ok = [(1,), (0,), (Fraction(1, 2),), (0,), 0, 0, 0]
+    with pytest.raises(TypeError, match=r"a1\[0\].*str"):
+        geometry.BigCellPoint(3, ("1",), *ok[1:])
+    with pytest.raises(TypeError, match=r"c2\[1\]"):
+        geometry.BigCellPoint(4, (1, 2), (0, 0), (0, 0), (0, None), 0, 0, 0)
+    with pytest.raises(ValueError, match="b1.*nan"):
+        geometry.BigCellPoint(3, *ok[:4], float("nan"), 0, 0)
+    with pytest.raises(ValueError, match="c12.*inf"):
+        geometry.BigCellPoint(3, *ok[:6], float("-inf"))
+    # an exact value is accepted whatever its type
+    half = geometry.BigCellPoint(3, *ok[:4], Fraction(1, 2), 0, 0)
+    assert geometry.BigCellPoint(3, *ok[:4], 0.5, 0, 0) == half
+
+    with pytest.raises(TypeError, match=r"gamma\[2\].*str"):
+        geometry.twistor_cover_solve([1, 2, "3", 4, 5, 6])
+    with pytest.raises(ValueError, match=r"gamma\[0\].*nan"):
+        geometry.twistor_cover_solve([float("nan"), 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError, match=r"gamma\[5\].*inf"):
+        geometry.twistor_cover_solve([1, 2, 3, 4, 5, float("inf")])

@@ -71,7 +71,7 @@ def test_big_cell_points_are_isotropic(pt):
     integer columns is zero exactly when omega of the Fraction columns is."""
     assert geometry.isotropy_check(pt)
     assert geometry.omega(*pt.columns()) == 0
-    rows, m, s = geometry._scaled_matrix(pt)
+    rows, m, s = geometry._layout(pt.n, pt.numerators, pt.denominator)
     assert m > 0
     uncorrected = [list(r) for r in rows]
     uncorrected[pt.n][1] += s
