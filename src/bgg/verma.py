@@ -15,8 +15,9 @@ constants come out exact from sparse integer matrices.
 
 A generalized Verma module M_p(lam) = U(g) tensor_{U(p)} F(lam) is
 realized on U(u^-) tensor F with F an irreducible module of the Levi
-gl(2) + sp(2n-4).  An element is a dict {(word, fidx): coeff}: a word is
-a non-decreasing tuple of indices of the 4(n-2)+3 lowering letters of
+gl(2) + sp(2n-4), whose action is read off the same matrices (see
+LeviModule).  An element is a dict {(word, fidx): coeff}: a word is a
+non-decreasing tuple of indices of the 4(n-2)+3 lowering letters of
 the nilradical, the PBW normal order.  Coefficients are exact: the
 structure constants and the Levi action are integers, so integer input
 straightens to int coefficients, and a Fraction input stays a Fraction.
@@ -25,10 +26,10 @@ Straightening is one left action, memoised per module: the value of a
 label x on a normal-ordered monomial Y_y Y^rest tensor f is computed
 once, by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, with a letter that
 sorts before y simply prepended and a label acting on F at the empty
-word (a u^+ label kills F).  A suffix shared by many words is thus
-straightened once.  Labels are keyed by integer codes, a letter's code
-being its index.  The memo lives on the GeneralizedVerma and dies with
-it; act, combine, check_maximal and maximal_vector_dimension share it.
+word.  A suffix shared by many words is thus straightened once.  Labels
+are keyed by integer codes, a letter's code being its index.  The memo
+lives on the GeneralizedVerma and dies with it; act, combine,
+check_maximal and maximal_vector_dimension share it.
 
 maximal_vector_dimension reads each monomial's images under the simple
 raising operators straight off the memo and eliminates fraction-free
@@ -39,11 +40,11 @@ The basis matrices, the brackets and the nilradical letters depend on n
 alone.  They are built once per rank and process, for the last 8 ranks
 used (`_lie_tables`, `_nilradical_letters`), and every LieData and
 GeneralizedVerma of that rank shares them.  They are read-only: letters,
-vectors, grades and label codes are tuples, the u^+ codes a frozenset,
-and the matrices and the code of each label read-only mappings.  A
-bracket is computed through decompose, reconstruction check included,
-the first time the process needs it at that rank, and read from the
-shared memos (by label in LieData, by code in GeneralizedVerma) after.
+vectors, grades and label codes are tuples, and the matrices and the
+code of each label read-only mappings.  A bracket is computed through
+decompose, reconstruction check included, the first time the process
+needs it at that rank, and read from the shared memos (by label in
+LieData, by code in GeneralizedVerma) after.
 """
 
 from __future__ import annotations
@@ -156,90 +157,72 @@ def simple_raising_labels(n: int) -> list[Label]:
 
 
 class LeviModule:
-    """F(lam) for the Levi gl(2) x sp(2n-4): the gl(2) factor with highest
-    weight (lam_1, lam_2) tensored with a trivial or standard sp(2n-4)
-    factor according to the tail of lam.  The sp(2n-4) factor acts through
-    the matrices of lie."""
+    """F(lam) = (Sym^m C^2 tensor det^{lam_2}) tensor V for the Levi
+    gl(2) x sp(2n-4), m = lam_1 - lam_2, with V trivial for a zero tail
+    of lam and the standard C^{2n-4} for the tail (1, 0, ..., 0).  The
+    basis labels are (j, t): x_0^{m-j} x_1^j in the gl(2) factor, tensor
+    the t-th slot of V (t None for a trivial V).
+
+    Every label acts through its matrix in lie, one term per entry
+    (r, c), rows and columns counted from 0.  An entry with r, c < 2 acts
+    on the gl(2) factor as the derivation x_r d/dx_c, plus lam_2 times
+    its value on the diagonal.  An entry whose row and column are both
+    slots, the rows e_3..e_n, f_3..f_n of C^{2n} that span V, moves the
+    slot.  No other entry acts.  The grading element splits C^{2n} into
+    rows 0-1, the slots and rows n, n+1 (grades 1, 0, -1); a u^+ matrix
+    only raises that grade, so it has no entry inside a block and kills
+    F."""
 
     def __init__(self, n: int, lam: Sequence[int], lie: LieData):
         lam = tuple(lam)
-        if len(lam) != n:
+        if len(lam) != n or lie.n != n:
             raise ValueError("rank mismatch")
         if lam[0] < lam[1]:
             raise ValueError("gl(2) highest weight needs lam_1 >= lam_2")
         tail = lam[2:]
-        if all(v == 0 for v in tail):
-            self.has_standard = False
-        elif tail == (1,) + (0,) * (n - 3):
-            self.has_standard = True
-        else:
+        if tail == (1,) + (0,) * (n - 3):
+            self._slots = list(range(2, n)) + list(range(n + 2, 2 * n))
+        elif any(tail):
             raise NotImplementedError("tail must be zero or (1, 0, ..., 0)")
+        else:
+            self._slots = []
         self.n = n
         self.lam = lam
         self._lie = lie
         self.m = lam[0] - lam[1]
-        self.v_dim = 2 * (n - 2) if self.has_standard else 0
-        # basis: (j, t) with w_{m-2j} in the gl(2) factor and t indexing
-        # e_3..e_n, f_3..f_n in the standard factor (t None if trivial)
-        if self.has_standard:
-            self.basis = [
-                (j, t) for j in range(self.m + 1) for t in range(self.v_dim)
-            ]
-            # matrix rows/columns of the standard sp(2n) representation
-            # that the sp(2n-4) factor acts through
-            self._slots = list(range(2, n)) + list(range(n + 2, 2 * n))
-        else:
-            self.basis = [(j, None) for j in range(self.m + 1)]
-            self._slots = []
+        self._slot_index = {s: t for t, s in enumerate(self._slots)}
+        ts = range(len(self._slots)) if self._slots else [None]
+        self.basis = [(j, t) for j in range(self.m + 1) for t in ts]
         self._index = {b: i for i, b in enumerate(self.basis)}
 
     def weight(self, idx: int) -> Weight:
         j, t = self.basis[idx]
         w = [self.lam[0] - j, self.lam[1] + j] + [0] * (self.n - 2)
         if t is not None:
-            half = self.v_dim // 2
-            if t < half:
-                w[2 + t] += 1
+            s = self._slots[t]
+            if s < self.n:
+                w[s] += 1
             else:
-                w[2 + t - half] -= 1
+                w[s - self.n] -= 1
         return tuple(w)
 
-    def _act_gl2(self, label: Label, j: int) -> list[tuple[int, int]]:
-        """Action of the gl(2) part on the w_{m-2j} line; returns
-        (new j, integer coefficient) pairs."""
-        if label[0] == "h":
-            i = label[1]
-            if i == 1:
-                return [(j, self.lam[0] - j)]
-            if i == 2:
-                return [(j, self.lam[1] + j)]
-            return []
-        root = label[1]
-        if root.kind != "a" or root.i != 1 or root.j != 2:
-            return []
-        if label[0] == "e":
-            return [(j - 1, j)] if j >= 1 else []
-        return [(j + 1, self.m - j)] if j < self.m else []
-
-    def _act_standard(self, label: Label, t: int) -> list[tuple[int, int]]:
-        """Action of the sp(2n-4) part on the standard factor: the entries
-        of label's matrix in the slot rows and columns (none for h_1, h_2
-        or a root that touches coordinates 1-2)."""
-        mat = self._lie.matrix(label)
-        col = self._slots[t]
-        return [(t2, mat[r, col]) for t2, r in enumerate(self._slots) if (r, col) in mat]
-
     def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
-        """Levi / Cartan action on a basis vector, by the Leibniz rule."""
+        """The action of label on a basis vector, one term per entry of
+        label's matrix."""
         j, t = self.basis[idx]
         out: dict[int, int] = {}
-        for j2, c in self._act_gl2(label, j):
-            i2 = self._index[(j2, t)]
-            out[i2] = out.get(i2, 0) + c
-        if t is not None:
-            for t2, c in self._act_standard(label, t):
-                i2 = self._index[(j, t2)]
-                out[i2] = out.get(i2, 0) + c
+        for (r, c), v in self._lie.matrix(label).items():
+            if r < 2 and c < 2:
+                power = j if c else self.m - j
+                coeff = v * (power + self.lam[1]) if r == c else v * power
+                key = (j + r - c, t)
+            elif t is not None and c == self._slots[t] and r in self._slot_index:
+                coeff, key = v, (j, self._slot_index[r])
+            else:
+                continue
+            if coeff:
+                i2 = self._index[key]
+                out[i2] = out.get(i2, 0) + coeff
         return [(i2, c) for i2, c in sorted(out.items()) if c]
 
 
@@ -258,9 +241,8 @@ def _nilradical_letters(n: int) -> tuple:
     and shared by every GeneralizedVerma of rank n.
 
     A letter's code is its index in the normal order; every other label
-    follows.  Also returned: the codes of the u^+ labels, which kill F,
-    and the memo of brackets by code, which only gains brackets read
-    off LieData.bracket."""
+    follows.  Also returned: the memo of brackets by code, which only
+    gains brackets read off LieData.bracket."""
     p = parabolic_mod.parabolic(n, (2,))
     nil = frozenset(parabolic_mod.nilradical_roots(p))
     order = (
@@ -281,7 +263,6 @@ def _nilradical_letters(n: int) -> tuple:
         tuple(parabolic_mod.root_grade(r, p) for r in order),
         labels,
         code,
-        frozenset(code["e", r] for r in nil),
         {},
     )
 
@@ -308,7 +289,6 @@ class GeneralizedVerma:
             self._grades,
             self._labels,
             self._code,
-            self._kills,
             self._brackets,
         ) = _nilradical_letters(n)
         self._memo: dict = {}
@@ -365,17 +345,14 @@ class GeneralizedVerma:
         normal-ordered word that x does not simply extend.  Memoised per
         module; the value is shared and never mutated.
 
-        With an empty word, x acts on F (a u^+ label kills it).  Otherwise
+        With an empty word, x acts on F.  Otherwise
         x Y_y rest = Y_y (x rest) + [x, Y_y] rest for the first letter y."""
         key = (x, word, f)
         out = self._memo.get(key)
         if out is not None:
             return out
         if not word:
-            if x in self._kills:
-                out = {}
-            else:
-                out = {((), f2): c for f2, c in self.module.act(self._labels[x], f)}
+            out = {((), f2): c for f2, c in self.module.act(self._labels[x], f)}
         else:
             y, rest = word[0], word[1:]
             out = {}

@@ -37,6 +37,36 @@ def run_python(code, *args):
     return done.stdout
 
 
+def bracket_elem(lie, dx, dy):
+    """[dx, dy] for elements {label: coeff} of lie, by structure constants."""
+    out = {}
+    for lx, cx in dx.items():
+        for ly, cy in dy.items():
+            for lz, cz in lie.bracket(lx, ly):
+                v = out.get(lz, 0) + cx * cy * cz
+                if v:
+                    out[lz] = v
+                else:
+                    out.pop(lz, None)
+    return out
+
+
+def jacobi_holds(lie, x, y, z):
+    """[x, [y, z]] = [[x, y], z] + [y, [x, z]] for labels x, y, z of lie."""
+    lhs = bracket_elem(lie, {x: 1}, bracket_elem(lie, {y: 1}, {z: 1}))
+    for part in (
+        bracket_elem(lie, bracket_elem(lie, {x: 1}, {y: 1}), {z: 1}),
+        bracket_elem(lie, {y: 1}, bracket_elem(lie, {x: 1}, {z: 1})),
+    ):
+        for lab, c in part.items():
+            v = lhs.get(lab, 0) - c
+            if v:
+                lhs[lab] = v
+            else:
+                lhs.pop(lab, None)
+    return not lhs
+
+
 @pytest.fixture(scope="session")
 def python():
     return run_python

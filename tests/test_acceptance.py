@@ -10,6 +10,7 @@ import random
 import time
 
 import weyl_oracle as oracle
+from conftest import jacobi_holds
 from bgg import geometry, orbits, penrose, verma, weyl
 from bgg import parabolic as pmod
 
@@ -205,41 +206,13 @@ def test_criterion_07_singular_vector_catalogue():
     )
 
 
-def _bracket_elem(lie, dx, dy):
-    out = {}
-    for lx, cx in dx.items():
-        for ly, cy in dy.items():
-            for lz, cz in lie.bracket(lx, ly):
-                v = out.get(lz, 0) + cx * cy * cz
-                if v:
-                    out[lz] = v
-                else:
-                    out.pop(lz, None)
-    return out
-
-
-def _jacobi_holds(lie, x, y, z):
-    lhs = _bracket_elem(lie, {x: 1}, _bracket_elem(lie, {y: 1}, {z: 1}))
-    for part in (
-        _bracket_elem(lie, _bracket_elem(lie, {x: 1}, {y: 1}), {z: 1}),
-        _bracket_elem(lie, {y: 1}, _bracket_elem(lie, {x: 1}, {z: 1})),
-    ):
-        for lab, c in part.items():
-            v = lhs.get(lab, 0) - c
-            if v:
-                lhs[lab] = v
-            else:
-                lhs.pop(lab, None)
-    return not lhs
-
-
 def test_criterion_08_structure_constant_jacobi():
     t0 = time.perf_counter()
     lie = verma.LieData(3)
     labels = sorted(lie._matrices, key=repr)
     assert len(labels) == 21
     for x, y, z in itertools.product(labels, repeat=3):
-        assert _jacobi_holds(lie, x, y, z)
+        assert jacobi_holds(lie, x, y, z)
     for n in (4, 5):
         lie = verma.LieData(n)
         labels = sorted(lie._matrices, key=repr)
@@ -247,7 +220,7 @@ def test_criterion_08_structure_constant_jacobi():
         rng = random.Random(n)
         for _ in range(10_000):
             x, y, z = (rng.choice(labels) for _ in range(3))
-            assert _jacobi_holds(lie, x, y, z)
+            assert jacobi_holds(lie, x, y, z)
     _finish(
         8,
         "Jacobi identity: sp(6) exhaustive, sp(8)/sp(10) 10^4 sampled triples",

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import verma_oracle
+from conftest import jacobi_holds
+from bgg import parabolic as parabolic_mod
 from bgg import penrose, verma, weyl
 from bgg.weyl import Root
 
@@ -92,40 +94,12 @@ def test_bracket_closure_exhaustive_sp6(lie3):
             lie3.bracket(x, y)
 
 
-def _bracket_elem(lie, dx, dy):
-    out = {}
-    for lx, cx in dx.items():
-        for ly, cy in dy.items():
-            for lz, cz in lie.bracket(lx, ly):
-                v = out.get(lz, 0) + cx * cy * cz
-                if v:
-                    out[lz] = v
-                else:
-                    out.pop(lz, None)
-    return out
-
-
-def _jacobi_holds(lie, x, y, z):
-    lhs = _bracket_elem(lie, {x: 1}, _bracket_elem(lie, {y: 1}, {z: 1}))
-    for part in (
-        _bracket_elem(lie, _bracket_elem(lie, {x: 1}, {y: 1}), {z: 1}),
-        _bracket_elem(lie, {y: 1}, _bracket_elem(lie, {x: 1}, {z: 1})),
-    ):
-        for lab, c in part.items():
-            v = lhs.get(lab, 0) - c
-            if v:
-                lhs[lab] = v
-            else:
-                lhs.pop(lab, None)
-    return not lhs
-
-
 def test_jacobi_sampled(lie4):
     labels = sorted(lie4._matrices, key=repr)
     rng = random.Random(11)
     for _ in range(500):
         x, y, z = (rng.choice(labels) for _ in range(3))
-        assert _jacobi_holds(lie4, x, y, z)
+        assert jacobi_holds(lie4, x, y, z)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -205,7 +179,7 @@ def test_shared_tables_are_read_only(lie3):
     with pytest.raises(TypeError):
         lie3._matrices[label] = {}
     mp = verma.GeneralizedVerma(3, (0, 0, 0), lie=lie3)
-    assert type(mp.letters) is tuple and type(mp._kills) is frozenset
+    assert type(mp.letters) is tuple
     assert type(mp._vectors) is tuple and type(mp._grades) is tuple
     assert type(mp._labels) is tuple
     with pytest.raises(TypeError):
@@ -233,10 +207,11 @@ def test_simple_raising_labels():
 
 
 def test_levi_gl2_factor(lie4):
+    """Trivial tail, m = 2: Sym^2 C^2 tensor det, with h_1, h_2 and the
+    a12 root acting as derivations and every sp(4) label as zero."""
     mod = verma.LeviModule(4, (3, 1, 0, 0), lie4)
-    assert not mod.has_standard
     assert mod.m == 2
-    assert len(mod.basis) == 3
+    assert mod.basis == [(0, None), (1, None), (2, None)]
     assert mod.weight(0) == (3, 1, 0, 0)
     assert mod.weight(1) == (2, 2, 0, 0)
     assert mod.weight(2) == (1, 3, 0, 0)
@@ -248,17 +223,27 @@ def test_levi_gl2_factor(lie4):
     assert mod.act(ya12, 0) == [(1, 2)]
     assert mod.act(ya12, 1) == [(2, 1)]
     assert mod.act(ya12, 2) == []
+    assert mod.act(("h", 1), 0) == [(0, 3)]
     assert mod.act(("h", 1), 1) == [(1, 2)]
     assert mod.act(("h", 2), 1) == [(1, 2)]
-    assert mod.act(("h", 3), 1) == []
+    assert mod.act(("h", 2), 2) == [(2, 3)]
+    sp4 = [("h", 3), ("h", 4)] + [
+        (kind, r) for r in (Root("a", 3, 4), Root("b", 3), Root("b", 4), Root("c", 3, 4))
+        for kind in "ey"
+    ]
+    for label in sp4:
+        assert all(mod.act(label, idx) == [] for idx in range(3)), label
 
 
 def test_levi_standard_factor(lie4):
+    """Standard tail, m = 1: C^2 tensor det tensor C^4, slots t = 0..3
+    being e_3, e_4, f_3, f_4."""
     mod = verma.LeviModule(4, (2, 1, 1, 0), lie4)
-    assert mod.has_standard
-    assert mod.v_dim == 4
-    assert len(mod.basis) == 2 * 4  # (m+1) * v_dim with m = 1
-    # t = 0, 1 are e_3, e_4; t = 2, 3 are f_3, f_4
+    assert mod.basis == [(j, t) for j in (0, 1) for t in range(4)]
+    assert [mod.weight(i) for i in range(8)] == [
+        (2, 1, 1, 0), (2, 1, 0, 1), (2, 1, -1, 0), (2, 1, 0, -1),
+        (1, 2, 1, 0), (1, 2, 0, 1), (1, 2, -1, 0), (1, 2, 0, -1),
+    ]
     i_e3 = mod._index[(0, 0)]
     i_e4 = mod._index[(0, 1)]
     i_f3 = mod._index[(0, 2)]
@@ -267,10 +252,53 @@ def test_levi_standard_factor(lie4):
     assert mod.act(a34, i_e4) == [(i_e3, 1)]
     assert mod.act(a34, i_e3) == []
     assert mod.act(a34, i_f3) == [(i_f4, -1)]
-    assert mod.weight(i_e3) == (2, 1, 1, 0)
-    assert mod.weight(i_f4) == (2, 1, 0, -1)
+    assert mod.act(("e", Root("b", 3)), i_f3) == [(i_e3, 1)]
+    assert mod.act(("y", Root("b", 3)), i_e3) == [(i_f3, 1)]
+    assert mod.act(("e", Root("c", 3, 4)), i_f4) == [(i_e3, 1)]
+    assert mod.act(("e", Root("c", 3, 4)), i_f3) == [(i_e4, 1)]
     assert mod.act(("h", 3), i_e3) == [(i_e3, 1)]
     assert mod.act(("h", 4), i_f4) == [(i_f4, -1)]
+    # the gl(2) factor acts on the same slot
+    assert mod.act(("y", Root("a", 1, 2)), i_f4) == [(mod._index[(1, 3)], 1)]
+    assert mod.act(("e", Root("a", 1, 2)), mod._index[(1, 2)]) == [(i_f3, 1)]
+    assert mod.act(("h", 1), mod._index[(1, 1)]) == [(mod._index[(1, 1)], 1)]
+    assert mod.act(("h", 2), mod._index[(1, 1)]) == [(mod._index[(1, 1)], 2)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_u_plus_kills_the_levi_module(n):
+    """Every u^+ label acts as zero on every basis vector of F, for both
+    tails, read off the matrices alone.  The Levi's raising labels that
+    act on F (a12, and those of sp(2n-4) when V is standard) are nonzero
+    on it, so the check is not vacuous."""
+    lie = verma.LieData(n)
+    nil = set(parabolic_mod.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
+    assert len(nil) == 4 * (n - 2) + 3
+    for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
+        mod = verma.LeviModule(n, (2, -1) + tail, lie)
+        size = 4 * (2 * (n - 2) if any(tail) else 1)
+        assert len(mod.basis) == size
+        for root in weyl.positive_roots(n):
+            images = [mod.act(("e", root), idx) for idx in range(size)]
+            if root in nil:
+                assert not any(images), (tail, root)
+            elif any(tail) or root == Root("a", 1, 2):
+                assert any(images), (tail, root)
+
+
+def test_levi_module_rejects_lie_data_of_another_rank():
+    """A LieData of another rank, larger or smaller, is refused by the
+    Levi module, and so by GeneralizedVerma and verify_row."""
+    for row, other in ((verma.singular_vector_row(3, 2), 4), (verma.singular_vector_row(4, 1), 3)):
+        lie = verma.LieData(other)
+        for make in (
+            lambda: verma.LeviModule(row.n, row.lam, lie),
+            lambda: verma.GeneralizedVerma(row.n, row.lam, lie=lie),
+            lambda: verma.verify_row(row, lie),
+        ):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                make()
+        assert verma.verify_row(row, verma.LieData(row.n)).ok
 
 
 def test_levi_module_validation(lie4):
@@ -346,29 +374,33 @@ def test_act_respects_brackets(m3):
 def test_module_law_standard_levi_factor(lie4):
     """x.(y.v) - y.(x.v) = [x, y].v for every ordered pair of the 36
     labels of sp(8), in a module whose Levi factor has the standard
-    sp(4) part."""
-    mp = verma.GeneralizedVerma(4, (2, 1, 1, 0), lie=lie4)
+    sp(4) part, and in one with a trivial sp(4) part and m = 2."""
     a13, a24, b2, c14 = Root("a", 1, 3), Root("a", 2, 4), Root("b", 2), Root("c", 1, 4)
-    vectors = [
-        mp.highest(),
-        mp.monomial((a24, b2), (1, 2)),
-        mp.combine([(1, (c14,), (0, 3)), (2, (a13, a24), (1, 1))]),
-    ]
     labels = list(lie4._matrices)
     assert len(labels) == 36
-    for v in vectors:
-        assert v
-        acted = {x: mp.act(x, v) for x in labels}
-        for x in labels:
-            for y in labels:
-                lhs = mp.act(x, acted[y])
-                for key, c in mp.act(y, acted[x]).items():
-                    mp._add(lhs, key, -c)
-                rhs = {}
-                for z, zc in lie4.bracket(x, y):
-                    for key, c in acted[z].items():
-                        mp._add(rhs, key, zc * c)
-                assert lhs == rhs, (x, y)
+    for lam, (f1, f2, f3) in (
+        ((2, 1, 1, 0), ((1, 2), (0, 3), (1, 1))),
+        ((3, 1, 0, 0), ((1, None), (2, None), (1, None))),
+    ):
+        mp = verma.GeneralizedVerma(4, lam, lie=lie4)
+        vectors = [
+            mp.highest(),
+            mp.monomial((a24, b2), f1),
+            mp.combine([(1, (c14,), f2), (2, (a13, a24), f3)]),
+        ]
+        for v in vectors:
+            assert v
+            acted = {x: mp.act(x, v) for x in labels}
+            for x in labels:
+                for y in labels:
+                    lhs = mp.act(x, acted[y])
+                    for key, c in mp.act(y, acted[x]).items():
+                        mp._add(lhs, key, -c)
+                    rhs = {}
+                    for z, zc in lie4.bracket(x, y):
+                        for key, c in acted[z].items():
+                            mp._add(rhs, key, zc * c)
+                    assert lhs == rhs, (lam, x, y)
 
 
 def test_act_results_do_not_alias_the_memo():
