@@ -53,6 +53,7 @@ _DRAWS = [Fraction(r // 9 - 9, r % 9 + 1) for r in range(171)]
 _PAIRS = [x.as_integer_ratio() for x in _DRAWS]
 _BLOCK = 7
 _BLOCK_RANGE = len(_DRAWS) ** _BLOCK  # about 0.94 * 2^52
+_DIGIT_POWERS = tuple(len(_DRAWS) ** i for i in range(_BLOCK))  # 171^0 .. 171^6
 
 _FIELDS = ("a1", "a2", "c1", "c2", "b1", "b2", "c12")
 
@@ -279,9 +280,7 @@ def _draw(rng: random.Random, count: int, table: Sequence) -> list:
     out = []
     for start in range(0, count, _BLOCK):
         r = rng.randrange(_BLOCK_RANGE)
-        for _ in range(min(_BLOCK, count - start)):
-            r, digit = divmod(r, base)
-            out.append(table[digit])
+        out += [table[r // power % base] for power in _DIGIT_POWERS[: count - start]]
     return out
 
 

@@ -7,6 +7,10 @@ rows splice, across the column where the direct image dies, into a
 complex of 2n-3 invariant operators: the splice map is the one
 non-standard operator (order two in general, three when k = 1).
 
+Each page or complex builds its E1 cells and their conformal weights
+once per call and reads every order bound as the difference of two
+conformal weights; nothing is cached across calls.
+
 All weights are rho-shifted integer tuples.
 """
 
@@ -47,6 +51,20 @@ class RelativeBggTerm:
         return {"p": self.p, "first": self.first, "middle": self.middle, "tail": list(self.tail)}
 
 
+def _relative_terms(n: int, k_signed: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The terms of relative_bgg as plain (p, middle, tail) tuples."""
+    if n < 2:
+        raise ValueError("rank must be at least 2")
+    if not 0 <= abs(k_signed) <= n - 1:
+        raise ValueError("need |k| <= n-1")
+    middles = list(range(n - 1, 0, -1)) + list(range(-1, -n, -1))
+    values = tuple(range(n - 1, 0, -1))  # |m| sits at index n-1-|m|
+    return [
+        (p, m, values[: n - 1 - abs(m)] + values[n - abs(m) :])
+        for p, m in enumerate(middles)
+    ]
+
+
 def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     """The 2(n-1)-term relative BGG resolution of the twistor bundle with
     rho-shifted weight (k_signed | n-1, ..., 1).
@@ -54,16 +72,10 @@ def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     The middle coordinate runs over n-1, ..., 1, -1, ..., -(n-1); the
     tail is the descending complement of |middle| in {1, ..., n-1}.
     """
-    if n < 2:
-        raise ValueError("rank must be at least 2")
-    if not 0 <= abs(k_signed) <= n - 1:
-        raise ValueError("need |k| <= n-1")
-    middles = list(range(n - 1, 0, -1)) + list(range(-1, -n, -1))
-    terms = []
-    for p, m in enumerate(middles):
-        tail = tuple(v for v in range(n - 1, 0, -1) if v != abs(m))
-        terms.append(RelativeBggTerm(p, k_signed, m, tail))
-    return terms
+    return [
+        RelativeBggTerm(p, k_signed, m, tail)
+        for p, m, tail in _relative_terms(n, k_signed)
+    ]
 
 
 def bbw_direct_image(
@@ -155,19 +167,26 @@ def _validate(n: int, k: int, sign: str) -> int:
 
 
 def e1_entries(n: int, k: int, sign: str = "+") -> dict[tuple[int, int], Weight]:
-    """The entries of the first page, {(p, q): weight}: entry (p, q) is
-    the q-th direct image of term p of the relative resolution.  Exactly
-    one term dies, leaving 2n-3 entries in two rows (one row if
-    k = n-1)."""
+    """The entries of the first page, {(p, q): weight} in order of p:
+    entry (p, q) is the q-th direct image of term p of the relative
+    resolution.  Exactly one term dies, leaving 2n-3 entries in two rows
+    (one row if k = n-1)."""
     ks = _validate(n, k, sign)
     entries = {}
-    for t in relative_bgg(n, ks):
-        img = bbw_direct_image(t.first, t.middle, t.tail)
-        if img is None:
-            continue
-        w, q = img
-        entries[(t.p, q)] = w
+    for p, middle, tail in _relative_terms(n, ks):
+        img = bbw_direct_image(ks, middle, tail)
+        if img is not None:
+            w, q = img
+            entries[(p, q)] = w
     return entries
+
+
+def _conformal_weights(n: int, entries: dict) -> dict:
+    """The conformal weight of each cell's weight for crossed {2}, one
+    parabolic.conformal_weight call per cell; the order bound of a map
+    between two cells is the difference of theirs."""
+    p2 = parabolic_mod.parabolic(n, (2,))
+    return {cell: parabolic_mod.conformal_weight(w, p2) for cell, w in entries.items()}
 
 
 def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -175,19 +194,12 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     e1_entries and the standard differentials along each row, with
     their order bounds."""
     entries = e1_entries(n, k, sign)
-    p2 = parabolic_mod.parabolic(n, (2,))
-    diffs = []
-    for (p, q), w in sorted(entries.items()):
-        nxt = entries.get((p + 1, q))
-        if nxt is not None:
-            diffs.append(
-                PageMap(
-                    (p, q),
-                    (p + 1, q),
-                    STANDARD,
-                    parabolic_mod.order_bound(w, nxt, p2),
-                )
-            )
+    cw = _conformal_weights(n, entries)
+    diffs = [
+        PageMap((p, q), (p + 1, q), STANDARD, cw[(p, q)] - cw[(p + 1, q)])
+        for p, q in entries
+        if (p + 1, q) in entries
+    ]
     return SpectralPage(n, k, sign, 1, entries, diffs)
 
 
@@ -214,26 +226,21 @@ def nonstandard_descriptor(n: int, k: int, sign: str = "+") -> Optional[Bridge]:
 
     Its order bound is the conformal-weight drop: two in general, three
     for k = 1."""
-    _validate(n, k, sign)
-    return _bridge(e1_page(n, k, sign))
+    return _bridge(n, e1_entries(n, k, sign))
 
 
-def _bridge(page: SpectralPage) -> Optional[Bridge]:
-    """The bridge read off an E1 page (see nonstandard_descriptor)."""
-    top, bottom = page.row(1), page.row(0)
+def _bridge(n: int, entries: dict) -> Optional[Bridge]:
+    """The bridge read off the E1 entries (see nonstandard_descriptor):
+    from the last cell of row 1 to the first cell of row 0."""
+    top = [cell for cell in entries if cell[1] == 1]
+    bottom = [cell for cell in entries if cell[1] == 0]
     if not top or not bottom:
         return None
-    sp, tp = (top[-1], 1), (bottom[0], 0)
-    src, tgt = page.entries[sp], page.entries[tp]
-    p2 = parabolic_mod.parabolic(page.n, (2,))
-    return Bridge(
-        src,
-        tgt,
-        sp,
-        tp,
-        parabolic_mod.order_bound(src, tgt, p2),
-        _SPLICE,
-    )
+    sp, tp = top[-1], bottom[0]
+    src, tgt = entries[sp], entries[tp]
+    p2 = parabolic_mod.parabolic(n, (2,))
+    order = parabolic_mod.conformal_weight(src, p2) - parabolic_mod.conformal_weight(tgt, p2)
+    return Bridge(src, tgt, sp, tp, order, _SPLICE)
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -252,7 +259,7 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
             else:
                 entries[(p, q)] = E2Entry(BULLET, "0")
     diffs = []
-    bridge = _bridge(page)
+    bridge = _bridge(n, page.entries)
     if bridge is not None:
         diffs.append(
             PageMap(
@@ -338,17 +345,14 @@ def assemble_singular_bgg(
                 "the k = 0 complex is conjectural; pass conjectural=True"
             )
         return _conjectural_k0(n, sign)
-    page = e1_page(n, k, sign)
-    cells = sorted(page.entries.items(), key=lambda kv: kv[0][0])
-    terms = [w for _, w in cells]
-    p2 = parabolic_mod.parabolic(n, (2,))
-    maps = []
-    for i, (a, b) in enumerate(zip(cells, cells[1:])):
-        (_, qa), wa = a
-        (_, qb), wb = b
-        kind = STANDARD if qa == qb else NONSTANDARD
-        maps.append(BggMap(i, i + 1, kind, parabolic_mod.order_bound(wa, wb, p2)))
-    return BggComplex(n, k, sign, terms, maps, _resolved(n, k, sign))
+    entries = e1_entries(n, k, sign)
+    cw = _conformal_weights(n, entries)
+    cells = list(entries)  # in order of p
+    maps = [
+        BggMap(i, i + 1, STANDARD if a[1] == b[1] else NONSTANDARD, cw[a] - cw[b])
+        for i, (a, b) in enumerate(zip(cells, cells[1:]))
+    ]
+    return BggComplex(n, k, sign, list(entries.values()), maps, _resolved(n, k, sign))
 
 
 def _full_k0_weight(n: int, pair: tuple[int, int]) -> Weight:
@@ -364,9 +368,10 @@ def _conjectural_k0(n: int, sign: str) -> BggComplex:
     pairs += [(0, y) for y in range(-1, -n, -1)]
     terms = [_full_k0_weight(n, pr) for pr in pairs]
     p2 = parabolic_mod.parabolic(n, (2,))
+    cw = [parabolic_mod.conformal_weight(t, p2) for t in terms]
 
     def bound(i, j):
-        return parabolic_mod.order_bound(terms[i], terms[j], p2)
+        return cw[i] - cw[j]
 
     # indices: (2,0) = n-3, (1,0) = n-2, (0,-1) = n-1, (0,-2) = n
     maps = [BggMap(i, i + 1, STANDARD, bound(i, i + 1)) for i in range(n - 2)]

@@ -87,28 +87,27 @@ def to_tikz(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str
     config = config or RenderConfig()
     skips = set(config.skip_columns)
     visible = _node_visibility(diagram, skips)
+    # each node's "{m1}{m2}" once, shared by its mark and every arrow
+    coords = ["{%d}{%d}" % node.placement for node in diagram.nodes]
     lines = [_PREAMBLE, r"\begin{tikzpicture}[x=0.8cm,y=0.8cm]"]
-    for node, shown in zip(diagram.nodes, visible):
-        if shown:
-            lines.append(r"\ldominant{%d}{%d}" % node.placement)
+    lines += [r"\ldominant" + c for c, shown in zip(coords, visible) if shown]
     if diagram.kind == "singular-orbit":
         for pl in diagram.cross_placements():
-            if _visible(pl, skips):
+            if not skips or _visible(pl, skips):
                 lines.append(r"\trivial{%d}{%d}" % pl)
     for a in diagram.arrows:
-        if not (visible[a.source] and visible[a.target]):
+        if skips and not (visible[a.source] and visible[a.target]):
             continue
-        s = diagram.nodes[a.source].placement
-        t = diagram.nodes[a.target].placement
-        quad = s + t
         if a.kind == orbits.IDENTITY:
-            lines.append(r"\equal{%d}{%d}{%d}{%d}" % quad)
+            lines.append(r"\equal" + coords[a.source] + coords[a.target])
         elif a.kind == orbits.SUPPRESSED:
             if config.show_suppressed:
-                lines.append(r"\suppressedarrow{%d}{%d}{%d}{%d}" % quad)
+                lines.append(r"\suppressedarrow" + coords[a.source] + coords[a.target])
         else:
-            lines.append(r"\arrow{%d}{%d}{%d}{%d}" % quad)
+            lines.append(r"\arrow" + coords[a.source] + coords[a.target])
             if config.show_labels and a.root is not None:
+                s = diagram.nodes[a.source].placement
+                t = diagram.nodes[a.target].placement
                 mx, my = (s[0] + t[0]) / 2.0, (s[1] + t[1]) / 2.0
                 lines.append(
                     r"\node[font=\tiny, above right] at (%.1f,%.1f) {$%s$};"
@@ -126,33 +125,29 @@ def _root_tex(root: Root) -> str:
     return f"{label[0]}_{{{label[1:]}}}"
 
 
+_DOT_STYLES = {
+    orbits.STANDARD: "",
+    orbits.IDENTITY: " [style=bold, arrowhead=none, label=\"=\"]",
+    orbits.SUPPRESSED: " [style=dotted]",
+}
+
+
 def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
     config = config or RenderConfig()
     skips = set(config.skip_columns)
-    lines = ["digraph orbit {", "  rankdir=LR;", "  node [shape=point];"]
-
-    def name(pl):
-        return f'"p{pl[0]}_{pl[1]}"'.replace("-", "m")
-
     visible = _node_visibility(diagram, skips)
-    for node, shown in zip(diagram.nodes, visible):
+    # each node's quoted name once, shared by its line and every arrow
+    names = [f'"p{nd.placement[0]}_{nd.placement[1]}"'.replace("-", "m") for nd in diagram.nodes]
+    lines = ["digraph orbit {", "  rankdir=LR;", "  node [shape=point];"]
+    for name, node, shown in zip(names, diagram.nodes, visible):
         if shown:
-            lines.append(
-                f"  {name(node.placement)} [pos=\"{node.placement[0]},{node.placement[1]}!\"];"
-            )
-    styles = {
-        orbits.STANDARD: "",
-        orbits.IDENTITY: " [style=bold, arrowhead=none, label=\"=\"]",
-        orbits.SUPPRESSED: " [style=dotted]",
-    }
+            lines.append(f'  {name} [pos="{node.placement[0]},{node.placement[1]}!"];')
     for a in diagram.arrows:
-        if not (visible[a.source] and visible[a.target]):
+        if skips and not (visible[a.source] and visible[a.target]):
             continue
         if a.kind == orbits.SUPPRESSED and not config.show_suppressed:
             continue
-        s = diagram.nodes[a.source].placement
-        t = diagram.nodes[a.target].placement
-        lines.append(f"  {name(s)} -> {name(t)}{styles[a.kind]};")
+        lines.append(f"  {names[a.source]} -> {names[a.target]}{_DOT_STYLES[a.kind]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -161,37 +156,84 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
 # JSON
 
 
-def _root_obj(root: Optional[Root]):
-    if root is None:
-        return None
-    return {"kind": root.kind, "i": root.i, "j": root.j}
-
-
 def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
+    """The diagram as JSON text, written straight from its fields.
+
+    The text is byte-identical to json.dumps(payload, indent=indent) of
+    the payload {kind, n, k, conjectural, nodes: [{placement, weight}],
+    arrows: [{source, target, kind, root: {kind, i, j} or null, order}],
+    coincidences}, compact (indent None) and indented alike, followed by
+    a newline.  Integers are written as json writes them, strings are
+    escaped by json itself (ensure_ascii), and each distinct string and
+    root object is formatted once per call.
+    """
     import json
 
-    payload = {
-        "kind": diagram.kind,
-        "n": diagram.n,
-        "k": diagram.k,
-        "conjectural": diagram.conjectural,
-        "nodes": [
-            {"placement": list(nd.placement), "weight": list(nd.weight)}
-            for nd in diagram.nodes
-        ],
-        "arrows": [
-            {
-                "source": a.source,
-                "target": a.target,
-                "kind": a.kind,
-                "root": _root_obj(a.root),
-                "order": a.order,
-            }
-            for a in diagram.arrows
-        ],
-        "coincidences": [list(c) for c in diagram.coincidences],
-    }
-    return json.dumps(payload, indent=indent) + "\n"
+    # the text before an item at each nesting level (the top object's
+    # members are at level 1), and between two items
+    if indent is None:
+        nl, sep = [""] * 5, [", "] * 5
+    else:
+        pad = " " * indent if isinstance(indent, int) else indent
+        nl = ["\n" + pad * level for level in range(5)]
+        sep = ["," + line for line in nl]
+
+    def array(items, level: int) -> str:
+        if not items:
+            return "[]"
+        return "[" + nl[level] + sep[level].join(items) + nl[level - 1] + "]"
+
+    def obj(members, level: int) -> str:
+        body = sep[level].join(f'"{key}": {value}' for key, value in members)
+        return "{" + nl[level] + body + nl[level - 1] + "}"
+
+    def ints(xs, level: int) -> str:
+        """An array of ints; compact, that is the list's repr."""
+        if indent is None:
+            return str(list(xs))
+        return array(list(map(str, xs)), level)
+
+    def scalar(x) -> str:
+        return str(x) if type(x) is int else "null" if x is None else json.dumps(x)
+
+    strings: dict[str, str] = {}
+    roots: dict[int, str] = {id(None): "null"}  # by id of the root object
+
+    def string(x: str) -> str:
+        if x not in strings:
+            strings[x] = json.dumps(x)
+        return strings[x]
+
+    def root(r: Optional[Root]) -> str:
+        if id(r) not in roots:
+            members = (("kind", string(r.kind)), ("i", scalar(r.i)), ("j", scalar(r.j)))
+            roots[id(r)] = obj(members, 4)
+        return roots[id(r)]
+
+    # node and arrow members are at level 3, a placement's entries at 4
+    start, between, end = "{" + nl[3], sep[3], nl[2] + "}"
+    nodes = [
+        f'{start}"placement": {ints(nd.placement, 4)}'
+        f'{between}"weight": {ints(nd.weight, 4)}{end}'
+        for nd in diagram.nodes
+    ]
+    arrows = [
+        f'{start}"source": {a.source}{between}"target": {a.target}'
+        f'{between}"kind": {string(a.kind)}{between}"root": {root(a.root)}'
+        f'{between}"order": {scalar(a.order)}{end}'
+        for a in diagram.arrows
+    ]
+    coincidences = [ints(c, 3) for c in diagram.coincidences]
+    top = (
+        ("kind", string(diagram.kind)),
+        ("n", scalar(diagram.n)),
+        ("k", scalar(diagram.k)),
+        ("conjectural", scalar(diagram.conjectural)),
+        ("nodes", array(nodes, 2)),
+        ("arrows", array(arrows, 2)),
+        ("coincidences", array(coincidences, 2)),
+    )
+    return obj(top, 1) + "\n"
 
 
 def from_json(text: str) -> OrbitDiagram:
@@ -202,20 +244,20 @@ def from_json(text: str) -> OrbitDiagram:
         OrbitNode(tuple(nd["placement"]), tuple(nd["weight"]))
         for nd in data["nodes"]
     ]
-    roots: dict[tuple, Root] = {}  # each distinct root is built once
-
-    def root_of(obj) -> Optional[Root]:
-        if not obj:
-            return None
-        key = (obj["kind"], obj["i"], obj["j"])
-        if key not in roots:
-            roots[key] = Root(*key)
-        return roots[key]
-
-    arrows = [
-        OrbitArrow(a["source"], a["target"], a["kind"], root_of(a["root"]), a["order"])
-        for a in data["arrows"]
-    ]
+    # each distinct root is built once, found by kind, i and j in turn
+    roots: dict[str, dict[int, dict[int, Root]]] = {}
+    arrows = []
+    for a in data["arrows"]:
+        r = a["root"]
+        if r:
+            kind, i, j = r["kind"], r["i"], r["j"]
+            try:
+                r = roots[kind][i][j]
+            except KeyError:
+                r = roots.setdefault(kind, {}).setdefault(i, {}).setdefault(j, Root(kind, i, j))
+        else:
+            r = None
+        arrows.append(OrbitArrow(a["source"], a["target"], a["kind"], r, a["order"]))
     return OrbitDiagram(
         data["kind"],
         data["n"],

@@ -2,6 +2,7 @@
 
 import pytest
 
+import penrose_oracle as oracle
 from bgg import orbits, penrose
 from bgg import parabolic as pmod
 
@@ -277,3 +278,61 @@ def test_every_complex_is_one_bgg_complex(n):
             assert type(cx) is penrose.BggComplex
             assert cx.branch == ((n - 2, n - 1) if k == 0 else None)
             assert cx.to_dict()["branch"] == (None if cx.branch is None else list(cx.branch))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_pages_and_complexes_match_oracle(n):
+    """Every page, bridge and complex equals the one built the long way:
+    a fresh E1 page per builder and one order_bound call per map."""
+    for k in range(1, n):
+        for sign in "+-":
+            e1 = oracle.e1_page(n, k, sign)
+            assert penrose.e1_entries(n, k, sign) == oracle.e1_entries(n, k, sign)
+            assert penrose.e1_page(n, k, sign).to_dict() == e1.to_dict()
+            assert penrose.e2_page(n, k, sign).to_dict() == oracle.e2_page(n, k, sign).to_dict()
+            assert penrose.nonstandard_descriptor(n, k, sign) == oracle.bridge(e1)
+            got = penrose.assemble_singular_bgg(n, k, sign)
+            assert got.to_dict() == oracle.assemble_singular_bgg(n, k, sign).to_dict()
+            assert all(type(m.order) is int for m in got.maps)
+    if n >= 3:
+        got = penrose.assemble_singular_bgg(n, 0, conjectural=True)
+        assert got.to_dict() == oracle.conjectural_k0(n).to_dict()
+
+
+def _count_calls(monkeypatch, owner, name):
+    real, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_builders_compute_each_cell_once(monkeypatch):
+    """An assembled complex builds no E1 page, no PageMap and no order
+    bound per map: one conformal weight per term.  The E1 entries build
+    no RelativeBggTerm, and a page one conformal weight per cell."""
+    e1 = _count_calls(monkeypatch, penrose, "e1_page")
+    page_maps = _count_calls(monkeypatch, penrose, "PageMap")
+    terms = _count_calls(monkeypatch, penrose, "RelativeBggTerm")
+    bounds = _count_calls(monkeypatch, pmod, "order_bound")
+    weights = _count_calls(monkeypatch, pmod, "conformal_weight")
+    n = 7
+    for k in range(1, n):
+        for sign in "+-":
+            cx = penrose.assemble_singular_bgg(n, k, sign)
+            assert len(weights) == len(cx.terms) == 2 * n - 3
+            weights.clear()
+    cx = penrose.assemble_singular_bgg(n, 0, conjectural=True)
+    assert len(weights) == len(cx.terms) == 2 * n - 2
+    weights.clear()
+    assert e1 == page_maps == bounds == []
+    assert len(penrose.e1_entries(n, 2, "-")) == 2 * n - 3
+    assert terms == [] and weights == []
+    page = penrose.e1_page(n, 2, "+")
+    assert len(weights) == len(page.entries)
+    assert len(page_maps) == len(page.differentials)
+    assert terms == bounds == []
+    assert len(penrose.relative_bgg(n, 2)) == len(terms) == 2 * n - 2

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+import render_oracle
 from bgg import orbits, render
+from bgg.orbits import OrbitArrow, OrbitDiagram, OrbitNode
 from bgg.weyl import Root
 
 
@@ -143,3 +145,82 @@ def test_json_schema_keys():
     assert payload["conjectural"] is False
     arrow = payload["arrows"][0]
     assert set(arrow) == {"source", "target", "kind", "root", "order"}
+
+
+def _diagrams(n):
+    """Every orbit diagram of rank n: each k, the regular orbit, and the
+    custom bases of tests/test_orbits.py at their ranks."""
+    yield orbits.regular_orbit_projection(n)
+    for k in range(n):
+        yield orbits.singular_orbit(n, k)
+    for base in ((9, 7, 7, 3, 1), (12, 5, 2, 0)):
+        if len(base) == n:
+            yield orbits.singular_orbit_from_base(base)
+
+
+def _same_json(diagram, indent) -> bool:
+    """to_json equals the oracle; a failure names the first difference
+    instead of diffing two long texts."""
+    got, want = render.to_json(diagram, indent), render_oracle.to_json(diagram, indent)
+    if got == want:
+        return True
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    near = slice(max(at - 40, 0), at + 40)
+    pytest.fail(
+        f"{diagram.kind} n={diagram.n} k={diagram.k} indent={indent!r}: at {at}, "
+        f"got {got[near]!r}, want {want[near]!r}"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_to_json_matches_json_dumps(n):
+    for d in _diagrams(n):
+        for indent in (None, 0, 1, 2):
+            assert _same_json(d, indent)
+        assert render.from_json(render.to_json(d)) == d
+
+
+def _odd_diagram():
+    """Strings json must escape, a null k, orders of every JSON type and
+    a node with empty lists."""
+    odd = 'q"uo\\te \u00e9\u2603\n\t\x00\U0001f600'
+    roots = [Root(odd, 1, 2), Root("b", 3), Root(odd, 1, 2)]
+    return OrbitDiagram(
+        odd,
+        3,
+        None,
+        [OrbitNode((1, -2), (3, -1, 2)), OrbitNode((), ()), OrbitNode((-3, 1), (-3, 1, 2))],
+        [
+            OrbitArrow(0, 1, odd, roots[0], 2),
+            OrbitArrow(1, 2, orbits.IDENTITY, None, None),
+            OrbitArrow(0, 2, orbits.STANDARD, roots[1], True),
+            OrbitArrow(2, 0, orbits.SUPPRESSED, roots[2], -1.5),
+        ],
+        [(0, 2)],
+        conjectural=True,
+    )
+
+
+def test_to_json_escapes_like_json_dumps():
+    d = _odd_diagram()
+    empty = OrbitDiagram("regular-orbit", 2, 0, [], [], [])
+    for diagram in (d, empty):
+        for indent in (None, 0, 1, 2, "\t"):
+            assert _same_json(diagram, indent)
+    assert render.to_json(d).isascii()
+    assert render.from_json(render.to_json(d, 2)) == d
+
+
+def test_from_json_builds_each_root_once(monkeypatch):
+    d = orbits.regular_orbit_projection(6)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Root(*args)
+
+    monkeypatch.setattr(render, "Root", counting)
+    back = render.from_json(render.to_json(d))
+    assert back == d
+    assert sorted(built) == sorted({(a.root.kind, a.root.i, a.root.j) for a in d.arrows})
+    assert len({id(a.root) for a in back.arrows}) == len(built)
