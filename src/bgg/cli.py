@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid arguments or unsupported request,
-2 a verification command found a failure.
+2 a verification command found a failure or an internal check failed.
 
 Each subcommand imports the bgg layers it runs when it runs, so one
 `bgg` process loads only what its command needs.
@@ -219,12 +219,13 @@ def _cmd_verify_maximal(args) -> int:
 
     lie = verma.LieData(args.n)
     if args.k is not None:
-        rows = [verma.singular_vector_row(args.n, args.k, args.sign)]
+        rows = [verma.singular_vector_row(args.n, args.k, args.sign or "+")]
     else:
+        signs = (args.sign,) if args.sign else ("+", "-")
         rows = [
             verma.singular_vector_row(args.n, k, sign)
             for k in range(1, args.n)
-            for sign in ("+", "-")
+            for sign in signs
         ]
     results = [
         verma.verify_row(row, lie, perturb=args.perturb, kernel=not args.no_kernel)
@@ -246,9 +247,10 @@ def _cmd_verify_maximal(args) -> int:
                     note = "perturbed vector is zero or off weight; nothing was tested"
             else:
                 verdict = "PASS" if r.ok else "FAIL"
+                kernel = "not checked" if args.no_kernel else r.kernel_dim
                 note = (
                     f"d1={r.d1_match} weight={r.weight_ok} maximal={r.maximal_ok}"
-                    + (f" kernel_dim={r.kernel_dim}" if not args.no_kernel else "")
+                    f" kernel_dim={kernel}"
                 )
             _emit(
                 f"{verdict} n={r.row.n} k={r.row.k} sign={r.row.sign}  {note}"
@@ -379,7 +381,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify-maximal", help="verify first-operator singular vectors")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--sign", choices=("+", "-"), default="+")
+    sp.add_argument(
+        "--sign", choices=("+", "-"), help="'+' with --k by default; without --k, only this sign"
+    )
     sp.add_argument("--perturb", action="store_true", help="flip a coefficient; expect failure")
     sp.add_argument("--no-kernel", action="store_true", help="skip the uniqueness check")
     sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -411,6 +415,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ rows splice, across the column where the direct image dies, into a
 complex of 2n-3 invariant operators: the splice map is the one
 non-standard operator (order two in general, three when k = 1).
 
-Each page or complex builds its E1 cells and their conformal weights
-once per call and reads every order bound as the difference of two
-conformal weights; nothing is cached across calls.
+Each page or complex builds its E1 cells and the conformal weights it
+needs once per call (the E2 page only those of its bridge) and reads
+every order bound as the difference of two conformal weights; nothing
+is cached across calls.
 
 All weights are rho-shifted integer tuples.
 """
@@ -247,10 +248,10 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     """Second page: each row is exact except at its ends, so interior
     entries vanish (bullets) and the ends are Ker d_{p+1} / Coker d_p.
     The surviving differential joins the two rows at the splice."""
-    page = e1_page(n, k, sign)
+    e1 = e1_entries(n, k, sign)
     entries = {}
     for q in (0, 1):
-        ps = page.row(q)
+        ps = [p for p, qq in e1 if qq == q]  # e1 is in order of p
         for p in ps:
             if p == ps[0]:
                 entries[(p, q)] = E2Entry(KERNEL, f"Ker d_{p + 1}")
@@ -259,7 +260,7 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
             else:
                 entries[(p, q)] = E2Entry(BULLET, "0")
     diffs = []
-    bridge = _bridge(n, page.entries)
+    bridge = _bridge(n, e1)
     if bridge is not None:
         diffs.append(
             PageMap(

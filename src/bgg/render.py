@@ -157,83 +157,51 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
 
 
 def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
-    """The diagram as JSON text, written straight from its fields.
+    """The diagram as JSON text, followed by a newline.
 
-    The text is byte-identical to json.dumps(payload, indent=indent) of
-    the payload {kind, n, k, conjectural, nodes: [{placement, weight}],
+    The schema is {kind, n, k, conjectural, nodes: [{placement, weight}],
     arrows: [{source, target, kind, root: {kind, i, j} or null, order}],
-    coincidences}, compact (indent None) and indented alike, followed by
-    a newline.  Integers are written as json writes them, strings are
-    escaped by json itself (ensure_ascii), and each distinct string and
-    root object is formatted once per call.
+    coincidences}.  The compact text (indent None) is written straight
+    from the diagram's fields: int lists as their repr, every other
+    scalar through json.dumps, once per distinct value, so strings are
+    escaped as json escapes them (ensure_ascii).  With an indent, json
+    re-indents the compact text, so both forms equal json.dumps of the
+    schema's payload byte for byte.
     """
     import json
 
-    # the text before an item at each nesting level (the top object's
-    # members are at level 1), and between two items
-    if indent is None:
-        nl, sep = [""] * 5, [", "] * 5
-    else:
-        pad = " " * indent if isinstance(indent, int) else indent
-        nl = ["\n" + pad * level for level in range(5)]
-        sep = ["," + line for line in nl]
+    dumped: dict = {}
 
-    def array(items, level: int) -> str:
-        if not items:
-            return "[]"
-        return "[" + nl[level] + sep[level].join(items) + nl[level - 1] + "]"
-
-    def obj(members, level: int) -> str:
-        body = sep[level].join(f'"{key}": {value}' for key, value in members)
-        return "{" + nl[level] + body + nl[level - 1] + "}"
-
-    def ints(xs, level: int) -> str:
-        """An array of ints; compact, that is the list's repr."""
-        if indent is None:
-            return str(list(xs))
-        return array(list(map(str, xs)), level)
-
-    def scalar(x) -> str:
-        return str(x) if type(x) is int else "null" if x is None else json.dumps(x)
-
-    strings: dict[str, str] = {}
-    roots: dict[int, str] = {id(None): "null"}  # by id of the root object
-
-    def string(x: str) -> str:
-        if x not in strings:
-            strings[x] = json.dumps(x)
-        return strings[x]
+    def val(x) -> str:
+        key = (type(x), x)  # True == 1, but json writes them apart
+        text = dumped.get(key)
+        if text is None:
+            text = dumped[key] = json.dumps(x)
+        return text
 
     def root(r: Optional[Root]) -> str:
-        if id(r) not in roots:
-            members = (("kind", string(r.kind)), ("i", scalar(r.i)), ("j", scalar(r.j)))
-            roots[id(r)] = obj(members, 4)
-        return roots[id(r)]
+        if r is None:
+            return "null"
+        return f'{{"kind": {val(r.kind)}, "i": {val(r.i)}, "j": {val(r.j)}}}'
 
-    # node and arrow members are at level 3, a placement's entries at 4
-    start, between, end = "{" + nl[3], sep[3], nl[2] + "}"
-    nodes = [
-        f'{start}"placement": {ints(nd.placement, 4)}'
-        f'{between}"weight": {ints(nd.weight, 4)}{end}'
+    nodes = ", ".join(
+        f'{{"placement": {list(nd.placement)}, "weight": {list(nd.weight)}}}'
         for nd in diagram.nodes
-    ]
-    arrows = [
-        f'{start}"source": {a.source}{between}"target": {a.target}'
-        f'{between}"kind": {string(a.kind)}{between}"root": {root(a.root)}'
-        f'{between}"order": {scalar(a.order)}{end}'
-        for a in diagram.arrows
-    ]
-    coincidences = [ints(c, 3) for c in diagram.coincidences]
-    top = (
-        ("kind", string(diagram.kind)),
-        ("n", scalar(diagram.n)),
-        ("k", scalar(diagram.k)),
-        ("conjectural", scalar(diagram.conjectural)),
-        ("nodes", array(nodes, 2)),
-        ("arrows", array(arrows, 2)),
-        ("coincidences", array(coincidences, 2)),
     )
-    return obj(top, 1) + "\n"
+    arrows = ", ".join(
+        f'{{"source": {a.source}, "target": {a.target}, "kind": {val(a.kind)}, '
+        f'"root": {root(a.root)}, "order": {val(a.order)}}}'
+        for a in diagram.arrows
+    )
+    coincidences = ", ".join(str(list(c)) for c in diagram.coincidences)
+    text = (
+        f'{{"kind": {val(diagram.kind)}, "n": {val(diagram.n)}, "k": {val(diagram.k)}, '
+        f'"conjectural": {val(diagram.conjectural)}, "nodes": [{nodes}], '
+        f'"arrows": [{arrows}], "coincidences": [{coincidences}]}}'
+    )
+    if indent is not None:
+        text = json.dumps(json.loads(text), indent=indent)
+    return text + "\n"
 
 
 def from_json(text: str) -> OrbitDiagram:

@@ -210,6 +210,36 @@ def test_verify_maximal_no_kernel_json(capsys):
     assert result["kernel_dim"] is None and result["ok"] is True
 
 
+def test_verify_maximal_sign_without_k(capsys):
+    """--sign alone keeps the rows of that sign; --k alone means '+';
+    neither checks both signs.  --no-kernel says the kernel was skipped."""
+    rc, out, _ = run(capsys, "verify-maximal", "--n", "3", "--sign", "-", "--no-kernel")
+    assert rc == 0
+    lines = out.splitlines()
+    assert [l.split()[1:4] for l in lines] == [
+        ["n=3", "k=1", "sign=-"],
+        ["n=3", "k=2", "sign=-"],
+    ]
+    assert all(l.startswith("PASS") and "kernel_dim=not checked" in l for l in lines)
+    rc, out, _ = run(capsys, "verify-maximal", "--n", "3", "--k", "2", "--no-kernel")
+    assert rc == 0 and out.split()[1:4] == ["n=3", "k=2", "sign=+"]
+    rc, out, _ = run(capsys, "verify-maximal", "--n", "3", "--no-kernel")
+    assert rc == 0 and [l.split()[3] for l in out.splitlines()] == ["sign=+", "sign=-"] * 2
+
+
+def test_internal_check_failure_exits_2(capsys, monkeypatch):
+    from bgg import parabolic
+
+    def broken(p):
+        raise AssertionError("conformal drop 0 < 1 on a Hasse edge")
+
+    monkeypatch.setattr(parabolic, "hasse_diagram", broken)
+    rc, out, err = run(capsys, "hasse", "--n", "3")
+    assert rc == 2 and not out
+    # one error line, no traceback
+    assert err == "error: internal check failed: conformal drop 0 < 1 on a Hasse edge\n"
+
+
 @pytest.mark.parametrize("n", ["2", "1", "-3"])
 def test_verify_maximal_rejects_small_rank(capsys, n):
     rc, out, err = run(capsys, "verify-maximal", "--n", n)

@@ -203,15 +203,23 @@ def test_e2_minus_and_single_row():
 
 
 def test_e2_page_builds_e1_once(monkeypatch):
-    real, calls = penrose.e1_page, []
+    """The E2 page reads its rows and bridge off one e1_entries call and
+    builds no E1 page."""
+    calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(penrose, name)
 
-    monkeypatch.setattr(penrose, "e1_page", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("e1_page", "e1_entries"):
+        monkeypatch.setattr(penrose, name, counting(name))
     page = penrose.e2_page(6, 2, "+")
-    assert len(calls) == 1
+    assert calls == ["e1_entries"]  # no e1_page call
     bridge = penrose.nonstandard_descriptor(6, 2, "+")
     d2 = page.differentials[0]
     assert (d2.source, d2.target, d2.order) == (
