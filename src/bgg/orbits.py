@@ -14,13 +14,19 @@ positive image unless it holds the whole collision set ({k, k + 1}, or
 {1}).  So a node carries a point of the singular orbit exactly when
 |mu_1| or |mu_2| lies in the collision set and the image's first pair
 descends strictly; nothing else of mu needs looking at.
+
+Per rank the crossed-{2} Hasse diagram is built once, with two indexes:
+its nodes bucketed by |mu_1| and |mu_2|, and each node's out-edges with
+their root grades.  A singular orbit visits only the buckets of its
+collision set and their out-edges.  Nodes and arrows are immutable
+records (NamedTuples); a diagram holds them in plain lists.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from bgg import parabolic as parabolic_mod
 from bgg import weyl
@@ -121,14 +127,12 @@ def regular_placements(n: int) -> list[tuple[int, int]]:
 # diagrams
 
 
-@dataclass(frozen=True)
-class OrbitNode:
+class OrbitNode(NamedTuple):
     placement: tuple[int, int]
     weight: Weight
 
 
-@dataclass(frozen=True)
-class OrbitArrow:
+class OrbitArrow(NamedTuple):
     source: int
     target: int
     kind: str
@@ -155,22 +159,47 @@ class OrbitDiagram:
         return [p for p in regular_placements(self.n) if p not in have]
 
 
+class _Crossed2(NamedTuple):
+    """The crossed-{2} Hasse diagram of one rank with its two indexes."""
+
+    nodes: tuple[HasseNode, ...]
+    edges: tuple[HasseEdge, ...]
+    # by_abs[r]: indices of the nodes with |mu_1| = r or |mu_2| = r, ascending
+    by_abs: tuple[tuple[int, ...], ...]
+    # out[i]: node i's out-edges as (target, root, root grade), in edge order
+    out: tuple[tuple[tuple[int, Root, int], ...], ...]
+
+
 @functools.lru_cache(maxsize=8)
-def _crossed2(n: int) -> tuple[tuple[HasseNode, ...], tuple[HasseEdge, ...]]:
-    """Nodes and edges of the crossed-{2} Hasse diagram of rank n, built
-    once per n (for the 8 ranks used last).  Both are tuples of frozen
-    objects, so no caller can change them for the next one."""
-    hd = parabolic_mod.hasse_diagram(parabolic_mod.parabolic(n, (2,)))
-    return tuple(hd.nodes), tuple(hd.edges)
+def _crossed2(n: int) -> _Crossed2:
+    """The crossed-{2} Hasse diagram of rank n and its indexes, built once
+    per n (for the 8 ranks used last).  Everything is a tuple of
+    immutable records, so no caller can change it for the next one."""
+    p = parabolic_mod.parabolic(n, (2,))
+    hd = parabolic_mod.hasse_diagram(p)
+    by_abs: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, nd in enumerate(hd.nodes):
+        by_abs[abs(nd.weight[0])].append(i)
+        by_abs[abs(nd.weight[1])].append(i)
+    grades = {r: parabolic_mod.root_grade(r, p) for r in {e.root for e in hd.edges}}
+    out: list[list[tuple[int, Root, int]]] = [[] for _ in hd.nodes]
+    for e in hd.edges:
+        out[e.source].append((e.target, e.root, grades[e.root]))
+    return _Crossed2(
+        tuple(hd.nodes),
+        tuple(hd.edges),
+        tuple(map(tuple, by_abs)),
+        tuple(map(tuple, out)),
+    )
 
 
 def regular_orbit_projection(n: int) -> OrbitDiagram:
     """The regular orbit of rho for crossed={2}, placed at (m1, m2)."""
-    hasse_nodes, hasse_edges = _crossed2(n)
-    nodes = [OrbitNode(nd.weight[:2], nd.weight) for nd in hasse_nodes]
+    hd = _crossed2(n)
+    nodes = [OrbitNode(mu[:2], mu) for mu, _ in hd.nodes]
     arrows = [
-        OrbitArrow(e.source, e.target, STANDARD, e.root, e.order)
-        for e in hasse_edges
+        OrbitArrow(source, target, STANDARD, root, order)
+        for source, target, root, order in hd.edges
     ]
     return OrbitDiagram("regular-orbit", n, None, nodes, arrows, [])
 
@@ -204,7 +233,8 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     strictly Levi-dominant, placed at the first two coordinates of mu.
     They are read off the placement rule (see the module docstring): mu
     is kept iff |mu_1| or |mu_2| lies in the collision set of base and
-    w(base)_1 > w(base)_2; w(base) is built only for the kept nodes.
+    w(base)_1 > w(base)_2.  Only the nodes in the collision set's buckets
+    are looked at, and w(base) is built only for the kept nodes.
     Arrows are the induced Hasse arrows: identity arrows join the
     coincidence pairs, the trivially-acting families at k <= 1 are kept
     but marked suppressed, all others are standard.
@@ -213,43 +243,41 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         base = lambda_k(n, k)
     else:
         base = tuple(base)
+        if len(base) != n:
+            raise ValueError("base must have length n")
         if infer_k(base) != k:
             raise ValueError("base weight does not have the k-singular pattern")
-    p = parabolic_mod.parabolic(n, (2,))
-    hasse_nodes, hasse_edges = _crossed2(n)
+    hd = _crossed2(n)
 
-    collide = _collision_set(base)
-    keep = []
-    for i, nd in enumerate(hasse_nodes):
-        m1, m2 = nd.weight[0], nd.weight[1]
-        if abs(m1) not in collide and abs(m2) not in collide:
-            continue
+    keep, nodes = [], []
+    for i in sorted({i for r in _collision_set(base) for i in hd.by_abs[r]}):
+        mu = hd.nodes[i].weight
+        m1, m2 = mu[0], mu[1]
         x1 = base[n - m1] if m1 > 0 else -base[n + m1]
         x2 = base[n - m2] if m2 > 0 else -base[n + m2]
         if x1 > x2:
-            keep.append((i, weyl.act_from_image(nd.weight, base)))
-    index = {old: new for new, (old, _) in enumerate(keep)}
-    nodes = [
-        OrbitNode(hasse_nodes[old].weight[:2], image) for old, image in keep
-    ]
+            keep.append(i)
+            nodes.append(OrbitNode(mu[:2], weyl.act_from_image(mu, base)))
+    index = {old: new for new, old in enumerate(keep)}
 
     # The target's image is s_alpha of the source's, so the conformal-weight
-    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E).
-    grade: dict[Root, int] = {}
+    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E).  Read
+    # in node order, the kept nodes' out-edges are the Hasse edges between
+    # kept nodes in edge order.
     arrows = []
-    for e in hasse_edges:
-        if e.source not in index or e.target not in index:
-            continue
-        s, t = index[e.source], index[e.target]
-        if nodes[s].weight == nodes[t].weight:
-            kind, order = IDENTITY, None
-        else:
-            suppressed = _suppressed(k, nodes[s].placement, nodes[t].placement)
-            kind = SUPPRESSED if suppressed else STANDARD
-            if e.root not in grade:
-                grade[e.root] = parabolic_mod.root_grade(e.root, p)
-            order = weyl.pairing(nodes[s].weight, e.root) * grade[e.root]
-        arrows.append(OrbitArrow(s, t, kind, e.root, order))
+    for s, old in enumerate(keep):
+        source = nodes[s]
+        for target, root, grade in hd.out[old]:
+            t = index.get(target)
+            if t is None:
+                continue
+            if source.weight == nodes[t].weight:
+                kind, order = IDENTITY, None
+            else:
+                suppressed = _suppressed(k, source.placement, nodes[t].placement)
+                kind = SUPPRESSED if suppressed else STANDARD
+                order = weyl.pairing(source.weight, root) * grade
+            arrows.append(OrbitArrow(s, t, kind, root, order))
 
     by_weight: dict[Weight, list[int]] = {}
     for i, nd in enumerate(nodes):

@@ -16,6 +16,11 @@ is its weight mu:
 - an arrow w -> s_alpha w can only come from a nilradical root alpha
   (a Levi-root reflection leads out of W^p), so the edges are found by
   reflecting each mu in the nilradical roots and looking the image up.
+
+Nodes and edges are immutable records (NamedTuples).  E, and so every
+conformal weight, is integral unless node n is crossed; fractions (and
+the decimal module it loads) is imported only where a Fraction is built
+or met.
 """
 
 from __future__ import annotations
@@ -23,13 +28,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from bgg import weyl
 from bgg.weyl import Root, Weight
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,12 @@ def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     Entries are integers unless node n is crossed (then they are
     half-integers, returned as Fractions).  Computed once per parabolic.
     """
-    return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in _twice_grading(p))
+    twice = _twice_grading(p)
+    if p.n not in p.crossed:
+        return tuple(x // 2 for x in twice)
+    from fractions import Fraction
+
+    return tuple(Fraction(x, 2) for x in twice)
 
 
 @functools.lru_cache(maxsize=256)
@@ -85,10 +97,21 @@ def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
     nonzero entries of E only."""
     if len(weight) != p.n:
         raise ValueError("rank mismatch")
-    total = sum(weight[i] * e for i, e in _grading_support(p))
-    if type(total) is Fraction and total.denominator == 1:
-        return int(total)
-    return total
+    total = 0
+    for i, e in _grading_support(p):
+        total += weight[i] * e
+    return _whole(total)
+
+
+def _whole(x: Scalar) -> Scalar:
+    """x as an int if it is a Fraction with denominator 1, else x."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction  # loaded already if x is a Fraction
+
+    if type(x) is Fraction and x.denominator == 1:
+        return int(x)
+    return x
 
 
 def root_grade(root: Root, p: Parabolic) -> int:
@@ -112,18 +135,14 @@ def nilradical_roots(p: Parabolic) -> list[Root]:
 def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic) -> Scalar:
     """Conformal-weight drop along an arrow; an upper bound for the order
     of the corresponding invariant operator."""
-    drop = conformal_weight(source, p) - conformal_weight(target, p)
-    if type(drop) is Fraction and drop.denominator == 1:
-        return int(drop)
-    return drop
+    return _whole(conformal_weight(source, p) - conformal_weight(target, p))
 
 
 # ---------------------------------------------------------------------------
 # Hasse diagram
 
 
-@dataclass(frozen=True)
-class HasseNode:
+class HasseNode(NamedTuple):
     """The element w of W^p, named by its weight mu = w(rho)."""
 
     weight: Weight
@@ -136,8 +155,10 @@ class HasseNode:
         return weyl.act_from_image(self.weight, range(1, len(self.weight) + 1))
 
 
-@dataclass(frozen=True)
-class HasseEdge:
+class HasseEdge(NamedTuple):
+    """An arrow source -> target of W^p, by the nilradical root alpha with
+    s_alpha(mu_source) = mu_target, and its conformal order bound."""
+
     source: int
     target: int
     root: Root

@@ -7,7 +7,11 @@ dotted \\skipped segment between its visible endpoints.  Crosses mark
 the regular placements that carry no node of a singular orbit.
 
 JSON output is schema-stable and holds the whole diagram, so
-from_json(to_json(d)) == d.
+from_json(to_json(d)) == d.  to_json writes the text straight from the
+diagram's immutable node and arrow records (NamedTuples), formatting
+each distinct arrow tail (kind, root, order) once per call; from_json
+builds those records directly from the parsed JSON, with one Root per
+distinct root.  Nothing is memoised across calls.
 """
 
 from __future__ import annotations
@@ -164,9 +168,10 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     coincidences}.  The compact text (indent None) is written straight
     from the diagram's fields: int lists as their repr, every other
     scalar through json.dumps, once per distinct value, so strings are
-    escaped as json escapes them (ensure_ascii).  With an indent, json
-    re-indents the compact text, so both forms equal json.dumps of the
-    schema's payload byte for byte.
+    escaped as json escapes them (ensure_ascii).  Each arrow's text after
+    its target is formatted once per distinct (kind, root, order).  With
+    an indent, json re-indents the compact text, so both forms equal
+    json.dumps of the schema's payload byte for byte.
     """
     import json
 
@@ -185,14 +190,24 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
         return f'{{"kind": {val(r.kind)}, "i": {val(r.i)}, "j": {val(r.j)}}}'
 
     nodes = ", ".join(
-        f'{{"placement": {list(nd.placement)}, "weight": {list(nd.weight)}}}'
-        for nd in diagram.nodes
+        [
+            '{"placement": %s, "weight": %s}' % (list(placement), list(weight))
+            for placement, weight in diagram.nodes
+        ]
     )
-    arrows = ", ".join(
-        f'{{"source": {a.source}, "target": {a.target}, "kind": {val(a.kind)}, '
-        f'"root": {root(a.root)}, "order": {val(a.order)}}}'
-        for a in diagram.arrows
-    )
+    # a root is keyed by identity: a diagram's arrows share their Root
+    # objects, and equal roots may differ in field types (True == 1)
+    tails: dict = {}
+    parts = []
+    for source, target, kind, r, order in diagram.arrows:
+        key = (type(kind), kind, id(r), type(order), order)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f'"kind": {val(kind)}, "root": {root(r)}, "order": {val(order)}}}'
+            )
+        parts.append('{"source": %s, "target": %s, %s' % (source, target, tail))
+    arrows = ", ".join(parts)
     coincidences = ", ".join(str(list(c)) for c in diagram.coincidences)
     text = (
         f'{{"kind": {val(diagram.kind)}, "n": {val(diagram.n)}, "k": {val(diagram.k)}, '
@@ -212,17 +227,16 @@ def from_json(text: str) -> OrbitDiagram:
         OrbitNode(tuple(nd["placement"]), tuple(nd["weight"]))
         for nd in data["nodes"]
     ]
-    # each distinct root is built once, found by kind, i and j in turn
-    roots: dict[str, dict[int, dict[int, Root]]] = {}
+    # each distinct root is built once and shared by its arrows
+    roots: dict[tuple, Root] = {}
     arrows = []
     for a in data["arrows"]:
         r = a["root"]
         if r:
-            kind, i, j = r["kind"], r["i"], r["j"]
-            try:
-                r = roots[kind][i][j]
-            except KeyError:
-                r = roots.setdefault(kind, {}).setdefault(i, {}).setdefault(j, Root(kind, i, j))
+            key = (r["kind"], r["i"], r["j"])
+            r = roots.get(key)
+            if r is None:
+                r = roots[key] = Root(*key)
         else:
             r = None
         arrows.append(OrbitArrow(a["source"], a["target"], a["kind"], r, a["order"]))

@@ -111,7 +111,7 @@ def act_from_image(mu: Sequence[int], weight: Sequence[int]) -> Weight:
     n = len(mu)
     if len(weight) != n:
         raise ValueError("rank mismatch between mu and weight")
-    return tuple(weight[n - x] if x > 0 else -weight[n + x] for x in mu)
+    return tuple([weight[n - x] if x > 0 else -weight[n + x] for x in mu])
 
 
 def inversion_length(mu: Sequence[int]) -> int:

@@ -1,0 +1,109 @@
+"""The singular orbit diagrams as `bgg.orbits` used to build them.
+
+Test-only reference, two ways:
+
+- `singular_orbit` applies the placement rule to every node of the
+  crossed-{2} Hasse diagram and filters every edge, grading each arrow's
+  root with `parabolic.root_grade`;
+- `full_scan_orbit` needs no placement rule: it builds w(base) of every
+  node (`weyl.act_from_image`), keeps the strictly Levi-dominant ones
+  (`weyl_oracle.is_dominant`), and takes each arrow's order as the
+  conformal-weight drop (`parabolic.order_bound`).
+
+`orbits.singular_orbit` visits only the per-rank buckets of the
+collision set and their out-edges, and is checked against both.  Each
+rank's Hasse diagram is built here, apart from the one `orbits` keeps.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from typing import Optional
+
+import weyl_oracle
+from bgg import orbits, parabolic, weyl
+from bgg.orbits import IDENTITY, STANDARD, SUPPRESSED, OrbitArrow, OrbitDiagram, OrbitNode
+from bgg.weyl import Weight
+
+
+@functools.lru_cache(maxsize=None)
+def _hasse(n: int) -> parabolic.HasseDiagram:
+    return parabolic.hasse_diagram(parabolic.parabolic(n, (2,)))
+
+
+def _base(n: int, k: int, base: Optional[Weight]) -> Weight:
+    return orbits.lambda_k(n, k) if base is None else tuple(base)
+
+
+def _diagram(n, k, nodes, arrows, coincidences) -> OrbitDiagram:
+    return OrbitDiagram(
+        "singular-orbit", n, k, nodes, arrows, coincidences, conjectural=(k == 0)
+    )
+
+
+def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
+    """The placement rule over every Hasse node and edge."""
+    base = _base(n, k, base)
+    p = parabolic.parabolic(n, (2,))
+    hd = _hasse(n)
+    collide = orbits._collision_set(base)
+    keep = []
+    for i, nd in enumerate(hd.nodes):
+        m1, m2 = nd.weight[0], nd.weight[1]
+        if abs(m1) not in collide and abs(m2) not in collide:
+            continue
+        x1 = base[n - m1] if m1 > 0 else -base[n + m1]
+        x2 = base[n - m2] if m2 > 0 else -base[n + m2]
+        if x1 > x2:
+            keep.append((i, weyl.act_from_image(nd.weight, base)))
+    index = {old: new for new, (old, _) in enumerate(keep)}
+    nodes = [OrbitNode(hd.nodes[old].weight[:2], image) for old, image in keep]
+
+    arrows = []
+    for e in hd.edges:
+        if e.source not in index or e.target not in index:
+            continue
+        s, t = index[e.source], index[e.target]
+        if nodes[s].weight == nodes[t].weight:
+            kind, order = IDENTITY, None
+        else:
+            suppressed = orbits._suppressed(k, nodes[s].placement, nodes[t].placement)
+            kind = SUPPRESSED if suppressed else STANDARD
+            order = weyl.pairing(nodes[s].weight, e.root) * parabolic.root_grade(e.root, p)
+        arrows.append(OrbitArrow(s, t, kind, e.root, order))
+
+    by_weight: dict[Weight, list[int]] = {}
+    for i, nd in enumerate(nodes):
+        by_weight.setdefault(nd.weight, []).append(i)
+    coincidences = sorted(tuple(ix) for ix in by_weight.values() if len(ix) == 2)
+    return _diagram(n, k, nodes, arrows, coincidences)
+
+
+def full_scan_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
+    """w(base) of every Hasse node tested for strict Levi dominance."""
+    base = _base(n, k, base)
+    p = parabolic.parabolic(n, (2,))
+    hd = _hasse(n)
+    keep, nodes = {}, []
+    for i, nd in enumerate(hd.nodes):
+        image = weyl.act_from_image(nd.weight, base)
+        if weyl_oracle.is_dominant(image, (2,)):
+            keep[i] = len(nodes)
+            nodes.append(OrbitNode(nd.weight[:2], image))
+    arrows = []
+    for e in hd.edges:
+        if e.source in keep and e.target in keep:
+            (ps, ws), (pt, wt) = nodes[keep[e.source]], nodes[keep[e.target]]
+            if ws == wt:
+                kind, order = IDENTITY, None
+            else:
+                kind = SUPPRESSED if orbits._suppressed(k, ps, pt) else STANDARD
+                order = parabolic.order_bound(ws, wt, p)
+            arrows.append(OrbitArrow(keep[e.source], keep[e.target], kind, e.root, order))
+    coincidences = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(nodes)), 2)
+        if nodes[i].weight == nodes[j].weight
+    ]
+    return _diagram(n, k, nodes, arrows, coincidences)

@@ -368,7 +368,7 @@ import contextlib, io, sys
 import bgg.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = bgg.cli.main(sys.argv[1:])
-print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m == "json"))
+print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m in ("json", "fractions")))
 """
 _ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render")
 _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
@@ -385,17 +385,18 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
         ("penrose-e1 --n 4 --k 2 --page 2", _PENROSE_LAYERS),
         ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
-        ("geometry-check --n 3 --count 2", ("geometry",)),
+        ("geometry-check --n 3 --count 2", ("geometry", "fractions")),
         ("hasse --n 4 --format json", ("weyl", "parabolic", "json")),
         ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("json",)),
     ],
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
     """A fresh `bgg` process imports only the layers its subcommand runs,
-    and `json` only if it prints JSON."""
+    `json` only if it prints JSON, and `fractions` only if it computes
+    with Fractions (geometry does; no E here is half-integral)."""
     rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()
     assert rc == "0"
-    expected = [m if m == "json" else f"bgg.{m}" for m in ("cli",) + layers]
+    expected = [m if m in ("json", "fractions") else f"bgg.{m}" for m in ("cli",) + layers]
     assert sorted(loaded) == sorted(expected)
 
 

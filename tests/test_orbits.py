@@ -1,10 +1,10 @@
 """Orbit diagrams, singular weight families and frozen figure fixtures."""
 
 import copy
-import itertools
 
 import pytest
 
+import orbits_oracle
 import weyl_oracle as oracle
 from bgg import orbits, parabolic, weyl
 from bgg.weyl import Root
@@ -204,51 +204,65 @@ def test_arrow_orders_match_order_bound():
     assert checked == 2104  # 2072 of them at n = 3..10
 
 
-def _full_scan_orbit(n, k, base):
-    """The orbit diagram as nodes, arrows and coincidences, by the full
-    scan the placement rule replaces: w(base) of every crossed-{2} node
-    (weyl.act_from_image) tested for strict Levi dominance, arrow orders
-    as conformal-weight drops (parabolic.order_bound)."""
-    p = parabolic.parabolic(n, (2,))
-    hd = parabolic.hasse_diagram(p)
-    keep, nodes = {}, []
-    for i, nd in enumerate(hd.nodes):
-        image = weyl.act_from_image(nd.weight, base)
-        if oracle.is_dominant(image, (2,)):
-            keep[i] = len(nodes)
-            nodes.append((nd.weight[:2], image))
-    arrows = []
-    for e in hd.edges:
-        if e.source in keep and e.target in keep:
-            (ps, ws), (pt, wt) = nodes[keep[e.source]], nodes[keep[e.target]]
-            if ws == wt:
-                kind, order = orbits.IDENTITY, None
-            else:
-                kind = orbits.SUPPRESSED if orbits._suppressed(k, ps, pt) else orbits.STANDARD
-                order = parabolic.order_bound(ws, wt, p)
-            arrows.append((keep[e.source], keep[e.target], kind, e.root, order))
-    coincidences = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(nodes)), 2)
-        if nodes[i][1] == nodes[j][1]
-    ]
-    return nodes, arrows, coincidences
+def _assert_same_diagram(got, want, label):
+    """Equal diagrams with the same record types: a NamedTuple equals a
+    plain tuple of its values, so == alone does not check the types."""
+    assert got == want, label
+    for d in (got, want):
+        assert type(d) is orbits.OrbitDiagram, label
+        assert all(type(nd) is orbits.OrbitNode for nd in d.nodes), label
+        assert all(type(a) is orbits.OrbitArrow for a in d.arrows), label
+        assert all(type(c) is tuple for c in d.coincidences), label
 
 
 def test_placement_rule_matches_full_scan():
-    """Oracle: the nodes kept by the placement rule, and the arrows and
-    coincidences built on them, equal those of the full scan, for
-    n = 2..12, every k and two scaled bases."""
-    cases = [(n, k, orbits.lambda_k(n, k)) for n in range(2, 13) for k in range(n)]
+    """Oracle: the diagram built from the per-rank buckets and out-edges
+    equals the one from the placement rule over every Hasse node and
+    edge, and the one from the full scan (w(base) of every node tested
+    for Levi dominance), for n = 2..14, every k and two scaled bases."""
+    cases = [(n, k, None) for n in range(2, 15) for k in range(n)]
     cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
     for n, k, base in cases:
         d = orbits.singular_orbit(n, k, base)
-        nodes, arrows, coincidences = _full_scan_orbit(n, k, base)
-        assert [(nd.placement, nd.weight) for nd in d.nodes] == nodes, (n, k, base)
-        got = [(a.source, a.target, a.kind, a.root, a.order) for a in d.arrows]
-        assert got == arrows, (n, k, base)
-        assert d.coincidences == coincidences, (n, k, base)
-        assert len(nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
+        _assert_same_diagram(d, orbits_oracle.singular_orbit(n, k, base), (n, k, base))
+        _assert_same_diagram(d, orbits_oracle.full_scan_orbit(n, k, base), (n, k, base))
+        assert len(d.nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, base",
+    [
+        (5, 1, (5, 3, 3)),  # short bases once raised IndexError
+        (3, 0, (1, 0)),
+        (2, 1, (5, 3, 3)),  # long ones a rank mismatch or a wrong pattern
+        (3, 1, (5, 3, 3, 1)),
+    ],
+)
+def test_base_of_the_wrong_length(n, k, base):
+    with pytest.raises(ValueError, match="^base must have length n$"):
+        orbits.singular_orbit(n, k, base)
+
+
+def test_crossed2_index_matches_hasse_diagram():
+    """The per-rank buckets hold exactly the nodes with |mu_1| or |mu_2|
+    equal to r, and the out-edges are the Hasse edges from each node,
+    in edge order, with the grade of their root."""
+    for n in range(2, 9):
+        p = parabolic.parabolic(n, (2,))
+        hd = parabolic.hasse_diagram(p)
+        memo = orbits._crossed2(n)
+        assert memo.nodes == tuple(hd.nodes) and memo.edges == tuple(hd.edges)
+        assert len(memo.by_abs) == n + 1
+        for r in range(n + 1):
+            want = [i for i, (mu, _) in enumerate(hd.nodes) if r in (abs(mu[0]), abs(mu[1]))]
+            assert list(memo.by_abs[r]) == want, (n, r)
+        for i in range(len(hd.nodes)):
+            want = [
+                (e.target, e.root, parabolic.root_grade(e.root, p))
+                for e in hd.edges
+                if e.source == i
+            ]
+            assert list(memo.out[i]) == want, (n, i)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -374,8 +388,45 @@ def test_callers_cannot_corrupt_the_memo(build):
     returned must not change what the next call returns."""
     orbits._crossed2.cache_clear()
     fresh = copy.deepcopy(build())
+    memo = copy.deepcopy(orbits._crossed2(5))
     d = build()
     d.nodes.reverse()
     d.arrows.clear()
     again = build()
     assert again == fresh
+    assert orbits._crossed2(5) == memo
+    _assert_immutable(orbits._crossed2(5))
+
+
+def _assert_immutable(x):
+    """Every container inside x is a tuple (a NamedTuple record counts)."""
+    assert not isinstance(x, (list, dict, set)), type(x)
+    if isinstance(x, tuple):
+        for item in x:
+            _assert_immutable(item)
+
+
+def test_records_are_immutable():
+    """Nodes, arrows and the memo's Hasse records refuse assignment, and
+    keep their field order, defaults and repr."""
+    d = orbits.singular_orbit(5, 2)
+    memo = orbits._crossed2(5)
+    for record, field in [
+        (d.nodes[0], "weight"),
+        (d.arrows[0], "order"),
+        (memo.nodes[0], "length"),
+        (memo.edges[0], "root"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert orbits.OrbitNode._fields == ("placement", "weight")
+    assert orbits.OrbitArrow._fields == ("source", "target", "kind", "root", "order")
+    assert parabolic.HasseNode._fields == ("weight", "length")
+    assert parabolic.HasseEdge._fields == ("source", "target", "root", "order")
+    assert repr(orbits.OrbitArrow(0, 1, orbits.IDENTITY)) == (
+        "OrbitArrow(source=0, target=1, kind='identity', root=None, order=None)"
+    )
+    assert repr(orbits.OrbitNode((2, 1), (2, 1, 1))) == (
+        "OrbitNode(placement=(2, 1), weight=(2, 1, 1))"
+    )
+    assert memo.nodes[0].window == weyl.act_from_image(memo.nodes[0].weight, range(1, 6))

@@ -211,6 +211,37 @@ def test_to_json_escapes_like_json_dumps():
     assert render.from_json(render.to_json(d, 2)) == d
 
 
+def test_to_json_tails_keep_equal_values_of_other_types_apart():
+    """Arrow tails are memoised per call; values that compare equal but
+    json writes apart (1, True, 1.0, and roots holding them) each keep
+    their own text."""
+    roots = [Root("a", 1, 2), Root("a", True, 2), Root("a", 1, 2)]
+    assert roots[0] == roots[1]
+    arrows = [
+        OrbitArrow(0, 1, orbits.STANDARD, root, order)
+        for root in roots
+        for order in (1, True, 1.0, None)
+    ]
+    d = OrbitDiagram("singular-orbit", 2, 1, [OrbitNode((2, 1), (1, 1))] * 2, arrows, [(0, 1)])
+    for indent in (None, 2):
+        assert _same_json(d, indent)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_from_json_builds_records(n):
+    """from_json reads back OrbitNode and OrbitArrow records: a NamedTuple
+    equals a plain tuple of its values, so == alone cannot show this."""
+    for d in [*_diagrams(n), _odd_diagram()]:
+        back = render.from_json(render.to_json(d))
+        assert back == d
+        assert all(type(nd) is OrbitNode for nd in back.nodes)
+        assert all(type(a) is OrbitArrow for a in back.arrows)
+        assert all(type(a.root) is Root for a in back.arrows if a.root is not None)
+        assert all(type(c) is tuple for c in back.coincidences)
+        with pytest.raises(AttributeError):
+            back.arrows[0].kind = orbits.IDENTITY
+
+
 def test_from_json_builds_each_root_once(monkeypatch):
     d = orbits.regular_orbit_projection(6)
     built = []
