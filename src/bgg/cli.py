@@ -61,24 +61,7 @@ def _cmd_hasse(args) -> int:
             "use regular-orbit / singular-orbit / render"
         )
     hd = parabolic.hasse_diagram(parabolic.parabolic(args.n, args.crossed))
-    if args.format == "json":
-        return _emit_json(hd.to_dict())
-    p = hd.parabolic
-    lines = [
-        f"Hasse diagram: n={p.n} crossed={tuple(p.crossed)} "
-        f"nodes={hd.node_count()} edges={len(hd.edges)}"
-    ]
-    for i, nd in enumerate(hd.nodes):
-        lines.append(
-            f"  {i:3d}: weight={_wfmt(nd.weight)} length={nd.length} "
-            f"window={_wfmt(nd.window)}"
-        )
-    lines.append("edges:")
-    for e in hd.edges:
-        lines.append(
-            f"  {e.source:3d} -> {e.target:3d}  root={e.root.label()} order={e.order}"
-        )
-    _emit("\n".join(lines))
+    _emit(hd.to_json() if args.format == "json" else hd.to_text())
     return 0
 
 

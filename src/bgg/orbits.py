@@ -111,6 +111,13 @@ def placement_to_weight(x: Sequence[int], k: int) -> Weight:
 def regular_placements(n: int) -> list[tuple[int, int]]:
     """All 2n(n-1) placements (m1, m2): m1 > m2, m1 != -m2, distinct
     absolute values in 1..n."""
+    return list(_placements(n))
+
+
+@functools.lru_cache(maxsize=8)
+def _placements(n: int) -> tuple[tuple[int, int], ...]:
+    """The regular placements of rank n as a tuple, built once per n (for
+    the 8 ranks used last), so no caller can change it."""
     pts = []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -120,7 +127,7 @@ def regular_placements(n: int) -> list[tuple[int, int]]:
                 pts.append((a, -b))
             if a < b:
                 pts.append((-a, -b))
-    return pts
+    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,7 @@ class OrbitDiagram:
     def cross_placements(self) -> list[tuple[int, int]]:
         """Regular placements that carry no node (drawn as crosses)."""
         have = set(self.placements())
-        return [p for p in regular_placements(self.n) if p not in have]
+        return [p for p in _placements(self.n) if p not in have]
 
 
 class _Crossed2(NamedTuple):

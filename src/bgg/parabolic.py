@@ -12,22 +12,29 @@ is its weight mu:
 - nodes are enumerated directly from the admissible images of rho,
   group by group between the bars;
 - the length of a node is the inversion count of mu, the number of
-  positive roots alpha with <mu, alpha^vee> < 0;
+  positive roots alpha with <mu, alpha^vee> < 0, counted by bisection
+  in O(n log n); nodes are sorted by (length, perm, signs) of w;
 - an arrow w -> s_alpha w can only come from a nilradical root alpha
-  (a Levi-root reflection leads out of W^p), so the edges are found by
-  reflecting each mu in the nilradical roots and looking the image up.
+  (a Levi-root reflection leads out of W^p) with <mu, alpha^vee> > 0.
+  Each group of mu descends, so s_alpha mu stays Levi-dominant for at
+  most one j per group for a_ij and for c_ij, found by bisection; cover
+  tests on mu drop most of the other pairs, and only the pairs left are
+  reflected and looked up (see `hasse_diagram`).
 
-Nodes and edges are immutable records (NamedTuples).  E, and so every
-conformal weight, is integral unless node n is crossed; fractions (and
-the decimal module it loads) is imported only where a Fraction is built
-or met.
+Nodes and edges are immutable records (NamedTuples); `to_text` and
+`to_json` write a diagram's listing and its JSON straight from them,
+without the json module.  E, and so every conformal weight, is integral
+unless node n is crossed; fractions (and the decimal module it loads)
+is imported only where a Fraction is built or met.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import neg
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from bgg import weyl
@@ -178,19 +185,70 @@ class HasseDiagram:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.parabolic.n,
-            "crossed": list(self.parabolic.crossed),
-            "nodes": [
-                {"weight": list(nd.weight), "length": nd.length, "window": list(nd.window)}
-                for nd in self.nodes
-            ],
-            "edges": [
-                {"source": e.source, "target": e.target, "root": e.root.label(), "order": e.order}
-                for e in self.edges
-            ],
-        }
+    def _rows(self):
+        """(weight, length, window) per node and (source, target, root
+        label, order) per edge, each label made once."""
+        nodes = [(nd.weight, nd.length, nd.window) for nd in self.nodes]
+        labels: dict = {}
+        edges = []
+        for source, target, root, order in self.edges:
+            label = labels.get(root)
+            if label is None:
+                label = labels[root] = root.label()
+            edges.append((source, target, label, order))
+        return nodes, edges
+
+    def to_text(self) -> str:
+        """The `bgg hasse` listing, followed by a newline: a header, a line
+        per node with its index, weight, length and window, then a line
+        per edge.  Weights and windows are int tuples of length n >= 2,
+        so they print as (a, b, ...)."""
+        p = self.parabolic
+        nodes, edges = self._rows()
+        lines = [
+            f"Hasse diagram: n={p.n} crossed={tuple(p.crossed)} "
+            f"nodes={len(nodes)} edges={len(edges)}"
+        ]
+        lines += [
+            "  %3d: weight=%s length=%s window=%s" % (i, mu, length, window)
+            for i, (mu, length, window) in enumerate(nodes)
+        ]
+        lines.append("edges:")
+        lines += ["  %3d -> %3d  root=%s order=%s" % edge for edge in edges]
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """The diagram as JSON, followed by a newline: the text of
+        json.dumps({n, crossed, nodes: [{weight, length, window}], edges:
+        [{source, target, root, order}]}, indent=1), with each root as its
+        label, written straight from the records.  Every value is an int
+        or a root label, which needs no escaping, and weights are never
+        empty."""
+        p = self.parabolic
+        nodes, edges = self._rows()
+        ints = ",\n    ".join
+        node_items = [
+            '{\n   "weight": [\n    %s\n   ],\n   "length": %s,\n   "window": [\n    %s\n   ]\n  }'
+            % (ints(map(str, mu)), length, ints(map(str, window)))
+            for mu, length, window in nodes
+        ]
+        edge_items = [
+            '{\n   "source": %s,\n   "target": %s,\n   "root": "%s",\n   "order": %s\n  }'
+            % edge
+            for edge in edges
+        ]
+        return '{\n "n": %s,\n "crossed": %s,\n "nodes": %s,\n "edges": %s\n}\n' % (
+            p.n,
+            _json_list(list(map(str, p.crossed))),
+            _json_list(node_items),
+            _json_list(edge_items),
+        )
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of JSON values written out, as a value of a top-level key
+    of json.dumps(..., indent=1)."""
+    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
 
 
 def _ldominant_rho_images(p: Parabolic):
@@ -199,29 +257,36 @@ def _ldominant_rho_images(p: Parabolic):
     Values are chosen group by group: each barred group takes any signed
     subset of the remaining absolute values (arranged descending), and
     the open group after the last bar is forced to the remaining values
-    sorted descending.
+    sorted descending.  The arrangements of a subset are made once per
+    call.
     """
     n = p.n
     groups = weyl._groups(n, p.crossed)
     trailing = p.crossed[-1] == n
-    barred = groups if trailing else groups[:-1]
+    sizes = [t - s for s, t in (groups if trailing else groups[:-1])]
+    runs: dict[tuple[int, ...], list[Weight]] = {}
+
+    def arranged(subset):
+        if subset not in runs:
+            runs[subset] = [
+                tuple(sorted((s * v for s, v in zip(signs, subset)), reverse=True))
+                for signs in itertools.product((1, -1), repeat=len(subset))
+            ]
+        return runs[subset]
 
     def rec(gi, available, prefix):
-        if gi == len(barred):
-            if trailing:
-                yield tuple(prefix)
+        last = gi + 1 == len(sizes)
+        for subset in itertools.combinations(available, sizes[gi]):
+            rest = tuple([v for v in available if v not in subset])
+            if last:
+                tail = () if trailing else rest[::-1]
+                for seg in arranged(subset):
+                    yield prefix + seg + tail
             else:
-                yield tuple(prefix + sorted(available, reverse=True))
-            return
-        start, stop = barred[gi]
-        size = stop - start
-        for subset in itertools.combinations(sorted(available), size):
-            rest = available - set(subset)
-            for signs in itertools.product((1, -1), repeat=size):
-                seg = sorted((s * v for s, v in zip(signs, subset)), reverse=True)
-                yield from rec(gi + 1, rest, prefix + seg)
+                for seg in arranged(subset):
+                    yield from rec(gi + 1, rest, prefix + seg)
 
-    yield from rec(0, set(range(1, n + 1)), [])
+    yield from rec(0, tuple(range(1, n + 1)), ())
 
 
 def _sort_key(mu: Weight) -> tuple:
@@ -231,7 +296,56 @@ def _sort_key(mu: Weight) -> tuple:
     perm = [0] * n
     for i, x in enumerate(mu, start=1):
         perm[n - abs(x)] = i
-    return weyl.inversion_length(mu), tuple(perm), tuple(1 if x > 0 else -1 for x in mu)
+    return weyl.inversion_length(mu), tuple(perm), tuple([1 if x > 0 else -1 for x in mu])
+
+
+def _probes(p: Parabolic) -> tuple[list, list]:
+    """The nilradical roots of p, arranged for the edge search.
+
+    A weight is padded with a sentinel at index n, below every entry.
+    The right neighbour of a position is the next one of its Levi group,
+    else index n.  Returns
+
+    - slots (i, right of i, start, stop, mid, a-roots, a-grade, c-roots,
+      c-grade, open): one for each position i and each later group
+      [start, stop), and one for the rest of i's own group unless that
+      is open (c-roots only).  a_ij and c_ij keep Levi dominance there
+      for one j each at most.  The roots are listed by j - start, and
+      mid holds the positions of the groups strictly between;
+    - b-probes (i, right of i, root, grade).
+
+    Grades are read off 2E, which is constant on each group.
+    """
+    n = p.n
+    groups = weyl._groups(n, p.crossed)
+    twice = _twice_grading(p)
+    opened = p.crossed[-1] != n
+    right = [n] * n
+    for s, t in groups:
+        right[s : t - 1] = range(s + 1, t)
+
+    def roots(kind, i, s, t):
+        return tuple(Root(kind, i + 1, j + 1) for j in range(s, t))
+
+    slots, b = [], []
+    for own, (start, end) in enumerate(groups):
+        for i in range(start, end):
+            if not twice[i]:  # the open group: b_i, c_ij are Levi roots
+                continue
+            b.append((i, right[i], Root("b", i + 1), twice[i]))
+            if i + 1 < end:
+                c_roots = roots("c", i, i + 1, end)
+                slots.append((i, right[i], i + 1, end, None, (), 0, c_roots, twice[i], False))
+        for g in range(own + 1, len(groups)):
+            s, t = groups[g]
+            for i in range(start, end):
+                slots.append((
+                    i, right[i], s, t, range(end, s),
+                    roots("a", i, s, t), (twice[i] - twice[s]) // 2,
+                    roots("c", i, s, t), (twice[i] + twice[s]) // 2,
+                    opened and g == len(groups) - 1,
+                ))
+    return slots, b
 
 
 def hasse_diagram(p: Parabolic) -> HasseDiagram:
@@ -243,6 +357,17 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
     length one more; edges are listed by (source, target) and carry the
     root and the conformal order bound.  Every call returns a fresh
     diagram.  Singular weights are handled by the orbits module.
+
+    A (node, root) pair is reflected and looked up only if
+
+    - <mu, alpha^vee> > 0 (else s_alpha mu is shorter);
+    - s_alpha mu keeps Levi dominance at the two positions it changes
+      (else it is no node).  Each group of mu descends, so this leaves
+      at most one j per group for a_ij and for c_ij, found by bisection;
+    - no cover test fails, each of which makes s_alpha mu at least three
+      longer: for a_ij a value between mu_j and mu_i sits between
+      positions i and j; for b_i some |mu_p| < mu_i lies right of i; for
+      c_ij mu_i and mu_j are both positive.
     """
     n = p.n
     nodes = [
@@ -250,24 +375,53 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
         for key, mu in sorted((_sort_key(mu), mu) for mu in _ldominant_rho_images(p))
     ]
     index = {nd.weight: i for i, nd in enumerate(nodes)}
+    slots, b_probes = _probes(p)
+    pad = (-n - 1,)
 
-    # the conformal drop along s_alpha is <weight, alpha^vee> * alpha(E);
-    # the nilradical roots are those of positive grade, graded once here
-    grades = {}
-    for r in weyl.positive_roots(n):
-        grade = root_grade(r, p)
-        if grade > 0:
-            grades[r] = grade
     edges = []
-    for i, nd in enumerate(nodes):
+    for source, (mu, length) in enumerate(nodes):
+        ext = mu + pad
+        found = []  # (reflected weight, root, <mu, alpha^vee> * alpha(E))
+        for i, ri, s, t, mid, a_roots, a_grade, c_roots, c_grade, opened in slots:
+            x = mu[i]
+            # a_ij: j is the first position of the range with mu_j < x
+            if a_roots:
+                j = bisect_left(mu, -x, s, t, key=neg)
+                if j < t:
+                    y = mu[j]
+                    if y > ext[ri] and not (mid and any(y < mu[k] < x for k in mid)):
+                        v = list(mu)
+                        v[i], v[j] = y, x
+                        found.append((v, a_roots[j - s], (x - y) * a_grade))
+            # c_ij: j is the last position of the range with mu_j > -x, and
+            # exactly one of mu_i, mu_j is negative; -x moves into the
+            # range, so it must be positive if the range is an open group
+            if x > 0 and opened:
+                continue
+            j = bisect_left(mu, x, s, t, key=neg) - 1
+            if j >= s:
+                y = mu[j]
+                if -y > ext[ri] and (x < 0 or y < 0):
+                    v = list(mu)
+                    v[i], v[j] = -y, -x
+                    found.append((v, c_roots[j - s], (x + y) * c_grade))
+        # b_i: the x - 1 values |mu_p| < x must all lie left of i
+        for i, ri, root, grade in b_probes:
+            x = mu[i]
+            if 0 < x <= i + 1 and -x > ext[ri]:
+                if sum(1 for w in mu[:i] if -x < w < x) < x - 1:
+                    continue
+                v = list(mu)
+                v[i] = -x
+                found.append((v, root, x * grade))
         targets = []
-        for root in grades:
-            j = index.get(weyl.reflect(nd.weight, root))
-            if j is not None and nodes[j].length == nd.length + 1:
-                targets.append((j, root))
-        for j, root in sorted(targets):
-            order = weyl.pairing(nd.weight, root) * grades[root]
-            if order < 1:
-                raise AssertionError(f"conformal drop {order} < 1 on a Hasse edge")
-            edges.append(HasseEdge(i, j, root, order))
+        for v, root, order in found:
+            target = index.get(tuple(v))
+            if target is not None and nodes[target].length == length + 1:
+                if order < 1:
+                    raise AssertionError(f"conformal drop {order} < 1 on a Hasse edge")
+                targets.append((target, root, order))
+        targets.sort()
+        for target, root, order in targets:
+            edges.append(HasseEdge(source, target, root, order))
     return HasseDiagram(p, weyl.rho(n), nodes, edges)

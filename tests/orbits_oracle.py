@@ -12,7 +12,8 @@ Test-only reference, two ways:
 
 `orbits.singular_orbit` visits only the per-rank buckets of the
 collision set and their out-edges, and is checked against both.  Each
-rank's Hasse diagram is built here, apart from the one `orbits` keeps.
+rank's Hasse diagram is built here by the all-pairs search of
+`parabolic_oracle`, apart from the one `orbits` keeps.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import itertools
 from typing import Optional
 
+import parabolic_oracle
 import weyl_oracle
 from bgg import orbits, parabolic, weyl
 from bgg.orbits import IDENTITY, STANDARD, SUPPRESSED, OrbitArrow, OrbitDiagram, OrbitNode
@@ -29,7 +31,7 @@ from bgg.weyl import Weight
 
 @functools.lru_cache(maxsize=None)
 def _hasse(n: int) -> parabolic.HasseDiagram:
-    return parabolic.hasse_diagram(parabolic.parabolic(n, (2,)))
+    return parabolic_oracle.hasse_diagram(parabolic.parabolic(n, (2,)))
 
 
 def _base(n: int, k: int, base: Optional[Weight]) -> Weight:

@@ -386,14 +386,15 @@ _PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
         ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
         ("geometry-check --n 3 --count 2", ("geometry", "fractions")),
-        ("hasse --n 4 --format json", ("weyl", "parabolic", "json")),
+        ("hasse --n 4 --format json", ("weyl", "parabolic")),
         ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("json",)),
     ],
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
     """A fresh `bgg` process imports only the layers its subcommand runs,
-    `json` only if it prints JSON, and `fractions` only if it computes
-    with Fractions (geometry does; no E here is half-integral)."""
+    `json` only if it prints JSON other than a Hasse diagram's (which
+    `HasseDiagram.to_json` writes itself), and `fractions` only if it
+    computes with Fractions (geometry does; no E here is half-integral)."""
     rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()
     assert rc == "0"
     expected = [m if m in ("json", "fractions") else f"bgg.{m}" for m in ("cli",) + layers]

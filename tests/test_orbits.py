@@ -82,6 +82,28 @@ def test_regular_placements():
     assert sorted(orbits.regular_placements(2)) == [(-1, -2), (1, -2), (2, -1), (2, 1)]
 
 
+def test_callers_cannot_corrupt_the_placement_table():
+    """The placements of a rank are built once; the lists that
+    regular_placements and cross_placements return are the caller's, and
+    changing them changes neither the table nor the next answer."""
+    orbits._placements.cache_clear()
+    expected = list(orbits.regular_placements(5))
+    assert len(expected) == 2 * 5 * 4
+    d = orbits.singular_orbit(5, 2)
+    crosses = d.cross_placements()
+    assert crosses == [p for p in expected if p not in set(d.placements())]
+    assert crosses and len(crosses) + len(d.nodes) == len(expected)
+    orbits.regular_placements(5).clear()
+    got = orbits.regular_placements(5)
+    got.reverse()
+    got.append((0, 0))
+    d.cross_placements().clear()
+    assert orbits.regular_placements(5) == expected
+    assert d.cross_placements() == crosses
+    assert orbits._placements.cache_info().misses == 1
+    _assert_immutable(orbits._placements(5))
+
+
 def _visible(placement, skips):
     return all(abs(c) not in skips for c in placement)
 

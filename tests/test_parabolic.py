@@ -1,10 +1,12 @@
 """Parabolics, grading elements and Hasse diagrams."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 
+import parabolic_oracle
 import weyl_oracle as oracle
 from bgg import parabolic as pmod
 from bgg import weyl
@@ -257,3 +259,73 @@ def test_sort_key_matches_oracle(n):
             keys.append(pmod._sort_key(nd.weight))
             assert keys[-1] == (oracle.length(w), w.perm, w.signs), (n, crossed)
         assert keys == sorted(keys) and len(set(keys)) == len(keys), (n, crossed)
+
+
+# the grid on which the edge search and the writers are checked against the
+# all-pairs oracle: n = 2..9 with the crossed sets {1}, {2}, {n}, {1,3},
+# {2,n} and {1,n}, every node crossed for n <= 5, and {2} at n = 14 and 20
+ALL_PAIRS_GRID = sorted(
+    {
+        (n, crossed)
+        for n in range(2, 10)
+        for crossed in ((1,), (2,), (n,), (1, 3), (2, n), (1, n))
+        if max(crossed) <= n
+    }
+    | {(n, tuple(range(1, n + 1))) for n in range(2, 6)}
+    | {(14, (2,)), (20, (2,))}
+)
+_GRID_IDS = [f"{n}-" + ",".join(map(str, crossed)) for n, crossed in ALL_PAIRS_GRID]
+
+
+@functools.lru_cache(maxsize=None)
+def _diagram(n, crossed):
+    return pmod.hasse_diagram(pmod.parabolic(n, crossed))
+
+
+@pytest.mark.parametrize("n,crossed", ALL_PAIRS_GRID, ids=_GRID_IDS)
+def test_hasse_diagram_matches_all_pairs_oracle(n, crossed):
+    """Whole diagrams agree with the all-pairs search: node order,
+    weights, lengths, every edge with its root and order, and the types
+    of the records and of their fields."""
+    got = _diagram(n, crossed)
+    want = parabolic_oracle.hasse_diagram(pmod.parabolic(n, crossed))
+    assert got.parabolic == want.parabolic and got.base == want.base
+    assert got.nodes == want.nodes
+    assert got.edges == want.edges
+    for nd in got.nodes:
+        assert type(nd) is pmod.HasseNode and type(nd.length) is int
+        assert type(nd.weight) is tuple and all(type(x) is int for x in nd.weight)
+    for e in got.edges:
+        assert type(e) is pmod.HasseEdge and type(e.root) is Root
+        assert all(type(x) is int for x in (e.source, e.target, e.order))
+    assert type(got.nodes) is list and type(got.edges) is list
+
+
+@pytest.mark.parametrize("n,crossed", ALL_PAIRS_GRID, ids=_GRID_IDS)
+def test_writers_match_the_old_listing(n, crossed):
+    """to_text is the listing `bgg hasse` printed, and to_json is
+    json.dumps(to_dict, indent=1), byte for byte."""
+    hd = _diagram(n, crossed)
+    assert parabolic_oracle.first_difference(hd.to_text(), parabolic_oracle.text(hd)) is None
+    assert parabolic_oracle.first_difference(hd.to_json(), parabolic_oracle.json_text(hd)) is None
+
+
+def test_to_json_of_an_empty_edge_list():
+    """A diagram without edges (not one hasse_diagram makes) still writes
+    what json writes, [] included."""
+    p = pmod.parabolic(3, (2,))
+    hd = pmod.HasseDiagram(p, weyl.rho(3), _diagram(3, (2,)).nodes[:2], [])
+    assert hd.to_json() == parabolic_oracle.json_text(hd)
+    assert hd.to_text() == parabolic_oracle.text(hd)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_element_is_a_node_when_every_node_is_crossed(n):
+    """With every node crossed W^p is all of W(C_n): the diagram has one
+    node per signed permutation, with the root-counting length."""
+    hd = _diagram(n, tuple(range(1, n + 1)))
+    lengths = {nd.weight: nd.length for nd in hd.nodes}
+    elements = list(oracle.all_elements(n))
+    assert len(lengths) == len(elements) == len(hd.nodes)
+    for w in elements:
+        assert lengths[oracle.standard_action(w, weyl.rho(n))] == oracle.length(w)

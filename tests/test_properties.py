@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parabolic_oracle
 import weyl_oracle as oracle
 from bgg import geometry, orbits, parabolic, penrose, render, weyl
 
@@ -138,3 +139,22 @@ def test_orbit_json_roundtrip_is_exact(case):
         assert back == d
         assert render.to_json(back, indent=indent) == text
         assert render.to_json(d, indent=indent) == text
+
+
+@st.composite
+def parabolics(draw, max_n=5):
+    n = draw(st.integers(2, max_n))
+    crossed = draw(st.sets(st.integers(1, n), min_size=1))
+    return parabolic.parabolic(n, sorted(crossed))
+
+
+@settings(deadline=None, database=None, max_examples=25)
+@given(parabolics())
+def test_hasse_diagram_matches_the_all_pairs_oracle(p):
+    """Any crossed set: the same nodes and edges as the all-pairs search,
+    and the listings the old code printed."""
+    hd = parabolic.hasse_diagram(p)
+    want = parabolic_oracle.hasse_diagram(p)
+    assert hd.nodes == want.nodes and hd.edges == want.edges
+    assert parabolic_oracle.first_difference(hd.to_text(), parabolic_oracle.text(hd)) is None
+    assert parabolic_oracle.first_difference(hd.to_json(), parabolic_oracle.json_text(hd)) is None

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import parabolic_oracle
 import weyl_oracle as oracle
 from bgg import weyl
 from bgg.weyl import Root
@@ -141,10 +142,13 @@ def test_length_matches_bfs_word_length(n):
         assert oracle.length(w) == d
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_inversion_length_matches_length(n):
+    """The bisection count against the root count, and against the
+    all-pairs count it replaced, over all of W(C_n)."""
     for w in oracle.all_elements(n):
-        assert weyl.inversion_length(oracle.standard_action(w, weyl.rho(n))) == oracle.length(w)
+        mu = oracle.standard_action(w, weyl.rho(n))
+        assert weyl.inversion_length(mu) == oracle.length(w) == parabolic_oracle.inversion_length(mu)
 
 
 def test_reflect_matches_reflection_action():
