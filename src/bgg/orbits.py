@@ -241,7 +241,9 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     They are read off the placement rule (see the module docstring): mu
     is kept iff |mu_1| or |mu_2| lies in the collision set of base and
     w(base)_1 > w(base)_2.  Only the nodes in the collision set's buckets
-    are looked at, and w(base) is built only for the kept nodes.
+    are looked at, and w(base) is built only for the kept nodes, by
+    slicing: it is (w(base)_1, w(base)_2) followed by base without its
+    entries at positions n - |mu_1| and n - |mu_2| (counting from 0).
     Arrows are the induced Hasse arrows: identity arrows join the
     coincidence pairs, the trivially-acting families at k <= 1 are kept
     but marked suppressed, all others are standard.
@@ -263,8 +265,10 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         x1 = base[n - m1] if m1 > 0 else -base[n + m1]
         x2 = base[n - m2] if m2 > 0 else -base[n + m2]
         if x1 > x2:
+            lo, hi = sorted((n - abs(m1), n - abs(m2)))
+            image = (x1, x2) + base[:lo] + base[lo + 1 : hi] + base[hi + 1 :]
             keep.append(i)
-            nodes.append(OrbitNode(mu[:2], weyl.act_from_image(mu, base)))
+            nodes.append(OrbitNode(mu[:2], image))
     index = {old: new for new, old in enumerate(keep)}
 
     # The target's image is s_alpha of the source's, so the conformal-weight

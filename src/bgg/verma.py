@@ -26,9 +26,8 @@ Straightening is one left action, memoised per module: the value of a
 label x on a normal-ordered monomial Y_y Y^rest tensor f is computed
 once, by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, with a letter that
 sorts before y simply prepended and a label acting on F at the empty
-word.  A suffix shared by many words is thus straightened once.  Labels
-are keyed by integer codes, a letter's code being its index.  The memo
-lives on the GeneralizedVerma and dies with it; act, combine,
+word.  A suffix shared by many words is thus straightened once.  The
+memo lives on the GeneralizedVerma and dies with it; act, combine,
 check_maximal and maximal_vector_dimension share it.
 
 maximal_vector_dimension reads each monomial's images under the simple
@@ -36,15 +35,22 @@ raising operators straight off the memo and eliminates fraction-free
 over the integers, with sparse rows: a row is cross-multiplied with the
 pivot of its least column and divided by the gcd of its entries.
 
-The basis matrices, the brackets and the nilradical letters depend on n
-alone.  They are built once per rank and process, for the last 8 ranks
-used (`_lie_tables`, `_nilradical_letters`), and every LieData and
-GeneralizedVerma of that rank shares them.  They are read-only: letters,
-vectors, grades and label codes are tuples, and the matrices and the
-code of each label read-only mappings.  A bracket is computed through
-decompose, reconstruction check included, the first time the process
-needs it at that rank, and read from the shared memos (by label in
-LieData, by code in GeneralizedVerma) after.
+Whatever depends on n alone is built once per rank and process, for the
+last 8 ranks used (`_lie_tables`, `_nilradical_letters`), shared by every
+LieData and GeneralizedVerma of that rank, and read-only: the basis
+matrices, the brackets, the letters and the integer tables that the hot
+paths read instead of hashing a Root (see _nilradical_letters).  A
+bracket is computed through decompose, reconstruction check included,
+the first time the process needs it at that rank, and read from the
+shared memos (by label in LieData, by code in GeneralizedVerma) after.
+
+A weight space is listed per basis vector f of F by a walk over the
+letters on the need wt(f) - mu (_words).  A letter is tried only if the
+rest keeps its first two coordinates >= 0 and its budget E(rest) =
+rest_1 + rest_2 covers sum |rest_3..n|: a letter of grade g has first
+two coordinates >= 0 summing to g and moves coordinates 3..n by at most
+g.  (At n = 2, E = (1/2, 1/2) and the budget is 2 E(rest), a weaker but
+still valid bound.)
 """
 
 from __future__ import annotations
@@ -194,6 +200,7 @@ class LeviModule:
         ts = range(len(self._slots)) if self._slots else [None]
         self.basis = [(j, t) for j in range(self.m + 1) for t in ts]
         self._index = {b: i for i, b in enumerate(self.basis)}
+        self.weights = tuple(map(self.weight, range(len(self.basis))))
 
     def weight(self, idx: int) -> Weight:
         j, t = self.basis[idx]
@@ -207,11 +214,15 @@ class LeviModule:
         return tuple(w)
 
     def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
-        """The action of label on a basis vector, one term per entry of
-        label's matrix."""
+        """The action of label on a basis vector."""
+        return self._act([(r, c, v) for (r, c), v in self._lie.matrix(label).items()], idx)
+
+    def _act(self, entries: Iterable, idx: int) -> list[tuple[int, int]]:
+        """The action on a basis vector of the matrix with these (row,
+        col, value) entries, one term per entry."""
         j, t = self.basis[idx]
         out: dict[int, int] = {}
-        for (r, c), v in self._lie.matrix(label).items():
+        for r, c, v in entries:
             if r < 2 and c < 2:
                 power = j if c else self.m - j
                 coeff = v * (power + self.lam[1]) if r == c else v * power
@@ -236,15 +247,12 @@ Element = dict  # {(word, fidx): coeff} with word a tuple of letter indices
 @functools.lru_cache(maxsize=8)
 def _nilradical_letters(n: int) -> tuple:
     """The lowering letters of the crossed-{2} nilradical in normal order,
-    their weight vectors and grades, and an integer code for every label
-    of sp(2n): built once per n (for the 8 ranks used last), read-only,
-    and shared by every GeneralizedVerma of rank n.
-
-    A letter's code is its index in the normal order; every other label
-    follows.  Also returned: the memo of brackets by code, which only
-    gains brackets read off LieData.bracket."""
-    p = parabolic_mod.parabolic(n, (2,))
-    nil = frozenset(parabolic_mod.nilradical_roots(p))
+    their weight vectors and steps (see _words), an integer code for
+    every label of sp(2n) (a letter's is its index; the others follow),
+    the codes of the simple raising operators, each code's matrix
+    entries as (row, col, value) triples and the memo of brackets by
+    code, which only gains brackets read off LieData.bracket."""
+    nil = frozenset(parabolic_mod.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
     order = (
         [Root("a", 1, j) for j in range(3, n + 1)]
         + [Root("a", 2, j) for j in range(3, n + 1)]
@@ -255,16 +263,57 @@ def _nilradical_letters(n: int) -> tuple:
     if set(order) != nil:
         raise AssertionError("nilradical letter list out of sync")
     letters = tuple(("y", r) for r in order)
-    labels = letters + tuple(lab for lab in _lie_tables(n)[0] if lab not in letters)
+    matrices = _lie_tables(n)[0]
+    labels = letters + tuple(lab for lab in matrices if lab not in letters)
     code = MappingProxyType({lab: i for i, lab in enumerate(labels)})
+    vectors = tuple(r.vector(n) for r in order)
+    steps = []
+    for v in vectors:
+        t = next((t for t in range(2, n) if v[t]), 0)
+        steps.append((v[0], v[1], t, v[t] if t else 0))
     return (
         letters,
-        tuple(r.vector(n) for r in order),
-        tuple(parabolic_mod.root_grade(r, p) for r in order),
+        vectors,
+        tuple(steps),
         labels,
         code,
+        tuple(code["e", r] for r in weyl.simple_roots(n)),
+        tuple(tuple((r, c, v) for (r, c), v in matrices[lab].items()) for lab in labels),
         {},
     )
+
+
+def _words(steps: tuple, need: list) -> list[tuple]:
+    """Non-decreasing letter-index words whose roots sum to need, in
+    lexicographic order, pruned as the module docstring says; need is
+    changed in place and restored.  steps[i] = (a, b, t, d): letter i
+    moves coordinates 1, 2 by a, b and coordinate t by d ((0, 0): none)."""
+    found: list = []
+    tail = sum(map(abs, need[2:]))
+    if need[0] < 0 or need[1] < 0 or tail > need[0] + need[1]:
+        return found
+    if need[0] + need[1] == 0:
+        return [()]  # need is zero here
+
+    def extend(start: int, r0: int, r1: int, tail: int, word: tuple) -> None:
+        for i in range(start, len(steps)):
+            a, b, t, d = steps[i]
+            s0, s1 = r0 - a, r1 - b
+            if s0 < 0 or s1 < 0:
+                continue
+            x = need[t]
+            s = tail - abs(x) + abs(x - d)
+            if s > s0 + s1:
+                continue
+            if not s0 + s1:
+                found.append(word + (i,))  # the rest is zero here
+                continue
+            need[t] = x - d
+            extend(i, s0, s1, s, word + (i,))
+            need[t] = x
+
+    extend(0, need[0], need[1], tail, ())
+    return found
 
 
 class GeneralizedVerma:
@@ -286,9 +335,11 @@ class GeneralizedVerma:
         (
             self.letters,
             self._vectors,
-            self._grades,
+            self._steps,
             self._labels,
             self._code,
+            self._raising,
+            self._entries,
             self._brackets,
         ) = _nilradical_letters(n)
         self._memo: dict = {}
@@ -352,7 +403,7 @@ class GeneralizedVerma:
         if out is not None:
             return out
         if not word:
-            out = {((), f2): c for f2, c in self.module.act(self._labels[x], f)}
+            out = {((), f2): c for f2, c in self.module._act(self._entries[x], f)}
         else:
             y, rest = word[0], word[1:]
             out = {}
@@ -382,12 +433,13 @@ class GeneralizedVerma:
 
     # -- module structure
 
-    def act(self, label: Label, elem: Element) -> Element:
-        return self._apply(self._code[label], elem)
+    def act(self, label: Label | int, elem: Element) -> Element:
+        """label . elem, for a label or its integer code."""
+        return self._apply(label if type(label) is int else self._code[label], elem)
 
     def term_weight(self, key) -> Weight:
         word, f = key
-        w = list(self.module.weight(f))
+        w = self.module.weights[f]
         for i in word:
             w = [a - b for a, b in zip(w, self._vectors[i])]
         return tuple(w)
@@ -402,11 +454,7 @@ class GeneralizedVerma:
         """An element is maximal iff every simple raising operator kills it."""
         if not elem:
             return False, []
-        failures = [
-            lab
-            for lab in simple_raising_labels(self.n)
-            if self.act(lab, elem)
-        ]
+        failures = [self._labels[x] for x in self._raising if self.act(x, elem)]
         return not failures, failures
 
     # -- weight spaces and uniqueness
@@ -414,39 +462,13 @@ class GeneralizedVerma:
     def weight_space(self, mu: Sequence[int]) -> list[tuple[tuple, int]]:
         """All basis monomials Y^word tensor f of weight mu: for each f,
         by degree and then by word in lexicographic order."""
-        mu = tuple(mu)
+        if len(mu) != self.n:
+            raise ValueError("rank mismatch")
         space = []
-        for fidx in range(len(self.module.basis)):
-            need = tuple(a - b for a, b in zip(self.module.weight(fidx), mu))
-            words = sorted(self._words(need), key=lambda w: (len(w), w))
-            space += [(word, fidx) for word in words]
+        for fidx, wt in enumerate(self.module.weights):
+            found = _words(self._steps, [a - b for a, b in zip(wt, mu)])
+            space += [(word, fidx) for word in sorted(found, key=len)]
         return space
-
-    def _words(self, need: tuple) -> list[tuple]:
-        """Non-decreasing letter-index words whose roots sum to need.
-
-        A word is extended only while the grade left, E(rest) = rest_1 +
-        rest_2, covers the next letter's grade.  Letters have nonnegative
-        first two coordinates, and a letter of grade g moves coordinates
-        3..n by at most g in total, so a rest that breaks either bound is
-        dropped.  (At n = 2, E = (1/2, 1/2) and the budget is 2 E(rest),
-        a weaker but still valid bound.)"""
-        found = []
-
-        def extend(start: int, rest: tuple, word: tuple) -> None:
-            budget = rest[0] + rest[1]
-            if rest[0] < 0 or rest[1] < 0 or sum(map(abs, rest[2:])) > budget:
-                return
-            if budget == 0:
-                found.append(word)  # rest is zero here
-                return
-            for i in range(start, len(self.letters)):
-                if self._grades[i] <= budget:
-                    vec = self._vectors[i]
-                    extend(i, tuple(a - b for a, b in zip(rest, vec)), word + (i,))
-
-        extend(0, need, ())
-        return found
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
         """Dimension of the space of maximal vectors of weight mu: the size
@@ -456,7 +478,7 @@ class GeneralizedVerma:
         fraction-free over the integers: a row is cross-multiplied with
         the pivot of its least column, then divided by the gcd of its
         entries."""
-        raising = [self._code[lab] for lab in simple_raising_labels(self.n)]
+        raising = self._raising
         basis = self.weight_space(mu)
         columns: dict = {}  # (operator, monomial) -> column number
         pivots: dict = {}

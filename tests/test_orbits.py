@@ -251,6 +251,23 @@ def test_placement_rule_matches_full_scan():
         assert len(d.nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
 
 
+def test_sliced_images_match_act_from_image():
+    """Each kept node's weight, sliced out of base, is w(base) as
+    weyl.act_from_image computes it for the Hasse node at its placement
+    (a crossed-{2} node is fixed by (mu_1, mu_2)), for n = 2..14, every k
+    and two scaled bases."""
+    cases = [(n, k, orbits.lambda_k(n, k)) for n in range(2, 15) for k in range(n)]
+    cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
+    checked = 0
+    for n, k, base in cases:
+        mus = {mu[:2]: mu for mu, _ in orbits._crossed2(n).nodes}
+        assert len(mus) == 2 * n * (n - 1)
+        for nd in orbits.singular_orbit(n, k, base).nodes:
+            assert nd.weight == weyl.act_from_image(mus[nd.placement], base), (n, k, nd)
+            checked += 1
+    assert checked == sum(2 * (2 * (n - 1) if k == 0 else 4 * n - 7) for n, k, _ in cases)
+
+
 @pytest.mark.parametrize(
     "n, k, base",
     [

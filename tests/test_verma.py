@@ -180,8 +180,9 @@ def test_shared_tables_are_read_only(lie3):
         lie3._matrices[label] = {}
     mp = verma.GeneralizedVerma(3, (0, 0, 0), lie=lie3)
     assert type(mp.letters) is tuple
-    assert type(mp._vectors) is tuple and type(mp._grades) is tuple
-    assert type(mp._labels) is tuple
+    assert type(mp._vectors) is tuple and type(mp._steps) is tuple
+    assert type(mp._labels) is tuple and type(mp._raising) is tuple
+    assert type(mp._entries) is tuple and all(type(e) is tuple for e in mp._entries)
     with pytest.raises(TypeError):
         mp._code[("y", Root("a", 1, 2))] = 0
 
@@ -496,6 +497,81 @@ def test_weight_space_matches_brute_force():
     mu = (-4, -4, 0, 0)
     assert len(mp.module.basis) == 4
     assert mp.weight_space(mu) == _brute_force_weight_space(mp, mu) == []
+
+
+def _grade_steps(mu):
+    """mu and three weights below it, 1, 2 and 3 grade steps further down."""
+    for s in range(4):
+        yield (mu[0] - (s + 1) // 2, mu[1] - s // 2) + tuple(mu[2:])
+
+
+def test_weight_space_matches_oracle():
+    """Every row for n = 3..8 at mu and 1-3 further grade steps, against
+    the tuple-walk listing that weight_space replaced."""
+    sizes = []
+    for row in _catalogue(range(3, 9)):
+        mp = verma.GeneralizedVerma(row.n, row.lam)
+        for mu in _grade_steps(row.mu):
+            space = mp.weight_space(mu)
+            assert space == verma_oracle.weight_space(mp, mu), (row.n, row.k, row.sign, mu)
+            sizes.append(len(space))
+    assert len(sizes) == 4 * 2 * sum(range(2, 8))
+    assert all(sizes[::4]) and max(sizes) > 50
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(0, 0), (1, -1), (0, -1, 0), (-1, -1, 1), (1, 0, 1, 0), (0, -2, 0, 0), (-1, -1, 1, 0, 0)],
+)
+def test_weight_space_matches_oracle_on_a_grid(lam):
+    """Every mu with grade drop at most 4 and tail entries in -1..1 (the
+    first two tail entries), for n = 2 and for both tails: nonempty and
+    empty spaces alike agree with the tuple-walk listing."""
+    n = len(lam)
+    mp = verma.GeneralizedVerma(n, lam)
+    sizes = []
+    for d0, d1 in itertools.product(range(5), repeat=2):
+        for tail in itertools.product((-1, 0, 1), repeat=min(n - 2, 2)):
+            if d0 + d1 <= 4:
+                mu = (lam[0] - d0, lam[1] - d1) + tail + (0,) * (n - 2 - len(tail))
+                space = mp.weight_space(mu)
+                assert space == verma_oracle.weight_space(mp, mu), mu
+                sizes.append(len(space))
+    assert 0 in sizes and max(sizes) > 1
+
+
+def test_weights_of_the_wrong_length_are_refused():
+    """A short or long mu used to be cut to the shorter length by zip,
+    giving a space of monomials of another weight and a made-up kernel."""
+    mp = verma.GeneralizedVerma(4, (-1, -1, 0, 0))
+    for mu in ((-2, -2), (-2, -2, 1), (-2, -2, 1, 1, 0)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            mp.weight_space(mu)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            mp.maximal_vector_dimension(mu)
+    assert len(mp.weight_space((-2, -2, 1, 1))) == 2
+    assert mp.maximal_vector_dimension((-2, -2, 1, 1)) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_label_code_action_matches_levi_act(n):
+    """At the empty word each label code acts on F through its entry
+    table as LeviModule.act acts through the label's matrix, for every
+    label and basis vector and both tails; the raising codes are those
+    of the simple raising labels."""
+    tails = [(0,) * (n - 2)] + ([(1,) + (0,) * (n - 3)] if n > 2 else [])
+    for tail in tails:
+        mp = verma.GeneralizedVerma(n, (1, -1) + tail)
+        assert [mp._labels[x] for x in mp._raising] == verma.simple_raising_labels(n)
+        labels = list(mp.lie._matrices)
+        assert sorted(mp._labels, key=repr) == sorted(labels, key=repr)
+        acted = 0
+        for label in labels:
+            for idx in range(len(mp.module.basis)):
+                want = {((), f2): c for f2, c in mp.module.act(label, idx)}
+                assert mp._left(mp._code[label], (), idx) == want, (tail, label, idx)
+                acted += bool(want)
+        assert acted > len(mp.module.basis)
 
 
 def test_degree_bound_is_order_bound():

@@ -1,12 +1,14 @@
-"""The work-list PBW straightening and the Fraction elimination that
-`bgg.verma` no longer carries.
+"""The work-list PBW straightening, the Fraction elimination and the
+tuple-walk weight-space listing that `bgg.verma` no longer carries.
 
 Test-only reference.  Each function takes a `GeneralizedVerma` for its
 letters, `LieData` and Levi module only, and none of them reads its
-straightening memo: a word is straightened from scratch by swapping the
-first adjacent pair out of order and adding its bracket, and the kernel
-is found by Gaussian elimination over `Fraction` rows.  The fast paths
-of `bgg.verma` are checked against these.
+straightening memo or its per-rank integer tables: a word is
+straightened from scratch by swapping the first adjacent pair out of
+order and adding its bracket, the kernel is found by Gaussian
+elimination over `Fraction` rows, and a weight space is listed by a
+recursion that builds a new rest tuple per letter and checks the bounds
+only on entry.  The fast paths of `bgg.verma` are checked against these.
 """
 
 from __future__ import annotations
@@ -98,3 +100,42 @@ def maximal_vector_dimension(mp, mu: Sequence[int]) -> int:
             pivots[min(image)] = image
             rank += 1
     return len(basis) - rank
+
+
+def weight_space(mp, mu: Sequence[int]) -> list:
+    """All basis monomials Y^word tensor f of weight mu: for each f, by
+    degree and then by word in lexicographic order."""
+    mu = tuple(mu)
+    space = []
+    for fidx in range(len(mp.module.basis)):
+        need = tuple(a - b for a, b in zip(mp.module.weight(fidx), mu))
+        words = sorted(words_for(mp, need), key=lambda w: (len(w), w))
+        space += [(word, fidx) for word in words]
+    return space
+
+
+def words_for(mp, need: tuple) -> list:
+    """Non-decreasing letter-index words whose roots sum to need.
+
+    A word is extended only while the grade left, E(rest) = rest_1 +
+    rest_2, covers the next letter's grade; a rest with a negative first
+    or second coordinate, or with sum |rest_3..n| above E(rest), is
+    dropped on entry."""
+    p = parabolic.parabolic(mp.n, (2,))
+    vectors = [r.vector(mp.n) for _, r in mp.letters]
+    grades = [parabolic.root_grade(r, p) for _, r in mp.letters]
+    found = []
+
+    def extend(start: int, rest: tuple, word: tuple) -> None:
+        budget = rest[0] + rest[1]
+        if rest[0] < 0 or rest[1] < 0 or sum(map(abs, rest[2:])) > budget:
+            return
+        if budget == 0:
+            found.append(word)  # rest is zero here
+            return
+        for i in range(start, len(vectors)):
+            if grades[i] <= budget:
+                extend(i, tuple(a - b for a, b in zip(rest, vectors[i])), word + (i,))
+
+    extend(0, need, ())
+    return found
