@@ -1,4 +1,5 @@
-"""Orbit diagrams over the isotropic Grassmannians iGr(1,2n) and iGr(2,2n).
+"""Orbit diagrams over the isotropic Grassmannian iGr(2,2n), and the
+weight families lambda_k and tilde_lambda.
 
 Everything here works in rho-shifted coordinates.  The regular orbit of
 rho for the crossed-{2} parabolic is drawn in the plane by the first two
@@ -19,19 +20,22 @@ Per rank the crossed-{2} Hasse diagram is built once, with two indexes:
 its nodes bucketed by |mu_1| and |mu_2|, and each node's out-edges with
 their root grades.  A singular orbit visits only the buckets of its
 collision set and their out-edges.  Nodes and arrows are immutable
-records (NamedTuples); a diagram holds them in plain lists.
+records (NamedTuples); a diagram holds them in plain lists.  `parabolic`
+is imported only where that diagram is built, so `penrose`, which needs
+the weight families alone, loads no Hasse code.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from bgg import parabolic as parabolic_mod
 from bgg import weyl
-from bgg.parabolic import HasseEdge, HasseNode
 from bgg.weyl import Root, Weight
+
+if TYPE_CHECKING:
+    from bgg.parabolic import HasseEdge, HasseNode
 
 STANDARD = "standard"
 IDENTITY = "identity"
@@ -68,34 +72,6 @@ def tilde_lambda(n: int, k: int, sign: str = "+") -> Weight:
     return (first,) + tuple(range(n - 1, 0, -1))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A linear complex of weights with per-arrow order bounds."""
-
-    terms: tuple[Weight, ...]
-    orders: tuple[int, ...]
-
-
-def igr1_bgg(n: int) -> Chain:
-    """The 2n-term BGG complex of the trivial character on iGr(1,2n).
-
-    First coordinates run n, ..., 1, -1, ..., -n; the remaining
-    coordinates are the complementary values sorted descending.  The
-    middle operator (1|...) -> (-1|...) has order two, all others one.
-    """
-    if n < 1:
-        raise ValueError("rank must be positive")
-    firsts = list(range(n, 0, -1)) + list(range(-1, -n - 1, -1))
-    terms = []
-    for c in firsts:
-        tail = tuple(v for v in range(n, 0, -1) if v != abs(c))
-        terms.append((c,) + tail)
-    orders = tuple(
-        terms[i][0] - terms[i + 1][0] for i in range(len(terms) - 1)
-    )
-    return Chain(tuple(terms), orders)
-
-
 # ---------------------------------------------------------------------------
 # placements
 
@@ -108,16 +84,11 @@ def placement_to_weight(x: Sequence[int], k: int) -> Weight:
     return tuple(v if abs(v) <= k else v - (1 if v > 0 else -1) for v in x)
 
 
-def regular_placements(n: int) -> list[tuple[int, int]]:
-    """All 2n(n-1) placements (m1, m2): m1 > m2, m1 != -m2, distinct
-    absolute values in 1..n."""
-    return list(_placements(n))
-
-
 @functools.lru_cache(maxsize=8)
 def _placements(n: int) -> tuple[tuple[int, int], ...]:
-    """The regular placements of rank n as a tuple, built once per n (for
-    the 8 ranks used last), so no caller can change it."""
+    """All 2n(n-1) regular placements (m1, m2) of rank n: m1 > m2,
+    m1 != -m2, distinct absolute values in 1..n.  A tuple built once per
+    n (for the 8 ranks used last), so no caller can change it."""
     pts = []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -181,7 +152,10 @@ class _Crossed2(NamedTuple):
 def _crossed2(n: int) -> _Crossed2:
     """The crossed-{2} Hasse diagram of rank n and its indexes, built once
     per n (for the 8 ranks used last).  Everything is a tuple of
-    immutable records, so no caller can change it for the next one."""
+    immutable records, so no caller can change it for the next one.
+    The one import of `parabolic` in this module is here."""
+    from bgg import parabolic as parabolic_mod
+
     p = parabolic_mod.parabolic(n, (2,))
     hd = parabolic_mod.hasse_diagram(p)
     by_abs: list[list[int]] = [[] for _ in range(n + 1)]
@@ -326,10 +300,3 @@ def infer_k(base: Sequence[int]) -> int:
         if base[i] == base[i + 1]:
             return n - (i + 1)
     raise AssertionError("semi-regular dominant weight with no pattern")
-
-
-def singular_orbit_from_base(base: Sequence[int]) -> OrbitDiagram:
-    """Orbit diagram of any semi-regular dominant rho-shifted weight; the
-    structure depends only on the ordering pattern, not the values."""
-    base = tuple(base)
-    return singular_orbit(len(base), infer_k(base), base)

@@ -26,6 +26,10 @@ Nodes and edges are immutable records (NamedTuples); `to_text` and
 without the json module.  E, and so every conformal weight, is integral
 unless node n is crossed; fractions (and the decimal module it loads)
 is imported only where a Fraction is built or met.
+
+Only the `hasse` command and `orbits` (when it builds the crossed-{2}
+diagram) import this module: `penrose` and `verma` read the crossed-{2}
+grading E = (1, 1, 0, ..., 0) off `weyl` alone.
 """
 
 from __future__ import annotations
@@ -129,16 +133,6 @@ def root_grade(root: Root, p: Parabolic) -> int:
     return doubled if root.kind == "b" else doubled // 2
 
 
-def levi_roots(p: Parabolic) -> list[Root]:
-    """Positive roots of grade 0."""
-    return [r for r in weyl.positive_roots(p.n) if root_grade(r, p) == 0]
-
-
-def nilradical_roots(p: Parabolic) -> list[Root]:
-    """Positive roots of positive grade."""
-    return [r for r in weyl.positive_roots(p.n) if root_grade(r, p) > 0]
-
-
 def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic) -> Scalar:
     """Conformal-weight drop along an arrow; an upper bound for the order
     of the corresponding invariant operator."""
@@ -181,9 +175,6 @@ class HasseDiagram:
     base: Weight
     nodes: list[HasseNode]
     edges: list[HasseEdge] = field(default_factory=list)
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def _rows(self):
         """(weight, length, window) per node and (source, target, root

@@ -10,9 +10,17 @@ non-standard operator (order two in general, three when k = 1).
 Each page or complex builds its E1 cells and the conformal weights it
 needs once per call (the E2 page only those of its bridge) and reads
 every order bound as the difference of two conformal weights; nothing
-is cached across calls.
+is cached across calls.  The non-standard operator has one model: the
+PageMap (on E2) and the BggMap of kind "nonstandard".
 
-All weights are rho-shifted integer tuples.
+All weights are rho-shifted integer tuples.  Everything lives on the
+crossed-{2} parabolic, whose grading element is E = (1, 1, 0, ..., 0),
+so the conformal weight of w is w[0] + w[1] and this module needs no
+Hasse code (`parabolic` is not imported).  At n = 2, E is (1/2, 1/2)
+and w[0] + w[1] is twice the conformal weight, but no order is read
+there: the only n = 2 complex (k = 1) has a single cell, so it has no
+map, no differential and no bridge, and the k = 0 candidate needs
+n >= 3.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from bgg import orbits
-from bgg import parabolic as parabolic_mod
 from bgg.orbits import NONSTANDARD, STANDARD
 from bgg.weyl import Weight
 
@@ -123,13 +130,6 @@ class SpectralPage:
     entries: dict
     differentials: list[PageMap]
 
-    @property
-    def p_max(self) -> int:
-        return 2 * self.n - 3
-
-    def entry(self, p: int, q: int):
-        return self.entries.get((p, q))
-
     def row(self, q: int) -> list[int]:
         return sorted(p for (p, qq) in self.entries if qq == q)
 
@@ -182,12 +182,11 @@ def e1_entries(n: int, k: int, sign: str = "+") -> dict[tuple[int, int], Weight]
     return entries
 
 
-def _conformal_weights(n: int, entries: dict) -> dict:
-    """The conformal weight of each cell's weight for crossed {2}, one
-    parabolic.conformal_weight call per cell; the order bound of a map
-    between two cells is the difference of theirs."""
-    p2 = parabolic_mod.parabolic(n, (2,))
-    return {cell: parabolic_mod.conformal_weight(w, p2) for cell, w in entries.items()}
+def _conformal_weights(entries: dict) -> dict:
+    """The conformal weight w[0] + w[1] of each cell's weight for crossed
+    {2} (see the module docstring); the order bound of a map between two
+    cells is the difference of theirs."""
+    return {cell: w[0] + w[1] for cell, w in entries.items()}
 
 
 def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -195,7 +194,7 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     e1_entries and the standard differentials along each row, with
     their order bounds."""
     entries = e1_entries(n, k, sign)
-    cw = _conformal_weights(n, entries)
+    cw = _conformal_weights(entries)
     diffs = [
         PageMap((p, q), (p + 1, q), STANDARD, cw[(p, q)] - cw[(p + 1, q)])
         for p, q in entries
@@ -204,44 +203,19 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     return SpectralPage(n, k, sign, 1, entries, diffs)
 
 
-@dataclass(frozen=True)
-class Bridge:
-    """The non-standard operator splicing the two E1 rows."""
-
-    source: Weight
-    target: Weight
-    source_position: tuple[int, int]
-    target_position: tuple[int, int]
-    order: int
-    description: str
-
-
-_SPLICE = (
-    "splice across the vanished column: lift, apply the relative "
-    "differential twice, push down"
-)
-
-
-def nonstandard_descriptor(n: int, k: int, sign: str = "+") -> Optional[Bridge]:
-    """The bridge between the two rows, or None when k = n-1 (single row).
-
+def _bridge(entries: dict) -> Optional[tuple[tuple[int, int], tuple[int, int], int]]:
+    """The non-standard operator splicing the two E1 rows, read off the
+    E1 entries: (source cell, target cell, order) from the last cell of
+    row 1 to the first cell of row 0, or None when k = n-1 (one row).
     Its order bound is the conformal-weight drop: two in general, three
     for k = 1."""
-    return _bridge(n, e1_entries(n, k, sign))
-
-
-def _bridge(n: int, entries: dict) -> Optional[Bridge]:
-    """The bridge read off the E1 entries (see nonstandard_descriptor):
-    from the last cell of row 1 to the first cell of row 0."""
     top = [cell for cell in entries if cell[1] == 1]
     bottom = [cell for cell in entries if cell[1] == 0]
     if not top or not bottom:
         return None
-    sp, tp = top[-1], bottom[0]
-    src, tgt = entries[sp], entries[tp]
-    p2 = parabolic_mod.parabolic(n, (2,))
-    order = parabolic_mod.conformal_weight(src, p2) - parabolic_mod.conformal_weight(tgt, p2)
-    return Bridge(src, tgt, sp, tp, order, _SPLICE)
+    source, target = top[-1], bottom[0]
+    src, tgt = entries[source], entries[target]
+    return source, target, src[0] + src[1] - tgt[0] - tgt[1]
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -260,17 +234,11 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
             else:
                 entries[(p, q)] = E2Entry(BULLET, "0")
     diffs = []
-    bridge = _bridge(n, e1)
+    bridge = _bridge(e1)
     if bridge is not None:
-        diffs.append(
-            PageMap(
-                bridge.source_position,
-                bridge.target_position,
-                NONSTANDARD,
-                bridge.order,
-                "induced splice map; an isomorphism onto its target",
-            )
-        )
+        source, target, order = bridge
+        note = "induced splice map; an isomorphism onto its target"
+        diffs.append(PageMap(source, target, NONSTANDARD, order, note))
     return SpectralPage(n, k, sign, 2, entries, diffs)
 
 
@@ -347,7 +315,7 @@ def assemble_singular_bgg(
             )
         return _conjectural_k0(n, sign)
     entries = e1_entries(n, k, sign)
-    cw = _conformal_weights(n, entries)
+    cw = _conformal_weights(entries)
     cells = list(entries)  # in order of p
     maps = [
         BggMap(i, i + 1, STANDARD if a[1] == b[1] else NONSTANDARD, cw[a] - cw[b])
@@ -368,8 +336,7 @@ def _conjectural_k0(n: int, sign: str) -> BggComplex:
     pairs = [(x, 0) for x in range(n - 1, 0, -1)]
     pairs += [(0, y) for y in range(-1, -n, -1)]
     terms = [_full_k0_weight(n, pr) for pr in pairs]
-    p2 = parabolic_mod.parabolic(n, (2,))
-    cw = [parabolic_mod.conformal_weight(t, p2) for t in terms]
+    cw = [t[0] + t[1] for t in terms]  # conformal weights, crossed {2}
 
     def bound(i, j):
         return cw[i] - cw[j]

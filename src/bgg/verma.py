@@ -43,6 +43,9 @@ paths read instead of hashing a Root (see _nilradical_letters).  A
 bracket is computed through decompose, reconstruction check included,
 the first time the process needs it at that rank, and read from the
 shared memos (by label in LieData, by code in GeneralizedVerma) after.
+The nilradical letters are checked against `weyl` alone (see
+_nilradical_letters), so this module, like `penrose`, loads no Hasse
+code.
 
 A weight space is listed per basis vector f of F by a walk over the
 letters on the need wt(f) - mu (_words).  A letter is tried only if the
@@ -61,9 +64,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from bgg import penrose
-from bgg import parabolic as parabolic_mod
-from bgg import weyl
+from bgg import penrose, weyl
 from bgg.weyl import Root, Weight
 
 Label = tuple  # ("e", Root) | ("y", Root) | ("h", int)
@@ -152,10 +153,6 @@ def _product(x: Matrix, y: Matrix) -> Matrix:
             if k == k2:
                 out[r, c] = out.get((r, c), 0) + u * v
     return {key: v for key, v in out.items() if v}
-
-
-def simple_raising_labels(n: int) -> list[Label]:
-    return [("e", r) for r in weyl.simple_roots(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +248,13 @@ def _nilradical_letters(n: int) -> tuple:
     every label of sp(2n) (a letter's is its index; the others follow),
     the codes of the simple raising operators, each code's matrix
     entries as (row, col, value) triples and the memo of brackets by
-    code, which only gains brackets read off LieData.bracket."""
-    nil = frozenset(parabolic_mod.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
+    code, which only gains brackets read off LieData.bracket.
+
+    The letter list is checked against the nilradical read off `weyl`:
+    the positive roots alpha with alpha(E) > 0 for E = (1, 1, 0, ..., 0),
+    that is, whose vectors have first two coordinates summing to more
+    than 0."""
+    nil = {r for r in weyl.positive_roots(n) if sum(r.vector(n)[:2]) > 0}
     order = (
         [Root("a", 1, j) for j in range(3, n + 1)]
         + [Root("a", 2, j) for j in range(3, n + 1)]
@@ -355,16 +357,6 @@ class GeneralizedVerma:
             elem[key] = cur
         else:
             elem.pop(key, None)
-
-    def highest(self) -> Element:
-        return {((), 0): 1}
-
-    def monomial(
-        self, ys: Sequence[Root], f: tuple[int, Optional[int]], coeff=1
-    ) -> Element:
-        """Y_{ys[0]} ... Y_{ys[-1]} tensor f, with the product taken in the
-        written order and straightened to normal form."""
-        return self.combine([(coeff, ys, f)])
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
         """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts,
@@ -634,10 +626,11 @@ class VerificationResult:
 
 def first_arrow(n: int, k: int, sign: str = "+") -> tuple[Weight, Weight]:
     """The first two terms of the singular BGG complex for (n, k, sign),
-    read off the E1 entries: the complex's terms are the E1 cells in
-    order of p, so no order bound of a map or differential is needed."""
-    cells = sorted(penrose.e1_entries(n, k, sign).items(), key=lambda kv: kv[0][0])
-    return cells[0][1], cells[1][1]
+    read off the E1 entries: the complex's terms are the E1 cells, which
+    e1_entries lists in order of p, so no order bound of a map or
+    differential is needed."""
+    first, second, *_ = penrose.e1_entries(n, k, sign).values()
+    return first, second
 
 
 def verify_row(

@@ -6,11 +6,16 @@ positive roots are a_ij = e_i - e_j, b_i = 2e_i and c_ij = e_i + e_j for
 
 The Weyl group acts by signed permutations, and an element w is fixed
 by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
-mu alone: `act_from_image` applies it to any weight, `inversion_length`
-is its length (the number of positive roots it sends negative), and
-`reflect` applies a reflection s_alpha without building it.  The group
-as signed permutations, with products, inverses and root-counting
-lengths, is kept as the test oracle in tests/weyl_oracle.py.
+mu alone: `act_from_image` applies it to any weight, and
+`inversion_length` is its length (the number of positive roots it sends
+negative).  The group as signed permutations, with products, inverses,
+reflections and root-counting lengths, is kept as the test oracle in
+tests/weyl_oracle.py.
+
+This is the only layer the crossed-{2} Penrose and Verma code stands
+on: there E = (1, 1, 0, ..., 0), so a conformal weight is w_1 + w_2 and
+the nilradical is the positive roots whose vectors have w_1 + w_2 > 0,
+with no call into `parabolic`.
 """
 
 from __future__ import annotations
@@ -86,19 +91,6 @@ def pairing(weight: Sequence[int], root: Root) -> int:
 def rho(n: int) -> Weight:
     """Half the sum of the positive roots: (n, n-1, ..., 1)."""
     return tuple(range(n, 0, -1))
-
-
-def reflect(weight: Sequence[int], root: Root) -> Weight:
-    """s_alpha(weight) for a positive root alpha, without building s_alpha."""
-    v = list(weight)
-    i, j = root.i - 1, root.j - 1
-    if root.kind == "a":
-        v[i], v[j] = v[j], v[i]
-    elif root.kind == "b":
-        v[i] = -v[i]
-    else:
-        v[i], v[j] = -v[j], -v[i]
-    return tuple(v)
 
 
 def act_from_image(mu: Sequence[int], weight: Sequence[int]) -> Weight:

@@ -14,12 +14,18 @@ Test-only reference, two ways:
 collision set and their out-edges, and is checked against both.  Each
 rank's Hasse diagram is built here by the all-pairs search of
 `parabolic_oracle`, apart from the one `orbits` keeps.
+
+Two small references ride along: `regular_placements`, the placement
+table filtered from its definition, and `igr1_bgg`, the 2n-term BGG
+chain of the trivial character on the isotropic Grassmannian of lines
+iGr(1, 2n), which `bgg` does not expose.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 import parabolic_oracle
@@ -27,6 +33,43 @@ import weyl_oracle
 from bgg import orbits, parabolic, weyl
 from bgg.orbits import IDENTITY, STANDARD, SUPPRESSED, OrbitArrow, OrbitDiagram, OrbitNode
 from bgg.weyl import Weight
+
+
+def regular_placements(n: int) -> list[tuple[int, int]]:
+    """All 2n(n-1) placements (m1, m2): m1 > m2, m1 != -m2, distinct
+    absolute values in 1..n, in the order of `orbits`' placement table."""
+    return [
+        (x, y)
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        for x, y in ((a, b), (a, -b), (-a, -b))
+        if x > y and x != -y and abs(x) != abs(y)
+    ]
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A linear complex of weights with per-arrow order bounds."""
+
+    terms: tuple[Weight, ...]
+    orders: tuple[int, ...]
+
+
+def igr1_bgg(n: int) -> Chain:
+    """The 2n-term BGG complex of the trivial character on iGr(1,2n).
+
+    First coordinates run n, ..., 1, -1, ..., -n; the remaining
+    coordinates are the complementary values sorted descending.  The
+    middle operator (1|...) -> (-1|...) has order two, all others one.
+    """
+    if n < 1:
+        raise ValueError("rank must be positive")
+    firsts = list(range(n, 0, -1)) + list(range(-1, -n - 1, -1))
+    terms = tuple(
+        (c,) + tuple(v for v in range(n, 0, -1) if v != abs(c)) for c in firsts
+    )
+    orders = tuple(a[0] - b[0] for a, b in zip(terms, terms[1:]))
+    return Chain(terms, orders)
 
 
 @functools.lru_cache(maxsize=None)

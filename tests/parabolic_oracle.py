@@ -2,6 +2,8 @@
 
 Test-only reference:
 
+- `levi_roots` and `nilradical_roots` split the positive roots by
+  grade;
 - `inversion_length` counts the ascents of mu over all pairs;
 - `ldominant_rho_images` lists the nodes group by group, sorting every
   signed subset it tries;
@@ -22,8 +24,20 @@ import itertools
 import json
 from typing import Sequence
 
+import weyl_oracle
 from bgg import parabolic, weyl
 from bgg.parabolic import HasseDiagram, HasseEdge, HasseNode, Parabolic
+from bgg.weyl import Root
+
+
+def levi_roots(p: Parabolic) -> list[Root]:
+    """Positive roots of grade 0."""
+    return [r for r in weyl.positive_roots(p.n) if parabolic.root_grade(r, p) == 0]
+
+
+def nilradical_roots(p: Parabolic) -> list[Root]:
+    """Positive roots of positive grade."""
+    return [r for r in weyl.positive_roots(p.n) if parabolic.root_grade(r, p) > 0]
 
 
 def inversion_length(mu: Sequence[int]) -> int:
@@ -83,7 +97,7 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
     for i, nd in enumerate(nodes):
         targets = []
         for root in grades:
-            j = index.get(weyl.reflect(nd.weight, root))
+            j = index.get(weyl_oracle.reflect(nd.weight, root))
             if j is not None and nodes[j].length == nd.length + 1:
                 targets.append((j, root))
         for j, root in sorted(targets):
@@ -123,7 +137,7 @@ def text(hd: HasseDiagram) -> str:
     p = hd.parabolic
     lines = [
         f"Hasse diagram: n={p.n} crossed={tuple(p.crossed)} "
-        f"nodes={hd.node_count()} edges={len(hd.edges)}"
+        f"nodes={len(hd.nodes)} edges={len(hd.edges)}"
     ]
     for i, nd in enumerate(hd.nodes):
         lines.append(

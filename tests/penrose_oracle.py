@@ -21,7 +21,6 @@ from bgg.penrose import (
     BULLET,
     BggComplex,
     BggMap,
-    Bridge,
     E2Entry,
     PageMap,
     SpectralPage,
@@ -58,21 +57,14 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     return SpectralPage(n, k, sign, 1, entries, diffs)
 
 
-def bridge(page: SpectralPage) -> Optional[Bridge]:
+def bridge(page: SpectralPage) -> Optional[tuple]:
+    """(source cell, target cell, order) of the splice, or None."""
     top, bottom = page.row(1), page.row(0)
     if not top or not bottom:
         return None
     sp, tp = (top[-1], 1), (bottom[0], 0)
-    src, tgt = page.entries[sp], page.entries[tp]
     p2 = parabolic_mod.parabolic(page.n, (2,))
-    return Bridge(
-        src,
-        tgt,
-        sp,
-        tp,
-        parabolic_mod.order_bound(src, tgt, p2),
-        penrose._SPLICE,
-    )
+    return sp, tp, parabolic_mod.order_bound(page.entries[sp], page.entries[tp], p2)
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -90,12 +82,13 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     diffs = []
     b = bridge(page)
     if b is not None:
+        sp, tp, order = b
         diffs.append(
             PageMap(
-                b.source_position,
-                b.target_position,
+                sp,
+                tp,
                 NONSTANDARD,
-                b.order,
+                order,
                 "induced splice map; an isomorphism onto its target",
             )
         )

@@ -371,7 +371,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m in ("json", "fractions")))
 """
 _ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render")
-_PENROSE_LAYERS = ("weyl", "parabolic", "orbits", "penrose")
+_PENROSE_LAYERS = ("weyl", "orbits", "penrose")
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 import geometry_oracle as oracle
+import parabolic_oracle
 from bgg import geometry
 from bgg import parabolic as pmod
 
 
 def test_parameter_count_matches_nilradical():
     for n in range(3, 7):
-        nil = pmod.nilradical_roots(pmod.parabolic(n, (2,)))
+        nil = parabolic_oracle.nilradical_roots(pmod.parabolic(n, (2,)))
         assert geometry.parameter_count(n) == len(nil)
 
 

@@ -21,6 +21,10 @@ def test_import_loads_no_layer(python):
         "assert [m for m in sys.modules if m.startswith('bgg.')] == [], sys.modules\n"
         "bgg.orbits\n"
         "assert 'bgg.orbits' in sys.modules and 'bgg.verma' not in sys.modules\n"
+        "import bgg.verma\n"
+        "assert 'bgg.parabolic' not in sys.modules, sys.modules\n"
+        "bgg.orbits.singular_orbit(4, 2)\n"
+        "assert 'bgg.parabolic' in sys.modules\n"
     )
 
 

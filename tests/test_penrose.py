@@ -60,7 +60,6 @@ def test_e1_entries_match_swap_rule(n):
             page = penrose.e1_page(n, k, sign)
             assert page.entries == _expected_e1(n, k, sign)
             assert len(page.entries) == 2 * n - 3
-            assert page.p_max == 2 * n - 3
 
 
 def test_e1_row_layout():
@@ -93,30 +92,42 @@ def test_e1_validation():
         penrose.e1_page(5, 2, "?")
 
 
+def _bridge(n, k, sign):
+    """The non-standard differential of the E2 page and the E1 weights of
+    its two ends, or None when the page has no differential."""
+    diffs = penrose.e2_page(n, k, sign).differentials
+    if not diffs:
+        return None
+    (d,) = diffs
+    e1 = penrose.e1_entries(n, k, sign)
+    return d, e1[d.source], e1[d.target]
+
+
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_bridge_positions_and_orders(n):
     for k in range(1, n - 1):
-        plus = penrose.nonstandard_descriptor(n, k, "+")
-        assert plus.source_position == (n - k - 2, 1)
-        assert plus.target_position == (n - k, 0)
-        minus = penrose.nonstandard_descriptor(n, k, "-")
-        assert minus.source_position == (n + k - 3, 1)
-        assert minus.target_position == (n + k - 1, 0)
+        plus, plus_src, plus_tgt = _bridge(n, k, "+")
+        assert plus.source == (n - k - 2, 1)
+        assert plus.target == (n - k, 0)
+        minus, minus_src, minus_tgt = _bridge(n, k, "-")
+        assert minus.source == (n + k - 3, 1)
+        assert minus.target == (n + k - 1, 0)
+        assert plus.kind == minus.kind == penrose.NONSTANDARD
         expected_order = 3 if k == 1 else 2
         assert plus.order == expected_order
         assert minus.order == expected_order
         if k >= 2:
-            assert plus.source == (k + 1, k) + _tail(n, k + 1)
-            assert plus.target == (k, k - 1) + _tail(n, k - 1)
-            assert minus.source == (-k + 1, -k) + _tail(n, k - 1)
-            assert minus.target == (-k, -k - 1) + _tail(n, k + 1)
+            assert plus_src == (k + 1, k) + _tail(n, k + 1)
+            assert plus_tgt == (k, k - 1) + _tail(n, k - 1)
+            assert minus_src == (-k + 1, -k) + _tail(n, k - 1)
+            assert minus_tgt == (-k, -k - 1) + _tail(n, k + 1)
         else:
-            assert plus.source == (2, 1) + _tail(n, 2)
-            assert plus.target == (1, -1) + _tail(n, 1)
-            assert minus.source == (1, -1) + _tail(n, 1)
-            assert minus.target == (-1, -2) + _tail(n, 2)
-    assert penrose.nonstandard_descriptor(n, n - 1, "+") is None
-    assert penrose.nonstandard_descriptor(n, n - 1, "-") is None
+            assert plus_src == (2, 1) + _tail(n, 2)
+            assert plus_tgt == (1, -1) + _tail(n, 1)
+            assert minus_src == (1, -1) + _tail(n, 1)
+            assert minus_tgt == (-1, -2) + _tail(n, 2)
+    assert _bridge(n, n - 1, "+") is None
+    assert _bridge(n, n - 1, "-") is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -176,13 +187,13 @@ def test_e2_entries():
     page = penrose.e2_page(6, 2, "+")
     for q in (0, 1):
         ps = page.row(q)
-        assert page.entry(ps[0], q).kind == penrose.KERNEL
-        assert page.entry(ps[0], q).text == f"Ker d_{ps[0] + 1}"
-        assert page.entry(ps[-1], q).kind == penrose.COKERNEL
-        assert page.entry(ps[-1], q).text == f"Coker d_{ps[-1]}"
+        assert page.entries[ps[0], q].kind == penrose.KERNEL
+        assert page.entries[ps[0], q].text == f"Ker d_{ps[0] + 1}"
+        assert page.entries[ps[-1], q].kind == penrose.COKERNEL
+        assert page.entries[ps[-1], q].text == f"Coker d_{ps[-1]}"
         for p in ps[1:-1]:
-            assert page.entry(p, q).kind == penrose.BULLET
-            assert page.entry(p, q).text == "0"
+            assert page.entries[p, q].kind == penrose.BULLET
+            assert page.entries[p, q].text == "0"
     assert len(page.differentials) == 1
     d2 = page.differentials[0]
     assert d2.kind == penrose.NONSTANDARD
@@ -220,13 +231,8 @@ def test_e2_page_builds_e1_once(monkeypatch):
         monkeypatch.setattr(penrose, name, counting(name))
     page = penrose.e2_page(6, 2, "+")
     assert calls == ["e1_entries"]  # no e1_page call
-    bridge = penrose.nonstandard_descriptor(6, 2, "+")
     d2 = page.differentials[0]
-    assert (d2.source, d2.target, d2.order) == (
-        bridge.source_position,
-        bridge.target_position,
-        bridge.order,
-    )
+    assert (d2.source, d2.target, d2.order) == ((2, 1), (4, 0), 2)
 
 
 def test_format_twistor_weight():
@@ -290,15 +296,15 @@ def test_every_complex_is_one_bgg_complex(n):
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_pages_and_complexes_match_oracle(n):
-    """Every page, bridge and complex equals the one built the long way:
-    a fresh E1 page per builder and one order_bound call per map."""
+    """Every page and complex equals the one built the long way: a fresh
+    E1 page per builder and one order_bound call per map, with the
+    general grading of `parabolic` (E = (1/2, 1/2) at n = 2)."""
     for k in range(1, n):
         for sign in "+-":
             e1 = oracle.e1_page(n, k, sign)
             assert penrose.e1_entries(n, k, sign) == oracle.e1_entries(n, k, sign)
             assert penrose.e1_page(n, k, sign).to_dict() == e1.to_dict()
             assert penrose.e2_page(n, k, sign).to_dict() == oracle.e2_page(n, k, sign).to_dict()
-            assert penrose.nonstandard_descriptor(n, k, sign) == oracle.bridge(e1)
             got = penrose.assemble_singular_bgg(n, k, sign)
             assert got.to_dict() == oracle.assemble_singular_bgg(n, k, sign).to_dict()
             assert all(type(m.order) is int for m in got.maps)
@@ -320,27 +326,23 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_builders_compute_each_cell_once(monkeypatch):
     """An assembled complex builds no E1 page, no PageMap and no order
-    bound per map: one conformal weight per term.  The E1 entries build
-    no RelativeBggTerm, and a page one conformal weight per cell."""
+    bound per map.  The E1 entries build no RelativeBggTerm, and a page
+    one PageMap per differential."""
     e1 = _count_calls(monkeypatch, penrose, "e1_page")
     page_maps = _count_calls(monkeypatch, penrose, "PageMap")
     terms = _count_calls(monkeypatch, penrose, "RelativeBggTerm")
     bounds = _count_calls(monkeypatch, pmod, "order_bound")
-    weights = _count_calls(monkeypatch, pmod, "conformal_weight")
     n = 7
     for k in range(1, n):
         for sign in "+-":
             cx = penrose.assemble_singular_bgg(n, k, sign)
-            assert len(weights) == len(cx.terms) == 2 * n - 3
-            weights.clear()
+            assert len(cx.terms) == 2 * n - 3
     cx = penrose.assemble_singular_bgg(n, 0, conjectural=True)
-    assert len(weights) == len(cx.terms) == 2 * n - 2
-    weights.clear()
+    assert len(cx.terms) == 2 * n - 2
     assert e1 == page_maps == bounds == []
     assert len(penrose.e1_entries(n, 2, "-")) == 2 * n - 3
-    assert terms == [] and weights == []
+    assert terms == []
     page = penrose.e1_page(n, 2, "+")
-    assert len(weights) == len(page.entries)
     assert len(page_maps) == len(page.differentials)
     assert terms == bounds == []
     assert len(penrose.relative_bgg(n, 2)) == len(terms) == 2 * n - 2

@@ -49,7 +49,7 @@ def test_bbw_direct_image_is_the_a12_reflection(first, middle, tail):
         return
     image, degree = result
     assert degree == (1 if pairing < 0 else 0)
-    assert image == (w if degree == 0 else weyl.reflect(w, a12))
+    assert image == (w if degree == 0 else oracle.reflect(w, a12))
 
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)

@@ -155,7 +155,7 @@ def _diagrams(n):
         yield orbits.singular_orbit(n, k)
     for base in ((9, 7, 7, 3, 1), (12, 5, 2, 0)):
         if len(base) == n:
-            yield orbits.singular_orbit_from_base(base)
+            yield orbits.singular_orbit(n, orbits.infer_k(base), base)
 
 
 def _same_json(diagram, indent) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import parabolic_oracle
 import verma_oracle
 from conftest import jacobi_holds
 from bgg import parabolic as parabolic_mod
@@ -194,8 +195,27 @@ def test_rank_tables_hold_eight_ranks():
     assert verma._nilradical_letters.cache_info().currsize <= 8
 
 
-def test_simple_raising_labels():
-    labels = verma.simple_raising_labels(3)
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_letters_are_the_crossed2_nilradical(n):
+    """The letters, checked in verma against the roots of weyl whose first
+    two coordinates sum to more than 0, are the nilradical of the
+    crossed-{2} parabolic's general grading."""
+    letters = verma._nilradical_letters(n)[0]
+    nil = parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,)))
+    assert sorted(root for _, root in letters) == sorted(nil)
+
+
+def test_letter_list_check_can_fail(monkeypatch):
+    """With a reference nilradical missing one root, the letter list is
+    out of sync and the per-rank tables refuse to build."""
+    real = weyl.positive_roots
+    monkeypatch.setattr(weyl, "positive_roots", lambda n: [r for r in real(n) if r != Root("b", 1)])
+    with pytest.raises(AssertionError, match="out of sync"):
+        verma._nilradical_letters.__wrapped__(4)
+
+
+def test_simple_raising_labels(m3):
+    labels = [m3._labels[x] for x in m3._raising]
     assert labels == [
         ("e", Root("a", 1, 2)),
         ("e", Root("a", 2, 3)),
@@ -273,7 +293,7 @@ def test_u_plus_kills_the_levi_module(n):
     act on F (a12, and those of sp(2n-4) when V is standard) are nonzero
     on it, so the check is not vacuous."""
     lie = verma.LieData(n)
-    nil = set(parabolic_mod.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
+    nil = set(parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
     assert len(nil) == 4 * (n - 2) + 3
     for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
         mod = verma.LeviModule(n, (2, -1) + tail, lie)
@@ -324,9 +344,9 @@ def test_letter_order(m3):
 
 
 def test_highest_weight(m3):
-    assert m3.weight_of(m3.highest()) == (0, 0, 0)
-    assert m3.act(("e", Root("c", 1, 2)), m3.highest()) == {}
-    assert m3.act(("e", Root("a", 1, 3)), m3.highest()) == {}
+    assert m3.weight_of({((), 0): 1}) == (0, 0, 0)
+    assert m3.act(("e", Root("c", 1, 2)), {((), 0): 1}) == {}
+    assert m3.act(("e", Root("a", 1, 3)), {((), 0): 1}) == {}
 
 
 def test_pbw_commutator_identity(m3):
@@ -335,26 +355,26 @@ def test_pbw_commutator_identity(m3):
     lhs = m3.combine(
         [(1, (c23, a23), (0, None)), (-1, (a23, c23), (0, None))]
     )
-    assert lhs == m3.monomial((b2,), (0, None), 2)
+    assert lhs == m3.combine([(2, (b2,), (0, None))])
 
 
 def test_monomials_are_normal_ordered(m3):
     """Integer input straightens to int coefficients; a Fraction
     coefficient stays an exact Fraction."""
     c23, a13 = Root("c", 2, 3), Root("a", 1, 3)
-    elem = m3.monomial((c23, a13), (0, None))
+    elem = m3.combine([(1, (c23, a13), (0, None))])
     assert len(elem) == 2
     for (word, _), coeff in elem.items():
         assert list(word) == sorted(word)
         assert type(coeff) is int
-    third = m3.monomial((c23, a13), (0, None), Fraction(1, 3))
+    third = m3.combine([(Fraction(1, 3), (c23, a13), (0, None))])
     assert third == {key: Fraction(c, 3) for key, c in elem.items()}
     assert all(type(coeff) is Fraction for coeff in third.values())
 
 
 def test_act_respects_brackets(m3):
     """x.(y.v) - y.(x.v) = [x, y].v for mixed raising and lowering letters."""
-    v = m3.monomial((Root("a", 2, 3), Root("b", 2)), (0, None))
+    v = m3.combine([(1, (Root("a", 2, 3), Root("b", 2)), (0, None))])
     pairs = [
         (("e", Root("a", 2, 3)), ("y", Root("c", 2, 3))),
         (("e", Root("b", 3)), ("y", Root("c", 1, 3))),
@@ -385,8 +405,8 @@ def test_module_law_standard_levi_factor(lie4):
     ):
         mp = verma.GeneralizedVerma(4, lam, lie=lie4)
         vectors = [
-            mp.highest(),
-            mp.monomial((a24, b2), f1),
+            {((), 0): 1},
+            mp.combine([(1, (a24, b2), f1)]),
             mp.combine([(1, (c14,), f2), (2, (a13, a24), f3)]),
         ]
         for v in vectors:
@@ -444,7 +464,7 @@ def test_modules_do_not_share_a_memo():
 
 def test_term_weight(m3):
     a13 = Root("a", 1, 3)
-    elem = m3.monomial((a13,), (0, None))
+    elem = m3.combine([(1, (a13,), (0, None))])
     assert m3.weight_of(elem) == (-1, 0, 1)
     mixed = m3.combine([(1, (a13,), (0, None)), (1, (Root("b", 1),), (0, None))])
     with pytest.raises(ValueError):
@@ -562,7 +582,7 @@ def test_label_code_action_matches_levi_act(n):
     tails = [(0,) * (n - 2)] + ([(1,) + (0,) * (n - 3)] if n > 2 else [])
     for tail in tails:
         mp = verma.GeneralizedVerma(n, (1, -1) + tail)
-        assert [mp._labels[x] for x in mp._raising] == verma.simple_raising_labels(n)
+        assert [mp._labels[x] for x in mp._raising] == verma_oracle.simple_raising_labels(n)
         labels = list(mp.lie._matrices)
         assert sorted(mp._labels, key=repr) == sorted(labels, key=repr)
         acted = 0
@@ -614,7 +634,7 @@ def test_act_matches_oracle():
     for row in _catalogue(range(3, 7)):
         mp = verma.GeneralizedVerma(row.n, row.lam)
         for key in mp.weight_space(row.mu):
-            for lab in verma.simple_raising_labels(row.n):
+            for lab in verma_oracle.simple_raising_labels(row.n):
                 want = verma_oracle.act(mp, lab, {key: Fraction(1)})
                 assert mp.act(lab, {key: 1}) == want, (row.n, row.k, row.sign, key, lab)
 
@@ -643,7 +663,7 @@ def test_kernel_dimension_matches_oracle_on_large_spaces(lam, mu, size):
 
 
 def test_highest_vector_is_maximal(m3):
-    ok, failures = m3.check_maximal(m3.highest())
+    ok, failures = m3.check_maximal({((), 0): 1})
     assert ok and failures == []
     assert m3.check_maximal({}) == (False, [])
 

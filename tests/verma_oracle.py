@@ -16,7 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from bgg import parabolic, verma
+import parabolic_oracle
+from bgg import parabolic, weyl
+
+
+def simple_raising_labels(n: int) -> list:
+    return [("e", r) for r in weyl.simple_roots(n)]
 
 
 def _add(elem: dict, key, coeff) -> None:
@@ -37,7 +42,7 @@ def normal_form(mp, word: Sequence, fidx: int, coeff: Fraction, out: dict) -> No
     letter kills F); otherwise the first adjacent pair out of order is
     swapped and its bracket added."""
     rank, last = {x: i for i, x in enumerate(mp.letters)}, len(mp.letters)
-    nil = frozenset(parabolic.nilradical_roots(parabolic.parabolic(mp.n, (2,))))
+    nil = frozenset(parabolic_oracle.nilradical_roots(parabolic.parabolic(mp.n, (2,))))
     work = [(tuple(word), fidx, coeff)]
     while work:
         w, f, c = work.pop()
@@ -85,7 +90,7 @@ def maximal_vector_dimension(mp, mu: Sequence[int]) -> int:
     rank = 0
     for key in basis:
         image: dict = {}
-        for si, lab in enumerate(verma.simple_raising_labels(mp.n)):
+        for si, lab in enumerate(simple_raising_labels(mp.n)):
             for k2, c in act(mp, lab, {key: Fraction(1)}).items():
                 _add(image, (si, k2), c)
         while image:

@@ -134,6 +134,19 @@ def reflection(root: Root, n: int) -> WeylElement:
     return WeylElement(tuple(perm), tuple(signs))
 
 
+def reflect(weight: Sequence[int], root: Root) -> Weight:
+    """s_alpha(weight) for a positive root alpha, without building s_alpha."""
+    v = list(weight)
+    i, j = root.i - 1, root.j - 1
+    if root.kind == "a":
+        v[i], v[j] = v[j], v[i]
+    elif root.kind == "b":
+        v[i] = -v[i]
+    else:
+        v[i], v[j] = -v[j], -v[i]
+    return tuple(v)
+
+
 def as_reflection(w: WeylElement) -> Optional[Root]:
     """Recognize w as the reflection through a positive root, if it is one."""
     n = w.n
