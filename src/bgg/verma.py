@@ -22,24 +22,31 @@ the nilradical, the PBW normal order.  Coefficients are exact: the
 structure constants and the Levi action are integers, so integer input
 straightens to int coefficients, and a Fraction input stays a Fraction.
 
-Straightening is one left action, memoised per module: the value of a
-label x on a normal-ordered monomial Y_y Y^rest tensor f is computed
-once, by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, with a letter that
-sorts before y simply prepended and a label acting on F at the empty
-word.  A suffix shared by many words is thus straightened once.  The
-memo lives on the GeneralizedVerma and dies with it; act, combine,
-check_maximal and maximal_vector_dimension share it.
+Straightening is per rank, the Levi action per (n, lam), and no memo
+is kept per module.  The straightening table of rank n holds, for a
+label code x and a normal-ordered word Y_y Y^rest that x does not
+simply extend, x Y_y Y^rest = sum of c Y^w z in U(g), with z a Levi
+label code or no label.  It is computed once per rank, with no vector
+of F in it, by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, with a letter
+that sorts before y simply prepended; at the empty word a u^+ label is
+dropped, since it kills F, and a Levi label stays as z.  A suffix shared
+by many words is thus straightened once, whatever lam.  A module then
+applies each z to f through the action of its LeviModule, memoised per
+(z, f) and shared by every module of the same (n, lam) (_levi_module).
+act, combine, check_maximal and maximal_vector_dimension all read these
+tables.
 
 maximal_vector_dimension reads each monomial's images under the simple
-raising operators straight off the memo and eliminates fraction-free
+raising operators straight off the tables and eliminates fraction-free
 over the integers, with sparse rows: a row is cross-multiplied with the
 pivot of its least column and divided by the gcd of its entries.
 
 Whatever depends on n alone is built once per rank and process, for the
 last 8 ranks used (`_lie_tables`, `_nilradical_letters`), shared by every
 LieData and GeneralizedVerma of that rank, and read-only: the basis
-matrices, the brackets, the letters and the integer tables that the hot
-paths read instead of hashing a Root (see _nilradical_letters).  A
+matrices, the brackets, the letters, the integer tables that the hot
+paths read instead of hashing a Root, and the straightening and word
+tables, whose values are tuples (see _nilradical_letters).  A
 bracket is computed through decompose, reconstruction check included,
 the first time the process needs it at that rank, and read from the
 shared memos (by label in LieData, by code in GeneralizedVerma) after.
@@ -47,9 +54,10 @@ The nilradical letters are checked against `weyl` alone (see
 _nilradical_letters), so this module, like `penrose`, loads no Hasse
 code.
 
-A weight space is listed per basis vector f of F by a walk over the
-letters on the need wt(f) - mu (_words).  A letter is tried only if the
-rest keeps its first two coordinates >= 0 and its budget E(rest) =
+A weight space is listed per basis vector f of F from the words of the
+need wt(f) - mu, found once per need and rank by a walk over the
+letters (_words) and kept in the word table.  A letter is tried only if
+the rest keeps its first two coordinates >= 0 and its budget E(rest) =
 rest_1 + rest_2 covers sum |rest_3..n|: a letter of grade g has first
 two coordinates >= 0 summing to g and moves coordinates 3..n by at most
 g.  (At n = 2, E = (1/2, 1/2) and the budget is 2 E(rest), a weaker but
@@ -166,7 +174,7 @@ class LeviModule:
     basis labels are (j, t): x_0^{m-j} x_1^j in the gl(2) factor, tensor
     the t-th slot of V (t None for a trivial V).
 
-    Every label acts through its matrix in lie, one term per entry
+    Every label acts through its matrix in sp(2n), one term per entry
     (r, c), rows and columns counted from 0.  An entry with r, c < 2 acts
     on the gl(2) factor as the derivation x_r d/dx_c, plus lam_2 times
     its value on the diagonal.  An entry whose row and column are both
@@ -174,7 +182,13 @@ class LeviModule:
     slot.  No other entry acts.  The grading element splits C^{2n} into
     rows 0-1, the slots and rows n, n+1 (grades 1, 0, -1); a u^+ matrix
     only raises that grade, so it has no entry inside a block and kills
-    F."""
+    F.
+
+    The module is read-only: its basis, weights and slots are tuples and
+    its index a read-only mapping.  The action of each label code on each
+    basis vector is memoised (`_act`); a GeneralizedVerma reads it, and
+    the modules built through _levi_module are shared by every
+    GeneralizedVerma of the same (n, lam)."""
 
     def __init__(self, n: int, lam: Sequence[int], lie: LieData):
         lam = tuple(lam)
@@ -184,20 +198,21 @@ class LeviModule:
             raise ValueError("gl(2) highest weight needs lam_1 >= lam_2")
         tail = lam[2:]
         if tail == (1,) + (0,) * (n - 3):
-            self._slots = list(range(2, n)) + list(range(n + 2, 2 * n))
+            self._slots = tuple(range(2, n)) + tuple(range(n + 2, 2 * n))
         elif any(tail):
             raise NotImplementedError("tail must be zero or (1, 0, ..., 0)")
         else:
-            self._slots = []
+            self._slots = ()
         self.n = n
         self.lam = lam
-        self._lie = lie
         self.m = lam[0] - lam[1]
-        self._slot_index = {s: t for t, s in enumerate(self._slots)}
+        self._slot_index = MappingProxyType({s: t for t, s in enumerate(self._slots)})
         ts = range(len(self._slots)) if self._slots else [None]
-        self.basis = [(j, t) for j in range(self.m + 1) for t in ts]
-        self._index = {b: i for i, b in enumerate(self.basis)}
+        self.basis = tuple((j, t) for j in range(self.m + 1) for t in ts)
+        self._index = MappingProxyType({b: i for i, b in enumerate(self.basis)})
         self.weights = tuple(map(self.weight, range(len(self.basis))))
+        _, _, _, _, self._code, _, self._entries, *_ = _nilradical_letters(n)
+        self._memo: dict = {}
 
     def weight(self, idx: int) -> Weight:
         j, t = self.basis[idx]
@@ -212,14 +227,17 @@ class LeviModule:
 
     def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
         """The action of label on a basis vector."""
-        return self._act([(r, c, v) for (r, c), v in self._lie.matrix(label).items()], idx)
+        return list(self._act(self._code[label], idx))
 
-    def _act(self, entries: Iterable, idx: int) -> list[tuple[int, int]]:
-        """The action on a basis vector of the matrix with these (row,
-        col, value) entries, one term per entry."""
+    def _act(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
+        """The action of the label with code z on a basis vector, read off
+        its (row, col, value) entries, one term per entry; memoised."""
+        got = self._memo.get((z, idx))
+        if got is not None:
+            return got
         j, t = self.basis[idx]
         out: dict[int, int] = {}
-        for r, c, v in entries:
+        for r, c, v in self._entries[z]:
             if r < 2 and c < 2:
                 power = j if c else self.m - j
                 coeff = v * (power + self.lam[1]) if r == c else v * power
@@ -231,7 +249,16 @@ class LeviModule:
             if coeff:
                 i2 = self._index[key]
                 out[i2] = out.get(i2, 0) + coeff
-        return [(i2, c) for i2, c in sorted(out.items()) if c]
+        got = self._memo[z, idx] = tuple((i2, c) for i2, c in sorted(out.items()) if c)
+        return got
+
+
+@functools.lru_cache(maxsize=8)
+def _levi_module(n: int, lam: tuple) -> LeviModule:
+    """The Levi module F(lam), built once per (n, lam) for the 8 used
+    last, so that its memoised action is shared by every
+    GeneralizedVerma of that highest weight."""
+    return LeviModule(n, lam, LieData(n))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +274,12 @@ def _nilradical_letters(n: int) -> tuple:
     their weight vectors and steps (see _words), an integer code for
     every label of sp(2n) (a letter's is its index; the others follow),
     the codes of the simple raising operators, each code's matrix
-    entries as (row, col, value) triples and the memo of brackets by
-    code, which only gains brackets read off LieData.bracket.
+    entries as (row, col, value) triples, the codes of the Levi labels
+    (those that act on F) and three memos that only gain entries: the
+    brackets by code, read off LieData.bracket; the straightening table
+    (see GeneralizedVerma._straighten); and the word table, each need
+    wt(f) - mu mapped to its words sorted by length (see weight_space).
+    Every value a memo holds is a tuple.
 
     The letter list is checked against the nilradical read off `weyl`:
     the positive roots alpha with alpha(E) > 0 for E = (1, 1, 0, ..., 0),
@@ -273,6 +304,7 @@ def _nilradical_letters(n: int) -> tuple:
     for v in vectors:
         t = next((t for t in range(2, n) if v[t]), 0)
         steps.append((v[0], v[1], t, v[t] if t else 0))
+    upper = {("e", r) for r in order}
     return (
         letters,
         vectors,
@@ -281,6 +313,9 @@ def _nilradical_letters(n: int) -> tuple:
         code,
         tuple(code["e", r] for r in weyl.simple_roots(n)),
         tuple(tuple((r, c, v) for (r, c), v in matrices[lab].items()) for lab in labels),
+        frozenset(code[lab] for lab in labels[len(letters):] if lab not in upper),
+        {},
+        {},
         {},
     )
 
@@ -326,14 +361,19 @@ class GeneralizedVerma:
     the grade drop E(lam - mu): weight spaces are finite and are listed
     in full.
 
-    The left action of a label on a normal-ordered monomial is memoised
-    per module (`_left`, see the module docstring)."""
+    A module keeps no memo of its own.  Straightening and the word lists
+    of weight spaces depend on n alone and are read off the tables of
+    the rank (_nilradical_letters); the Levi action depends on (n, lam)
+    and is read off the shared LeviModule (_levi_module).  `_left`
+    joins the two (see the module docstring)."""
 
     def __init__(self, n: int, lam: Sequence[int], lie: Optional[LieData] = None):
         self.n = n
         self.lam = tuple(lam)
         self.lie = lie if lie is not None else LieData(n)
-        self.module = LeviModule(n, lam, self.lie)
+        if self.lie.n != n:
+            raise ValueError("rank mismatch")
+        self.module = _levi_module(n, self.lam)
         (
             self.letters,
             self._vectors,
@@ -342,9 +382,11 @@ class GeneralizedVerma:
             self._code,
             self._raising,
             self._entries,
+            self._levi,
             self._brackets,
+            self._table,
+            self._word_table,
         ) = _nilradical_letters(n)
-        self._memo: dict = {}
 
     # -- element arithmetic
 
@@ -383,43 +425,67 @@ class GeneralizedVerma:
             self._brackets[x, y] = got
         return got
 
-    def _left(self, x: int, word: tuple, f: int) -> Element:
-        """x . (Y^word tensor f) in normal form, for a label code x and a
-        normal-ordered word that x does not simply extend.  Memoised per
-        module; the value is shared and never mutated.
+    def _straighten(self, x: int, word: tuple) -> tuple:
+        """x Y^word = sum of c Y^w2 z in U(g), as a tuple of ((w2, z), c)
+        with w2 normal-ordered and z a Levi label code or None (no label),
+        for a label code x and a normal-ordered word that x does not
+        simply extend.  Read off the rank's table, and computed into it
+        the first time.
 
-        With an empty word, x acts on F.  Otherwise
-        x Y_y rest = Y_y (x rest) + [x, Y_y] rest for the first letter y."""
-        key = (x, word, f)
-        out = self._memo.get(key)
-        if out is not None:
-            return out
+        At the empty word a Levi label is its own z, and any other label
+        is dropped: a u^+ label kills F.  Otherwise
+        x Y_y rest = Y_y (x rest) + [x, Y_y] rest for the first letter y;
+        Y_y times a word is straightened within U(u^-), so it carries no
+        label, and the z of x rest stays to its right."""
+        got = self._table.get((x, word))
+        if got is not None:
+            return got
         if not word:
-            out = {((), f2): c for f2, c in self.module._act(self._entries[x], f)}
+            got = ((((), x), 1),) if x in self._levi else ()
         else:
             y, rest = word[0], word[1:]
-            out = {}
-            for (w2, f2), c in self._left_any(x, rest, f):
-                for k3, c3 in self._left_any(y, w2, f2):
-                    self._add(out, k3, c * c3)
+            out: dict = {}
+            for (w2, z), c in self._straighten_any(x, rest):
+                for (w3, _), c3 in self._straighten_any(y, w2):
+                    self._add(out, (w3, z), c * c3)
             for z, zc in self._bracket(x, y):
-                for k3, c3 in self._left_any(z, rest, f):
-                    self._add(out, k3, zc * c3)
-        self._memo[key] = out
-        return out
+                for key, c3 in self._straighten_any(z, rest):
+                    self._add(out, key, zc * c3)
+            got = tuple(out.items())
+        self._table[x, word] = got
+        return got
 
-    def _left_any(self, x: int, word: tuple, f: int):
-        """The terms of x . (Y^word tensor f) for any normal-ordered word: a
-        letter that sorts first just extends the word."""
+    def _straighten_any(self, x: int, word: tuple) -> tuple:
+        """The terms of x Y^word for any normal-ordered word: a letter that
+        sorts first just extends the word."""
         if x < len(self.letters) and (not word or x <= word[0]):
-            return ((((x,) + word, f), 1),)
-        return self._left(x, word, f).items()
+            return ((((x,) + word, None), 1),)
+        return self._straighten(x, word)
+
+    def _left(self, x: int, word: tuple, f: int) -> Element:
+        """x . (Y^word tensor f) in normal form, as a new element, for a
+        label code x and a normal-ordered word that x does not simply
+        extend: each term c Y^w2 z of the straightened x Y^word, with z
+        acting on f through the Levi module."""
+        out: Element = {}
+        act = self.module._act
+        for (w2, z), c in self._straighten(x, word):
+            if z is None:
+                self._add(out, (w2, f), c)
+            else:
+                for f2, c2 in act(z, f):
+                    self._add(out, (w2, f2), c * c2)
+        return out
 
     def _apply(self, x: int, elem: Element) -> Element:
         """x . elem as a new element, for a label code x."""
         out: Element = {}
+        extends = x < len(self.letters)
         for (word, f), c in elem.items():
-            for key, c2 in self._left_any(x, word, f):
+            if extends and (not word or x <= word[0]):
+                self._add(out, ((x,) + word, f), c)
+                continue
+            for key, c2 in self._left(x, word, f).items():
                 self._add(out, key, c * c2)
         return out
 
@@ -457,15 +523,19 @@ class GeneralizedVerma:
         if len(mu) != self.n:
             raise ValueError("rank mismatch")
         space = []
+        table = self._word_table
         for fidx, wt in enumerate(self.module.weights):
-            found = _words(self._steps, [a - b for a, b in zip(wt, mu)])
-            space += [(word, fidx) for word in sorted(found, key=len)]
+            need = tuple(a - b for a, b in zip(wt, mu))
+            words = table.get(need)
+            if words is None:
+                words = table[need] = tuple(sorted(_words(self._steps, list(need)), key=len))
+            space += [(word, fidx) for word in words]
         return space
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
         """Dimension of the space of maximal vectors of weight mu: the size
         of the weight space less the rank of the simple raising operators
-        on it.  Each monomial's row of images is read off the memo, with
+        on it.  Each monomial's row of images is read off _left, with
         columns numbered as they first appear, and rows are eliminated
         fraction-free over the integers: a row is cross-multiplied with
         the pivot of its least column, then divided by the gcd of its
@@ -624,11 +694,14 @@ class VerificationResult:
         }
 
 
+@functools.lru_cache(maxsize=32)
 def first_arrow(n: int, k: int, sign: str = "+") -> tuple[Weight, Weight]:
     """The first two terms of the singular BGG complex for (n, k, sign),
     read off the E1 entries: the complex's terms are the E1 cells, which
     e1_entries lists in order of p, so no order bound of a map or
-    differential is needed."""
+    differential is needed.  Memoised for the 32 cases used last, so a
+    genuine and a perturbed check of one row read the E1 entries once;
+    the value is a pair of tuples, which no caller can change."""
     first, second, *_ = penrose.e1_entries(n, k, sign).values()
     return first, second
 

@@ -325,24 +325,30 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_builders_compute_each_cell_once(monkeypatch):
-    """An assembled complex builds no E1 page, no PageMap and no order
-    bound per map.  The E1 entries build no RelativeBggTerm, and a page
-    one PageMap per differential."""
+    """An assembled complex builds no E1 page and no PageMap, and reads
+    the conformal weights of its cells once.  The E1 entries build no
+    RelativeBggTerm and read no conformal weight, and a page reads them
+    once and builds one PageMap per differential.  The conjectural k = 0
+    complex computes its own."""
     e1 = _count_calls(monkeypatch, penrose, "e1_page")
     page_maps = _count_calls(monkeypatch, penrose, "PageMap")
     terms = _count_calls(monkeypatch, penrose, "RelativeBggTerm")
-    bounds = _count_calls(monkeypatch, pmod, "order_bound")
+    weights = _count_calls(monkeypatch, penrose, "_conformal_weights")
     n = 7
     for k in range(1, n):
         for sign in "+-":
             cx = penrose.assemble_singular_bgg(n, k, sign)
             assert len(cx.terms) == 2 * n - 3
+            assert len(weights) == 2 * (k - 1) + (sign == "-") + 1
     cx = penrose.assemble_singular_bgg(n, 0, conjectural=True)
     assert len(cx.terms) == 2 * n - 2
-    assert e1 == page_maps == bounds == []
+    assert e1 == page_maps == []
+    assert len(weights) == 2 * (n - 1)
     assert len(penrose.e1_entries(n, 2, "-")) == 2 * n - 3
     assert terms == []
     page = penrose.e1_page(n, 2, "+")
     assert len(page_maps) == len(page.differentials)
-    assert terms == bounds == []
+    assert len(weights) == 2 * (n - 1) + 1
+    assert terms == []
     assert len(penrose.relative_bgg(n, 2)) == len(terms) == 2 * n - 2
+    assert len(weights) == 2 * (n - 1) + 1

@@ -135,6 +135,8 @@ def test_lie_data_validation():
 def _clear_rank_tables():
     verma._lie_tables.cache_clear()
     verma._nilradical_letters.cache_clear()
+    verma._levi_module.cache_clear()
+    verma.first_arrow.cache_clear()
 
 
 def _scratch_matrix(n, label):
@@ -189,10 +191,31 @@ def test_shared_tables_are_read_only(lie3):
 
 
 def test_rank_tables_hold_eight_ranks():
+    """The per-rank tables, the Levi modules and the first arrows are
+    each held in a bounded cache: 8 ranks, 8 highest weights, 32 cases."""
     for n in range(3, 12):
-        verma.GeneralizedVerma(n, (0,) * n)
+        for lam in ((0,) * n, (1, 0, 1) + (0,) * (n - 3)):
+            verma.GeneralizedVerma(n, lam).weight_space((-1, -1) + lam[2:])
+        verma.first_arrow(n, 1, "+")
+        verma.first_arrow(n, 1, "-")
     assert verma._lie_tables.cache_info().currsize <= 8
     assert verma._nilradical_letters.cache_info().currsize <= 8
+    assert verma._levi_module.cache_info().currsize <= 8
+    assert verma._levi_module.cache_info().maxsize == 8
+    assert verma.first_arrow.cache_info().maxsize == 32
+    assert verma.first_arrow.cache_info().currsize <= 32
+
+
+def test_evicted_ranks_are_rebuilt():
+    """Ranks 3..12 and then 3 again on cold caches: rank 3 has been
+    evicted by then, its tables are rebuilt, and every row verifies."""
+    _clear_rank_tables()
+    first = verma._nilradical_letters(3)
+    for n in list(range(3, 13)) + [3]:
+        results = verma.verify_first_operators(n)
+        assert len(results) == 2 * (n - 1)
+        assert all(r.ok and r.kernel_dim == 1 for r in results), n
+    assert verma._nilradical_letters(3) is not first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -232,7 +255,7 @@ def test_levi_gl2_factor(lie4):
     a12 root acting as derivations and every sp(4) label as zero."""
     mod = verma.LeviModule(4, (3, 1, 0, 0), lie4)
     assert mod.m == 2
-    assert mod.basis == [(0, None), (1, None), (2, None)]
+    assert mod.basis == ((0, None), (1, None), (2, None))
     assert mod.weight(0) == (3, 1, 0, 0)
     assert mod.weight(1) == (2, 2, 0, 0)
     assert mod.weight(2) == (1, 3, 0, 0)
@@ -260,7 +283,7 @@ def test_levi_standard_factor(lie4):
     """Standard tail, m = 1: C^2 tensor det tensor C^4, slots t = 0..3
     being e_3, e_4, f_3, f_4."""
     mod = verma.LeviModule(4, (2, 1, 1, 0), lie4)
-    assert mod.basis == [(j, t) for j in (0, 1) for t in range(4)]
+    assert mod.basis == tuple((j, t) for j in (0, 1) for t in range(4))
     assert [mod.weight(i) for i in range(8)] == [
         (2, 1, 1, 0), (2, 1, 0, 1), (2, 1, -1, 0), (2, 1, 0, -1),
         (1, 2, 1, 0), (1, 2, 0, 1), (1, 2, -1, 0), (1, 2, 0, -1),
@@ -447,19 +470,90 @@ def test_act_results_do_not_alias_the_memo():
     assert mp.combine(parts) == want_v
 
 
-def test_modules_do_not_share_a_memo():
-    """Two modules with the same lam each keep their own memo: a
-    corrupted memo in one leaves the other's action equal to the oracle."""
-    lam = (0, 0, 0)
-    a, b = verma.GeneralizedVerma(3, lam), verma.GeneralizedVerma(3, lam)
-    assert a._memo is not b._memo
-    v = [(1, (Root("a", 2, 3), Root("b", 2)), (0, None))]
+def test_modules_of_a_rank_share_read_only_tables():
+    """Modules of one rank share the straightening and word tables
+    whatever lam, and modules of one (n, lam) share their Levi module.
+    Every value those tables hold is a tuple, and mutating an element
+    returned by act or combine leaves the next call unchanged."""
+    _clear_rank_tables()
+    a, b = verma.GeneralizedVerma(3, (0, 0, 0)), verma.GeneralizedVerma(3, (1, 0, 1))
+    assert a._table is b._table and a._word_table is b._word_table
+    assert a._brackets is b._brackets
+    assert a.module is not b.module
+    assert verma.GeneralizedVerma(3, [1, 0, 1]).module is b.module
+    parts = [(1, (Root("a", 2, 3), Root("b", 2)), (0, None))]
+    parts_b = [(1, ys, (0, 0)) for _, ys, _ in parts]
     label = ("e", Root("a", 2, 3))
-    a.act(label, a.combine(v))
-    assert a._memo and not b._memo
-    for out in a._memo.values():
-        out[(0,), 0] = 7
-    assert b.act(label, b.combine(v)) == verma_oracle.act(b, label, verma_oracle.combine(b, v))
+    got = a.act(label, a.combine(parts))
+    assert got
+    size = len(a._table)
+    v = b.combine(parts_b)
+    assert b.act(label, v)
+    assert len(b._table) == size  # b read what a straightened
+    assert a.weight_space((-1, -2, 1)) and b.weight_space(b.weight_of(v))
+    for mp in (a, b):
+        for memo in (mp._table, mp._word_table, mp.module._memo):
+            assert memo
+            assert all(type(val) is tuple for val in memo.values())
+            assert all(type(term) is tuple for val in memo.values() for term in val)
+    want = dict(got)
+    got.clear()
+    v[(0,), 0] = 5
+    assert a.act(label, a.combine(parts)) == want
+    want_b = verma_oracle.act(b, label, verma_oracle.combine(b, parts_b))
+    assert b.act(label, b.combine(parts_b)) == want_b
+
+
+def _graded_words(grades, top):
+    """Every normal-ordered word whose letters' grades sum to at most top."""
+    words = [()]
+    for word in words:
+        for i in range(word[-1] if word else 0, len(grades)):
+            if sum(grades[j] for j in word) + grades[i] <= top:
+                words.append(word + (i,))
+    return words
+
+
+@pytest.mark.parametrize("n, top", [(3, 3), (4, 2)])
+def test_straightening_table_matches_oracle(n, top):
+    """Every label code on every normal-ordered word of grade at most top
+    and every basis vector of a trivial-tail and a standard-tail module,
+    through the straightening table and the Levi action, against the
+    work-list straightening.  Afterwards the table holds every pair a
+    label does not simply extend."""
+    _clear_rank_tables()
+    grades = [sum(root.vector(n)[:2]) for _, root in verma._nilradical_letters(n)[0]]
+    words = _graded_words(grades, top)
+    assert max(map(len, words)) == top
+    for lam in ((1, -1) + (0,) * (n - 2), (1, 0, 1) + (0,) * (n - 3)):
+        mp = verma.GeneralizedVerma(n, lam)
+        for x, label in enumerate(mp._labels):
+            for word in words:
+                for f in range(len(mp.module.basis)):
+                    want = {}
+                    verma_oracle.normal_form(
+                        mp, (label,) + tuple(mp.letters[i] for i in word), f, 1, want
+                    )
+                    assert mp.act(x, {(word, f): 1}) == want, (lam, label, word, f)
+        simple = {(x, w) for x in range(len(mp.letters)) for w in words if not w or x <= w[0]}
+        pairs = {(x, w) for x in range(len(mp._labels)) for w in words} - simple
+        assert pairs <= mp._table.keys()
+
+
+def test_word_table_matches_oracle():
+    """The words of every need wt(f) - mu met by the catalogue rows for
+    n = 3..6, sorted by length, against the tuple-walk listing."""
+    _clear_rank_tables()
+    checked = 0
+    for row in _catalogue(range(3, 7)):
+        mp = verma.GeneralizedVerma(row.n, row.lam)
+        mp.weight_space(row.mu)
+        for wt in mp.module.weights:
+            need = tuple(a - b for a, b in zip(wt, row.mu))
+            want = sorted(verma_oracle.words_for(mp, need), key=lambda w: (len(w), w))
+            assert mp._word_table[need] == tuple(want), (row.n, row.k, row.sign, need)
+            checked += bool(want)
+    assert checked >= 28
 
 
 def test_term_weight(m3):
@@ -716,6 +810,26 @@ def test_first_arrow_is_that_of_the_assembled_complex(n):
         for sign in "+-":
             cx = penrose.assemble_singular_bgg(n, k, sign)
             assert verma.first_arrow(n, k, sign) == tuple(cx.terms[:2]), (n, k, sign)
+
+
+def test_a_row_pair_reads_the_e1_entries_once(monkeypatch):
+    """A genuine and a perturbed check of the same row read the E1
+    entries once between them; the first arrow is a pair of tuples."""
+    real, calls = penrose.e1_entries, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(penrose, "e1_entries", counting)
+    verma.first_arrow.cache_clear()
+    row = verma.singular_vector_row(5, 2, "-")
+    assert verma.verify_row(row).ok
+    assert not verma.verify_row(row, perturb=True, kernel=False).maximal_ok
+    assert calls == [(5, 2, "-")]
+    arrow = verma.first_arrow(5, 2, "-")
+    assert type(arrow) is tuple and all(type(t) is tuple for t in arrow)
+    assert len(calls) == 1
 
 
 def test_perturbed_rows_fail(lie4):
