@@ -200,7 +200,8 @@ def _cmd_bgg_complex(args) -> int:
 def _cmd_verify_maximal(args) -> int:
     from bgg import verma
 
-    lie = verma.LieData(args.n)
+    if args.n < 3:
+        raise ValueError("the first-operator catalogue needs n >= 3")
     if args.k is not None:
         rows = [verma.singular_vector_row(args.n, args.k, args.sign or "+")]
     else:
@@ -211,7 +212,7 @@ def _cmd_verify_maximal(args) -> int:
             for sign in signs
         ]
     results = [
-        verma.verify_row(row, lie, perturb=args.perturb, kernel=not args.no_kernel)
+        verma.verify_row(row, perturb=args.perturb, kernel=not args.no_kernel)
         for row in rows
     ]
     if args.format == "json":

@@ -167,19 +167,20 @@ def _validate(n: int, k: int, sign: str) -> int:
     return k if sign == "+" else -k
 
 
+def _cells(n: int, k_signed: int) -> dict[tuple[int, int], Weight]:
+    """{(p, q): weight} in order of p: the nonzero direct images of the
+    terms of the relative resolution of (k_signed | n-1, ..., 1)."""
+    terms = _relative_terms(n, k_signed)
+    images = ((p, bbw_direct_image(k_signed, m, tail)) for p, m, tail in terms)
+    return {(p, img[1]): img[0] for p, img in images if img is not None}
+
+
 def e1_entries(n: int, k: int, sign: str = "+") -> dict[tuple[int, int], Weight]:
     """The entries of the first page, {(p, q): weight} in order of p:
     entry (p, q) is the q-th direct image of term p of the relative
     resolution.  Exactly one term dies, leaving 2n-3 entries in two rows
     (one row if k = n-1)."""
-    ks = _validate(n, k, sign)
-    entries = {}
-    for p, middle, tail in _relative_terms(n, ks):
-        img = bbw_direct_image(ks, middle, tail)
-        if img is not None:
-            w, q = img
-            entries[(p, q)] = w
-    return entries
+    return _cells(n, _validate(n, k, sign))
 
 
 def _conformal_weights(entries: dict) -> dict:
@@ -324,19 +325,15 @@ def assemble_singular_bgg(
     return BggComplex(n, k, sign, list(entries.values()), maps, _resolved(n, k, sign))
 
 
-def _full_k0_weight(n: int, pair: tuple[int, int]) -> Weight:
-    rest = [v for v in range(n - 1, -1, -1) if v not in {abs(pair[0]), abs(pair[1])}]
-    return pair + tuple(rest)
-
-
 def _conjectural_k0(n: int, sign: str) -> BggComplex:
+    """The branched candidate for (0 | n-1, ..., 1), whose terms are all
+    2n-2 cells in order of p: no direct image dies at k = 0."""
     if n < 3:
         raise ValueError("need n >= 3")
     orbits.tilde_lambda(n, 0, sign)  # only '+': k = 0 has a single conjugate
-    pairs = [(x, 0) for x in range(n - 1, 0, -1)]
-    pairs += [(0, y) for y in range(-1, -n, -1)]
-    terms = [_full_k0_weight(n, pr) for pr in pairs]
-    cw = [t[0] + t[1] for t in terms]  # conformal weights, crossed {2}
+    entries = _cells(n, 0)
+    terms = list(entries.values())
+    cw = list(_conformal_weights(entries).values())
 
     def bound(i, j):
         return cw[i] - cw[j]

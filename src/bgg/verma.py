@@ -41,18 +41,19 @@ raising operators straight off the tables and eliminates fraction-free
 over the integers, with sparse rows: a row is cross-multiplied with the
 pivot of its least column and divided by the gcd of its entries.
 
-Whatever depends on n alone is built once per rank and process, for the
-last 8 ranks used (`_lie_tables`, `_nilradical_letters`), shared by every
-LieData and GeneralizedVerma of that rank, and read-only: the basis
-matrices, the brackets, the letters, the integer tables that the hot
-paths read instead of hashing a Root, and the straightening and word
-tables, whose values are tuples (see _nilradical_letters).  A
-bracket is computed through decompose, reconstruction check included,
-the first time the process needs it at that rank, and read from the
-shared memos (by label in LieData, by code in GeneralizedVerma) after.
-The nilradical letters are checked against `weyl` alone (see
-_nilradical_letters), so this module, like `penrose`, loads no Hasse
-code.
+Whatever depends on n alone is one record, RankTables, built once per
+rank and process for the last 8 ranks used (_rank) and read by field
+name by every reader of that rank: the basis matrices and their
+leading entries, the letters, the integer tables that the hot paths
+read instead of hashing a Root, and three memos, the brackets, the
+straightening table and the word table.  Every other field is a tuple,
+a frozenset or a read-only mapping, and every value a memo holds is a
+tuple.  A bracket is kept once, by label code: it is computed through
+decompose, reconstruction check included, the first time the process
+needs it at that rank.  LieData is a view of the record by label, and
+no module takes one.  The nilradical letters are checked against
+`weyl` alone (see _rank), so this module, like `penrose`, loads no
+Hasse code.
 
 A weight space is listed per basis vector f of F from the words of the
 need wt(f) - mu, found once per need and rank by a walk over the
@@ -70,7 +71,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from bgg import penrose, weyl
 from bgg.weyl import Root, Weight
@@ -80,15 +81,66 @@ Matrix = dict  # {(row, col): int}, nonzero entries only
 
 
 # ---------------------------------------------------------------------------
-# the Lie algebra
+# the Lie algebra and the tables of a rank
+
+
+class RankTables(NamedTuple):
+    """What the Verma layer reads that depends on n alone (see _rank): the
+    basis matrices by label and their leading entries (key, label) in
+    decompose's order; the nilradical letters in normal order, their
+    weight vectors and steps (see _words); the labels with their codes (a
+    letter's is its index), the simple raising codes, each code's (row,
+    col, value) entries and the codes of the Levi labels, which act on F.
+    Then three memos, each value a tuple: the brackets by code pair, the
+    straightening table (see GeneralizedVerma._straighten) and the word
+    table, each need wt(f) - mu to its words by length (weight_space)."""
+
+    matrices: Mapping
+    leads: tuple
+    letters: tuple
+    vectors: tuple
+    steps: tuple
+    labels: tuple
+    code: Mapping
+    raising: tuple
+    entries: tuple
+    levi: frozenset
+    brackets: dict
+    straightening: dict
+    words: dict
+
+    def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
+        """Exact expansion of x over the basis, read off the leading
+        entries, with reconstruction check."""
+        terms = [(lab, x[lead]) for lead, lab in self.leads if x.get(lead)]
+        recon: Matrix = {}
+        for lab, coeff in terms:
+            _accumulate(recon, self.matrices[lab], coeff)
+        if recon != {key: v for key, v in x.items() if v}:
+            raise AssertionError("matrix does not lie in sp(2n)")
+        return terms
+
+    def bracket(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
+        """[x, y] by label code: the commutator of the basis matrices,
+        through decompose the first time, read off the memo after."""
+        got = self.brackets.get((x, y))
+        if got is None:
+            mx, my = self.matrices[self.labels[x]], self.matrices[self.labels[y]]
+            m = _product(mx, my)
+            _accumulate(m, _product(my, mx), -1)
+            got = self.brackets[x, y] = tuple(
+                (self.code[lab], c) for lab, c in self.decompose(m)
+            )
+        return got
 
 
 @functools.lru_cache(maxsize=8)
-def _lie_tables(n: int) -> tuple[Mapping, tuple, dict]:
-    """The basis matrices, the leading entries and the bracket memo of
-    sp(2n), built once per n (for the 8 ranks used last) and shared by
-    every LieData of rank n.  The matrices are read-only; the memo only
-    gains brackets that decompose has checked."""
+def _rank(n: int) -> RankTables:
+    """The tables of rank n, built once per n for the 8 ranks used last.
+    The letters are checked against the nilradical read off `weyl`: the
+    positive roots alpha with alpha(E) > 0 for E = (1, 1, 0, ..., 0)."""
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     m: dict[Label, Matrix] = {}
     # the insertion order is the order of decompose's terms
     for i in range(n):
@@ -100,48 +152,59 @@ def _lie_tables(n: int) -> tuple[Mapping, tuple, dict]:
         for root, e in raising:
             m[("e", root)] = e
             m[("y", root)] = {(c, r): v for (r, c), v in e.items()}
-    # the least key of each matrix holds 1 and is a key of no other
-    leads = tuple((min(mat), lab) for lab, mat in m.items())
-    matrices = MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()})
-    return matrices, leads, {}
+    nil = {r for r in weyl.positive_roots(n) if sum(r.vector(n)[:2]) > 0}
+    order = (
+        [Root("a", 1, j) for j in range(3, n + 1)]
+        + [Root("a", 2, j) for j in range(3, n + 1)]
+        + [Root("c", 1, j) for j in range(3, n + 1)]
+        + [Root("c", 2, j) for j in range(3, n + 1)]
+        + [Root("b", 1), Root("b", 2), Root("c", 1, 2)]
+    )
+    if set(order) != nil:
+        raise AssertionError("nilradical letter list out of sync")
+    letters = tuple(("y", r) for r in order)
+    labels = letters + tuple(lab for lab in m if lab not in letters)
+    code = MappingProxyType({lab: i for i, lab in enumerate(labels)})
+    vectors = tuple(r.vector(n) for r in order)
+    steps = []
+    for v in vectors:
+        t = next((t for t in range(2, n) if v[t]), 0)
+        steps.append((v[0], v[1], t, v[t] if t else 0))
+    upper = {("e", r) for r in order}
+    return RankTables(
+        matrices=MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()}),
+        # the least key of each matrix holds 1 and is a key of no other
+        leads=tuple((min(mat), lab) for lab, mat in m.items()),
+        letters=letters, vectors=vectors, steps=tuple(steps),
+        labels=labels, code=code,
+        raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
+        entries=tuple(tuple((r, c, v) for (r, c), v in m[lab].items()) for lab in labels),
+        levi=frozenset(code[lab] for lab in labels[len(letters):] if lab not in upper),
+        brackets={}, straightening={}, words={},
+    )
 
 
 class LieData:
     """Sparse integer matrices and exact structure constants for sp(2n).
 
     A matrix is a dict {(row, col): int} holding its nonzero entries;
-    every basis element has at most two.  The basis matrices and the
-    brackets depend on n alone: they come from _lie_tables, and a basis
-    matrix is a read-only mapping."""
+    every basis element has at most two.  A LieData is a view by label
+    of the tables of its rank (_rank), shared by every reader of that
+    rank: a basis matrix is read-only, and a bracket is kept by code."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("rank must be at least 2")
         self.n = n
-        self._matrices, self._leads, self._brackets = _lie_tables(n)
+        self.tables = _rank(n)
 
     def matrix(self, label: Label) -> Mapping:
-        return self._matrices[label]
+        return self.tables.matrices[label]
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
-        """Exact expansion of x over the basis, read off the leading
-        entries, with reconstruction check."""
-        terms = [(lab, x[lead]) for lead, lab in self._leads if x.get(lead)]
-        recon: Matrix = {}
-        for lab, coeff in terms:
-            _accumulate(recon, self.matrix(lab), coeff)
-        if recon != {key: v for key, v in x.items() if v}:
-            raise AssertionError("matrix does not lie in sp(2n)")
-        return terms
+        return self.tables.decompose(x)
 
     def bracket(self, x: Label, y: Label) -> tuple[tuple[Label, int], ...]:
-        key = (x, y)
-        if key not in self._brackets:
-            mx, my = self.matrix(x), self.matrix(y)
-            m = _product(mx, my)
-            _accumulate(m, _product(my, mx), -1)
-            self._brackets[key] = tuple(self.decompose(m))
-        return self._brackets[key]
+        t = self.tables
+        return tuple((t.labels[z], c) for z, c in t.bracket(t.code[x], t.code[y]))
 
 
 def _accumulate(out: Matrix, x: Matrix, coeff: int) -> None:
@@ -186,13 +249,15 @@ class LeviModule:
 
     The module is read-only: its basis, weights and slots are tuples and
     its index a read-only mapping.  The action of each label code on each
-    basis vector is memoised (`_act`); a GeneralizedVerma reads it, and
-    the modules built through _levi_module are shared by every
-    GeneralizedVerma of the same (n, lam)."""
+    basis vector is memoised (`_act`), read off the entries of the
+    rank's tables; a GeneralizedVerma reads it, and the modules built
+    through _levi_module are shared by every GeneralizedVerma of the
+    same (n, lam)."""
 
-    def __init__(self, n: int, lam: Sequence[int], lie: LieData):
+    def __init__(self, n: int, lam: Sequence[int]):
         lam = tuple(lam)
-        if len(lam) != n or lie.n != n:
+        self.tables = _rank(n)
+        if len(lam) != n:
             raise ValueError("rank mismatch")
         if lam[0] < lam[1]:
             raise ValueError("gl(2) highest weight needs lam_1 >= lam_2")
@@ -211,7 +276,6 @@ class LeviModule:
         self.basis = tuple((j, t) for j in range(self.m + 1) for t in ts)
         self._index = MappingProxyType({b: i for i, b in enumerate(self.basis)})
         self.weights = tuple(map(self.weight, range(len(self.basis))))
-        _, _, _, _, self._code, _, self._entries, *_ = _nilradical_letters(n)
         self._memo: dict = {}
 
     def weight(self, idx: int) -> Weight:
@@ -227,7 +291,7 @@ class LeviModule:
 
     def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
         """The action of label on a basis vector."""
-        return list(self._act(self._code[label], idx))
+        return list(self._act(self.tables.code[label], idx))
 
     def _act(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
         """The action of the label with code z on a basis vector, read off
@@ -237,7 +301,7 @@ class LeviModule:
             return got
         j, t = self.basis[idx]
         out: dict[int, int] = {}
-        for r, c, v in self._entries[z]:
+        for r, c, v in self.tables.entries[z]:
             if r < 2 and c < 2:
                 power = j if c else self.m - j
                 coeff = v * (power + self.lam[1]) if r == c else v * power
@@ -258,7 +322,7 @@ def _levi_module(n: int, lam: tuple) -> LeviModule:
     """The Levi module F(lam), built once per (n, lam) for the 8 used
     last, so that its memoised action is shared by every
     GeneralizedVerma of that highest weight."""
-    return LeviModule(n, lam, LieData(n))
+    return LeviModule(n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -266,58 +330,6 @@ def _levi_module(n: int, lam: tuple) -> LeviModule:
 
 
 Element = dict  # {(word, fidx): coeff} with word a tuple of letter indices
-
-
-@functools.lru_cache(maxsize=8)
-def _nilradical_letters(n: int) -> tuple:
-    """The lowering letters of the crossed-{2} nilradical in normal order,
-    their weight vectors and steps (see _words), an integer code for
-    every label of sp(2n) (a letter's is its index; the others follow),
-    the codes of the simple raising operators, each code's matrix
-    entries as (row, col, value) triples, the codes of the Levi labels
-    (those that act on F) and three memos that only gain entries: the
-    brackets by code, read off LieData.bracket; the straightening table
-    (see GeneralizedVerma._straighten); and the word table, each need
-    wt(f) - mu mapped to its words sorted by length (see weight_space).
-    Every value a memo holds is a tuple.
-
-    The letter list is checked against the nilradical read off `weyl`:
-    the positive roots alpha with alpha(E) > 0 for E = (1, 1, 0, ..., 0),
-    that is, whose vectors have first two coordinates summing to more
-    than 0."""
-    nil = {r for r in weyl.positive_roots(n) if sum(r.vector(n)[:2]) > 0}
-    order = (
-        [Root("a", 1, j) for j in range(3, n + 1)]
-        + [Root("a", 2, j) for j in range(3, n + 1)]
-        + [Root("c", 1, j) for j in range(3, n + 1)]
-        + [Root("c", 2, j) for j in range(3, n + 1)]
-        + [Root("b", 1), Root("b", 2), Root("c", 1, 2)]
-    )
-    if set(order) != nil:
-        raise AssertionError("nilradical letter list out of sync")
-    letters = tuple(("y", r) for r in order)
-    matrices = _lie_tables(n)[0]
-    labels = letters + tuple(lab for lab in matrices if lab not in letters)
-    code = MappingProxyType({lab: i for i, lab in enumerate(labels)})
-    vectors = tuple(r.vector(n) for r in order)
-    steps = []
-    for v in vectors:
-        t = next((t for t in range(2, n) if v[t]), 0)
-        steps.append((v[0], v[1], t, v[t] if t else 0))
-    upper = {("e", r) for r in order}
-    return (
-        letters,
-        vectors,
-        tuple(steps),
-        labels,
-        code,
-        tuple(code["e", r] for r in weyl.simple_roots(n)),
-        tuple(tuple((r, c, v) for (r, c), v in matrices[lab].items()) for lab in labels),
-        frozenset(code[lab] for lab in labels[len(letters):] if lab not in upper),
-        {},
-        {},
-        {},
-    )
 
 
 def _words(steps: tuple, need: list) -> list[tuple]:
@@ -362,31 +374,18 @@ class GeneralizedVerma:
     in full.
 
     A module keeps no memo of its own.  Straightening and the word lists
-    of weight spaces depend on n alone and are read off the tables of
-    the rank (_nilradical_letters); the Levi action depends on (n, lam)
-    and is read off the shared LeviModule (_levi_module).  `_left`
-    joins the two (see the module docstring)."""
+    of weight spaces depend on n alone and are read off `tables`, the
+    record of the rank (_rank); the Levi action depends on (n, lam) and
+    is read off `module`, the shared LeviModule (_levi_module).  `_left`
+    joins the two (see the module docstring).  `letters` is the rank's
+    letter list."""
 
-    def __init__(self, n: int, lam: Sequence[int], lie: Optional[LieData] = None):
+    def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
         self.lam = tuple(lam)
-        self.lie = lie if lie is not None else LieData(n)
-        if self.lie.n != n:
-            raise ValueError("rank mismatch")
+        self.tables = _rank(n)
+        self.letters = self.tables.letters
         self.module = _levi_module(n, self.lam)
-        (
-            self.letters,
-            self._vectors,
-            self._steps,
-            self._labels,
-            self._code,
-            self._raising,
-            self._entries,
-            self._levi,
-            self._brackets,
-            self._table,
-            self._word_table,
-        ) = _nilradical_letters(n)
 
     # -- element arithmetic
 
@@ -407,23 +406,12 @@ class GeneralizedVerma:
         for coeff, ys, f in parts:
             elem = {((), self.module._index[f]): coeff}
             for r in reversed(ys):
-                elem = self._apply(self._code["y", r], elem)
+                elem = self._apply(self.tables.code["y", r], elem)
             for key, c in elem.items():
                 self._add(out, key, c)
         return out
 
     # -- straightening
-
-    def _bracket(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
-        """[x, y] by label code, read once per rank off LieData.bracket."""
-        got = self._brackets.get((x, y))
-        if got is None:
-            code = self._code
-            got = tuple(
-                (code[z], c) for z, c in self.lie.bracket(self._labels[x], self._labels[y])
-            )
-            self._brackets[x, y] = got
-        return got
 
     def _straighten(self, x: int, word: tuple) -> tuple:
         """x Y^word = sum of c Y^w2 z in U(g), as a tuple of ((w2, z), c)
@@ -437,22 +425,23 @@ class GeneralizedVerma:
         x Y_y rest = Y_y (x rest) + [x, Y_y] rest for the first letter y;
         Y_y times a word is straightened within U(u^-), so it carries no
         label, and the z of x rest stays to its right."""
-        got = self._table.get((x, word))
+        tables = self.tables
+        got = tables.straightening.get((x, word))
         if got is not None:
             return got
         if not word:
-            got = ((((), x), 1),) if x in self._levi else ()
+            got = ((((), x), 1),) if x in tables.levi else ()
         else:
             y, rest = word[0], word[1:]
             out: dict = {}
             for (w2, z), c in self._straighten_any(x, rest):
                 for (w3, _), c3 in self._straighten_any(y, w2):
                     self._add(out, (w3, z), c * c3)
-            for z, zc in self._bracket(x, y):
+            for z, zc in tables.bracket(x, y):
                 for key, c3 in self._straighten_any(z, rest):
                     self._add(out, key, zc * c3)
             got = tuple(out.items())
-        self._table[x, word] = got
+        tables.straightening[x, word] = got
         return got
 
     def _straighten_any(self, x: int, word: tuple) -> tuple:
@@ -493,13 +482,13 @@ class GeneralizedVerma:
 
     def act(self, label: Label | int, elem: Element) -> Element:
         """label . elem, for a label or its integer code."""
-        return self._apply(label if type(label) is int else self._code[label], elem)
+        return self._apply(label if type(label) is int else self.tables.code[label], elem)
 
     def term_weight(self, key) -> Weight:
         word, f = key
         w = self.module.weights[f]
         for i in word:
-            w = [a - b for a, b in zip(w, self._vectors[i])]
+            w = [a - b for a, b in zip(w, self.tables.vectors[i])]
         return tuple(w)
 
     def weight_of(self, elem: Element) -> Weight:
@@ -512,7 +501,8 @@ class GeneralizedVerma:
         """An element is maximal iff every simple raising operator kills it."""
         if not elem:
             return False, []
-        failures = [self._labels[x] for x in self._raising if self.act(x, elem)]
+        tables = self.tables
+        failures = [tables.labels[x] for x in tables.raising if self.act(x, elem)]
         return not failures, failures
 
     # -- weight spaces and uniqueness
@@ -523,12 +513,12 @@ class GeneralizedVerma:
         if len(mu) != self.n:
             raise ValueError("rank mismatch")
         space = []
-        table = self._word_table
+        table, steps = self.tables.words, self.tables.steps
         for fidx, wt in enumerate(self.module.weights):
             need = tuple(a - b for a, b in zip(wt, mu))
             words = table.get(need)
             if words is None:
-                words = table[need] = tuple(sorted(_words(self._steps, list(need)), key=len))
+                words = table[need] = tuple(sorted(_words(steps, list(need)), key=len))
             space += [(word, fidx) for word in words]
         return space
 
@@ -540,7 +530,7 @@ class GeneralizedVerma:
         fraction-free over the integers: a row is cross-multiplied with
         the pivot of its least column, then divided by the gcd of its
         entries."""
-        raising = self._raising
+        raising = self.tables.raising
         basis = self.weight_space(mu)
         columns: dict = {}  # (operator, monomial) -> column number
         pivots: dict = {}
@@ -715,12 +705,16 @@ def verify_row(
     """Check one catalogue entry: the weights match the first arrow of the
     assembled complex, v is maximal of weight mu, and (optionally) the
     maximal vectors of weight mu form a line.  With perturb=True the last
-    coefficient of v is flipped, which must break maximality."""
+    coefficient of v is flipped, which must break maximality.  `lie` is
+    only checked against row.n ("rank mismatch") and not used otherwise;
+    it can go when the benchmark harness stops passing it (ROADMAP item 6)."""
     n = row.n
+    if lie is not None and lie.n != n:
+        raise ValueError("rank mismatch")
     r = weyl.rho(n)
     d1 = tuple(tuple(a - b for a, b in zip(t, r)) for t in first_arrow(n, row.k, row.sign))
     d1_match = d1 == (row.lam, row.mu)
-    mp = GeneralizedVerma(n, row.lam, lie=lie)
+    mp = GeneralizedVerma(n, row.lam)
     terms = list(row.terms)
     if perturb:
         coeff, ys, f = terms[-1]
@@ -733,10 +727,12 @@ def verify_row(
 
 
 def verify_first_operators(n: int, kernel: bool = True) -> list[VerificationResult]:
-    """Verify every (k, sign) first-operator case at rank n."""
-    lie = LieData(n)
-    out = []
-    for k in range(1, n):
-        for sign in ("+", "-"):
-            out.append(verify_row(singular_vector_row(n, k, sign), lie, kernel=kernel))
-    return out
+    """Verify every (k, sign) first-operator case at rank n; a rank below
+    3 has none and is refused, not passed with no case checked."""
+    if n < 3:
+        raise ValueError("the first-operator catalogue needs n >= 3")
+    return [
+        verify_row(singular_vector_row(n, k, sign), kernel=kernel)
+        for k in range(1, n)
+        for sign in ("+", "-")
+    ]

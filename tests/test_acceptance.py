@@ -209,13 +209,13 @@ def test_criterion_07_singular_vector_catalogue():
 def test_criterion_08_structure_constant_jacobi():
     t0 = time.perf_counter()
     lie = verma.LieData(3)
-    labels = sorted(lie._matrices, key=repr)
+    labels = sorted(lie.tables.matrices, key=repr)
     assert len(labels) == 21
     for x, y, z in itertools.product(labels, repeat=3):
         assert jacobi_holds(lie, x, y, z)
     for n in (4, 5):
         lie = verma.LieData(n)
-        labels = sorted(lie._matrices, key=repr)
+        labels = sorted(lie.tables.matrices, key=repr)
         assert len(labels) == n * (2 * n + 1)
         rng = random.Random(n)
         for _ in range(10_000):

@@ -329,7 +329,7 @@ def test_builders_compute_each_cell_once(monkeypatch):
     the conformal weights of its cells once.  The E1 entries build no
     RelativeBggTerm and read no conformal weight, and a page reads them
     once and builds one PageMap per differential.  The conjectural k = 0
-    complex computes its own."""
+    complex reads the conformal weights of its cells once too."""
     e1 = _count_calls(monkeypatch, penrose, "e1_page")
     page_maps = _count_calls(monkeypatch, penrose, "PageMap")
     terms = _count_calls(monkeypatch, penrose, "RelativeBggTerm")
@@ -343,12 +343,12 @@ def test_builders_compute_each_cell_once(monkeypatch):
     cx = penrose.assemble_singular_bgg(n, 0, conjectural=True)
     assert len(cx.terms) == 2 * n - 2
     assert e1 == page_maps == []
-    assert len(weights) == 2 * (n - 1)
+    assert len(weights) == 2 * (n - 1) + 1
     assert len(penrose.e1_entries(n, 2, "-")) == 2 * n - 3
     assert terms == []
     page = penrose.e1_page(n, 2, "+")
     assert len(page_maps) == len(page.differentials)
-    assert len(weights) == 2 * (n - 1) + 1
+    assert len(weights) == 2 * (n - 1) + 2
     assert terms == []
     assert len(penrose.relative_bgg(n, 2)) == len(terms) == 2 * n - 2
-    assert len(weights) == 2 * (n - 1) + 1
+    assert len(weights) == 2 * (n - 1) + 2

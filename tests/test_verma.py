@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -26,8 +27,8 @@ def lie4():
 
 
 def test_basis_size(lie3, lie4):
-    assert len(lie3._matrices) == 21  # dim sp(6)
-    assert len(lie4._matrices) == 36  # dim sp(8)
+    assert len(lie3.tables.matrices) == 21  # dim sp(6)
+    assert len(lie4.tables.matrices) == 36  # dim sp(8)
 
 
 # sparse integer matrices {(row, col): int}, zero entries dropped
@@ -58,7 +59,7 @@ def _transpose(m):
 def test_matrices_lie_in_sp(lie3):
     n = 3
     j = {(i, n + i): 1 for i in range(n)} | {(n + i, i): -1 for i in range(n)}
-    for lab, m in lie3._matrices.items():
+    for lab, m in lie3.tables.matrices.items():
         assert m and all(type(v) is int and v for v in m.values()), lab
         assert _lin((1, _mul(_transpose(m), j)), (1, _mul(j, m))) == {}, lab
 
@@ -89,14 +90,14 @@ def test_specific_brackets(lie3):
 
 def test_bracket_closure_exhaustive_sp6(lie3):
     """decompose() raises if a commutator ever leaves the span."""
-    labels = sorted(lie3._matrices, key=repr)
+    labels = sorted(lie3.tables.matrices, key=repr)
     for x in labels:
         for y in labels:
             lie3.bracket(x, y)
 
 
 def test_jacobi_sampled(lie4):
-    labels = sorted(lie4._matrices, key=repr)
+    labels = sorted(lie4.tables.matrices, key=repr)
     rng = random.Random(11)
     for _ in range(500):
         x, y, z = (rng.choice(labels) for _ in range(3))
@@ -108,14 +109,16 @@ def test_leading_entries_decompose(n):
     """Each basis matrix holds 1 at its least key, which no other basis
     matrix has; decompose reads a random combination back exactly."""
     lie = verma.LieData(n)
-    keys = [key for m in lie._matrices.values() for key in m]
-    for lab, m in lie._matrices.items():
+    keys = [key for m in lie.tables.matrices.values() for key in m]
+    for lab, m in lie.tables.matrices.items():
         lead = min(m)
         assert m[lead] == 1, lab
         assert keys.count(lead) == 1, lab
     rng = random.Random(n)
     coeffs = {
-        lab: rng.choice([-3, -2, -1, 1, 2, 3]) for lab in lie._matrices if rng.random() < 0.6
+        lab: rng.choice([-3, -2, -1, 1, 2, 3])
+        for lab in lie.tables.matrices
+        if rng.random() < 0.6
     }
     x = _lin(*((c, lie.matrix(lab)) for lab, c in coeffs.items()))
     assert dict(lie.decompose(x)) == coeffs
@@ -133,8 +136,7 @@ def test_lie_data_validation():
 
 
 def _clear_rank_tables():
-    verma._lie_tables.cache_clear()
-    verma._nilradical_letters.cache_clear()
+    verma._rank.cache_clear()
     verma._levi_module.cache_clear()
     verma.first_arrow.cache_clear()
 
@@ -165,7 +167,7 @@ def test_shared_tables_are_kept_per_rank():
         labels = [("h", i) for i in range(1, n + 1)] + [
             (kind, r) for r in weyl.positive_roots(n) for kind in ("e", "y")
         ]
-        assert sorted(lie._matrices, key=repr) == sorted(labels, key=repr)
+        assert sorted(lie.tables.matrices, key=repr) == sorted(labels, key=repr)
         for x in labels:
             assert lie.matrix(x) == _scratch_matrix(n, x), x
             for y in labels:
@@ -176,18 +178,32 @@ def test_shared_tables_are_kept_per_rank():
 
 
 def test_shared_tables_are_read_only(lie3):
+    """Every field of the rank's record other than its three memos is a
+    tuple, a frozenset or a read-only mapping, and so are the basis
+    matrices and the entry triples inside it."""
     label = ("e", Root("a", 1, 2))
     with pytest.raises(TypeError):
         lie3.matrix(label)[0, 0] = 1
     with pytest.raises(TypeError):
-        lie3._matrices[label] = {}
-    mp = verma.GeneralizedVerma(3, (0, 0, 0), lie=lie3)
+        lie3.tables.matrices[label] = {}
+    mp = verma.GeneralizedVerma(3, (0, 0, 0))
+    tables = mp.tables
+    assert tables is verma._rank(3)
+    memos = {"brackets", "straightening", "words"}
+    assert memos <= set(tables._fields)
+    for name in tables._fields:
+        field = getattr(tables, name)
+        if name in memos:
+            assert type(field) is dict, name
+        else:
+            assert type(field) in (tuple, frozenset, MappingProxyType), name
     assert type(mp.letters) is tuple
-    assert type(mp._vectors) is tuple and type(mp._steps) is tuple
-    assert type(mp._labels) is tuple and type(mp._raising) is tuple
-    assert type(mp._entries) is tuple and all(type(e) is tuple for e in mp._entries)
+    assert type(tables.vectors) is tuple and type(tables.steps) is tuple
+    assert type(tables.labels) is tuple and type(tables.raising) is tuple
+    assert type(tables.entries) is tuple and all(type(e) is tuple for e in tables.entries)
+    assert all(type(m) is MappingProxyType for m in tables.matrices.values())
     with pytest.raises(TypeError):
-        mp._code[("y", Root("a", 1, 2))] = 0
+        tables.code[("y", Root("a", 1, 2))] = 0
 
 
 def test_rank_tables_hold_eight_ranks():
@@ -198,8 +214,8 @@ def test_rank_tables_hold_eight_ranks():
             verma.GeneralizedVerma(n, lam).weight_space((-1, -1) + lam[2:])
         verma.first_arrow(n, 1, "+")
         verma.first_arrow(n, 1, "-")
-    assert verma._lie_tables.cache_info().currsize <= 8
-    assert verma._nilradical_letters.cache_info().currsize <= 8
+    assert verma._rank.cache_info().currsize <= 8
+    assert verma._rank.cache_info().maxsize == 8
     assert verma._levi_module.cache_info().currsize <= 8
     assert verma._levi_module.cache_info().maxsize == 8
     assert verma.first_arrow.cache_info().maxsize == 32
@@ -210,12 +226,31 @@ def test_evicted_ranks_are_rebuilt():
     """Ranks 3..12 and then 3 again on cold caches: rank 3 has been
     evicted by then, its tables are rebuilt, and every row verifies."""
     _clear_rank_tables()
-    first = verma._nilradical_letters(3)
+    first = verma._rank(3)
     for n in list(range(3, 13)) + [3]:
         results = verma.verify_first_operators(n)
         assert len(results) == 2 * (n - 1)
         assert all(r.ok and r.kernel_dim == 1 for r in results), n
-    assert verma._nilradical_letters(3) is not first
+    assert verma._rank(3) is not first
+
+
+def test_a_cold_module_builds_no_lie_data(monkeypatch):
+    """A GeneralizedVerma on a cold (n, lam), its Levi module and a row's
+    verification read the tables of the rank and build no LieData."""
+    real, calls = verma.LieData.__init__, []
+
+    def counting(self, n):
+        calls.append(n)
+        real(self, n)
+
+    monkeypatch.setattr(verma.LieData, "__init__", counting)
+    _clear_rank_tables()
+    mp = verma.GeneralizedVerma(5, (0, -2, 1, 0, 0))
+    assert mp.maximal_vector_dimension((-1, -3, 1, 1, 0)) >= 0
+    assert verma.verify_row(verma.singular_vector_row(5, 2, "-")).ok
+    assert calls == []
+    verma.LieData(5)
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -223,7 +258,7 @@ def test_letters_are_the_crossed2_nilradical(n):
     """The letters, checked in verma against the roots of weyl whose first
     two coordinates sum to more than 0, are the nilradical of the
     crossed-{2} parabolic's general grading."""
-    letters = verma._nilradical_letters(n)[0]
+    letters = verma._rank(n).letters
     nil = parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,)))
     assert sorted(root for _, root in letters) == sorted(nil)
 
@@ -234,11 +269,11 @@ def test_letter_list_check_can_fail(monkeypatch):
     real = weyl.positive_roots
     monkeypatch.setattr(weyl, "positive_roots", lambda n: [r for r in real(n) if r != Root("b", 1)])
     with pytest.raises(AssertionError, match="out of sync"):
-        verma._nilradical_letters.__wrapped__(4)
+        verma._rank.__wrapped__(4)
 
 
 def test_simple_raising_labels(m3):
-    labels = [m3._labels[x] for x in m3._raising]
+    labels = [m3.tables.labels[x] for x in m3.tables.raising]
     assert labels == [
         ("e", Root("a", 1, 2)),
         ("e", Root("a", 2, 3)),
@@ -250,10 +285,10 @@ def test_simple_raising_labels(m3):
 # Levi modules
 
 
-def test_levi_gl2_factor(lie4):
+def test_levi_gl2_factor():
     """Trivial tail, m = 2: Sym^2 C^2 tensor det, with h_1, h_2 and the
     a12 root acting as derivations and every sp(4) label as zero."""
-    mod = verma.LeviModule(4, (3, 1, 0, 0), lie4)
+    mod = verma.LeviModule(4, (3, 1, 0, 0))
     assert mod.m == 2
     assert mod.basis == ((0, None), (1, None), (2, None))
     assert mod.weight(0) == (3, 1, 0, 0)
@@ -279,10 +314,10 @@ def test_levi_gl2_factor(lie4):
         assert all(mod.act(label, idx) == [] for idx in range(3)), label
 
 
-def test_levi_standard_factor(lie4):
+def test_levi_standard_factor():
     """Standard tail, m = 1: C^2 tensor det tensor C^4, slots t = 0..3
     being e_3, e_4, f_3, f_4."""
-    mod = verma.LeviModule(4, (2, 1, 1, 0), lie4)
+    mod = verma.LeviModule(4, (2, 1, 1, 0))
     assert mod.basis == tuple((j, t) for j in (0, 1) for t in range(4))
     assert [mod.weight(i) for i in range(8)] == [
         (2, 1, 1, 0), (2, 1, 0, 1), (2, 1, -1, 0), (2, 1, 0, -1),
@@ -315,11 +350,10 @@ def test_u_plus_kills_the_levi_module(n):
     tails, read off the matrices alone.  The Levi's raising labels that
     act on F (a12, and those of sp(2n-4) when V is standard) are nonzero
     on it, so the check is not vacuous."""
-    lie = verma.LieData(n)
     nil = set(parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
     assert len(nil) == 4 * (n - 2) + 3
     for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
-        mod = verma.LeviModule(n, (2, -1) + tail, lie)
+        mod = verma.LeviModule(n, (2, -1) + tail)
         size = 4 * (2 * (n - 2) if any(tail) else 1)
         assert len(mod.basis) == size
         for root in weyl.positive_roots(n):
@@ -331,25 +365,19 @@ def test_u_plus_kills_the_levi_module(n):
 
 
 def test_levi_module_rejects_lie_data_of_another_rank():
-    """A LieData of another rank, larger or smaller, is refused by the
-    Levi module, and so by GeneralizedVerma and verify_row."""
+    """A LieData of another rank, larger or smaller, is refused by
+    verify_row, the one function that still takes one."""
     for row, other in ((verma.singular_vector_row(3, 2), 4), (verma.singular_vector_row(4, 1), 3)):
-        lie = verma.LieData(other)
-        for make in (
-            lambda: verma.LeviModule(row.n, row.lam, lie),
-            lambda: verma.GeneralizedVerma(row.n, row.lam, lie=lie),
-            lambda: verma.verify_row(row, lie),
-        ):
-            with pytest.raises(ValueError, match="rank mismatch"):
-                make()
+        with pytest.raises(ValueError, match="rank mismatch"):
+            verma.verify_row(row, verma.LieData(other))
         assert verma.verify_row(row, verma.LieData(row.n)).ok
 
 
-def test_levi_module_validation(lie4):
+def test_levi_module_validation():
     with pytest.raises(ValueError):
-        verma.LeviModule(4, (1, 2, 0, 0), lie4)
+        verma.LeviModule(4, (1, 2, 0, 0))
     with pytest.raises(NotImplementedError):
-        verma.LeviModule(4, (3, 1, 2, 0), lie4)
+        verma.LeviModule(4, (3, 1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +385,8 @@ def test_levi_module_validation(lie4):
 
 
 @pytest.fixture(scope="module")
-def m3(lie3):
-    return verma.GeneralizedVerma(3, (0, 0, 0), lie=lie3)
+def m3():
+    return verma.GeneralizedVerma(3, (0, 0, 0))
 
 
 def test_letter_order(m3):
@@ -395,7 +423,7 @@ def test_monomials_are_normal_ordered(m3):
     assert all(type(coeff) is Fraction for coeff in third.values())
 
 
-def test_act_respects_brackets(m3):
+def test_act_respects_brackets(m3, lie3):
     """x.(y.v) - y.(x.v) = [x, y].v for mixed raising and lowering letters."""
     v = m3.combine([(1, (Root("a", 2, 3), Root("b", 2)), (0, None))])
     pairs = [
@@ -409,7 +437,7 @@ def test_act_respects_brackets(m3):
         for key, c in m3.act(y, m3.act(x, v)).items():
             m3._add(lhs, key, -c)
         rhs = {}
-        for z, zc in m3.lie.bracket(x, y):
+        for z, zc in lie3.bracket(x, y):
             for key, c in m3.act(z, v).items():
                 m3._add(rhs, key, zc * c)
         assert lhs == rhs
@@ -420,13 +448,13 @@ def test_module_law_standard_levi_factor(lie4):
     labels of sp(8), in a module whose Levi factor has the standard
     sp(4) part, and in one with a trivial sp(4) part and m = 2."""
     a13, a24, b2, c14 = Root("a", 1, 3), Root("a", 2, 4), Root("b", 2), Root("c", 1, 4)
-    labels = list(lie4._matrices)
+    labels = list(lie4.tables.matrices)
     assert len(labels) == 36
     for lam, (f1, f2, f3) in (
         ((2, 1, 1, 0), ((1, 2), (0, 3), (1, 1))),
         ((3, 1, 0, 0), ((1, None), (2, None), (1, None))),
     ):
-        mp = verma.GeneralizedVerma(4, lam, lie=lie4)
+        mp = verma.GeneralizedVerma(4, lam)
         vectors = [
             {((), 0): 1},
             mp.combine([(1, (a24, b2), f1)]),
@@ -477,8 +505,9 @@ def test_modules_of_a_rank_share_read_only_tables():
     returned by act or combine leaves the next call unchanged."""
     _clear_rank_tables()
     a, b = verma.GeneralizedVerma(3, (0, 0, 0)), verma.GeneralizedVerma(3, (1, 0, 1))
-    assert a._table is b._table and a._word_table is b._word_table
-    assert a._brackets is b._brackets
+    assert a.tables.straightening is b.tables.straightening
+    assert a.tables.words is b.tables.words
+    assert a.tables.brackets is b.tables.brackets
     assert a.module is not b.module
     assert verma.GeneralizedVerma(3, [1, 0, 1]).module is b.module
     parts = [(1, (Root("a", 2, 3), Root("b", 2)), (0, None))]
@@ -486,13 +515,13 @@ def test_modules_of_a_rank_share_read_only_tables():
     label = ("e", Root("a", 2, 3))
     got = a.act(label, a.combine(parts))
     assert got
-    size = len(a._table)
+    size = len(a.tables.straightening)
     v = b.combine(parts_b)
     assert b.act(label, v)
-    assert len(b._table) == size  # b read what a straightened
+    assert len(b.tables.straightening) == size  # b read what a straightened
     assert a.weight_space((-1, -2, 1)) and b.weight_space(b.weight_of(v))
     for mp in (a, b):
-        for memo in (mp._table, mp._word_table, mp.module._memo):
+        for memo in (mp.tables.straightening, mp.tables.words, mp.module._memo):
             assert memo
             assert all(type(val) is tuple for val in memo.values())
             assert all(type(term) is tuple for val in memo.values() for term in val)
@@ -522,12 +551,12 @@ def test_straightening_table_matches_oracle(n, top):
     work-list straightening.  Afterwards the table holds every pair a
     label does not simply extend."""
     _clear_rank_tables()
-    grades = [sum(root.vector(n)[:2]) for _, root in verma._nilradical_letters(n)[0]]
+    grades = [sum(root.vector(n)[:2]) for _, root in verma._rank(n).letters]
     words = _graded_words(grades, top)
     assert max(map(len, words)) == top
     for lam in ((1, -1) + (0,) * (n - 2), (1, 0, 1) + (0,) * (n - 3)):
         mp = verma.GeneralizedVerma(n, lam)
-        for x, label in enumerate(mp._labels):
+        for x, label in enumerate(mp.tables.labels):
             for word in words:
                 for f in range(len(mp.module.basis)):
                     want = {}
@@ -536,8 +565,8 @@ def test_straightening_table_matches_oracle(n, top):
                     )
                     assert mp.act(x, {(word, f): 1}) == want, (lam, label, word, f)
         simple = {(x, w) for x in range(len(mp.letters)) for w in words if not w or x <= w[0]}
-        pairs = {(x, w) for x in range(len(mp._labels)) for w in words} - simple
-        assert pairs <= mp._table.keys()
+        pairs = {(x, w) for x in range(len(mp.tables.labels)) for w in words} - simple
+        assert pairs <= mp.tables.straightening.keys()
 
 
 def test_word_table_matches_oracle():
@@ -551,7 +580,7 @@ def test_word_table_matches_oracle():
         for wt in mp.module.weights:
             need = tuple(a - b for a, b in zip(wt, row.mu))
             want = sorted(verma_oracle.words_for(mp, need), key=lambda w: (len(w), w))
-            assert mp._word_table[need] == tuple(want), (row.n, row.k, row.sign, need)
+            assert mp.tables.words[need] == tuple(want), (row.n, row.k, row.sign, need)
             checked += bool(want)
     assert checked >= 28
 
@@ -598,16 +627,15 @@ def _catalogue(ranks):
 
 
 def test_weight_space_matches_brute_force():
-    lies = {n: verma.LieData(n) for n in range(3, 7)}
     for row in _catalogue(range(3, 7)):
-        mp = verma.GeneralizedVerma(row.n, row.lam, lie=lies[row.n])
+        mp = verma.GeneralizedVerma(row.n, row.lam)
         space = mp.weight_space(row.mu)
         assert space, row.name
         assert space == _brute_force_weight_space(mp, row.mu), (row.n, row.k, row.sign)
     # grade drop 3 with a zero tail: an odd number of grade-one letters,
     # each moving the tail, cannot cancel, so this space is empty
     lam = (-1, -4, 0, 0)
-    mp = verma.GeneralizedVerma(4, lam, lie=lies[4])
+    mp = verma.GeneralizedVerma(4, lam)
     mu = (-4, -4, 0, 0)
     assert len(mp.module.basis) == 4
     assert mp.weight_space(mu) == _brute_force_weight_space(mp, mu) == []
@@ -676,14 +704,15 @@ def test_label_code_action_matches_levi_act(n):
     tails = [(0,) * (n - 2)] + ([(1,) + (0,) * (n - 3)] if n > 2 else [])
     for tail in tails:
         mp = verma.GeneralizedVerma(n, (1, -1) + tail)
-        assert [mp._labels[x] for x in mp._raising] == verma_oracle.simple_raising_labels(n)
-        labels = list(mp.lie._matrices)
-        assert sorted(mp._labels, key=repr) == sorted(labels, key=repr)
+        tables = mp.tables
+        assert [tables.labels[x] for x in tables.raising] == verma_oracle.simple_raising_labels(n)
+        labels = list(tables.matrices)
+        assert sorted(tables.labels, key=repr) == sorted(labels, key=repr)
         acted = 0
         for label in labels:
             for idx in range(len(mp.module.basis)):
                 want = {((), f2): c for f2, c in mp.module.act(label, idx)}
-                assert mp._left(mp._code[label], (), idx) == want, (tail, label, idx)
+                assert mp._left(tables.code[label], (), idx) == want, (tail, label, idx)
                 acted += bool(want)
         assert acted > len(mp.module.basis)
 
@@ -794,6 +823,14 @@ def test_verify_first_operators(n):
         assert r.maximal_ok, (r.row.name, r.failures)
         assert r.kernel_dim == 1, r.row.name
         assert r.ok
+
+
+@pytest.mark.parametrize("n", [2, 1, 0, -3])
+def test_verify_first_operators_refuses_small_ranks(n):
+    """A rank with no first operator is refused, not passed with no case
+    checked."""
+    with pytest.raises(ValueError, match="n >= 3"):
+        verma.verify_first_operators(n)
 
 
 @pytest.mark.parametrize("n", [8, 10])

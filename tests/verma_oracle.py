@@ -2,13 +2,15 @@
 tuple-walk weight-space listing that `bgg.verma` no longer carries.
 
 Test-only reference.  Each function takes a `GeneralizedVerma` for its
-letters, `LieData` and Levi module only, and none of them reads its
-straightening memo or its per-rank integer tables: a word is
-straightened from scratch by swapping the first adjacent pair out of
-order and adding its bracket, the kernel is found by Gaussian
-elimination over `Fraction` rows, and a weight space is listed by a
-recursion that builds a new rest tuple per letter and checks the bounds
-only on entry.  The fast paths of `bgg.verma` are checked against these.
+letters and Levi module only, and none of them reads its straightening
+or word table.  Brackets come by label from `verma.LieData(mp.n)`, the
+commutators of the basis matrices expanded by `decompose` with its
+reconstruction check.  A word is straightened from scratch by swapping
+the first adjacent pair out of order and adding its bracket, the kernel
+is found by Gaussian elimination over `Fraction` rows, and a weight
+space is listed by a recursion that builds a new rest tuple per letter
+and checks the bounds only on entry.  The fast paths of `bgg.verma` are
+checked against these.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import parabolic_oracle
-from bgg import parabolic, weyl
+from bgg import parabolic, verma, weyl
 
 
 def simple_raising_labels(n: int) -> list:
@@ -42,6 +44,7 @@ def normal_form(mp, word: Sequence, fidx: int, coeff: Fraction, out: dict) -> No
     letter kills F); otherwise the first adjacent pair out of order is
     swapped and its bracket added."""
     rank, last = {x: i for i, x in enumerate(mp.letters)}, len(mp.letters)
+    lie = verma.LieData(mp.n)
     nil = frozenset(parabolic_oracle.nilradical_roots(parabolic.parabolic(mp.n, (2,))))
     work = [(tuple(word), fidx, coeff)]
     while work:
@@ -62,7 +65,7 @@ def normal_form(mp, word: Sequence, fidx: int, coeff: Fraction, out: dict) -> No
             continue
         x, y = w[inv], w[inv + 1]
         work.append((w[:inv] + (y, x) + w[inv + 2 :], f, c))
-        for z, zc in mp.lie.bracket(x, y):
+        for z, zc in lie.bracket(x, y):
             work.append((w[:inv] + (z,) + w[inv + 2 :], f, c * zc))
 
 
