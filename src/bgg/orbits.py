@@ -76,14 +76,6 @@ def tilde_lambda(n: int, k: int, sign: str = "+") -> Weight:
 # placements
 
 
-def placement_to_weight(x: Sequence[int], k: int) -> Weight:
-    """Project a regular placement onto the k-singular orbit coordinate-wise:
-    entries with |x_i| <= k stay, larger ones move one step toward zero."""
-    if any(v == 0 for v in x):
-        raise ValueError("placement entries must be nonzero")
-    return tuple(v if abs(v) <= k else v - (1 if v > 0 else -1) for v in x)
-
-
 @functools.lru_cache(maxsize=8)
 def _placements(n: int) -> tuple[tuple[int, int], ...]:
     """All 2n(n-1) regular placements (m1, m2) of rank n: m1 > m2,

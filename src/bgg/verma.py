@@ -22,38 +22,41 @@ the nilradical, the PBW normal order.  Coefficients are exact: the
 structure constants and the Levi action are integers, so integer input
 straightens to int coefficients, and a Fraction input stays a Fraction.
 
-Straightening is per rank, the Levi action per (n, lam), and no memo
-is kept per module.  The straightening table of rank n holds, for a
-label code x and a normal-ordered word Y_y Y^rest that x does not
-simply extend, x Y_y Y^rest = sum of c Y^w z in U(g), with z a Levi
-label code or no label.  It is computed once per rank, with no vector
-of F in it, by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, with a letter
-that sorts before y simply prepended; at the empty word a u^+ label is
-dropped, since it kills F, and a Levi label stays as z.  A suffix shared
-by many words is thus straightened once, whatever lam.  A module then
-applies each z to f through the action of its LeviModule, memoised per
-(z, f) and shared by every module of the same (n, lam) (_levi_module).
-act, combine, check_maximal and maximal_vector_dimension all read these
-tables.
+Straightening is per rank, with no vector of F in it.  A product of
+letters stays in U(u^-): Y_y Y^w, for a letter y that sorts after the
+first letter of w, is kept in the lowering table.  For a label code x
+that is not a letter, the straightening table holds
 
-maximal_vector_dimension reads each monomial's images under the simple
-raising operators straight off the tables and eliminates fraction-free
-over the integers, with sparse rows: a row is cross-multiplied with the
-pivot of its least column and divided by the gcd of its entries.
+    x Y^w = sum over w2 of Y^w2 (a_0 + sum_i a_i h_i + sum_z c_z z)
+
+in U(g), z the Levi labels other than the h_i.  The h_i act on f by
+wt(f), so each output word keeps its Cartan part folded into the
+integer linear form a_0 + sum_i a_i wt(f)_i.  Both tables are computed
+by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, a letter that sorts
+before y being simply prepended.  At the empty word a label that kills
+F is dropped: a u^+ label, and on a trivial V one of sp(2n-4), so the
+straightening table is kept per rank and kind of V.  A suffix shared by
+many words is thus straightened once, whatever lam.
+
+A Levi label other than the h_i moves a basis vector of F to at most one
+other, as a per-rank table says, so a LeviModule keeps no memo; the
+modules of a rank are kept in its record by lam.  A GeneralizedVerma
+keeps one row per monomial: its images under the simple raising
+operators, read off the straightening table.  check_maximal sums the
+rows of an element, and maximal_vector_dimension eliminates the rows of
+a weight space fraction-free over the integers, sparsest columns first.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
-name by every reader of that rank: the basis matrices and their
-leading entries, the letters, the integer tables that the hot paths
-read instead of hashing a Root, and three memos, the brackets, the
-straightening table and the word table.  Every other field is a tuple,
-a frozenset or a read-only mapping, and every value a memo holds is a
-tuple.  A bracket is kept once, by label code: it is computed through
-decompose, reconstruction check included, the first time the process
-needs it at that rank.  LieData is a view of the record by label, and
-no module takes one.  The nilradical letters are checked against
-`weyl` alone (see _rank), so this module, like `penrose`, loads no
-Hasse code.
+name: the basis matrices and their leading entries, the letters, the
+integer tables the hot paths read instead of hashing a Root, four
+memos (brackets, lowering, straightening and word tables) and the
+Levi modules, which go with their rank.  Every other field is a tuple
+or a read-only mapping, and every value a table holds is a tuple.  A bracket is kept once, by label code, computed through
+decompose with its reconstruction check.  LieData is a view of the
+record by label, and no module takes one.  The nilradical letters are
+checked against `weyl` alone (see _rank), so this module, like
+`penrose`, loads no Hasse code.
 
 A weight space is listed per basis vector f of F from the words of the
 need wt(f) - mu, found once per need and rank by a walk over the
@@ -69,7 +72,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -84,19 +90,34 @@ Matrix = dict  # {(row, col): int}, nonzero entries only
 # the Lie algebra and the tables of a rank
 
 
+def _add(elem: dict, key, coeff) -> None:
+    """elem[key] += coeff, keeping only nonzero values."""
+    if not coeff:
+        return
+    cur = elem.get(key, 0) + coeff
+    if cur:
+        elem[key] = cur
+    else:
+        elem.pop(key, None)
+
+
 class RankTables(NamedTuple):
     """What the Verma layer reads that depends on n alone (see _rank): the
-    basis matrices by label and their leading entries (key, label) in
-    decompose's order; the nilradical letters in normal order, their
-    weight vectors and steps (see _words); the labels with their codes (a
-    letter's is its index), the simple raising codes, each code's (row,
-    col, value) entries and the codes of the Levi labels, which act on F.
-    Then three memos, each value a tuple: the brackets by code pair, the
-    straightening table (see GeneralizedVerma._straighten) and the word
-    table, each need wt(f) - mu to its words by length (weight_space)."""
+    basis matrices by label and the label of each leading entry by key;
+    the nilradical letters in normal order, their weight vectors and
+    steps (see _words); the labels with their codes (a letter's is its
+    index), the simple raising codes and each code's (row, col, value)
+    entries; the slots, the rows of C^{2n} that span the standard module
+    of sp(2n-4); and each Levi label's action by code as (i, gl2, moves):
+    the coordinate i of the weight that h_i reads (0 for the others), the
+    label's (row, col, value) entry in the gl(2) block or None, and its
+    moves of slot t to (t2, value).  Then the memos: the brackets by code
+    pair, the lowering and straightening tables (see straighten), the
+    word table, each need wt(f) - mu to its words by length
+    (weight_space), and the Levi modules by lam."""
 
     matrices: Mapping
-    leads: tuple
+    leads: Mapping
     letters: tuple
     vectors: tuple
     steps: tuple
@@ -104,15 +125,19 @@ class RankTables(NamedTuple):
     code: Mapping
     raising: tuple
     entries: tuple
-    levi: frozenset
+    slots: tuple
+    levi: Mapping
     brackets: dict
+    lowering: dict
     straightening: dict
     words: dict
+    modules: dict
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
         """Exact expansion of x over the basis, read off the leading
         entries, with reconstruction check."""
-        terms = [(lab, x[lead]) for lead, lab in self.leads if x.get(lead)]
+        leads = self.leads
+        terms = [(leads[key], v) for key, v in sorted(x.items()) if v and key in leads]
         recon: Matrix = {}
         for lab, coeff in terms:
             _accumulate(recon, self.matrices[lab], coeff)
@@ -132,6 +157,98 @@ class RankTables(NamedTuple):
                 (self.code[lab], c) for lab, c in self.decompose(m)
             )
         return got
+
+    def lower(self, y: int, word: tuple) -> tuple:
+        """Y_y Y^word in U(u^-) for a letter y and a normal-ordered word,
+        as a tuple of (w2, c) with w2 normal-ordered: a letter that sorts
+        first just extends the word, and any other product is read off
+        the lowering table, computed into it the first time.  The
+        brackets of two letters are letters."""
+        if not word or y <= word[0]:
+            return (((y,) + word, 1),)
+        got = self.lowering.get((y, word))
+        if got is None:
+            first, rest = word[0], word[1:]
+            out: dict = {}
+            for w2, c in self.lower(y, rest):
+                for w3, c3 in self.lower(first, w2):
+                    _add(out, w3, c * c3)
+            for z, zc in self.bracket(y, first):
+                for w3, c3 in self.lower(z, rest):
+                    _add(out, w3, zc * c3)
+            got = self.lowering[y, word] = tuple(out.items())
+        return got
+
+    def straighten(self, x: int, word: tuple, standard: bool) -> tuple:
+        """x Y^word for a label code x that is not a letter and a
+        normal-ordered word, as (forms, levi): forms the pairs (w2, form)
+        of each output word whose form a_0 + sum_i a_i wt(f)_i is not zero,
+        form the pairs (i, a_i) with i = 0 for a_0, and levi the pairs
+        ((w2, z), c) of the other Levi labels.  `standard` says whether V
+        is the standard module of sp(2n-4): on a trivial V the labels of
+        sp(2n-4) kill F, so the table is kept per kind of V.  Read off the
+        table, and computed into it the first time (see the module
+        docstring)."""
+        got = self.straightening.get((x, word, standard))
+        if got is not None:
+            return got
+        forms: dict = {}  # w2 -> its form, a tuple, or a dict once merged
+        merged: list = []
+        levis: dict = {}  # (w2, z) -> c
+        if not word:
+            # a u^+ label kills F, and so does one of sp(2n-4) on a trivial
+            # V; those of gl(2) are h_1, h_2 and the two with a gl2 entry
+            spec = self.levi.get(x)
+            if spec is not None and (standard or spec[0] in (1, 2) or spec[1]):
+                if spec[0]:
+                    forms[()] = ((spec[0], 1),)
+                else:
+                    levis[(), x] = 1
+        else:
+            y, rest = word[0], word[1:]
+            part = self.straighten(x, rest, standard)
+            for w2, form in part[0]:
+                for w3, c3 in self.lower(y, w2):
+                    _fold(forms, merged, w3, c3, form)
+            for (w2, z), c in part[1]:
+                for w3, c3 in self.lower(y, w2):
+                    levis[w3, z] = levis.get((w3, z), 0) + c * c3
+            for z, zc in self.bracket(x, y):
+                if z < len(self.letters):
+                    for w3, c3 in self.lower(z, rest):
+                        _fold(forms, merged, w3, zc * c3, ((0, 1),))
+                    continue
+                part = self.straighten(z, rest, standard)
+                for w3, form in part[0]:
+                    _fold(forms, merged, w3, zc, form)
+                for (w3, z2), c in part[1]:
+                    levis[w3, z2] = levis.get((w3, z2), 0) + zc * c
+        for w2 in merged:
+            form = tuple(item for item in forms[w2].items() if item[1])
+            if form:
+                forms[w2] = form
+            else:
+                del forms[w2]
+        if 0 in levis.values():
+            levis = {key: c for key, c in levis.items() if c}
+        got = (tuple(forms.items()), tuple(levis.items()))
+        self.straightening[x, word, standard] = got
+        return got
+
+
+def _fold(forms: dict, merged: list, w2: tuple, c: int, form: tuple) -> None:
+    """Add c times a form into the form of Y^w2 (see straighten): a word
+    met once keeps the tuple, scaled if c is not 1; one met again gets a
+    dict, and is listed in merged to be frozen."""
+    acc = forms.get(w2)
+    if acc is None:
+        forms[w2] = form if c == 1 else tuple((i, c * a) for i, a in form)
+        return
+    if type(acc) is tuple:
+        acc = forms[w2] = dict(acc)
+        merged.append(w2)
+    for i, a in form:
+        acc[i] = acc.get(i, 0) + c * a
 
 
 @functools.lru_cache(maxsize=8)
@@ -170,17 +287,28 @@ def _rank(n: int) -> RankTables:
     for v in vectors:
         t = next((t for t in range(2, n) if v[t]), 0)
         steps.append((v[0], v[1], t, v[t] if t else 0))
+    entries = tuple(tuple((r, c, v) for (r, c), v in m[lab].items()) for lab in labels)
+    slots = tuple(range(2, n)) + tuple(range(n + 2, 2 * n))
+    slot = {s: t for t, s in enumerate(slots)}
     upper = {("e", r) for r in order}
+    levi = {}
+    for x in range(len(letters), len(labels)):
+        kind, i = labels[x]
+        if kind == "h":
+            levi[x] = (i, None, MappingProxyType({}))
+        elif labels[x] not in upper:
+            gl2 = next(((r, c, v) for r, c, v in entries[x] if r < 2 and c < 2), None)
+            moves = {slot[c]: (slot[r], v) for r, c, v in entries[x] if r in slot and c in slot}
+            levi[x] = (0, gl2, MappingProxyType(moves))
     return RankTables(
         matrices=MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()}),
         # the least key of each matrix holds 1 and is a key of no other
-        leads=tuple((min(mat), lab) for lab, mat in m.items()),
+        leads=MappingProxyType({min(mat): lab for lab, mat in m.items()}),
         letters=letters, vectors=vectors, steps=tuple(steps),
         labels=labels, code=code,
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
-        entries=tuple(tuple((r, c, v) for (r, c), v in m[lab].items()) for lab in labels),
-        levi=frozenset(code[lab] for lab in labels[len(letters):] if lab not in upper),
-        brackets={}, straightening={}, words={},
+        entries=entries, slots=slots, levi=MappingProxyType(levi),
+        brackets={}, lowering={}, straightening={}, words={}, modules={},
     )
 
 
@@ -237,22 +365,24 @@ class LeviModule:
     basis labels are (j, t): x_0^{m-j} x_1^j in the gl(2) factor, tensor
     the t-th slot of V (t None for a trivial V).
 
-    Every label acts through its matrix in sp(2n), one term per entry
-    (r, c), rows and columns counted from 0.  An entry with r, c < 2 acts
-    on the gl(2) factor as the derivation x_r d/dx_c, plus lam_2 times
-    its value on the diagonal.  An entry whose row and column are both
-    slots, the rows e_3..e_n, f_3..f_n of C^{2n} that span V, moves the
-    slot.  No other entry acts.  The grading element splits C^{2n} into
-    rows 0-1, the slots and rows n, n+1 (grades 1, 0, -1); a u^+ matrix
-    only raises that grade, so it has no entry inside a block and kills
-    F.
+    Every label acts through its matrix in sp(2n), rows and columns
+    counted from 0.  h_i acts on a basis vector by its weight's i-th
+    coordinate.  Any other Levi label is a root vector with one entry
+    (r, c, v) in the gl(2) block, rows 0-1, or with its entries among
+    the slots, the rows e_3..e_n, f_3..f_n of C^{2n} that span V.  The
+    first acts on the gl(2) factor as the derivation x_r d/dx_c, which
+    gives v j or v (m - j) with no lam_2 in it; the second moves slot
+    c to slot r with coefficient v, whatever lam.  Either way a basis
+    vector goes to at most one other, read off the rank's table `levi`.
+    No other label acts: the grading element splits C^{2n} into rows
+    0-1, the slots and rows n, n+1 (grades 1, 0, -1), and a u^+ or u^-
+    matrix only moves that grade, so it has no entry inside a block and
+    acts as zero (a u^+ matrix kills F).
 
-    The module is read-only: its basis, weights and slots are tuples and
-    its index a read-only mapping.  The action of each label code on each
-    basis vector is memoised (`_act`), read off the entries of the
-    rank's tables; a GeneralizedVerma reads it, and the modules built
-    through _levi_module are shared by every GeneralizedVerma of the
-    same (n, lam)."""
+    The module is read-only and keeps no memo: its basis, weights and
+    slots are tuples and its index a read-only mapping.  The modules of
+    a rank are kept in its tables by lam (GeneralizedVerma), and go when
+    the rank does."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         lam = tuple(lam)
@@ -263,7 +393,7 @@ class LeviModule:
             raise ValueError("gl(2) highest weight needs lam_1 >= lam_2")
         tail = lam[2:]
         if tail == (1,) + (0,) * (n - 3):
-            self._slots = tuple(range(2, n)) + tuple(range(n + 2, 2 * n))
+            self._slots = self.tables.slots
         elif any(tail):
             raise NotImplementedError("tail must be zero or (1, 0, ..., 0)")
         else:
@@ -271,12 +401,10 @@ class LeviModule:
         self.n = n
         self.lam = lam
         self.m = lam[0] - lam[1]
-        self._slot_index = MappingProxyType({s: t for t, s in enumerate(self._slots)})
         ts = range(len(self._slots)) if self._slots else [None]
         self.basis = tuple((j, t) for j in range(self.m + 1) for t in ts)
         self._index = MappingProxyType({b: i for i, b in enumerate(self.basis)})
         self.weights = tuple(map(self.weight, range(len(self.basis))))
-        self._memo: dict = {}
 
     def weight(self, idx: int) -> Weight:
         j, t = self.basis[idx]
@@ -290,39 +418,29 @@ class LeviModule:
         return tuple(w)
 
     def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
-        """The action of label on a basis vector."""
-        return list(self._act(self.tables.code[label], idx))
+        """The action of label on a basis vector, as (index, coeff) pairs."""
+        z = self.tables.code[label]
+        spec = self.tables.levi.get(z)
+        if spec is None:
+            return []
+        if spec[0]:
+            c = self.weights[idx][spec[0] - 1]
+            return [(idx, c)] if c else []
+        return list(self._move(z, idx))
 
-    def _act(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
-        """The action of the label with code z on a basis vector, read off
-        its (row, col, value) entries, one term per entry; memoised."""
-        got = self._memo.get((z, idx))
-        if got is not None:
-            return got
+    def _move(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
+        """The action of a Levi label code z other than h_i on a basis
+        vector: at most one (index, coeff) pair (see the class)."""
+        _, gl2, moves = self.tables.levi[z]
         j, t = self.basis[idx]
-        out: dict[int, int] = {}
-        for r, c, v in self.tables.entries[z]:
-            if r < 2 and c < 2:
-                power = j if c else self.m - j
-                coeff = v * (power + self.lam[1]) if r == c else v * power
-                key = (j + r - c, t)
-            elif t is not None and c == self._slots[t] and r in self._slot_index:
-                coeff, key = v, (j, self._slot_index[r])
-            else:
-                continue
-            if coeff:
-                i2 = self._index[key]
-                out[i2] = out.get(i2, 0) + coeff
-        got = self._memo[z, idx] = tuple((i2, c) for i2, c in sorted(out.items()) if c)
-        return got
-
-
-@functools.lru_cache(maxsize=8)
-def _levi_module(n: int, lam: tuple) -> LeviModule:
-    """The Levi module F(lam), built once per (n, lam) for the 8 used
-    last, so that its memoised action is shared by every
-    GeneralizedVerma of that highest weight."""
-    return LeviModule(n, lam)
+        if gl2 is not None:
+            r, c, v = gl2
+            coeff = v * (j if c else self.m - j)
+            return ((self._index[j + r - c, t], coeff),) if coeff else ()
+        move = moves.get(t)
+        if move is None:
+            return ()
+        return ((self._index[j, move[0]], move[1]),)
 
 
 # ---------------------------------------------------------------------------
@@ -373,110 +491,106 @@ class GeneralizedVerma:
     the grade drop E(lam - mu): weight spaces are finite and are listed
     in full.
 
-    A module keeps no memo of its own.  Straightening and the word lists
-    of weight spaces depend on n alone and are read off `tables`, the
-    record of the rank (_rank); the Levi action depends on (n, lam) and
-    is read off `module`, the shared LeviModule (_levi_module).  `_left`
-    joins the two (see the module docstring).  `letters` is the rank's
-    letter list."""
+    Straightening and the word lists of weight spaces depend on n alone
+    and are read off `tables`, the record of the rank (_rank); `module`
+    is the LeviModule F(lam), kept in the same record by lam, so every
+    GeneralizedVerma of one (n, lam) shares it.  `_left` and `_row` join
+    the two (see the module docstring).  `letters` is the rank's letter
+    list.
+
+    The one memo a module keeps is its rows (_row): each monomial's
+    images under the simple raising operators.  check_maximal and
+    maximal_vector_dimension both read them, so a monomial is
+    straightened for them once."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
         self.lam = tuple(lam)
         self.tables = _rank(n)
         self.letters = self.tables.letters
-        self.module = _levi_module(n, self.lam)
+        module = self.tables.modules.get(self.lam)
+        if module is None:
+            module = self.tables.modules[self.lam] = LeviModule(n, self.lam)
+        self.module = module
+        self._standard = bool(module._slots)
+        self._rows: dict = {}  # monomial -> its row (_row)
 
     # -- element arithmetic
 
-    @staticmethod
-    def _add(elem: Element, key, coeff) -> None:
-        if not coeff:
-            return
-        cur = elem.get(key, 0) + coeff
-        if cur:
-            elem[key] = cur
-        else:
-            elem.pop(key, None)
+    _add = staticmethod(_add)
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
         """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts,
         each word applied letter by letter from the right."""
         out: Element = {}
+        code = self.tables.code
         for coeff, ys, f in parts:
             elem = {((), self.module._index[f]): coeff}
             for r in reversed(ys):
-                elem = self._apply(self.tables.code["y", r], elem)
+                elem = self._apply(code["y", r], elem)
             for key, c in elem.items():
-                self._add(out, key, c)
+                _add(out, key, c)
         return out
 
     # -- straightening
 
-    def _straighten(self, x: int, word: tuple) -> tuple:
-        """x Y^word = sum of c Y^w2 z in U(g), as a tuple of ((w2, z), c)
-        with w2 normal-ordered and z a Levi label code or None (no label),
-        for a label code x and a normal-ordered word that x does not
-        simply extend.  Read off the rank's table, and computed into it
-        the first time.
-
-        At the empty word a Levi label is its own z, and any other label
-        is dropped: a u^+ label kills F.  Otherwise
-        x Y_y rest = Y_y (x rest) + [x, Y_y] rest for the first letter y;
-        Y_y times a word is straightened within U(u^-), so it carries no
-        label, and the z of x rest stays to its right."""
-        tables = self.tables
-        got = tables.straightening.get((x, word))
-        if got is not None:
-            return got
-        if not word:
-            got = ((((), x), 1),) if x in tables.levi else ()
-        else:
-            y, rest = word[0], word[1:]
-            out: dict = {}
-            for (w2, z), c in self._straighten_any(x, rest):
-                for (w3, _), c3 in self._straighten_any(y, w2):
-                    self._add(out, (w3, z), c * c3)
-            for z, zc in tables.bracket(x, y):
-                for key, c3 in self._straighten_any(z, rest):
-                    self._add(out, key, zc * c3)
-            got = tuple(out.items())
-        tables.straightening[x, word] = got
-        return got
-
-    def _straighten_any(self, x: int, word: tuple) -> tuple:
-        """The terms of x Y^word for any normal-ordered word: a letter that
-        sorts first just extends the word."""
-        if x < len(self.letters) and (not word or x <= word[0]):
-            return ((((x,) + word, None), 1),)
-        return self._straighten(x, word)
-
     def _left(self, x: int, word: tuple, f: int) -> Element:
         """x . (Y^word tensor f) in normal form, as a new element, for a
-        label code x and a normal-ordered word that x does not simply
-        extend: each term c Y^w2 z of the straightened x Y^word, with z
-        acting on f through the Levi module."""
+        label code x that is not a letter: each output word of the
+        straightened x Y^word with its form at wt(f), and with each other
+        Levi label moving f through the Levi module."""
         out: Element = {}
-        act = self.module._act
-        for (w2, z), c in self._straighten(x, word):
-            if z is None:
-                self._add(out, (w2, f), c)
-            else:
-                for f2, c2 in act(z, f):
-                    self._add(out, (w2, f2), c * c2)
+        wt, move = self.module.weights[f], self.module._move
+        forms, levis = self.tables.straighten(x, word, self._standard)
+        for w2, form in forms:
+            c = 0
+            for i, a in form:
+                c += a * wt[i - 1] if i else a
+            _add(out, (w2, f), c)
+        for (w2, z), a in levis:
+            for f2, c2 in move(z, f):
+                _add(out, (w2, f2), a * c2)
         return out
 
     def _apply(self, x: int, elem: Element) -> Element:
         """x . elem as a new element, for a label code x."""
         out: Element = {}
-        extends = x < len(self.letters)
+        if x < len(self.letters):
+            lower = self.tables.lower
+            for (word, f), c in elem.items():
+                for w2, c2 in lower(x, word):
+                    _add(out, (w2, f), c * c2)
+            return out
         for (word, f), c in elem.items():
-            if extends and (not word or x <= word[0]):
-                self._add(out, ((x,) + word, f), c)
-                continue
             for key, c2 in self._left(x, word, f).items():
-                self._add(out, key, c * c2)
+                _add(out, key, c * c2)
         return out
+
+    def _row(self, key) -> dict:
+        """The images of the monomial key under the simple raising
+        operators, as one dict {(operator, w2, f2): coeff} read straight
+        off the straightening table; built the first time.  Each output
+        word's form gives the one term at f, and a Levi move goes to
+        another basis vector."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = {}
+            word, f = key
+            wt, move = self.module.weights[f], self.module._move
+            table, straighten = self.tables.straightening, self.tables.straighten
+            standard = self._standard
+            for si, x in enumerate(self.tables.raising):
+                forms, levis = table.get((x, word, standard)) or straighten(x, word, standard)
+                for w2, form in forms:
+                    c = 0
+                    for i, a in form:
+                        c += a * wt[i - 1] if i else a
+                    if c:
+                        row[si, w2, f] = c
+                for (w2, z), a in levis:
+                    for f2, c2 in move(z, f):
+                        _add(row, (si, w2, f2), a * c2)
+        return row
 
     # -- module structure
 
@@ -486,10 +600,10 @@ class GeneralizedVerma:
 
     def term_weight(self, key) -> Weight:
         word, f = key
-        w = self.module.weights[f]
+        w, vectors = self.module.weights[f], self.tables.vectors
         for i in word:
-            w = [a - b for a, b in zip(w, self.tables.vectors[i])]
-        return tuple(w)
+            w = tuple(map(sub, w, vectors[i]))
+        return w
 
     def weight_of(self, elem: Element) -> Weight:
         weights = {self.term_weight(k) for k in elem}
@@ -498,11 +612,18 @@ class GeneralizedVerma:
         return weights.pop()
 
     def check_maximal(self, elem: Element) -> tuple[bool, list[Label]]:
-        """An element is maximal iff every simple raising operator kills it."""
+        """An element is maximal iff every simple raising operator kills
+        it: the sum of its monomials' rows, times their coefficients, is
+        zero.  The failures are the operators left nonzero, in order."""
         if not elem:
             return False, []
+        total: dict = {}
+        for key, c in elem.items():
+            for col, c2 in self._row(key).items():
+                total[col] = total.get(col, 0) + c * c2
+        failed = {si for (si, _, _), c in total.items() if c}
         tables = self.tables
-        failures = [tables.labels[x] for x in tables.raising if self.act(x, elem)]
+        failures = [tables.labels[x] for si, x in enumerate(tables.raising) if si in failed]
         return not failures, failures
 
     # -- weight spaces and uniqueness
@@ -515,7 +636,7 @@ class GeneralizedVerma:
         space = []
         table, steps = self.tables.words, self.tables.steps
         for fidx, wt in enumerate(self.module.weights):
-            need = tuple(a - b for a, b in zip(wt, mu))
+            need = tuple(map(sub, wt, mu))
             words = table.get(need)
             if words is None:
                 words = table[need] = tuple(sorted(_words(steps, list(need)), key=len))
@@ -524,40 +645,42 @@ class GeneralizedVerma:
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
         """Dimension of the space of maximal vectors of weight mu: the size
-        of the weight space less the rank of the simple raising operators
-        on it.  Each monomial's row of images is read off _left, with
-        columns numbered as they first appear, and rows are eliminated
-        fraction-free over the integers: a row is cross-multiplied with
-        the pivot of its least column, then divided by the gcd of its
-        entries."""
-        raising = self.tables.raising
+        of the weight space less the rank of its monomials' rows (_row),
+        eliminated fraction-free over the integers.  Columns are numbered
+        by the number of rows they appear in, fewest first, and a row's
+        least column is reduced by the pivot row of that column: as it is
+        if the pivot divides it, and otherwise after cross-multiplying,
+        with the result divided by the gcd of its entries."""
         basis = self.weight_space(mu)
-        columns: dict = {}  # (operator, monomial) -> column number
+        rows = [self._row(key) for key in basis]
+        count = Counter(chain.from_iterable(rows))
+        columns = {k: i for i, k in enumerate(sorted(count, key=count.__getitem__))}
         pivots: dict = {}
-        for word, f in basis:
-            row = {
-                columns.setdefault((si, key), len(columns)): c
-                for si, x in enumerate(raising)
-                for key, c in self._left(x, word, f).items()
-            }
+        for image in rows:
+            row = {columns[k]: c for k, c in image.items()}
             while row:
                 lead = min(row)
                 piv = pivots.get(lead)
                 if piv is None:
                     pivots[lead] = row
                     break
-                g = math.gcd(piv[lead], row[lead])
-                a, b = piv[lead] // g, row[lead] // g
-                row = {key: a * c for key, c in row.items()}
-                for key, c in piv.items():
-                    v = row.get(key, 0) - b * c
+                p, r = piv[lead], row[lead]
+                if r % p == 0:
+                    b, scaled = r // p, False
+                else:
+                    g = math.gcd(p, r)
+                    a, b, scaled = p // g, r // g, True
+                    row = {col: a * c for col, c in row.items()}
+                for col, c in piv.items():
+                    v = row.get(col, 0) - b * c
                     if v:
-                        row[key] = v
+                        row[col] = v
                     else:
-                        del row[key]
-                g = math.gcd(*row.values()) if row else 1
-                if g > 1:
-                    row = {key: c // g for key, c in row.items()}
+                        del row[col]
+                if scaled and row:
+                    g = math.gcd(*row.values())
+                    if g > 1:
+                        row = {col: c // g for col, c in row.items()}
         return len(basis) - len(pivots)
 
 
@@ -712,7 +835,7 @@ def verify_row(
     if lie is not None and lie.n != n:
         raise ValueError("rank mismatch")
     r = weyl.rho(n)
-    d1 = tuple(tuple(a - b for a, b in zip(t, r)) for t in first_arrow(n, row.k, row.sign))
+    d1 = tuple(tuple(map(sub, t, r)) for t in first_arrow(n, row.k, row.sign))
     d1_match = d1 == (row.lam, row.mu)
     mp = GeneralizedVerma(n, row.lam)
     terms = list(row.terms)

@@ -15,10 +15,12 @@ collision set and their out-edges, and is checked against both.  Each
 rank's Hasse diagram is built here by the all-pairs search of
 `parabolic_oracle`, apart from the one `orbits` keeps.
 
-Two small references ride along: `regular_placements`, the placement
-table filtered from its definition, and `igr1_bgg`, the 2n-term BGG
-chain of the trivial character on the isotropic Grassmannian of lines
-iGr(1, 2n), which `bgg` does not expose.
+Three small references ride along: `regular_placements`, the placement
+table filtered from its definition, `placement_to_weight`, the
+coordinate-wise projection of a placement onto the k-singular orbit,
+and `igr1_bgg`, the 2n-term BGG chain of the trivial character on the
+isotropic Grassmannian of lines iGr(1, 2n).  `bgg` exposes none of
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import parabolic_oracle
 import weyl_oracle
@@ -45,6 +47,14 @@ def regular_placements(n: int) -> list[tuple[int, int]]:
         for x, y in ((a, b), (a, -b), (-a, -b))
         if x > y and x != -y and abs(x) != abs(y)
     ]
+
+
+def placement_to_weight(x: Sequence[int], k: int) -> Weight:
+    """Project a regular placement onto the k-singular orbit coordinate-wise:
+    entries with |x_i| <= k stay, larger ones move one step toward zero."""
+    if any(v == 0 for v in x):
+        raise ValueError("placement entries must be nonzero")
+    return tuple(v if abs(v) <= k else v - (1 if v > 0 else -1) for v in x)
 
 
 @dataclass(frozen=True)

@@ -136,8 +136,9 @@ def test_lie_data_validation():
 
 
 def _clear_rank_tables():
+    """Drop the per-rank tables, and with them the Levi modules kept in
+    them, and the first arrows."""
     verma._rank.cache_clear()
-    verma._levi_module.cache_clear()
     verma.first_arrow.cache_clear()
 
 
@@ -178,9 +179,9 @@ def test_shared_tables_are_kept_per_rank():
 
 
 def test_shared_tables_are_read_only(lie3):
-    """Every field of the rank's record other than its three memos is a
-    tuple, a frozenset or a read-only mapping, and so are the basis
-    matrices and the entry triples inside it."""
+    """Every field of the rank's record other than its memos and its Levi
+    modules is a tuple, a frozenset or a read-only mapping, and so are
+    the basis matrices and the entry triples inside it."""
     label = ("e", Root("a", 1, 2))
     with pytest.raises(TypeError):
         lie3.matrix(label)[0, 0] = 1
@@ -189,7 +190,7 @@ def test_shared_tables_are_read_only(lie3):
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     tables = mp.tables
     assert tables is verma._rank(3)
-    memos = {"brackets", "straightening", "words"}
+    memos = {"brackets", "lowering", "straightening", "words", "modules"}
     assert memos <= set(tables._fields)
     for name in tables._fields:
         field = getattr(tables, name)
@@ -207,19 +208,30 @@ def test_shared_tables_are_read_only(lie3):
 
 
 def test_rank_tables_hold_eight_ranks():
-    """The per-rank tables, the Levi modules and the first arrows are
-    each held in a bounded cache: 8 ranks, 8 highest weights, 32 cases."""
+    """The per-rank tables and the first arrows are each held in a bounded
+    cache, 8 ranks and 32 cases, and the Levi modules are held in the
+    tables of their rank: they go when it is evicted, so at most 8 ranks
+    hold any."""
+    _clear_rank_tables()
+    built = {}
     for n in range(3, 12):
         for lam in ((0,) * n, (1, 0, 1) + (0,) * (n - 3)):
-            verma.GeneralizedVerma(n, lam).weight_space((-1, -1) + lam[2:])
+            mp = verma.GeneralizedVerma(n, lam)
+            mp.weight_space((-1, -1) + lam[2:])
+            built[n, lam] = mp.module
         verma.first_arrow(n, 1, "+")
         verma.first_arrow(n, 1, "-")
     assert verma._rank.cache_info().currsize <= 8
     assert verma._rank.cache_info().maxsize == 8
-    assert verma._levi_module.cache_info().currsize <= 8
-    assert verma._levi_module.cache_info().maxsize == 8
     assert verma.first_arrow.cache_info().maxsize == 32
     assert verma.first_arrow.cache_info().currsize <= 32
+    # ranks 11 down to 4 are the 8 kept, so reading them evicts none
+    for n in range(11, 3, -1):
+        lams = ((0,) * n, (1, 0, 1) + (0,) * (n - 3))
+        assert verma._rank(n).modules == {lam: built[n, lam] for lam in lams}
+    # rank 3 was evicted, and its modules with it
+    assert verma._rank(3).modules == {}
+    assert verma.GeneralizedVerma(3, (0, 0, 0)).module is not built[3, (0, 0, 0)]
 
 
 def test_evicted_ranks_are_rebuilt():
@@ -364,6 +376,33 @@ def test_u_plus_kills_the_levi_module(n):
                 assert any(images), (tail, root)
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_levi_act_matches_entry_oracle(n):
+    """LeviModule.act, read off the rank's Levi table, against the action
+    of every entry of each label's matrix, on every label and basis
+    vector of both tails and m = 0, 1, 2.  h_i acts by the weight's i-th
+    coordinate, a u^+ or u^- label by zero, and every other Levi label
+    moves a basis vector to at most one other."""
+    nil = set(parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,))))
+    for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
+        for lam in ((0, 0) + tail, (1, 0) + tail, (0, -2) + tail):
+            mod = verma.LeviModule(n, lam)
+            moved = 0
+            for label in mod.tables.matrices:
+                for idx in range(len(mod.basis)):
+                    got = mod.act(label, idx)
+                    assert got == verma_oracle.levi_act(mod, label, idx), (lam, label, idx)
+                    if label[0] == "h":
+                        c = mod.weight(idx)[label[1] - 1]
+                        assert got == ([(idx, c)] if c else []), (lam, label, idx)
+                    elif label[1] in nil:
+                        assert got == [], (lam, label, idx)
+                    else:
+                        assert len(got) <= 1 and all(i2 != idx for i2, _ in got)
+                        moved += bool(got)
+            assert moved or len(mod.basis) == 1, lam
+
+
 def test_levi_module_rejects_lie_data_of_another_rank():
     """A LieData of another rank, larger or smaller, is refused by
     verify_row, the one function that still takes one."""
@@ -499,13 +538,15 @@ def test_act_results_do_not_alias_the_memo():
 
 
 def test_modules_of_a_rank_share_read_only_tables():
-    """Modules of one rank share the straightening and word tables
-    whatever lam, and modules of one (n, lam) share their Levi module.
-    Every value those tables hold is a tuple, and mutating an element
-    returned by act or combine leaves the next call unchanged."""
+    """Modules of one rank and one kind of V share the straightening table
+    whatever lam, modules of one rank share the word and lowering tables,
+    and modules of one (n, lam) share their Levi module.  Every value
+    those tables hold is a tuple, and mutating an element returned by act
+    or combine leaves the next call unchanged."""
     _clear_rank_tables()
     a, b = verma.GeneralizedVerma(3, (0, 0, 0)), verma.GeneralizedVerma(3, (1, 0, 1))
-    assert a.tables.straightening is b.tables.straightening
+    c = verma.GeneralizedVerma(3, (2, -1, 0))
+    assert a.tables.straightening is b.tables.straightening is c.tables.straightening
     assert a.tables.words is b.tables.words
     assert a.tables.brackets is b.tables.brackets
     assert a.module is not b.module
@@ -516,15 +557,23 @@ def test_modules_of_a_rank_share_read_only_tables():
     got = a.act(label, a.combine(parts))
     assert got
     size = len(a.tables.straightening)
+    want_c = verma_oracle.act(c, label, verma_oracle.combine(c, parts))
+    assert want_c and c.act(label, c.combine(parts)) == want_c
+    assert len(c.tables.straightening) == size  # c read what a straightened
     v = b.combine(parts_b)
     assert b.act(label, v)
-    assert len(b.tables.straightening) == size  # b read what a straightened
+    # V is standard for b, so b straightened into entries of its own kind
+    kinds = [standard for _, _, standard in b.tables.straightening]
+    assert kinds.count(False) == size and kinds.count(True) > 0
     assert a.weight_space((-1, -2, 1)) and b.weight_space(b.weight_of(v))
+    assert a.combine([(1, (Root("c", 2, 3), Root("a", 1, 3)), (0, None))])  # a lowering
     for mp in (a, b):
-        for memo in (mp.tables.straightening, mp.tables.words, mp.module._memo):
+        assert mp.tables.modules[mp.lam] is mp.module
+        for memo in (mp.tables.lowering, mp.tables.straightening, mp.tables.words):
             assert memo
             assert all(type(val) is tuple for val in memo.values())
             assert all(type(term) is tuple for val in memo.values() for term in val)
+    assert a.tables.modules == {(0, 0, 0): a.module, (1, 0, 1): b.module, (2, -1, 0): c.module}
     want = dict(got)
     got.clear()
     v[(0,), 0] = 5
@@ -566,7 +615,9 @@ def test_straightening_table_matches_oracle(n, top):
                     assert mp.act(x, {(word, f): 1}) == want, (lam, label, word, f)
         simple = {(x, w) for x in range(len(mp.letters)) for w in words if not w or x <= w[0]}
         pairs = {(x, w) for x in range(len(mp.tables.labels)) for w in words} - simple
-        assert pairs <= mp.tables.straightening.keys()
+        standard = any(lam[2:])
+        kept = {(x, w) for x, w, kind in mp.tables.straightening if kind == standard}
+        assert pairs <= kept | mp.tables.lowering.keys()
 
 
 def test_word_table_matches_oracle():
@@ -697,10 +748,10 @@ def test_weights_of_the_wrong_length_are_refused():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_label_code_action_matches_levi_act(n):
-    """At the empty word each label code acts on F through its entry
-    table as LeviModule.act acts through the label's matrix, for every
-    label and basis vector and both tails; the raising codes are those
-    of the simple raising labels."""
+    """At the empty word each label code acts on F through the
+    straightening table, its form and its Levi moves, as LeviModule.act
+    acts, for every label and basis vector and both tails; the raising
+    codes are those of the simple raising labels."""
     tails = [(0,) * (n - 2)] + ([(1,) + (0,) * (n - 3)] if n > 2 else [])
     for tail in tails:
         mp = verma.GeneralizedVerma(n, (1, -1) + tail)
@@ -783,6 +834,45 @@ def test_kernel_dimension_matches_oracle_on_large_spaces(lam, mu, size):
     assert len(mp.weight_space(mu)) == size
     want = verma_oracle.maximal_vector_dimension(verma.GeneralizedVerma(n, lam), mu)
     assert mp.maximal_vector_dimension(mu) == want
+
+
+def test_check_maximal_matches_oracle_on_catalogue():
+    """Every row for n = 3..7, genuine and perturbed, on a fresh module:
+    the check read off the rows gives the verdict and the failing
+    labels, in order, of straightening each simple raising operator
+    times the vector through the work-list oracle."""
+    failures = 0
+    for row in _catalogue(range(3, 8)):
+        for perturbed, terms in enumerate(_with_perturbations(row)):
+            mp = verma.GeneralizedVerma(row.n, row.lam)
+            v = mp.combine(terms)
+            got = mp.check_maximal(v)
+            assert got == verma_oracle.check_maximal(mp, v), (row.n, row.k, row.sign, perturbed)
+            assert got[0] != bool(perturbed), (row.n, row.k, row.sign)
+            failures += len(got[1])
+    assert failures > 2 * sum(range(2, 7))
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_a_sweep_builds_each_levi_module_once(monkeypatch, n):
+    """verify_first_operators(n) and then the perturbed check of every row
+    build each Levi module once: the modules are kept with their rank,
+    not in a cache of fewer highest weights than a sweep uses."""
+    real, built = verma.LeviModule.__init__, []
+
+    def counting(self, n, lam):
+        built.append((n, tuple(lam)))
+        real(self, n, lam)
+
+    monkeypatch.setattr(verma.LeviModule, "__init__", counting)
+    _clear_rank_tables()
+    results = verma.verify_first_operators(n)
+    assert all(r.ok for r in results)
+    for r in results:
+        assert not verma.verify_row(r.row, perturb=True, kernel=False).maximal_ok
+    lams = {r.row.lam for r in results}
+    assert len(lams) == 2 * (n - 1) > 8
+    assert sorted(built) == sorted((n, lam) for lam in lams)
 
 
 def test_highest_vector_is_maximal(m3):

@@ -1,16 +1,20 @@
-"""The work-list PBW straightening, the Fraction elimination and the
-tuple-walk weight-space listing that `bgg.verma` no longer carries.
+"""The work-list PBW straightening, the entry-by-entry Levi action, the
+Fraction elimination and the tuple-walk weight-space listing that
+`bgg.verma` no longer carries.
 
 Test-only reference.  Each function takes a `GeneralizedVerma` for its
-letters and Levi module only, and none of them reads its straightening
-or word table.  Brackets come by label from `verma.LieData(mp.n)`, the
-commutators of the basis matrices expanded by `decompose` with its
-reconstruction check.  A word is straightened from scratch by swapping
-the first adjacent pair out of order and adding its bracket, the kernel
-is found by Gaussian elimination over `Fraction` rows, and a weight
-space is listed by a recursion that builds a new rest tuple per letter
-and checks the bounds only on entry.  The fast paths of `bgg.verma` are
-checked against these.
+letters and the basis of its Levi module only, and none of them reads
+its straightening, word or Levi table or its rows.  Brackets come by
+label from `verma.LieData(mp.n)`, the commutators of the basis matrices
+expanded by `decompose` with its reconstruction check.  A Levi label
+acts through every entry of its matrix (`levi_act`), a word is
+straightened from scratch by swapping the first adjacent pair out of
+order and adding its bracket, maximality is checked by straightening
+each simple raising operator times the vector (`check_maximal`), the
+kernel is found by Gaussian elimination over `Fraction` rows, and a
+weight space is listed by a recursion that builds a new rest tuple per
+letter and checks the bounds only on entry.  The fast paths of
+`bgg.verma` are checked against these.
 """
 
 from __future__ import annotations
@@ -36,6 +40,30 @@ def _add(elem: dict, key, coeff) -> None:
         elem.pop(key, None)
 
 
+def levi_act(mod, label, idx: int) -> list:
+    """label . (basis vector idx) in the Levi module mod, one term per
+    entry (r, c, v) of the label's matrix: an entry with r, c < 2 acts on
+    the gl(2) factor as the derivation x_r d/dx_c plus lam_2 v on the
+    diagonal, an entry between two slots moves the slot, and no other
+    entry acts."""
+    n, (j, t) = mod.n, mod.basis[idx]
+    slots = (tuple(range(2, n)) + tuple(range(n + 2, 2 * n))) if t is not None else ()
+    out: dict = {}
+    for (r, c), v in verma.LieData(n).matrix(label).items():
+        if r < 2 and c < 2:
+            power = j if c else mod.m - j
+            coeff = v * (power + mod.lam[1]) if r == c else v * power
+            key = (j + r - c, t)
+        elif t is not None and c == slots[t] and r in slots:
+            coeff, key = v, (j, slots.index(r))
+        else:
+            continue
+        if coeff:
+            i2 = mod.basis.index(key)
+            out[i2] = out.get(i2, 0) + coeff
+    return [(i2, c) for i2, c in sorted(out.items()) if c]
+
+
 def normal_form(mp, word: Sequence, fidx: int, coeff: Fraction, out: dict) -> None:
     """Add coeff * word tensor f, straightened, into out.
 
@@ -55,7 +83,7 @@ def normal_form(mp, word: Sequence, fidx: int, coeff: Fraction, out: dict) -> No
             x = w[-1]
             if x[0] == "e" and x[1] in nil:
                 continue  # u^+ kills F
-            for f2, fc in mp.module.act(x, f):
+            for f2, fc in levi_act(mp.module, x, f):
                 work.append((w[:-1], f2, c * fc))
             continue
         keys = [rank.get(x, last) for x in w]
@@ -83,6 +111,16 @@ def act(mp, label, elem: dict) -> dict:
         letters = tuple(mp.letters[i] for i in word)
         normal_form(mp, (label,) + letters, f, c, out)
     return out
+
+
+def check_maximal(mp, elem: dict) -> tuple:
+    """(maximal, failures): the simple raising labels that do not kill
+    elem, in order, each applied by `act`; a zero element is not
+    maximal and has no failures."""
+    if not elem:
+        return False, []
+    failures = [lab for lab in simple_raising_labels(mp.n) if act(mp, lab, elem)]
+    return not failures, failures
 
 
 def maximal_vector_dimension(mp, mu: Sequence[int]) -> int:
