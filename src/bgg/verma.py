@@ -52,11 +52,12 @@ name: the basis matrices and their leading entries, the letters, the
 integer tables the hot paths read instead of hashing a Root, four
 memos (brackets, lowering, straightening and word tables) and the
 Levi modules, which go with their rank.  Every other field is a tuple
-or a read-only mapping, and every value a table holds is a tuple.  A bracket is kept once, by label code, computed through
-decompose with its reconstruction check.  LieData is a view of the
-record by label, and no module takes one.  The nilradical letters are
-checked against `weyl` alone (see _rank), so this module, like
-`penrose`, loads no Hasse code.
+or a read-only mapping, and every value a table holds is a tuple.  A
+bracket is kept once, by label code, computed through decompose with
+its reconstruction check.  LieData is a view of the record by label,
+and no module takes one.  The nilradical letters are checked against
+`weyl` alone (see _rank), so this module, like `penrose`, loads no
+Hasse code.
 
 A weight space is listed per basis vector f of F from the words of the
 need wt(f) - mu, found once per need and rank by a walk over the
