@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 invalid arguments or unsupported request,
 2 a verification command found a failure or an internal check failed.
 
 Each subcommand imports the bgg layers it runs when it runs, so one
-`bgg` process loads only what its command needs.
+`bgg` process loads only what its command needs, and a request the CLI
+itself refuses (a bad combination of options) loads no layer at all.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ def _emit_json(payload: dict) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    from bgg import parabolic
-
     if args.format == "tikz":
         raise ValueError(
             "TikZ output is only available for orbit diagrams; "
             "use regular-orbit / singular-orbit / render"
         )
+    from bgg import parabolic
+
     hd = parabolic.hasse_diagram(parabolic.parabolic(args.n, args.crossed))
     _emit(hd.to_json() if args.format == "json" else hd.to_text())
     return 0
@@ -198,10 +199,10 @@ def _cmd_bgg_complex(args) -> int:
 
 
 def _cmd_verify_maximal(args) -> int:
-    from bgg import verma
-
     if args.n < 3:
         raise ValueError("the first-operator catalogue needs n >= 3")
+    from bgg import verma
+
     if args.k is not None:
         rows = [verma.singular_vector_row(args.n, args.k, args.sign or "+")]
     else:
@@ -246,12 +247,12 @@ def _cmd_verify_maximal(args) -> int:
 
 
 def _cmd_geometry_check(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     import random
 
     from bgg import geometry
 
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.count):
@@ -286,15 +287,15 @@ def _cmd_geometry_check(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.what == "regular" and args.k is not None:
+        raise ValueError("regular diagrams take no --k")
+    if args.what == "singular" and args.k is None:
+        raise ValueError("singular diagrams need --k")
     from bgg import orbits
 
     if args.what == "regular":
-        if args.k is not None:
-            raise ValueError("regular diagrams take no --k")
         diag = orbits.regular_orbit_projection(args.n)
     else:
-        if args.k is None:
-            raise ValueError("singular diagrams need --k")
         diag = orbits.singular_orbit(args.n, args.k)
     return _emit_diagram(diag, args)
 

@@ -40,19 +40,23 @@ many words is thus straightened once, whatever lam.
 
 A Levi label other than the h_i moves a basis vector of F to at most one
 other, as a per-rank table says, so a LeviModule keeps no memo; the
-modules of a rank are kept in its record by lam.  A GeneralizedVerma
-keeps one row per monomial: its images under the simple raising
-operators, read off the straightening table.  check_maximal sums the
-rows of an element, and maximal_vector_dimension eliminates the rows of
-a weight space fraction-free over the integers, sparsest columns first.
+modules of a rank are kept in its record by lam.  Each monomial has one
+row, its images under the simple raising operators read off the
+straightening table, kept in the same record by lam, so every
+GeneralizedVerma of one (n, lam) reads the same rows.  check_maximal
+sums the rows of an element, and maximal_vector_dimension eliminates
+the rows of a weight space fraction-free over the integers, sparsest
+columns first.  combine reads each root's letter code once, by (kind,
+i, j), and lowers the word through the lowering table.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
 integer tables the hot paths read instead of hashing a Root, four
-memos (brackets, lowering, straightening and word tables) and the
-Levi modules, which go with their rank.  Every other field is a tuple
-or a read-only mapping, and every value a table holds is a tuple.  A
+memos (brackets, lowering, straightening and word tables) and three
+that go with their rank: the Levi modules, their rows and the first
+arrows shifted by rho (verify_row).  Every other field is a tuple or a
+read-only mapping, and every value a table holds is a tuple.  A
 bracket is kept once, by label code, computed through decompose with
 its reconstruction check.  LieData is a view of the record by label,
 and no module takes one.  The nilradical letters are checked against
@@ -76,7 +80,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import sub
+from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -107,15 +111,18 @@ class RankTables(NamedTuple):
     basis matrices by label and the label of each leading entry by key;
     the nilradical letters in normal order, their weight vectors and
     steps (see _words); the labels with their codes (a letter's is its
-    index), the simple raising codes and each code's (row, col, value)
-    entries; the slots, the rows of C^{2n} that span the standard module
-    of sp(2n-4); and each Levi label's action by code as (i, gl2, moves):
+    index), each letter's code by its root's (kind, i, j), the simple
+    raising codes and each code's (row, col, value) entries; the slots,
+    the rows of C^{2n} that span the standard module of sp(2n-4); and
+    each Levi label's action by code as (i, gl2, moves):
     the coordinate i of the weight that h_i reads (0 for the others), the
     label's (row, col, value) entry in the gl(2) block or None, and its
     moves of slot t to (t2, value).  Then the memos: the brackets by code
     pair, the lowering and straightening tables (see straighten), the
     word table, each need wt(f) - mu to its words by length
-    (weight_space), and the Levi modules by lam."""
+    (weight_space), the Levi modules by lam, each lam's rows by monomial
+    (GeneralizedVerma._row), and the first arrows of the rank by
+    (k, sign), shifted by rho (verify_row)."""
 
     matrices: Mapping
     leads: Mapping
@@ -124,6 +131,7 @@ class RankTables(NamedTuple):
     steps: tuple
     labels: tuple
     code: Mapping
+    letter_codes: Mapping
     raising: tuple
     entries: tuple
     slots: tuple
@@ -133,6 +141,8 @@ class RankTables(NamedTuple):
     straightening: dict
     words: dict
     modules: dict
+    rows: dict
+    arrows: dict
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
         """Exact expansion of x over the basis, read off the leading
@@ -307,9 +317,11 @@ def _rank(n: int) -> RankTables:
         leads=MappingProxyType({min(mat): lab for lab, mat in m.items()}),
         letters=letters, vectors=vectors, steps=tuple(steps),
         labels=labels, code=code,
+        letter_codes=MappingProxyType({(r.kind, r.i, r.j): i for i, r in enumerate(order)}),
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         entries=entries, slots=slots, levi=MappingProxyType(levi),
         brackets={}, lowering={}, straightening={}, words={}, modules={},
+        rows={}, arrows={},
     )
 
 
@@ -499,10 +511,12 @@ class GeneralizedVerma:
     the two (see the module docstring).  `letters` is the rank's letter
     list.
 
-    The one memo a module keeps is its rows (_row): each monomial's
-    images under the simple raising operators.  check_maximal and
-    maximal_vector_dimension both read them, so a monomial is
-    straightened for them once."""
+    The rows (_row), each monomial's images under the simple raising
+    operators, are kept in the same record by lam too, so every
+    GeneralizedVerma of one (n, lam) reads the same rows and they go
+    when the rank does.  check_maximal and maximal_vector_dimension both
+    read them, so a monomial is straightened for them once per process,
+    however many checks share its lam."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
@@ -514,23 +528,29 @@ class GeneralizedVerma:
             module = self.tables.modules[self.lam] = LeviModule(n, self.lam)
         self.module = module
         self._standard = bool(module._slots)
-        self._rows: dict = {}  # monomial -> its row (_row)
+        self._rows = self.tables.rows.setdefault(self.lam, {})  # monomial -> row
 
     # -- element arithmetic
 
     _add = staticmethod(_add)
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
-        """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts,
-        each word applied letter by letter from the right."""
+        """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts:
+        each root is read once as its letter's code, and the word is
+        lowered in U(u^-) letter by letter from the right (lower)."""
         out: Element = {}
-        code = self.tables.code
+        lower, codes, index = self.tables.lower, self.tables.letter_codes, self.module._index
         for coeff, ys, f in parts:
-            elem = {((), self.module._index[f]): coeff}
-            for r in reversed(ys):
-                elem = self._apply(code["y", r], elem)
-            for key, c in elem.items():
-                _add(out, key, c)
+            words: Iterable = (((), coeff),)
+            for y in [codes[r.kind, r.i, r.j] for r in reversed(ys)]:
+                acc: dict = {}
+                for word, c in words:
+                    for w2, c2 in lower(y, word):
+                        _add(acc, w2, c * c2)
+                words = acc.items()
+            fidx = index[f]
+            for word, c in words:
+                _add(out, (word, fidx), c)
         return out
 
     # -- straightening
@@ -567,15 +587,15 @@ class GeneralizedVerma:
                 _add(out, key, c * c2)
         return out
 
-    def _row(self, key) -> dict:
+    def _row(self, key) -> tuple:
         """The images of the monomial key under the simple raising
-        operators, as one dict {(operator, w2, f2): coeff} read straight
-        off the straightening table; built the first time.  Each output
-        word's form gives the one term at f, and a Levi move goes to
-        another basis vector."""
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = {}
+        operators, as the pairs ((operator, w2, f2), coeff) read straight
+        off the straightening table; built the first time for the lam.
+        Each output word's form gives the one term at f, and a Levi move
+        goes to another basis vector."""
+        got = self._rows.get(key)
+        if got is None:
+            row: dict = {}
             word, f = key
             wt, move = self.module.weights[f], self.module._move
             table, straighten = self.tables.straightening, self.tables.straighten
@@ -591,7 +611,8 @@ class GeneralizedVerma:
                 for (w2, z), a in levis:
                     for f2, c2 in move(z, f):
                         _add(row, (si, w2, f2), a * c2)
-        return row
+            got = self._rows[key] = tuple(row.items())
+        return got
 
     # -- module structure
 
@@ -620,7 +641,7 @@ class GeneralizedVerma:
             return False, []
         total: dict = {}
         for key, c in elem.items():
-            for col, c2 in self._row(key).items():
+            for col, c2 in self._row(key):
                 total[col] = total.get(col, 0) + c * c2
         failed = {si for (si, _, _), c in total.items() if c}
         tables = self.tables
@@ -654,11 +675,11 @@ class GeneralizedVerma:
         with the result divided by the gcd of its entries."""
         basis = self.weight_space(mu)
         rows = [self._row(key) for key in basis]
-        count = Counter(chain.from_iterable(rows))
+        count = Counter(map(itemgetter(0), chain.from_iterable(rows)))
         columns = {k: i for i, k in enumerate(sorted(count, key=count.__getitem__))}
         pivots: dict = {}
         for image in rows:
-            row = {columns[k]: c for k, c in image.items()}
+            row = {columns[k]: c for k, c in image}
             while row:
                 lead = min(row)
                 piv = pivots.get(lead)
@@ -829,14 +850,21 @@ def verify_row(
     """Check one catalogue entry: the weights match the first arrow of the
     assembled complex, v is maximal of weight mu, and (optionally) the
     maximal vectors of weight mu form a line.  With perturb=True the last
-    coefficient of v is flipped, which must break maximality.  `lie` is
-    only checked against row.n ("rank mismatch") and not used otherwise;
-    it can go when the benchmark harness stops passing it (ROADMAP item 6)."""
+    coefficient of v is flipped, which must break maximality.  The first
+    arrow, shifted by rho, is kept in the rank's tables by (k, sign), so
+    a genuine and a perturbed check shift it once.  `lie` is only checked
+    against row.n ("rank mismatch") and not used otherwise; it can go
+    when the benchmark harness stops passing it (ROADMAP item 6)."""
     n = row.n
     if lie is not None and lie.n != n:
         raise ValueError("rank mismatch")
-    r = weyl.rho(n)
-    d1 = tuple(tuple(map(sub, t, r)) for t in first_arrow(n, row.k, row.sign))
+    arrows = _rank(n).arrows
+    d1 = arrows.get((row.k, row.sign))
+    if d1 is None:
+        r = weyl.rho(n)
+        d1 = arrows[row.k, row.sign] = tuple(
+            tuple(map(sub, t, r)) for t in first_arrow(n, row.k, row.sign)
+        )
     d1_match = d1 == (row.lam, row.mu)
     mp = GeneralizedVerma(n, row.lam)
     terms = list(row.terms)

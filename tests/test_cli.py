@@ -401,6 +401,25 @@ def test_subcommand_loads_only_its_layers(python, command, layers):
     assert sorted(loaded) == sorted(expected)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify-maximal --n 2",
+        "verify-maximal --n -3 --perturb",
+        "geometry-check --n 4 --count 0",
+        "hasse --n 4 --format tikz",
+        "render --what regular --n 3 --k 9",
+        "render --what singular --n 4",
+    ],
+)
+def test_argument_errors_load_no_layer(python, command):
+    """A request the CLI refuses on its own options exits 1 before any
+    bgg layer is imported: only `bgg.cli` is loaded."""
+    rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()
+    assert rc == "1"
+    assert loaded == ["bgg.cli"]
+
+
 def run_any(capsys, argv):
     """Like run, but an argparse error (SystemExit) gives its exit code."""
     try:

@@ -179,9 +179,10 @@ def test_shared_tables_are_kept_per_rank():
 
 
 def test_shared_tables_are_read_only(lie3):
-    """Every field of the rank's record other than its memos and its Levi
-    modules is a tuple, a frozenset or a read-only mapping, and so are
-    the basis matrices and the entry triples inside it."""
+    """Every field of the rank's record other than its memos (the Levi
+    modules, the rows and the shifted first arrows among them) is a
+    tuple, a frozenset or a read-only mapping, and so are the basis
+    matrices and the entry triples inside it."""
     label = ("e", Root("a", 1, 2))
     with pytest.raises(TypeError):
         lie3.matrix(label)[0, 0] = 1
@@ -190,7 +191,7 @@ def test_shared_tables_are_read_only(lie3):
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     tables = mp.tables
     assert tables is verma._rank(3)
-    memos = {"brackets", "lowering", "straightening", "words", "modules"}
+    memos = {"brackets", "lowering", "straightening", "words", "modules", "rows", "arrows"}
     assert memos <= set(tables._fields)
     for name in tables._fields:
         field = getattr(tables, name)
@@ -209,29 +210,39 @@ def test_shared_tables_are_read_only(lie3):
 
 def test_rank_tables_hold_eight_ranks():
     """The per-rank tables and the first arrows are each held in a bounded
-    cache, 8 ranks and 32 cases, and the Levi modules are held in the
-    tables of their rank: they go when it is evicted, so at most 8 ranks
-    hold any."""
+    cache, 8 ranks and 32 cases, and the Levi modules, their rows and the
+    shifted first arrows are held in the tables of their rank: they go
+    when it is evicted, so at most 8 ranks hold any."""
     _clear_rank_tables()
-    built = {}
+    built, rows, arrows = {}, {}, {}
     for n in range(3, 12):
-        for lam in ((0,) * n, (1, 0, 1) + (0,) * (n - 3)):
+        row = verma.singular_vector_row(n, 1, "-")
+        for lam in ((0,) * n, (1, 0, 1) + (0,) * (n - 3), row.lam):
             mp = verma.GeneralizedVerma(n, lam)
             mp.weight_space((-1, -1) + lam[2:])
-            built[n, lam] = mp.module
+            assert mp.check_maximal({((), 0): 1}) == (True, [])
+            built[n, lam], rows[n, lam] = mp.module, mp._rows
+        assert verma.verify_row(row, kernel=False).ok
+        arrows[n] = verma._rank(n).arrows[1, "-"]
         verma.first_arrow(n, 1, "+")
-        verma.first_arrow(n, 1, "-")
     assert verma._rank.cache_info().currsize <= 8
     assert verma._rank.cache_info().maxsize == 8
     assert verma.first_arrow.cache_info().maxsize == 32
     assert verma.first_arrow.cache_info().currsize <= 32
     # ranks 11 down to 4 are the 8 kept, so reading them evicts none
     for n in range(11, 3, -1):
-        lams = ((0,) * n, (1, 0, 1) + (0,) * (n - 3))
-        assert verma._rank(n).modules == {lam: built[n, lam] for lam in lams}
-    # rank 3 was evicted, and its modules with it
-    assert verma._rank(3).modules == {}
-    assert verma.GeneralizedVerma(3, (0, 0, 0)).module is not built[3, (0, 0, 0)]
+        lams = ((0,) * n, (1, 0, 1) + (0,) * (n - 3), verma.singular_vector_row(n, 1, "-").lam)
+        tables = verma._rank(n)
+        assert tables.modules == {lam: built[n, lam] for lam in lams}
+        assert tables.rows.keys() == set(lams)
+        assert all(tables.rows[lam] is rows[n, lam] and rows[n, lam] for lam in lams)
+        assert tables.arrows == {(1, "-"): arrows[n]}
+    # rank 3 was evicted, and its modules, rows and arrows with it
+    tables = verma._rank(3)
+    assert tables.modules == {} and tables.rows == {} and tables.arrows == {}
+    mp = verma.GeneralizedVerma(3, (0, 0, 0))
+    assert mp.module is not built[3, (0, 0, 0)]
+    assert mp._rows == {} and mp._rows is not rows[3, (0, 0, 0)]
 
 
 def test_evicted_ranks_are_rebuilt():
@@ -269,10 +280,14 @@ def test_a_cold_module_builds_no_lie_data(monkeypatch):
 def test_letters_are_the_crossed2_nilradical(n):
     """The letters, checked in verma against the roots of weyl whose first
     two coordinates sum to more than 0, are the nilradical of the
-    crossed-{2} parabolic's general grading."""
-    letters = verma._rank(n).letters
+    crossed-{2} parabolic's general grading.  Each letter's code by its
+    root's (kind, i, j) is its code by label."""
+    tables = verma._rank(n)
     nil = parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,)))
-    assert sorted(root for _, root in letters) == sorted(nil)
+    assert sorted(root for _, root in tables.letters) == sorted(nil)
+    assert dict(tables.letter_codes) == {
+        (r.kind, r.i, r.j): tables.code["y", r] for _, r in tables.letters
+    }
 
 
 def test_letter_list_check_can_fail(monkeypatch):
@@ -875,6 +890,91 @@ def test_a_sweep_builds_each_levi_module_once(monkeypatch, n):
     assert sorted(built) == sorted((n, lam) for lam in lams)
 
 
+def _oracle_row(mp, key):
+    """The row of a monomial, {(operator, w2, f2): coeff}, by the work-list
+    straightening of each simple raising operator times it."""
+    out = {}
+    for si, lab in enumerate(verma_oracle.simple_raising_labels(mp.n)):
+        for (w2, f2), c in verma_oracle.act(mp, lab, {key: Fraction(1)}).items():
+            out[si, w2, f2] = c
+    return out
+
+
+def _assert_rows_match_oracle(n):
+    """Every row kept in the tables of rank n is the oracle's, for a
+    module of its lam, and is a tuple of pairs with int coefficients."""
+    tables = verma._rank(n)
+    assert tables.rows
+    for lam, rows in tables.rows.items():
+        mp = verma.GeneralizedVerma(n, lam)
+        assert mp._rows is rows
+        for key, row in rows.items():
+            assert type(row) is tuple and all(type(c) is int for _, c in row)
+            assert dict(row) == _oracle_row(mp, key), (lam, key)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_shared_rows_cannot_change_a_verdict(n):
+    """verify_first_operators(n) on cold tables, then again after the
+    perturbed check of every row, and again after other highest weights
+    of the rank (trivial and standard tails, every catalogue lam in the
+    reverse order) were warmed: the same results and failures each time.
+    Every row the runs leave in the rank's tables is the oracle's."""
+
+    def run():
+        return [(r.to_dict(), r.failures) for r in verma.verify_first_operators(n)]
+
+    _clear_rank_tables()
+    cold = run()
+    _assert_rows_match_oracle(n)
+    catalogue = [verma.singular_vector_row(n, k, sign) for k in range(1, n) for sign in "+-"]
+
+    _clear_rank_tables()
+    for row in catalogue:
+        assert verma.verify_row(row, perturb=True).refuted
+    assert run() == cold
+    _assert_rows_match_oracle(n)
+
+    _clear_rank_tables()
+    zeros = (0,) * (n - 3)
+    for lam, mu in (((0, 0, 0) + zeros, (-2, -2, 0) + zeros), ((1, 0, 1) + zeros, (-1, -2, 1) + zeros)):
+        assert verma.GeneralizedVerma(n, lam).weight_space(mu)
+        verma.GeneralizedVerma(n, lam).maximal_vector_dimension(mu)
+    for row in reversed(catalogue):
+        verma.GeneralizedVerma(n, row.lam).maximal_vector_dimension(row.mu)
+    assert run() == cold
+    _assert_rows_match_oracle(n)
+    assert all(d["ok"] and d["kernel_dim"] == 1 and not f for d, f in cold)
+
+
+def test_a_row_pair_builds_each_row_once(monkeypatch):
+    """A genuine check of every row for n = 3..6, then its perturbed twin:
+    no monomial's row is built twice, the twin reads the genuine check's
+    rows, and every row built is kept in the tables of its rank."""
+    real, built = verma.GeneralizedVerma._row, []
+
+    def counting(self, key):
+        if key not in self._rows:
+            built.append((self.n, self.lam, key))
+        return real(self, key)
+
+    monkeypatch.setattr(verma.GeneralizedVerma, "_row", counting)
+    _clear_rank_tables()
+    for row in _catalogue(range(3, 7)):
+        assert verma.verify_row(row).ok
+        mark = len(built)
+        kept = dict(verma._rank(row.n).rows[row.lam])
+        assert not verma.verify_row(row, perturb=True, kernel=False).maximal_ok
+        # the perturbed vector's monomials lie in the weight space, whose
+        # rows the genuine check's kernel built
+        assert built[mark:] == []
+        assert all(verma._rank(row.n).rows[row.lam][key] is r for key, r in kept.items())
+    assert len(built) == len(set(built)) > 0
+    assert sorted(built) == sorted(
+        (n, lam, key) for n in range(3, 7) for lam, rows in verma._rank(n).rows.items() for key in rows
+    )
+
+
 def test_highest_vector_is_maximal(m3):
     ok, failures = m3.check_maximal({((), 0): 1})
     assert ok and failures == []
@@ -949,13 +1049,21 @@ def test_a_row_pair_reads_the_e1_entries_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(penrose, "e1_entries", counting)
-    verma.first_arrow.cache_clear()
+    _clear_rank_tables()
     row = verma.singular_vector_row(5, 2, "-")
     assert verma.verify_row(row).ok
     assert not verma.verify_row(row, perturb=True, kernel=False).maximal_ok
     assert calls == [(5, 2, "-")]
     arrow = verma.first_arrow(5, 2, "-")
     assert type(arrow) is tuple and all(type(t) is tuple for t in arrow)
+    assert len(calls) == 1
+    # the arrow shifted by rho is kept with the rank, apart from first_arrow
+    rho = weyl.rho(5)
+    assert verma._rank(5).arrows == {
+        (2, "-"): tuple(tuple(a - b for a, b in zip(t, rho)) for t in arrow)
+    }
+    verma.first_arrow.cache_clear()
+    assert verma.verify_row(row, kernel=False).d1_match
     assert len(calls) == 1
 
 
