@@ -40,37 +40,38 @@ many words is thus straightened once, whatever lam.
 
 A Levi label other than the h_i moves a basis vector of F to at most one
 other, as a per-rank table says, so a LeviModule keeps no memo; the
-modules of a rank are kept in its record by lam.  Each monomial has one
-row, its images under the simple raising operators read off the
-straightening table, kept in the same record by lam, so every
-GeneralizedVerma of one (n, lam) reads the same rows.  check_maximal
-sums the rows of an element, and maximal_vector_dimension eliminates
-the rows of a weight space fraction-free over the integers, sparsest
-columns first.  combine reads each root's letter code once, by (kind,
-i, j), and lowers the word through the lowering table.
+modules of a rank are kept in its record by lam.  One left action,
+GeneralizedVerma._left, reads a label off the straightening table and
+moves f through the Levi module; act applies it to an element, and each
+monomial's row is its images under the simple raising operators, kept
+in the same record by lam, so every GeneralizedVerma of one (n, lam)
+reads the same rows.  check_maximal sums the rows of an element, and
+maximal_vector_dimension eliminates the rows of a weight space
+fraction-free over the integers, sparsest columns first.  combine reads
+each root's letter code once, by (kind, i, j), and lowers the word
+through the lowering table.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
 integer tables the hot paths read instead of hashing a Root, four
-memos (brackets, lowering, straightening and word tables) and three
+memos (brackets, lowering, straightening and grade tables) and three
 that go with their rank: the Levi modules, their rows and the first
 arrows shifted by rho (verify_row).  Every other field is a tuple or a
-read-only mapping, and every value a table holds is a tuple.  A
-bracket is kept once, by label code, computed through decompose with
-its reconstruction check.  LieData is a view of the record by label,
-and no module takes one.  The nilradical letters are checked against
-`weyl` alone (see _rank), so this module, like `penrose`, loads no
-Hasse code.
+read-only mapping, and every value a table holds is a tuple or a
+read-only mapping of tuples.  A bracket is kept once, by label code,
+computed through decompose with its reconstruction check.  LieData is a
+view of the record by label, and no module takes one.  The nilradical
+letters are checked against `weyl` alone (see _rank), so this module,
+like `penrose`, loads no Hasse code.
 
-A weight space is listed per basis vector f of F from the words of the
-need wt(f) - mu, found once per need and rank by a walk over the
-letters (_words) and kept in the word table.  A letter is tried only if
-the rest keeps its first two coordinates >= 0 and its budget E(rest) =
-rest_1 + rest_2 covers sum |rest_3..n|: a letter of grade g has first
-two coordinates >= 0 summing to g and moves coordinates 3..n by at most
-g.  (At n = 2, E = (1/2, 1/2) and the budget is 2 E(rest), a weaker but
-still valid bound.)
+A weight space is listed from one table of words.  A letter of root v
+has grade E(v) = v_1 + v_2, which is 1 or 2, and the gl(2) part of every
+weight of F(lam) sums to lam_1 + lam_2, so the need wt(f) - mu of every
+f has the one grade E(lam - mu).  The grade's table (RankTables.graded)
+holds every normal-ordered word of that grade by weight, built once per
+rank from the tables of the two grades below it, and the weight space
+reads each f's need off it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -109,18 +110,17 @@ def _add(elem: dict, key, coeff) -> None:
 class RankTables(NamedTuple):
     """What the Verma layer reads that depends on n alone (see _rank): the
     basis matrices by label and the label of each leading entry by key;
-    the nilradical letters in normal order, their weight vectors and
-    steps (see _words); the labels with their codes (a letter's is its
-    index), each letter's code by its root's (kind, i, j), the simple
-    raising codes and each code's (row, col, value) entries; the slots,
-    the rows of C^{2n} that span the standard module of sp(2n-4); and
-    each Levi label's action by code as (i, gl2, moves):
-    the coordinate i of the weight that h_i reads (0 for the others), the
-    label's (row, col, value) entry in the gl(2) block or None, and its
-    moves of slot t to (t2, value).  Then the memos: the brackets by code
-    pair, the lowering and straightening tables (see straighten), the
-    word table, each need wt(f) - mu to its words by length
-    (weight_space), the Levi modules by lam, each lam's rows by monomial
+    the nilradical letters in normal order and their weight vectors; the
+    labels with their codes (a letter's is its index), each letter's code
+    by its root's (kind, i, j), the simple raising codes and each code's
+    (row, col, value) entries; the slots, the rows of C^{2n} that span
+    the standard module of sp(2n-4); and each Levi label's action by code
+    as (i, gl2, moves): the coordinate i of the weight that h_i reads (0
+    for the others), the label's (row, col, value) entry in the gl(2)
+    block or None, and its moves of slot t to (t2, value).  Then the
+    memos: the brackets by code pair, the lowering and straightening
+    tables (see straighten), the word table of each grade (graded), the
+    Levi modules by lam, each lam's rows by monomial
     (GeneralizedVerma._row), and the first arrows of the rank by
     (k, sign), shifted by rho (verify_row)."""
 
@@ -128,7 +128,6 @@ class RankTables(NamedTuple):
     leads: Mapping
     letters: tuple
     vectors: tuple
-    steps: tuple
     labels: tuple
     code: Mapping
     letter_codes: Mapping
@@ -139,7 +138,7 @@ class RankTables(NamedTuple):
     brackets: dict
     lowering: dict
     straightening: dict
-    words: dict
+    grades: dict
     modules: dict
     rows: dict
     arrows: dict
@@ -188,6 +187,27 @@ class RankTables(NamedTuple):
                 for w3, c3 in self.lower(z, rest):
                     _add(out, w3, zc * c3)
             got = self.lowering[y, word] = tuple(out.items())
+        return got
+
+    def graded(self, grade: int) -> Mapping:
+        """Every normal-ordered word of the grade, as a read-only mapping
+        from weight to its words sorted by (length, word): letter i
+        prepended to each word of grade - E(letter i) whose first letter
+        is i or later.  Built into the memo the first time; a negative
+        grade has no words."""
+        got = self.grades.get(grade)
+        if got is None:
+            if grade < 0:
+                return MappingProxyType({})
+            table: dict = {(0,) * len(self.vectors[0]): [()]} if grade == 0 else {}
+            for i, v in enumerate(self.vectors):
+                for wt, words in self.graded(grade - v[0] - v[1]).items():
+                    words = [(i,) + w for w in words if not w or i <= w[0]]
+                    if words:
+                        table.setdefault(tuple(map(add, wt, v)), []).extend(words)
+            got = self.grades[grade] = MappingProxyType(
+                {wt: tuple(sorted(words, key=lambda w: (len(w), w))) for wt, words in table.items()}
+            )
         return got
 
     def straighten(self, x: int, word: tuple, standard: bool) -> tuple:
@@ -294,10 +314,6 @@ def _rank(n: int) -> RankTables:
     labels = letters + tuple(lab for lab in m if lab not in letters)
     code = MappingProxyType({lab: i for i, lab in enumerate(labels)})
     vectors = tuple(r.vector(n) for r in order)
-    steps = []
-    for v in vectors:
-        t = next((t for t in range(2, n) if v[t]), 0)
-        steps.append((v[0], v[1], t, v[t] if t else 0))
     entries = tuple(tuple((r, c, v) for (r, c), v in m[lab].items()) for lab in labels)
     slots = tuple(range(2, n)) + tuple(range(n + 2, 2 * n))
     slot = {s: t for t, s in enumerate(slots)}
@@ -315,12 +331,12 @@ def _rank(n: int) -> RankTables:
         matrices=MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()}),
         # the least key of each matrix holds 1 and is a key of no other
         leads=MappingProxyType({min(mat): lab for lab, mat in m.items()}),
-        letters=letters, vectors=vectors, steps=tuple(steps),
+        letters=letters, vectors=vectors,
         labels=labels, code=code,
         letter_codes=MappingProxyType({(r.kind, r.i, r.j): i for i, r in enumerate(order)}),
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         entries=entries, slots=slots, levi=MappingProxyType(levi),
-        brackets={}, lowering={}, straightening={}, words={}, modules={},
+        brackets={}, lowering={}, straightening={}, grades={}, modules={},
         rows={}, arrows={},
     )
 
@@ -386,7 +402,8 @@ class LeviModule:
     first acts on the gl(2) factor as the derivation x_r d/dx_c, which
     gives v j or v (m - j) with no lam_2 in it; the second moves slot
     c to slot r with coefficient v, whatever lam.  Either way a basis
-    vector goes to at most one other, read off the rank's table `levi`.
+    vector goes to at most one other, read off the rank's table `levi`
+    by _move, which GeneralizedVerma._left calls.
     No other label acts: the grading element splits C^{2n} into rows
     0-1, the slots and rows n, n+1 (grades 1, 0, -1), and a u^+ or u^-
     matrix only moves that grade, so it has no entry inside a block and
@@ -430,17 +447,6 @@ class LeviModule:
                 w[s - self.n] -= 1
         return tuple(w)
 
-    def act(self, label: Label, idx: int) -> list[tuple[int, int]]:
-        """The action of label on a basis vector, as (index, coeff) pairs."""
-        z = self.tables.code[label]
-        spec = self.tables.levi.get(z)
-        if spec is None:
-            return []
-        if spec[0]:
-            c = self.weights[idx][spec[0] - 1]
-            return [(idx, c)] if c else []
-        return list(self._move(z, idx))
-
     def _move(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
         """The action of a Levi label code z other than h_i on a basis
         vector: at most one (index, coeff) pair (see the class)."""
@@ -463,39 +469,6 @@ class LeviModule:
 Element = dict  # {(word, fidx): coeff} with word a tuple of letter indices
 
 
-def _words(steps: tuple, need: list) -> list[tuple]:
-    """Non-decreasing letter-index words whose roots sum to need, in
-    lexicographic order, pruned as the module docstring says; need is
-    changed in place and restored.  steps[i] = (a, b, t, d): letter i
-    moves coordinates 1, 2 by a, b and coordinate t by d ((0, 0): none)."""
-    found: list = []
-    tail = sum(map(abs, need[2:]))
-    if need[0] < 0 or need[1] < 0 or tail > need[0] + need[1]:
-        return found
-    if need[0] + need[1] == 0:
-        return [()]  # need is zero here
-
-    def extend(start: int, r0: int, r1: int, tail: int, word: tuple) -> None:
-        for i in range(start, len(steps)):
-            a, b, t, d = steps[i]
-            s0, s1 = r0 - a, r1 - b
-            if s0 < 0 or s1 < 0:
-                continue
-            x = need[t]
-            s = tail - abs(x) + abs(x - d)
-            if s > s0 + s1:
-                continue
-            if not s0 + s1:
-                found.append(word + (i,))  # the rest is zero here
-                continue
-            need[t] = x - d
-            extend(i, s0, s1, s, word + (i,))
-            need[t] = x
-
-    extend(0, need[0], need[1], tail, ())
-    return found
-
-
 class GeneralizedVerma:
     """M_p(lam) = U(u^-) tensor F(lam) for the crossed-{2} parabolic.
 
@@ -504,15 +477,15 @@ class GeneralizedVerma:
     the grade drop E(lam - mu): weight spaces are finite and are listed
     in full.
 
-    Straightening and the word lists of weight spaces depend on n alone
-    and are read off `tables`, the record of the rank (_rank); `module`
-    is the LeviModule F(lam), kept in the same record by lam, so every
-    GeneralizedVerma of one (n, lam) shares it.  `_left` and `_row` join
-    the two (see the module docstring).  `letters` is the rank's letter
-    list.
+    Straightening and the grade tables of weight spaces depend on n
+    alone and are read off `tables`, the record of the rank (_rank);
+    `module` is the LeviModule F(lam), kept in the same record by lam, so
+    every GeneralizedVerma of one (n, lam) shares it.  `_left` joins the
+    two: it is the one action of a label that is not a letter, which act
+    applies to elements and _row to each monomial under the simple
+    raising operators.  `letters` is the rank's letter list.
 
-    The rows (_row), each monomial's images under the simple raising
-    operators, are kept in the same record by lam too, so every
+    The rows (_row) are kept in the same record by lam too, so every
     GeneralizedVerma of one (n, lam) reads the same rows and they go
     when the rank does.  check_maximal and maximal_vector_dimension both
     read them, so a monomial is straightened for them once per process,
@@ -531,8 +504,6 @@ class GeneralizedVerma:
         self._rows = self.tables.rows.setdefault(self.lam, {})  # monomial -> row
 
     # -- element arithmetic
-
-    _add = staticmethod(_add)
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
         """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts:
@@ -573,8 +544,26 @@ class GeneralizedVerma:
                 _add(out, (w2, f2), a * c2)
         return out
 
-    def _apply(self, x: int, elem: Element) -> Element:
-        """x . elem as a new element, for a label code x."""
+    def _row(self, key) -> tuple:
+        """The images of the monomial key under the simple raising
+        operators by _left, as the pairs ((operator, w2, f2), coeff);
+        built the first time for the lam."""
+        got = self._rows.get(key)
+        if got is None:
+            word, f = key
+            got = self._rows[key] = tuple(
+                ((si, w2, f2), c)
+                for si, x in enumerate(self.tables.raising)
+                for (w2, f2), c in self._left(x, word, f).items()
+            )
+        return got
+
+    # -- module structure
+
+    def act(self, label: Label | int, elem: Element) -> Element:
+        """label . elem as a new element, for a label or its integer code:
+        a letter lowers each word, and any other label acts by _left."""
+        x = label if type(label) is int else self.tables.code[label]
         out: Element = {}
         if x < len(self.letters):
             lower = self.tables.lower
@@ -586,39 +575,6 @@ class GeneralizedVerma:
             for key, c2 in self._left(x, word, f).items():
                 _add(out, key, c * c2)
         return out
-
-    def _row(self, key) -> tuple:
-        """The images of the monomial key under the simple raising
-        operators, as the pairs ((operator, w2, f2), coeff) read straight
-        off the straightening table; built the first time for the lam.
-        Each output word's form gives the one term at f, and a Levi move
-        goes to another basis vector."""
-        got = self._rows.get(key)
-        if got is None:
-            row: dict = {}
-            word, f = key
-            wt, move = self.module.weights[f], self.module._move
-            table, straighten = self.tables.straightening, self.tables.straighten
-            standard = self._standard
-            for si, x in enumerate(self.tables.raising):
-                forms, levis = table.get((x, word, standard)) or straighten(x, word, standard)
-                for w2, form in forms:
-                    c = 0
-                    for i, a in form:
-                        c += a * wt[i - 1] if i else a
-                    if c:
-                        row[si, w2, f] = c
-                for (w2, z), a in levis:
-                    for f2, c2 in move(z, f):
-                        _add(row, (si, w2, f2), a * c2)
-            got = self._rows[key] = tuple(row.items())
-        return got
-
-    # -- module structure
-
-    def act(self, label: Label | int, elem: Element) -> Element:
-        """label . elem, for a label or its integer code."""
-        return self._apply(label if type(label) is int else self.tables.code[label], elem)
 
     def term_weight(self, key) -> Weight:
         word, f = key
@@ -652,17 +608,14 @@ class GeneralizedVerma:
 
     def weight_space(self, mu: Sequence[int]) -> list[tuple[tuple, int]]:
         """All basis monomials Y^word tensor f of weight mu: for each f,
-        by degree and then by word in lexicographic order."""
+        by degree and then by word in lexicographic order, read off the
+        table of the grade E(lam - mu) by the need wt(f) - mu."""
         if len(mu) != self.n:
             raise ValueError("rank mismatch")
+        table = self.tables.graded(self.lam[0] + self.lam[1] - mu[0] - mu[1])
         space = []
-        table, steps = self.tables.words, self.tables.steps
         for fidx, wt in enumerate(self.module.weights):
-            need = tuple(map(sub, wt, mu))
-            words = table.get(need)
-            if words is None:
-                words = table[need] = tuple(sorted(_words(steps, list(need)), key=len))
-            space += [(word, fidx) for word in words]
+            space += [(word, fidx) for word in table.get(tuple(map(sub, wt, mu)), ())]
         return space
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
@@ -829,14 +782,12 @@ class VerificationResult:
         }
 
 
-@functools.lru_cache(maxsize=32)
 def first_arrow(n: int, k: int, sign: str = "+") -> tuple[Weight, Weight]:
     """The first two terms of the singular BGG complex for (n, k, sign),
     read off the E1 entries: the complex's terms are the E1 cells, which
     e1_entries lists in order of p, so no order bound of a map or
-    differential is needed.  Memoised for the 32 cases used last, so a
-    genuine and a perturbed check of one row read the E1 entries once;
-    the value is a pair of tuples, which no caller can change."""
+    differential is needed.  Not memoised: verify_row keeps each arrow,
+    shifted by rho, in the tables of its rank."""
     first, second, *_ = penrose.e1_entries(n, k, sign).values()
     return first, second
 
@@ -854,7 +805,7 @@ def verify_row(
     arrow, shifted by rho, is kept in the rank's tables by (k, sign), so
     a genuine and a perturbed check shift it once.  `lie` is only checked
     against row.n ("rank mismatch") and not used otherwise; it can go
-    when the benchmark harness stops passing it (ROADMAP item 6)."""
+    when the benchmark harness stops passing it (ROADMAP item 3)."""
     n = row.n
     if lie is not None and lie.n != n:
         raise ValueError("rank mismatch")
