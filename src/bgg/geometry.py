@@ -12,13 +12,13 @@ order (a1, a2, c1, c2, b1, b2, c12) and `denominator` d, the least
 positive one, so gcd(numerators, d) == 1.  Points are equal, and hash
 alike, exactly when their (n, numerators, d) are, however they were
 built.  `_layout(n, numerators, d)` is the only place where the layout
-of the matrix and S appear: it gives the matrix as integer rows M over
-the scale m = 2 d^2 and S as s / m.  `isotropy_check` and the
-reconstruction check of `twistor_cover_solve` work on these integers;
-a point computes them once, on first use, and every later reader shares
-them.  Fractions are built only where a public value is read (the
-fields a1 ... c12, `matrix()`, `columns()`, `s_correction()`), once
-per point.
+of the matrix and S appear: it gives the plane's two columns as integer
+lists x and y over the scale m = 2 d^2, and S as s / m.  Both checks,
+`isotropy_check` and the reconstruction check of `twistor_cover_solve`,
+run C-level passes over these columns; a point computes them once, on
+first use, and every later reader shares them.  Fractions are built
+only where a public value is read (the fields a1 ... c12, `matrix()`,
+`columns()`, `s_correction()`), once per point.
 
 The public constructor takes ints or Fractions (finite floats too, at
 their exact value) and finds d once; a value that is not a number
@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 Scalar = Fraction  # or int
@@ -54,6 +56,7 @@ _PAIRS = [x.as_integer_ratio() for x in _DRAWS]
 _BLOCK = 7
 _BLOCK_RANGE = len(_DRAWS) ** _BLOCK  # about 0.94 * 2^52
 _DIGIT_POWERS = tuple(len(_DRAWS) ** i for i in range(_BLOCK))  # 171^0 .. 171^6
+_ONE = Fraction(1)  # the leading entry of every `random_line`
 
 _FIELDS = ("a1", "a2", "c1", "c2", "b1", "b2", "c12")
 
@@ -143,7 +146,7 @@ class BigCellPoint:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in ("n", *_FIELDS))
         return f"BigCellPoint({args})"
 
-    def _integer_rows(self) -> tuple[list[list[int]], int, int]:
+    def _columns(self) -> tuple[list[int], list[int], int, int]:
         """_layout(n, numerators, d), computed once.  Callers only read it."""
         if self._scaled is None:
             self._scaled = _layout(self._n, self._nums, self._d)
@@ -159,25 +162,25 @@ class BigCellPoint:
 
     a1, a2, c1, c2, b1, b2, c12 = (_field(i) for i in range(7))
 
-    def _matrix_and_s(self) -> tuple[list[list[Scalar]], Scalar]:
-        """matrix() and S as Fractions, built once."""
+    def _columns_and_s(self) -> tuple[list[Scalar], list[Scalar], Scalar]:
+        """The two columns and S as Fractions, built once."""
         if self._fractions is None:
-            rows, m, s = self._integer_rows()
-            matrix = [[Fraction(x, m), Fraction(y, m)] for x, y in rows]
-            self._fractions = matrix, Fraction(s, m)
+            x, y, m, s = self._columns()
+            self._fractions = *([Fraction(v, m) for v in c] for c in (x, y)), Fraction(s, m)
         return self._fractions
 
     def s_correction(self) -> Scalar:
         """S = (1/2) sum_j (a_1j c_2j - a_2j c_1j)."""
-        return self._matrix_and_s()[1]
+        return self._columns_and_s()[2]
 
     def matrix(self) -> list[list[Scalar]]:
         """The 2n x 2 matrix whose columns span the plane."""
-        return [list(r) for r in self._matrix_and_s()[0]]
+        x, y, _ = self._columns_and_s()
+        return [[p, q] for p, q in zip(x, y)]
 
     def columns(self) -> tuple[list, list]:
-        m = self._matrix_and_s()[0]
-        return [r[0] for r in m], [r[1] for r in m]
+        x, y, _ = self._columns_and_s()
+        return list(x), list(y)
 
 
 def _init(point: BigCellPoint, n: int, nums: tuple, d: int) -> None:
@@ -193,28 +196,26 @@ def _point(n: int, nums: Sequence[int], d: int) -> BigCellPoint:
     return point
 
 
-def _layout(n: int, nums: Sequence[int], d: int) -> tuple[list[list[int]], int, int]:
-    """Integer rows M, a scale m > 0 and an integer s with
-    matrix() == M / m and s_correction() == s / m for the point whose
-    coordinates are nums / d.
+def _layout(n: int, nums: Sequence[int], d: int) -> tuple[list[int], list[int], int, int]:
+    """Integer columns x and y, a scale m > 0 and an integer s with
+    columns() == (x / m, y / m) and s_correction() == s / m for the
+    point whose coordinates are nums / d.
 
     The only place where the layout of the matrix and S appear.
     """
-    # Each coordinate is X / d, so S = T / (2 d^2) with the integer
-    # T = sum_j (A_1j C_2j - A_2j C_1j); over m = 2 d^2 a coordinate's
-    # numerator is X * 2d and S's numerator is T.
+    # Each coordinate is X / d, so S = T / (2 d^2) with the integer T
+    # below; over m = 2 d^2 a coordinate's numerator is X * 2d.
     k = n - 2
-    a1, a2, c1, c2 = nums[:k], nums[k : 2 * k], nums[2 * k : 3 * k], nums[3 * k : 4 * k]
-    b1, b2, c12 = nums[4 * k :]
-    s = sum(p * q - r * t for p, q, r, t in zip(a1, c2, a2, c1))
+    s = sum(map(mul, nums[:k], nums[3 * k : 4 * k]))  # T = sum_j A_1j C_2j
+    s -= sum(map(mul, nums[k : 2 * k], nums[2 * k : 3 * k]))  # - A_2j C_1j
     u = 2 * d
     m = u * d
-    rows = [[m, 0], [0, m]]
-    rows += [[p * u, q * u] for p, q in zip(a1, a2)]
-    rows += [[b1 * u, c12 * u - s]]
-    rows += [[c12 * u + s, b2 * u]]
-    rows += [[p * u, q * u] for p, q in zip(c1, c2)]
-    return rows, m, s
+    v = list(map(mul, nums, repeat(u)))
+    b1, b2, c12 = v[4 * k :]
+    # rows e_1, e_2, (a_1j, a_2j), (b1, c12 - S), (c12 + S, b2), (c_1j, c_2j)
+    x = [m, 0, *v[:k], b1, c12 + s, *v[2 * k : 3 * k]]
+    y = [0, m, *v[k : 2 * k], c12 - s, b2, *v[3 * k : 4 * k]]
+    return x, y, m, s
 
 
 def omega(u: Sequence, v: Sequence) -> Scalar:
@@ -222,17 +223,17 @@ def omega(u: Sequence, v: Sequence) -> Scalar:
     if len(u) != len(v) or len(u) % 2:
         raise ValueError("vectors must have equal even length")
     n = len(u) // 2
-    return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
+    return sum(map(mul, u[:n], v[n:])) - sum(map(mul, u[n:], v[:n]))
 
 
 def isotropy_check(point: BigCellPoint) -> bool:
     """Whether the spanned plane is omega-isotropic (exact).
 
-    omega of the integer columns of M is m^2 times omega of the plane's
+    omega of the integer columns x, y is m^2 times omega of the plane's
     columns, and m > 0, so one is zero exactly when the other is.
     """
-    rows, _, _ = point._integer_rows()
-    return omega([r[0] for r in rows], [r[1] for r in rows]) == 0
+    x, y, _, _ = point._columns()
+    return omega(x, y) == 0
 
 
 def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
@@ -252,7 +253,7 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     # gamma / gamma_1 == g / g0 with integers g and g0 = g[0].
     e = lcm(*[q for _, q in pairs])
     g = [p * (e // q) for p, q in pairs]
-    g0 = g[0]
+    g0, g1 = g[0], g[1]
     if g0 == 0:
         raise ValueError("the solve chart needs gamma_1 != 0")
     # The solution over g0^2, then reduced once.
@@ -261,14 +262,13 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     nums += zeros
     nums += [x * g0 for x in g[n + 2 :]]
     nums += zeros
-    nums += [g[n] * g0 - g[1] * g[n + 1], 0, g[n + 1] * g0]
+    nums += [g[n] * g0 - g1 * g[n + 1], 0, g[n + 1] * g0]
     d = g0 * g0
     r = gcd(*nums, d)
     point = _point(n, [x // r for x in nums], d // r)
-    # C_1 + (g[1] / g0) C_2 == g / g0, times m * g0, on the rows of the
-    # point returned.
-    rows, m, _ = point._integer_rows()
-    if any(x * g0 + g[1] * y != gi * m for (x, y), gi in zip(rows, g)):
+    # C_1 + (g1 / g0) C_2 == g / g0 times m * g0, on the point's columns.
+    x, y, m, _ = point._columns()
+    if list(map(lambda p, q: p * g0 + g1 * q, x, y)) != [gi * m for gi in g]:
         raise AssertionError("twistor line does not lie on the solved plane")
     return point
 
@@ -300,4 +300,4 @@ def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int]
     _check_rank(n)
     if rng is None:
         rng = random.Random(seed)
-    return [Fraction(1), *_draw(rng, 2 * n - 1, _DRAWS)]
+    return [_ONE, *_draw(rng, 2 * n - 1, _DRAWS)]

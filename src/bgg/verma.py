@@ -676,6 +676,12 @@ class SingularVectorRow:
     terms: tuple[tuple[int, tuple[Root, ...], tuple[int, Optional[int]]], ...]
 
 
+# The roots the catalogue's vectors are written in (frozen, and the same
+# for every n; a_14 and a_24 appear only in rows with n >= 4).
+_A13, _A14, _A23, _A24 = Root("a", 1, 3), Root("a", 1, 4), Root("a", 2, 3), Root("a", 2, 4)
+_C13, _C23, _B2 = Root("c", 1, 3), Root("c", 2, 3), Root("b", 2)
+
+
 def _zeros(n: int, lead: Sequence[int]) -> Weight:
     return tuple(lead) + (0,) * (n - len(lead))
 
@@ -688,13 +694,10 @@ def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
         raise ValueError("the first-operator catalogue needs n >= 3")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    a13, a14 = Root("a", 1, 3), (Root("a", 1, 4) if n >= 4 else None)
-    a23, a24 = Root("a", 2, 3), (Root("a", 2, 4) if n >= 4 else None)
-    c13, c23, b2 = Root("c", 1, 3), Root("c", 2, 3), Root("b", 2)
     if sign == "-":
         lam = _zeros(n, (-1, -n - k + 1))
         mu = (-2, -n - k + 1, 1) + (0,) * (n - 3)
-        terms = ((1, (a13,), (0, None)), (1, (a23,), (1, None)))
+        terms = ((1, (_A13,), (0, None)), (1, (_A23,), (1, None)))
         return SingularVectorRow("first operator, negative side", n, k, sign, lam, mu, terms)
     if sign != "+":
         raise ValueError("sign must be '+' or '-'")
@@ -705,9 +708,9 @@ def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
             (-1, -1, 0),
             (-2, -3, 1),
             (
-                (1, (a23, a23, c13), (0, None)),
-                (-1, (c23, a23, a13), (0, None)),
-                (4, (a13, b2), (0, None)),
+                (1, (_A23, _A23, _C13), (0, None)),
+                (-1, (_C23, _A23, _A13), (0, None)),
+                (4, (_A13, _B2), (0, None)),
             ),
         )
     if n == 3 and k == 2:
@@ -717,26 +720,26 @@ def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
             (-1, -1, 1),
             (-1, -3, 1),
             (
-                (1, (c23, a23), (0, 0)),
-                (-4, (b2,), (0, 0)),
-                (-1, (a23, a23), (0, 1)),
+                (1, (_C23, _A23), (0, 0)),
+                (-4, (_B2,), (0, 0)),
+                (-1, (_A23, _A23), (0, 1)),
             ),
         )
     if k <= n - 3:
         lam = _zeros(n, (-1, k - n + 1))
         mu = (-2, k - n + 1, 1) + (0,) * (n - 3)
-        terms = ((1, (a13,), (0, None)), (1, (a23,), (1, None)))
+        terms = ((1, (_A13,), (0, None)), (1, (_A23,), (1, None)))
         return SingularVectorRow("first operator, generic k", n, k, sign, lam, mu, terms)
     if k == n - 2:
         lam = _zeros(n, (-1, -1))
         mu = (-2, -2, 1, 1) + (0,) * (n - 4)
-        terms = ((1, (a13, a24), (0, None)), (-1, (a14, a23), (0, None)))
+        terms = ((1, (_A13, _A24), (0, None)), (-1, (_A14, _A23), (0, None)))
         return SingularVectorRow(
             "first operator (order-two splice), k=n-2", n, k, sign, lam, mu, terms
         )
     lam = (-1, -1, 1) + (0,) * (n - 3)
     mu = (-1, -2, 1, 1) + (0,) * (n - 4)
-    terms = ((1, (a24,), (0, 0)), (-1, (a23,), (0, 1)))
+    terms = ((1, (_A24,), (0, 0)), (-1, (_A23,), (0, 1)))
     return SingularVectorRow(
         "first operator (axis crossing), k=n-1", n, k, sign, lam, mu, terms
     )

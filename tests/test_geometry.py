@@ -74,21 +74,78 @@ def test_correction_is_load_bearing(monkeypatch):
     c2 = [r[1] for r in uncorrected]
     assert geometry.omega(c1, c2) != 0
 
-    # The same S dropped from the integer rows the checks read.
+    # The same S dropped from the integer columns the checks read: from
+    # y[n] = c12 - S and x[n + 1] = c12 + S, over the scale m.
     layout = geometry._layout
 
     def without_s(n, nums, d):
-        rows, m, s = layout(n, nums, d)
-        rows[n][1] += s
-        rows[n + 1][0] -= s
-        return rows, m, s
+        x, y, m, s = layout(n, nums, d)
+        y[n] += s
+        x[n + 1] -= s
+        return x, y, m, s
 
     monkeypatch.setattr(geometry, "_layout", without_s)
-    # pt has cached its rows; an equal point built now lays them out anew
+    # pt has cached its columns; an equal point built now lays them out anew
     fresh = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
     assert fresh == pt
     assert fresh.matrix() == uncorrected
     assert not geometry.isotropy_check(fresh)
+
+
+def test_omega_matches_oracle_off_isotropic_input():
+    """omega equals the reference on seeded int, Fraction and mixed
+    vectors of every even length 2..24, where it is mostly nonzero."""
+    rng = random.Random(28)
+    nonzero = 0
+    for length in range(2, 25, 2):
+        for _ in range(10):
+            ints = [[rng.randint(-50, 50) for _ in range(length)] for _ in range(2)]
+            fracs = [
+                [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(length)]
+                for _ in range(2)
+            ]
+            for u, v in (ints, fracs, (ints[0], fracs[1]), (fracs[0], ints[1])):
+                value = geometry.omega(u, v)
+                assert value == oracle.omega(u, v)
+                assert geometry.omega(v, u) == -value
+                nonzero += value != 0
+    assert nonzero > 0.9 * 12 * 10 * 4
+
+
+def _bump(monkeypatch, column, i):
+    """Make _layout add 1 to entry i of column 0 (x) or 1 (y)."""
+    layout = geometry._layout
+
+    def bumped(n, nums, d):
+        x, y, m, s = layout(n, nums, d)
+        (x, y)[column][i] += 1
+        return x, y, m, s
+
+    monkeypatch.setattr(geometry, "_layout", bumped)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_isotropy_check_reads_every_paired_entry(monkeypatch, n):
+    """omega pairs entry i of one column with entry i +- n of the other,
+    so adding 1 to any entry whose partner is nonzero breaks isotropy.
+    With every coordinate nonzero, only x[n] and y[n + 1] are exempt:
+    they pair with the zeros y[0] and x[1] of rows 1 and 2."""
+    values = [(-1) ** i * (i % 7 + 1) for i in range(geometry.parameter_count(n))]
+
+    def point():  # built anew, so its columns are laid out anew
+        return geometry.BigCellPoint(n, *_rows(n, values), *values[-3:])
+
+    pt = point()
+    assert geometry.isotropy_check(pt)
+    x, y, _, _ = geometry._layout(n, pt.numerators, pt.denominator)
+    partners = [(0, i, y[(i + n) % (2 * n)]) for i in range(2 * n)]
+    partners += [(1, i, x[(i + n) % (2 * n)]) for i in range(2 * n)]
+    assert [(c, i) for c, i, p in partners if p == 0] == [(0, n), (1, n + 1)]
+    for column, i, partner in partners:
+        if partner:
+            with monkeypatch.context() as patch:
+                _bump(patch, column, i)
+                assert not geometry.isotropy_check(point())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -236,6 +293,21 @@ def test_twistor_cover_detects_plane_off_line(monkeypatch, g1):
     monkeypatch.setattr(geometry, "_point", shifted)
     with pytest.raises(AssertionError):
         geometry.twistor_cover_solve(gamma)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_reconstruction_check_reads_every_entry(monkeypatch, n):
+    """With gamma_2 != 0 each of the 4n column entries enters the check
+    C_1 + gamma_2 C_2 == gamma, so adding 1 to any one of them fails it."""
+    gamma = [-3 * x for x in geometry.random_line(n, seed=28 + n)]
+    gamma[1] = Fraction(5, 7)
+    geometry.twistor_cover_solve(gamma)
+    for column in (0, 1):
+        for i in range(2 * n):
+            with monkeypatch.context() as patch:
+                _bump(patch, column, i)
+                with pytest.raises(AssertionError):
+                    geometry.twistor_cover_solve(gamma)
 
 
 def _fields(pt):

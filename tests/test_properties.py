@@ -72,14 +72,13 @@ def test_big_cell_points_are_isotropic(pt):
     integer columns is zero exactly when omega of the Fraction columns is."""
     assert geometry.isotropy_check(pt)
     assert geometry.omega(*pt.columns()) == 0
-    rows, m, s = geometry._layout(pt.n, pt.numerators, pt.denominator)
+    x, y, m, s = geometry._layout(pt.n, pt.numerators, pt.denominator)
     assert m > 0
-    uncorrected = [list(r) for r in rows]
-    uncorrected[pt.n][1] += s
-    uncorrected[pt.n + 1][0] -= s
-    for scaled in (rows, uncorrected):
-        ints = [r[0] for r in scaled], [r[1] for r in scaled]
-        fracs = [[Fraction(x, m) for x in col] for col in ints]
+    uncorrected = list(x), list(y)
+    uncorrected[1][pt.n] += s
+    uncorrected[0][pt.n + 1] -= s
+    for ints in ((x, y), uncorrected):
+        fracs = [[Fraction(v, m) for v in col] for col in ints]
         assert (geometry.omega(*ints) == 0) == (geometry.omega(*fracs) == 0)
         assert geometry.omega(*fracs) == Fraction(geometry.omega(*ints), m * m)
 
