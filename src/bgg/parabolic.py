@@ -38,7 +38,7 @@ import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import neg
+from operator import mul, neg
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from bgg import weyl
@@ -81,13 +81,11 @@ def _twice_grading(p: Parabolic) -> tuple[int, ...]:
     return tuple(e)
 
 
-@functools.lru_cache(maxsize=256)
 def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     """The element E with <alpha_i, E> = 1 for crossed i and 0 otherwise.
 
     Entries are integers unless node n is crossed (then they are
-    half-integers, returned as Fractions).  Computed once per parabolic.
-    """
+    half-integers, returned as Fractions)."""
     twice = _twice_grading(p)
     if p.n not in p.crossed:
         return tuple(x // 2 for x in twice)
@@ -96,33 +94,27 @@ def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     return tuple(Fraction(x, 2) for x in twice)
 
 
-@functools.lru_cache(maxsize=256)
-def _grading_support(p: Parabolic) -> tuple[tuple[int, Scalar], ...]:
-    """The nonzero entries (index, E_i) of E; for crossed {2} the two
-    coordinates (0, 1) and (1, 1)."""
-    return tuple((i, e) for i, e in enumerate(grading_element(p)) if e)
+def _half(x: Scalar) -> Scalar:
+    """x / 2: an int if it is whole, else a Fraction."""
+    if type(x) is int and not x % 2:
+        return x // 2
+    from fractions import Fraction
+
+    half = Fraction(x, 2)
+    return half.numerator if half.denominator == 1 else half
+
+
+def _twice_pairing(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
+    """The pairing of a weight with 2E."""
+    if len(weight) != p.n:
+        raise ValueError("rank mismatch")
+    return sum(map(mul, weight, _twice_grading(p)))
 
 
 def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
-    """Pairing of a weight with the grading element, summed over the
-    nonzero entries of E only."""
-    if len(weight) != p.n:
-        raise ValueError("rank mismatch")
-    total = 0
-    for i, e in _grading_support(p):
-        total += weight[i] * e
-    return _whole(total)
-
-
-def _whole(x: Scalar) -> Scalar:
-    """x as an int if it is a Fraction with denominator 1, else x."""
-    if type(x) is int:
-        return x
-    from fractions import Fraction  # loaded already if x is a Fraction
-
-    if type(x) is Fraction and x.denominator == 1:
-        return int(x)
-    return x
+    """Pairing of a weight with the grading element, read off 2E and
+    halved once."""
+    return _half(_twice_pairing(weight, p))
 
 
 def root_grade(root: Root, p: Parabolic) -> int:
@@ -136,7 +128,7 @@ def root_grade(root: Root, p: Parabolic) -> int:
 def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic) -> Scalar:
     """Conformal-weight drop along an arrow; an upper bound for the order
     of the corresponding invariant operator."""
-    return _whole(conformal_weight(source, p) - conformal_weight(target, p))
+    return _half(_twice_pairing(source, p) - _twice_pairing(target, p))
 
 
 # ---------------------------------------------------------------------------

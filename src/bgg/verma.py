@@ -33,23 +33,25 @@ in U(g), z the Levi labels other than the h_i.  The h_i act on f by
 wt(f), so each output word keeps its Cartan part folded into the
 integer linear form a_0 + sum_i a_i wt(f)_i.  Both tables are computed
 by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, a letter that sorts
-before y being simply prepended.  At the empty word a label that kills
-F is dropped: a u^+ label, and on a trivial V one of sp(2n-4), so the
-straightening table is kept per rank and kind of V.  A suffix shared by
-many words is thus straightened once, whatever lam.
+before y being simply prepended.  At the empty word a u^+ label, which
+kills F, is dropped.  The straightening table is keyed by (code, word)
+alone and serves every Levi module of the rank: on a trivial V an h_i
+with i >= 3 has the form wt(f)_i = 0, and a label of sp(2n-4) finds no
+slot to move.  A suffix shared by many words is thus straightened once,
+whatever lam.
 
 A Levi label other than the h_i moves a basis vector of F to at most one
 other, as a per-rank table says, so a LeviModule keeps no memo; the
-modules of a rank are kept in its record by lam.  One left action,
-GeneralizedVerma._left, reads a label off the straightening table and
-moves f through the Levi module; act applies it to an element, and each
-monomial's row is its images under the simple raising operators, kept
-in the same record by lam, so every GeneralizedVerma of one (n, lam)
-reads the same rows.  check_maximal sums the rows of an element, and
-maximal_vector_dimension eliminates the rows of a weight space
-fraction-free over the integers, sparsest columns first.  combine reads
-each root's letter code once, by (kind, i, j), and lowers the word
-through the lowering table.
+modules of a rank are kept in its record by lam.  act is the one left
+action: a letter lowers each word through the lowering table, and any
+other label is read off the straightening table and moves f through the
+Levi module (GeneralizedVerma._left).  Each monomial's row is its images
+under the simple raising operators, kept in the same record by lam, so
+every GeneralizedVerma of one (n, lam) reads the same rows.
+check_maximal sums the rows of an element, and maximal_vector_dimension
+eliminates the rows of a weight space fraction-free over the integers,
+sparsest columns first.  combine reads each root's letter code once, by
+(kind, i, j), and applies the letters through act, right to left.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
@@ -112,17 +114,18 @@ class RankTables(NamedTuple):
     basis matrices by label and the label of each leading entry by key;
     the nilradical letters in normal order and their weight vectors; the
     labels with their codes (a letter's is its index), each letter's code
-    by its root's (kind, i, j), the simple raising codes and each code's
-    (row, col, value) entries; the slots, the rows of C^{2n} that span
-    the standard module of sp(2n-4); and each Levi label's action by code
-    as (i, gl2, moves): the coordinate i of the weight that h_i reads (0
-    for the others), the label's (row, col, value) entry in the gl(2)
-    block or None, and its moves of slot t to (t2, value).  Then the
-    memos: the brackets by code pair, the lowering and straightening
-    tables (see straighten), the word table of each grade (graded), the
-    Levi modules by lam, each lam's rows by monomial
-    (GeneralizedVerma._row), and the first arrows of the rank by
-    (k, sign), shifted by rho (verify_row)."""
+    by its root's (kind, i, j) and the simple raising codes; the slots,
+    the rows of C^{2n} that span the standard module of sp(2n-4); and
+    each Levi label's action by code as (i, gl2, moves): the coordinate i
+    of the weight that h_i reads (0 for the others), the label's (row,
+    col, value) entry in the gl(2) block or None, and its moves of slot t
+    to (t2, value).  Then the memos: the brackets by code pair, the
+    lowering table and the straightening table by (code, word), one for
+    every Levi module of the rank, since on a trivial V the labels of
+    sp(2n-4) act as zero through their forms and LeviModule._move (see
+    straighten), the word table of each grade (graded), the Levi modules
+    by lam, each lam's rows by monomial (GeneralizedVerma._row), and the
+    first arrows of the rank by (k, sign), shifted by rho (verify_row)."""
 
     matrices: Mapping
     leads: Mapping
@@ -132,7 +135,6 @@ class RankTables(NamedTuple):
     code: Mapping
     letter_codes: Mapping
     raising: tuple
-    entries: tuple
     slots: tuple
     levi: Mapping
     brackets: dict
@@ -150,7 +152,8 @@ class RankTables(NamedTuple):
         terms = [(leads[key], v) for key, v in sorted(x.items()) if v and key in leads]
         recon: Matrix = {}
         for lab, coeff in terms:
-            _accumulate(recon, self.matrices[lab], coeff)
+            for key, v in self.matrices[lab].items():
+                _add(recon, key, coeff * v)
         if recon != {key: v for key, v in x.items() if v}:
             raise AssertionError("matrix does not lie in sp(2n)")
         return terms
@@ -162,7 +165,8 @@ class RankTables(NamedTuple):
         if got is None:
             mx, my = self.matrices[self.labels[x]], self.matrices[self.labels[y]]
             m = _product(mx, my)
-            _accumulate(m, _product(my, mx), -1)
+            for key, v in _product(my, mx).items():
+                _add(m, key, -v)
             got = self.brackets[x, y] = tuple(
                 (self.code[lab], c) for lab, c in self.decompose(m)
             )
@@ -210,34 +214,32 @@ class RankTables(NamedTuple):
             )
         return got
 
-    def straighten(self, x: int, word: tuple, standard: bool) -> tuple:
+    def straighten(self, x: int, word: tuple) -> tuple:
         """x Y^word for a label code x that is not a letter and a
         normal-ordered word, as (forms, levi): forms the pairs (w2, form)
         of each output word whose form a_0 + sum_i a_i wt(f)_i is not zero,
         form the pairs (i, a_i) with i = 0 for a_0, and levi the pairs
-        ((w2, z), c) of the other Levi labels.  `standard` says whether V
-        is the standard module of sp(2n-4): on a trivial V the labels of
-        sp(2n-4) kill F, so the table is kept per kind of V.  Read off the
-        table, and computed into it the first time (see the module
-        docstring)."""
-        got = self.straightening.get((x, word, standard))
+        ((w2, z), c) of the other Levi labels.  No vector of F is in it,
+        so one table serves every Levi module of the rank: on a trivial V
+        the labels of sp(2n-4) act as zero through their forms and
+        LeviModule._move.  Read off the table, and computed into it the
+        first time (see the module docstring)."""
+        got = self.straightening.get((x, word))
         if got is not None:
             return got
         forms: dict = {}  # w2 -> its form, a tuple, or a dict once merged
         merged: list = []
         levis: dict = {}  # (w2, z) -> c
         if not word:
-            # a u^+ label kills F, and so does one of sp(2n-4) on a trivial
-            # V; those of gl(2) are h_1, h_2 and the two with a gl2 entry
-            spec = self.levi.get(x)
-            if spec is not None and (standard or spec[0] in (1, 2) or spec[1]):
+            spec = self.levi.get(x)  # None for a u^+ label, which kills F
+            if spec is not None:
                 if spec[0]:
                     forms[()] = ((spec[0], 1),)
                 else:
                     levis[(), x] = 1
         else:
             y, rest = word[0], word[1:]
-            part = self.straighten(x, rest, standard)
+            part = self.straighten(x, rest)
             for w2, form in part[0]:
                 for w3, c3 in self.lower(y, w2):
                     _fold(forms, merged, w3, c3, form)
@@ -249,7 +251,7 @@ class RankTables(NamedTuple):
                     for w3, c3 in self.lower(z, rest):
                         _fold(forms, merged, w3, zc * c3, ((0, 1),))
                     continue
-                part = self.straighten(z, rest, standard)
+                part = self.straighten(z, rest)
                 for w3, form in part[0]:
                     _fold(forms, merged, w3, zc, form)
                 for (w3, z2), c in part[1]:
@@ -263,7 +265,7 @@ class RankTables(NamedTuple):
         if 0 in levis.values():
             levis = {key: c for key, c in levis.items() if c}
         got = (tuple(forms.items()), tuple(levis.items()))
-        self.straightening[x, word, standard] = got
+        self.straightening[x, word] = got
         return got
 
 
@@ -335,7 +337,7 @@ def _rank(n: int) -> RankTables:
         labels=labels, code=code,
         letter_codes=MappingProxyType({(r.kind, r.i, r.j): i for i, r in enumerate(order)}),
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
-        entries=entries, slots=slots, levi=MappingProxyType(levi),
+        slots=slots, levi=MappingProxyType(levi),
         brackets={}, lowering={}, straightening={}, grades={}, modules={},
         rows={}, arrows={},
     )
@@ -362,16 +364,6 @@ class LieData:
     def bracket(self, x: Label, y: Label) -> tuple[tuple[Label, int], ...]:
         t = self.tables
         return tuple((t.labels[z], c) for z, c in t.bracket(t.code[x], t.code[y]))
-
-
-def _accumulate(out: Matrix, x: Matrix, coeff: int) -> None:
-    """out += coeff * x, keeping only nonzero entries."""
-    for key, v in x.items():
-        total = out.get(key, 0) + coeff * v
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
 
 
 def _product(x: Matrix, y: Matrix) -> Matrix:
@@ -403,7 +395,8 @@ class LeviModule:
     gives v j or v (m - j) with no lam_2 in it; the second moves slot
     c to slot r with coefficient v, whatever lam.  Either way a basis
     vector goes to at most one other, read off the rank's table `levi`
-    by _move, which GeneralizedVerma._left calls.
+    by _move, which GeneralizedVerma._left calls; on a trivial V, t is
+    None and a label of sp(2n-4) finds no slot to move.
     No other label acts: the grading element splits C^{2n} into rows
     0-1, the slots and rows n, n+1 (grades 1, 0, -1), and a u^+ or u^-
     matrix only moves that grade, so it has no entry inside a block and
@@ -478,12 +471,16 @@ class GeneralizedVerma:
     in full.
 
     Straightening and the grade tables of weight spaces depend on n
-    alone and are read off `tables`, the record of the rank (_rank);
-    `module` is the LeviModule F(lam), kept in the same record by lam, so
-    every GeneralizedVerma of one (n, lam) shares it.  `_left` joins the
-    two: it is the one action of a label that is not a letter, which act
-    applies to elements and _row to each monomial under the simple
-    raising operators.  `letters` is the rank's letter list.
+    alone and are read off `tables`, the record of the rank (_rank), one
+    straightening table for every Levi module of the rank (on a trivial
+    V the labels of sp(2n-4) act as zero through their forms and
+    LeviModule._move); `module` is
+    the LeviModule F(lam), kept in the same record by lam, so every
+    GeneralizedVerma of one (n, lam) shares it.  `_left` joins the two
+    for a label that is not a letter.  act is the one left action on
+    elements: combine applies each letter through it, and _row lists
+    each monomial's `_left` images under the simple raising operators.
+    `letters` is the rank's letter list.
 
     The rows (_row) are kept in the same record by lam too, so every
     GeneralizedVerma of one (n, lam) reads the same rows and they go
@@ -500,28 +497,22 @@ class GeneralizedVerma:
         if module is None:
             module = self.tables.modules[self.lam] = LeviModule(n, self.lam)
         self.module = module
-        self._standard = bool(module._slots)
         self._rows = self.tables.rows.setdefault(self.lam, {})  # monomial -> row
 
     # -- element arithmetic
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
         """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts:
-        each root is read once as its letter's code, and the word is
-        lowered in U(u^-) letter by letter from the right (lower)."""
+        each root is read once as its letter's code, and the letters act
+        on coeff * (1 tensor f) through act, from the right."""
         out: Element = {}
-        lower, codes, index = self.tables.lower, self.tables.letter_codes, self.module._index
+        codes, index = self.tables.letter_codes, self.module._index
         for coeff, ys, f in parts:
-            words: Iterable = (((), coeff),)
-            for y in [codes[r.kind, r.i, r.j] for r in reversed(ys)]:
-                acc: dict = {}
-                for word, c in words:
-                    for w2, c2 in lower(y, word):
-                        _add(acc, w2, c * c2)
-                words = acc.items()
-            fidx = index[f]
-            for word, c in words:
-                _add(out, (word, fidx), c)
+            elem = {((), index[f]): coeff}
+            for r in reversed(ys):
+                elem = self.act(codes[r.kind, r.i, r.j], elem)
+            for key, c in elem.items():
+                _add(out, key, c)
         return out
 
     # -- straightening
@@ -533,7 +524,7 @@ class GeneralizedVerma:
         Levi label moving f through the Levi module."""
         out: Element = {}
         wt, move = self.module.weights[f], self.module._move
-        forms, levis = self.tables.straighten(x, word, self._standard)
+        forms, levis = self.tables.straighten(x, word)
         for w2, form in forms:
             c = 0
             for i, a in form:
@@ -582,12 +573,6 @@ class GeneralizedVerma:
         for i in word:
             w = tuple(map(sub, w, vectors[i]))
         return w
-
-    def weight_of(self, elem: Element) -> Weight:
-        weights = {self.term_weight(k) for k in elem}
-        if len(weights) != 1:
-            raise ValueError(f"element is not weight-homogeneous: {weights}")
-        return weights.pop()
 
     def check_maximal(self, elem: Element) -> tuple[bool, list[Label]]:
         """An element is maximal iff every simple raising operator kills
@@ -826,7 +811,7 @@ def verify_row(
         coeff, ys, f = terms[-1]
         terms[-1] = (-coeff, ys, f)
     v = mp.combine(terms)
-    weight_ok = bool(v) and mp.weight_of(v) == row.mu
+    weight_ok = {mp.term_weight(key) for key in v} == {row.mu}
     maximal_ok, failures = mp.check_maximal(v)
     dim = mp.maximal_vector_dimension(row.mu) if kernel else None
     return VerificationResult(row, d1_match, weight_ok, maximal_ok, dim, failures)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from bgg import cli, geometry, verma
+from bgg.weyl import Root
 
 
 def run(capsys, *argv):
@@ -166,6 +167,27 @@ def test_verify_maximal_detects_failure(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify-maximal", "--n", "3", "--no-kernel")
     assert rc == 2
     assert "FAIL" in out
+
+
+def test_verify_maximal_mixed_weights_fail(capsys, monkeypatch):
+    """A row whose terms have two weights is a mathematical failure:
+    FAIL with weight=False and exit 2, in text and in JSON, not a bad-
+    input error."""
+    real = verma.singular_vector_row
+
+    def mixed(n, k, sign="+"):
+        row = real(n, k, sign)
+        (c0, ys0, f0), *_ = row.terms
+        return dataclasses.replace(row, terms=((c0, ys0, f0), (1, (Root("b", 2),), f0)))
+
+    monkeypatch.setattr(verma, "singular_vector_row", mixed)
+    rc, out, err = run(capsys, "verify-maximal", "--n", "4", "--k", "1", "--sign", "-")
+    assert rc == 2 and err == ""
+    assert out.startswith("FAIL") and "weight=False" in out
+    rc, out, _ = run(capsys, "verify-maximal", "--n", "4", "--k", "1", "--sign", "-", "--format", "json")
+    assert rc == 2
+    (result,) = json.loads(out)["results"]
+    assert result["weight_ok"] is False and result["ok"] is False
 
 
 def test_verify_maximal_perturb_needs_a_refutation(capsys, monkeypatch):

@@ -182,8 +182,8 @@ def test_shared_tables_are_read_only(lie3):
     """Every field of the rank's record other than its memos (the Levi
     modules, the rows and the shifted first arrows among them) is a
     tuple, a frozenset or a read-only mapping, and so are the basis
-    matrices and the entry triples inside it.  A grade table is a
-    read-only mapping of tuples of word tuples."""
+    matrices inside it.  A grade table is a read-only mapping of tuples
+    of word tuples."""
     label = ("e", Root("a", 1, 2))
     with pytest.raises(TypeError):
         lie3.matrix(label)[0, 0] = 1
@@ -203,7 +203,6 @@ def test_shared_tables_are_read_only(lie3):
     assert type(mp.letters) is tuple
     assert type(tables.vectors) is tuple
     assert type(tables.labels) is tuple and type(tables.raising) is tuple
-    assert type(tables.entries) is tuple and all(type(e) is tuple for e in tables.entries)
     assert all(type(m) is MappingProxyType for m in tables.matrices.values())
     with pytest.raises(TypeError):
         tables.code[("y", Root("a", 1, 2))] = 0
@@ -481,7 +480,7 @@ def test_letter_order(m3):
 
 
 def test_highest_weight(m3):
-    assert m3.weight_of({((), 0): 1}) == (0, 0, 0)
+    assert verma_oracle.weight_of(m3, {((), 0): 1}) == (0, 0, 0)
     assert m3.act(("e", Root("c", 1, 2)), {((), 0): 1}) == {}
     assert m3.act(("e", Root("a", 1, 3)), {((), 0): 1}) == {}
 
@@ -585,9 +584,9 @@ def test_act_results_do_not_alias_the_memo():
 
 
 def test_modules_of_a_rank_share_read_only_tables():
-    """Modules of one rank and one kind of V share the straightening table
-    whatever lam, modules of one rank share the grade and lowering tables,
-    and modules of one (n, lam) share their Levi module.  Every value the
+    """Modules of one rank share the straightening table whatever lam and
+    V, and the grade and lowering tables, and modules of one (n, lam)
+    share their Levi module.  Every value the
     lowering and straightening tables hold is a tuple, every grade table
     a read-only mapping of tuples, and mutating an element returned by
     act or combine leaves the next call unchanged."""
@@ -610,10 +609,10 @@ def test_modules_of_a_rank_share_read_only_tables():
     assert len(c.tables.straightening) == size  # c read what a straightened
     v = b.combine(parts_b)
     assert b.act(label, v)
-    # V is standard for b, so b straightened into entries of its own kind
-    kinds = [standard for _, _, standard in b.tables.straightening]
-    assert kinds.count(False) == size and kinds.count(True) > 0
-    assert a.weight_space((-1, -2, 1)) and b.weight_space(b.weight_of(v))
+    # V is standard for b, and b read what a straightened all the same
+    pairs = [(x, word) for x, word in b.tables.straightening]
+    assert len(pairs) == size
+    assert a.weight_space((-1, -2, 1)) and b.weight_space(verma_oracle.weight_of(b, v))
     assert a.combine([(1, (Root("c", 2, 3), Root("a", 1, 3)), (0, None))])  # a lowering
     for mp in (a, b):
         assert mp.tables.modules[mp.lam] is mp.module
@@ -633,6 +632,33 @@ def test_modules_of_a_rank_share_read_only_tables():
     assert a.act(label, a.combine(parts)) == want
     want_b = verma_oracle.act(b, label, verma_oracle.combine(b, parts_b))
     assert b.act(label, b.combine(parts_b)) == want_b
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_trivial_and_standard_tails_share_one_straightening_table(n):
+    """A trivial-tail module and then a standard-tail module of one rank,
+    each checking its catalogue row's kernel: the second adds no
+    straightening entry for a (code, word) pair that the first already
+    holds, though on cold tables it straightens some of those pairs."""
+    trivial = verma.singular_vector_row(n, n - 2, "+")
+    standard = verma.singular_vector_row(n, n - 1, "+")
+    assert not any(trivial.lam[2:]) and any(standard.lam[2:])
+
+    def pairs():
+        return {key[:2] for key in verma._rank(n).straightening}
+
+    _clear_rank_tables()
+    verma.GeneralizedVerma(n, standard.lam).maximal_vector_dimension(standard.mu)
+    alone = pairs()
+    _clear_rank_tables()
+    verma.GeneralizedVerma(n, trivial.lam).maximal_vector_dimension(trivial.mu)
+    first = pairs()
+    size = len(verma._rank(n).straightening)
+    verma.GeneralizedVerma(n, standard.lam).maximal_vector_dimension(standard.mu)
+    added = list(verma._rank(n).straightening)[size:]
+    assert alone & first
+    assert not {key[:2] for key in added} & first
+    assert {key[:2] for key in added} == alone - first
 
 
 def _graded_words(grades, top):
@@ -668,8 +694,7 @@ def test_straightening_table_matches_oracle(n, top):
                     assert mp.act(x, {(word, f): 1}) == want, (lam, label, word, f)
         simple = {(x, w) for x in range(len(mp.letters)) for w in words if not w or x <= w[0]}
         pairs = {(x, w) for x in range(len(mp.tables.labels)) for w in words} - simple
-        standard = any(lam[2:])
-        kept = {(x, w) for x, w, kind in mp.tables.straightening if kind == standard}
+        kept = {(x, w) for x, w in mp.tables.straightening}
         assert pairs <= kept | mp.tables.lowering.keys()
 
 
@@ -717,10 +742,10 @@ def test_grade_table_counts_at_higher_rank():
 def test_term_weight(m3):
     a13 = Root("a", 1, 3)
     elem = m3.combine([(1, (a13,), (0, None))])
-    assert m3.weight_of(elem) == (-1, 0, 1)
+    assert verma_oracle.weight_of(m3, elem) == (-1, 0, 1)
     mixed = m3.combine([(1, (a13,), (0, None)), (1, (Root("b", 1),), (0, None))])
     with pytest.raises(ValueError):
-        m3.weight_of(mixed)
+        verma_oracle.weight_of(m3, mixed)
 
 
 def test_weight_space_consistency(m3):
@@ -1149,6 +1174,20 @@ def test_vanishing_perturbation_refutes_nothing(lie4):
     r = verma.verify_row(cancelling, lie4, perturb=True, kernel=False)
     assert not r.maximal_ok and not r.weight_ok
     assert r.failures == [] and not r.refuted
+
+
+def test_mixed_weight_vector_is_a_failed_weight_check():
+    """A row whose terms have two weights is recorded as failing its
+    weight check, not raised: it is not ok, and refutes nothing, whether
+    perturbed or not."""
+    cat = verma.singular_vector_row(4, 1, "-")
+    terms = ((1, (Root("a", 1, 3),), (0, None)), (1, (Root("b", 2),), (0, None)))
+    row = verma.SingularVectorRow("mixed weights", 4, 1, "-", cat.lam, cat.mu, terms)
+    for perturb in (False, True):
+        r = verma.verify_row(row, perturb=perturb)
+        assert r.d1_match and not r.weight_ok
+        assert not r.ok and not r.refuted
+        assert r.to_dict()["weight_ok"] is False and r.to_dict()["ok"] is False
 
 
 def test_verification_result_flags(lie3):

@@ -14,7 +14,9 @@ each simple raising operator times the vector (`check_maximal`), the
 kernel is found by Gaussian elimination over `Fraction` rows, and a
 weight space is listed by a recursion that builds a new rest tuple per
 letter and checks the bounds only on entry.  The fast paths of
-`bgg.verma` are checked against these.
+`bgg.verma` are checked against these.  `weight_of` reads each
+monomial's weight off `term_weight` and raises on a mixed element;
+`verify_row` records such an element as a failed weight check instead.
 """
 
 from __future__ import annotations
@@ -111,6 +113,15 @@ def act(mp, label, elem: dict) -> dict:
         letters = tuple(mp.letters[i] for i in word)
         normal_form(mp, (label,) + letters, f, c, out)
     return out
+
+
+def weight_of(mp, elem: dict) -> tuple:
+    """The one weight of the monomials of elem; ValueError if they have
+    more than one, or none."""
+    weights = {mp.term_weight(k) for k in elem}
+    if len(weights) != 1:
+        raise ValueError(f"element is not weight-homogeneous: {weights}")
+    return weights.pop()
 
 
 def check_maximal(mp, elem: dict) -> tuple:
