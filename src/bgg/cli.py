@@ -38,6 +38,17 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _skip_list(text: str) -> tuple[int, ...]:
+    """argparse type of --skip: an _int_list of absolute columns, each at
+    least 1 (no placement has a coordinate 0, so 0 or a negative value
+    would omit nothing)."""
+    columns = _int_list(text)
+    bad = [c for c in columns if c < 1]
+    if bad:
+        raise argparse.ArgumentTypeError(f"each column must be at least 1, got {bad[0]}")
+    return columns
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -306,7 +317,7 @@ def _cmd_render(args) -> int:
 
 def _add_diagram_opts(sp) -> None:
     sp.add_argument(
-        "--skip", type=_int_list, default="", help="comma-separated |coordinate| columns to omit"
+        "--skip", type=_skip_list, default="", help="comma-separated |coordinate| columns to omit"
     )
     sp.add_argument("--labels", action="store_true", help="label arrows with roots (tikz)")
     sp.add_argument(

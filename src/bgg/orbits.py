@@ -17,9 +17,10 @@ positive image unless it holds the whole collision set ({k, k + 1}, or
 descends strictly; nothing else of mu needs looking at.
 
 Per rank the crossed-{2} Hasse diagram is built once, with two indexes:
-its nodes bucketed by |mu_1| and |mu_2|, and each node's out-edges with
-their root grades.  A singular orbit visits only the buckets of its
-collision set and their out-edges.  Nodes and arrows are immutable
+its nodes bucketed by |mu_1| and |mu_2|, and each node's out-edges, each
+with the linear form that reads its arrow's order off the source's
+weight.  A singular orbit visits only the buckets of its collision set
+and their out-edges.  Nodes and arrows are immutable
 records (NamedTuples); a diagram holds them in plain lists.  `parabolic`
 is imported only where that diagram is built, so `penrose`, which needs
 the weight families alone, loads no Hasse code.
@@ -136,8 +137,20 @@ class _Crossed2(NamedTuple):
     edges: tuple[HasseEdge, ...]
     # by_abs[r]: indices of the nodes with |mu_1| = r or |mu_2| = r, ascending
     by_abs: tuple[tuple[int, ...], ...]
-    # out[i]: node i's out-edges as (target, root, root grade), in edge order
-    out: tuple[tuple[tuple[int, Root, int], ...], ...]
+    # out[i]: node i's out-edges as (target, root, _order_form of the root
+    # and its grade), in edge order
+    out: tuple[tuple[tuple[int, Root, tuple[int, int, int, int]], ...], ...]
+
+
+def _order_form(root: Root, grade: int) -> tuple[int, int, int, int]:
+    """(i, j, a, b) with <w, root^vee> * grade = a * w[i] + b * w[j] for
+    every weight w (see weyl.pairing)."""
+    i, j = root.i - 1, max(root.j - 1, 0)
+    if root.kind == "a":
+        return i, j, grade, -grade
+    if root.kind == "b":
+        return i, j, grade, 0
+    return i, j, grade, grade
 
 
 @functools.lru_cache(maxsize=8)
@@ -154,10 +167,12 @@ def _crossed2(n: int) -> _Crossed2:
     for i, nd in enumerate(hd.nodes):
         by_abs[abs(nd.weight[0])].append(i)
         by_abs[abs(nd.weight[1])].append(i)
-    grades = {r: parabolic_mod.root_grade(r, p) for r in {e.root for e in hd.edges}}
-    out: list[list[tuple[int, Root, int]]] = [[] for _ in hd.nodes]
+    forms = {
+        r: _order_form(r, parabolic_mod.root_grade(r, p)) for r in {e.root for e in hd.edges}
+    }
+    out: list[list[tuple[int, Root, tuple[int, int, int, int]]]] = [[] for _ in hd.nodes]
     for e in hd.edges:
-        out[e.source].append((e.target, e.root, grades[e.root]))
+        out[e.source].append((e.target, e.root, forms[e.root]))
     return _Crossed2(
         tuple(hd.nodes),
         tuple(hd.edges),
@@ -238,22 +253,25 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     index = {old: new for new, old in enumerate(keep)}
 
     # The target's image is s_alpha of the source's, so the conformal-weight
-    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E).  Read
+    # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E), which
+    # the edge's _order_form reads off two entries of the image.  Read
     # in node order, the kept nodes' out-edges are the Hasse edges between
     # kept nodes in edge order.
     arrows = []
     for s, old in enumerate(keep):
         source = nodes[s]
-        for target, root, grade in hd.out[old]:
+        w = source.weight
+        for target, root, form in hd.out[old]:
             t = index.get(target)
             if t is None:
                 continue
-            if source.weight == nodes[t].weight:
+            if w == nodes[t].weight:
                 kind, order = IDENTITY, None
             else:
-                suppressed = _suppressed(k, source.placement, nodes[t].placement)
+                suppressed = k <= 1 and _suppressed(k, source.placement, nodes[t].placement)
                 kind = SUPPRESSED if suppressed else STANDARD
-                order = weyl.pairing(source.weight, root) * grade
+                i, j, a, b = form
+                order = a * w[i] + b * w[j]
             arrows.append(OrbitArrow(s, t, kind, root, order))
 
     by_weight: dict[Weight, list[int]] = {}

@@ -10,8 +10,12 @@ non-standard operator (order two in general, three when k = 1).
 Each page or complex builds its E1 cells and the conformal weights it
 needs once per call (the E2 page only those of its bridge) and reads
 every order bound as the difference of two conformal weights; nothing
-is cached across calls.  The non-standard operator has one model: the
-PageMap (on E2) and the BggMap of kind "nonstandard".
+is cached across calls.  The E1 cells are read in one pass over the
+terms of the relative resolution, with the rule of bbw_direct_image
+applied in the loop; the two terms with middles m and -m share one tail
+tuple.  Every vanishing E2 entry is the one module-level frozen bullet
+record.  The non-standard operator has one model: the PageMap (on E2)
+and the BggMap of kind "nonstandard".
 
 All weights are rho-shifted integer tuples.  Everything lives on the
 crossed-{2} parabolic, whose grading element is E = (1, 1, 0, ..., 0),
@@ -60,16 +64,18 @@ class RelativeBggTerm:
 
 
 def _relative_terms(n: int, k_signed: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The terms of relative_bgg as plain (p, middle, tail) tuples."""
+    """The terms of relative_bgg as plain (p, middle, tail) tuples; the
+    terms with middles m and -m share one tail tuple."""
     if n < 2:
         raise ValueError("rank must be at least 2")
     if not 0 <= abs(k_signed) <= n - 1:
         raise ValueError("need |k| <= n-1")
-    middles = list(range(n - 1, 0, -1)) + list(range(-1, -n, -1))
     values = tuple(range(n - 1, 0, -1))  # |m| sits at index n-1-|m|
+    tails = [values[:i] + values[i + 1 :] for i in range(n - 1)]
+    top = list(zip(values, tails))
     return [
-        (p, m, values[: n - 1 - abs(m)] + values[n - abs(m) :])
-        for p, m in enumerate(middles)
+        (p, m, tail)
+        for p, (m, tail) in enumerate(top + [(-m, tail) for m, tail in reversed(top)])
     ]
 
 
@@ -169,10 +175,15 @@ def _validate(n: int, k: int, sign: str) -> int:
 
 def _cells(n: int, k_signed: int) -> dict[tuple[int, int], Weight]:
     """{(p, q): weight} in order of p: the nonzero direct images of the
-    terms of the relative resolution of (k_signed | n-1, ..., 1)."""
-    terms = _relative_terms(n, k_signed)
-    images = ((p, bbw_direct_image(k_signed, m, tail)) for p, m, tail in terms)
-    return {(p, img[1]): img[0] for p, img in images if img is not None}
+    terms of the relative resolution of (k_signed | n-1, ..., 1), read
+    in one pass with the rule of bbw_direct_image."""
+    cells = {}
+    for p, m, tail in _relative_terms(n, k_signed):
+        if k_signed > m:
+            cells[(p, 0)] = (k_signed, m) + tail
+        elif m > k_signed:
+            cells[(p, 1)] = (m, k_signed) + tail
+    return cells
 
 
 def e1_entries(n: int, k: int, sign: str = "+") -> dict[tuple[int, int], Weight]:
@@ -204,40 +215,36 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     return SpectralPage(n, k, sign, 1, entries, diffs)
 
 
-def _bridge(entries: dict) -> Optional[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The non-standard operator splicing the two E1 rows, read off the
-    E1 entries: (source cell, target cell, order) from the last cell of
-    row 1 to the first cell of row 0, or None when k = n-1 (one row).
-    Its order bound is the conformal-weight drop: two in general, three
-    for k = 1."""
-    top = [cell for cell in entries if cell[1] == 1]
-    bottom = [cell for cell in entries if cell[1] == 0]
-    if not top or not bottom:
-        return None
-    source, target = top[-1], bottom[0]
-    src, tgt = entries[source], entries[target]
-    return source, target, src[0] + src[1] - tgt[0] - tgt[1]
+# every vanishing E2 entry; frozen, so all pages share this one
+_BULLET_ENTRY = E2Entry(BULLET, "0")
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     """Second page: each row is exact except at its ends, so interior
     entries vanish (bullets) and the ends are Ker d_{p+1} / Coker d_p.
-    The surviving differential joins the two rows at the splice."""
+
+    The surviving differential is the non-standard operator splicing the
+    two E1 rows, from the last cell of row 1 to the first cell of row 0
+    (none when k = n-1: one row).  Its order bound is the
+    conformal-weight drop: two in general, three for k = 1."""
     e1 = e1_entries(n, k, sign)
+    rows: tuple[list[int], list[int]] = ([], [])
+    for p, q in e1:  # e1 is in order of p
+        rows[q].append(p)
     entries = {}
-    for q in (0, 1):
-        ps = [p for p, qq in e1 if qq == q]  # e1 is in order of p
-        for p in ps:
-            if p == ps[0]:
-                entries[(p, q)] = E2Entry(KERNEL, f"Ker d_{p + 1}")
-            elif p == ps[-1]:
-                entries[(p, q)] = E2Entry(COKERNEL, f"Coker d_{p}")
-            else:
-                entries[(p, q)] = E2Entry(BULLET, "0")
+    for q, ps in enumerate(rows):
+        if not ps:
+            continue
+        entries[(ps[0], q)] = E2Entry(KERNEL, f"Ker d_{ps[0] + 1}")
+        for p in ps[1:-1]:
+            entries[(p, q)] = _BULLET_ENTRY
+        if len(ps) > 1:
+            entries[(ps[-1], q)] = E2Entry(COKERNEL, f"Coker d_{ps[-1]}")
     diffs = []
-    bridge = _bridge(e1)
-    if bridge is not None:
-        source, target, order = bridge
+    if rows[0] and rows[1]:
+        source, target = (rows[1][-1], 1), (rows[0][0], 0)
+        src, tgt = e1[source], e1[target]
+        order = src[0] + src[1] - tgt[0] - tgt[1]
         note = "induced splice map; an isomorphism onto its target"
         diffs.append(PageMap(source, target, NONSTANDARD, order, note))
     return SpectralPage(n, k, sign, 2, entries, diffs)

@@ -6,18 +6,28 @@ column of arrows interrupted by omitted nodes is bridged by a single
 dotted \\skipped segment between its visible endpoints.  Crosses mark
 the regular placements that carry no node of a singular orbit.
 
+The TikZ and DOT marks of a placement (its TikZ coordinate, node mark
+and cross, its DOT node name and node line) depend on the placement
+alone.  They are formatted once per rank for all 2n(n-1) regular
+placements, in one read-only table kept for the 8 ranks used last, and
+looked up per node and per cross.  A placement outside its rank's table
+(a hand-built diagram, or one read back with an n its placements do not
+fit) is formatted by the same function that fills the table.
+
 JSON output is schema-stable and holds the whole diagram, so
 from_json(to_json(d)) == d.  to_json writes the text straight from the
 diagram's immutable node and arrow records (NamedTuples), formatting
 each distinct arrow tail (kind, root, order) once per call; from_json
 builds those records directly from the parsed JSON, with one Root per
-distinct root.  Nothing is memoised across calls.
+distinct root.  Neither JSON direction keeps anything across calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from bgg import orbits
 from bgg.orbits import OrbitArrow, OrbitDiagram, OrbitNode
@@ -87,35 +97,78 @@ def _skipped_segments(diagram: OrbitDiagram, visible: list[bool]) -> list[tuple]
     return sorted(set(out))
 
 
+class _Marks(NamedTuple):
+    """The text of every mark of one placement (m1, m2)."""
+
+    coord: str  # TikZ "{m1}{m2}", shared by the node mark and every arrow
+    node: str  # TikZ node mark \ldominant{m1}{m2}
+    cross: str  # TikZ cross \trivial{m1}{m2}
+    name: str  # quoted DOT node name, shared by the node line and every arrow
+    dot_node: str  # DOT node line
+
+
+def _marks_of(placement: tuple[int, int]) -> _Marks:
+    """Every mark of one placement: the one place they are formatted."""
+    coord = "{%d}{%d}" % placement
+    name = f'"p{placement[0]}_{placement[1]}"'.replace("-", "m")
+    return _Marks(
+        coord,
+        r"\ldominant" + coord,
+        r"\trivial" + coord,
+        name,
+        f'  {name} [pos="{placement[0]},{placement[1]}!"];',
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _rank_marks(n: int) -> Mapping[tuple[int, int], _Marks]:
+    """The marks of the 2n(n-1) regular placements of rank n, in the order
+    of orbits._placements, built once per n (for the 8 ranks used last).
+    A read-only mapping of tuples, so no caller can change it for the
+    next one."""
+    return MappingProxyType({pl: _marks_of(pl) for pl in orbits._placements(n)})
+
+
+def _node_marks(diagram: OrbitDiagram) -> list[_Marks]:
+    """Each node's marks, indexed like diagram.nodes: read off its rank's
+    table, or formatted for a placement that is not in it (a hand-built
+    diagram, or one read back with an n that its placements do not fit)."""
+    table = _rank_marks(diagram.n) if isinstance(diagram.n, int) else {}
+    return [table.get(pl) or _marks_of(pl) for pl, _ in diagram.nodes]
+
+
 def to_tikz(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
     config = config or RenderConfig()
     skips = set(config.skip_columns)
     visible = _node_visibility(diagram, skips)
-    # each node's "{m1}{m2}" once, shared by its mark and every arrow
-    coords = ["{%d}{%d}" % node.placement for node in diagram.nodes]
+    marks = _node_marks(diagram)
     lines = [_PREAMBLE, r"\begin{tikzpicture}[x=0.8cm,y=0.8cm]"]
-    lines += [r"\ldominant" + c for c, shown in zip(coords, visible) if shown]
+    lines += [m.node for m, shown in zip(marks, visible) if shown]
     if diagram.kind == "singular-orbit":
-        for pl in diagram.cross_placements():
-            if not skips or _visible(pl, skips):
-                lines.append(r"\trivial{%d}{%d}" % pl)
-    for a in diagram.arrows:
-        if skips and not (visible[a.source] and visible[a.target]):
+        table = _rank_marks(diagram.n)
+        lines += [
+            table[pl].cross
+            for pl in diagram.cross_placements()
+            if not skips or _visible(pl, skips)
+        ]
+    coords = [m.coord for m in marks]
+    for source, target, kind, root, _ in diagram.arrows:
+        if skips and not (visible[source] and visible[target]):
             continue
-        if a.kind == orbits.IDENTITY:
-            lines.append(r"\equal" + coords[a.source] + coords[a.target])
-        elif a.kind == orbits.SUPPRESSED:
+        if kind == orbits.IDENTITY:
+            lines.append(r"\equal" + coords[source] + coords[target])
+        elif kind == orbits.SUPPRESSED:
             if config.show_suppressed:
-                lines.append(r"\suppressedarrow" + coords[a.source] + coords[a.target])
+                lines.append(r"\suppressedarrow" + coords[source] + coords[target])
         else:
-            lines.append(r"\arrow" + coords[a.source] + coords[a.target])
-            if config.show_labels and a.root is not None:
-                s = diagram.nodes[a.source].placement
-                t = diagram.nodes[a.target].placement
+            lines.append(r"\arrow" + coords[source] + coords[target])
+            if config.show_labels and root is not None:
+                s = diagram.nodes[source].placement
+                t = diagram.nodes[target].placement
                 mx, my = (s[0] + t[0]) / 2.0, (s[1] + t[1]) / 2.0
                 lines.append(
                     r"\node[font=\tiny, above right] at (%.1f,%.1f) {$%s$};"
-                    % (mx, my, _root_tex(a.root))
+                    % (mx, my, _root_tex(root))
                 )
     for s, t in _skipped_segments(diagram, visible):
         lines.append(r"\skipped{%d}{%d}{%d}{%d}" % (s + t))
@@ -140,18 +193,16 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
     config = config or RenderConfig()
     skips = set(config.skip_columns)
     visible = _node_visibility(diagram, skips)
-    # each node's quoted name once, shared by its line and every arrow
-    names = [f'"p{nd.placement[0]}_{nd.placement[1]}"'.replace("-", "m") for nd in diagram.nodes]
+    marks = _node_marks(diagram)
     lines = ["digraph orbit {", "  rankdir=LR;", "  node [shape=point];"]
-    for name, node, shown in zip(names, diagram.nodes, visible):
-        if shown:
-            lines.append(f'  {name} [pos="{node.placement[0]},{node.placement[1]}!"];')
-    for a in diagram.arrows:
-        if skips and not (visible[a.source] and visible[a.target]):
+    lines += [m.dot_node for m, shown in zip(marks, visible) if shown]
+    names = [m.name for m in marks]
+    for source, target, kind, _, _ in diagram.arrows:
+        if skips and not (visible[source] and visible[target]):
             continue
-        if a.kind == orbits.SUPPRESSED and not config.show_suppressed:
+        if kind == orbits.SUPPRESSED and not config.show_suppressed:
             continue
-        lines.append(f"  {names[a.source]} -> {names[a.target]}{_DOT_STYLES[a.kind]};")
+        lines.append(f"  {names[source]} -> {names[target]}{_DOT_STYLES[kind]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

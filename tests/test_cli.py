@@ -487,6 +487,72 @@ def test_boundary_lists(capsys, command, flag):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "regular-orbit --n 4 --format tikz",
+        "singular-orbit --n 4 --k 1 --format dot",
+        "render --what regular --n 4 --format dot",
+        "render --what singular --n 4 --k 0",
+    ],
+)
+def test_skip_refuses_columns_below_one(capsys, command):
+    """No placement has a coordinate 0, so a --skip column below 1 would
+    omit nothing: it exits 1 with an error line and prints nothing.
+    Columns above n are kept, and omit nothing."""
+    for value in ("-3", "0", "2,0", "1,-4", "-1,3"):
+        rc, out, err = run_any(capsys, command.split() + [f"--skip={value}"])
+        assert rc == 1 and not out, value
+        assert "error: argument --skip: each column must be at least 1" in err, value
+    # "--skip -3" reads like "--skip=-3"; "--skip -1,3" is not a value to argparse
+    rc, out, err = run_any(capsys, command.split() + ["--skip", "-3"])
+    assert rc == 1 and not out and "each column must be at least 1, got -3" in err
+    rc, plain, _ = run_any(capsys, command.split())
+    rc_far, far, _ = run_any(capsys, command.split() + ["--skip", "9,11"])
+    assert rc == rc_far == 0 and far == plain
+
+
+_EXIT_AND_LOADED = """
+import contextlib, io, sys
+import bgg.cli
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = bgg.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "regular-orbit --n 4 --format tikz --skip=-3",
+        "singular-orbit --n 4 --k 1 --format dot --skip=2,0",
+        "render --what regular --n 4 --skip=-1,3",
+    ],
+)
+def test_skip_errors_load_no_layer(python, command):
+    """A --skip column below 1 is refused while the arguments are parsed,
+    before any bgg layer is imported."""
+    rc, *loaded = python(_EXIT_AND_LOADED, *command.split()).split()
+    assert rc == "1"
+    assert loaded == ["bgg.cli"]
+
+
+def test_skip_omits_its_columns(capsys):
+    """At n = 4 the regular orbit has 24 node marks; --skip 3 leaves the
+    12 with no coordinate of absolute value 3."""
+    base = ["regular-orbit", "--n", "4", "--format", "tikz"]
+    rc, out, _ = run(capsys, *base)
+    assert rc == 0 and out.count("\\ldominant{") == 24
+    rc, out, _ = run(capsys, *base, "--skip", "3")
+    assert rc == 0 and out.count("\\ldominant{") == 12
+    assert "{3}" not in out.split("\\begin{tikzpicture}")[1]
+    rc, wide, _ = run(capsys, *base, "--skip", "3,11")
+    assert rc == 0 and wide == out
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("page", ["-1", "0", "1", "2", "3", "x", ""])
 def test_boundary_pages(capsys, fmt, page):

@@ -286,7 +286,8 @@ def test_base_of_the_wrong_length(n, k, base):
 def test_crossed2_index_matches_hasse_diagram():
     """The per-rank buckets hold exactly the nodes with |mu_1| or |mu_2|
     equal to r, and the out-edges are the Hasse edges from each node,
-    in edge order, with the grade of their root."""
+    in edge order, each with the linear form <w, root^vee> * grade of
+    its root: checked on every unit vector, so it holds for every w."""
     for n in range(2, 9):
         p = parabolic.parabolic(n, (2,))
         hd = parabolic.hasse_diagram(p)
@@ -296,13 +297,14 @@ def test_crossed2_index_matches_hasse_diagram():
         for r in range(n + 1):
             want = [i for i, (mu, _) in enumerate(hd.nodes) if r in (abs(mu[0]), abs(mu[1]))]
             assert list(memo.by_abs[r]) == want, (n, r)
+        units = [tuple(int(c == m) for c in range(n)) for m in range(n)]
         for i in range(len(hd.nodes)):
-            want = [
-                (e.target, e.root, parabolic.root_grade(e.root, p))
-                for e in hd.edges
-                if e.source == i
-            ]
-            assert list(memo.out[i]) == want, (n, i)
+            edges = [e for e in hd.edges if e.source == i]
+            assert [o[:2] for o in memo.out[i]] == [(e.target, e.root) for e in edges], (n, i)
+            for e, (_, _, (ci, cj, a, b)) in zip(edges, memo.out[i]):
+                grade = parabolic.root_grade(e.root, p)
+                for w in units:
+                    assert a * w[ci] + b * w[cj] == weyl.pairing(w, e.root) * grade, (n, e)
 
 
 @pytest.mark.parametrize("n", [5, 6])

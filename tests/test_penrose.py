@@ -1,5 +1,7 @@
 """Relative resolutions, direct-image pages and assembled complexes."""
 
+import dataclasses
+
 import pytest
 
 import penrose_oracle as oracle
@@ -211,6 +213,25 @@ def test_e2_minus_and_single_row():
     assert sum(1 for e in single.entries.values() if e.kind == penrose.BULLET) == len(
         single.entries
     ) - 2
+
+
+def test_e2_pages_share_one_frozen_bullet():
+    """Every vanishing E2 entry is the one module-level bullet record, which
+    stays frozen; the entries come in the oracle's order."""
+    bullet = penrose._BULLET_ENTRY
+    assert bullet == penrose.E2Entry(penrose.BULLET, "0")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bullet.text = "1"
+    shared = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            for sign in "+-":
+                page = penrose.e2_page(n, k, sign)
+                assert list(page.entries) == list(oracle.e2_page(n, k, sign).entries)
+                for entry in page.entries.values():
+                    assert (entry.kind == penrose.BULLET) == (entry is bullet)
+                    shared += entry is bullet
+    assert shared > 0 and bullet.text == "0"
 
 
 def test_e2_page_builds_e1_once(monkeypatch):

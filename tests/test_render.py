@@ -255,3 +255,130 @@ def test_from_json_builds_each_root_once(monkeypatch):
     assert back == d
     assert sorted(built) == sorted({(a.root.kind, a.root.i, a.root.j) for a in d.arrows})
     assert len({id(a.root) for a in back.arrows}) == len(built)
+
+
+# ---------------------------------------------------------------------------
+# TikZ and DOT against the per-node writers of the oracle
+
+
+def _configs(n):
+    """Skips off and on (one column, and a set holding a column past n),
+    each with and without labels and suppressed arrows."""
+    for skips in ((), (2,), (1, 3, n + 2)):
+        for labels in (False, True):
+            for suppressed in (False, True):
+                yield render.RenderConfig(skips, labels, suppressed)
+
+
+def _writer_mismatches(diagrams, configs) -> list:
+    """(diagram kind, n, k, config, writer) of every output that differs
+    from the oracle's, byte for byte."""
+    bad = []
+    for d in diagrams:
+        for cfg in configs(d.n if isinstance(d.n, int) else 3):
+            for name in ("to_tikz", "to_dot"):
+                if getattr(render, name)(d, cfg) != getattr(render_oracle, name)(d, cfg):
+                    bad.append((d.kind, d.n, d.k, cfg, name))
+    return bad
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_tikz_and_dot_match_oracle(n):
+    """Every regular and singular diagram of rank n, with skips off and
+    on, labels and suppressed arrows, is written byte for byte as the
+    per-node oracle writes it."""
+    assert _writer_mismatches(list(_diagrams(n)), _configs) == []
+
+
+def _foreign_diagrams():
+    """Diagrams whose placements are not all in their rank's table."""
+    d = orbits.singular_orbit(5, 2)
+    # a rank-5 diagram claiming rank 3: most placements lie outside
+    # rank 3's table, and its crosses are rank 3's
+    yield render.from_json(render.to_json(d).replace('"n": 5', '"n": 3', 1))
+    # a regular diagram read back with no rank at all
+    regular = orbits.regular_orbit_projection(4)
+    yield render.from_json(render.to_json(regular).replace('"n": 4', '"n": null', 1))
+    # hand-built: placements off the plane's grid of any small rank
+    root = Root("a", 1, 2)
+    yield OrbitDiagram(
+        "singular-orbit",
+        2,
+        1,
+        [OrbitNode((9, -7), (1, 0)), OrbitNode((2, 1), (2, 1)), OrbitNode((-11, -3), (0, 1))],
+        [
+            OrbitArrow(0, 1, orbits.STANDARD, root, 1),
+            OrbitArrow(1, 2, orbits.SUPPRESSED, root, 2),
+            OrbitArrow(0, 2, orbits.IDENTITY),
+        ],
+        [(0, 2)],
+    )
+
+
+def test_tikz_and_dot_of_placements_outside_the_table():
+    diagrams = list(_foreign_diagrams())
+    table = render._rank_marks(3)
+    assert any(nd.placement not in table for nd in diagrams[0].nodes)
+    assert diagrams[1].n is None
+    assert _writer_mismatches(diagrams, _configs) == []
+
+
+def test_mark_table_is_per_rank_read_only_and_bounded():
+    """One read-only table per rank, keyed by the rank's placements in
+    their order, each entry the marks _marks_of formats; 8 ranks kept."""
+    render._rank_marks.cache_clear()
+    for n in range(2, 11):
+        table = render._rank_marks(n)
+        assert list(table) == list(orbits._placements(n))
+        assert all(marks == render._marks_of(pl) for pl, marks in table.items())
+        assert render._rank_marks(n) is table
+        with pytest.raises(TypeError):
+            table[(1, 2)] = table[(2, 1)]
+        with pytest.raises(AttributeError):
+            table[(2, 1)].coord = ""
+    info = render._rank_marks.cache_info()
+    assert info.maxsize == 8 and info.currsize == 8
+    assert render._marks_of((3, -12)) == (
+        "{3}{-12}",
+        r"\ldominant{3}{-12}",
+        r"\trivial{3}{-12}",
+        '"p3_m12"',
+        '  "p3_m12" [pos="3,-12!"];',
+    )
+
+
+def _swapped(n):
+    """A mis-keyed table: the marks of two placements trade keys."""
+    pls = orbits._placements(n)
+    table = {pl: render._marks_of(pl) for pl in pls}
+    table[pls[0]], table[pls[-1]] = table[pls[-1]], table[pls[0]]
+    return table
+
+
+def _edited(n):
+    """A stale table: every entry still in an older format of its marks."""
+    return {
+        pl: render._Marks(*(text.replace("}{", "}{ ").replace("_", "__") for text in marks))
+        for pl, marks in ((pl, render._marks_of(pl)) for pl in orbits._placements(n))
+    }
+
+
+@pytest.mark.parametrize("table", [_swapped, _edited])
+def test_writer_oracle_sees_a_bad_table(monkeypatch, table):
+    """The oracle comparison fails on a table whose marks do not belong to
+    their keys, on singular and regular diagrams alike."""
+    monkeypatch.setattr(render, "_rank_marks", table)
+    for n in (4, 6):
+        bad = _writer_mismatches(list(_diagrams(n)), lambda n: [render.RenderConfig()])
+        assert {kind for kind, *_ in bad} == {"regular-orbit", "singular-orbit"}
+        assert {name for *_, name in bad} == {"to_tikz", "to_dot"}
+
+
+def test_writer_oracle_sees_a_table_of_another_rank(monkeypatch):
+    """A table kept for the wrong rank (here the one below) fails the
+    comparison on a singular diagram: its crosses are missing or wrong."""
+    real = render._rank_marks
+    monkeypatch.setattr(render, "_rank_marks", lambda n: real(n - 1))
+    d = orbits.singular_orbit(6, 2)
+    with pytest.raises(KeyError):
+        _writer_mismatches([d], lambda n: [render.RenderConfig()])
