@@ -1,0 +1,154 @@
+"""Cold-start timings of the `bgg` command line, for one or more source trees.
+
+Usage:
+    python3 scripts/cold_start.py [--runs N] [TREE ...]
+
+A TREE is a directory holding `src/bgg` (a checkout of this repository);
+the default is the tree this script belongs to.  Give two trees, say a
+parent commit and a change, to compare them.
+
+It reports two things:
+
+- the wall time of one fresh `python -m bgg.cli ...` process per
+  subcommand, from spawn to exit, imports included: the median over N
+  runs, the trees taking turns within each run and the order of the
+  trees reversed on every other run;
+- the singular orbit diagrams of every k at n = 60 in one fresh process,
+  swept twice after `import bgg.orbits`: the first sweep is cold (it
+  builds whatever the tree builds per rank, and loads whatever it loads
+  on first use), the second warm.  Medians over N runs, with the median
+  of the runs' cold/warm ratios.
+
+With two or more trees it also checks that each command prints the same
+bytes in every tree.  It exits 1 if a command fails or the outputs
+differ, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+COMMANDS = [
+    "hasse --n 8 --format json",
+    "regular-orbit --n 8 --format tikz --skip 5,11 --labels",
+    "singular-orbit --n 8 --k 7 --format json",
+    "singular-orbit --n 14 --k 7",
+    "render --what singular --n 8 --k 1 --format dot",
+    "relative-bgg --n 5 --k -2",
+    "penrose-e1 --n 8 --k 3 --page 2 --format json",
+    "bgg-complex --n 8 --k 3 --format json",
+    "verify-maximal --n 4 --perturb",
+    "geometry-check --n 6 --count 100",
+]
+
+SWEEP = """
+import time
+from bgg import orbits
+def sweep():
+    start = time.perf_counter()
+    for k in range(60):
+        orbits.singular_orbit(60, k)
+    return time.perf_counter() - start
+cold = sweep()
+print(cold, sweep())
+"""
+
+
+def _env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+
+def _cli(tree: Path, command: str) -> tuple[float, int, bytes]:
+    """Wall time, exit code and stdout of one fresh `bgg` process."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "bgg.cli", *command.split()],
+        env=_env(tree),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        stdin=subprocess.DEVNULL,
+    )
+    return time.perf_counter() - start, done.returncode, done.stdout
+
+
+def _sweep(tree: Path) -> tuple[float, float]:
+    out = subprocess.run(
+        [sys.executable, "-c", SWEEP],
+        env=_env(tree),
+        stdout=subprocess.PIPE,
+        stdin=subprocess.DEVNULL,
+        check=True,
+        text=True,
+    ).stdout
+    cold, warm = map(float, out.split())
+    return cold, warm
+
+
+def _turns(trees: list[Path], run: int) -> list[int]:
+    """The order of the trees in one run: reversed on every other run."""
+    order = list(range(len(trees)))
+    return order[::-1] if run % 2 else order
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--runs", type=int, default=11, help="runs per tree (default 11)")
+    parser.add_argument("trees", nargs="*", type=Path, help="source trees (default: this one)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    trees = [t.resolve() for t in args.trees] or [Path(__file__).resolve().parent.parent]
+    for tree in trees:
+        if not (tree / "src" / "bgg" / "cli.py").is_file():
+            parser.error(f"{tree} holds no src/bgg")
+    for i, tree in enumerate(trees):
+        print(f"tree {i}: {tree}")
+    print(f"{args.runs} runs per tree, {sys.executable} {sys.version.split()[0]}")
+
+    ok = True
+    print("\nfresh-process wall time per command, median ms (tree 0, tree 1, ...; ratio to tree 0)")
+    for command in COMMANDS:
+        times: list[list[float]] = [[] for _ in trees]
+        outputs: list[set[bytes]] = [set() for _ in trees]
+        for run in range(args.runs):
+            for i in _turns(trees, run):
+                wall, code, out = _cli(trees[i], command)
+                if code != 0:
+                    print(f"FAIL: tree {i}: bgg {command} exited {code}")
+                    ok = False
+                times[i].append(wall)
+                outputs[i].add(out)
+        medians = [statistics.median(t) for t in times]
+        cells = "  ".join(f"{1e3 * m:7.1f}" for m in medians)
+        ratios = "  ".join(f"{m / medians[0]:.3f}" for m in medians[1:])
+        same = len(set().union(*outputs)) == 1
+        if not same:
+            ok = False
+        note = "" if same else "  OUTPUT DIFFERS"
+        print(f"  {command:55s} {cells}  {ratios}{note}")
+
+    print("\nsingular_orbit(60, k) for every k in one fresh process, median s")
+    sweeps: list[list[tuple[float, float]]] = [[] for _ in trees]
+    for run in range(args.runs):
+        for i in _turns(trees, run):
+            sweeps[i].append(_sweep(trees[i]))
+    for i, runs in enumerate(sweeps):
+        cold = statistics.median(c for c, _ in runs)
+        warm = statistics.median(w for _, w in runs)
+        lo, hi = min(c for c, _ in runs), max(c for c, _ in runs)
+        ratio = statistics.median(c / w for c, w in runs)
+        print(
+            f"  tree {i}: cold {cold:.3f} (range {lo:.3f}-{hi:.3f})  warm {warm:.3f}"
+            f"  cold/warm {ratio:.2f} (median of the runs' ratios)"
+        )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 invalid arguments or unsupported request,
 Each subcommand imports the bgg layers it runs when it runs, so one
 `bgg` process loads only what its command needs, and a request the CLI
 itself refuses (a bad combination of options) loads no layer at all.
+Only `hasse` loads `parabolic`; only the orbit and render commands load
+`orbits`, and `render` only when the diagram is not printed as text.
 """
 
 from __future__ import annotations
@@ -88,43 +90,44 @@ def _render_config(args) -> render.RenderConfig:
 
 
 def _emit_diagram(diag, args) -> int:
-    from bgg import render
-
     fmt = args.format
-    if fmt == "json":
-        _emit(render.to_json(diag, indent=1))
-    elif fmt == "tikz":
-        _emit(render.to_tikz(diag, _render_config(args)))
-    elif fmt == "dot":
-        _emit(render.to_dot(diag, _render_config(args)))
-    else:
-        kinds = {}
-        for a in diag.arrows:
-            kinds[a.kind] = kinds.get(a.kind, 0) + 1
-        head = f"{diag.kind}: n={diag.n}"
-        if diag.k is not None:
-            head += f" k={diag.k}"
-        if diag.conjectural:
-            head += " (conjectural structure)"
-        lines = [head, f"nodes={len(diag.nodes)} arrows={kinds}"]
-        lines.append("nodes (placement  weight):")
-        for nd in diag.nodes:
-            lines.append(f"  {_wfmt(nd.placement):10s} {_wfmt(nd.weight)}")
-        lines.append("arrows:")
-        for a in diag.arrows:
-            s = diag.nodes[a.source].placement
-            t = diag.nodes[a.target].placement
-            extra = f" root={a.root.label()}" if a.root else ""
-            extra += f" order={a.order}" if a.order is not None else ""
-            lines.append(f"  {_wfmt(s)} -> {_wfmt(t)}  {a.kind}{extra}")
-        if diag.coincidences:
-            lines.append("coincidences (node index pairs with equal weight):")
-            for a, b in diag.coincidences:
-                lines.append(
-                    f"  {a} ~ {b}  at {_wfmt(diag.nodes[a].placement)}"
-                    f" / {_wfmt(diag.nodes[b].placement)}"
-                )
-        _emit("\n".join(lines))
+    if fmt != "text":
+        from bgg import render
+
+        if fmt == "json":
+            _emit(render.to_json(diag, indent=1))
+        elif fmt == "tikz":
+            _emit(render.to_tikz(diag, _render_config(args)))
+        else:
+            _emit(render.to_dot(diag, _render_config(args)))
+        return 0
+    kinds = {}
+    for a in diag.arrows:
+        kinds[a.kind] = kinds.get(a.kind, 0) + 1
+    head = f"{diag.kind}: n={diag.n}"
+    if diag.k is not None:
+        head += f" k={diag.k}"
+    if diag.conjectural:
+        head += " (conjectural structure)"
+    lines = [head, f"nodes={len(diag.nodes)} arrows={kinds}"]
+    lines.append("nodes (placement  weight):")
+    for nd in diag.nodes:
+        lines.append(f"  {_wfmt(nd.placement):10s} {_wfmt(nd.weight)}")
+    lines.append("arrows:")
+    for a in diag.arrows:
+        s = diag.nodes[a.source].placement
+        t = diag.nodes[a.target].placement
+        extra = f" root={a.root.label()}" if a.root else ""
+        extra += f" order={a.order}" if a.order is not None else ""
+        lines.append(f"  {_wfmt(s)} -> {_wfmt(t)}  {a.kind}{extra}")
+    if diag.coincidences:
+        lines.append("coincidences (node index pairs with equal weight):")
+        for a, b in diag.coincidences:
+            lines.append(
+                f"  {a} ~ {b}  at {_wfmt(diag.nodes[a].placement)}"
+                f" / {_wfmt(diag.nodes[b].placement)}"
+            )
+    _emit("\n".join(lines))
     return 0
 
 

@@ -1,76 +1,49 @@
-"""Orbit diagrams over the isotropic Grassmannian iGr(2,2n), and the
-weight families lambda_k and tilde_lambda.
+"""Orbit diagrams over the isotropic Grassmannian iGr(2,2n).
 
 Everything here works in rho-shifted coordinates.  The regular orbit of
 rho for the crossed-{2} parabolic is drawn in the plane by the first two
 coordinates (m1, m2) of w(rho); the singular orbits of the semi-regular
 weights lambda_k are drawn at the same placements, each weight appearing
-at the two placements that project onto it.
+at the two placements that project onto it.  The weight families
+lambda_k and tilde_lambda, and the operator kinds STANDARD and
+NONSTANDARD, live in `weyl` and are re-exported here.
 
-Placement rule.  For a node mu = w(rho) the image w(base) sends each
-|mu_i| = r to f(r) = base[n - r], and f is weakly increasing with one
-collision: f(k) = f(k + 1) for k >= 1, or f(1) = 0 for k = 0.  The tail
-mu_3 > ... > mu_n > 0 of a node therefore has a strictly descending,
-positive image unless it holds the whole collision set ({k, k + 1}, or
-{1}).  So a node carries a point of the singular orbit exactly when
-|mu_1| or |mu_2| lies in the collision set and the image's first pair
-descends strictly; nothing else of mu needs looking at.
+A node mu = w(rho) of the crossed-{2} Hasse diagram is its placement:
+its tail mu_3 > ... > mu_n > 0 is the other absolute values, descending.
+Per rank one table, keyed by placement and in Hasse order, holds each
+node's weight and its out-arrows, each with its root, its order on the
+regular orbit and the linear form that reads its order off any source
+weight.  It is built once per rank from `weyl` arithmetic alone (see
+`_rank_table`); this module never loads `parabolic`.
 
-Per rank the crossed-{2} Hasse diagram is built once, with two indexes:
-its nodes bucketed by |mu_1| and |mu_2|, and each node's out-edges, each
-with the linear form that reads its arrow's order off the source's
-weight.  A singular orbit visits only the buckets of its collision set
-and their out-edges.  Nodes and arrows are immutable
-records (NamedTuples); a diagram holds them in plain lists.  `parabolic`
-is imported only where that diagram is built, so `penrose`, which needs
-the weight families alone, loads no Hasse code.
+Placement rule.  For a node mu the image w(base) sends each |mu_i| = r
+to f(r) = base[n - r], and f is weakly increasing with one collision:
+f(k) = f(k + 1) for k >= 1, or f(1) = 0 for k = 0.  The tail of a node
+therefore has a strictly descending, positive image unless it holds the
+whole collision set ({k, k + 1}, or {1}).  So a node carries a point of
+the singular orbit exactly when |mu_1| or |mu_2| lies in the collision
+set and the image's first pair descends strictly; nothing else of mu
+needs looking at.  A singular orbit lists the placements of its
+collision set and reads the arrows of the kept ones from the table.
+Nodes and arrows are immutable records (NamedTuples); a diagram holds
+them in plain lists.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from bgg import weyl
-from bgg.weyl import Root, Weight
+from bgg.weyl import STANDARD, Root, Weight, lambda_k
 
-if TYPE_CHECKING:
-    from bgg.parabolic import HasseEdge, HasseNode
-
-STANDARD = "standard"
 IDENTITY = "identity"
 SUPPRESSED = "suppressed"
-NONSTANDARD = "nonstandard"
-
-
-# ---------------------------------------------------------------------------
-# weight families
-
-
-def lambda_k(n: int, k: int) -> Weight:
-    """The rho-shifted semi-regular weight with k repeated (or trailing 0).
-
-    (n-1, ..., k+1, k, k, k-1, ..., 1) for 1 <= k <= n-1 and
-    (n-1, ..., 1, 0) for k = 0.
-    """
-    if not 0 <= k <= n - 1:
-        raise ValueError("k must satisfy 0 <= k <= n-1")
-    if k == 0:
-        return tuple(range(n - 1, -1, -1))
-    return tuple(range(n - 1, k, -1)) + (k, k) + tuple(range(k - 1, 0, -1))
-
-
-def tilde_lambda(n: int, k: int, sign: str = "+") -> Weight:
-    """The rho-shifted twistor weight (±k | n-1, ..., 1) on iGr(1,2n)."""
-    if not 0 <= k <= n - 1:
-        raise ValueError("k must satisfy 0 <= k <= n-1")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if k == 0 and sign == "-":
-        raise ValueError("k = 0 has a single conjugate (sign '+')")
-    first = k if sign == "+" else -k
-    return (first,) + tuple(range(n - 1, 0, -1))
+# the other operator kind and weight family, importable from here too
+NONSTANDARD = weyl.NONSTANDARD
+tilde_lambda = weyl.tilde_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -130,64 +103,105 @@ class OrbitDiagram:
         return [p for p in _placements(self.n) if p not in have]
 
 
-class _Crossed2(NamedTuple):
-    """The crossed-{2} Hasse diagram of one rank with its two indexes."""
+class _Node(NamedTuple):
+    """One placement's row of the rank table: the Hasse node mu = w(rho)
+    at that placement."""
 
-    nodes: tuple[HasseNode, ...]
-    edges: tuple[HasseEdge, ...]
-    # by_abs[r]: indices of the nodes with |mu_1| = r or |mu_2| = r, ascending
-    by_abs: tuple[tuple[int, ...], ...]
-    # out[i]: node i's out-edges as (target, root, _order_form of the root
-    # and its grade), in edge order
-    out: tuple[tuple[tuple[int, Root, tuple[int, int, int, int]], ...], ...]
-
-
-def _order_form(root: Root, grade: int) -> tuple[int, int, int, int]:
-    """(i, j, a, b) with <w, root^vee> * grade = a * w[i] + b * w[j] for
-    every weight w (see weyl.pairing)."""
-    i, j = root.i - 1, max(root.j - 1, 0)
-    if root.kind == "a":
-        return i, j, grade, -grade
-    if root.kind == "b":
-        return i, j, grade, 0
-    return i, j, grade, grade
+    index: int  # position in Hasse order, by (length, perm, signs) of w
+    weight: Weight  # mu
+    # out-arrows in target order: (target index, root, order on the
+    # regular orbit, (i, j, a, b) with <w, root^vee> * grade = a * w[i] +
+    # b * w[j] for every weight w)
+    arrows: tuple[tuple[int, Root, int, tuple[int, int, int, int]], ...]
 
 
 @functools.lru_cache(maxsize=8)
-def _crossed2(n: int) -> _Crossed2:
-    """The crossed-{2} Hasse diagram of rank n and its indexes, built once
-    per n (for the 8 ranks used last).  Everything is a tuple of
-    immutable records, so no caller can change it for the next one.
-    The one import of `parabolic` in this module is here."""
-    from bgg import parabolic as parabolic_mod
+def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
+    """The crossed-{2} Hasse diagram of rank n, keyed by placement and in
+    Hasse order, built once per n (for the 8 ranks used last).  A
+    read-only mapping of tuples, so no caller can change it for the next
+    one.
 
-    p = parabolic_mod.parabolic(n, (2,))
-    hd = parabolic_mod.hasse_diagram(p)
-    by_abs: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, nd in enumerate(hd.nodes):
-        by_abs[abs(nd.weight[0])].append(i)
-        by_abs[abs(nd.weight[1])].append(i)
-    forms = {
-        r: _order_form(r, parabolic_mod.root_grade(r, p)) for r in {e.root for e in hd.edges}
+    The tail is fixed by (m1, m2), so a node's length, the inversion
+    count of mu (weyl.inversion_length), is read off (m1, m2) in O(1).
+    Reflecting mu in a nilradical root gives a node only if the tail
+    stays positive and descending, which leaves b_1, b_2, c_12 and, for
+    i = 1, 2, the at most two tail values mu_j next to |mu_i| (a_ij if
+    mu_i > 0, c_ij if mu_i < 0).  A candidate is kept if its target is
+    one longer.  The grading element is E = (1, 1, 0, ..., 0), so a_ij
+    and c_ij (j >= 3) have grade 1 and b_1, b_2, c_12 grade 2; at n = 2
+    node 2 is node n, E = (1/2, 1/2) and every grade halves.
+    """
+    if n < 2:
+        raise ValueError("rank must be at least 2")
+    rho = weyl.rho(n)
+    big = 1 if n == 2 else 2  # the grade of b_1, b_2 and c_12
+    b1 = Root("b", 1), (0, 0, big, 0)
+    b2 = Root("b", 2), (1, 0, big, 0)
+    c12 = Root("c", 1, 2), (0, 1, big, big)
+    # (root, form) of a_ij and c_ij by [i][j], 0-based, for tail positions j
+    a_ij = [[None, None] + [(Root("a", i + 1, j + 1), (i, j, 1, -1)) for j in range(2, n)]
+            for i in (0, 1)]
+    c_ij = [[None, None] + [(Root("c", i + 1, j + 1), (i, j, 1, 1)) for j in range(2, n)]
+            for i in (0, 1)]
+    # for each m_i: the tail values above it (all n - 2 if it is
+    # negative), plus |m_i| if it is negative
+    length = {
+        (m1, m2): (n - 2 - m1 if m1 < 0 else n - m1 - (abs(m2) > m1))
+        + (n - 2 - m2 if m2 < 0 else n - m2 - (abs(m1) > m2))
+        for m1, m2 in _placements(n)
     }
-    out: list[list[tuple[int, Root, tuple[int, int, int, int]]]] = [[] for _ in hd.nodes]
-    for e in hd.edges:
-        out[e.source].append((e.target, e.root, forms[e.root]))
-    return _Crossed2(
-        tuple(hd.nodes),
-        tuple(hd.edges),
-        tuple(map(tuple, by_abs)),
-        tuple(map(tuple, out)),
-    )
+
+    def sort_key(p: tuple[int, int]) -> tuple:
+        # (length, perm, signs) of w.  perm lists the positions of the
+        # values n, ..., 1: the tail's run 3, 4, ... up to max(a, b) (at 1
+        # if that is a = |m1|, else 2), the run again up to min(a, b), so
+        # perms order by -max(a, b), a < b, -min(a, b)
+        m1, m2 = p
+        a, b = abs(m1), abs(m2)
+        return length[p], -max(a, b), a < b, -min(a, b), m1 > 0, m2 > 0
+
+    ranked = sorted(length, key=sort_key)
+    index = {p: i for i, p in enumerate(ranked)}
+    table = {}
+    for p in ranked:
+        m1, m2 = p
+        a, b = abs(m1), abs(m2)
+        # (target, order on mu, (root, form)); a target that is no
+        # placement (its pair does not descend) has no length
+        found = [
+            ((-m1, m2), m1 * big, b1),
+            ((m1, -m2), m2 * big, b2),
+            ((-m2, -m1), (m1 + m2) * big, c12),
+        ]
+        for i, x, other in ((0, m1, b), (1, m2, a)):
+            v = abs(x)
+            for t in (v + 1 if v + 1 != other else v + 2, v - 1 if v - 1 != other else v - 2):
+                if 1 <= t <= n:
+                    y = t if x > 0 else -t
+                    j = 2 + n - t - (a > t) - (b > t)  # t's position in mu
+                    root_form = (a_ij if x > 0 else c_ij)[i][j]
+                    found.append(((m1, y) if i else (y, m2), x - y, root_form))
+        up = length[p] + 1
+        arrows = [
+            (index[target], root, order, form)
+            for target, order, (root, form) in found
+            if length.get(target) == up
+        ]
+        arrows.sort()
+        lo, hi = sorted((n - a, n - b))
+        table[p] = _Node(index[p], p + rho[:lo] + rho[lo + 1 : hi] + rho[hi + 1 :], tuple(arrows))
+    return MappingProxyType(table)
 
 
 def regular_orbit_projection(n: int) -> OrbitDiagram:
     """The regular orbit of rho for crossed={2}, placed at (m1, m2)."""
-    hd = _crossed2(n)
-    nodes = [OrbitNode(mu[:2], mu) for mu, _ in hd.nodes]
+    table = _rank_table(n)
+    nodes = [OrbitNode(p, node.weight) for p, node in table.items()]
     arrows = [
         OrbitArrow(source, target, STANDARD, root, order)
-        for source, target, root, order in hd.edges
+        for source, node in enumerate(table.values())
+        for target, root, order, _ in node.arrows
     ]
     return OrbitDiagram("regular-orbit", n, None, nodes, arrows, [])
 
@@ -221,10 +235,11 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     strictly Levi-dominant, placed at the first two coordinates of mu.
     They are read off the placement rule (see the module docstring): mu
     is kept iff |mu_1| or |mu_2| lies in the collision set of base and
-    w(base)_1 > w(base)_2.  Only the nodes in the collision set's buckets
-    are looked at, and w(base) is built only for the kept nodes, by
-    slicing: it is (w(base)_1, w(base)_2) followed by base without its
-    entries at positions n - |mu_1| and n - |mu_2| (counting from 0).
+    w(base)_1 > w(base)_2.  Only the placements of the collision set are
+    listed: the four signed placements of each pair of absolute values
+    {r, s} with r in it share the rest of w(base), which is base without
+    its entries at positions n - r and n - s (counting from 0).  The kept
+    placements are put in Hasse order by their rows of the rank table.
     Arrows are the induced Hasse arrows: identity arrows join the
     coincidence pairs, the trivially-acting families at k <= 1 are kept
     but marked suppressed, all others are standard.
@@ -237,38 +252,46 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
             raise ValueError("base must have length n")
         if infer_k(base) != k:
             raise ValueError("base weight does not have the k-singular pattern")
-    hd = _crossed2(n)
+    table = _rank_table(n)
 
-    keep, nodes = [], []
-    for i in sorted({i for r in _collision_set(base) for i in hd.by_abs[r]}):
-        mu = hd.nodes[i].weight
-        m1, m2 = mu[0], mu[1]
-        x1 = base[n - m1] if m1 > 0 else -base[n + m1]
-        x2 = base[n - m2] if m2 > 0 else -base[n + m2]
-        if x1 > x2:
-            lo, hi = sorted((n - abs(m1), n - abs(m2)))
-            image = (x1, x2) + base[:lo] + base[lo + 1 : hi] + base[hi + 1 :]
-            keep.append(i)
-            nodes.append(OrbitNode(mu[:2], image))
-    index = {old: new for new, old in enumerate(keep)}
+    collide = _collision_set(base)
+    kept = []  # (index, placement, image, arrows) in any order
+    for r in collide:
+        for s in range(1, n + 1):
+            if s == r or (s < r and s in collide):
+                continue
+            hi, lo = (r, s) if r > s else (s, r)
+            i, j = n - hi, n - lo
+            fh, fl = base[i], base[j]
+            rest = base[:i] + base[i + 1 : j] + base[j + 1 :]
+            for p, x in (
+                ((hi, lo), (fh, fl)),
+                ((hi, -lo), (fh, -fl)),
+                ((lo, -hi), (fl, -fh)),
+                ((-lo, -hi), (-fl, -fh)),
+            ):
+                if x[0] > x[1]:
+                    node = table[p]
+                    kept.append((node.index, p, x + rest, node.arrows))
+    kept.sort()  # the indices are distinct, so nothing else is compared
+    nodes = [OrbitNode(p, image) for _, p, image, _ in kept]
+    index = {kp[0]: new for new, kp in enumerate(kept)}
 
     # The target's image is s_alpha of the source's, so the conformal-weight
     # drop (parabolic.order_bound) is <image, alpha^vee> * alpha(E), which
-    # the edge's _order_form reads off two entries of the image.  Read
-    # in node order, the kept nodes' out-edges are the Hasse edges between
-    # kept nodes in edge order.
+    # the arrow's form reads off two entries of the image.  Read in node
+    # order, the kept nodes' arrows are the Hasse arrows between kept nodes
+    # in Hasse edge order.
     arrows = []
-    for s, old in enumerate(keep):
-        source = nodes[s]
-        w = source.weight
-        for target, root, form in hd.out[old]:
+    for s, (_, placement, w, out) in enumerate(kept):
+        for target, root, _, form in out:
             t = index.get(target)
             if t is None:
                 continue
             if w == nodes[t].weight:
                 kind, order = IDENTITY, None
             else:
-                suppressed = k <= 1 and _suppressed(k, source.placement, nodes[t].placement)
+                suppressed = k <= 1 and _suppressed(k, placement, nodes[t].placement)
                 kind = SUPPRESSED if suppressed else STANDARD
                 i, j, a, b = form
                 order = a * w[i] + b * w[j]

@@ -27,9 +27,10 @@ without the json module.  E, and so every conformal weight, is integral
 unless node n is crossed; fractions (and the decimal module it loads)
 is imported only where a Fraction is built or met.
 
-Only the `hasse` command and `orbits` (when it builds the crossed-{2}
-diagram) import this module: `penrose` and `verma` read the crossed-{2}
-grading E = (1, 1, 0, ..., 0) off `weyl` alone.
+Only the `hasse` command imports this module.  `orbits` builds the
+crossed-{2} diagram from its placements with `weyl` arithmetic, and
+`penrose` and `verma` read the crossed-{2} grading E = (1, 1, 0, ..., 0)
+off `weyl` alone; the tests compare `orbits` with `hasse_diagram`.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ and the BggMap of kind "nonstandard".
 All weights are rho-shifted integer tuples.  Everything lives on the
 crossed-{2} parabolic, whose grading element is E = (1, 1, 0, ..., 0),
 so the conformal weight of w is w[0] + w[1] and this module needs no
-Hasse code (`parabolic` is not imported).  At n = 2, E is (1/2, 1/2)
+Hasse or orbit code: it imports `weyl` alone, which also holds the
+twistor weights tilde_lambda and the operator kinds.  At n = 2, E is (1/2, 1/2)
 and w[0] + w[1] is twice the conformal weight, but no order is read
 there: the only n = 2 complex (k = 1) has a single cell, so it has no
 map, no differential and no bridge, and the k = 0 candidate needs
@@ -32,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from bgg import orbits
-from bgg.orbits import NONSTANDARD, STANDARD
-from bgg.weyl import Weight
+from bgg import weyl
+from bgg.weyl import NONSTANDARD, STANDARD, Weight
 
 BULLET = "bullet"
 KERNEL = "ker"
@@ -298,7 +298,7 @@ class BggComplex:
 
 
 def format_twistor_weight(n: int, k: int, sign: str = "+") -> str:
-    w = orbits.tilde_lambda(n, k, sign)
+    w = weyl.tilde_lambda(n, k, sign)
     return f"({w[0]} | {', '.join(str(v) for v in w[1:])})"
 
 
@@ -337,7 +337,7 @@ def _conjectural_k0(n: int, sign: str) -> BggComplex:
     2n-2 cells in order of p: no direct image dies at k = 0."""
     if n < 3:
         raise ValueError("need n >= 3")
-    orbits.tilde_lambda(n, 0, sign)  # only '+': k = 0 has a single conjugate
+    weyl.tilde_lambda(n, 0, sign)  # only '+': k = 0 has a single conjugate
     entries = _cells(n, 0)
     terms = list(entries.values())
     cw = list(_conformal_weights(entries).values())

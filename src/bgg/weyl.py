@@ -12,10 +12,13 @@ negative).  The group as signed permutations, with products, inverses,
 reflections and root-counting lengths, is kept as the test oracle in
 tests/weyl_oracle.py.
 
-This is the only layer the crossed-{2} Penrose and Verma code stands
-on: there E = (1, 1, 0, ..., 0), so a conformal weight is w_1 + w_2 and
-the nilradical is the positive roots whose vectors have w_1 + w_2 > 0,
-with no call into `parabolic`.
+This is the only layer the crossed-{2} orbit, Penrose and Verma code
+stands on: there E = (1, 1, 0, ..., 0), so a conformal weight is w_1 +
+w_2 and the nilradical is the positive roots whose vectors have w_1 +
+w_2 > 0, with no call into `parabolic`.  The weight families lambda_k
+(on iGr(2, 2n)) and tilde_lambda (on iGr(1, 2n)) and the operator kinds
+STANDARD and NONSTANDARD live here too, so `penrose` loads `weyl` alone
+and no Penrose or Verma command loads `orbits`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ Weight = tuple[int, ...]
 REGULAR = "regular"
 SEMIREGULAR = "semi-regular"
 SINGULAR = "singular"
+
+# kinds of invariant operator: a standard operator is a Hasse arrow, the
+# non-standard one bridges the two rows of a Penrose E2 page
+STANDARD = "standard"
+NONSTANDARD = "nonstandard"
 
 
 # ---------------------------------------------------------------------------
@@ -172,3 +180,32 @@ def is_dominant(weight: Sequence[int]) -> bool:
     return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and (
         n == 0 or weight[-1] >= 0
     )
+
+
+# ---------------------------------------------------------------------------
+# weight families
+
+
+def lambda_k(n: int, k: int) -> Weight:
+    """The rho-shifted semi-regular weight with k repeated (or trailing 0).
+
+    (n-1, ..., k+1, k, k, k-1, ..., 1) for 1 <= k <= n-1 and
+    (n-1, ..., 1, 0) for k = 0.
+    """
+    if not 0 <= k <= n - 1:
+        raise ValueError("k must satisfy 0 <= k <= n-1")
+    if k == 0:
+        return tuple(range(n - 1, -1, -1))
+    return tuple(range(n - 1, k, -1)) + (k, k) + tuple(range(k - 1, 0, -1))
+
+
+def tilde_lambda(n: int, k: int, sign: str = "+") -> Weight:
+    """The rho-shifted twistor weight (±k | n-1, ..., 1) on iGr(1,2n)."""
+    if not 0 <= k <= n - 1:
+        raise ValueError("k must satisfy 0 <= k <= n-1")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if k == 0 and sign == "-":
+        raise ValueError("k = 0 has a single conjugate (sign '+')")
+    first = k if sign == "+" else -k
+    return (first,) + tuple(range(n - 1, 0, -1))

@@ -10,10 +10,11 @@ Test-only reference, two ways:
   (`weyl_oracle.is_dominant`), and takes each arrow's order as the
   conformal-weight drop (`parabolic.order_bound`).
 
-`orbits.singular_orbit` visits only the per-rank buckets of the
-collision set and their out-edges, and is checked against both.  Each
-rank's Hasse diagram is built here by the all-pairs search of
-`parabolic_oracle`, apart from the one `orbits` keeps.
+`orbits.singular_orbit` lists only the placements of the collision set
+and reads their arrows off its per-rank table, which `orbits` builds
+from the placements with `weyl` arithmetic and without `parabolic`; it
+is checked against both.  Each rank's Hasse diagram is built here by
+the all-pairs search of `parabolic_oracle`.
 
 Three small references ride along: `regular_placements`, the placement
 table filtered from its definition, `placement_to_weight`, the

@@ -392,8 +392,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = bgg.cli.main(sys.argv[1:])
 print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m in ("json", "fractions")))
 """
-_ORBIT_LAYERS = ("weyl", "parabolic", "orbits", "render")
-_PENROSE_LAYERS = ("weyl", "orbits", "penrose")
+_ORBIT_LAYERS = ("weyl", "orbits")
+_PENROSE_LAYERS = ("weyl", "penrose")
 
 
 @pytest.mark.parametrize(
@@ -402,19 +402,23 @@ _PENROSE_LAYERS = ("weyl", "orbits", "penrose")
         ("hasse --n 4", ("weyl", "parabolic")),
         ("regular-orbit --n 3", _ORBIT_LAYERS),
         ("singular-orbit --n 4 --k 2", _ORBIT_LAYERS),
-        ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS),
+        ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS + ("render",)),
         ("relative-bgg --n 4 --k -2", _PENROSE_LAYERS),
         ("penrose-e1 --n 4 --k 2 --page 2", _PENROSE_LAYERS),
         ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
         ("geometry-check --n 3 --count 2", ("geometry", "fractions")),
         ("hasse --n 4 --format json", ("weyl", "parabolic")),
-        ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("json",)),
+        ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("render", "json")),
+        ("singular-orbit --n 14 --k 7", _ORBIT_LAYERS),
+        ("regular-orbit --n 3 --format json", _ORBIT_LAYERS + ("render", "json")),
     ],
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
-    """A fresh `bgg` process imports only the layers its subcommand runs,
-    `json` only if it prints JSON other than a Hasse diagram's (which
+    """A fresh `bgg` process imports only the layers its subcommand runs:
+    `parabolic` only for `hasse`, `orbits` only for the orbit commands,
+    `render` only for a diagram not printed as text, `json` only if it
+    prints JSON other than a Hasse diagram's (which
     `HasseDiagram.to_json` writes itself), and `fractions` only if it
     computes with Fractions (geometry does; no E here is half-integral)."""
     rc, *loaded = python(_LOADED_BY_MAIN, *command.split()).split()

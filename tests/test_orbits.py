@@ -239,10 +239,11 @@ def _assert_same_diagram(got, want, label):
 
 
 def test_placement_rule_matches_full_scan():
-    """Oracle: the diagram built from the per-rank buckets and out-edges
-    equals the one from the placement rule over every Hasse node and
-    edge, and the one from the full scan (w(base) of every node tested
-    for Levi dominance), for n = 2..14, every k and two scaled bases."""
+    """Oracle: the diagram built from the placements of the collision set
+    and the rank table equals the one from the placement rule over every
+    Hasse node and edge, and the one from the full scan (w(base) of every
+    node tested for Levi dominance), for n = 2..14, every k and two
+    scaled bases."""
     cases = [(n, k, None) for n in range(2, 15) for k in range(n)]
     cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
     for n, k, base in cases:
@@ -261,7 +262,8 @@ def test_sliced_images_match_act_from_image():
     cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
     checked = 0
     for n, k, base in cases:
-        mus = {mu[:2]: mu for mu, _ in orbits._crossed2(n).nodes}
+        hd = parabolic.hasse_diagram(parabolic.parabolic(n, (2,)))
+        mus = {mu[:2]: mu for mu, _ in hd.nodes}
         assert len(mus) == 2 * n * (n - 1)
         for nd in orbits.singular_orbit(n, k, base).nodes:
             assert nd.weight == weyl.act_from_image(mus[nd.placement], base), (n, k, nd)
@@ -283,28 +285,48 @@ def test_base_of_the_wrong_length(n, k, base):
         orbits.singular_orbit(n, k, base)
 
 
-def test_crossed2_index_matches_hasse_diagram():
-    """The per-rank buckets hold exactly the nodes with |mu_1| or |mu_2|
-    equal to r, and the out-edges are the Hasse edges from each node,
-    in edge order, each with the linear form <w, root^vee> * grade of
-    its root: checked on every unit vector, so it holds for every w."""
-    for n in range(2, 9):
+def test_rank_table_matches_hasse_diagram():
+    """The rank table is the crossed-{2} Hasse diagram keyed by placement:
+    its rows come in node order, each with the node's weight, and its
+    arrows are the Hasse edges from that node, in edge order, with their
+    roots and orders.  Each arrow's form (i, j, a, b) is the linear form
+    <w, root^vee> * grade of its root: checked on every unit vector, so
+    it holds for every w.  n = 2..12; at n = 2 every grade is halved."""
+    for n in range(2, 13):
         p = parabolic.parabolic(n, (2,))
         hd = parabolic.hasse_diagram(p)
-        memo = orbits._crossed2(n)
-        assert memo.nodes == tuple(hd.nodes) and memo.edges == tuple(hd.edges)
-        assert len(memo.by_abs) == n + 1
-        for r in range(n + 1):
-            want = [i for i, (mu, _) in enumerate(hd.nodes) if r in (abs(mu[0]), abs(mu[1]))]
-            assert list(memo.by_abs[r]) == want, (n, r)
+        table = orbits._rank_table(n)
+        assert list(table) == [mu[:2] for mu, _ in hd.nodes], n
+        assert [node.index for node in table.values()] == list(range(len(hd.nodes)))
+        assert [node.weight for node in table.values()] == [mu for mu, _ in hd.nodes]
+        assert [
+            (node.index, target, root, order)
+            for node in table.values()
+            for target, root, order, _ in node.arrows
+        ] == [tuple(e) for e in hd.edges], n
         units = [tuple(int(c == m) for c in range(n)) for m in range(n)]
-        for i in range(len(hd.nodes)):
-            edges = [e for e in hd.edges if e.source == i]
-            assert [o[:2] for o in memo.out[i]] == [(e.target, e.root) for e in edges], (n, i)
-            for e, (_, _, (ci, cj, a, b)) in zip(edges, memo.out[i]):
-                grade = parabolic.root_grade(e.root, p)
+        for node in table.values():
+            for _, root, order, (ci, cj, a, b) in node.arrows:
+                grade = parabolic.root_grade(root, p)
                 for w in units:
-                    assert a * w[ci] + b * w[cj] == weyl.pairing(w, e.root) * grade, (n, e)
+                    assert a * w[ci] + b * w[cj] == weyl.pairing(w, root) * grade, (n, root)
+                assert a * node.weight[ci] + b * node.weight[cj] == order, (n, root)
+        d = orbits.regular_orbit_projection(n)
+        assert [(nd.placement, nd.weight) for nd in d.nodes] == [
+            (mu[:2], mu) for mu, _ in hd.nodes
+        ]
+        assert [(a.source, a.target, a.root, a.order) for a in d.arrows] == [
+            tuple(e) for e in hd.edges
+        ]
+        assert {a.kind for a in d.arrows} == {orbits.STANDARD}
+
+
+def test_rank_table_refuses_rank_below_two():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="^rank must be at least 2$"):
+            orbits.regular_orbit_projection(n)
+    with pytest.raises(ValueError, match="^rank must be at least 2$"):
+        orbits.singular_orbit(1, 0)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -427,18 +449,25 @@ def test_singular_conjugates_crossed1():
     "build", [lambda: orbits.singular_orbit(5, 2), lambda: orbits.regular_orbit_projection(5)]
 )
 def test_callers_cannot_corrupt_the_memo(build):
-    """The crossed-{2} diagram is built once per n; changing what one call
-    returned must not change what the next call returns."""
-    orbits._crossed2.cache_clear()
+    """The rank table is built once per n, as a read-only mapping of
+    tuples; changing what one call returned must not change what the
+    next call returns."""
+    orbits._rank_table.cache_clear()
     fresh = copy.deepcopy(build())
-    memo = copy.deepcopy(orbits._crossed2(5))
+    table = orbits._rank_table(5)
+    memo = copy.deepcopy(dict(table))
     d = build()
     d.nodes.reverse()
     d.arrows.clear()
     again = build()
     assert again == fresh
-    assert orbits._crossed2(5) == memo
-    _assert_immutable(orbits._crossed2(5))
+    assert orbits._rank_table(5) is table and dict(table) == memo
+    assert orbits._rank_table.cache_info().misses == 1
+    with pytest.raises(TypeError):
+        table[(2, 1)] = table[(2, -1)]
+    for placement, node in table.items():
+        _assert_immutable(placement)
+        _assert_immutable(node)
 
 
 def _assert_immutable(x):
@@ -450,15 +479,15 @@ def _assert_immutable(x):
 
 
 def test_records_are_immutable():
-    """Nodes, arrows and the memo's Hasse records refuse assignment, and
+    """Nodes, arrows and the rank table's rows refuse assignment, and
     keep their field order, defaults and repr."""
     d = orbits.singular_orbit(5, 2)
-    memo = orbits._crossed2(5)
+    row = orbits._rank_table(5)[(5, 4)]
     for record, field in [
         (d.nodes[0], "weight"),
         (d.arrows[0], "order"),
-        (memo.nodes[0], "length"),
-        (memo.edges[0], "root"),
+        (row, "index"),
+        (row, "arrows"),
     ]:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -472,4 +501,4 @@ def test_records_are_immutable():
     assert repr(orbits.OrbitNode((2, 1), (2, 1, 1))) == (
         "OrbitNode(placement=(2, 1), weight=(2, 1, 1))"
     )
-    assert memo.nodes[0].window == weyl.act_from_image(memo.nodes[0].weight, range(1, 6))
+    assert orbits._Node._fields == ("index", "weight", "arrows")

@@ -24,7 +24,8 @@ def test_import_loads_no_layer(python):
         "import bgg.verma\n"
         "assert 'bgg.parabolic' not in sys.modules, sys.modules\n"
         "bgg.orbits.singular_orbit(4, 2)\n"
-        "assert 'bgg.parabolic' in sys.modules\n"
+        "bgg.orbits.regular_orbit_projection(4)\n"
+        "assert 'bgg.parabolic' not in sys.modules, sys.modules\n"
     )
 
 
