@@ -126,11 +126,13 @@ def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
     count of mu (weyl.inversion_length), is read off (m1, m2) in O(1).
     Reflecting mu in a nilradical root gives a node only if the tail
     stays positive and descending, which leaves b_1, b_2, c_12 and, for
-    i = 1, 2, the at most two tail values mu_j next to |mu_i| (a_ij if
-    mu_i > 0, c_ij if mu_i < 0).  A candidate is kept if its target is
-    one longer.  The grading element is E = (1, 1, 0, ..., 0), so a_ij
-    and c_ij (j >= 3) have grade 1 and b_1, b_2, c_12 grade 2; at n = 2
-    node 2 is node n, E = (1/2, 1/2) and every grade halves.
+    i = 1, 2, one tail value mu_j: the one just below |mu_i| for a_ij
+    (mu_i > 0), the one just above it for c_ij (mu_i < 0); the other
+    neighbour's reflection is shorter.  So a node tries at most five
+    reflections, keeping those whose target is one longer.  The grading
+    element is E = (1, 1, 0, ..., 0), so a_ij and c_ij (j >= 3) have
+    grade 1 and b_1, b_2, c_12 grade 2; at n = 2 node 2 is node n,
+    E = (1/2, 1/2) and every grade halves.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -175,13 +177,14 @@ def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
             ((-m2, -m1), (m1 + m2) * big, c12),
         ]
         for i, x, other in ((0, m1, b), (1, m2, a)):
-            v = abs(x)
-            for t in (v + 1 if v + 1 != other else v + 2, v - 1 if v - 1 != other else v - 2):
-                if 1 <= t <= n:
-                    y = t if x > 0 else -t
-                    j = 2 + n - t - (a > t) - (b > t)  # t's position in mu
-                    root_form = (a_ij if x > 0 else c_ij)[i][j]
-                    found.append(((m1, y) if i else (y, m2), x - y, root_form))
+            # a_ij takes the tail value just below |x|, c_ij the one just above
+            step = -1 if x > 0 else 1
+            t = abs(x) + step if abs(x) + step != other else abs(x) + 2 * step
+            if 1 <= t <= n:
+                y = t if x > 0 else -t
+                j = 2 + n - t - (a > t) - (b > t)  # t's position in mu
+                root_form = (a_ij if x > 0 else c_ij)[i][j]
+                found.append(((m1, y) if i else (y, m2), x - y, root_form))
         up = length[p] + 1
         arrows = [
             (index[target], root, order, form)

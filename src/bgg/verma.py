@@ -27,31 +27,30 @@ letters stays in U(u^-): Y_y Y^w, for a letter y that sorts after the
 first letter of w, is kept in the lowering table.  For a label code x
 that is not a letter, the straightening table holds
 
-    x Y^w = sum over w2 of Y^w2 (a_0 + sum_i a_i h_i + sum_z c_z z)
+    x Y^w = sum over (w2, z) of c Y^w2 z
 
-in U(g), z the Levi labels other than the h_i.  The h_i act on f by
-wt(f), so each output word keeps its Cartan part folded into the
-integer linear form a_0 + sum_i a_i wt(f)_i.  Both tables are computed
-by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, a letter that sorts
-before y being simply prepended.  At the empty word a u^+ label, which
-kills F, is dropped.  The straightening table is keyed by (code, word)
-alone and serves every Levi module of the rank: on a trivial V an h_i
-with i >= 3 has the form wt(f)_i = 0, and a label of sp(2n-4) finds no
-slot to move.  A suffix shared by many words is thus straightened once,
-whatever lam.
+in U(g), one entry ((w2, z), c) per term: z a Levi label, the h_i
+included, or None for the scalar 1.  Both tables are computed by
+x Y_y rest = Y_y (x rest) + [x, Y_y] rest, a letter that sorts before
+y being simply prepended.  At the empty word a u^+ label, which kills
+F, is dropped.  The straightening table is keyed by (code, word) alone
+and serves every Levi module of the rank: on a trivial V a label of
+sp(2n-4), h_i with i >= 3 included, finds no slot to move.  A suffix
+shared by many words is thus straightened once, whatever lam.
 
-A Levi label other than the h_i moves a basis vector of F to at most one
-other, as a per-rank table says, so a LeviModule keeps no memo; the
-modules of a rank are kept in its record by lam.  act is the one left
-action: a letter lowers each word through the lowering table, and any
-other label is read off the straightening table and moves f through the
-Levi module (GeneralizedVerma._left).  Each monomial's row is its images
-under the simple raising operators, kept in the same record by lam, so
-every GeneralizedVerma of one (n, lam) reads the same rows.
-check_maximal sums the rows of an element, and maximal_vector_dimension
-eliminates the rows of a weight space fraction-free over the integers,
-sparsest columns first.  combine reads each root's letter code once, by
-(kind, i, j), and applies the letters through act, right to left.
+Every Levi label, the h_i included, moves a basis vector of F to at most
+one other, as a per-rank table of its matrix entries says, so a
+LeviModule keeps no memo; the modules of a rank are kept in its record
+by lam.  act is the one left action: a letter lowers each word through
+the lowering table, and any other label is read off the straightening
+table and moves f through the Levi module (GeneralizedVerma._left).
+Each monomial's row is its images under the simple raising operators,
+kept in the same record by lam, so every GeneralizedVerma of one (n,
+lam) reads the same rows.  check_maximal sums the rows of an element,
+and maximal_vector_dimension eliminates the rows of a weight space
+fraction-free over the integers, sparsest columns first.  combine reads
+each root's letter code once, by (kind, i, j), and applies the letters
+through act, right to left.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
@@ -116,16 +115,16 @@ class RankTables(NamedTuple):
     labels with their codes (a letter's is its index), each letter's code
     by its root's (kind, i, j) and the simple raising codes; the slots,
     the rows of C^{2n} that span the standard module of sp(2n-4); and
-    each Levi label's action by code as (i, gl2, moves): the coordinate i
-    of the weight that h_i reads (0 for the others), the label's (row,
-    col, value) entry in the gl(2) block or None, and its moves of slot t
-    to (t2, value).  Then the memos: the brackets by code pair, the
-    lowering table and the straightening table by (code, word), one for
-    every Levi module of the rank, since on a trivial V the labels of
-    sp(2n-4) act as zero through their forms and LeviModule._move (see
-    straighten), the word table of each grade (graded), the Levi modules
-    by lam, each lam's rows by monomial (GeneralizedVerma._row), and the
-    first arrows of the rank by (k, sign), shifted by rho (verify_row)."""
+    each Levi label's action by code as (gl2, moves): the label's (row,
+    col, value) entry in the gl(2) block or None, and its moves of slot
+    t to (t2, value), h_i with i >= 3 moving two slots to themselves.
+    Then the memos: the brackets by code pair, the lowering table and
+    the straightening table by (code, word), one for every Levi module
+    of the rank, since on a trivial V the labels of sp(2n-4) find no
+    slot to move in LeviModule._move (see straighten), the word table of
+    each grade (graded), the Levi modules by lam, each lam's rows by
+    monomial (GeneralizedVerma._row), and the first arrows of the rank
+    by (k, sign), shifted by rho (verify_row)."""
 
     matrices: Mapping
     leads: Mapping
@@ -216,72 +215,34 @@ class RankTables(NamedTuple):
 
     def straighten(self, x: int, word: tuple) -> tuple:
         """x Y^word for a label code x that is not a letter and a
-        normal-ordered word, as (forms, levi): forms the pairs (w2, form)
-        of each output word whose form a_0 + sum_i a_i wt(f)_i is not zero,
-        form the pairs (i, a_i) with i = 0 for a_0, and levi the pairs
-        ((w2, z), c) of the other Levi labels.  No vector of F is in it,
-        so one table serves every Levi module of the rank: on a trivial V
-        the labels of sp(2n-4) act as zero through their forms and
-        LeviModule._move.  Read off the table, and computed into it the
-        first time (see the module docstring)."""
+        normal-ordered word, as the pairs ((w2, z), c): c Y^w2 z, z a
+        Levi label code, h_i included, or None for the scalar 1.  No
+        vector of F is in it, so one table serves every Levi module of
+        the rank: on a trivial V a label of sp(2n-4), h_i with i >= 3
+        included, finds no slot to move in LeviModule._move.  Read off
+        the table, and computed into it the first time (see the module
+        docstring)."""
         got = self.straightening.get((x, word))
         if got is not None:
             return got
-        forms: dict = {}  # w2 -> its form, a tuple, or a dict once merged
-        merged: list = []
-        levis: dict = {}  # (w2, z) -> c
-        if not word:
-            spec = self.levi.get(x)  # None for a u^+ label, which kills F
-            if spec is not None:
-                if spec[0]:
-                    forms[()] = ((spec[0], 1),)
-                else:
-                    levis[(), x] = 1
-        else:
+        # (w2, z) -> c; at the empty word a u^+ label, not in levi, kills F
+        out: dict = {((), x): 1} if not word and x in self.levi else {}
+        if word:
             y, rest = word[0], word[1:]
-            part = self.straighten(x, rest)
-            for w2, form in part[0]:
+            for (w2, z), c in self.straighten(x, rest):
                 for w3, c3 in self.lower(y, w2):
-                    _fold(forms, merged, w3, c3, form)
-            for (w2, z), c in part[1]:
-                for w3, c3 in self.lower(y, w2):
-                    levis[w3, z] = levis.get((w3, z), 0) + c * c3
+                    out[w3, z] = out.get((w3, z), 0) + c * c3
             for z, zc in self.bracket(x, y):
                 if z < len(self.letters):
                     for w3, c3 in self.lower(z, rest):
-                        _fold(forms, merged, w3, zc * c3, ((0, 1),))
+                        out[w3, None] = out.get((w3, None), 0) + zc * c3
                     continue
-                part = self.straighten(z, rest)
-                for w3, form in part[0]:
-                    _fold(forms, merged, w3, zc, form)
-                for (w3, z2), c in part[1]:
-                    levis[w3, z2] = levis.get((w3, z2), 0) + zc * c
-        for w2 in merged:
-            form = tuple(item for item in forms[w2].items() if item[1])
-            if form:
-                forms[w2] = form
-            else:
-                del forms[w2]
-        if 0 in levis.values():
-            levis = {key: c for key, c in levis.items() if c}
-        got = (tuple(forms.items()), tuple(levis.items()))
-        self.straightening[x, word] = got
+                for key, c in self.straighten(z, rest):
+                    out[key] = out.get(key, 0) + zc * c
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        got = self.straightening[x, word] = tuple(out.items())
         return got
-
-
-def _fold(forms: dict, merged: list, w2: tuple, c: int, form: tuple) -> None:
-    """Add c times a form into the form of Y^w2 (see straighten): a word
-    met once keeps the tuple, scaled if c is not 1; one met again gets a
-    dict, and is listed in merged to be frozen."""
-    acc = forms.get(w2)
-    if acc is None:
-        forms[w2] = form if c == 1 else tuple((i, c * a) for i, a in form)
-        return
-    if type(acc) is tuple:
-        acc = forms[w2] = dict(acc)
-        merged.append(w2)
-    for i, a in form:
-        acc[i] = acc.get(i, 0) + c * a
 
 
 @functools.lru_cache(maxsize=8)
@@ -322,13 +283,10 @@ def _rank(n: int) -> RankTables:
     upper = {("e", r) for r in order}
     levi = {}
     for x in range(len(letters), len(labels)):
-        kind, i = labels[x]
-        if kind == "h":
-            levi[x] = (i, None, MappingProxyType({}))
-        elif labels[x] not in upper:
+        if labels[x] not in upper:
             gl2 = next(((r, c, v) for r, c, v in entries[x] if r < 2 and c < 2), None)
             moves = {slot[c]: (slot[r], v) for r, c, v in entries[x] if r in slot and c in slot}
-            levi[x] = (0, gl2, MappingProxyType(moves))
+            levi[x] = (gl2, MappingProxyType(moves))
     return RankTables(
         matrices=MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()}),
         # the least key of each matrix holds 1 and is a key of no other
@@ -387,16 +345,17 @@ class LeviModule:
     the t-th slot of V (t None for a trivial V).
 
     Every label acts through its matrix in sp(2n), rows and columns
-    counted from 0.  h_i acts on a basis vector by its weight's i-th
-    coordinate.  Any other Levi label is a root vector with one entry
-    (r, c, v) in the gl(2) block, rows 0-1, or with its entries among
-    the slots, the rows e_3..e_n, f_3..f_n of C^{2n} that span V.  The
-    first acts on the gl(2) factor as the derivation x_r d/dx_c, which
-    gives v j or v (m - j) with no lam_2 in it; the second moves slot
-    c to slot r with coefficient v, whatever lam.  Either way a basis
-    vector goes to at most one other, read off the rank's table `levi`
-    by _move, which GeneralizedVerma._left calls; on a trivial V, t is
-    None and a label of sp(2n-4) finds no slot to move.
+    counted from 0.  A Levi label has one entry (r, c, v) in the gl(2)
+    block, rows 0-1, or its entries among the slots, the rows e_3..e_n,
+    f_3..f_n of C^{2n} that span V.  The first acts on the gl(2) factor
+    as the derivation x_r d/dx_c, which gives v j or v (m - j), plus v
+    lam_2 from det^{lam_2} for a diagonal entry: h_1 gives lam_1 - j and
+    h_2 gives lam_2 + j.  The second moves slot c to slot r with
+    coefficient v, whatever lam; h_i with i >= 3 moves a slot to itself
+    with coefficient +-1.  Either way a basis vector goes to at most one
+    other, read off the rank's table `levi` by _move, which
+    GeneralizedVerma._left calls; on a trivial V, t is None and a label
+    of sp(2n-4) finds no slot to move.
     No other label acts: the grading element splits C^{2n} into rows
     0-1, the slots and rows n, n+1 (grades 1, 0, -1), and a u^+ or u^-
     matrix only moves that grade, so it has no entry inside a block and
@@ -441,13 +400,14 @@ class LeviModule:
         return tuple(w)
 
     def _move(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
-        """The action of a Levi label code z other than h_i on a basis
-        vector: at most one (index, coeff) pair (see the class)."""
-        _, gl2, moves = self.tables.levi[z]
+        """The action of a Levi label code z on a basis vector, read off
+        its matrix entries: at most one (index, coeff) pair (see the
+        class)."""
+        gl2, moves = self.tables.levi[z]
         j, t = self.basis[idx]
         if gl2 is not None:
             r, c, v = gl2
-            coeff = v * (j if c else self.m - j)
+            coeff = v * ((j if c else self.m - j) + (self.lam[1] if r == c else 0))
             return ((self._index[j + r - c, t], coeff),) if coeff else ()
         move = moves.get(t)
         if move is None:
@@ -473,14 +433,13 @@ class GeneralizedVerma:
     Straightening and the grade tables of weight spaces depend on n
     alone and are read off `tables`, the record of the rank (_rank), one
     straightening table for every Levi module of the rank (on a trivial
-    V the labels of sp(2n-4) act as zero through their forms and
-    LeviModule._move); `module` is
-    the LeviModule F(lam), kept in the same record by lam, so every
-    GeneralizedVerma of one (n, lam) shares it.  `_left` joins the two
-    for a label that is not a letter.  act is the one left action on
-    elements: combine applies each letter through it, and _row lists
-    each monomial's `_left` images under the simple raising operators.
-    `letters` is the rank's letter list.
+    V the labels of sp(2n-4) find no slot to move in LeviModule._move);
+    `module` is the LeviModule F(lam), kept in the same record by lam,
+    so every GeneralizedVerma of one (n, lam) shares it.  `_left` joins
+    the two for a label that is not a letter.  act is the one left
+    action on elements: combine applies each letter through it, and _row
+    lists each monomial's `_left` images under the simple raising
+    operators.  `letters` is the rank's letter list.
 
     The rows (_row) are kept in the same record by lam too, so every
     GeneralizedVerma of one (n, lam) reads the same rows and they go
@@ -519,18 +478,15 @@ class GeneralizedVerma:
 
     def _left(self, x: int, word: tuple, f: int) -> Element:
         """x . (Y^word tensor f) in normal form, as a new element, for a
-        label code x that is not a letter: each output word of the
-        straightened x Y^word with its form at wt(f), and with each other
-        Levi label moving f through the Levi module."""
+        label code x that is not a letter: each entry ((w2, z), c) of the
+        straightened x Y^word gives c Y^w2 tensor f for z None, and moves
+        f through the Levi module otherwise."""
         out: Element = {}
-        wt, move = self.module.weights[f], self.module._move
-        forms, levis = self.tables.straighten(x, word)
-        for w2, form in forms:
-            c = 0
-            for i, a in form:
-                c += a * wt[i - 1] if i else a
-            _add(out, (w2, f), c)
-        for (w2, z), a in levis:
+        move = self.module._move
+        for (w2, z), a in self.tables.straighten(x, word):
+            if z is None:
+                _add(out, (w2, f), a)
+                continue
             for f2, c2 in move(z, f):
                 _add(out, (w2, f2), a * c2)
         return out

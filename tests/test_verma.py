@@ -449,6 +449,39 @@ def test_levi_act_matches_entry_oracle(n):
             assert moved or len(mod.basis) == 1, lam
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_cartan_labels_act_through_their_matrix_entries(n):
+    """Every Levi label's table entry is (gl2, moves), h_i included, and
+    LeviModule._move gives each h_i its weight coordinate: (idx, wt_i),
+    or nothing when wt_i = 0, on both tails and m = 0, 1, 2.  After the
+    catalogue rows of the rank are checked, every straightening entry is
+    ((w2, z), c) with z None or a Levi label code and c a nonzero int."""
+    tables = verma._rank(n)
+    for gl2, moves in tables.levi.values():
+        assert gl2 is None or len(gl2) == 3
+        assert type(moves) is MappingProxyType
+    cartan = [(tables.code["h", i], i) for i in range(1, n + 1)]
+    for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
+        for lam in ((0, 0) + tail, (1, 0) + tail, (0, -2) + tail):
+            mod = verma.GeneralizedVerma(n, lam).module
+            for idx in range(len(mod.basis)):
+                wt = mod.weight(idx)
+                for x, i in cartan:
+                    want = ((idx, wt[i - 1]),) if wt[i - 1] else ()
+                    assert mod._move(x, idx) == want, (lam, i, idx)
+    for row in _catalogue([n]):
+        verma.verify_row(row)
+    tables = verma._rank(n)
+    kinds = set()
+    for entries in tables.straightening.values():
+        assert type(entries) is tuple
+        for (w2, z), c in entries:
+            assert type(w2) is tuple and (z is None or z in tables.levi)
+            assert type(c) is int and c
+            kinds.add(None if z is None else tables.labels[z][0])
+    assert kinds == {None, "h", "e", "y"}
+
+
 def test_levi_module_rejects_lie_data_of_another_rank():
     """A LieData of another rank, larger or smaller, is refused by
     verify_row, the one function that still takes one."""
@@ -852,8 +885,8 @@ def test_weights_of_the_wrong_length_are_refused():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_label_code_action_matches_levi_act(n):
     """At the empty word each label code acts on F through the
-    straightening table, its form and its Levi moves, as every entry of
-    the label's matrix acts, for every label and basis vector and both
+    straightening table and its Levi moves, as every entry of the
+    label's matrix acts, for every label and basis vector and both
     tails; the raising codes are those of the simple raising labels."""
     tails = [(0,) * (n - 2)] + ([(1,) + (0,) * (n - 3)] if n > 2 else [])
     for tail in tails:
