@@ -17,7 +17,12 @@ It reports two things:
   swept twice after `import bgg.orbits`: the first sweep is cold (it
   builds whatever the tree builds per rank, and loads whatever it loads
   on first use), the second warm.  Medians over N runs, with the median
-  of the runs' cold/warm ratios.
+  of the runs' cold/warm ratios;
+- in the same processes, the build of the rank's table on its own: the
+  first call of `orbits._rank_table(60)`, timed with perf_counter just
+  before the cold sweep and counted in it.  Its median over N runs does
+  not carry the spread of whole sweeps from process to process.  A tree
+  whose `bgg.orbits` has no `_rank_table` reports none.
 
 With two or more trees it also checks that each command prints the same
 bytes in every tree.  It exits 1 if a command fails or the outputs
@@ -27,6 +32,7 @@ differ, else 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import subprocess
@@ -55,8 +61,13 @@ def sweep():
     for k in range(60):
         orbits.singular_orbit(60, k)
     return time.perf_counter() - start
-cold = sweep()
-print(cold, sweep())
+build = getattr(orbits, "_rank_table", None)
+start = time.perf_counter()
+if build is not None:
+    build(60)
+table = time.perf_counter() - start
+cold = table + sweep()
+print(cold, sweep(), table if build is not None else "nan")
 """
 
 
@@ -77,7 +88,9 @@ def _cli(tree: Path, command: str) -> tuple[float, int, bytes]:
     return time.perf_counter() - start, done.returncode, done.stdout
 
 
-def _sweep(tree: Path) -> tuple[float, float]:
+def _sweep(tree: Path) -> tuple[float, float, float]:
+    """Cold sweep, warm sweep and table build (nan if the tree has no
+    `orbits._rank_table`) of one fresh process, in s."""
     out = subprocess.run(
         [sys.executable, "-c", SWEEP],
         env=_env(tree),
@@ -86,8 +99,8 @@ def _sweep(tree: Path) -> tuple[float, float]:
         check=True,
         text=True,
     ).stdout
-    cold, warm = map(float, out.split())
-    return cold, warm
+    cold, warm, table = map(float, out.split())
+    return cold, warm, table
 
 
 def _turns(trees: list[Path], run: int) -> list[int]:
@@ -134,18 +147,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {command:55s} {cells}  {ratios}{note}")
 
     print("\nsingular_orbit(60, k) for every k in one fresh process, median s")
-    sweeps: list[list[tuple[float, float]]] = [[] for _ in trees]
+    sweeps: list[list[tuple[float, float, float]]] = [[] for _ in trees]
     for run in range(args.runs):
         for i in _turns(trees, run):
             sweeps[i].append(_sweep(trees[i]))
     for i, runs in enumerate(sweeps):
-        cold = statistics.median(c for c, _ in runs)
-        warm = statistics.median(w for _, w in runs)
-        lo, hi = min(c for c, _ in runs), max(c for c, _ in runs)
-        ratio = statistics.median(c / w for c, w in runs)
+        cold = statistics.median(c for c, _, _ in runs)
+        warm = statistics.median(w for _, w, _ in runs)
+        lo, hi = min(c for c, _, _ in runs), max(c for c, _, _ in runs)
+        ratio = statistics.median(c / w for c, w, _ in runs)
         print(
             f"  tree {i}: cold {cold:.3f} (range {lo:.3f}-{hi:.3f})  warm {warm:.3f}"
             f"  cold/warm {ratio:.2f} (median of the runs' ratios)"
+        )
+
+    print("\norbits._rank_table(60), first call in each of those processes, median ms")
+    for i, runs in enumerate(sweeps):
+        tables = [t for _, _, t in runs if not math.isnan(t)]
+        if not tables:
+            print(f"  tree {i}: none (bgg.orbits has no _rank_table)")
+            continue
+        print(
+            f"  tree {i}: {1e3 * statistics.median(tables):.1f}"
+            f" (range {1e3 * min(tables):.1f}-{1e3 * max(tables):.1f})"
         )
     return 0 if ok else 1
 

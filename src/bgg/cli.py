@@ -189,6 +189,8 @@ def _cmd_penrose_e1(args) -> int:
 
 
 def _cmd_bgg_complex(args) -> int:
+    if args.k == 0 and not args.conjectural:
+        raise ValueError("the k = 0 complex is conjectural; pass conjectural=True")
     from bgg import penrose
 
     cx = penrose.assemble_singular_bgg(

@@ -26,13 +26,19 @@ set and the image's first pair descends strictly; nothing else of mu
 needs looking at.  A singular orbit lists the placements of its
 collision set and reads the arrows of the kept ones from the table.
 Nodes and arrows are immutable records (NamedTuples); a diagram holds
-them in plain lists.
+them in plain lists.  A diagram holds hundreds of records, and a
+NamedTuple's own constructor is a Python-level function that costs
+about twice tuple.__new__, so this module and `render.from_json` build
+every record from its field tuple through `_node` and `_arrow`,
+tuple.__new__ bound to the record type: the same type, equality and
+repr at C speed.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -82,6 +88,11 @@ class OrbitArrow(NamedTuple):
     kind: str
     root: Optional[Root] = None
     order: Optional[int] = None
+
+
+# a record from its field tuple, all fields given, with no Python-level call
+_node = functools.partial(tuple.__new__, OrbitNode)
+_arrow = functools.partial(tuple.__new__, OrbitArrow)
 
 
 @dataclass
@@ -200,9 +211,9 @@ def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
 def regular_orbit_projection(n: int) -> OrbitDiagram:
     """The regular orbit of rho for crossed={2}, placed at (m1, m2)."""
     table = _rank_table(n)
-    nodes = [OrbitNode(p, node.weight) for p, node in table.items()]
+    nodes = [_node((p, node.weight)) for p, node in table.items()]
     arrows = [
-        OrbitArrow(source, target, STANDARD, root, order)
+        _arrow((source, target, STANDARD, root, order))
         for source, node in enumerate(table.values())
         for target, root, order, _ in node.arrows
     ]
@@ -277,7 +288,7 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
                     node = table[p]
                     kept.append((node.index, p, x + rest, node.arrows))
     kept.sort()  # the indices are distinct, so nothing else is compared
-    nodes = [OrbitNode(p, image) for _, p, image, _ in kept]
+    nodes = list(map(_node, map(itemgetter(1, 2), kept)))
     index = {kp[0]: new for new, kp in enumerate(kept)}
 
     # The target's image is s_alpha of the source's, so the conformal-weight
@@ -298,7 +309,7 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
                 kind = SUPPRESSED if suppressed else STANDARD
                 i, j, a, b = form
                 order = a * w[i] + b * w[j]
-            arrows.append(OrbitArrow(s, t, kind, root, order))
+            arrows.append(_arrow((s, t, kind, root, order)))
 
     by_weight: dict[Weight, list[int]] = {}
     for i, nd in enumerate(nodes):

@@ -7,11 +7,14 @@ rows splice, across the column where the direct image dies, into a
 complex of 2n-3 invariant operators: the splice map is the one
 non-standard operator (order two in general, three when k = 1).
 
-Each page or complex builds its E1 cells and the conformal weights it
-needs once per call (the E2 page only those of its bridge) and reads
-every order bound as the difference of two conformal weights; nothing
-is cached across calls.  The E1 cells are read in one pass over the
-terms of the relative resolution, with the rule of bbw_direct_image
+The (p, middle, tail) terms of the relative resolution depend on n
+alone: they are one read-only tuple per rank, built once for the 8
+ranks used last (_rank_terms), and every call still checks its (n, k)
+before it reads them.  Nothing else is kept across calls: each page or
+complex builds its E1 cells and the conformal weights it needs once per
+call (the E2 page only those of its bridge) and reads every order bound
+as the difference of two conformal weights.  The E1 cells are read in
+one pass over the rank's terms, with the rule of bbw_direct_image
 applied in the loop; the two terms with middles m and -m share one tail
 tuple.  Every vanishing E2 entry is the one module-level frozen bullet
 record.  The non-standard operator has one model: the PageMap (on E2)
@@ -30,8 +33,9 @@ n >= 3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from bgg import weyl
 from bgg.weyl import NONSTANDARD, STANDARD, Weight
@@ -45,8 +49,7 @@ COKERNEL = "coker"
 # relative BGG resolution
 
 
-@dataclass(frozen=True)
-class RelativeBggTerm:
+class RelativeBggTerm(NamedTuple):
     """Term p of the relative BGG resolution: rho-shifted weight
     (first | middle | tail) with the fiber direction in coordinate 2."""
 
@@ -63,20 +66,29 @@ class RelativeBggTerm:
         return {"p": self.p, "first": self.first, "middle": self.middle, "tail": list(self.tail)}
 
 
-def _relative_terms(n: int, k_signed: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The terms of relative_bgg as plain (p, middle, tail) tuples; the
-    terms with middles m and -m share one tail tuple."""
+@functools.lru_cache(maxsize=8)
+def _rank_terms(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The (p, middle, tail) terms of every relative resolution of rank
+    n, built once per n (for the 8 ranks used last).  A tuple of tuples,
+    so no caller can change it for the next one; the terms with middles
+    m and -m share one tail tuple."""
+    values = tuple(range(n - 1, 0, -1))  # |m| sits at index n-1-|m|
+    tails = [values[:i] + values[i + 1 :] for i in range(n - 1)]
+    top = list(zip(values, tails))
+    return tuple(
+        (p, m, tail)
+        for p, (m, tail) in enumerate(top + [(-m, tail) for m, tail in reversed(top)])
+    )
+
+
+def _relative_terms(n: int, k_signed: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The terms of relative_bgg as plain (p, middle, tail) tuples, read
+    off the rank's table once (n, k_signed) is checked."""
     if n < 2:
         raise ValueError("rank must be at least 2")
     if not 0 <= abs(k_signed) <= n - 1:
         raise ValueError("need |k| <= n-1")
-    values = tuple(range(n - 1, 0, -1))  # |m| sits at index n-1-|m|
-    tails = [values[:i] + values[i + 1 :] for i in range(n - 1)]
-    top = list(zip(values, tails))
-    return [
-        (p, m, tail)
-        for p, (m, tail) in enumerate(top + [(-m, tail) for m, tail in reversed(top)])
-    ]
+    return _rank_terms(n)
 
 
 def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:

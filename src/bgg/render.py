@@ -17,20 +17,24 @@ fit) is formatted by the same function that fills the table.
 JSON output is schema-stable and holds the whole diagram, so
 from_json(to_json(d)) == d.  to_json writes the text straight from the
 diagram's immutable node and arrow records (NamedTuples), formatting
-each distinct arrow tail (kind, root, order) once per call; from_json
-builds those records directly from the parsed JSON, with one Root per
-distinct root.  Neither JSON direction keeps anything across calls.
+each distinct arrow tail (kind, root, order) once per call.  from_json
+builds those records from the parsed JSON through `orbits._node` and
+`orbits._arrow`, which take a record's field tuple at C speed (a
+NamedTuple's own constructor is a Python-level call per record): it
+puts the one Root of each distinct root into the parsed arrows in
+place, then reads every arrow's fields in one pass of itemgetter.
+Neither JSON direction keeps anything across calls.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from bgg import orbits
-from bgg.orbits import OrbitArrow, OrbitDiagram, OrbitNode
+from bgg.orbits import OrbitArrow, OrbitDiagram, _arrow, _node
 from bgg.weyl import Root
 
 _PREAMBLE = r"""% marks: \ldominant node, \trivial cross, \arrow standard map,
@@ -44,8 +48,7 @@ _PREAMBLE = r"""% marks: \ldominant node, \trivial cross, \arrow standard map,
 """
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+class RenderConfig(NamedTuple):
     skip_columns: tuple[int, ...] = ()
     show_labels: bool = False
     show_suppressed: bool = False
@@ -270,33 +273,33 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     return text + "\n"
 
 
+# a parsed arrow's field tuple, in OrbitArrow's field order
+_ARROW_FIELDS = itemgetter(*OrbitArrow._fields)
+
+
 def from_json(text: str) -> OrbitDiagram:
     import json
 
     data = json.loads(text)
-    nodes = [
-        OrbitNode(tuple(nd["placement"]), tuple(nd["weight"]))
-        for nd in data["nodes"]
-    ]
-    # each distinct root is built once and shared by its arrows
+    nodes = [_node((tuple(nd["placement"]), tuple(nd["weight"]))) for nd in data["nodes"]]
+    # each distinct root is built once and shared by its arrows: it takes
+    # the place of the root's dict in the parsed arrow
     roots: dict[tuple, Root] = {}
-    arrows = []
-    for a in data["arrows"]:
+    arrows = data["arrows"]
+    for a in arrows:
         r = a["root"]
         if r:
             key = (r["kind"], r["i"], r["j"])
             r = roots.get(key)
             if r is None:
                 r = roots[key] = Root(*key)
-        else:
-            r = None
-        arrows.append(OrbitArrow(a["source"], a["target"], a["kind"], r, a["order"]))
+        a["root"] = r or None
     return OrbitDiagram(
         data["kind"],
         data["n"],
         data["k"],
         nodes,
-        arrows,
+        list(map(_arrow, map(_ARROW_FIELDS, arrows))),
         [tuple(c) for c in data["coincidences"]],
         conjectural=data["conjectural"],
     )

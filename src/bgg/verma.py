@@ -686,8 +686,7 @@ def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
     )
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     row: SingularVectorRow
     d1_match: bool
     weight_ok: bool

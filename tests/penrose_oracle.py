@@ -1,11 +1,12 @@
 """The page and complex builders that `bgg.penrose` no longer carries.
 
 Test-only reference.  Here every page and complex is built the long way:
-the E1 entries from `RelativeBggTerm` objects, each page from a fresh
-E1 page (the E2 page and every assembled complex build their own), and
+the relative resolution term by term from its definition, the E1
+entries from its `RelativeBggTerm` objects, each page from a fresh E1
+page (the E2 page and every assembled complex build their own), and
 every order bound by a `parabolic.order_bound` call per map.  The
-one-pass builders of `bgg.penrose` are checked against these through
-`to_dict()`.
+one-pass builders of `bgg.penrose`, which read the resolution off a
+per-rank table, are checked against these through `to_dict()`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,26 @@ from bgg.penrose import (
     BggMap,
     E2Entry,
     PageMap,
+    RelativeBggTerm,
     SpectralPage,
 )
+
+
+def relative_bgg(n: int, k_signed: int) -> list:
+    """Term p has weight (k_signed | m | tail): m runs over n-1, ..., 1,
+    -1, ..., -(n-1), and the tail lists {1, ..., n-1} without |m|,
+    descending."""
+    middles = list(range(n - 1, 0, -1)) + list(range(-1, -n, -1))
+    return [
+        RelativeBggTerm(p, k_signed, m, tuple(v for v in range(n - 1, 0, -1) if v != abs(m)))
+        for p, m in enumerate(middles)
+    ]
 
 
 def e1_entries(n: int, k: int, sign: str = "+") -> dict:
     ks = penrose._validate(n, k, sign)
     entries = {}
-    for t in penrose.relative_bgg(n, ks):
+    for t in relative_bgg(n, ks):
         img = penrose.bbw_direct_image(t.first, t.middle, t.tail)
         if img is None:
             continue

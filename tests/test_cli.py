@@ -544,6 +544,20 @@ def test_skip_errors_load_no_layer(python, command):
     assert loaded == ["bgg.cli"]
 
 
+def test_refused_k0_complex_loads_no_layer(python, capsys):
+    """`bgg-complex --k 0` without --conjectural is refused on its options
+    alone, with the library's own message: exit 1, and only `bgg.cli`
+    loaded."""
+    rc, *loaded = python(_EXIT_AND_LOADED, "bgg-complex", "--n", "5", "--k", "0").split()
+    assert rc == "1"
+    assert loaded == ["bgg.cli"]
+    from bgg import penrose
+
+    with pytest.raises(ValueError) as refused:
+        penrose.assemble_singular_bgg(5, 0)
+    assert run(capsys, "bgg-complex", "--n", "5", "--k", "0") == (1, "", f"error: {refused.value}\n")
+
+
 def test_skip_omits_its_columns(capsys):
     """At n = 4 the regular orbit has 24 node marks; --skip 3 leaves the
     12 with no coordinate of absolute value 3."""

@@ -503,3 +503,17 @@ def test_records_are_immutable():
         "OrbitNode(placement=(2, 1), weight=(2, 1, 1))"
     )
     assert orbits._Node._fields == ("index", "weight", "arrows")
+
+
+def test_returned_diagrams_are_the_callers_own():
+    """Changing a diagram's nodes or arrows list leaves the next call's
+    diagram as it was."""
+    for build in (lambda: orbits.singular_orbit(6, 2), lambda: orbits.regular_orbit_projection(6)):
+        d = build()
+        nodes, arrows = list(d.nodes), list(d.arrows)
+        d.nodes.reverse()
+        d.nodes.pop()
+        d.nodes[0] = None
+        d.arrows.clear()
+        again = build()
+        assert again.nodes == nodes and again.arrows == arrows

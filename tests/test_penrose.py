@@ -334,6 +334,50 @@ def test_pages_and_complexes_match_oracle(n):
         assert got.to_dict() == oracle.conjectural_k0(n).to_dict()
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_relative_bgg_and_e1_entries_match_oracle(n):
+    """The resolution read off the per-rank table, and the E1 entries read
+    off it, equal the ones built term by term, for every signed k."""
+    for ks in range(-(n - 1), n):
+        got = penrose.relative_bgg(n, ks)
+        assert got == oracle.relative_bgg(n, ks)
+        assert all(type(t) is penrose.RelativeBggTerm for t in got)
+        assert [t.to_dict() for t in got] == [t.to_dict() for t in oracle.relative_bgg(n, ks)]
+    for k in range(1, n):
+        for sign in "+-":
+            assert penrose.e1_entries(n, k, sign) == oracle.e1_entries(n, k, sign)
+
+
+def test_relative_terms_check_every_call():
+    """(n, k) is checked on every call, also once the rank's terms, or
+    those of an invalid rank, are kept."""
+    assert penrose._relative_terms(5, 0) is penrose._relative_terms(5, 4)
+    for ks in (5, -5, 9):
+        with pytest.raises(ValueError):
+            penrose._relative_terms(5, ks)
+    for n in (1, 0, -1):
+        penrose._rank_terms(n)
+        with pytest.raises(ValueError):
+            penrose._relative_terms(n, 0)
+
+
+def test_returned_results_are_the_callers_own():
+    """Changing a returned E1 dict or resolution list leaves the next
+    call's result as it was: only the rank's tuple of terms is kept."""
+    e1 = penrose.e1_entries(6, 2, "-")
+    want = dict(e1)
+    e1.pop(next(iter(e1)))
+    e1[(0, 0)] = (0,) * 6
+    assert penrose.e1_entries(6, 2, "-") == want
+    terms = penrose.relative_bgg(6, -2)
+    want = list(terms)
+    terms.reverse()
+    terms.append(terms[0])
+    terms[1] = None
+    assert penrose.relative_bgg(6, -2) == want
+    assert penrose.relative_bgg(6, 3) == oracle.relative_bgg(6, 3)
+
+
 def _count_calls(monkeypatch, owner, name):
     real, calls = getattr(owner, name), []
 

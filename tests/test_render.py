@@ -242,6 +242,51 @@ def test_from_json_builds_records(n):
             back.arrows[0].kind = orbits.IDENTITY
 
 
+def _assert_public_records(d):
+    """Every record of d has the record's own type, and equals and reprs
+    like the record its public constructor builds from the same fields."""
+    for cls, records in ((OrbitNode, d.nodes), (OrbitArrow, d.arrows)):
+        for x in records:
+            public = cls(*x)
+            assert type(x) is cls
+            assert x == public
+            assert repr(x) == repr(public)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_records_are_the_public_records(n):
+    """orbits and from_json build records from their field tuples; the
+    records of every diagram of rank n, and of its read-back, are those
+    OrbitNode(...) and OrbitArrow(...) build."""
+    for d in [orbits.regular_orbit_projection(n)] + [
+        orbits.singular_orbit(n, k) for k in range(n)
+    ]:
+        _assert_public_records(d)
+        _assert_public_records(render.from_json(render.to_json(d)))
+
+
+def test_from_json_reads_indented_text_and_null_roots():
+    """Indented text reads back the same diagram, and a null root reads
+    back as None, next to a shared Root, in an arrow of the public type."""
+    d = orbits.singular_orbit(5, 2)
+    for indent in (0, 1, 2, "\t"):
+        assert render.from_json(render.to_json(d, indent)) == d
+    root = Root("a", 1, 3)
+    nodes = [OrbitNode((2, 1), (3, 1, 2)), OrbitNode((2, -1), (3, -1, 2))]
+    arrows = [
+        OrbitArrow(0, 1, orbits.IDENTITY),
+        OrbitArrow(0, 1, orbits.STANDARD, root, 2),
+        OrbitArrow(1, 0, orbits.SUPPRESSED, root, 1),
+    ]
+    hand = OrbitDiagram("singular-orbit", 3, 1, nodes, arrows, [])
+    for indent in (None, 1):
+        back = render.from_json(render.to_json(hand, indent))
+        assert back == hand
+        assert back.arrows[0].root is None
+        assert back.arrows[1].root is back.arrows[2].root
+        _assert_public_records(back)
+
+
 def test_from_json_builds_each_root_once(monkeypatch):
     d = orbits.regular_orbit_projection(6)
     built = []

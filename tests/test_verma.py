@@ -1226,8 +1226,7 @@ def test_mixed_weight_vector_is_a_failed_weight_check():
 def test_verification_result_flags(lie3):
     r = verma.verify_row(verma.singular_vector_row(3, 2, "+"), lie3)
     assert r.ok
-    r.kernel_dim = 2
-    assert not r.ok
+    assert not r._replace(kernel_dim=2).ok
     # an unchecked kernel is None, and is not a failure
     unchecked = verma.verify_row(r.row, lie3, kernel=False)
     assert unchecked.kernel_dim is None and unchecked.ok
