@@ -14,13 +14,18 @@ is decomposed by reading its value at each leading entry, and structure
 constants come out exact from sparse integer matrices.
 
 A generalized Verma module M_p(lam) = U(g) tensor_{U(p)} F(lam) is
-realized on U(u^-) tensor F with F an irreducible module of the Levi
-gl(2) + sp(2n-4), whose action is read off the same matrices (see
-LeviModule).  An element is a dict {(word, fidx): coeff}: a word is a
-non-decreasing tuple of indices of the 4(n-2)+3 lowering letters of
-the nilradical, the PBW normal order.  Coefficients are exact: the
-structure constants and the Levi action are integers, so integer input
-straightens to int coefficients, and a Fraction input stays a Fraction.
+realized inside U(u^-) tensor W, W = Sym^m C^2 tensor det^{lam_2}
+tensor Lambda^j C^{2n-4} for the Levi gl(2) + sp(2n-4), m = lam_1 -
+lam_2 and the tail of lam the fundamental weight omega_j.  F(lam) is the
+kernel in W of the contraction Lambda^j -> Lambda^{j-2} by the
+symplectic form, and the action on W is read off the same matrices (see
+LeviModule).  A vector of W is an int key, x_0^{m-a} x_1^a tensor e_S
+being (a << 2n) | the bits of the rows of C^{2n} in S.  An element is a
+dict {(word, f): coeff}: a word is a non-decreasing tuple of indices of
+the 4(n-2)+3 lowering letters of the nilradical, the PBW normal order,
+and f a key.  Coefficients are exact: the structure constants and the
+Levi action are integers, so integer input straightens to int
+coefficients, and a Fraction input stays a Fraction.
 
 Straightening is per rank, with no vector of F in it.  A product of
 letters stays in U(u^-): Y_y Y^w, for a letter y that sorts after the
@@ -34,29 +39,34 @@ included, or None for the scalar 1.  Both tables are computed by
 x Y_y rest = Y_y (x rest) + [x, Y_y] rest, a letter that sorts before
 y being simply prepended.  At the empty word a u^+ label, which kills
 F, is dropped.  The straightening table is keyed by (code, word) alone
-and serves every Levi module of the rank: on a trivial V a label of
-sp(2n-4), h_i with i >= 3 included, finds no slot to move.  A suffix
-shared by many words is thus straightened once, whatever lam.
+and serves every Levi module of the rank, whatever its tail: on Lambda^0
+a label of sp(2n-4), h_i with i >= 3 included, finds no row of S to
+move.  A suffix shared by many words is thus straightened once,
+whatever lam.
 
-Every Levi label, the h_i included, moves a basis vector of F to at most
-one other, as a per-rank table of its matrix entries says, so a
-LeviModule keeps no memo; the modules of a rank are kept in its record
-by lam.  act is the one left action: a letter lowers each word through
-the lowering table, and any other label is read off the straightening
-table and moves f through the Levi module (GeneralizedVerma._left).
-Each monomial's row is its images under the simple raising operators,
-kept in the same record by lam, so every GeneralizedVerma of one (n,
-lam) reads the same rows.  check_maximal sums the rows of an element,
-and maximal_vector_dimension eliminates the rows of a weight space
-fraction-free over the integers, sparsest columns first.  combine reads
-each root's letter code once, by (kind, i, j), and applies the letters
-through act, right to left.
+Every Levi label, the h_i included, moves a key to at most two others,
+as a per-rank table of its matrix entries says, so a LeviModule keeps
+no memo; the modules of a rank are kept in its record by lam.  act is
+the one left action: a letter lowers each word through the lowering
+table, and any other label is read off the straightening table and
+moves f through the Levi module (GeneralizedVerma._left).  Each
+monomial's row is its images under the simple raising operators and
+then its contraction, kept in the same record by lam, so every
+GeneralizedVerma of one (n, lam) reads the same rows.  Inducing from p
+is exact, so the maximal vectors of M_p(lam) are those of U(u^-) tensor
+W that the contraction kills: check_maximal sums the rows of an
+element, and maximal_vector_dimension eliminates the rows of a weight
+space fraction-free over the integers, sparsest columns first, in one
+elimination, with no module of Lambda^{j-2} built.  combine reads each
+root's letter code once, by (kind, i, j), maps each catalogue label
+(a, t) to its key, and applies the letters through act, right to left.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
-integer tables the hot paths read instead of hashing a Root, four
-memos (brackets, lowering, straightening and grade tables) and three
+integer tables the hot paths read instead of hashing a Root, five
+memos (brackets, lowering, straightening, grade tables and their index
+by tail) and three
 that go with their rank: the Levi modules, their rows and the first
 arrows shifted by rho (verify_row).  Every other field is a tuple or a
 read-only mapping, and every value a table holds is a tuple or a
@@ -66,13 +76,20 @@ view of the record by label, and no module takes one.  The nilradical
 letters are checked against `weyl` alone (see _rank), so this module,
 like `penrose`, loads no Hasse code.
 
-A weight space is listed from one table of words.  A letter of root v
-has grade E(v) = v_1 + v_2, which is 1 or 2, and the gl(2) part of every
-weight of F(lam) sums to lam_1 + lam_2, so the need wt(f) - mu of every
-f has the one grade E(lam - mu).  The grade's table (RankTables.graded)
-holds every normal-ordered word of that grade by weight, built once per
-rank from the tables of the two grades below it, and the weight space
-reads each f's need off it.
+A weight space is listed word-first from one table of words, and W is
+never listed.  A letter of root v has grade E(v) = v_1 + v_2, which is 1
+or 2, and the gl(2) part of every weight of W sums to lam_1 + lam_2, so
+the need wt(f) - mu of every f has the one grade E(lam - mu).  The
+grade's table (RankTables.graded) holds every normal-ordered word of
+that grade by weight, built once per rank from the tables of the two
+grades below it, and its index by the tail of the need, grouped by the
+tail's sum (by_tail), is built once per rank too.  mu's tail plus the
+need's must be the tail of the weight of some e_S: entries 0 or +-1, at
+most j of them nonzero, so its sum is one of -j, -j + 2, ..., j.  Only
+the groups of those sums are read, and each distinct tail in them is
+tested once; the +-1 entries of a tail that passes fix part of S, the
+rest is pairs {e_i, f_i} (LeviModule.subsets), and the first coordinate
+of each need of that tail gives a.
 """
 
 from __future__ import annotations
@@ -81,7 +98,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -91,6 +108,7 @@ from bgg.weyl import Root, Weight
 
 Label = tuple  # ("e", Root) | ("y", Root) | ("h", int)
 Matrix = dict  # {(row, col): int}, nonzero entries only
+_UNITS = frozenset((-1, 0, 1))  # the entries of a weight of Lambda^j C^{2n-4}
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +134,17 @@ class RankTables(NamedTuple):
     by its root's (kind, i, j) and the simple raising codes; the slots,
     the rows of C^{2n} that span the standard module of sp(2n-4); and
     each Levi label's action by code as (gl2, moves): the label's (row,
-    col, value) entry in the gl(2) block or None, and its moves of slot
-    t to (t2, value), h_i with i >= 3 moving two slots to themselves.
-    Then the memos: the brackets by code pair, the lowering table and
-    the straightening table by (code, word), one for every Levi module
-    of the rank, since on a trivial V the labels of sp(2n-4) find no
-    slot to move in LeviModule._move (see straighten), the word table of
-    each grade (graded), the Levi modules by lam, each lam's rows by
-    monomial (GeneralizedVerma._row), and the first arrows of the rank
-    by (k, sign), shifted by rho (verify_row)."""
+    col, value) entry in the gl(2) block or None, and its entries (r, c,
+    v) among the slots, each by its rows as the bit masks (1 << c, 1 << r
+    or 0 when r = c, the bits that swap c for r, the bits strictly
+    between r and c) and v (LeviModule._move).  Then the memos: the
+    brackets by code pair, the lowering table and the straightening
+    table by (code, word), one for every Levi module of the rank, since
+    on Lambda^0 the labels of sp(2n-4) find no row to move in
+    LeviModule._move (see straighten), the word table of each grade
+    (graded) and its index by tail (by_tail), the Levi modules by lam,
+    each lam's rows by monomial (GeneralizedVerma._row), and the first
+    arrows of the rank by (k, sign), shifted by rho (verify_row)."""
 
     matrices: Mapping
     leads: Mapping
@@ -140,6 +160,7 @@ class RankTables(NamedTuple):
     lowering: dict
     straightening: dict
     grades: dict
+    tails: dict
     modules: dict
     rows: dict
     arrows: dict
@@ -213,13 +234,32 @@ class RankTables(NamedTuple):
             )
         return got
 
+    def by_tail(self, grade: int) -> Mapping:
+        """The words of the grade (graded) indexed by the tail of their
+        weight, as a read-only mapping from the sum of a tail to the pairs
+        (tail, needs), needs the pairs (first coordinate, words) of that
+        tail; built into the memo the first time.  A negative grade has
+        no words."""
+        got = self.tails.get(grade)
+        if got is None:
+            if grade < 0:
+                return MappingProxyType({})
+            index: dict = {}
+            for wt, words in self.graded(grade).items():
+                index.setdefault(wt[2:], []).append((wt[0], words))
+            by_sum: dict = {}
+            for tail, needs in index.items():
+                by_sum.setdefault(sum(tail), []).append((tail, tuple(needs)))
+            got = self.tails[grade] = MappingProxyType({t: tuple(p) for t, p in by_sum.items()})
+        return got
+
     def straighten(self, x: int, word: tuple) -> tuple:
         """x Y^word for a label code x that is not a letter and a
         normal-ordered word, as the pairs ((w2, z), c): c Y^w2 z, z a
         Levi label code, h_i included, or None for the scalar 1.  No
         vector of F is in it, so one table serves every Levi module of
-        the rank: on a trivial V a label of sp(2n-4), h_i with i >= 3
-        included, finds no slot to move in LeviModule._move.  Read off
+        the rank: on Lambda^0 a label of sp(2n-4), h_i with i >= 3
+        included, finds no row to move in LeviModule._move.  Read off
         the table, and computed into it the first time (see the module
         docstring)."""
         got = self.straightening.get((x, word))
@@ -279,14 +319,17 @@ def _rank(n: int) -> RankTables:
     vectors = tuple(r.vector(n) for r in order)
     entries = tuple(tuple((r, c, v) for (r, c), v in m[lab].items()) for lab in labels)
     slots = tuple(range(2, n)) + tuple(range(n + 2, 2 * n))
-    slot = {s: t for t, s in enumerate(slots)}
     upper = {("e", r) for r in order}
     levi = {}
     for x in range(len(letters), len(labels)):
         if labels[x] not in upper:
             gl2 = next(((r, c, v) for r, c, v in entries[x] if r < 2 and c < 2), None)
-            moves = {slot[c]: (slot[r], v) for r, c, v in entries[x] if r in slot and c in slot}
-            levi[x] = (gl2, MappingProxyType(moves))
+            moves = tuple(
+                (1 << c, 0 if r == c else 1 << r, (1 << r) ^ (1 << c),
+                 sum(1 << s for s in range(min(r, c) + 1, max(r, c))), v)
+                for r, c, v in entries[x] if r in slots and c in slots
+            )
+            levi[x] = (gl2, moves)
     return RankTables(
         matrices=MappingProxyType({lab: MappingProxyType(mat) for lab, mat in m.items()}),
         # the least key of each matrix holds 1 and is a key of no other
@@ -296,8 +339,8 @@ def _rank(n: int) -> RankTables:
         letter_codes=MappingProxyType({(r.kind, r.i, r.j): i for i, r in enumerate(order)}),
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         slots=slots, levi=MappingProxyType(levi),
-        brackets={}, lowering={}, straightening={}, grades={}, modules={},
-        rows={}, arrows={},
+        brackets={}, lowering={}, straightening={}, grades={}, tails={},
+        modules={}, rows={}, arrows={},
     )
 
 
@@ -334,37 +377,46 @@ def _product(x: Matrix, y: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# irreducible Levi modules
+# Levi modules
 
 
 class LeviModule:
-    """F(lam) = (Sym^m C^2 tensor det^{lam_2}) tensor V for the Levi
-    gl(2) x sp(2n-4), m = lam_1 - lam_2, with V trivial for a zero tail
-    of lam and the standard C^{2n-4} for the tail (1, 0, ..., 0).  The
-    basis labels are (j, t): x_0^{m-j} x_1^j in the gl(2) factor, tensor
-    the t-th slot of V (t None for a trivial V).
+    """F(lam) for the Levi gl(2) x sp(2n-4), the tail of lam a fundamental
+    weight omega_j = (1, ..., 1, 0, ..., 0), 0 <= j <= n - 2 (any other
+    tail is refused with ValueError): the kernel of the contraction by
+    the symplectic form, Lambda^j -> Lambda^{j-2}, inside
+
+        W = Sym^m C^2 tensor det^{lam_2} tensor Lambda^j C^{2n-4},
+
+    m = lam_1 - lam_2.  Lambda^0 is trivial, Lambda^1 the standard
+    module, and the contraction vanishes on both.  A basis vector
+    x_0^{m-a} x_1^a tensor e_S of W is the int key (a << 2n) | the sum of
+    1 << r over the rows r of C^{2n} in S, a j-subset of the slots
+    (RankTables.slots), the rows e_3..e_n, f_3..f_n that span C^{2n-4};
+    its weight is read off its bits, and subsets lists the S of one
+    weight.  The module holds no table of its vectors.
 
     Every label acts through its matrix in sp(2n), rows and columns
-    counted from 0.  A Levi label has one entry (r, c, v) in the gl(2)
-    block, rows 0-1, or its entries among the slots, the rows e_3..e_n,
-    f_3..f_n of C^{2n} that span V.  The first acts on the gl(2) factor
-    as the derivation x_r d/dx_c, which gives v j or v (m - j), plus v
-    lam_2 from det^{lam_2} for a diagonal entry: h_1 gives lam_1 - j and
-    h_2 gives lam_2 + j.  The second moves slot c to slot r with
-    coefficient v, whatever lam; h_i with i >= 3 moves a slot to itself
-    with coefficient +-1.  Either way a basis vector goes to at most one
-    other, read off the rank's table `levi` by _move, which
-    GeneralizedVerma._left calls; on a trivial V, t is None and a label
-    of sp(2n-4) finds no slot to move.
-    No other label acts: the grading element splits C^{2n} into rows
-    0-1, the slots and rows n, n+1 (grades 1, 0, -1), and a u^+ or u^-
-    matrix only moves that grade, so it has no entry inside a block and
-    acts as zero (a u^+ matrix kills F).
+    counted from 0, as the rank's table `levi` holds it.  A Levi label
+    has one entry (r, c, v) in the gl(2) block, rows 0-1, or its entries
+    among the slots.  The first acts on the gl(2) factor as the
+    derivation x_r d/dx_c, which gives v a or v (m - a), plus v lam_2
+    from det^{lam_2} for a diagonal entry: h_1 gives lam_1 - a and h_2
+    gives lam_2 + a.  A slot entry acts on e_S as on a wedge: 0 if c is
+    not in S, or if r is, r != c; v on the diagonal; otherwise v times
+    (-1)^(the rows of S strictly between r and c) on the key with c
+    replaced by r.  A root vector of sp(2n-4) has at most two slot
+    entries, so _move gives at most two (key, coeff) pairs, and h_i with
+    i >= 3 sums its two diagonal entries to wt_i.  No other label acts:
+    the grading element splits C^{2n} into rows 0-1, the slots and rows
+    n, n+1 (grades 1, 0, -1), and a u^+ or u^- matrix only moves that
+    grade, so it has no entry inside a block and acts as zero (a u^+
+    matrix kills F).
 
-    The module is read-only and keeps no memo: its basis, weights and
-    slots are tuples and its index a read-only mapping.  The modules of
-    a rank are kept in its tables by lam (GeneralizedVerma), and go when
-    the rank does."""
+    GeneralizedVerma works on the whole of W and cuts F out of it by the
+    contraction (contract), one more set of columns in each monomial's
+    row.  The modules of a rank are kept in its tables by lam
+    (GeneralizedVerma), and go when the rank does."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         lam = tuple(lam)
@@ -373,53 +425,76 @@ class LeviModule:
             raise ValueError("rank mismatch")
         if lam[0] < lam[1]:
             raise ValueError("gl(2) highest weight needs lam_1 >= lam_2")
-        tail = lam[2:]
-        if tail == (1,) + (0,) * (n - 3):
-            self._slots = self.tables.slots
-        elif any(tail):
-            raise NotImplementedError("tail must be zero or (1, 0, ..., 0)")
-        else:
-            self._slots = ()
+        j = sum(lam[2:])
+        if lam[2:] != (1,) * j + (0,) * (n - 2 - j):
+            raise ValueError("tail must be a fundamental weight (1, ..., 1, 0, ..., 0)")
         self.n = n
         self.lam = lam
         self.m = lam[0] - lam[1]
-        ts = range(len(self._slots)) if self._slots else [None]
-        self.basis = tuple((j, t) for j in range(self.m + 1) for t in ts)
-        self._index = MappingProxyType({b: i for i, b in enumerate(self.basis)})
-        self.weights = tuple(map(self.weight, range(len(self.basis))))
+        self.j = j
+        self.shift = 2 * n
 
-    def weight(self, idx: int) -> Weight:
-        j, t = self.basis[idx]
-        w = [self.lam[0] - j, self.lam[1] + j] + [0] * (self.n - 2)
-        if t is not None:
-            s = self._slots[t]
-            if s < self.n:
-                w[s] += 1
-            else:
-                w[s - self.n] -= 1
+    def weight(self, f: int) -> Weight:
+        n, shift = self.n, self.shift
+        w, a, rows = [0] * n, f >> shift, f & ((1 << shift) - 1)
+        while rows:
+            r = (rows & -rows).bit_length() - 1
+            w[r % n] += 1 if r < n else -1
+            rows &= rows - 1
+        w[0], w[1] = self.lam[0] - a, self.lam[1] + a
         return tuple(w)
 
-    def _move(self, z: int, idx: int) -> tuple[tuple[int, int], ...]:
-        """The action of a Levi label code z on a basis vector, read off
-        its matrix entries: at most one (index, coeff) pair (see the
-        class)."""
+    def subsets(self, tail: Sequence[int]) -> list[int]:
+        """The j-subsets S of the slots whose weight has the given tail,
+        as bit masks, for the tail of a weight of Lambda^j: entries 0 or
+        +-1, with j less the nonzero entries even and not negative.  A
+        +-1 entry fixes e_i or f_i, and the rest of S is (j - #nonzero) / 2
+        pairs {e_i, f_i} over the zero entries."""
+        n, fixed, free = self.n, 0, []
+        for r, t in enumerate(tail, 2):
+            if t:
+                fixed |= 1 << (r if t > 0 else n + r)
+            else:
+                free.append(1 << r | 1 << (n + r))
+        pairs = (self.j - len(tail) + len(free)) // 2
+        return [fixed + sum(c) for c in combinations(free, pairs)]
+
+    def _move(self, z: int, f: int) -> tuple[tuple[int, int], ...]:
+        """The action of a Levi label code z on the key f, read off its
+        matrix entries: at most two (key, coeff) pairs (see the class)."""
         gl2, moves = self.tables.levi[z]
-        j, t = self.basis[idx]
         if gl2 is not None:
             r, c, v = gl2
-            coeff = v * ((j if c else self.m - j) + (self.lam[1] if r == c else 0))
-            return ((self._index[j + r - c, t], coeff),) if coeff else ()
-        move = moves.get(t)
-        if move is None:
-            return ()
-        return ((self._index[j, move[0]], move[1]),)
+            a = f >> self.shift
+            coeff = v * ((a if c else self.m - a) + (self.lam[1] if r == c else 0))
+            return ((f + ((r - c) << self.shift), coeff),) if coeff else ()
+        return tuple(
+            (f ^ flip, -v if (f & between).bit_count() & 1 else v)
+            for col, row, flip, between, v in moves
+            if f & col and not f & row
+        )
+
+    def contract(self, f: int) -> list[tuple[int, int]]:
+        """The contraction by the symplectic form on the key f:
+        e_S goes to the sum over i with e_i, f_i in S of (-1)^(p + q - 1)
+        e_{S - {e_i, f_i}}, e_i and f_i at positions p and q of S, since
+        omega(e_i, f_i) = 1 for J; p + q - 1 has the parity of the rows
+        of S strictly between them.  Empty for j <= 1."""
+        n, out = self.n, []
+        both = f & (f >> n) & ((1 << n) - 4)
+        while both:
+            low = both & -both
+            between = f & ((low << n) - 1) & ~((low << 1) - 1)
+            out.append((f ^ (low | low << n), -1 if between.bit_count() & 1 else 1))
+            both ^= low
+        return out
 
 
 # ---------------------------------------------------------------------------
 # generalized Verma modules
 
 
-Element = dict  # {(word, fidx): coeff} with word a tuple of letter indices
+Element = dict  # {(word, f): coeff}, word a tuple of letter indices, f a key of W
 
 
 class GeneralizedVerma:
@@ -432,14 +507,15 @@ class GeneralizedVerma:
 
     Straightening and the grade tables of weight spaces depend on n
     alone and are read off `tables`, the record of the rank (_rank), one
-    straightening table for every Levi module of the rank (on a trivial
-    V the labels of sp(2n-4) find no slot to move in LeviModule._move);
+    straightening table for every Levi module of the rank (on Lambda^0
+    the labels of sp(2n-4) find no row to move in LeviModule._move);
     `module` is the LeviModule F(lam), kept in the same record by lam,
     so every GeneralizedVerma of one (n, lam) shares it.  `_left` joins
     the two for a label that is not a letter.  act is the one left
     action on elements: combine applies each letter through it, and _row
     lists each monomial's `_left` images under the simple raising
-    operators.  `letters` is the rank's letter list.
+    operators and then its contraction.  `letters` is the rank's letter
+    list.
 
     The rows (_row) are kept in the same record by lam too, so every
     GeneralizedVerma of one (n, lam) reads the same rows and they go
@@ -465,9 +541,9 @@ class GeneralizedVerma:
         each root is read once as its letter's code, and the letters act
         on coeff * (1 tensor f) through act, from the right."""
         out: Element = {}
-        codes, index = self.tables.letter_codes, self.module._index
-        for coeff, ys, f in parts:
-            elem = {((), index[f]): coeff}
+        codes, slots, shift = self.tables.letter_codes, self.tables.slots, self.module.shift
+        for coeff, ys, (a, t) in parts:
+            elem = {((), a << shift | (0 if t is None else 1 << slots[t])): coeff}
             for r in reversed(ys):
                 elem = self.act(codes[r.kind, r.i, r.j], elem)
             for key, c in elem.items():
@@ -493,8 +569,10 @@ class GeneralizedVerma:
 
     def _row(self, key) -> tuple:
         """The images of the monomial key under the simple raising
-        operators by _left, as the pairs ((operator, w2, f2), coeff);
-        built the first time for the lam."""
+        operators by _left, as the pairs ((operator, w2, f2), coeff), then
+        its contraction (LeviModule.contract) as the pairs ((-1, word,
+        f2), coeff): -1 marks no raising operator.  Built the first time
+        for the lam."""
         got = self._rows.get(key)
         if got is None:
             word, f = key
@@ -502,7 +580,7 @@ class GeneralizedVerma:
                 ((si, w2, f2), c)
                 for si, x in enumerate(self.tables.raising)
                 for (w2, f2), c in self._left(x, word, f).items()
-            )
+            ) + tuple(((-1, word, f2), c) for f2, c in self.module.contract(f))
         return got
 
     # -- module structure
@@ -525,15 +603,16 @@ class GeneralizedVerma:
 
     def term_weight(self, key) -> Weight:
         word, f = key
-        w, vectors = self.module.weights[f], self.tables.vectors
+        w, vectors = self.module.weight(f), self.tables.vectors
         for i in word:
             w = tuple(map(sub, w, vectors[i]))
         return w
 
     def check_maximal(self, elem: Element) -> tuple[bool, list[Label]]:
-        """An element is maximal iff every simple raising operator kills
-        it: the sum of its monomials' rows, times their coefficients, is
-        zero.  The failures are the operators left nonzero, in order."""
+        """An element is maximal iff every simple raising operator and the
+        contraction kill it: the sum of its monomials' rows, times their
+        coefficients, is zero.  The failures are the raising operators
+        left nonzero, in order; a nonzero contraction names none."""
         if not elem:
             return False, []
         total: dict = {}
@@ -543,21 +622,37 @@ class GeneralizedVerma:
         failed = {si for (si, _, _), c in total.items() if c}
         tables = self.tables
         failures = [tables.labels[x] for si, x in enumerate(tables.raising) if si in failed]
-        return not failures, failures
+        return not failed, failures
 
     # -- weight spaces and uniqueness
 
     def weight_space(self, mu: Sequence[int]) -> list[tuple[tuple, int]]:
-        """All basis monomials Y^word tensor f of weight mu: for each f,
-        by degree and then by word in lexicographic order, read off the
-        table of the grade E(lam - mu) by the need wt(f) - mu."""
+        """All basis monomials Y^word tensor f of weight mu, f a key of
+        Sym^m tensor det tensor Lambda^j: by f, then by degree and then by
+        word in lexicographic order.  Listed word-first from the table of
+        the grade E(lam - mu) by tail (RankTables.by_tail, see the module
+        docstring): a need nu gives a = lam_1 - mu_1 - nu_1, which must
+        lie in [0, m], and the subsets S of weight tail mu + nu
+        (LeviModule.subsets)."""
         if len(mu) != self.n:
             raise ValueError("rank mismatch")
-        table = self.tables.graded(self.lam[0] + self.lam[1] - mu[0] - mu[1])
-        space = []
-        for fidx, wt in enumerate(self.module.weights):
-            space += [(word, fidx) for word in table.get(tuple(map(sub, wt, mu)), ())]
-        return space
+        module = self.module
+        j, m, shift = module.j, module.m, module.shift
+        top, mu_tail, zeros = self.lam[0] - mu[0], mu[2:], self.n - 2 - j
+        index = self.tables.by_tail(self.lam[0] + self.lam[1] - mu[0] - mu[1])
+        found, offset = {}, sum(mu_tail)
+        # a weight of Lambda^j has entries 0 or +-1, at most j of them
+        # nonzero, so its sum is one of -j, -j + 2, ..., j
+        for total in range(-j - offset, j - offset + 1, 2):
+            for tail, needs in index.get(total, ()):
+                tail = tuple(map(add, mu_tail, tail))
+                if tail.count(0) >= zeros and _UNITS.issuperset(tail):
+                    for s in module.subsets(tail):
+                        for first, words in needs:
+                            a = top - first
+                            if 0 <= a <= m:
+                                found[a << shift | s] = words
+        return [(word, f) for f in sorted(found) for word in found[f]]
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:
         """Dimension of the space of maximal vectors of weight mu: the size

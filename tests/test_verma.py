@@ -192,7 +192,7 @@ def test_shared_tables_are_read_only(lie3):
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     tables = mp.tables
     assert tables is verma._rank(3)
-    memos = {"brackets", "lowering", "straightening", "grades", "modules", "rows", "arrows"}
+    memos = {"brackets", "lowering", "straightening", "grades", "tails", "modules", "rows", "arrows"}
     assert memos <= set(tables._fields)
     for name in tables._fields:
         field = getattr(tables, name)
@@ -211,6 +211,14 @@ def test_shared_tables_are_read_only(lie3):
     assert all(type(words) is tuple and all(type(w) is tuple for w in words) for words in table.values())
     with pytest.raises(TypeError):
         table[(0, 0, 0)] = ()
+    index = tables.by_tail(2)
+    assert tables.tails[2] is index and type(index) is MappingProxyType
+    assert all(type(needs) is tuple for needs in index.values())
+
+
+def _top(mp):
+    """The key of the highest vector of F: a = 0 and S = {e_3, ..., e_{j+2}}."""
+    return sum(1 << r for r in range(2, 2 + mp.module.j))
 
 
 def test_rank_tables_hold_eight_ranks():
@@ -225,12 +233,13 @@ def test_rank_tables_hold_eight_ranks():
         for lam in ((0,) * n, (1, 0, 1) + (0,) * (n - 3), row.lam):
             mp = verma.GeneralizedVerma(n, lam)
             mp.weight_space((-1, -1) + lam[2:])
-            assert mp.check_maximal({((), 0): 1}) == (True, [])
+            assert mp.check_maximal({((), _top(mp)): 1}) == (True, [])
             built[n, lam], rows[n, lam] = mp.module, mp._rows
         assert verma.verify_row(row, kernel=False).ok
         arrows[n] = verma._rank(n).arrows[1, "-"]
         grades[n] = dict(verma._rank(n).grades)
         assert grades[n].keys() == {0, 1, 2, 3}
+        assert verma._rank(n).tails.keys() == {2, 3}
     assert verma._rank.cache_info().currsize <= 8
     assert verma._rank.cache_info().maxsize == 8
     # ranks 11 down to 4 are the 8 kept, so reading them evicts none
@@ -247,7 +256,7 @@ def test_rank_tables_hold_eight_ranks():
     # with it
     tables = verma._rank(3)
     assert tables.modules == {} and tables.rows == {} and tables.arrows == {}
-    assert tables.grades == {}
+    assert tables.grades == {} and tables.tails == {}
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     assert mp.module is not built[3, (0, 0, 0)]
     assert mp._rows == {} and mp._rows is not rows[3, (0, 0, 0)]
@@ -320,14 +329,14 @@ def test_simple_raising_labels(m3):
 # Levi modules
 
 
-def _levi_action(mp, label, idx):
-    """label . f_idx through the module's one left action at the empty
-    word, as sorted (index, coeff) pairs, asserted equal to the action of
-    every entry of the label's matrix (the oracle)."""
-    out = mp._left(mp.tables.code[label], (), idx)
-    assert all(word == () for word, _ in out), (mp.lam, label, idx)
+def _levi_action(mp, label, f):
+    """label . f through the module's one left action at the empty word,
+    as sorted (key, coeff) pairs, asserted equal to the action of every
+    entry of the label's matrix (the oracle)."""
+    out = mp._left(mp.tables.code[label], (), f)
+    assert all(word == () for word, _ in out), (mp.lam, label, f)
     got = sorted((f2, c) for (_, f2), c in out.items())
-    assert got == verma_oracle.levi_act(mp.module, label, idx), (mp.lam, label, idx)
+    assert got == verma_oracle.levi_act(mp.module, label, f), (mp.lam, label, f)
     return got
 
 
@@ -336,33 +345,34 @@ def test_levi_gl2_factor():
     a12 root acting as derivations and every sp(4) label as zero."""
     mp = verma.GeneralizedVerma(4, (3, 1, 0, 0))
     mod = mp.module
-    assert mod.m == 2
-    assert mod.basis == ((0, None), (1, None), (2, None))
-    assert mod.weight(0) == (3, 1, 0, 0)
-    assert mod.weight(1) == (2, 2, 0, 0)
-    assert mod.weight(2) == (1, 3, 0, 0)
+    assert mod.m == 2 and mod.j == 0
+    k0, k1, k2 = 0, 1 << 8, 2 << 8  # x_0^{2-a} x_1^a is a << 2n
+    assert verma_oracle.keys(mod) == [k0, k1, k2]
+    assert mod.weight(k0) == (3, 1, 0, 0)
+    assert mod.weight(k1) == (2, 2, 0, 0)
+    assert mod.weight(k2) == (1, 3, 0, 0)
     a12 = ("e", Root("a", 1, 2))
     ya12 = ("y", Root("a", 1, 2))
 
-    def act(label, idx):
-        return _levi_action(mp, label, idx)
+    def act(label, f):
+        return _levi_action(mp, label, f)
 
-    assert act(a12, 0) == []
-    assert act(a12, 1) == [(0, 1)]
-    assert act(a12, 2) == [(1, 2)]
-    assert act(ya12, 0) == [(1, 2)]
-    assert act(ya12, 1) == [(2, 1)]
-    assert act(ya12, 2) == []
-    assert act(("h", 1), 0) == [(0, 3)]
-    assert act(("h", 1), 1) == [(1, 2)]
-    assert act(("h", 2), 1) == [(1, 2)]
-    assert act(("h", 2), 2) == [(2, 3)]
+    assert act(a12, k0) == []
+    assert act(a12, k1) == [(k0, 1)]
+    assert act(a12, k2) == [(k1, 2)]
+    assert act(ya12, k0) == [(k1, 2)]
+    assert act(ya12, k1) == [(k2, 1)]
+    assert act(ya12, k2) == []
+    assert act(("h", 1), k0) == [(k0, 3)]
+    assert act(("h", 1), k1) == [(k1, 2)]
+    assert act(("h", 2), k1) == [(k1, 2)]
+    assert act(("h", 2), k2) == [(k2, 3)]
     sp4 = [("h", 3), ("h", 4)] + [
         (kind, r) for r in (Root("a", 3, 4), Root("b", 3), Root("b", 4), Root("c", 3, 4))
         for kind in "ey"
     ]
     for label in sp4:
-        assert all(act(label, idx) == [] for idx in range(3)), label
+        assert all(act(label, f) == [] for f in (k0, k1, k2)), label
 
 
 def test_levi_standard_factor():
@@ -370,19 +380,23 @@ def test_levi_standard_factor():
     being e_3, e_4, f_3, f_4."""
     mp = verma.GeneralizedVerma(4, (2, 1, 1, 0))
     mod = mp.module
-    assert mod.basis == tuple((j, t) for j in (0, 1) for t in range(4))
-    assert [mod.weight(i) for i in range(8)] == [
+
+    def key(j, t):
+        return verma_oracle.key(4, (j, t))
+
+    assert verma_oracle.keys(mod) == [key(j, t) for j in (0, 1) for t in range(4)]
+    assert [mod.weight(f) for f in verma_oracle.keys(mod)] == [
         (2, 1, 1, 0), (2, 1, 0, 1), (2, 1, -1, 0), (2, 1, 0, -1),
         (1, 2, 1, 0), (1, 2, 0, 1), (1, 2, -1, 0), (1, 2, 0, -1),
     ]
-    i_e3 = mod._index[(0, 0)]
-    i_e4 = mod._index[(0, 1)]
-    i_f3 = mod._index[(0, 2)]
-    i_f4 = mod._index[(0, 3)]
+    i_e3 = key(0, 0)
+    i_e4 = key(0, 1)
+    i_f3 = key(0, 2)
+    i_f4 = key(0, 3)
     a34 = ("e", Root("a", 3, 4))
 
-    def act(label, idx):
-        return _levi_action(mp, label, idx)
+    def act(label, f):
+        return _levi_action(mp, label, f)
 
     assert act(a34, i_e4) == [(i_e3, 1)]
     assert act(a34, i_e3) == []
@@ -394,10 +408,10 @@ def test_levi_standard_factor():
     assert act(("h", 3), i_e3) == [(i_e3, 1)]
     assert act(("h", 4), i_f4) == [(i_f4, -1)]
     # the gl(2) factor acts on the same slot
-    assert act(("y", Root("a", 1, 2)), i_f4) == [(mod._index[(1, 3)], 1)]
-    assert act(("e", Root("a", 1, 2)), mod._index[(1, 2)]) == [(i_f3, 1)]
-    assert act(("h", 1), mod._index[(1, 1)]) == [(mod._index[(1, 1)], 1)]
-    assert act(("h", 2), mod._index[(1, 1)]) == [(mod._index[(1, 1)], 2)]
+    assert act(("y", Root("a", 1, 2)), i_f4) == [(key(1, 3), 1)]
+    assert act(("e", Root("a", 1, 2)), key(1, 2)) == [(i_f3, 1)]
+    assert act(("h", 1), key(1, 1)) == [(key(1, 1), 1)]
+    assert act(("h", 2), key(1, 1)) == [(key(1, 1), 2)]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -412,9 +426,10 @@ def test_u_plus_kills_the_levi_module(n):
     for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
         mp = verma.GeneralizedVerma(n, (2, -1) + tail)
         size = 4 * (2 * (n - 2) if any(tail) else 1)
-        assert len(mp.module.basis) == size
+        keys = verma_oracle.keys(mp.module)
+        assert len(keys) == size
         for root in weyl.positive_roots(n):
-            images = [_levi_action(mp, ("e", root), idx) for idx in range(size)]
+            images = [_levi_action(mp, ("e", root), f) for f in keys]
             if root in nil:
                 assert not any(images), (tail, root)
             elif any(tail) or root == Root("a", 1, 2):
@@ -435,40 +450,41 @@ def test_levi_act_matches_entry_oracle(n):
             mp = verma.GeneralizedVerma(n, lam)
             mod = mp.module
             moved = 0
+            keys = verma_oracle.keys(mod)
             for label in mp.tables.matrices:
-                for idx in range(len(mod.basis)):
-                    got = _levi_action(mp, label, idx)
+                for f in keys:
+                    got = _levi_action(mp, label, f)
                     if label[0] == "h":
-                        c = mod.weight(idx)[label[1] - 1]
-                        assert got == ([(idx, c)] if c else []), (lam, label, idx)
+                        c = mod.weight(f)[label[1] - 1]
+                        assert got == ([(f, c)] if c else []), (lam, label, f)
                     elif label[1] in nil:
-                        assert got == [], (lam, label, idx)
+                        assert got == [], (lam, label, f)
                     else:
-                        assert len(got) <= 1 and all(i2 != idx for i2, _ in got)
+                        assert len(got) <= 1 and all(f2 != f for f2, _ in got)
                         moved += bool(got)
-            assert moved or len(mod.basis) == 1, lam
+            assert moved or len(keys) == 1, lam
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_cartan_labels_act_through_their_matrix_entries(n):
     """Every Levi label's table entry is (gl2, moves), h_i included, and
-    LeviModule._move gives each h_i its weight coordinate: (idx, wt_i),
+    LeviModule._move gives each h_i its weight coordinate: (f, wt_i),
     or nothing when wt_i = 0, on both tails and m = 0, 1, 2.  After the
     catalogue rows of the rank are checked, every straightening entry is
     ((w2, z), c) with z None or a Levi label code and c a nonzero int."""
     tables = verma._rank(n)
     for gl2, moves in tables.levi.values():
         assert gl2 is None or len(gl2) == 3
-        assert type(moves) is MappingProxyType
+        assert type(moves) is tuple and len(moves) <= 2
     cartan = [(tables.code["h", i], i) for i in range(1, n + 1)]
     for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
         for lam in ((0, 0) + tail, (1, 0) + tail, (0, -2) + tail):
             mod = verma.GeneralizedVerma(n, lam).module
-            for idx in range(len(mod.basis)):
-                wt = mod.weight(idx)
+            for f in verma_oracle.keys(mod):
+                wt = mod.weight(f)
                 for x, i in cartan:
-                    want = ((idx, wt[i - 1]),) if wt[i - 1] else ()
-                    assert mod._move(x, idx) == want, (lam, i, idx)
+                    want = ((f, wt[i - 1]),) if wt[i - 1] else ()
+                    assert mod._move(x, f) == want, (lam, i, f)
     for row in _catalogue([n]):
         verma.verify_row(row)
     tables = verma._rank(n)
@@ -492,10 +508,224 @@ def test_levi_module_rejects_lie_data_of_another_rank():
 
 
 def test_levi_module_validation():
+    """A gl(2) part with lam_1 < lam_2 and a tail that is not a
+    fundamental weight omega_j are refused with ValueError."""
     with pytest.raises(ValueError):
         verma.LeviModule(4, (1, 2, 0, 0))
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="fundamental weight"):
         verma.LeviModule(4, (3, 1, 2, 0))
+    with pytest.raises(ValueError, match="fundamental weight"):
+        verma.LeviModule(5, (3, 1, 1, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# every tail omega_j: Lambda^j and its contraction
+
+
+def _omega(n, j, first=(1, -1)):
+    """(first | omega_j): the gl(2) part, then j ones and n - 2 - j zeros."""
+    return tuple(first) + (1,) * j + (0,) * (n - 2 - j)
+
+
+def _levi_codes(n):
+    return list(verma._rank(n).levi)
+
+
+def _apply(mod, z, vec):
+    """z . vec for a dict {key: coeff}, through LeviModule._move."""
+    out = {}
+    for f, c in vec.items():
+        for f2, c2 in mod._move(z, f):
+            verma_oracle._add(out, f2, c * c2)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_levi_module_law_on_every_key(n):
+    """x.(y.f) - y.(x.f) = [x, y].f for every ordered pair of Levi labels,
+    h_i included, and every key f of Sym^2 tensor det tensor Lambda^j,
+    for every j."""
+    tables, codes = verma._rank(n), _levi_codes(n)
+    bad = []
+    for j in range(n - 1):
+        mod = verma.LeviModule(n, _omega(n, j))
+        for f in verma_oracle.keys(mod):
+            acted = {x: _apply(mod, x, {f: 1}) for x in codes}
+            for x in codes:
+                for y in codes:
+                    lhs = _apply(mod, x, acted[y])
+                    for key, c in _apply(mod, y, acted[x]).items():
+                        verma_oracle._add(lhs, key, -c)
+                    rhs = {}
+                    for z, zc in tables.bracket(x, y):
+                        for key, c in acted[z].items():
+                            verma_oracle._add(rhs, key, zc * c)
+                    if lhs != rhs:
+                        bad.append((j, f, x, y))
+    assert bad == []
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_contraction_is_equivariant(n):
+    """contract(x.f) = x.contract(f) for every Levi label x and every key
+    f of Lambda^j, j >= 2, x acting on the right through the module of
+    (lam_1, lam_2 | omega_{j-2}); and contract is the oracle's pairing
+    by the symplectic form."""
+    bad = []
+    for j in range(2, n - 1):
+        mod, low = verma.LeviModule(n, _omega(n, j)), verma.LeviModule(n, _omega(n, j - 2))
+        for f in verma_oracle.keys(mod):
+            if sorted(mod.contract(f)) != verma_oracle.contract(mod, f):
+                bad.append((j, f))
+            for x in _levi_codes(n):
+                left = {}
+                for f2, c in _apply(mod, x, {f: 1}).items():
+                    for f3, c3 in mod.contract(f2):
+                        verma_oracle._add(left, f3, c * c3)
+                if left != _apply(low, x, dict(mod.contract(f))):
+                    bad.append((j, f, x))
+    assert bad == []
+
+
+def _matrix_rank(rows):
+    """The rank of a list of rows {column: int}, by Fraction elimination."""
+    pivots = {}
+    for row in rows:
+        row = {k: Fraction(c) for k, c in row.items() if c}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            piv, factor = pivots[lead], row[lead] / pivots[lead][lead]
+            for k, c in piv.items():
+                verma_oracle._add(row, k, -factor * c)
+    return len(pivots)
+
+
+def test_contraction_kernel_is_the_fundamental_module():
+    """On Lambda^j C^{2n-4} the contraction's kernel has dimension
+    dim V(omega_j) = C(2n-4, j) - C(2n-4, j-2), for n = 3..7 and every
+    j."""
+    got, want = [], []
+    for n in range(3, 8):
+        for j in range(n - 1):
+            mod = verma.LeviModule(n, _omega(n, j, (0, 0)))
+            keys = verma_oracle.keys(mod)
+            got.append(len(keys) - _matrix_rank([dict(mod.contract(f)) for f in keys]))
+            want.append(math.comb(2 * n - 4, j) - (math.comb(2 * n - 4, j - 2) if j >= 2 else 0))
+    assert got == want
+
+
+def test_check_maximal_sees_a_nonzero_contraction():
+    """The symplectic form e_3 ^ f_3 + e_4 ^ f_4 in Lambda^2 C^4 is killed
+    by every simple raising operator, but not by the contraction: it is
+    not maximal, and no raising operator is named."""
+    mp = verma.GeneralizedVerma(4, _omega(4, 2, (0, 0)))
+    form = {((), 1 << 2 | 1 << 6): 1, ((), 1 << 3 | 1 << 7): 1}
+    assert mp.check_maximal(form) == (False, [])
+
+
+def test_contraction_is_load_bearing(monkeypatch):
+    """At mu = (lam_1, lam_2 | omega_{j-2}), below lam = (lam_1, lam_2 |
+    omega_j), Lambda^j has a maximal vector (the form wedge the highest
+    vector of Lambda^{j-2}) and F(lam) has none: dimension 0 with the
+    contraction and 1 with contract stubbed out, for n = 4..6 and
+    j = 2..n-2.  No map of a complex tells the two apart."""
+    cases = [(n, j) for n in range(4, 7) for j in range(2, n - 1)]
+
+    def dims():
+        _clear_rank_tables()
+        return [
+            verma.GeneralizedVerma(n, _omega(n, j)).maximal_vector_dimension(_omega(n, j - 2))
+            for n, j in cases
+        ]
+
+    genuine = dims()
+    with monkeypatch.context() as patch:
+        patch.setattr(verma.LeviModule, "contract", lambda self, f: [])
+        stubbed = dims()
+        _clear_rank_tables()
+    assert (genuine, stubbed) == ([0] * len(cases), [1] * len(cases))
+
+
+def _complex_maps(n):
+    """(source - rho, target - rho) of every map of every complex of rank
+    n: k = 1..n-1 with both signs, and the conjectural k = 0."""
+    rho = weyl.rho(n)
+    complexes = [penrose.assemble_singular_bgg(n, 0, "+", conjectural=True)] + [
+        penrose.assemble_singular_bgg(n, k, sign) for k in range(1, n) for sign in "+-"
+    ]
+    for cx in complexes:
+        shifted = [tuple(a - b for a, b in zip(t, rho)) for t in cx.terms]
+        for m in cx.maps:
+            yield shifted[m.source], shifted[m.target]
+
+
+def test_one_elimination_equals_the_subtraction(monkeypatch):
+    """On every map of every complex for n = 3..6 the one elimination,
+    with the contraction's columns, gives the dimension of Lambda^j less
+    that of Lambda^{j-2} under lam' = (lam_1, lam_2 | omega_{j-2}), both
+    with contract stubbed out; rank tables are cleared around the stubbed
+    run, whose rows would mix with the genuine ones."""
+    maps = [(n, lam, mu) for n in range(3, 7) for lam, mu in _complex_maps(n)]
+    _clear_rank_tables()
+    genuine = [verma.GeneralizedVerma(n, lam).maximal_vector_dimension(mu) for n, lam, mu in maps]
+    with monkeypatch.context() as patch:
+        patch.setattr(verma.LeviModule, "contract", lambda self, f: [])
+        _clear_rank_tables()
+        subtracted = []
+        for n, lam, mu in maps:
+            j = sum(lam[2:])
+            dim = verma.GeneralizedVerma(n, lam).maximal_vector_dimension(mu)
+            if j >= 2:
+                low = _omega(n, j - 2, lam[:2])
+                dim -= verma.GeneralizedVerma(n, low).maximal_vector_dimension(mu)
+            subtracted.append(dim)
+        _clear_rank_tables()
+    assert genuine == subtracted and len(maps) == 12 + 30 + 56 + 90
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_word_first_listing_matches_a_filter_of_all_keys(n):
+    """On every map of every complex, at its target and 1-3 grade steps
+    below, the word-first weight space equals every key of Sym^m tensor
+    det tensor Lambda^j kept when the grade's table has words for its
+    need wt(f) - mu, in order of f and then (length, word)."""
+    tables, bad = verma._rank(n), []
+    for lam, target in _complex_maps(n):
+        mp = verma.GeneralizedVerma(n, lam)
+        for mu in _grade_steps(target):
+            table = tables.graded(lam[0] + lam[1] - mu[0] - mu[1])
+            want = [
+                (word, f)
+                for f in verma_oracle.keys(mp.module)
+                for word in table.get(tuple(a - b for a, b in zip(mp.module.weight(f), mu)), ())
+            ]
+            if mp.weight_space(mu) != want:
+                bad.append((lam, mu))
+    assert bad == []
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_int_keys_agree_with_the_two_case_class(n):
+    """On j <= 1 the int-keyed module is the old two-case class (the
+    oracle): the same vectors, weights and moves of every Levi label,
+    with the label (j, t) read as its key."""
+    bad = []
+    for tail in ((0,) * (n - 2), (1,) + (0,) * (n - 3)):
+        for lam in ((0, 0) + tail, (1, 0) + tail, (0, -2) + tail):
+            old, new = verma_oracle.LeviModule(n, lam), verma.LeviModule(n, lam)
+            keys = [verma_oracle.key(n, label) for label in old.basis]
+            if keys != verma_oracle.keys(new):
+                bad.append(lam)
+            for idx, f in enumerate(keys):
+                if new.weight(f) != old.weight(idx):
+                    bad.append((lam, f))
+                for z in verma._rank(n).levi:
+                    if new._move(z, f) != tuple((keys[i2], c) for i2, c in old._move(z, idx)):
+                        bad.append((lam, f, z))
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +804,7 @@ def test_module_law_standard_levi_factor(lie4):
     ):
         mp = verma.GeneralizedVerma(4, lam)
         vectors = [
-            {((), 0): 1},
+            {((), _top(mp)): 1},
             mp.combine([(1, (a24, b2), f1)]),
             mp.combine([(1, (c14,), f2), (2, (a13, a24), f3)]),
         ]
@@ -719,7 +949,7 @@ def test_straightening_table_matches_oracle(n, top):
         mp = verma.GeneralizedVerma(n, lam)
         for x, label in enumerate(mp.tables.labels):
             for word in words:
-                for f in range(len(mp.module.basis)):
+                for f in verma_oracle.keys(mp.module):
                     want = {}
                     verma_oracle.normal_form(
                         mp, (label,) + tuple(mp.letters[i] for i in word), f, 1, want
@@ -794,15 +1024,15 @@ def _brute_force_weight_space(mp, mu):
     """Every non-decreasing word of degree up to the grade drop E(need),
     kept when its weight is mu: the enumeration weight_space replaced."""
     space = []
-    for fidx in range(len(mp.module.basis)):
-        need = [a - b for a, b in zip(mp.module.weight(fidx), mu)]
+    for f in verma_oracle.keys(mp.module):
+        need = [a - b for a, b in zip(mp.module.weight(f), mu)]
         for d in range(need[0] + need[1] + 1):
             for word in itertools.combinations_with_replacement(range(len(mp.letters)), d):
                 total = [0] * mp.n
                 for i in word:
                     total = [a + b for a, b in zip(total, mp.letters[i][1].vector(mp.n))]
                 if total == need:
-                    space.append((word, fidx))
+                    space.append((word, f))
     return space
 
 
@@ -824,7 +1054,7 @@ def test_weight_space_matches_brute_force():
     lam = (-1, -4, 0, 0)
     mp = verma.GeneralizedVerma(4, lam)
     mu = (-4, -4, 0, 0)
-    assert len(mp.module.basis) == 4
+    assert len(verma_oracle.keys(mp.module)) == 4
     assert mp.weight_space(mu) == _brute_force_weight_space(mp, mu) == []
 
 
@@ -884,22 +1114,23 @@ def test_weights_of_the_wrong_length_are_refused():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_label_code_action_matches_levi_act(n):
-    """At the empty word each label code acts on F through the
-    straightening table and its Levi moves, as every entry of the
-    label's matrix acts, for every label and basis vector and both
-    tails; the raising codes are those of the simple raising labels."""
-    tails = [(0,) * (n - 2)] + ([(1,) + (0,) * (n - 3)] if n > 2 else [])
-    for tail in tails:
-        mp = verma.GeneralizedVerma(n, (1, -1) + tail)
+    """At the empty word each label code acts on Sym^2 tensor det tensor
+    Lambda^j through the straightening table and its Levi moves, as
+    every entry of the label's matrix acts on the wedge, for every
+    label, every key and every tail omega_j; the raising codes are those
+    of the simple raising labels."""
+    for j in range(n - 1):
+        mp = verma.GeneralizedVerma(n, _omega(n, j))
         tables = mp.tables
         assert [tables.labels[x] for x in tables.raising] == verma_oracle.simple_raising_labels(n)
         labels = list(tables.matrices)
         assert sorted(tables.labels, key=repr) == sorted(labels, key=repr)
         acted = 0
+        keys = verma_oracle.keys(mp.module)
         for label in labels:
-            for idx in range(len(mp.module.basis)):
-                acted += bool(_levi_action(mp, label, idx))
-        assert acted > len(mp.module.basis)
+            for f in keys:
+                acted += bool(_levi_action(mp, label, f))
+        assert acted > len(keys)
 
 
 def test_degree_bound_is_order_bound():
