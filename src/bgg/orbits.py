@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from bgg import weyl
-from bgg.weyl import STANDARD, Root, Weight, lambda_k
+from bgg.weyl import STANDARD, Root, Weight, lambda_k, shared_root
 
 IDENTITY = "identity"
 SUPPRESSED = "suppressed"
@@ -131,7 +131,8 @@ def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
     """The crossed-{2} Hasse diagram of rank n, keyed by placement and in
     Hasse order, built once per n (for the 8 ranks used last).  A
     read-only mapping of tuples, so no caller can change it for the next
-    one.
+    one.  Its roots are weyl.shared_root's, as are those render.from_json
+    reads back.
 
     The tail is fixed by (m1, m2), so a node's length, the inversion
     count of mu (weyl.inversion_length), is read off (m1, m2) in O(1).
@@ -149,13 +150,13 @@ def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
         raise ValueError("rank must be at least 2")
     rho = weyl.rho(n)
     big = 1 if n == 2 else 2  # the grade of b_1, b_2 and c_12
-    b1 = Root("b", 1), (0, 0, big, 0)
-    b2 = Root("b", 2), (1, 0, big, 0)
-    c12 = Root("c", 1, 2), (0, 1, big, big)
+    b1 = shared_root("b", 1, 0), (0, 0, big, 0)
+    b2 = shared_root("b", 2, 0), (1, 0, big, 0)
+    c12 = shared_root("c", 1, 2), (0, 1, big, big)
     # (root, form) of a_ij and c_ij by [i][j], 0-based, for tail positions j
-    a_ij = [[None, None] + [(Root("a", i + 1, j + 1), (i, j, 1, -1)) for j in range(2, n)]
+    a_ij = [[None, None] + [(shared_root("a", i + 1, j + 1), (i, j, 1, -1)) for j in range(2, n)]
             for i in (0, 1)]
-    c_ij = [[None, None] + [(Root("c", i + 1, j + 1), (i, j, 1, 1)) for j in range(2, n)]
+    c_ij = [[None, None] + [(shared_root("c", i + 1, j + 1), (i, j, 1, 1)) for j in range(2, n)]
             for i in (0, 1)]
     # for each m_i: the tail values above it (all n - 2 if it is
     # negative), plus |m_i| if it is negative

@@ -171,14 +171,16 @@ class HasseDiagram:
 
     def _rows(self):
         """(weight, length, window) per node and (source, target, root
-        label, order) per edge, each label made once."""
+        label, order) per edge, each label made once per Root object.  The
+        memo is keyed by id, not by the dataclass's Python-level hash; the
+        edges keep their roots alive for the call."""
         nodes = [(nd.weight, nd.length, nd.window) for nd in self.nodes]
         labels: dict = {}
         edges = []
         for source, target, root, order in self.edges:
-            label = labels.get(root)
+            label = labels.get(id(root))
             if label is None:
-                label = labels[root] = root.label()
+                label = labels[id(root)] = root.label()
             edges.append((source, target, label, order))
         return nodes, edges
 

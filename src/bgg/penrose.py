@@ -10,14 +10,20 @@ non-standard operator (order two in general, three when k = 1).
 The (p, middle, tail) terms of the relative resolution depend on n
 alone: they are one read-only tuple per rank, built once for the 8
 ranks used last (_rank_terms), and every call still checks its (n, k)
-before it reads them.  Nothing else is kept across calls: each page or
-complex builds its E1 cells and the conformal weights it needs once per
-call (the E2 page only those of its bridge) and reads every order bound
-as the difference of two conformal weights.  The E1 cells are read in
-one pass over the rank's terms, with the rule of bbw_direct_image
-applied in the loop; the two terms with middles m and -m share one tail
-tuple.  Every vanishing E2 entry is the one module-level frozen bullet
-record.  The non-standard operator has one model: the PageMap (on E2)
+before it reads them.  The frozen leaf records, PageMap, BggMap and
+E2Entry, are shared too: each is built once per process by a factory
+keyed by its field values and their types (_page_map, _bgg_map,
+_e2_entry), in a table with a constant bound (4096, 4096 and 1024 keys
+used last), since a sweep over k and sign meets the same maps again and
+again.  Callers compare records with ==, never by identity: an evicted
+key is built anew.  Pages and complexes are fresh per call: each builds
+its E1 cells and the conformal weights it needs once (the E2 page only
+those of its bridge) and reads every order bound as the difference of
+two conformal weights.  The E1 cells are read in one pass over the
+rank's terms, with the rule of bbw_direct_image applied in the loop;
+the two terms with middles m and -m share one tail tuple.  Every
+vanishing E2 entry is the factory's bullet record, kept at module
+level.  The non-standard operator has one model: the PageMap (on E2)
 and the BggMap of kind "nonstandard".
 
 All weights are rho-shifted integer tuples.  Everything lives on the
@@ -139,6 +145,12 @@ class E2Entry:
     text: str
 
 
+# one frozen record per field values and types, per process (see the
+# module docstring)
+_page_map = functools.lru_cache(maxsize=4096, typed=True)(PageMap)
+_e2_entry = functools.lru_cache(maxsize=1024, typed=True)(E2Entry)
+
+
 @dataclass
 class SpectralPage:
     n: int
@@ -220,15 +232,15 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     entries = e1_entries(n, k, sign)
     cw = _conformal_weights(entries)
     diffs = [
-        PageMap((p, q), (p + 1, q), STANDARD, cw[(p, q)] - cw[(p + 1, q)])
+        _page_map((p, q), (p + 1, q), STANDARD, cw[(p, q)] - cw[(p + 1, q)])
         for p, q in entries
         if (p + 1, q) in entries
     ]
     return SpectralPage(n, k, sign, 1, entries, diffs)
 
 
-# every vanishing E2 entry; frozen, so all pages share this one
-_BULLET_ENTRY = E2Entry(BULLET, "0")
+# every vanishing E2 entry: the factory's record, which all pages share
+_BULLET_ENTRY = _e2_entry(BULLET, "0")
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -247,18 +259,18 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     for q, ps in enumerate(rows):
         if not ps:
             continue
-        entries[(ps[0], q)] = E2Entry(KERNEL, f"Ker d_{ps[0] + 1}")
+        entries[(ps[0], q)] = _e2_entry(KERNEL, f"Ker d_{ps[0] + 1}")
         for p in ps[1:-1]:
             entries[(p, q)] = _BULLET_ENTRY
         if len(ps) > 1:
-            entries[(ps[-1], q)] = E2Entry(COKERNEL, f"Coker d_{ps[-1]}")
+            entries[(ps[-1], q)] = _e2_entry(COKERNEL, f"Coker d_{ps[-1]}")
     diffs = []
     if rows[0] and rows[1]:
         source, target = (rows[1][-1], 1), (rows[0][0], 0)
         src, tgt = e1[source], e1[target]
         order = src[0] + src[1] - tgt[0] - tgt[1]
         note = "induced splice map; an isomorphism onto its target"
-        diffs.append(PageMap(source, target, NONSTANDARD, order, note))
+        diffs.append(_page_map(source, target, NONSTANDARD, order, note))
     return SpectralPage(n, k, sign, 2, entries, diffs)
 
 
@@ -272,6 +284,9 @@ class BggMap:
     target: int
     kind: str
     order: int
+
+
+_bgg_map = functools.lru_cache(maxsize=4096, typed=True)(BggMap)
 
 
 @dataclass
@@ -338,7 +353,7 @@ def assemble_singular_bgg(
     cw = _conformal_weights(entries)
     cells = list(entries)  # in order of p
     maps = [
-        BggMap(i, i + 1, STANDARD if a[1] == b[1] else NONSTANDARD, cw[a] - cw[b])
+        _bgg_map(i, i + 1, STANDARD if a[1] == b[1] else NONSTANDARD, cw[a] - cw[b])
         for i, (a, b) in enumerate(zip(cells, cells[1:]))
     ]
     return BggComplex(n, k, sign, list(entries.values()), maps, _resolved(n, k, sign))
@@ -358,11 +373,11 @@ def _conjectural_k0(n: int, sign: str) -> BggComplex:
         return cw[i] - cw[j]
 
     # indices: (2,0) = n-3, (1,0) = n-2, (0,-1) = n-1, (0,-2) = n
-    maps = [BggMap(i, i + 1, STANDARD, bound(i, i + 1)) for i in range(n - 2)]
-    maps.append(BggMap(n - 3, n - 1, NONSTANDARD, bound(n - 3, n - 1)))
-    maps.append(BggMap(n - 2, n, NONSTANDARD, bound(n - 2, n)))
+    maps = [_bgg_map(i, i + 1, STANDARD, bound(i, i + 1)) for i in range(n - 2)]
+    maps.append(_bgg_map(n - 3, n - 1, NONSTANDARD, bound(n - 3, n - 1)))
+    maps.append(_bgg_map(n - 2, n, NONSTANDARD, bound(n - 2, n)))
     maps.extend(
-        BggMap(i, i + 1, STANDARD, bound(i, i + 1))
+        _bgg_map(i, i + 1, STANDARD, bound(i, i + 1))
         for i in range(n - 1, 2 * n - 3)
     )
     maps.sort(key=lambda m: (m.source, m.target))

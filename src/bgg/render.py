@@ -16,14 +16,18 @@ fit) is formatted by the same function that fills the table.
 
 JSON output is schema-stable and holds the whole diagram, so
 from_json(to_json(d)) == d.  to_json writes the text straight from the
-diagram's immutable node and arrow records (NamedTuples), formatting
-each distinct arrow tail (kind, root, order) once per call.  from_json
-builds those records from the parsed JSON through `orbits._node` and
+diagram's immutable node and arrow records (NamedTuples).  The JSON
+text of each scalar and of each arrow tail (kind, root kind, i, j,
+order) is formatted once per process, keyed by value and type, in
+tables bounded at 256 and 4096 values used last (_scalar_json,
+_arrow_tail): a sweep over n, k and sign writes the same tails again
+and again.  Node text is formatted per call.  from_json builds the
+records from the parsed JSON through `orbits._node` and
 `orbits._arrow`, which take a record's field tuple at C speed (a
 NamedTuple's own constructor is a Python-level call per record): it
-puts the one Root of each distinct root into the parsed arrows in
-place, then reads every arrow's fields in one pass of itemgetter.
-Neither JSON direction keeps anything across calls.
+puts weyl.shared_root's Root, the one the rank tables hold, into the
+parsed arrows in place, then reads every arrow's fields in one pass of
+itemgetter.  Diagrams are fresh per call; compare their roots with ==.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from bgg import orbits
 from bgg.orbits import OrbitArrow, OrbitDiagram, _arrow, _node
-from bgg.weyl import Root
+from bgg.weyl import Root, shared_root
 
 _PREAMBLE = r"""% marks: \ldominant node, \trivial cross, \arrow standard map,
 % \equal identity, \suppressedarrow trivially acting map, \skipped omitted run
@@ -214,6 +218,28 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
 # JSON
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _scalar_json(x) -> str:
+    """json.dumps of one scalar, once per process for the 256 values used
+    last; typed, since True == 1 == 1.0 but json writes them apart."""
+    import json
+
+    return json.dumps(x)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _arrow_tail(kind, order, *root) -> str:
+    """An arrow's JSON text after its target, once per process for the
+    4096 tails used last.  root is the (kind, i, j) of its Root, or empty
+    for a null root; keyed by value and type, like _scalar_json."""
+    if root:
+        rkind, i, j = map(_scalar_json, root)
+        text = f'{{"kind": {rkind}, "i": {i}, "j": {j}}}'
+    else:
+        text = "null"
+    return f'"kind": {_scalar_json(kind)}, "root": {text}, "order": {_scalar_json(order)}}}'
+
+
 def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     """The diagram as JSON text, followed by a newline.
 
@@ -221,60 +247,49 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     arrows: [{source, target, kind, root: {kind, i, j} or null, order}],
     coincidences}.  The compact text (indent None) is written straight
     from the diagram's fields: int lists as their repr, every other
-    scalar through json.dumps, once per distinct value, so strings are
-    escaped as json escapes them (ensure_ascii).  Each arrow's text after
-    its target is formatted once per distinct (kind, root, order).  With
-    an indent, json re-indents the compact text, so both forms equal
+    scalar through json.dumps (_scalar_json), so strings are escaped as
+    json escapes them (ensure_ascii).  Each arrow's text after its target
+    is read off _arrow_tail by (kind, order, root kind, i, j).  With an
+    indent, json re-indents the compact text, so both forms equal
     json.dumps of the schema's payload byte for byte.
     """
-    import json
-
-    dumped: dict = {}
-
-    def val(x) -> str:
-        key = (type(x), x)  # True == 1, but json writes them apart
-        text = dumped.get(key)
-        if text is None:
-            text = dumped[key] = json.dumps(x)
-        return text
-
-    def root(r: Optional[Root]) -> str:
-        if r is None:
-            return "null"
-        return f'{{"kind": {val(r.kind)}, "i": {val(r.i)}, "j": {val(r.j)}}}'
-
     nodes = ", ".join(
         [
             '{"placement": %s, "weight": %s}' % (list(placement), list(weight))
             for placement, weight in diagram.nodes
         ]
     )
-    # a root is keyed by identity: a diagram's arrows share their Root
-    # objects, and equal roots may differ in field types (True == 1)
-    tails: dict = {}
-    parts = []
-    for source, target, kind, r, order in diagram.arrows:
-        key = (type(kind), kind, id(r), type(order), order)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (
-                f'"kind": {val(kind)}, "root": {root(r)}, "order": {val(order)}}}'
+    arrows = ", ".join(
+        [
+            '{"source": %s, "target": %s, %s'
+            % (
+                source,
+                target,
+                _arrow_tail(kind, order)
+                if r is None
+                else _arrow_tail(kind, order, r.kind, r.i, r.j),
             )
-        parts.append('{"source": %s, "target": %s, %s' % (source, target, tail))
-    arrows = ", ".join(parts)
+            for source, target, kind, r, order in diagram.arrows
+        ]
+    )
     coincidences = ", ".join(str(list(c)) for c in diagram.coincidences)
+    val = _scalar_json
     text = (
         f'{{"kind": {val(diagram.kind)}, "n": {val(diagram.n)}, "k": {val(diagram.k)}, '
         f'"conjectural": {val(diagram.conjectural)}, "nodes": [{nodes}], '
         f'"arrows": [{arrows}], "coincidences": [{coincidences}]}}'
     )
     if indent is not None:
+        import json
+
         text = json.dumps(json.loads(text), indent=indent)
     return text + "\n"
 
 
-# a parsed arrow's field tuple, in OrbitArrow's field order
+# a parsed arrow's field tuple, in OrbitArrow's field order, and a parsed
+# root's (kind, i, j)
 _ARROW_FIELDS = itemgetter(*OrbitArrow._fields)
+_ROOT_FIELDS = itemgetter("kind", "i", "j")
 
 
 def from_json(text: str) -> OrbitDiagram:
@@ -282,18 +297,12 @@ def from_json(text: str) -> OrbitDiagram:
 
     data = json.loads(text)
     nodes = [_node((tuple(nd["placement"]), tuple(nd["weight"]))) for nd in data["nodes"]]
-    # each distinct root is built once and shared by its arrows: it takes
-    # the place of the root's dict in the parsed arrow
-    roots: dict[tuple, Root] = {}
+    # each root is weyl.shared_root's: it takes the place of the root's
+    # dict in the parsed arrow
     arrows = data["arrows"]
     for a in arrows:
         r = a["root"]
-        if r:
-            key = (r["kind"], r["i"], r["j"])
-            r = roots.get(key)
-            if r is None:
-                r = roots[key] = Root(*key)
-        a["root"] = r or None
+        a["root"] = shared_root(*_ROOT_FIELDS(r)) if r else None
     return OrbitDiagram(
         data["kind"],
         data["n"],

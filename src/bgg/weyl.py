@@ -4,6 +4,12 @@ Weights live in epsilon-coordinates as integer tuples of length n.  The
 positive roots are a_ij = e_i - e_j, b_i = 2e_i and c_ij = e_i + e_j for
 1 <= i < j <= n; the simple roots are a_{i,i+1} (i < n) and b_n.
 
+A Root is a frozen record.  `shared_root` keeps one Root per (kind, i, j)
+per process, in a table bounded at a constant 1024 keys; the orbit rank
+tables and `render.from_json` take their roots from it, so a sweep over
+n, k and sign builds each root once.  Callers compare roots with ==,
+never by identity.
+
 The Weyl group acts by signed permutations, and an element w is fixed
 by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
 mu alone: `act_from_image` applies it to any weight, and
@@ -24,6 +30,7 @@ and no Penrose or Verma command loads `orbits`.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,6 +76,16 @@ class Root:
         if self.i < 10 and self.j < 10:
             return f"{self.kind}{self.i}{self.j}"
         return f"{self.kind}{self.i},{self.j}"
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def shared_root(kind: str, i: int, j: int) -> Root:
+    """The one Root(kind, i, j) of this process, for the 1024 keys used
+    last.  Keyed by the three values and their types (Root("a", True, 2)
+    equals Root("a", 1, 2) but is kept apart), so pass all three, j = 0
+    for b.  Roots are frozen, so sharing them is safe; compare them with
+    ==, since an evicted key is built anew."""
+    return Root(kind, i, j)
 
 
 def positive_roots(n: int) -> list[Root]:

@@ -234,6 +234,50 @@ def test_e2_pages_share_one_frozen_bullet():
     assert shared > 0 and bullet.text == "0"
 
 
+def _records(n, k, sign):
+    """The leaf records of the E1 and E2 pages and the complex of (n, k,
+    sign): page maps, E2 entries and complex maps."""
+    e1, e2 = penrose.e1_page(n, k, sign), penrose.e2_page(n, k, sign)
+    cx = penrose.assemble_singular_bgg(n, k, sign)
+    return e1.differentials + e2.differentials + list(e2.entries.values()) + cx.maps
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_calls_share_their_frozen_records(n):
+    """Two calls hand out the same PageMap, BggMap and E2Entry objects,
+    each still frozen, and the pages and complexes still equal the
+    oracle's."""
+    for k in range(1, n):
+        for sign in "+-":
+            first, again = _records(n, k, sign), _records(n, k, sign)
+            assert first and all(a is b for a, b in zip(first, again))
+            assert len(first) == len(again)
+            for record in first:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    record.kind = "x"
+            assert penrose.e1_page(n, k, sign).to_dict() == oracle.e1_page(n, k, sign).to_dict()
+            assert penrose.e2_page(n, k, sign).to_dict() == oracle.e2_page(n, k, sign).to_dict()
+            got = penrose.assemble_singular_bgg(n, k, sign).to_dict()
+            assert got == oracle.assemble_singular_bgg(n, k, sign).to_dict()
+    k0 = [penrose.assemble_singular_bgg(n, 0, conjectural=True) for _ in range(2)]
+    assert all(a is b for a, b in zip(k0[0].maps, k0[1].maps))
+    assert k0[0].to_dict() == oracle.conjectural_k0(n).to_dict()
+    # the complexes themselves stay the caller's own
+    assert k0[0] is not k0[1] and k0[0].maps is not k0[1].maps
+
+
+def test_record_tables_are_bounded_typed_and_hold_the_bullet():
+    """Each record factory has a constant, finite bound and keeps keys of
+    other types apart; the bullet is the factory's (bullet, "0") record."""
+    for table in (penrose._page_map, penrose._bgg_map, penrose._e2_entry):
+        params = table.cache_parameters()
+        assert type(params["maxsize"]) is int and params["maxsize"] > 0
+        assert params["typed"] is True
+    assert penrose._e2_entry(penrose.BULLET, "0") is penrose._BULLET_ENTRY
+    one, true = penrose._bgg_map(0, 1, "standard", 1), penrose._bgg_map(0, 1, "standard", True)
+    assert one == true and one is not true and type(true.order) is bool
+
+
 def test_e2_page_builds_e1_once(monkeypatch):
     """The E2 page reads its rows and bridge off one e1_entries call and
     builds no E1 page."""
@@ -390,13 +434,13 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_builders_compute_each_cell_once(monkeypatch):
-    """An assembled complex builds no E1 page and no PageMap, and reads
-    the conformal weights of its cells once.  The E1 entries build no
-    RelativeBggTerm and read no conformal weight, and a page reads them
-    once and builds one PageMap per differential.  The conjectural k = 0
+    """An assembled complex builds no E1 page and asks for no PageMap, and
+    reads the conformal weights of its cells once.  The E1 entries build
+    no RelativeBggTerm and read no conformal weight, and a page reads them
+    once and asks the PageMap factory once per differential.  The conjectural k = 0
     complex reads the conformal weights of its cells once too."""
     e1 = _count_calls(monkeypatch, penrose, "e1_page")
-    page_maps = _count_calls(monkeypatch, penrose, "PageMap")
+    page_maps = _count_calls(monkeypatch, penrose, "_page_map")
     terms = _count_calls(monkeypatch, penrose, "RelativeBggTerm")
     weights = _count_calls(monkeypatch, penrose, "_conformal_weights")
     n = 7

@@ -1,13 +1,22 @@
 """TikZ / dot / JSON rendering of orbit diagrams."""
 
+import dataclasses
+import importlib.util
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 import render_oracle
-from bgg import orbits, render
+from bgg import orbits, render, weyl
 from bgg.orbits import OrbitArrow, OrbitDiagram, OrbitNode
 from bgg.weyl import Root
+
+
+SWEEP = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sweep_check.py"
 
 
 def _count(text, token):
@@ -212,9 +221,9 @@ def test_to_json_escapes_like_json_dumps():
 
 
 def test_to_json_tails_keep_equal_values_of_other_types_apart():
-    """Arrow tails are memoised per call; values that compare equal but
+    """Arrow tails are shared per process; values that compare equal but
     json writes apart (1, True, 1.0, and roots holding them) each keep
-    their own text."""
+    their own text within one diagram."""
     roots = [Root("a", 1, 2), Root("a", True, 2), Root("a", 1, 2)]
     assert roots[0] == roots[1]
     arrows = [
@@ -287,19 +296,95 @@ def test_from_json_reads_indented_text_and_null_roots():
         _assert_public_records(back)
 
 
-def test_from_json_builds_each_root_once(monkeypatch):
-    d = orbits.regular_orbit_projection(6)
-    built = []
+def test_from_json_builds_each_root_once():
+    """from_json takes every root from weyl.shared_root: two texts read
+    back the rank table's own Root objects, and reading them again builds
+    no root."""
+    diagrams = [orbits.regular_orbit_projection(6), orbits.singular_orbit(6, 2)]
+    texts = [render.to_json(diagrams[0]), render.to_json(diagrams[1], 1)]
+    table = {
+        (r.kind, r.i, r.j): r for node in orbits._rank_table(6).values() for _, r, _, _ in node.arrows
+    }
+    first = [render.from_json(t) for t in texts]
+    misses = weyl.shared_root.cache_info().misses
+    again = [render.from_json(t) for t in texts]
+    assert weyl.shared_root.cache_info().misses == misses
+    for d, *backs in zip(diagrams, first, again):
+        for back in backs:
+            assert back == d
+            assert render_oracle.to_json(back) == render_oracle.to_json(d)
+            for a, want in zip(back.arrows, d.arrows):
+                assert a.root is want.root
+                assert a.root is None or a.root is table[(a.root.kind, a.root.i, a.root.j)]
 
-    def counting(*args):
-        built.append(args)
-        return Root(*args)
 
-    monkeypatch.setattr(render, "Root", counting)
-    back = render.from_json(render.to_json(d))
-    assert back == d
-    assert sorted(built) == sorted({(a.root.kind, a.root.i, a.root.j) for a in d.arrows})
-    assert len({id(a.root) for a in back.arrows}) == len(built)
+def _typed_diagram(one, order):
+    """A hand-built diagram whose scalars and root index are all `one`
+    (1, True or 1.0, equal values json writes apart)."""
+    root = Root("a", one, 2)
+    arrows = [
+        OrbitArrow(0, 1, orbits.STANDARD, root, order),
+        OrbitArrow(1, 0, orbits.SUPPRESSED, Root("b", one, 0), order),
+        OrbitArrow(0, 1, orbits.IDENTITY, None, order),
+    ]
+    nodes = [OrbitNode((2, 1), (2, 1)), OrbitNode((2, -1), (2, -1))]
+    return OrbitDiagram("singular-orbit", one, one, nodes, arrows, [(0, 1)], conjectural=one)
+
+
+@pytest.mark.parametrize("ones", [(1, True, 1.0), (1.0, True, 1), (True, 1.0, 1)])
+def test_shared_texts_keep_equal_values_of_other_types_apart(ones):
+    """The per-process scalar and tail texts are keyed by type: diagrams
+    that differ only in 1, True and 1.0, rendered one after another in any
+    order, each give the oracle's bytes, and read back roots of their own
+    index type."""
+    for one in ones:
+        for order in ones + (None,):
+            d = _typed_diagram(one, order)
+            for indent in (None, 2):
+                assert _same_json(d, indent)
+            back = render.from_json(render.to_json(d))
+            assert back == d
+            assert render.to_json(back) == render_oracle.to_json(d)
+            assert type(back.arrows[0].root.i) is type(one)
+            assert type(back.arrows[0].order) is type(order)
+
+
+def test_shared_roots_stay_frozen():
+    """A Root handed out by weyl.shared_root, to a rank table and to
+    from_json alike, is the frozen record: no field can be set."""
+    back = render.from_json(render.to_json(orbits.singular_orbit(5, 2)))
+    for root in (weyl.shared_root("a", 1, 3), back.arrows[0].root):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            root.i = 2
+    assert weyl.shared_root("a", 1, 3) == Root("a", 1, 3)
+
+
+def test_shared_tables_are_bounded_and_typed():
+    """Every per-process table of shared records and texts has a constant,
+    finite bound and keeps keys of other types apart."""
+    for table in (weyl.shared_root, render._scalar_json, render._arrow_tail):
+        params = table.cache_parameters()
+        assert type(params["maxsize"]) is int and params["maxsize"] > 0
+        assert params["typed"] is True
+
+
+def test_sweep_is_the_same_cold_and_warm():
+    """One sweep over n = 8, 10, 12 (every k, both signs; JSON, TikZ, DOT
+    and page and complex dicts) in a fresh process gives the same bytes
+    cold and warm, and the same digests under two hash seeds."""
+    runs = [
+        subprocess.run(
+            [sys.executable, str(SWEEP)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.count("\n") == 363
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +512,23 @@ def test_writer_oracle_sees_a_table_of_another_rank(monkeypatch):
     d = orbits.singular_orbit(6, 2)
     with pytest.raises(KeyError):
         _writer_mismatches([d], lambda n: [render.RenderConfig()])
+
+
+def test_sweep_check_fails_on_a_warm_difference(monkeypatch, capsys):
+    """A writer whose text changes between the cold and the warm sweep
+    makes the script exit 1 and name the outputs that differ."""
+    spec = importlib.util.spec_from_file_location("sweep_check", SWEEP)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    real = render.to_dot
+
+    def drifting(diagram, config=None):
+        calls.append(1)
+        return real(diagram, config) + ("" if len(calls) <= 4 else " ")
+
+    monkeypatch.setattr(render, "to_dot", drifting)
+    assert script.main(["--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 4 * 6 + 2 * 3 * 2 + 1
+    assert err.startswith("error: 4 outputs differ warm: regular n=3 dot, singular n=3 k=0 dot")
