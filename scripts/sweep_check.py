@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     for key, text in cold:
         print(key, hashlib.sha256(text.encode()).hexdigest())
     differ = [key for (key, a), (_, b) in zip(cold, warm) if a != b]
-    if differ or len(cold) != len(warm):
+    if differ:
         print(f"error: {len(differ)} outputs differ warm: {', '.join(differ[:5])}", file=sys.stderr)
         return 1
     return 0
