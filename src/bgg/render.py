@@ -221,9 +221,14 @@ def to_dot(diagram: OrbitDiagram, config: Optional[RenderConfig] = None) -> str:
 @functools.lru_cache(maxsize=256, typed=True)
 def _scalar_json(x) -> str:
     """json.dumps of one scalar, once per process for the 256 values used
-    last; typed, since True == 1 == 1.0 but json writes them apart."""
+    last; typed, since True == 1 == 1.0 but json writes them apart.  Any
+    other value is refused with ValueError, so none is ever kept: the
+    key types only the value itself, and a tuple would share the text
+    of an equal tuple of other element types."""
     import json
 
+    if x is not None and not isinstance(x, (str, int, float)):
+        raise ValueError(f"not a JSON scalar: {x!r}")
     return json.dumps(x)
 
 
@@ -231,7 +236,8 @@ def _scalar_json(x) -> str:
 def _arrow_tail(kind, order, *root) -> str:
     """An arrow's JSON text after its target, once per process for the
     4096 tails used last.  root is the (kind, i, j) of its Root, or empty
-    for a null root; keyed by value and type, like _scalar_json."""
+    for a null root; keyed by value and type, like _scalar_json, which
+    refuses any field that is not a scalar before a tail is kept."""
     if root:
         rkind, i, j = map(_scalar_json, root)
         text = f'{{"kind": {rkind}, "i": {i}, "j": {j}}}'
@@ -251,7 +257,9 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     json escapes them (ensure_ascii).  Each arrow's text after its target
     is read off _arrow_tail by (kind, order, root kind, i, j).  With an
     indent, json re-indents the compact text, so both forms equal
-    json.dumps of the schema's payload byte for byte.
+    json.dumps of the schema's payload byte for byte.  A field that is
+    not a scalar (str, int, float, bool or None), a tuple order say, is
+    refused with ValueError.
     """
     nodes = ", ".join(
         [

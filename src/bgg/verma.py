@@ -27,48 +27,46 @@ and f a key.  Coefficients are exact: the structure constants and the
 Levi action are integers, so integer input straightens to int
 coefficients, and a Fraction input stays a Fraction.
 
-Straightening is per rank, with no vector of F in it.  A product of
-letters stays in U(u^-): Y_y Y^w, for a letter y that sorts after the
-first letter of w, is kept in the lowering table.  For a label code x
-that is not a letter, the straightening table holds
+Straightening is per rank, with no vector of F in it, in one table for
+every label code x, letters included:
 
     x Y^w = sum over (w2, z) of c Y^w2 z
 
 in U(g), one entry ((w2, z), c) per term: z a Levi label, the h_i
-included, or None for the scalar 1.  Both tables are computed by
-x Y_y rest = Y_y (x rest) + [x, Y_y] rest, a letter that sorts before
-y being simply prepended.  At the empty word a u^+ label, which kills
-F, is dropped.  The straightening table is keyed by (code, word) alone
-and serves every Levi module of the rank, whatever its tail: on Lambda^0
-a label of sp(2n-4), h_i with i >= 3 included, finds no row of S to
-move.  A suffix shared by many words is thus straightened once,
+included, or None for the scalar 1.  A letter's entries stay in U(u^-),
+z None, since the brackets of two letters are letters.  The table is
+computed by x Y_y rest = Y_y (x rest) + [x, Y_y] rest, and a letter
+that sorts first just extends the word, unmemoised.  At the empty word
+a u^+ label, which kills F, is dropped.  The table is keyed by (code,
+word) alone and serves every Levi module of the rank, whatever its tail:
+on Lambda^0 a label of sp(2n-4), h_i with i >= 3 included, finds no row
+of S to move.  A suffix shared by many words is thus straightened once,
 whatever lam.
 
 Every Levi label, the h_i included, moves a key to at most two others,
 as a per-rank table of its matrix entries says, so a LeviModule keeps
-no memo; the modules of a rank are kept in its record by lam.  act is
-the one left action: a letter lowers each word through the lowering
-table, and any other label is read off the straightening table and
-moves f through the Levi module (GeneralizedVerma._left).  Each
-monomial's row is its images under the simple raising operators and
-then its contraction, kept in the same record by lam, so every
-GeneralizedVerma of one (n, lam) reads the same rows.  Inducing from p
-is exact, so the maximal vectors of M_p(lam) are those of U(u^-) tensor
-W that the contraction kills: check_maximal sums the rows of an
-element, and maximal_vector_dimension eliminates the rows of a weight
-space fraction-free over the integers, sparsest columns first, in one
-elimination, with no module of Lambda^{j-2} built.  combine reads each
-root's letter code once, by (kind, i, j), maps each catalogue label
-(a, t) to its key, and applies the letters through act, right to left.
+no memo.  act is the one left action, one loop for every code: each
+entry of the table gives c Y^w2 tensor f for z None and moves f through
+the Levi module otherwise.  Each monomial's row is its images under the
+simple raising operators, through act, and then its contraction.  The
+Levi module of lam and its rows are one record, kept in the rank's
+tables by lam, so every GeneralizedVerma of one (n, lam) reads the same
+rows.  Inducing from p is exact, so the maximal vectors of M_p(lam) are
+those of U(u^-) tensor W that the contraction kills: check_maximal sums
+the rows of an element, and maximal_vector_dimension eliminates the
+rows of a weight space fraction-free over the integers, sparsest
+columns first, in one elimination, with no module of Lambda^{j-2}
+built.  combine reads each root's letter code once, by (kind, i, j),
+maps each catalogue label (a, t) to its key, and applies the letters
+through act, right to left.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
-integer tables the hot paths read instead of hashing a Root, five
-memos (brackets, lowering, straightening, grade tables and their index
-by tail) and three
-that go with their rank: the Levi modules, their rows and the first
-arrows shifted by rho (verify_row).  Every other field is a tuple or a
+integer tables the hot paths read instead of hashing a Root, four memos
+(brackets, straightening, grade tables and their index by tail) and two
+that go with their rank: the per-lam records and the first arrows
+shifted by rho (verify_row).  Every other field is a tuple or a
 read-only mapping, and every value a table holds is a tuple or a
 read-only mapping of tuples.  A bracket is kept once, by label code,
 computed through decompose with its reconstruction check.  LieData is a
@@ -137,14 +135,14 @@ class RankTables(NamedTuple):
     col, value) entry in the gl(2) block or None, and its entries (r, c,
     v) among the slots, each by its rows as the bit masks (1 << c, 1 << r
     or 0 when r = c, the bits that swap c for r, the bits strictly
-    between r and c) and v (LeviModule._move).  Then the memos: the
-    brackets by code pair, the lowering table and the straightening
-    table by (code, word), one for every Levi module of the rank, since
-    on Lambda^0 the labels of sp(2n-4) find no row to move in
-    LeviModule._move (see straighten), the word table of each grade
-    (graded) and its index by tail (by_tail), the Levi modules by lam,
-    each lam's rows by monomial (GeneralizedVerma._row), and the first
-    arrows of the rank by (k, sign), shifted by rho (verify_row)."""
+    between r and c) and v (LeviModule._move).  Then the six memos: the
+    brackets by code pair, the one straightening table by (code, word),
+    letters included, for every Levi module of the rank (see
+    straighten), the word table of each grade (graded) and its index by
+    tail (by_tail), each lam's record (modules): the pair of its
+    LeviModule and its rows by monomial (GeneralizedVerma._row), and
+    the first arrows of the rank by (k, sign), shifted by rho
+    (verify_row)."""
 
     matrices: Mapping
     leads: Mapping
@@ -157,12 +155,10 @@ class RankTables(NamedTuple):
     slots: tuple
     levi: Mapping
     brackets: dict
-    lowering: dict
     straightening: dict
     grades: dict
     tails: dict
     modules: dict
-    rows: dict
     arrows: dict
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
@@ -190,27 +186,6 @@ class RankTables(NamedTuple):
             got = self.brackets[x, y] = tuple(
                 (self.code[lab], c) for lab, c in self.decompose(m)
             )
-        return got
-
-    def lower(self, y: int, word: tuple) -> tuple:
-        """Y_y Y^word in U(u^-) for a letter y and a normal-ordered word,
-        as a tuple of (w2, c) with w2 normal-ordered: a letter that sorts
-        first just extends the word, and any other product is read off
-        the lowering table, computed into it the first time.  The
-        brackets of two letters are letters."""
-        if not word or y <= word[0]:
-            return (((y,) + word, 1),)
-        got = self.lowering.get((y, word))
-        if got is None:
-            first, rest = word[0], word[1:]
-            out: dict = {}
-            for w2, c in self.lower(y, rest):
-                for w3, c3 in self.lower(first, w2):
-                    _add(out, w3, c * c3)
-            for z, zc in self.bracket(y, first):
-                for w3, c3 in self.lower(z, rest):
-                    _add(out, w3, zc * c3)
-            got = self.lowering[y, word] = tuple(out.items())
         return got
 
     def graded(self, grade: int) -> Mapping:
@@ -254,14 +229,18 @@ class RankTables(NamedTuple):
         return got
 
     def straighten(self, x: int, word: tuple) -> tuple:
-        """x Y^word for a label code x that is not a letter and a
-        normal-ordered word, as the pairs ((w2, z), c): c Y^w2 z, z a
-        Levi label code, h_i included, or None for the scalar 1.  No
-        vector of F is in it, so one table serves every Levi module of
-        the rank: on Lambda^0 a label of sp(2n-4), h_i with i >= 3
-        included, finds no row to move in LeviModule._move.  Read off
-        the table, and computed into it the first time (see the module
-        docstring)."""
+        """x Y^word for any label code x and a normal-ordered word, as the
+        pairs ((w2, z), c): c Y^w2 z, z a Levi label code, h_i included,
+        or None for the scalar 1.  A letter that sorts first just extends
+        the word, and any other pair is read off the table, computed into
+        it the first time (see the module docstring).  A letter's product
+        stays in U(u^-), since the brackets of two letters are letters,
+        so its every z is None.  No vector of F is in it, so one table
+        serves every Levi module of the rank: on Lambda^0 a label of
+        sp(2n-4), h_i with i >= 3 included, finds no row to move in
+        LeviModule._move."""
+        if x < len(self.letters) and (not word or x <= word[0]):
+            return ((((x,) + word, None), 1),)
         got = self.straightening.get((x, word))
         if got is not None:
             return got
@@ -270,13 +249,9 @@ class RankTables(NamedTuple):
         if word:
             y, rest = word[0], word[1:]
             for (w2, z), c in self.straighten(x, rest):
-                for w3, c3 in self.lower(y, w2):
+                for (w3, _), c3 in self.straighten(y, w2):
                     out[w3, z] = out.get((w3, z), 0) + c * c3
             for z, zc in self.bracket(x, y):
-                if z < len(self.letters):
-                    for w3, c3 in self.lower(z, rest):
-                        out[w3, None] = out.get((w3, None), 0) + zc * c3
-                    continue
                 for key, c in self.straighten(z, rest):
                     out[key] = out.get(key, 0) + zc * c
         if 0 in out.values():
@@ -339,8 +314,7 @@ def _rank(n: int) -> RankTables:
         letter_codes=MappingProxyType({(r.kind, r.i, r.j): i for i, r in enumerate(order)}),
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         slots=slots, levi=MappingProxyType(levi),
-        brackets={}, lowering={}, straightening={}, grades={}, tails={},
-        modules={}, rows={}, arrows={},
+        brackets={}, straightening={}, grades={}, tails={}, modules={}, arrows={},
     )
 
 
@@ -415,8 +389,8 @@ class LeviModule:
 
     GeneralizedVerma works on the whole of W and cuts F out of it by the
     contraction (contract), one more set of columns in each monomial's
-    row.  The modules of a rank are kept in its tables by lam
-    (GeneralizedVerma), and go when the rank does."""
+    row.  The modules of a rank are kept in its tables by lam, each with
+    its rows (GeneralizedVerma), and go when the rank does."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         lam = tuple(lam)
@@ -506,33 +480,29 @@ class GeneralizedVerma:
     in full.
 
     Straightening and the grade tables of weight spaces depend on n
-    alone and are read off `tables`, the record of the rank (_rank), one
-    straightening table for every Levi module of the rank (on Lambda^0
-    the labels of sp(2n-4) find no row to move in LeviModule._move);
-    `module` is the LeviModule F(lam), kept in the same record by lam,
-    so every GeneralizedVerma of one (n, lam) shares it.  `_left` joins
-    the two for a label that is not a letter.  act is the one left
-    action on elements: combine applies each letter through it, and _row
-    lists each monomial's `_left` images under the simple raising
-    operators and then its contraction.  `letters` is the rank's letter
-    list.
-
-    The rows (_row) are kept in the same record by lam too, so every
-    GeneralizedVerma of one (n, lam) reads the same rows and they go
-    when the rank does.  check_maximal and maximal_vector_dimension both
-    read them, so a monomial is straightened for them once per process,
-    however many checks share its lam."""
+    alone and are read off `tables`, the record of the rank (_rank): one
+    straightening table for every label code, letters included, and for
+    every Levi module of the rank (on Lambda^0 the labels of sp(2n-4)
+    find no row to move in LeviModule._move).  `module`, the LeviModule
+    F(lam), and the rows (_row) are one record, kept in the rank's tables
+    by lam, so every GeneralizedVerma of one (n, lam) shares them and
+    they go when the rank does.  act is the one left action on elements,
+    for every code: combine applies each letter through it, and _row
+    lists each monomial's images under the simple raising operators
+    through it and then its contraction.  check_maximal and
+    maximal_vector_dimension both read the rows, so a monomial is
+    straightened for them once per process, however many checks share
+    its lam.  `letters` is the rank's letter list."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
         self.lam = tuple(lam)
         self.tables = _rank(n)
         self.letters = self.tables.letters
-        module = self.tables.modules.get(self.lam)
-        if module is None:
-            module = self.tables.modules[self.lam] = LeviModule(n, self.lam)
-        self.module = module
-        self._rows = self.tables.rows.setdefault(self.lam, {})  # monomial -> row
+        record = self.tables.modules.get(self.lam)
+        if record is None:
+            record = self.tables.modules[self.lam] = (LeviModule(n, self.lam), {})
+        self.module, self._rows = record  # the rows by monomial
 
     # -- element arithmetic
 
@@ -550,26 +520,28 @@ class GeneralizedVerma:
                 _add(out, key, c)
         return out
 
-    # -- straightening
+    # -- module structure
 
-    def _left(self, x: int, word: tuple, f: int) -> Element:
-        """x . (Y^word tensor f) in normal form, as a new element, for a
-        label code x that is not a letter: each entry ((w2, z), c) of the
-        straightened x Y^word gives c Y^w2 tensor f for z None, and moves
-        f through the Levi module otherwise."""
+    def act(self, label: Label | int, elem: Element) -> Element:
+        """label . elem as a new element, for a label or its integer code,
+        letter or not: each entry ((w2, z), c) of the straightened
+        label Y^word (RankTables.straighten) gives c Y^w2 tensor f for z
+        None, and moves f through the Levi module otherwise."""
+        x = label if type(label) is int else self.tables.code[label]
         out: Element = {}
-        move = self.module._move
-        for (w2, z), a in self.tables.straighten(x, word):
-            if z is None:
-                _add(out, (w2, f), a)
-                continue
-            for f2, c2 in move(z, f):
-                _add(out, (w2, f2), a * c2)
+        straighten, move = self.tables.straighten, self.module._move
+        for (word, f), c in elem.items():
+            for (w2, z), a in straighten(x, word):
+                if z is None:
+                    _add(out, (w2, f), c * a)
+                    continue
+                for f2, c2 in move(z, f):
+                    _add(out, (w2, f2), c * a * c2)
         return out
 
     def _row(self, key) -> tuple:
         """The images of the monomial key under the simple raising
-        operators by _left, as the pairs ((operator, w2, f2), coeff), then
+        operators by act, as the pairs ((operator, w2, f2), coeff), then
         its contraction (LeviModule.contract) as the pairs ((-1, word,
         f2), coeff): -1 marks no raising operator.  Built the first time
         for the lam."""
@@ -579,27 +551,9 @@ class GeneralizedVerma:
             got = self._rows[key] = tuple(
                 ((si, w2, f2), c)
                 for si, x in enumerate(self.tables.raising)
-                for (w2, f2), c in self._left(x, word, f).items()
+                for (w2, f2), c in self.act(x, {key: 1}).items()
             ) + tuple(((-1, word, f2), c) for f2, c in self.module.contract(f))
         return got
-
-    # -- module structure
-
-    def act(self, label: Label | int, elem: Element) -> Element:
-        """label . elem as a new element, for a label or its integer code:
-        a letter lowers each word, and any other label acts by _left."""
-        x = label if type(label) is int else self.tables.code[label]
-        out: Element = {}
-        if x < len(self.letters):
-            lower = self.tables.lower
-            for (word, f), c in elem.items():
-                for w2, c2 in lower(x, word):
-                    _add(out, (w2, f), c * c2)
-            return out
-        for (word, f), c in elem.items():
-            for key, c2 in self._left(x, word, f).items():
-                _add(out, key, c * c2)
-        return out
 
     def term_weight(self, key) -> Weight:
         word, f = key
@@ -843,7 +797,8 @@ def verify_row(
     arrow, shifted by rho, is kept in the rank's tables by (k, sign), so
     a genuine and a perturbed check shift it once.  `lie` is only checked
     against row.n ("rank mismatch") and not used otherwise; it can go
-    when the benchmark harness stops passing it (ROADMAP item 3)."""
+    once the benchmark harness is mended and stops passing it (ROADMAP
+    item 2, mend perfbench/)."""
     n = row.n
     if lie is not None and lie.n != n:
         raise ValueError("rank mismatch")

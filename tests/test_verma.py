@@ -138,7 +138,7 @@ def test_lie_data_validation():
 
 def _clear_rank_tables():
     """Drop the per-rank tables, and with them the grade tables, the Levi
-    modules, their rows and the shifted first arrows kept in them."""
+    modules with their rows and the shifted first arrows kept in them."""
     verma._rank.cache_clear()
 
 
@@ -180,8 +180,8 @@ def test_shared_tables_are_kept_per_rank():
 
 def test_shared_tables_are_read_only(lie3):
     """Every field of the rank's record other than its memos (the Levi
-    modules, the rows and the shifted first arrows among them) is a
-    tuple, a frozenset or a read-only mapping, and so are the basis
+    modules with their rows and the shifted first arrows among them) is
+    a tuple, a frozenset or a read-only mapping, and so are the basis
     matrices inside it.  A grade table is a read-only mapping of tuples
     of word tuples."""
     label = ("e", Root("a", 1, 2))
@@ -192,7 +192,7 @@ def test_shared_tables_are_read_only(lie3):
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     tables = mp.tables
     assert tables is verma._rank(3)
-    memos = {"brackets", "lowering", "straightening", "grades", "tails", "modules", "rows", "arrows"}
+    memos = {"brackets", "straightening", "grades", "tails", "modules", "arrows"}
     assert memos <= set(tables._fields)
     for name in tables._fields:
         field = getattr(tables, name)
@@ -223,9 +223,9 @@ def _top(mp):
 
 def test_rank_tables_hold_eight_ranks():
     """The per-rank tables are held in a bounded cache of 8 ranks, and the
-    grade tables, the Levi modules, their rows and the shifted first
-    arrows are held in the tables of their rank: they go when it is
-    evicted, so at most 8 ranks hold any."""
+    grade tables, the per-lam records (the Levi module and its rows) and
+    the shifted first arrows are held in the tables of their rank: they
+    go when it is evicted, so at most 8 ranks hold any."""
     _clear_rank_tables()
     built, rows, arrows, grades = {}, {}, {}, {}
     for n in range(3, 12):
@@ -246,16 +246,17 @@ def test_rank_tables_hold_eight_ranks():
     for n in range(11, 3, -1):
         lams = ((0,) * n, (1, 0, 1) + (0,) * (n - 3), verma.singular_vector_row(n, 1, "-").lam)
         tables = verma._rank(n)
-        assert tables.modules == {lam: built[n, lam] for lam in lams}
-        assert tables.rows.keys() == set(lams)
-        assert all(tables.rows[lam] is rows[n, lam] and rows[n, lam] for lam in lams)
+        assert tables.modules.keys() == set(lams)
+        for lam in lams:
+            module, kept = tables.modules[lam]
+            assert module is built[n, lam] and kept is rows[n, lam] and kept
         assert tables.arrows == {(1, "-"): arrows[n]}
         assert tables.grades.keys() == grades[n].keys()
         assert all(tables.grades[g] is table for g, table in grades[n].items())
-    # rank 3 was evicted, and its grade tables, modules, rows and arrows
-    # with it
+    # rank 3 was evicted, and its grade tables, per-lam records and
+    # arrows with it
     tables = verma._rank(3)
-    assert tables.modules == {} and tables.rows == {} and tables.arrows == {}
+    assert tables.modules == {} and tables.arrows == {}
     assert tables.grades == {} and tables.tails == {}
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     assert mp.module is not built[3, (0, 0, 0)]
@@ -330,13 +331,19 @@ def test_simple_raising_labels(m3):
 
 
 def _levi_action(mp, label, f):
-    """label . f through the module's one left action at the empty word,
-    as sorted (key, coeff) pairs, asserted equal to the action of every
-    entry of the label's matrix (the oracle)."""
-    out = mp._left(mp.tables.code[label], (), f)
+    """label . f in F through the module's one left action at the empty
+    word, as sorted (key, coeff) pairs, asserted equal to the action of
+    every entry of the label's matrix (the oracle).  A letter acts on F
+    by no entry: act gives Y tensor f, and its action on F is empty."""
+    x = mp.tables.code[label]
+    out = mp.act(x, {((), f): 1})
+    want = verma_oracle.levi_act(mp.module, label, f)
+    if x < len(mp.letters):
+        assert out == {((x,), f): 1} and want == [], (mp.lam, label, f)
+        return []
     assert all(word == () for word, _ in out), (mp.lam, label, f)
     got = sorted((f2, c) for (_, f2), c in out.items())
-    assert got == verma_oracle.levi_act(mp.module, label, f), (mp.lam, label, f)
+    assert got == want, (mp.lam, label, f)
     return got
 
 
@@ -847,12 +854,12 @@ def test_act_results_do_not_alias_the_memo():
 
 
 def test_modules_of_a_rank_share_read_only_tables():
-    """Modules of one rank share the straightening table whatever lam and
-    V, and the grade and lowering tables, and modules of one (n, lam)
-    share their Levi module.  Every value the
-    lowering and straightening tables hold is a tuple, every grade table
-    a read-only mapping of tuples, and mutating an element returned by
-    act or combine leaves the next call unchanged."""
+    """Modules of one rank share the straightening table, letters
+    included, whatever lam and V, and the grade tables, and modules of
+    one (n, lam) share their per-lam record: the Levi module and its
+    rows.  Every value the straightening table holds is a tuple, every
+    grade table a read-only mapping of tuples, and mutating an element
+    returned by act or combine leaves the next call unchanged."""
     _clear_rank_tables()
     a, b = verma.GeneralizedVerma(3, (0, 0, 0)), verma.GeneralizedVerma(3, (1, 0, 1))
     c = verma.GeneralizedVerma(3, (2, -1, 0))
@@ -860,7 +867,9 @@ def test_modules_of_a_rank_share_read_only_tables():
     assert a.tables.grades is b.tables.grades
     assert a.tables.brackets is b.tables.brackets
     assert a.module is not b.module
-    assert verma.GeneralizedVerma(3, [1, 0, 1]).module is b.module
+    again = verma.GeneralizedVerma(3, [1, 0, 1])
+    assert again.module is b.module and again._rows is b._rows
+    assert a._rows is not b._rows
     parts = [(1, (Root("a", 2, 3), Root("b", 2)), (0, None))]
     parts_b = [(1, ys, (0, 0)) for _, ys, _ in parts]
     label = ("e", Root("a", 2, 3))
@@ -876,19 +885,23 @@ def test_modules_of_a_rank_share_read_only_tables():
     pairs = [(x, word) for x, word in b.tables.straightening]
     assert len(pairs) == size
     assert a.weight_space((-1, -2, 1)) and b.weight_space(verma_oracle.weight_of(b, v))
-    assert a.combine([(1, (Root("c", 2, 3), Root("a", 1, 3)), (0, None))])  # a lowering
+    # c23 sorts after a13, so it does not simply extend the word
+    assert a.combine([(1, (Root("c", 2, 3), Root("a", 1, 3)), (0, None))])
+    memo = a.tables.straightening
+    assert any(x < len(a.letters) for x, _ in memo)
+    assert all(type(val) is tuple for val in memo.values())
+    assert all(type(term) is tuple for val in memo.values() for term in val)
     for mp in (a, b):
-        assert mp.tables.modules[mp.lam] is mp.module
-        for memo in (mp.tables.lowering, mp.tables.straightening):
-            assert memo
-            assert all(type(val) is tuple for val in memo.values())
-            assert all(type(term) is tuple for val in memo.values() for term in val)
+        module, rows = mp.tables.modules[mp.lam]
+        assert module is mp.module and rows is mp._rows
         assert mp.tables.grades
         for table in mp.tables.grades.values():
             assert type(table) is MappingProxyType
             assert all(type(words) is tuple for words in table.values())
             assert all(type(w) is tuple for words in table.values() for w in words)
-    assert a.tables.modules == {(0, 0, 0): a.module, (1, 0, 1): b.module, (2, -1, 0): c.module}
+    assert {lam: module for lam, (module, _) in a.tables.modules.items()} == {
+        (0, 0, 0): a.module, (1, 0, 1): b.module, (2, -1, 0): c.module
+    }
     want = dict(got)
     got.clear()
     v[(0,), 0] = 5
@@ -934,31 +947,65 @@ def _graded_words(grades, top):
     return words
 
 
+def _straightening_mismatches(mp, words):
+    """The (label, word, f) for which label . (Y^word tensor f), through
+    the straightening table and the Levi action, differs from the
+    work-list straightening: every label code, letters included, every
+    word given and every basis vector of F."""
+    bad = []
+    for x, label in enumerate(mp.tables.labels):
+        for word in words:
+            for f in verma_oracle.keys(mp.module):
+                want = {}
+                verma_oracle.normal_form(
+                    mp, (label,) + tuple(mp.letters[i] for i in word), f, 1, want
+                )
+                if mp.act(x, {(word, f): 1}) != want:
+                    bad.append((label, word, f))
+    return bad
+
+
 @pytest.mark.parametrize("n, top", [(3, 3), (4, 2)])
 def test_straightening_table_matches_oracle(n, top):
-    """Every label code on every normal-ordered word of grade at most top
-    and every basis vector of a trivial-tail and a standard-tail module,
-    through the straightening table and the Levi action, against the
-    work-list straightening.  Afterwards the table holds every pair a
-    label does not simply extend."""
+    """Every label code, letters included, on every normal-ordered word of
+    grade at most top and every basis vector of a trivial-tail and a
+    standard-tail module, through the straightening table and the Levi
+    action, against the work-list straightening.  Afterwards the one
+    table holds every pair a label does not simply extend."""
     _clear_rank_tables()
     grades = [sum(root.vector(n)[:2]) for _, root in verma._rank(n).letters]
     words = _graded_words(grades, top)
     assert max(map(len, words)) == top
     for lam in ((1, -1) + (0,) * (n - 2), (1, 0, 1) + (0,) * (n - 3)):
         mp = verma.GeneralizedVerma(n, lam)
-        for x, label in enumerate(mp.tables.labels):
-            for word in words:
-                for f in verma_oracle.keys(mp.module):
-                    want = {}
-                    verma_oracle.normal_form(
-                        mp, (label,) + tuple(mp.letters[i] for i in word), f, 1, want
-                    )
-                    assert mp.act(x, {(word, f): 1}) == want, (lam, label, word, f)
+        bad = _straightening_mismatches(mp, words)
+        assert not bad, (lam, bad[:3])
         simple = {(x, w) for x in range(len(mp.letters)) for w in words if not w or x <= w[0]}
         pairs = {(x, w) for x in range(len(mp.tables.labels)) for w in words} - simple
         kept = {(x, w) for x, w in mp.tables.straightening}
-        assert pairs <= kept | mp.tables.lowering.keys()
+        assert pairs <= kept
+
+
+def test_straightening_table_check_can_fail():
+    """One wrong coefficient seeded into a letter's entry of a fresh
+    rank's table, for a pair that the letter does not simply extend
+    (Y_c12 Y_a13 = Y_a13 Y_c12), is caught by the comparison with the
+    work-list straightening.  The oracle's brackets come from the same
+    memo, so the straightening entry is corrupted, not a bracket."""
+    n = 3
+    _clear_rank_tables()
+    try:
+        tables = verma._rank(n)
+        x, word = tables.code["y", Root("c", 1, 2)], (tables.code["y", Root("a", 1, 3)],)
+        assert x > word[0]
+        ((key, c), *rest) = tables.straighten(x, word)
+        assert key == ((word[0], x), None)
+        tables.straightening[x, word] = ((key, c + 1), *rest)
+        mp = verma.GeneralizedVerma(n, (1, -1, 0))
+        bad = _straightening_mismatches(mp, [(), word])
+        assert {(tables.labels[x], word, f) for f in verma_oracle.keys(mp.module)} <= set(bad)
+    finally:
+        _clear_rank_tables()
 
 
 def _multisets(m, k):
@@ -1254,10 +1301,10 @@ def _assert_rows_match_oracle(n):
     """Every row kept in the tables of rank n is the oracle's, for a
     module of its lam, and is a tuple of pairs with int coefficients."""
     tables = verma._rank(n)
-    assert tables.rows
-    for lam, rows in tables.rows.items():
+    assert any(rows for _, rows in tables.modules.values())
+    for lam, (module, rows) in tables.modules.items():
         mp = verma.GeneralizedVerma(n, lam)
-        assert mp._rows is rows
+        assert mp.module is module and mp._rows is rows
         for key, row in rows.items():
             assert type(row) is tuple and all(type(c) is int for _, c in row)
             assert dict(row) == _oracle_row(mp, key), (lam, key)
@@ -1313,15 +1360,20 @@ def test_a_row_pair_builds_each_row_once(monkeypatch):
     for row in _catalogue(range(3, 7)):
         assert verma.verify_row(row).ok
         mark = len(built)
-        kept = dict(verma._rank(row.n).rows[row.lam])
+        _, rows = verma._rank(row.n).modules[row.lam]
+        kept = dict(rows)
         assert not verma.verify_row(row, perturb=True, kernel=False).maximal_ok
         # the perturbed vector's monomials lie in the weight space, whose
         # rows the genuine check's kernel built
         assert built[mark:] == []
-        assert all(verma._rank(row.n).rows[row.lam][key] is r for key, r in kept.items())
+        assert verma._rank(row.n).modules[row.lam][1] is rows
+        assert all(rows[key] is r for key, r in kept.items())
     assert len(built) == len(set(built)) > 0
     assert sorted(built) == sorted(
-        (n, lam, key) for n in range(3, 7) for lam, rows in verma._rank(n).rows.items() for key in rows
+        (n, lam, key)
+        for n in range(3, 7)
+        for lam, (_, rows) in verma._rank(n).modules.items()
+        for key in rows
     )
 
 
