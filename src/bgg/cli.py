@@ -131,18 +131,6 @@ def _emit_diagram(diag, args) -> int:
     return 0
 
 
-def _cmd_regular_orbit(args) -> int:
-    from bgg import orbits
-
-    return _emit_diagram(orbits.regular_orbit_projection(args.n), args)
-
-
-def _cmd_singular_orbit(args) -> int:
-    from bgg import orbits
-
-    return _emit_diagram(orbits.singular_orbit(args.n, args.k), args)
-
-
 def _cmd_relative_bgg(args) -> int:
     from bgg import penrose
 
@@ -344,14 +332,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--format", choices=("text", "json", "tikz", "dot"), default="text")
     _add_diagram_opts(sp)
-    sp.set_defaults(func=_cmd_regular_orbit)
+    sp.set_defaults(func=_cmd_render, what="regular", k=None)
 
     sp = sub.add_parser("singular-orbit", help="orbit diagram of a k-singular weight")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--format", choices=("text", "json", "tikz", "dot"), default="text")
     _add_diagram_opts(sp)
-    sp.set_defaults(func=_cmd_singular_orbit)
+    sp.set_defaults(func=_cmd_render, what="singular")
 
     sp = sub.add_parser("relative-bgg", help="relative BGG resolution along the fibration")
     sp.add_argument("--n", type=int, required=True)

@@ -6,35 +6,39 @@ The 4(n-2)+3 free parameters match the nilradical letters of the
 crossed-{2} parabolic; the symmetric correction S makes the plane
 isotropic identically in the parameters.
 
-All arithmetic is exact.  A `BigCellPoint` holds its coordinates as
-integer numerators over one common denominator: `numerators` in field
-order (a1, a2, c1, c2, b1, b2, c12) and `denominator` d, the least
-positive one, so gcd(numerators, d) == 1.  Points are equal, and hash
-alike, exactly when their (n, numerators, d) are, however they were
-built.  `_layout(n, numerators, d)` is the only place where the layout
-of the matrix and S appear: it gives the plane's two columns as integer
-lists x and y over the scale m = 2 d^2, and S as s / m.  Both checks,
-`isotropy_check` and the reconstruction check of `twistor_cover_solve`,
-run C-level passes over these columns; a point computes them once, on
-first use, and every later reader shares them.  Fractions are built
-only where a public value is read (the fields a1 ... c12, `matrix()`,
-`columns()`, `s_correction()`), once per point.
+All arithmetic is exact.  A `BigCellPoint` is its canonical integers:
+`numerators` in field order (a1, a2, c1, c2, b1, b2, c12) over
+`denominator` d, the least positive one, so gcd(numerators, d) == 1.
+Points are equal, and hash alike, exactly when their (n, numerators, d)
+are, however they were built.  `_over_lcm` is the one place where
+reduced ratios become numerators over their lcm, and `_point` is the
+one unchecked constructor: `random_point` and `twistor_cover_solve`
+build through it from integers.
+
+A point keeps one cached view: its integer layout, `_layout(n,
+numerators, d)`, the only place where the layout of the matrix and S
+appear.  It gives the plane's two columns as integer lists x and y over
+the scale m = 2 d^2, and S as s / m.  Both checks, `isotropy_check` and
+the reconstruction check of `twistor_cover_solve`, run C-level passes
+over these columns, so neither builds a Fraction.  The public values
+(the fields a1 ... c12, `matrix()`, `columns()`, `s_correction()`)
+build their Fractions on each read, from the numerators or the layout.
 
 The public constructor takes ints or Fractions (finite floats too, at
-their exact value) and finds d once; a value that is not a number
-raises TypeError and a NaN or infinity ValueError, naming the
-coordinate.  `random_point` and `twistor_cover_solve` build their
-numerators and d from integers directly.
+their exact value); a value that is not a number raises TypeError and a
+NaN or infinity ValueError, naming the coordinate.
 
-Seeded points (`random_point`, `random_line`) draw each coordinate
-uniformly from the 171 values p/q with p = -9..9 and q = 1..9.  Digit
-r = 0..170 stands for Fraction(r // 9 - 9, r % 9 + 1).  Coordinates are
-drawn in blocks of seven: one rng.randrange(171 ** 7) call per block,
-read off as its seven base-171 digits, least significant first; a last
-partial block uses its low digits only.  `random_point` takes its
-4(n-2) + 3 values in field order (a1, a2, c1, c2, b1, b2, c12), and
-`random_line` takes 2n - 1 values after its leading 1.  Only integers
-enter a draw: no call to the float random().
+Random points (`random_point(n, rng)`, `random_line(n, rng)`) draw from
+the caller's `random.Random`, which is required, so every draw is
+seeded.  Each coordinate is drawn uniformly from the 171 values p/q
+with p = -9..9 and q = 1..9.  Digit r = 0..170 stands for
+Fraction(r // 9 - 9, r % 9 + 1).  Coordinates are drawn in blocks of
+seven: one rng.randrange(171 ** 7) call per block, read off as its
+seven base-171 digits, least significant first; a last partial block
+uses its low digits only.  `random_point` takes its 4(n-2) + 3 values
+in field order (a1, a2, c1, c2, b1, b2, c12), and `random_line` takes
+2n - 1 values after its leading 1.  Only integers enter a draw: no call
+to the float random().
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 Scalar = Fraction  # or int
 
@@ -89,8 +93,21 @@ def _ratios(values: Sequence, name: Callable[[int], str]) -> list[tuple[int, int
         raise
 
 
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators over d for reduced ratios (p, q): as each is reduced,
+    their lcm d is the least common denominator."""
+    d = lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
+
+
 def _field(i: int) -> property:
-    return property(lambda self: self._coordinates()[i], doc=f"{_FIELDS[i]}, as Fractions")
+    def read(self):
+        k, d = self._n - 2, self._d
+        if i < 4:
+            return tuple([Fraction(x, d) for x in self._nums[i * k : (i + 1) * k]])
+        return Fraction(self._nums[4 * k + i - 4], d)
+
+    return property(read, doc=f"{_FIELDS[i]}, as Fractions")
 
 
 class BigCellPoint:
@@ -104,7 +121,7 @@ class BigCellPoint:
     b2 and c12 as Fractions.
     """
 
-    __slots__ = ("_n", "_nums", "_d", "_scaled", "_values", "_fractions")
+    __slots__ = ("_n", "_nums", "_d", "_scaled")
 
     def __init__(self, n: int, a1, a2, c1, c2, b1, b2, c12):
         _check_rank(n)
@@ -115,10 +132,8 @@ class BigCellPoint:
         def name(i):
             return f"{_FIELDS[i // k]}[{i % k}]" if i < 4 * k else _FIELDS[i - 4 * k + 4]
 
-        pairs = _ratios([*a1, *a2, *c1, *c2, b1, b2, c12], name)
-        # Each ratio is reduced, so their lcm is the least common denominator.
-        d = lcm(*[q for _, q in pairs])
-        _init(self, n, tuple(p * (d // q) for p, q in pairs), d)
+        nums, d = _over_lcm(_ratios([*a1, *a2, *c1, *c2, b1, b2, c12], name))
+        self._n, self._nums, self._d, self._scaled = n, tuple(nums), d, None
 
     @property
     def n(self) -> int:
@@ -152,47 +167,27 @@ class BigCellPoint:
             self._scaled = _layout(self._n, self._nums, self._d)
         return self._scaled
 
-    def _coordinates(self) -> tuple:
-        """(a1, a2, c1, c2, b1, b2, c12) as Fractions, built once."""
-        if self._values is None:
-            k, d = self._n - 2, self._d
-            v = [Fraction(x, d) for x in self._nums]
-            self._values = (*(tuple(v[i * k : (i + 1) * k]) for i in range(4)), *v[4 * k :])
-        return self._values
-
     a1, a2, c1, c2, b1, b2, c12 = (_field(i) for i in range(7))
-
-    def _columns_and_s(self) -> tuple[list[Scalar], list[Scalar], Scalar]:
-        """The two columns and S as Fractions, built once."""
-        if self._fractions is None:
-            x, y, m, s = self._columns()
-            self._fractions = *([Fraction(v, m) for v in c] for c in (x, y)), Fraction(s, m)
-        return self._fractions
 
     def s_correction(self) -> Scalar:
         """S = (1/2) sum_j (a_1j c_2j - a_2j c_1j)."""
-        return self._columns_and_s()[2]
+        _, _, m, s = self._columns()
+        return Fraction(s, m)
 
     def matrix(self) -> list[list[Scalar]]:
         """The 2n x 2 matrix whose columns span the plane."""
-        x, y, _ = self._columns_and_s()
-        return [[p, q] for p, q in zip(x, y)]
+        return [[p, q] for p, q in zip(*self.columns())]
 
     def columns(self) -> tuple[list, list]:
-        x, y, _ = self._columns_and_s()
-        return list(x), list(y)
-
-
-def _init(point: BigCellPoint, n: int, nums: tuple, d: int) -> None:
-    point._n, point._nums, point._d = n, nums, d
-    point._scaled = point._values = point._fractions = None
+        x, y, m, _ = self._columns()
+        return [Fraction(v, m) for v in x], [Fraction(v, m) for v in y]
 
 
 def _point(n: int, nums: Sequence[int], d: int) -> BigCellPoint:
     """The point with these numerators over d, which must be canonical:
     d > 0 and gcd(nums, d) == 1.  No checks."""
     point = BigCellPoint.__new__(BigCellPoint)
-    _init(point, n, tuple(nums), d)
+    point._n, point._nums, point._d, point._scaled = n, tuple(nums), d, None
     return point
 
 
@@ -249,10 +244,8 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
         raise ValueError("gamma must have even length")
     n = len(gamma) // 2
     _check_rank(n)
-    pairs = _ratios(gamma, "gamma[{}]".format)
     # gamma / gamma_1 == g / g0 with integers g and g0 = g[0].
-    e = lcm(*[q for _, q in pairs])
-    g = [p * (e // q) for p, q in pairs]
+    g, _ = _over_lcm(_ratios(gamma, "gamma[{}]".format))
     g0, g1 = g[0], g[1]
     if g0 == 0:
         raise ValueError("the solve chart needs gamma_1 != 0")
@@ -284,20 +277,14 @@ def _draw(rng: random.Random, count: int, table: Sequence) -> list:
     return out
 
 
-def random_point(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> BigCellPoint:
-    """A seeded random rational point of the big cell."""
+def random_point(n: int, rng: random.Random) -> BigCellPoint:
+    """A random rational point of the big cell, drawn from rng."""
     _check_rank(n)
-    if rng is None:
-        rng = random.Random(seed)
-    # The pairs are reduced, as in BigCellPoint().
-    pairs = _draw(rng, parameter_count(n), _PAIRS)
-    d = lcm(*[q for _, q in pairs])
-    return _point(n, [p * (d // q) for p, q in pairs], d)
+    return _point(n, *_over_lcm(_draw(rng, parameter_count(n), _PAIRS)))
 
 
-def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> list:
-    """A seeded random rational vector in C^{2n} with first coordinate 1."""
+def random_line(n: int, rng: random.Random) -> list:
+    """A random rational vector in C^{2n} with first coordinate 1, drawn
+    from rng."""
     _check_rank(n)
-    if rng is None:
-        rng = random.Random(seed)
     return [_ONE, *_draw(rng, 2 * n - 1, _DRAWS)]

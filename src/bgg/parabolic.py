@@ -35,7 +35,6 @@ off `weyl` alone; the tests compare `orbits` with `hasse_diagram`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -71,7 +70,6 @@ def parabolic(n: int, crossed: Sequence[int]) -> Parabolic:
     return Parabolic(n, tuple(crossed))
 
 
-@functools.lru_cache(maxsize=256)
 def _twice_grading(p: Parabolic) -> tuple[int, ...]:
     """2E, which is integral: 2E_n is 1 if node n is crossed, else 0, and
     2E_m = 2E_{m+1} + 2 for crossed m < n (else 2E_{m+1})."""

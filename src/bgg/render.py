@@ -258,8 +258,8 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     is read off _arrow_tail by (kind, order, root kind, i, j).  With an
     indent, json re-indents the compact text, so both forms equal
     json.dumps of the schema's payload byte for byte.  A field that is
-    not a scalar (str, int, float, bool or None), a tuple order say, is
-    refused with ValueError.
+    not a scalar (str, int, float, bool or None), a tuple or list order
+    say, is refused with ValueError.
     """
     nodes = ", ".join(
         [
@@ -267,26 +267,36 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
             for placement, weight in diagram.nodes
         ]
     )
-    arrows = ", ".join(
-        [
-            '{"source": %s, "target": %s, %s'
-            % (
-                source,
-                target,
-                _arrow_tail(kind, order)
-                if r is None
-                else _arrow_tail(kind, order, r.kind, r.i, r.j),
-            )
-            for source, target, kind, r, order in diagram.arrows
-        ]
-    )
     coincidences = ", ".join(str(list(c)) for c in diagram.coincidences)
     val = _scalar_json
-    text = (
-        f'{{"kind": {val(diagram.kind)}, "n": {val(diagram.n)}, "k": {val(diagram.k)}, '
-        f'"conjectural": {val(diagram.conjectural)}, "nodes": [{nodes}], '
-        f'"arrows": [{arrows}], "coincidences": [{coincidences}]}}'
-    )
+    try:
+        arrows = ", ".join(
+            [
+                '{"source": %s, "target": %s, %s'
+                % (
+                    source,
+                    target,
+                    _arrow_tail(kind, order)
+                    if r is None
+                    else _arrow_tail(kind, order, r.kind, r.i, r.j),
+                )
+                for source, target, kind, r, order in diagram.arrows
+            ]
+        )
+        text = (
+            f'{{"kind": {val(diagram.kind)}, "n": {val(diagram.n)}, "k": {val(diagram.k)}, '
+            f'"conjectural": {val(diagram.conjectural)}, "nodes": [{nodes}], '
+            f'"arrows": [{arrows}], "coincidences": [{coincidences}]}}'
+        )
+    except TypeError:
+        # An unhashable field, a list say, fails a table's key before
+        # _scalar_json sees it: refuse the first non-scalar as it would.
+        fields = [diagram.kind, diagram.n, diagram.k, diagram.conjectural]
+        for _, _, kind, r, order in diagram.arrows:
+            fields += (kind, order) if r is None else (kind, order, r.kind, r.i, r.j)
+        for x in fields:
+            _scalar_json.__wrapped__(x)
+        raise
     if indent is not None:
         import json
 

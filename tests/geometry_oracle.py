@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,12 @@ def _draws(rng: random.Random, count: int) -> list[Fraction]:
     return values[:count]
 
 
-def random_point(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> BigCellPoint:
-    if rng is None:
-        rng = random.Random(seed)
+def random_point(n: int, rng: random.Random) -> BigCellPoint:
     v = _draws(rng, 4 * (n - 2) + 3)
     a1, a2, c1, c2 = (tuple(v[i * (n - 2) : (i + 1) * (n - 2)]) for i in range(4))
     b1, b2, c12 = v[-3:]
     return BigCellPoint(n, a1, a2, c1, c2, b1, b2, c12)
 
 
-def random_line(n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None) -> list:
-    if rng is None:
-        rng = random.Random(seed)
+def random_line(n: int, rng: random.Random) -> list:
     return [Fraction(1)] + _draws(rng, 2 * n - 1)
