@@ -19,10 +19,10 @@ A point keeps one cached view: its integer layout, `_layout(n,
 numerators, d)`, the only place where the layout of the matrix and S
 appear.  It gives the plane's two columns as integer lists x and y over
 the scale m = 2 d^2, and S as s / m.  Both checks, `isotropy_check` and
-the reconstruction check of `twistor_cover_solve`, run C-level passes
-over these columns, so neither builds a Fraction.  The public values
-(the fields a1 ... c12, `matrix()`, `columns()`, `s_correction()`)
-build their Fractions on each read, from the numerators or the layout.
+the reconstruction check of `twistor_cover_solve`, read these integer
+columns, so neither builds a Fraction.  The public values (the fields
+a1 ... c12, `matrix()`, `columns()`, `s_correction()`) build their
+Fractions on each read, from the numerators or the layout.
 
 The public constructor takes ints or Fractions (finite floats too, at
 their exact value); a value that is not a number raises TypeError and a
@@ -31,14 +31,14 @@ NaN or infinity ValueError, naming the coordinate.
 Random points (`random_point(n, rng)`, `random_line(n, rng)`) draw from
 the caller's `random.Random`, which is required, so every draw is
 seeded.  Each coordinate is drawn uniformly from the 171 values p/q
-with p = -9..9 and q = 1..9.  Digit r = 0..170 stands for
-Fraction(r // 9 - 9, r % 9 + 1).  Coordinates are drawn in blocks of
-seven: one rng.randrange(171 ** 7) call per block, read off as its
-seven base-171 digits, least significant first; a last partial block
-uses its low digits only.  `random_point` takes its 4(n-2) + 3 values
-in field order (a1, a2, c1, c2, b1, b2, c12), and `random_line` takes
-2n - 1 values after its leading 1.  Only integers enter a draw: no call
-to the float random().
+with p = -9..9 and q = 1..9: digit r = 0..170 stands for
+Fraction(r // 9 - 9, r % 9 + 1).  A draw of count digits reads rounds
+of 32 bytes, rng.getrandbits(256) in little-endian order, and keeps
+each byte below 171, in order, until count bytes are kept; it uses the
+first count.  A kept byte is uniform over 0..170.  `random_point` takes
+its 4(n-2) + 3 values in field order (a1, a2, c1, c2, b1, b2, c12), and
+`random_line` takes 2n - 1 values after its leading 1.  Only integers
+enter a draw: no call to random() or randrange.
 """
 
 from __future__ import annotations
@@ -52,14 +52,13 @@ from typing import Callable, Sequence
 
 Scalar = Fraction  # or int
 
-# The value of each base-171 digit of a draw, as a Fraction for
-# `random_line` and as its reduced (p, q) for `random_point`; Fractions
-# are immutable, so the lines share them.
+# The value of each digit of a draw, as a Fraction for `random_line`
+# and as its reduced (p, q) for `random_point`; Fractions are immutable,
+# so the lines share them.
 _DRAWS = [Fraction(r // 9 - 9, r % 9 + 1) for r in range(171)]
 _PAIRS = [x.as_integer_ratio() for x in _DRAWS]
-_BLOCK = 7
-_BLOCK_RANGE = len(_DRAWS) ** _BLOCK  # about 0.94 * 2^52
-_DIGIT_POWERS = tuple(len(_DRAWS) ** i for i in range(_BLOCK))  # 171^0 .. 171^6
+_ROUND = 32  # random bytes per getrandbits call of a draw
+_REJECTED = bytes(range(len(_DRAWS), 256))  # the bytes a draw drops
 _ONE = Fraction(1)  # the leading entry of every `random_line`
 
 _FIELDS = ("a1", "a2", "c1", "c2", "b1", "b2", "c12")
@@ -261,20 +260,18 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     point = _point(n, [x // r for x in nums], d // r)
     # C_1 + (g1 / g0) C_2 == g / g0 times m * g0, on the point's columns.
     x, y, m, _ = point._columns()
-    if list(map(lambda p, q: p * g0 + g1 * q, x, y)) != [gi * m for gi in g]:
+    if [p * g0 + g1 * q for p, q in zip(x, y)] != [gi * m for gi in g]:
         raise AssertionError("twistor line does not lie on the solved plane")
     return point
 
 
 def _draw(rng: random.Random, count: int, table: Sequence) -> list:
-    """The table entries of count seeded digits, one randrange call per
-    block of _BLOCK."""
-    base = len(_DRAWS)
-    out = []
-    for start in range(0, count, _BLOCK):
-        r = rng.randrange(_BLOCK_RANGE)
-        out += [table[r // power % base] for power in _DIGIT_POWERS[: count - start]]
-    return out
+    """The table entries of count seeded digits: the bytes below 171 of
+    rounds of _ROUND random bytes, in order."""
+    kept = b""
+    while len(kept) < count:
+        kept += rng.getrandbits(8 * _ROUND).to_bytes(_ROUND, "little").translate(None, _REJECTED)
+    return list(map(table.__getitem__, kept[:count]))
 
 
 def random_point(n: int, rng: random.Random) -> BigCellPoint:

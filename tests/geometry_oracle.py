@@ -76,14 +76,18 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
 
 
 def _draws(rng: random.Random, count: int) -> list[Fraction]:
-    """The draw protocol as specified: blocks of 7 base-171 digits, one
-    randrange(171 ** 7) per block, digit r is (r // 9 - 9) / (r % 9 + 1)."""
-    values = []
-    while len(values) < count:
-        block = rng.randrange(171**7)
-        digits = [block // 171**i % 171 for i in range(7)]
-        values += [Fraction(r // 9 - 9, r % 9 + 1) for r in digits]
-    return values[:count]
+    """The draw protocol as specified: rounds of 32 bytes, one
+    getrandbits(256) per round read least significant byte first, each
+    byte r < 171 kept in order until count are kept, and the kept digit r
+    is (r // 9 - 9) / (r % 9 + 1)."""
+    digits = []
+    while len(digits) < count:
+        bits = rng.getrandbits(256)
+        for i in range(32):
+            r = (bits >> (8 * i)) & 0xFF
+            if r < 171:
+                digits.append(r)
+    return [Fraction(r // 9 - 9, r % 9 + 1) for r in digits[:count]]
 
 
 def random_point(n: int, rng: random.Random) -> BigCellPoint:

@@ -276,10 +276,21 @@ def test_geometry_check(capsys):
 
 
 def test_geometry_check_detects_failure(capsys, monkeypatch):
+    """Every failed point and every failed solve counts once; a solve
+    whose reconstruction check raises counts as failed."""
     monkeypatch.setattr(geometry, "isotropy_check", lambda pt: False)
     rc, out, _ = run(capsys, "geometry-check", "--n", "3", "--count", "5")
     assert rc == 2
-    assert out.startswith("FAIL")
+    assert out == "FAIL big-cell isotropy and twistor cover: n=3 points=5 seed=0 failures=10\n"
+
+    def off_line(line):
+        raise AssertionError("twistor line does not lie on the solved plane")
+
+    monkeypatch.setattr(geometry, "isotropy_check", lambda pt: True)
+    monkeypatch.setattr(geometry, "twistor_cover_solve", off_line)
+    rc, out, _ = run(capsys, "geometry-check", "--n", "3", "--count", "4", "--format", "json")
+    assert rc == 2
+    assert json.loads(out) == {"n": 3, "count": 4, "seed": 0, "failures": 4, "ok": False}
 
 
 def test_geometry_check_checks_solved_planes(capsys, monkeypatch):

@@ -178,9 +178,56 @@ def test_seeded_draws_are_pinned():
     """Literal values, so every supported Python gives the same points."""
     F = Fraction
     assert geometry.random_point(3, random.Random(0)) == geometry.BigCellPoint(
-        3, (F(-7),), (F(-1, 2),), (F(-1, 5),), (F(-1, 9),), F(-1), F(-2, 5), F(-2, 7)
+        3, (F(-9, 8),), (F(-5, 9),), (F(3, 4),), (F(8, 7),), F(1, 9), F(-1, 5), F(-8)
     )
-    assert geometry.random_line(3, random.Random(0)) == [F(1), F(-7), F(-1, 2), F(-1, 5), F(-1, 9), F(-1)]
+    assert geometry.random_line(3, random.Random(0)) == [F(1), F(-9, 8), F(-5, 9), F(3, 4), F(8, 7), F(1, 9)]
+
+
+class _ChosenBytes(random.Random):
+    """A generator whose getrandbits returns the given rounds of bytes,
+    read little-endian, in order."""
+
+    def __init__(self, rounds):
+        super().__init__(0)
+        self.rounds = list(rounds)
+        self.bits = []
+
+    def getrandbits(self, k):
+        self.bits.append(k)
+        return int.from_bytes(self.rounds.pop(0), "little")
+
+
+def test_draws_keep_bytes_below_171_in_order():
+    """A draw keeps each byte below 171 of its 32-byte rounds, in order,
+    and tops up with another round while it has kept too few: here the
+    first round keeps 3 bytes, the second supplies the rest, and the
+    second round's surplus is dropped."""
+    first = bytes([171, 0, 255, 170, 200, *[171] * 26, 80])  # keeps 0, 170, 80
+    second = bytes([9, 250, 101, *[0] * 29])  # keeps 9, 101, 0, 0, ...
+    F = Fraction
+    # digit r is (r // 9 - 9) / (r % 9 + 1)
+    rng = _ChosenBytes([first, second])
+    assert geometry.random_line(3, rng) == [1, -9, 1, F(-1, 9), -8, F(2, 3)]
+    assert rng.bits == [256, 256] and not rng.rounds
+    rng = _ChosenBytes([first, second])
+    assert geometry.random_point(3, rng) == geometry.BigCellPoint(
+        3, (-9,), (1,), (F(-1, 9),), (-8,), F(2, 3), -9, -9
+    )
+    assert rng.bits == [256, 256] and not rng.rounds
+
+
+def test_draws_call_neither_random_nor_randrange(monkeypatch):
+    """A draw reads integers from getrandbits only."""
+
+    def refuse(*args):
+        raise AssertionError("a draw called random() or randrange")
+
+    monkeypatch.setattr(random.Random, "random", refuse)
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    for n in range(2, 7):
+        rng, old_rng = random.Random(n), random.Random(n)
+        _same_point(geometry.random_point(n, rng), oracle.random_point(n, old_rng))
+        assert geometry.random_line(n, rng) == oracle.random_line(n, old_rng)
 
 
 def test_draws_cover_every_numerator_and_denominator(monkeypatch):
