@@ -57,18 +57,25 @@ the rows of an element, and maximal_vector_dimension eliminates the
 rows of a weight space fraction-free over the integers, sparsest
 columns first, in one elimination, with no module of Lambda^{j-2}
 built.  combine reads each root's letter code once, by (kind, i, j),
-maps each catalogue label (a, t) to its key, and applies the letters
-through act, right to left.
+maps each catalogue label (a, t) to its key, refusing a label that
+names none, and adds the normal form of the term's letter word tensor
+that key.  A word of letters stays in U(u^-), so its normal form
+depends on n alone (PBW): RankTables.normal_form folds the word's
+letters through the straightening table once per rank, and the
+genuine check of a row, its perturbed twin and every later check read
+the same entries.  term_weight subtracts the weight of the monomial's
+own word, kept per rank too (RankTables.word_weight).
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
-integer tables the hot paths read instead of hashing a Root, four memos
-(brackets, straightening, grade tables and their index by tail) and two
-that go with their rank: the per-lam records and the first arrows
-shifted by rho (verify_row).  Every other field is a tuple or a
-read-only mapping, and every value a table holds is a tuple or a
-read-only mapping of tuples.  A bracket is kept once, by label code,
+integer tables the hot paths read instead of hashing a Root, six memos
+(brackets, straightening, grade tables and their index by tail, the
+normal forms of letter words and the weights of words) and two that go
+with their rank: the records of the last _MODULES_PER_RANK lam built
+and the first arrows shifted by rho (verify_row).  Every other field is
+a tuple or a read-only mapping, and every value a table holds is a
+tuple or a read-only mapping of tuples.  A bracket is kept once, by label code,
 computed through decompose with its reconstruction check.  LieData is a
 view of the record by label, and no module takes one.  The nilradical
 letters are checked against `weyl` alone (see _rank), so this module,
@@ -107,6 +114,7 @@ from bgg.weyl import Root, Weight
 Label = tuple  # ("e", Root) | ("y", Root) | ("h", int)
 Matrix = dict  # {(row, col): int}, nonzero entries only
 _UNITS = frozenset((-1, 0, 1))  # the entries of a weight of Lambda^j C^{2n-4}
+_MODULES_PER_RANK = 64  # per-lam records kept; verify-maximal --n 30 has 58 lam
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +143,16 @@ class RankTables(NamedTuple):
     col, value) entry in the gl(2) block or None, and its entries (r, c,
     v) among the slots, each by its rows as the bit masks (1 << c, 1 << r
     or 0 when r = c, the bits that swap c for r, the bits strictly
-    between r and c) and v (LeviModule._move).  Then the six memos: the
-    brackets by code pair, the one straightening table by (code, word),
-    letters included, for every Levi module of the rank (see
+    between r and c) and v (LeviModule._move).  Then the eight memos:
+    the brackets by code pair, the one straightening table by (code,
+    word), letters included, for every Levi module of the rank (see
     straighten), the word table of each grade (graded) and its index by
-    tail (by_tail), each lam's record (modules): the pair of its
-    LeviModule and its rows by monomial (GeneralizedVerma._row), and
-    the first arrows of the rank by (k, sign), shifted by rho
-    (verify_row)."""
+    tail (by_tail), each lam's record (modules), for the last
+    _MODULES_PER_RANK lam built, oldest evicted first: the pair of its
+    LeviModule and its rows by monomial (GeneralizedVerma._row), the
+    first arrows of the rank by (k, sign), shifted by rho (verify_row),
+    the normal form of each letter word (normal_form) and the weight of
+    each word (word_weight)."""
 
     matrices: Mapping
     leads: Mapping
@@ -160,6 +170,8 @@ class RankTables(NamedTuple):
     tails: dict
     modules: dict
     arrows: dict
+    normal_forms: dict
+    word_weights: dict
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
         """Exact expansion of x over the basis, read off the leading
@@ -259,6 +271,35 @@ class RankTables(NamedTuple):
         got = self.straightening[x, word] = tuple(out.items())
         return got
 
+    def normal_form(self, word: tuple) -> tuple:
+        """The product of the letters of a word of letter codes, in any
+        order, as the pairs (w2, c): c Y^w2, w2 normal-ordered.  The
+        letters are folded in from the right through straighten, whose
+        letter entries all have z None, so the product stays in U(u^-)
+        and depends on n alone; computed into the memo the first time."""
+        got = self.normal_forms.get(word)
+        if got is None:
+            elem: dict = {(): 1}
+            for x in reversed(word):
+                out: dict = {}
+                for w, c in elem.items():
+                    for (w2, _), c2 in self.straighten(x, w):
+                        _add(out, w2, c * c2)
+                elem = out
+            got = self.normal_forms[word] = tuple(elem.items())
+        return got
+
+    def word_weight(self, word: tuple) -> Weight:
+        """The sum of the weight vectors of a word's letters, computed into
+        the memo the first time."""
+        got = self.word_weights.get(word)
+        if got is None:
+            got = (0,) * len(self.vectors[0])
+            for i in word:
+                got = tuple(map(add, got, self.vectors[i]))
+            self.word_weights[word] = got
+        return got
+
 
 @functools.lru_cache(maxsize=8)
 def _rank(n: int) -> RankTables:
@@ -315,6 +356,7 @@ def _rank(n: int) -> RankTables:
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         slots=slots, levi=MappingProxyType(levi),
         brackets={}, straightening={}, grades={}, tails={}, modules={}, arrows={},
+        normal_forms={}, word_weights={},
     )
 
 
@@ -486,10 +528,12 @@ class GeneralizedVerma:
     find no row to move in LeviModule._move).  `module`, the LeviModule
     F(lam), and the rows (_row) are one record, kept in the rank's tables
     by lam, so every GeneralizedVerma of one (n, lam) shares them and
-    they go when the rank does.  act is the one left action on elements,
-    for every code: combine applies each letter through it, and _row
-    lists each monomial's images under the simple raising operators
-    through it and then its contraction.  check_maximal and
+    they go when the rank does, or when _MODULES_PER_RANK later lam of
+    the rank have been built.  act is the one left action on elements,
+    for every code: _row lists each monomial's images under the simple
+    raising operators through it and then its contraction, while
+    combine reads each letter word's normal form off the rank
+    (RankTables.normal_form).  check_maximal and
     maximal_vector_dimension both read the rows, so a monomial is
     straightened for them once per process, however many checks share
     its lam.  `letters` is the rank's letter list."""
@@ -499,25 +543,44 @@ class GeneralizedVerma:
         self.lam = tuple(lam)
         self.tables = _rank(n)
         self.letters = self.tables.letters
-        record = self.tables.modules.get(self.lam)
+        modules = self.tables.modules
+        record = modules.get(self.lam)
         if record is None:
-            record = self.tables.modules[self.lam] = (LeviModule(n, self.lam), {})
+            if len(modules) >= _MODULES_PER_RANK:
+                del modules[next(iter(modules))]  # the oldest
+            record = modules[self.lam] = (LeviModule(n, self.lam), {})
         self.module, self._rows = record  # the rows by monomial
 
     # -- element arithmetic
 
     def combine(self, parts: Iterable[tuple[int, Sequence[Root], tuple]]) -> Element:
-        """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts:
-        each root is read once as its letter's code, and the letters act
-        on coeff * (1 tensor f) through act, from the right."""
+        """The sum of coeff * Y_{ys[0]} ... Y_{ys[-1]} tensor f over parts,
+        f the key of the label (a, t): x_0^{m-a} x_1^a tensor the t-th
+        slot, or tensor 1 for t None.  Each root is read once as its
+        letter's code, and each entry (w2, c) of the word's normal form
+        (RankTables.normal_form) adds coeff * c Y^w2 tensor f.  A label
+        names a key only for 0 <= a <= m, with t None when j = 0 and
+        0 <= t < 2(n - 2) when j = 1, so no label names one when j >= 2;
+        any other label, and a root that is not a letter, is refused with
+        ValueError."""
         out: Element = {}
-        codes, slots, shift = self.tables.letter_codes, self.tables.slots, self.module.shift
-        for coeff, ys, (a, t) in parts:
-            elem = {((), a << shift | (0 if t is None else 1 << slots[t])): coeff}
-            for r in reversed(ys):
-                elem = self.act(codes[r.kind, r.i, r.j], elem)
-            for key, c in elem.items():
-                _add(out, key, c)
+        tables, module = self.tables, self.module
+        codes, slots = tables.letter_codes, tables.slots
+        for coeff, ys, label in parts:
+            a, t = label
+            if t is None:
+                names_key = module.j == 0
+            else:
+                names_key = module.j == 1 and 0 <= t < len(slots)
+            if not (names_key and 0 <= a <= module.m):
+                raise ValueError(f"label {label!r} names no key of M_p{self.lam}")
+            f = a << module.shift | (0 if t is None else 1 << slots[t])
+            word = tuple(codes.get((r.kind, r.i, r.j), -1) for r in ys)
+            if -1 in word:
+                root = ys[word.index(-1)]
+                raise ValueError(f"root {root.label()} is not a letter of the nilradical")
+            for w2, c in tables.normal_form(word):
+                _add(out, (w2, f), coeff * c)
         return out
 
     # -- module structure
@@ -556,11 +619,10 @@ class GeneralizedVerma:
         return got
 
     def term_weight(self, key) -> Weight:
+        """wt(f) less the weight of the monomial's word
+        (RankTables.word_weight)."""
         word, f = key
-        w, vectors = self.module.weight(f), self.tables.vectors
-        for i in word:
-            w = tuple(map(sub, w, vectors[i]))
-        return w
+        return tuple(map(sub, self.module.weight(f), self.tables.word_weight(word)))
 
     def check_maximal(self, elem: Element) -> tuple[bool, list[Label]]:
         """An element is maximal iff every simple raising operator and the

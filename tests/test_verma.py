@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -192,7 +193,10 @@ def test_shared_tables_are_read_only(lie3):
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     tables = mp.tables
     assert tables is verma._rank(3)
-    memos = {"brackets", "straightening", "grades", "tails", "modules", "arrows"}
+    memos = {
+        "brackets", "straightening", "grades", "tails", "modules", "arrows",
+        "normal_forms", "word_weights",
+    }
     assert memos <= set(tables._fields)
     for name in tables._fields:
         field = getattr(tables, name)
@@ -1214,6 +1218,142 @@ def test_combine_matches_oracle():
             assert all(type(c) is int for c in got.values())
 
 
+def _codes(n, ys):
+    codes = verma._rank(n).letter_codes
+    return tuple(codes[r.kind, r.i, r.j] for r in ys)
+
+
+def _oracle_normal_form(mp, word):
+    """{w2: c} for the letter word by the work-list straightening, on the
+    key 0 of a trivial-tail module."""
+    want = {}
+    verma_oracle.normal_form(mp, tuple(mp.letters[i] for i in word), 0, Fraction(1), want)
+    assert all(f == 0 for _, f in want)
+    return {w2: c for (w2, _), c in want.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_letter_word_normal_forms_match_oracle(n):
+    """Every letter word of length at most 3, in every order, against the
+    work-list straightening; each memoised form is a tuple of int pairs
+    with normal-ordered words, and a second read returns the same tuple."""
+    _clear_rank_tables()
+    mp = verma.GeneralizedVerma(n, (0,) * n)
+    tables = mp.tables
+    letters = range(len(mp.letters))
+    words = [w for length in range(4) for w in itertools.product(letters, repeat=length)]
+    for word in words:
+        got = tables.normal_form(word)
+        assert type(got) is tuple and tables.normal_form(word) is got
+        assert all(type(c) is int and list(w2) == sorted(w2) for w2, c in got)
+        assert dict(got) == _oracle_normal_form(mp, word), word
+    assert len(tables.normal_forms) == len(words)
+    assert dict(tables.normal_form(())) == {(): 1}
+
+
+def test_catalogue_word_normal_forms_match_oracle():
+    """Every word of every catalogue term for n = 3..8, against the
+    work-list straightening."""
+    for n in range(3, 9):
+        mp = verma.GeneralizedVerma(n, (0,) * n)
+        words = {_codes(n, ys) for row in _catalogue([n]) for _, ys, _ in row.terms}
+        for word in words:
+            assert dict(mp.tables.normal_form(word)) == _oracle_normal_form(mp, word), (n, word)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_word_weights_are_sums_of_letter_weights(n):
+    """Each word's weight, normal-ordered or not, is the sum of its
+    letters' root vectors; the memo keeps one tuple per word."""
+    tables = verma._rank(n)
+    letters = range(len(tables.letters))
+    graded = [w for words in tables.graded(3).values() for w in words]
+    for word in [(), *itertools.product(letters, repeat=2), *graded]:
+        want = [0] * n
+        for i in word:
+            want = [a + b for a, b in zip(want, tables.letters[i][1].vector(n))]
+        got = tables.word_weight(word)
+        assert got == tuple(want) and tables.word_weight(word) is got, word
+        assert tables.word_weights[word] is got
+
+
+def test_normal_form_check_can_fail():
+    """Negating any one coefficient of a memoised normal form of the
+    n = 3, k = 1, + row (the order-three splice, one word out of PBW
+    order) makes its genuine check fail, though the kernel still reads 1."""
+    row = verma.singular_vector_row(3, 1, "+")
+    words = [_codes(3, ys) for _, ys, _ in row.terms]
+    assert any(list(w) != sorted(w) for w in words)
+    try:
+        for word in words:
+            for i in range(len(verma._rank(3).normal_form(word))):
+                _clear_rank_tables()
+                tables = verma._rank(3)
+                entries = list(tables.normal_form(word))
+                w2, c = entries[i]
+                entries[i] = (w2, -c)
+                tables.normal_forms[word] = tuple(entries)
+                r = verma.verify_row(row)
+                assert r.kernel_dim == 1 and not r.maximal_ok and not r.ok, (word, i)
+    finally:
+        _clear_rank_tables()
+    assert verma.verify_row(row).ok
+
+
+def test_a_perturbed_check_adds_no_normal_form():
+    """A perturbed check run after its genuine twin, for every row with
+    n = 3..6, adds no normal form or word weight and replaces none: both
+    read the genuine check's entries."""
+    _clear_rank_tables()
+    for row in _catalogue(range(3, 7)):
+        assert verma.verify_row(row).ok
+        tables = verma._rank(row.n)
+        forms, weights = dict(tables.normal_forms), dict(tables.word_weights)
+        assert forms and weights
+        assert not verma.verify_row(row, perturb=True, kernel=False).maximal_ok
+        assert tables.normal_forms == forms and tables.word_weights == weights
+        assert all(tables.normal_forms[w] is v for w, v in forms.items())
+
+
+@pytest.mark.parametrize(
+    "lam, label",
+    [
+        ((-1, -1, 0), (7, None)),  # m = 0 allows a = 0 only
+        ((-1, -1, 0), (-1, None)),
+        ((-1, -1, 0), (0, 0)),  # j = 0 takes no slot
+        ((-1, -1, 1, 0), (0, None)),  # j = 1 needs a slot
+        ((-1, -1, 1, 0), (0, -1)),
+        ((-1, -1, 1, 0), (0, 4)),  # 2(n - 2) = 4 slots
+        ((-1, -1, 1, 1), (0, None)),  # j = 2: no label names a key
+        ((-1, -1, 1, 1), (0, 0)),
+    ],
+)
+def test_combine_refuses_a_label_that_names_no_key(lam, label):
+    mp = verma.GeneralizedVerma(len(lam), lam)
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        mp.combine([(1, (Root("a", 1, 3),), label)])
+
+
+def test_combine_refuses_a_root_that_is_not_a_letter():
+    mp = verma.GeneralizedVerma(3, (-1, -1, 0))
+    with pytest.raises(ValueError, match="a12"):
+        mp.combine([(1, (Root("a", 2, 3), Root("a", 1, 2)), (0, None))])
+    with pytest.raises(ValueError, match="b3"):
+        mp.combine([(1, (Root("b", 3),), (0, None))])
+
+
+def test_combine_takes_every_label_that_names_a_key():
+    """Every (a, t) with 0 <= a <= m, t None on a trivial tail and every
+    slot on the standard tail, against the work-list straightening."""
+    for lam in ((1, -1, 0, 0), (2, 0, 1, 0)):
+        mp = verma.GeneralizedVerma(4, lam)
+        ts = range(4) if mp.module.j else [None]
+        for a in range(mp.module.m + 1):
+            for t in ts:
+                parts = [(3, (Root("c", 2, 3), Root("a", 1, 4)), (a, t))]
+                assert mp.combine(parts) == verma_oracle.combine(mp, parts), (lam, a, t)
+
+
 def test_act_matches_oracle():
     """Every simple raising label on every basis monomial of each row's
     weight space, on one module per row, so later acts read the memo."""
@@ -1285,6 +1425,29 @@ def test_a_sweep_builds_each_levi_module_once(monkeypatch, n):
     lams = {r.row.lam for r in results}
     assert len(lams) == 2 * (n - 1) > 8
     assert sorted(built) == sorted((n, lam) for lam in lams)
+
+
+def test_records_per_rank_are_capped():
+    """A rank keeps at most _MODULES_PER_RANK per-lam records and evicts
+    the oldest first; a GeneralizedVerma keeps its own record, and one of
+    an evicted lam builds a new record.  The cap exceeds the 2(n - 1)
+    highest weights of the first-operator catalogue at n = 30."""
+    cap = verma._MODULES_PER_RANK
+    assert len({row.lam for row in _catalogue([30])}) <= cap
+    _clear_rank_tables()
+    try:
+        lams = [(a, 0, 0) for a in range(cap + 2)]
+        first = verma.GeneralizedVerma(3, lams[0])
+        for lam in lams[1:]:
+            verma.GeneralizedVerma(3, lam)
+        modules = verma._rank(3).modules
+        assert list(modules) == lams[2:]
+        assert first.maximal_vector_dimension((0, 0, 0)) == 1
+        again = verma.GeneralizedVerma(3, lams[0])
+        assert again.module is not first.module and again._rows is not first._rows
+        assert list(modules) == lams[3:] + lams[:1]
+    finally:
+        _clear_rank_tables()
 
 
 def _oracle_row(mp, key):
