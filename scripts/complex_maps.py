@@ -14,13 +14,15 @@ checked by
 in one process, the ranks in the order given.  stdout has, per rank,
 the number of maps and, per map order, the number of maps and the
 dimensions found; it does not depend on the machine or the hash seed.
-stderr has the time of each rank.  Exit 2 if any dimension is not 1, 1
-with a message for a rank below 3, else 0.
+stderr has the time of each rank and the process's peak RSS so far
+(resource.getrusage, ru_maxrss: KiB on Linux, bytes on macOS).  Exit 2
+if any dimension is not 1, 1 with a message for a rank below 3, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from collections import Counter
@@ -70,7 +72,9 @@ def main(argv=None) -> int:
             shown = ", ".join(f"dim {d}: {c}" for d, c in sorted(dims.items()))
             print(f"  order {order}: {sum(dims.values())} maps, {shown}")
             bad = bad or set(dims) != {1}
-        print(f"n = {n}: {took:.2f} s", file=sys.stderr)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rss /= 1 << (20 if sys.platform == "darwin" else 10)
+        print(f"n = {n}: {took:.2f} s, peak RSS {rss:.0f} MB", file=sys.stderr)
     return 2 if bad else 0
 
 

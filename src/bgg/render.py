@@ -259,7 +259,11 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     indent, json re-indents the compact text, so both forms equal
     json.dumps of the schema's payload byte for byte.  A field that is
     not a scalar (str, int, float, bool or None), a tuple or list order
-    say, is refused with ValueError.
+    say, is refused with ValueError.  The node entries, the
+    coincidences and each arrow's source and target must be ints, as in
+    every diagram `bgg.orbits` builds: they are written as their repr
+    and not checked, so a bool or a Fraction there gives text that is
+    not JSON, and with an indent json raises JSONDecodeError.
     """
     nodes = ", ".join(
         [

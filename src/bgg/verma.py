@@ -69,32 +69,33 @@ own word, kept per rank too (RankTables.word_weight).
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
-integer tables the hot paths read instead of hashing a Root, six memos
-(brackets, straightening, grade tables and their index by tail, the
-normal forms of letter words and the weights of words) and two that go
-with their rank: the records of the last _MODULES_PER_RANK lam built
-and the first arrows shifted by rho (verify_row).  Every other field is
-a tuple or a read-only mapping, and every value a table holds is a
-tuple or a read-only mapping of tuples.  A bracket is kept once, by label code,
-computed through decompose with its reconstruction check.  LieData is a
+integer tables the hot paths read instead of hashing a Root, five memos
+(brackets, straightening, the words of each need, the normal forms of
+letter words and the weights of words) and two that go with their
+rank: the records of the last _MODULES_PER_RANK lam built and the first
+arrows shifted by rho (verify_row).  Every other field is a tuple or a
+read-only mapping, and every value a memo holds is a tuple.  A bracket
+is kept once, by label code, computed through decompose with its
+reconstruction check.  LieData is a
 view of the record by label, and no module takes one.  The nilradical
 letters are checked against `weyl` alone (see _rank), so this module,
 like `penrose`, loads no Hasse code.
 
-A weight space is listed word-first from one table of words, and W is
-never listed.  A letter of root v has grade E(v) = v_1 + v_2, which is 1
-or 2, and the gl(2) part of every weight of W sums to lam_1 + lam_2, so
-the need wt(f) - mu of every f has the one grade E(lam - mu).  The
-grade's table (RankTables.graded) holds every normal-ordered word of
-that grade by weight, built once per rank from the tables of the two
-grades below it, and its index by the tail of the need, grouped by the
-tail's sum (by_tail), is built once per rank too.  mu's tail plus the
-need's must be the tail of the weight of some e_S: entries 0 or +-1, at
-most j of them nonzero, so its sum is one of -j, -j + 2, ..., j.  Only
-the groups of those sums are read, and each distinct tail in them is
-tested once; the +-1 entries of a tail that passes fix part of S, the
+A weight space is listed F-first: the tails of the weights of Lambda^j
+near mu's come first, each reads its need's words off one memo, and W
+is never listed.  A letter of root v has grade E(v) = v_1 + v_2, which
+is 1 or 2, and the gl(2) part of every weight of W sums to lam_1 +
+lam_2, so the need wt(f) - mu of every f has the one grade E(lam - mu).
+The memo (RankTables.words) is keyed by (grade, tail of the need) and
+holds the normal-ordered words of that state grouped by first
+coordinate, built from the states one letter below and kept per rank,
+so it holds only the states a listing reaches and never a whole grade.
+mu's tail plus the need's must be the tail t of the weight of some e_S:
+entries 0 or +-1, at most j of them nonzero and j less their count
+even.  Such t within |t - mu's tail|_1 <= E(lam - mu) are listed in one
+pass over the coordinates; the +-1 entries of each fix part of S, the
 rest is pairs {e_i, f_i} (LeviModule.subsets), and the first coordinate
-of each need of that tail gives a.
+of each group of its need's words gives a.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ from bgg.weyl import Root, Weight
 
 Label = tuple  # ("e", Root) | ("y", Root) | ("h", int)
 Matrix = dict  # {(row, col): int}, nonzero entries only
-_UNITS = frozenset((-1, 0, 1))  # the entries of a weight of Lambda^j C^{2n-4}
 _MODULES_PER_RANK = 64  # per-lam records kept; verify-maximal --n 30 has 58 lam
 
 
@@ -143,11 +143,11 @@ class RankTables(NamedTuple):
     col, value) entry in the gl(2) block or None, and its entries (r, c,
     v) among the slots, each by its rows as the bit masks (1 << c, 1 << r
     or 0 when r = c, the bits that swap c for r, the bits strictly
-    between r and c) and v (LeviModule._move).  Then the eight memos:
+    between r and c) and v (LeviModule._move).  Then the seven memos:
     the brackets by code pair, the one straightening table by (code,
     word), letters included, for every Levi module of the rank (see
-    straighten), the word table of each grade (graded) and its index by
-    tail (by_tail), each lam's record (modules), for the last
+    straighten), the words of each need by (grade, tail) (needs, see
+    words), each lam's record (modules), for the last
     _MODULES_PER_RANK lam built, oldest evicted first: the pair of its
     LeviModule and its rows by monomial (GeneralizedVerma._row), the
     first arrows of the rank by (k, sign), shifted by rho (verify_row),
@@ -166,8 +166,7 @@ class RankTables(NamedTuple):
     levi: Mapping
     brackets: dict
     straightening: dict
-    grades: dict
-    tails: dict
+    needs: dict
     modules: dict
     arrows: dict
     normal_forms: dict
@@ -200,44 +199,30 @@ class RankTables(NamedTuple):
             )
         return got
 
-    def graded(self, grade: int) -> Mapping:
-        """Every normal-ordered word of the grade, as a read-only mapping
-        from weight to its words sorted by (length, word): letter i
-        prepended to each word of grade - E(letter i) whose first letter
-        is i or later.  Built into the memo the first time; a negative
-        grade has no words."""
-        got = self.grades.get(grade)
+    def words(self, grade: int, tail: tuple) -> tuple:
+        """The normal-ordered words of the grade whose weight has the tail,
+        as the pairs (first coordinate, words), the words sorted by
+        (length, word): letter i prepended to each word of (grade -
+        E(letter i), tail - its tail) that starts at i or later; built into
+        the memo the first time.  A letter's |tail|_1 is at most its grade
+        and of its parity, so a state with |tail|_1 > grade (a negative
+        grade among them) or of the other parity has no words: it gives ()
+        and is not kept."""
+        got = self.needs.get((grade, tail))
         if got is None:
-            if grade < 0:
-                return MappingProxyType({})
-            table: dict = {(0,) * len(self.vectors[0]): [()]} if grade == 0 else {}
+            size = sum(map(abs, tail))
+            if size > grade or (grade - size) & 1:
+                return ()
+            groups: dict = {0: [()]} if grade == 0 else {}
             for i, v in enumerate(self.vectors):
-                for wt, words in self.graded(grade - v[0] - v[1]).items():
+                for first, words in self.words(grade - v[0] - v[1], tuple(map(sub, tail, v[2:]))):
                     words = [(i,) + w for w in words if not w or i <= w[0]]
                     if words:
-                        table.setdefault(tuple(map(add, wt, v)), []).extend(words)
-            got = self.grades[grade] = MappingProxyType(
-                {wt: tuple(sorted(words, key=lambda w: (len(w), w))) for wt, words in table.items()}
+                        groups.setdefault(first + v[0], []).extend(words)
+            got = self.needs[grade, tail] = tuple(
+                (first, tuple(sorted(words, key=lambda w: (len(w), w))))
+                for first, words in groups.items()
             )
-        return got
-
-    def by_tail(self, grade: int) -> Mapping:
-        """The words of the grade (graded) indexed by the tail of their
-        weight, as a read-only mapping from the sum of a tail to the pairs
-        (tail, needs), needs the pairs (first coordinate, words) of that
-        tail; built into the memo the first time.  A negative grade has
-        no words."""
-        got = self.tails.get(grade)
-        if got is None:
-            if grade < 0:
-                return MappingProxyType({})
-            index: dict = {}
-            for wt, words in self.graded(grade).items():
-                index.setdefault(wt[2:], []).append((wt[0], words))
-            by_sum: dict = {}
-            for tail, needs in index.items():
-                by_sum.setdefault(sum(tail), []).append((tail, tuple(needs)))
-            got = self.tails[grade] = MappingProxyType({t: tuple(p) for t, p in by_sum.items()})
         return got
 
     def straighten(self, x: int, word: tuple) -> tuple:
@@ -355,7 +340,7 @@ def _rank(n: int) -> RankTables:
         letter_codes=MappingProxyType({(r.kind, r.i, r.j): i for i, r in enumerate(order)}),
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         slots=slots, levi=MappingProxyType(levi),
-        brackets={}, straightening={}, grades={}, tails={}, modules={}, arrows={},
+        brackets={}, straightening={}, needs={}, modules={}, arrows={},
         normal_forms={}, word_weights={},
     )
 
@@ -521,8 +506,8 @@ class GeneralizedVerma:
     the grade drop E(lam - mu): weight spaces are finite and are listed
     in full.
 
-    Straightening and the grade tables of weight spaces depend on n
-    alone and are read off `tables`, the record of the rank (_rank): one
+    Straightening and the words of weight spaces depend on n alone and
+    are read off `tables`, the record of the rank (_rank): one
     straightening table for every label code, letters included, and for
     every Levi module of the rank (on Lambda^0 the labels of sp(2n-4)
     find no row to move in LeviModule._move).  `module`, the LeviModule
@@ -645,29 +630,42 @@ class GeneralizedVerma:
     def weight_space(self, mu: Sequence[int]) -> list[tuple[tuple, int]]:
         """All basis monomials Y^word tensor f of weight mu, f a key of
         Sym^m tensor det tensor Lambda^j: by f, then by degree and then by
-        word in lexicographic order.  Listed word-first from the table of
-        the grade E(lam - mu) by tail (RankTables.by_tail, see the module
-        docstring): a need nu gives a = lam_1 - mu_1 - nu_1, which must
-        lie in [0, m], and the subsets S of weight tail mu + nu
+        word in lexicographic order.  Listed F-first (see the module
+        docstring): each tail t of a weight of Lambda^j within
+        |t - mu's tail|_1 <= E(lam - mu) gives the need tail d = t - mu's
+        tail, whose words come grouped by first coordinate from the rank
+        (RankTables.words); a group's first coordinate nu_1 gives a =
+        lam_1 - mu_1 - nu_1, which must lie in [0, m], and t the subsets S
         (LeviModule.subsets)."""
         if len(mu) != self.n:
             raise ValueError("rank mismatch")
-        module = self.module
+        module, words = self.module, self.tables.words
         j, m, shift = module.j, module.m, module.shift
-        top, mu_tail, zeros = self.lam[0] - mu[0], mu[2:], self.n - 2 - j
-        index = self.tables.by_tail(self.lam[0] + self.lam[1] - mu[0] - mu[1])
-        found, offset = {}, sum(mu_tail)
-        # a weight of Lambda^j has entries 0 or +-1, at most j of them
-        # nonzero, so its sum is one of -j, -j + 2, ..., j
-        for total in range(-j - offset, j - offset + 1, 2):
-            for tail, needs in index.get(total, ()):
-                tail = tuple(map(add, mu_tail, tail))
-                if tail.count(0) >= zeros and _UNITS.issuperset(tail):
-                    for s in module.subsets(tail):
-                        for first, words in needs:
-                            a = top - first
-                            if 0 <= a <= m:
-                                found[a << shift | s] = words
+        grade = self.lam[0] + self.lam[1] - mu[0] - mu[1]
+        top, mu_tail = self.lam[0] - mu[0], tuple(mu[2:])
+        # the tails t of weights of Lambda^j, entries 0 or +-1 and at most
+        # j nonzero, one coordinate at a time (a recursive walk was slower
+        # on the catalogue rows), with the need tail d = t - mu_tail, |d|_1
+        # and the nonzero count k, pruned on both
+        level = [((), (), 0, 0)]
+        for x in mu_tail:
+            nxt = []
+            for t, d, c, k in level:
+                for y in (0, -1, 1) if k < j else (0,):
+                    cost = c + abs(y - x)
+                    if cost <= grade:
+                        nxt.append((t + (y,), d + (y - x,), cost, k + (y != 0)))
+            level = nxt
+        found = {}
+        for t, d, _, k in level:
+            if (j - k) & 1:
+                continue
+            groups = words(grade, d)
+            for s in module.subsets(t):
+                for first, listed in groups:
+                    a = top - first
+                    if 0 <= a <= m:
+                        found[a << shift | s] = listed
         return [(word, f) for f in sorted(found) for word in found[f]]
 
     def maximal_vector_dimension(self, mu: Sequence[int]) -> int:

@@ -17,7 +17,8 @@ def _script():
 
 def test_every_map_has_a_line_of_maximal_vectors(capsys):
     """n = 3 and 4: 12 and 30 maps, k = 0 included, every one of
-    dimension 1, by map order; the times go to stderr only."""
+    dimension 1, by map order; the times and peak RSS go to stderr
+    only."""
     assert _script().main(["--n", "3", "4"]) == 0
     out, err = capsys.readouterr()
     assert out == (
@@ -30,7 +31,7 @@ def test_every_map_has_a_line_of_maximal_vectors(capsys):
         "  order 2: 6 maps, dim 1: 6\n"
         "  order 3: 4 maps, dim 1: 4\n"
     )
-    assert err.count(" s\n") == 2
+    assert err.count(" s, peak RSS ") == 2 and err.count(" MB\n") == 2
 
 
 def test_a_dimension_other_than_one_exits_2(monkeypatch, capsys):

@@ -138,7 +138,7 @@ def test_lie_data_validation():
 
 
 def _clear_rank_tables():
-    """Drop the per-rank tables, and with them the grade tables, the Levi
+    """Drop the per-rank tables, and with them the word memo, the Levi
     modules with their rows and the shifted first arrows kept in them."""
     verma._rank.cache_clear()
 
@@ -183,8 +183,8 @@ def test_shared_tables_are_read_only(lie3):
     """Every field of the rank's record other than its memos (the Levi
     modules with their rows and the shifted first arrows among them) is
     a tuple, a frozenset or a read-only mapping, and so are the basis
-    matrices inside it.  A grade table is a read-only mapping of tuples
-    of word tuples."""
+    matrices inside it.  The word memo holds tuples of (first
+    coordinate, tuple of word tuples) pairs."""
     label = ("e", Root("a", 1, 2))
     with pytest.raises(TypeError):
         lie3.matrix(label)[0, 0] = 1
@@ -194,7 +194,7 @@ def test_shared_tables_are_read_only(lie3):
     tables = mp.tables
     assert tables is verma._rank(3)
     memos = {
-        "brackets", "straightening", "grades", "tails", "modules", "arrows",
+        "brackets", "straightening", "needs", "modules", "arrows",
         "normal_forms", "word_weights",
     }
     assert memos <= set(tables._fields)
@@ -210,14 +210,8 @@ def test_shared_tables_are_read_only(lie3):
     assert all(type(m) is MappingProxyType for m in tables.matrices.values())
     with pytest.raises(TypeError):
         tables.code[("y", Root("a", 1, 2))] = 0
-    table = tables.graded(2)
-    assert tables.grades[2] is table and type(table) is MappingProxyType
-    assert all(type(words) is tuple and all(type(w) is tuple for w in words) for words in table.values())
-    with pytest.raises(TypeError):
-        table[(0, 0, 0)] = ()
-    index = tables.by_tail(2)
-    assert tables.tails[2] is index and type(index) is MappingProxyType
-    assert all(type(needs) is tuple for needs in index.values())
+    groups = tables.words(2, (0,))
+    assert tables.needs[2, (0,)] is groups and _read_only_groups(groups)
 
 
 def _top(mp):
@@ -227,11 +221,11 @@ def _top(mp):
 
 def test_rank_tables_hold_eight_ranks():
     """The per-rank tables are held in a bounded cache of 8 ranks, and the
-    grade tables, the per-lam records (the Levi module and its rows) and
+    word memo, the per-lam records (the Levi module and its rows) and
     the shifted first arrows are held in the tables of their rank: they
     go when it is evicted, so at most 8 ranks hold any."""
     _clear_rank_tables()
-    built, rows, arrows, grades = {}, {}, {}, {}
+    built, rows, arrows, needs = {}, {}, {}, {}
     for n in range(3, 12):
         row = verma.singular_vector_row(n, 1, "-")
         for lam in ((0,) * n, (1, 0, 1) + (0,) * (n - 3), row.lam):
@@ -241,9 +235,8 @@ def test_rank_tables_hold_eight_ranks():
             built[n, lam], rows[n, lam] = mp.module, mp._rows
         assert verma.verify_row(row, kernel=False).ok
         arrows[n] = verma._rank(n).arrows[1, "-"]
-        grades[n] = dict(verma._rank(n).grades)
-        assert grades[n].keys() == {0, 1, 2, 3}
-        assert verma._rank(n).tails.keys() == {2, 3}
+        needs[n] = dict(verma._rank(n).needs)
+        assert {grade for grade, _ in needs[n]} == {0, 1, 2}
     assert verma._rank.cache_info().currsize <= 8
     assert verma._rank.cache_info().maxsize == 8
     # ranks 11 down to 4 are the 8 kept, so reading them evicts none
@@ -255,13 +248,13 @@ def test_rank_tables_hold_eight_ranks():
             module, kept = tables.modules[lam]
             assert module is built[n, lam] and kept is rows[n, lam] and kept
         assert tables.arrows == {(1, "-"): arrows[n]}
-        assert tables.grades.keys() == grades[n].keys()
-        assert all(tables.grades[g] is table for g, table in grades[n].items())
-    # rank 3 was evicted, and its grade tables, per-lam records and
+        assert tables.needs.keys() == needs[n].keys()
+        assert all(tables.needs[key] is groups for key, groups in needs[n].items())
+    # rank 3 was evicted, and its word memo, per-lam records and
     # arrows with it
     tables = verma._rank(3)
     assert tables.modules == {} and tables.arrows == {}
-    assert tables.grades == {} and tables.tails == {}
+    assert tables.needs == {}
     mp = verma.GeneralizedVerma(3, (0, 0, 0))
     assert mp.module is not built[3, (0, 0, 0)]
     assert mp._rows == {} and mp._rows is not rows[3, (0, 0, 0)]
@@ -700,19 +693,19 @@ def test_one_elimination_equals_the_subtraction(monkeypatch):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_word_first_listing_matches_a_filter_of_all_keys(n):
     """On every map of every complex, at its target and 1-3 grade steps
-    below, the word-first weight space equals every key of Sym^m tensor
-    det tensor Lambda^j kept when the grade's table has words for its
-    need wt(f) - mu, in order of f and then (length, word)."""
+    below, the weight space, listed F-first from the tails of Lambda^j,
+    equals every key of Sym^m tensor det tensor Lambda^j kept when the
+    word memo has words for its need wt(f) - mu, in order of f and then
+    (length, word)."""
     tables, bad = verma._rank(n), []
     for lam, target in _complex_maps(n):
         mp = verma.GeneralizedVerma(n, lam)
         for mu in _grade_steps(target):
-            table = tables.graded(lam[0] + lam[1] - mu[0] - mu[1])
-            want = [
-                (word, f)
-                for f in verma_oracle.keys(mp.module)
-                for word in table.get(tuple(a - b for a, b in zip(mp.module.weight(f), mu)), ())
-            ]
+            grade = lam[0] + lam[1] - mu[0] - mu[1]
+            want = []
+            for f in verma_oracle.keys(mp.module):
+                need = tuple(a - b for a, b in zip(mp.module.weight(f), mu))
+                want += [(word, f) for word in dict(tables.words(grade, need[2:])).get(need[0], ())]
             if mp.weight_space(mu) != want:
                 bad.append((lam, mu))
     assert bad == []
@@ -859,16 +852,16 @@ def test_act_results_do_not_alias_the_memo():
 
 def test_modules_of_a_rank_share_read_only_tables():
     """Modules of one rank share the straightening table, letters
-    included, whatever lam and V, and the grade tables, and modules of
+    included, whatever lam and V, and the word memo, and modules of
     one (n, lam) share their per-lam record: the Levi module and its
-    rows.  Every value the straightening table holds is a tuple, every
-    grade table a read-only mapping of tuples, and mutating an element
-    returned by act or combine leaves the next call unchanged."""
+    rows.  Every value the straightening table and the word memo hold is
+    a tuple of tuples, and mutating an element returned by act or
+    combine leaves the next call unchanged."""
     _clear_rank_tables()
     a, b = verma.GeneralizedVerma(3, (0, 0, 0)), verma.GeneralizedVerma(3, (1, 0, 1))
     c = verma.GeneralizedVerma(3, (2, -1, 0))
     assert a.tables.straightening is b.tables.straightening is c.tables.straightening
-    assert a.tables.grades is b.tables.grades
+    assert a.tables.needs is b.tables.needs
     assert a.tables.brackets is b.tables.brackets
     assert a.module is not b.module
     again = verma.GeneralizedVerma(3, [1, 0, 1])
@@ -898,11 +891,8 @@ def test_modules_of_a_rank_share_read_only_tables():
     for mp in (a, b):
         module, rows = mp.tables.modules[mp.lam]
         assert module is mp.module and rows is mp._rows
-        assert mp.tables.grades
-        for table in mp.tables.grades.values():
-            assert type(table) is MappingProxyType
-            assert all(type(words) is tuple for words in table.values())
-            assert all(type(w) is tuple for words in table.values() for w in words)
+        assert mp.tables.needs
+        assert all(map(_read_only_groups, mp.tables.needs.values()))
     assert {lam: module for lam, (module, _) in a.tables.modules.items()} == {
         (0, 0, 0): a.module, (1, 0, 1): b.module, (2, -1, 0): c.module
     }
@@ -1026,31 +1016,89 @@ def _grade_count(n, grade):
     )
 
 
+def _tails(size, top):
+    """Every integer tuple of the size with |d|_1 <= top."""
+    tails = [()]
+    for _ in range(size):
+        tails = [
+            t + (x,) for t in tails for x in range(-top, top + 1) if sum(map(abs, t)) + abs(x) <= top
+        ]
+    return tails
+
+
+def _read_only_groups(groups):
+    """A value of the word memo: a tuple of (first coordinate, words)
+    pairs, the words a tuple of word tuples."""
+    return type(groups) is tuple and all(
+        type(pair) is tuple and type(pair[0]) is int and type(pair[1]) is tuple
+        and all(type(w) is tuple for w in pair[1])
+        for pair in groups
+    )
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_grade_tables_match_oracle_and_count(n):
-    """Each weight's words in the table of grade G, for G <= 4 (G <= 3 at
-    n = 7), against the tuple-walk listing sorted by (length, word), and
-    the table's total against the closed count, so a table that drops,
-    repeats or misfiles a word fails.  A negative grade has no words."""
+    """The word memo on every need of grade G <= 5 (G <= 3 at n = 7):
+    each tail d with |d|_1 <= G and each first coordinate 0..G, against
+    the tuple-walk listing sorted by (length, word), and the grade's
+    total over its needs against the closed count, so a memo that drops,
+    repeats or misfiles a word fails.  Every value it holds is a tuple
+    of tuples and has words."""
     _clear_rank_tables()
     mp = verma.GeneralizedVerma(n, (0,) * n)
-    for grade in range(-1, (3 if n == 7 else 4) + 1):
-        table = mp.tables.graded(grade)
-        for wt, words in table.items():
-            want = sorted(verma_oracle.words_for(mp, wt), key=lambda w: (len(w), w))
-            assert words == tuple(want), (n, grade, wt)
-        assert sum(map(len, table.values())) == _grade_count(n, grade), (n, grade)
-    assert mp.tables.graded(-1) == {} and -1 not in mp.tables.grades
+    tables, checked = mp.tables, 0
+    for grade in range(0, (3 if n == 7 else 5) + 1):
+        total = 0
+        for tail in _tails(n - 2, grade):
+            groups = dict(tables.words(grade, tail))
+            for first in range(grade + 1):
+                need = (first, grade - first) + tail
+                want = sorted(verma_oracle.words_for(mp, need), key=lambda w: (len(w), w))
+                assert groups.get(first, ()) == tuple(want), (n, need)
+                checked += 1
+            assert groups.keys() <= set(range(grade + 1)), (n, grade, tail)
+            total += sum(map(len, groups.values()))
+        assert total == _grade_count(n, grade), (n, grade)
+    assert checked == {3: 161, 4: 721, 5: 2373, 6: 6349}.get(n, checked)
+    assert tables.needs and all(map(_read_only_groups, tables.needs.values()))
+    assert all(tables.needs.values())
+
+
+def test_words_of_no_need_are_not_kept():
+    """A negative grade, a tail with |tail|_1 above the grade and a tail
+    of the other parity have no words, and the memo keeps no state for
+    them."""
+    _clear_rank_tables()
+    tables = verma._rank(4)
+    for grade, tail in [(-1, (0, 0)), (-2, (1, 0)), (0, (1, 0)), (2, (2, -1)), (1, (0, 0)), (3, (1, 1))]:
+        assert tables.words(grade, tail) == (), (grade, tail)
+    assert tables.needs == {}
+    assert tables.words(2, (1, -1)) and (2, (1, -1)) in tables.needs
 
 
 def test_grade_table_counts_at_higher_rank():
     """The closed count at n = 6, G = 3 and at n = 10, G = 4, where the
-    table is too large to walk word by word against the oracle."""
+    words are too many to walk against the oracle: the word memo's total
+    over every need tail of the grade, with no word repeated."""
     assert _grade_count(6, 3) == 864
     assert _grade_count(10, 4) == 53950
-    table = verma._rank(10).graded(4)
-    assert sum(map(len, table.values())) == 53950
-    assert all(len(set(words)) == len(words) for words in table.values())
+    tables = verma._rank(10)
+    groups = [tables.words(4, tail) for tail in _tails(8, 4)]
+    assert sum(len(words) for pairs in groups for _, words in pairs) == 53950
+    assert all(len(set(words)) == len(words) for pairs in groups for _, words in pairs)
+
+
+def test_a_high_grade_space_builds_no_whole_grade_table():
+    """The 646-monomial grade-4 space at n = 16 (lam = 0, mu = (-2, -2,
+    0, ...)), listed from a cold rank, leaves at most 1,000 states in
+    the word memo: the whole grade spans 26,265 need tails."""
+    _clear_rank_tables()
+    try:
+        space = verma.GeneralizedVerma(16, (0,) * 16).weight_space((-2, -2) + (0,) * 14)
+        assert len(space) == 646
+        assert len(verma._rank(16).needs) <= 1000
+    finally:
+        _clear_rank_tables()
 
 
 def test_term_weight(m3):
@@ -1267,8 +1315,8 @@ def test_word_weights_are_sums_of_letter_weights(n):
     letters' root vectors; the memo keeps one tuple per word."""
     tables = verma._rank(n)
     letters = range(len(tables.letters))
-    graded = [w for words in tables.graded(3).values() for w in words]
-    for word in [(), *itertools.product(letters, repeat=2), *graded]:
+    graded = _graded_words([sum(v[:2]) for v in tables.vectors], 3)
+    for word in [*itertools.product(letters, repeat=2), *graded]:
         want = [0] * n
         for i in word:
             want = [a + b for a, b in zip(want, tables.letters[i][1].vector(n))]
