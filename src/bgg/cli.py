@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 invalid arguments or unsupported request,
 Each subcommand imports the bgg layers it runs when it runs, so one
 `bgg` process loads only what its command needs, and a request the CLI
 itself refuses (a bad combination of options) loads no layer at all.
-Only `hasse` loads `parabolic`; only the orbit and render commands load
-`orbits`, and `render` only when the diagram is not printed as text.
+Only `hasse` loads `parabolic` (and `orbits`, where W^p is searched);
+only it and the orbit and render commands load `orbits`, and `render`
+only when the diagram is not printed as text.
 """
 
 from __future__ import annotations

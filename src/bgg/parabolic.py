@@ -6,42 +6,27 @@ element E is 1 on the crossed simple roots and 0 on the others, and a
 root's grade is alpha(E): a positive root lies in the Levi factor if its
 grade is 0 and in the nilradical if it is positive.  The Hasse diagram
 W^p consists of the Weyl group elements w for which mu = w(rho) is
-strictly dominant for the Levi factor, and mu determines w.  So a node
-is its weight mu:
+strictly dominant for the Levi factor, and mu determines w.  W^p is
+searched in `orbits.hasse_rows`, by each node's barred entries; this
+module keeps the grading (2E from `orbits._twice_grading`), conformal
+weights and order bounds, and the diagram's records and writers.
 
-- nodes are enumerated directly from the admissible images of rho,
-  group by group between the bars;
-- the length of a node is the inversion count of mu, the number of
-  positive roots alpha with <mu, alpha^vee> < 0, counted by bisection
-  in O(n log n); nodes are sorted by (length, perm, signs) of w;
-- an arrow w -> s_alpha w can only come from a nilradical root alpha
-  (a Levi-root reflection leads out of W^p) with <mu, alpha^vee> > 0.
-  Each group of mu descends, so s_alpha mu stays Levi-dominant for at
-  most one j per group for a_ij and for c_ij, found by bisection; cover
-  tests on mu drop most of the other pairs, and only the pairs left are
-  reflected and looked up (see `hasse_diagram`).
-
-Nodes and edges are immutable records (NamedTuples); `to_text` and
-`to_json` write a diagram's listing and its JSON straight from them,
-without the json module.  E, and so every conformal weight, is integral
-unless node n is crossed; fractions (and the decimal module it loads)
-is imported only where a Fraction is built or met.
-
-Only the `hasse` command imports this module.  `orbits` builds the
-crossed-{2} diagram from its placements with `weyl` arithmetic, and
-`penrose` and `verma` read the crossed-{2} grading E = (1, 1, 0, ..., 0)
-off `weyl` alone; the tests compare `orbits` with `hasse_diagram`.
+Nodes and edges are immutable records (NamedTuples), built from field
+tuples at C speed; `to_text` and `to_json` write them straight, without
+the json module.  E, and so every conformal weight, is integral unless
+node n is crossed; fractions (and the decimal module it loads) is
+imported only where a Fraction is built or met.  Only the `hasse`
+command imports this module, and with it `orbits`.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
+import functools
 from dataclasses import dataclass, field
-from operator import mul, neg
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from bgg import weyl
+from bgg import orbits, weyl
 from bgg.weyl import Root, Weight
 
 if TYPE_CHECKING:
@@ -70,22 +55,12 @@ def parabolic(n: int, crossed: Sequence[int]) -> Parabolic:
     return Parabolic(n, tuple(crossed))
 
 
-def _twice_grading(p: Parabolic) -> tuple[int, ...]:
-    """2E, which is integral: 2E_n is 1 if node n is crossed, else 0, and
-    2E_m = 2E_{m+1} + 2 for crossed m < n (else 2E_{m+1})."""
-    e = [0] * p.n
-    e[p.n - 1] = 1 if p.n in p.crossed else 0
-    for m in range(p.n - 1, 0, -1):
-        e[m - 1] = e[m] + (2 if m in p.crossed else 0)
-    return tuple(e)
-
-
 def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
     """The element E with <alpha_i, E> = 1 for crossed i and 0 otherwise.
 
     Entries are integers unless node n is crossed (then they are
     half-integers, returned as Fractions)."""
-    twice = _twice_grading(p)
+    twice = orbits._twice_grading(p.n, p.crossed)
     if p.n not in p.crossed:
         return tuple(x // 2 for x in twice)
     from fractions import Fraction
@@ -107,7 +82,7 @@ def _twice_pairing(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
     """The pairing of a weight with 2E."""
     if len(weight) != p.n:
         raise ValueError("rank mismatch")
-    return sum(map(mul, weight, _twice_grading(p)))
+    return sum(map(mul, weight, orbits._twice_grading(p.n, p.crossed)))
 
 
 def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
@@ -120,7 +95,7 @@ def root_grade(root: Root, p: Parabolic) -> int:
     """alpha(E), the pairing of a root with the grading element, in
     integers: <2E, alpha^vee> is 2 alpha(E) for the short roots a_ij,
     c_ij and alpha(E) for the long roots b_i."""
-    doubled = weyl.pairing(_twice_grading(p), root)
+    doubled = weyl.pairing(orbits._twice_grading(p.n, p.crossed), root)
     return doubled if root.kind == "b" else doubled // 2
 
 
@@ -155,6 +130,11 @@ class HasseEdge(NamedTuple):
     target: int
     root: Root
     order: int
+
+
+# a record from its field tuple, all fields given, with no Python-level call
+_node = functools.partial(tuple.__new__, HasseNode)
+_edge = functools.partial(tuple.__new__, HasseEdge)
 
 
 @dataclass
@@ -235,177 +215,16 @@ def _json_list(items: list[str]) -> str:
     return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
 
 
-def _ldominant_rho_images(p: Parabolic):
-    """All signed arrangements of rho that are strictly Levi-dominant.
-
-    Values are chosen group by group: each barred group takes any signed
-    subset of the remaining absolute values (arranged descending), and
-    the open group after the last bar is forced to the remaining values
-    sorted descending.  The arrangements of a subset are made once per
-    call.
-    """
-    n = p.n
-    groups = weyl._groups(n, p.crossed)
-    trailing = p.crossed[-1] == n
-    sizes = [t - s for s, t in (groups if trailing else groups[:-1])]
-    runs: dict[tuple[int, ...], list[Weight]] = {}
-
-    def arranged(subset):
-        if subset not in runs:
-            runs[subset] = [
-                tuple(sorted((s * v for s, v in zip(signs, subset)), reverse=True))
-                for signs in itertools.product((1, -1), repeat=len(subset))
-            ]
-        return runs[subset]
-
-    def rec(gi, available, prefix):
-        last = gi + 1 == len(sizes)
-        for subset in itertools.combinations(available, sizes[gi]):
-            rest = tuple([v for v in available if v not in subset])
-            if last:
-                tail = () if trailing else rest[::-1]
-                for seg in arranged(subset):
-                    yield prefix + seg + tail
-            else:
-                for seg in arranged(subset):
-                    yield from rec(gi + 1, rest, prefix + seg)
-
-    yield from rec(0, tuple(range(1, n + 1)), ())
-
-
-def _sort_key(mu: Weight) -> tuple:
-    """(length, perm, signs) of the w with w(rho) = mu, where w is the
-    signed permutation with perm[n - |mu_i|] = i and signs_i = sign(mu_i)."""
-    n = len(mu)
-    perm = [0] * n
-    for i, x in enumerate(mu, start=1):
-        perm[n - abs(x)] = i
-    return weyl.inversion_length(mu), tuple(perm), tuple([1 if x > 0 else -1 for x in mu])
-
-
-def _probes(p: Parabolic) -> tuple[list, list]:
-    """The nilradical roots of p, arranged for the edge search.
-
-    A weight is padded with a sentinel at index n, below every entry.
-    The right neighbour of a position is the next one of its Levi group,
-    else index n.  Returns
-
-    - slots (i, right of i, start, stop, mid, a-roots, a-grade, c-roots,
-      c-grade, open): one for each position i and each later group
-      [start, stop), and one for the rest of i's own group unless that
-      is open (c-roots only).  a_ij and c_ij keep Levi dominance there
-      for one j each at most.  The roots are listed by j - start, and
-      mid holds the positions of the groups strictly between;
-    - b-probes (i, right of i, root, grade).
-
-    Grades are read off 2E, which is constant on each group.
-    """
-    n = p.n
-    groups = weyl._groups(n, p.crossed)
-    twice = _twice_grading(p)
-    opened = p.crossed[-1] != n
-    right = [n] * n
-    for s, t in groups:
-        right[s : t - 1] = range(s + 1, t)
-
-    def roots(kind, i, s, t):
-        return tuple(Root(kind, i + 1, j + 1) for j in range(s, t))
-
-    slots, b = [], []
-    for own, (start, end) in enumerate(groups):
-        for i in range(start, end):
-            if not twice[i]:  # the open group: b_i, c_ij are Levi roots
-                continue
-            b.append((i, right[i], Root("b", i + 1), twice[i]))
-            if i + 1 < end:
-                c_roots = roots("c", i, i + 1, end)
-                slots.append((i, right[i], i + 1, end, None, (), 0, c_roots, twice[i], False))
-        for g in range(own + 1, len(groups)):
-            s, t = groups[g]
-            for i in range(start, end):
-                slots.append((
-                    i, right[i], s, t, range(end, s),
-                    roots("a", i, s, t), (twice[i] - twice[s]) // 2,
-                    roots("c", i, s, t), (twice[i] + twice[s]) // 2,
-                    opened and g == len(groups) - 1,
-                ))
-    return slots, b
-
-
 def hasse_diagram(p: Parabolic) -> HasseDiagram:
-    """The Hasse diagram W^p, with node weights w(rho) and arrow edges.
-
-    Each node is its weight mu = w(rho), its length is the inversion
-    count of mu, and nodes are sorted by (length, perm, signs) of w.  An
-    edge i -> j is a nilradical root alpha with s_alpha(mu_i) = mu_j and
-    length one more; edges are listed by (source, target) and carry the
-    root and the conformal order bound.  Every call returns a fresh
-    diagram.  Singular weights are handled by the orbits module.
-
-    A (node, root) pair is reflected and looked up only if
-
-    - <mu, alpha^vee> > 0 (else s_alpha mu is shorter);
-    - s_alpha mu keeps Levi dominance at the two positions it changes
-      (else it is no node).  Each group of mu descends, so this leaves
-      at most one j per group for a_ij and for c_ij, found by bisection;
-    - no cover test fails, each of which makes s_alpha mu at least three
-      longer: for a_ij a value between mu_j and mu_i sits between
-      positions i and j; for b_i some |mu_p| < mu_i lies right of i; for
-      c_ij mu_i and mu_j are both positive.
-    """
-    n = p.n
-    nodes = [
-        HasseNode(mu, key[0])
-        for key, mu in sorted((_sort_key(mu), mu) for mu in _ldominant_rho_images(p))
+    """The Hasse diagram W^p, fresh per call, read off `orbits.hasse_rows`:
+    nodes mu = w(rho) with their lengths, sorted by (length, perm, signs)
+    of w, and edges i -> j by (source, target), each a nilradical root
+    with s_alpha(mu_i) = mu_j and its conformal order bound."""
+    rows = orbits.hasse_rows(p.n, p.crossed)
+    nodes = [_node((mu, length)) for _, mu, length, _ in rows]
+    edges = [
+        _edge((source, target, root, order))
+        for source, row in enumerate(rows)
+        for target, root, order, _ in row[3]
     ]
-    index = {nd.weight: i for i, nd in enumerate(nodes)}
-    slots, b_probes = _probes(p)
-    pad = (-n - 1,)
-
-    edges = []
-    for source, (mu, length) in enumerate(nodes):
-        ext = mu + pad
-        found = []  # (reflected weight, root, <mu, alpha^vee> * alpha(E))
-        for i, ri, s, t, mid, a_roots, a_grade, c_roots, c_grade, opened in slots:
-            x = mu[i]
-            # a_ij: j is the first position of the range with mu_j < x
-            if a_roots:
-                j = bisect_left(mu, -x, s, t, key=neg)
-                if j < t:
-                    y = mu[j]
-                    if y > ext[ri] and not (mid and any(y < mu[k] < x for k in mid)):
-                        v = list(mu)
-                        v[i], v[j] = y, x
-                        found.append((v, a_roots[j - s], (x - y) * a_grade))
-            # c_ij: j is the last position of the range with mu_j > -x, and
-            # exactly one of mu_i, mu_j is negative; -x moves into the
-            # range, so it must be positive if the range is an open group
-            if x > 0 and opened:
-                continue
-            j = bisect_left(mu, x, s, t, key=neg) - 1
-            if j >= s:
-                y = mu[j]
-                if -y > ext[ri] and (x < 0 or y < 0):
-                    v = list(mu)
-                    v[i], v[j] = -y, -x
-                    found.append((v, c_roots[j - s], (x + y) * c_grade))
-        # b_i: the x - 1 values |mu_p| < x must all lie left of i
-        for i, ri, root, grade in b_probes:
-            x = mu[i]
-            if 0 < x <= i + 1 and -x > ext[ri]:
-                if sum(1 for w in mu[:i] if -x < w < x) < x - 1:
-                    continue
-                v = list(mu)
-                v[i] = -x
-                found.append((v, root, x * grade))
-        targets = []
-        for v, root, order in found:
-            target = index.get(tuple(v))
-            if target is not None and nodes[target].length == length + 1:
-                if order < 1:
-                    raise AssertionError(f"conformal drop {order} < 1 on a Hasse edge")
-                targets.append((target, root, order))
-        targets.sort()
-        for target, root, order in targets:
-            edges.append(HasseEdge(source, target, root, order))
-    return HasseDiagram(p, weyl.rho(n), nodes, edges)
+    return HasseDiagram(p, weyl.rho(p.n), nodes, edges)

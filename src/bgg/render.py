@@ -27,12 +27,14 @@ records from the parsed JSON through `orbits._node` and
 NamedTuple's own constructor is a Python-level call per record): it
 puts weyl.shared_root's Root, the one the rank tables hold, into the
 parsed arrows in place, then reads every arrow's fields in one pass of
-itemgetter.  Diagrams are fresh per call; compare their roots with ==.
+itemgetter, and refuses a node entry, coincidence or arrow end that is
+not an int.  Diagrams are fresh per call; compare roots with ==.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -259,11 +261,9 @@ def to_json(diagram: OrbitDiagram, indent: Optional[int] = None) -> str:
     indent, json re-indents the compact text, so both forms equal
     json.dumps of the schema's payload byte for byte.  A field that is
     not a scalar (str, int, float, bool or None), a tuple or list order
-    say, is refused with ValueError.  The node entries, the
-    coincidences and each arrow's source and target must be ints, as in
-    every diagram `bgg.orbits` builds: they are written as their repr
-    and not checked, so a bool or a Fraction there gives text that is
-    not JSON, and with an indent json raises JSONDecodeError.
+    say, is refused with ValueError.  Node entries, coincidences and
+    arrow ends must be ints, as `bgg.orbits` and from_json give them:
+    they are written as their repr, unchecked.
     """
     nodes = ", ".join(
         [
@@ -315,22 +315,28 @@ _ROOT_FIELDS = itemgetter("kind", "i", "j")
 
 
 def from_json(text: str) -> OrbitDiagram:
+    """The diagram to_json wrote.  A node entry, coincidence or arrow end
+    that is not an int (JSON true, 1.5, a string) is refused with
+    ValueError naming its field, after a pass of type over the field."""
     import json
 
     data = json.loads(text)
     nodes = [_node((tuple(nd["placement"]), tuple(nd["weight"]))) for nd in data["nodes"]]
+    coincidences = [tuple(c) for c in data["coincidences"]]
     # each root is weyl.shared_root's: it takes the place of the root's
     # dict in the parsed arrow
     arrows = data["arrows"]
     for a in arrows:
         r = a["root"]
         a["root"] = shared_root(*_ROOT_FIELDS(r)) if r else None
-    return OrbitDiagram(
-        data["kind"],
-        data["n"],
-        data["k"],
-        nodes,
-        list(map(_arrow, map(_ARROW_FIELDS, arrows))),
-        [tuple(c) for c in data["coincidences"]],
-        conjectural=data["conjectural"],
-    )
+    arrows = list(map(_arrow, map(_ARROW_FIELDS, arrows)))
+    for name, values in (
+        ("node entries", chain.from_iterable(chain.from_iterable(nodes))),
+        ("coincidences", chain.from_iterable(coincidences)),
+        ("arrow ends", chain(map(itemgetter(0), arrows), map(itemgetter(1), arrows))),
+    ):
+        types = list(map(type, values))
+        if types.count(int) != len(types):
+            raise ValueError(f"{name} must be ints")
+    kind, n, k = data["kind"], data["n"], data["k"]
+    return OrbitDiagram(kind, n, k, nodes, arrows, coincidences, data["conjectural"])

@@ -92,10 +92,12 @@ coordinate, built from the states one letter below and kept per rank,
 so it holds only the states a listing reaches and never a whole grade.
 mu's tail plus the need's must be the tail t of the weight of some e_S:
 entries 0 or +-1, at most j of them nonzero and j less their count
-even.  Such t within |t - mu's tail|_1 <= E(lam - mu) are listed in one
-pass over the coordinates; the +-1 entries of each fix part of S, the
-rest is pairs {e_i, f_i} (LeviModule.subsets), and the first coordinate
-of each group of its need's words gives a.
+even.  Such t within |t - mu's tail|_1 <= E(lam - mu) are walked as
+changes to the cheapest one (each entry at the sign of mu's), each t
+built once and no partial tail kept that cannot finish within the
+grade; the +-1 entries of each fix part of S, the rest is pairs
+{e_i, f_i} (LeviModule.subsets), and the first coordinate of each
+group of its need's words gives a.
 """
 
 from __future__ import annotations
@@ -458,6 +460,8 @@ class LeviModule:
             else:
                 free.append(1 << r | 1 << (n + r))
         pairs = (self.j - len(tail) + len(free)) // 2
+        if not pairs:
+            return [fixed]
         return [fixed + sum(c) for c in combinations(free, pairs)]
 
     def _move(self, z: int, f: int) -> tuple[tuple[int, int], ...]:
@@ -643,24 +647,36 @@ class GeneralizedVerma:
         j, m, shift = module.j, module.m, module.shift
         grade = self.lam[0] + self.lam[1] - mu[0] - mu[1]
         top, mu_tail = self.lam[0] - mu[0], tuple(mu[2:])
-        # the tails t of weights of Lambda^j, entries 0 or +-1 and at most
-        # j nonzero, one coordinate at a time (a recursive walk was slower
-        # on the catalogue rows), with the need tail d = t - mu_tail, |d|_1
-        # and the nonzero count k, pruned on both
-        level = [((), (), 0, 0)]
-        for x in mu_tail:
-            nxt = []
-            for t, d, c, k in level:
-                for y in (0, -1, 1) if k < j else (0,):
-                    cost = c + abs(y - x)
-                    if cost <= grade:
-                        nxt.append((t + (y,), d + (y - x,), cost, k + (y != 0)))
-            level = nxt
+        # the tails t of weights of Lambda^j (entries 0 or +-1, k <= j
+        # nonzero, j - k even) with |d|_1 <= grade, d = t - mu_tail.  |d|_1
+        # is sum mu_tail + k mod 2 and words needs grade's parity, so j - k
+        # is even iff the grade left is.  Tails are walked as changes, in
+        # position order, to the cheapest one (each entry at the sign of
+        # x), made only while k can still come down to j in the grade left.
+        k = len(mu_tail) - mu_tail.count(0)
+        left = grade - sum(map(abs, mu_tail)) + k
+        if left < 0 or k - left > j or (sum(mu_tail) + j - grade) & 1:
+            return []
+        if j:
+            walk = [(tuple([(x > 0) - (x < 0) for x in mu_tail]), left, k, 0)]
+        else:  # Lambda^0: the zero tail alone
+            walk = [((0,) * len(mu_tail), left - k, 0, len(mu_tail))]
         found = {}
-        for t, d, _, k in level:
-            if (j - k) & 1:
+        for t, left, k, start in walk:
+            if left:
+                wide = k + 2 - left <= j  # may a change not lower k?
+                for i in range(start, len(t)):
+                    y = t[i]
+                    if y:
+                        walk.append((t[:i] + (0,) + t[i + 1 :], left - 1, k - 1, i + 1))
+                        if wide and left > 1:
+                            walk.append((t[:i] + (-y,) + t[i + 1 :], left - 2, k, i + 1))
+                    elif wide:
+                        walk.append((t[:i] + (1,) + t[i + 1 :], left - 1, k + 1, i + 1))
+                        walk.append((t[:i] + (-1,) + t[i + 1 :], left - 1, k + 1, i + 1))
+            if left & 1 or k > j:
                 continue
-            groups = words(grade, d)
+            groups = words(grade, tuple(map(sub, t, mu_tail)))
             for s in module.subsets(t):
                 for first, listed in groups:
                     a = top - first

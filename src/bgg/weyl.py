@@ -188,10 +188,10 @@ def _groups(n: int, crossed: Sequence[int]) -> list[tuple[int, int]]:
 def is_dominant(weight: Sequence[int]) -> bool:
     """g-dominance: x_1 >= ... >= x_n >= 0.
 
-    Levi dominance is never tested here: `parabolic` enumerates the
-    Levi-dominant images of rho and `orbits` reads its nodes off the
-    placement rule.  The general Levi test is kept with the test oracle
-    in tests/weyl_oracle.py.
+    Levi dominance is never tested here: `orbits.hasse_rows` enumerates
+    the Levi-dominant images of rho by their barred entries, and a
+    singular orbit reads its nodes off the placement rule.  The general
+    Levi test is kept with the test oracle in tests/weyl_oracle.py.
     """
     n = len(weight)
     return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and (

@@ -11,9 +11,9 @@ Test-only reference, two ways:
   conformal-weight drop (`parabolic.order_bound`).
 
 `orbits.singular_orbit` lists only the placements of the collision set
-and reads their arrows off its per-rank table, which `orbits` builds
-from the placements with `weyl` arithmetic and without `parabolic`; it
-is checked against both.  Each rank's Hasse diagram is built here by
+and reads their arrows off its per-rank table, the crossed-{2} rows of
+`orbits.hasse_rows`, built without `parabolic`; it is checked against
+both.  Each rank's Hasse diagram is built here by
 the all-pairs search of `parabolic_oracle`.
 
 Three small references ride along: `regular_placements`, the placement

@@ -410,7 +410,7 @@ _PENROSE_LAYERS = ("weyl", "penrose")
 @pytest.mark.parametrize(
     "command, layers",
     [
-        ("hasse --n 4", ("weyl", "parabolic")),
+        ("hasse --n 4", ("weyl", "orbits", "parabolic")),
         ("regular-orbit --n 3", _ORBIT_LAYERS),
         ("singular-orbit --n 4 --k 2", _ORBIT_LAYERS),
         ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS + ("render",)),
@@ -419,7 +419,7 @@ _PENROSE_LAYERS = ("weyl", "penrose")
         ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
         ("geometry-check --n 3 --count 2", ("geometry", "fractions")),
-        ("hasse --n 4 --format json", ("weyl", "parabolic")),
+        ("hasse --n 4 --format json", ("weyl", "orbits", "parabolic")),
         ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("render", "json")),
         ("singular-orbit --n 14 --k 7", _ORBIT_LAYERS),
         ("regular-orbit --n 3 --format json", _ORBIT_LAYERS + ("render", "json")),
@@ -427,7 +427,8 @@ _PENROSE_LAYERS = ("weyl", "penrose")
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
     """A fresh `bgg` process imports only the layers its subcommand runs:
-    `parabolic` only for `hasse`, `orbits` only for the orbit commands,
+    `parabolic` only for `hasse` (with `orbits`, whose `hasse_rows` is
+    the one W^p search), `orbits` otherwise only for the orbit commands,
     `render` only for a diagram not printed as text, `json` only if it
     prints JSON other than a Hasse diagram's (which
     `HasseDiagram.to_json` writes itself), and `fractions` only if it

@@ -5,6 +5,7 @@ import copy
 import pytest
 
 import orbits_oracle
+import parabolic_oracle
 import weyl_oracle as oracle
 from bgg import orbits, parabolic, weyl
 from bgg.weyl import Root
@@ -320,6 +321,43 @@ def test_rank_table_matches_hasse_diagram():
             tuple(e) for e in hd.edges
         ]
         assert {a.kind for a in d.arrows} == {orbits.STANDARD}
+
+
+# one or two barred groups before an open group, and node n crossed
+_ENGINE_CASES = sorted(
+    {
+        (n, tuple(sorted(set(crossed))))
+        for n in range(2, 8)
+        for crossed in ((1,), (2,), (3,), (1, 3), (2, 4), (1, 2), (n,), (1, n), (2, n))
+        if max(crossed) <= n
+    }
+)
+
+
+@pytest.mark.parametrize("n,crossed", _ENGINE_CASES)
+def test_engine_keys_match_brute_force(n, crossed):
+    """Every node of W^p, with its length and sort key read off its
+    barred entries alone, against brute force: the nodes are the
+    strictly Levi-dominant images of rho, each length is
+    weyl.inversion_length of the whole weight and the root-counting
+    length of w, the mask holds the barred absolute values, and the
+    keys order the nodes by (length, perm, signs) of w, with no tie."""
+    groups = weyl._groups(n, crossed)
+    barred = groups[:-1] if crossed[-1] != n else groups
+    b = barred[-1][1]
+    nodes, shift = orbits._keyed_nodes(n, barred)
+    want = set(parabolic_oracle.ldominant_rho_images(parabolic.parabolic(n, crossed)))
+    assert len(nodes) == len(want) and {mu for _, _, mu, _ in nodes} == want
+    by_key = []
+    for key, barred_entries, mu, mask in nodes:
+        w = oracle.from_regular_image(mu)
+        assert key >> shift == weyl.inversion_length(mu) == oracle.length(w), mu
+        assert barred_entries == mu[:b] and mu[b:] == tuple(sorted(mu[b:], reverse=True))
+        assert mask == sum(1 << abs(v) for v in barred_entries)
+        by_key.append((key, (oracle.length(w), w.perm, w.signs)))
+    by_key.sort()
+    assert [k for _, k in by_key] == sorted(k for _, k in by_key)
+    assert len({key for key, _ in by_key}) == len(by_key)
 
 
 def test_rank_table_refuses_rank_below_two():

@@ -245,26 +245,35 @@ def test_edge_orders_from_pairing(crossed):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_sort_key_matches_oracle(n):
-    """The node order read off mu is (length, perm, signs) of the signed
-    permutation w with w(rho) = mu."""
+    """The node order is (length, perm, signs) of the signed permutation
+    w with w(rho) = mu, and each node's length is w's root-counting
+    length."""
     for crossed in sorted({(2,), (1,), (n,), (1, n)}):
         hd = pmod.hasse_diagram(pmod.parabolic(n, crossed))
         keys = []
         for nd in hd.nodes:
             w = oracle.from_regular_image(nd.weight)
-            keys.append(pmod._sort_key(nd.weight))
-            assert keys[-1] == (oracle.length(w), w.perm, w.signs), (n, crossed)
+            keys.append((oracle.length(w), w.perm, w.signs))
+            assert nd.length == keys[-1][0] == parabolic_oracle.sort_key(nd.weight)[0]
         assert keys == sorted(keys) and len(set(keys)) == len(keys), (n, crossed)
 
 
 # the grid on which the edge search and the writers are checked against the
 # all-pairs oracle: n = 2..9 with the crossed sets {1}, {2}, {n}, {1,3},
-# {2,n} and {1,n}, every node crossed for n <= 5, and {2} at n = 14 and 20
+# {2,n} and {1,n}; {3}, {2,4} and {1,2,3} (one, two or three barred groups
+# before the open one) for n <= 8; every node crossed for n <= 5, and {2}
+# at n = 14 and 20
 ALL_PAIRS_GRID = sorted(
     {
         (n, crossed)
         for n in range(2, 10)
         for crossed in ((1,), (2,), (n,), (1, 3), (2, n), (1, n))
+        if max(crossed) <= n
+    }
+    | {
+        (n, crossed)
+        for n in range(3, 9)
+        for crossed in ((3,), (2, 4), (1, 2, 3))
         if max(crossed) <= n
     }
     | {(n, tuple(range(1, n + 1))) for n in range(2, 6)}

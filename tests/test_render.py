@@ -274,6 +274,26 @@ def test_records_are_the_public_records(n):
         _assert_public_records(render.from_json(render.to_json(d)))
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ('"placement": [3, 1]', '"placement": [3, true]', "node entries"),
+        ('"weight": [2, 1, 1]', '"weight": [2, 1.5, 1]', "node entries"),
+        ('"coincidences": [[', '"coincidences": [["0", 1], [', "coincidences"),
+        ('"source": 0', '"source": false', "arrow ends"),
+        ('"target": 1', '"target": 1.0', "arrow ends"),
+    ],
+)
+def test_from_json_refuses_non_int_entries(old, new, field):
+    """A node entry, coincidence or arrow end that is not an int (JSON
+    true, 1.5, a string) is refused with ValueError naming the field,
+    not read back into a diagram whose to_json is not JSON."""
+    text = render.to_json(orbits.singular_orbit(3, 1))
+    assert old in text
+    with pytest.raises(ValueError, match=f"^{field} must be ints$"):
+        render.from_json(text.replace(old, new, 1))
+
+
 def test_from_json_reads_indented_text_and_null_roots():
     """Indented text reads back the same diagram, and a null root reads
     back as None, next to a shared Root, in an arrow of the public type."""

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -1175,6 +1176,29 @@ def test_weight_space_matches_oracle():
             sizes.append(len(space))
     assert len(sizes) == 4 * 2 * sum(range(2, 8))
     assert all(sizes[::4]) and max(sizes) > 50
+
+
+def test_pruned_pass_lists_what_every_prefix_listed():
+    """Every map of every complex for n = 3..8, and the grade-4 space at
+    n = 16 (lam = 0, mu = (-2, -2, 0, ...)), list the same space as the
+    pass that built every prefix of every tail."""
+    count = 0
+    for n in range(3, 9):
+        rho = weyl.rho(n)
+        complexes = [penrose.assemble_singular_bgg(n, 0, "+", conjectural=True)]
+        complexes += [penrose.assemble_singular_bgg(n, k, s) for k in range(1, n) for s in "+-"]
+        for cx in complexes:
+            shifted = [tuple(map(operator.sub, t, rho)) for t in cx.terms]
+            for m in cx.maps:
+                mp = verma.GeneralizedVerma(n, shifted[m.source])
+                mu = shifted[m.target]
+                assert mp.weight_space(mu) == verma_oracle.prefix_weight_space(mp, mu), (n, m)
+                count += 1
+    assert count > 500
+    mp = verma.GeneralizedVerma(16, (0,) * 16)
+    mu = (-2, -2) + (0,) * 14
+    space = mp.weight_space(mu)
+    assert space == verma_oracle.prefix_weight_space(mp, mu) and len(space) == 646
 
 
 @pytest.mark.parametrize(

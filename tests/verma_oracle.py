@@ -1,6 +1,6 @@
 """The work-list PBW straightening, the entry-by-entry Levi action, the
-Fraction elimination and the tuple-walk weight-space listing that
-`bgg.verma` no longer carries.
+Fraction elimination, the tuple-walk weight-space listing and the
+unpruned F-first prefix pass that `bgg.verma` no longer carries.
 
 Test-only reference.  Each function takes a `GeneralizedVerma` for its
 letters and the n, lam, m and j of its Levi module only, and none of them reads
@@ -313,6 +313,39 @@ def weight_space(mp, mu: Sequence[int]) -> list:
         words = sorted(words_for(mp, need), key=lambda w: (len(w), w))
         space += [(word, f) for word in words]
     return space
+
+
+def prefix_weight_space(mp, mu: Sequence[int]) -> list:
+    """The weight space as `GeneralizedVerma.weight_space` listed it
+    before it pruned its pass: every prefix of every tail t of a weight
+    of Lambda^j (entries 0 or +-1, at most j nonzero) within |t - mu's
+    tail|_1 <= E(lam - mu) is built, and the tails with j - k odd are
+    dropped only at the end; the words and subsets come from the same
+    tables."""
+    module, words = mp.module, mp.tables.words
+    j, m, shift = module.j, module.m, module.shift
+    grade = mp.lam[0] + mp.lam[1] - mu[0] - mu[1]
+    top, mu_tail = mp.lam[0] - mu[0], tuple(mu[2:])
+    level = [((), (), 0, 0)]
+    for x in mu_tail:
+        nxt = []
+        for t, d, c, k in level:
+            for y in (0, -1, 1) if k < j else (0,):
+                cost = c + abs(y - x)
+                if cost <= grade:
+                    nxt.append((t + (y,), d + (y - x,), cost, k + (y != 0)))
+        level = nxt
+    found = {}
+    for t, d, _, k in level:
+        if (j - k) & 1:
+            continue
+        groups = words(grade, d)
+        for s in module.subsets(t):
+            for first, listed in groups:
+                a = top - first
+                if 0 <= a <= m:
+                    found[a << shift | s] = listed
+    return [(word, f) for f in sorted(found) for word in found[f]]
 
 
 def words_for(mp, need: tuple) -> list:
