@@ -12,7 +12,15 @@ It reports two things:
 - the wall time of one fresh `python -m bgg.cli ...` process per
   subcommand, from spawn to exit, imports included: the median over N
   runs, the trees taking turns within each run and the order of the
-  trees reversed on every other run;
+  trees reversed on every other run.  The commands include the four
+  `hasse` requests of the benchmark's `cli` workload and `hasse --n 30
+  --crossed 1,3` (97,440 nodes, 38 MB of text).  Beside it, the median
+  peak RSS of those processes, read off each child's own rusage
+  (`os.wait4`).  A child's figure cannot read below this script's own
+  peak when it was spawned (the spawn counts the parent's pages), which
+  is printed first; the script keeps it under a bare `bgg` process by
+  streaming each output through a CRC instead of holding it, and by not
+  loading hashlib;
 - the singular orbit diagrams of every k at n = 60 in one fresh process,
   swept twice after `import bgg.orbits`: the first sweep is cold (it
   builds whatever the tree builds per rank, and loads whatever it loads
@@ -34,14 +42,20 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 COMMANDS = [
+    "hasse --n 4",
     "hasse --n 8 --format json",
+    "hasse --n 8 --crossed 1,3",
+    "hasse --n 10 --crossed 10 --format json",
+    "hasse --n 30 --crossed 1,3",
     "regular-orbit --n 8 --format tikz --skip 5,11 --labels",
     "singular-orbit --n 8 --k 7 --format json",
     "singular-orbit --n 14 --k 7",
@@ -75,17 +89,25 @@ def _env(tree: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
-def _cli(tree: Path, command: str) -> tuple[float, int, bytes]:
-    """Wall time, exit code and stdout of one fresh `bgg` process."""
+def _cli(tree: Path, command: str) -> tuple[float, int, tuple[int, int], float]:
+    """Wall time, exit code, stdout's (CRC-32, length) and peak RSS in
+    MB of one fresh `bgg` process."""
     start = time.perf_counter()
-    done = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "-m", "bgg.cli", *command.split()],
         env=_env(tree),
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         stdin=subprocess.DEVNULL,
     )
-    return time.perf_counter() - start, done.returncode, done.stdout
+    crc = size = 0
+    with child.stdout:
+        for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+            crc, size = zlib.crc32(chunk, crc), size + len(chunk)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return wall, child.returncode, (crc, size), usage.ru_maxrss / 1024
 
 
 def _sweep(tree: Path) -> tuple[float, float, float]:
@@ -125,26 +147,33 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.runs} runs per tree, {sys.executable} {sys.version.split()[0]}")
 
     ok = True
-    print("\nfresh-process wall time per command, median ms (tree 0, tree 1, ...; ratio to tree 0)")
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(
+        "\nfresh-process wall time per command, median ms (tree 0, tree 1, ...;"
+        f" ratio to tree 0), then median peak RSS in MB (floor: this script's {own:.1f})"
+    )
     for command in COMMANDS:
         times: list[list[float]] = [[] for _ in trees]
-        outputs: list[set[bytes]] = [set() for _ in trees]
+        peaks: list[list[float]] = [[] for _ in trees]
+        outputs: list[set[tuple[int, int]]] = [set() for _ in trees]
         for run in range(args.runs):
             for i in _turns(trees, run):
-                wall, code, out = _cli(trees[i], command)
+                wall, code, out, peak = _cli(trees[i], command)
                 if code != 0:
                     print(f"FAIL: tree {i}: bgg {command} exited {code}")
                     ok = False
                 times[i].append(wall)
+                peaks[i].append(peak)
                 outputs[i].add(out)
         medians = [statistics.median(t) for t in times]
         cells = "  ".join(f"{1e3 * m:7.1f}" for m in medians)
         ratios = "  ".join(f"{m / medians[0]:.3f}" for m in medians[1:])
+        rss = "  ".join(f"{statistics.median(p):6.1f}" for p in peaks)
         same = len(set().union(*outputs)) == 1
         if not same:
             ok = False
         note = "" if same else "  OUTPUT DIFFERS"
-        print(f"  {command:55s} {cells}  {ratios}{note}")
+        print(f"  {command:55s} {cells}  {ratios}  RSS {rss}{note}")
 
     print("\nsingular_orbit(60, k) for every k in one fresh process, median s")
     sweeps: list[list[tuple[float, float, float]]] = [[] for _ in trees]

@@ -6,14 +6,15 @@ Exit codes: 0 success, 1 invalid arguments or unsupported request,
 Each subcommand imports the bgg layers it runs when it runs, so one
 `bgg` process loads only what its command needs, and a request the CLI
 itself refuses (a bad combination of options) loads no layer at all.
-Only `hasse` loads `parabolic` (and `orbits`, where W^p is searched);
-only it and the orbit and render commands load `orbits`, and `render`
-only when the diagram is not printed as text.
+Only `hasse` loads `parabolic`, and with it `cosets`, where W^p is
+searched, but not `orbits`; the orbit and render commands load `cosets`
+and `orbits`, and `render` only when the diagram is not printed as text.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional, Sequence
 
@@ -394,6 +395,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is turned off for the rest of the process: every command
+    builds acyclic results, freed by reference counting alone, and then
+    the process exits, so a collection would only walk live objects."""
+    gc.disable()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

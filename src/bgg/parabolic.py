@@ -7,16 +7,18 @@ root's grade is alpha(E): a positive root lies in the Levi factor if its
 grade is 0 and in the nilradical if it is positive.  The Hasse diagram
 W^p consists of the Weyl group elements w for which mu = w(rho) is
 strictly dominant for the Levi factor, and mu determines w.  W^p is
-searched in `orbits.hasse_rows`, by each node's barred entries; this
-module keeps the grading (2E from `orbits._twice_grading`), conformal
+searched in `cosets.hasse_rows`, by each node's barred entries; this
+module keeps the grading (2E from `cosets._twice_grading`), conformal
 weights and order bounds, and the diagram's records and writers.
 
 Nodes and edges are immutable records (NamedTuples), built from field
-tuples at C speed; `to_text` and `to_json` write them straight, without
-the json module.  E, and so every conformal weight, is integral unless
-node n is crossed; fractions (and the decimal module it loads) is
-imported only where a Fraction is built or met.  Only the `hasse`
-command imports this module, and with it `orbits`.
+tuples at C speed; `to_text` and `to_json` write them in one pass each,
+without the json module, reading every window off a table of the rank
+and making each root's label once.  E, and so every conformal weight, is
+integral unless node n is crossed; fractions (and the decimal module it
+loads) is imported only where a Fraction is built or met.  Only the
+`hasse` command imports this module, and with it `weyl` and `cosets`,
+not the orbit diagrams.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from bgg import orbits, weyl
+from bgg import cosets, weyl
 from bgg.weyl import Root, Weight
 
 if TYPE_CHECKING:
@@ -60,7 +62,7 @@ def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
 
     Entries are integers unless node n is crossed (then they are
     half-integers, returned as Fractions)."""
-    twice = orbits._twice_grading(p.n, p.crossed)
+    twice = cosets._twice_grading(p.n, p.crossed)
     if p.n not in p.crossed:
         return tuple(x // 2 for x in twice)
     from fractions import Fraction
@@ -82,7 +84,7 @@ def _twice_pairing(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
     """The pairing of a weight with 2E."""
     if len(weight) != p.n:
         raise ValueError("rank mismatch")
-    return sum(map(mul, weight, orbits._twice_grading(p.n, p.crossed)))
+    return sum(map(mul, weight, cosets._twice_grading(p.n, p.crossed)))
 
 
 def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
@@ -95,7 +97,7 @@ def root_grade(root: Root, p: Parabolic) -> int:
     """alpha(E), the pairing of a root with the grading element, in
     integers: <2E, alpha^vee> is 2 alpha(E) for the short roots a_ij,
     c_ij and alpha(E) for the long roots b_i."""
-    doubled = weyl.pairing(orbits._twice_grading(p.n, p.crossed), root)
+    doubled = weyl.pairing(cosets._twice_grading(p.n, p.crossed), root)
     return doubled if root.kind == "b" else doubled // 2
 
 
@@ -147,38 +149,36 @@ class HasseDiagram:
     nodes: list[HasseNode]
     edges: list[HasseEdge] = field(default_factory=list)
 
-    def _rows(self):
-        """(weight, length, window) per node and (source, target, root
-        label, order) per edge, each label made once per Root object.  The
-        memo is keyed by id, not by the dataclass's Python-level hash; the
-        edges keep their roots alive for the call."""
-        nodes = [(nd.weight, nd.length, nd.window) for nd in self.nodes]
-        labels: dict = {}
-        edges = []
-        for source, target, root, order in self.edges:
-            label = labels.get(id(root))
-            if label is None:
-                label = labels[id(root)] = root.label()
-            edges.append((source, target, label, order))
-        return nodes, edges
+    def _labels(self) -> dict[int, str]:
+        """Each edge root's label, made once per Root object.  The memo is
+        keyed by id, not by the dataclass's Python-level hash; the edges
+        keep their roots alive for the call."""
+        roots = {id(root): root for _, _, root, _ in self.edges}
+        return {key: root.label() for key, root in roots.items()}
 
     def to_text(self) -> str:
         """The `bgg hasse` listing, followed by a newline: a header, a line
         per node with its index, weight, length and window, then a line
         per edge.  Weights and windows are int tuples of length n >= 2,
-        so they print as (a, b, ...)."""
+        so they print as (a, b, ...), here joined from the value texts."""
         p = self.parabolic
-        nodes, edges = self._rows()
+        text, window = _value_texts(p.n)
+        labels = self._labels()
+        entries = ", ".join
         lines = [
             f"Hasse diagram: n={p.n} crossed={tuple(p.crossed)} "
-            f"nodes={len(nodes)} edges={len(edges)}"
+            f"nodes={len(self.nodes)} edges={len(self.edges)}"
         ]
         lines += [
-            "  %3d: weight=%s length=%s window=%s" % (i, mu, length, window)
-            for i, (mu, length, window) in enumerate(nodes)
+            "  %3d: weight=(%s) length=%s window=(%s)"
+            % (i, entries(map(text, mu)), length, entries(map(window, mu)))
+            for i, (mu, length) in enumerate(self.nodes)
         ]
         lines.append("edges:")
-        lines += ["  %3d -> %3d  root=%s order=%s" % edge for edge in edges]
+        lines += [
+            "  %3d -> %3d  root=%s order=%s" % (source, target, labels[id(root)], order)
+            for source, target, root, order in self.edges
+        ]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -189,17 +189,18 @@ class HasseDiagram:
         or a root label, which needs no escaping, and weights are never
         empty."""
         p = self.parabolic
-        nodes, edges = self._rows()
+        text, window = _value_texts(p.n)
+        labels = self._labels()
         ints = ",\n    ".join
         node_items = [
             '{\n   "weight": [\n    %s\n   ],\n   "length": %s,\n   "window": [\n    %s\n   ]\n  }'
-            % (ints(map(str, mu)), length, ints(map(str, window)))
-            for mu, length, window in nodes
+            % (ints(map(text, mu)), length, ints(map(window, mu)))
+            for mu, length in self.nodes
         ]
         edge_items = [
             '{\n   "source": %s,\n   "target": %s,\n   "root": "%s",\n   "order": %s\n  }'
-            % edge
-            for edge in edges
+            % (source, target, labels[id(root)], order)
+            for source, target, root, order in self.edges
         ]
         return '{\n "n": %s,\n "crossed": %s,\n "nodes": %s,\n "edges": %s\n}\n' % (
             p.n,
@@ -209,6 +210,16 @@ class HasseDiagram:
         )
 
 
+def _value_texts(n: int) -> tuple:
+    """Getters of the text of each signed value v of rank n, and of its
+    window entry sign(v) * (n + 1 - |v|), both by v: v at index v, -v at
+    index -v.  So a node's window_i is the second getter at mu_i, as
+    `HasseNode.window` computes it."""
+    values = [*range(n + 1), *range(-n, 0)]
+    windows = [0, *range(n, 0, -1), *range(-1, -n - 1, -1)]
+    return list(map(str, values)).__getitem__, list(map(str, windows)).__getitem__
+
+
 def _json_list(items: list[str]) -> str:
     """A list of JSON values written out, as a value of a top-level key
     of json.dumps(..., indent=1)."""
@@ -216,11 +227,11 @@ def _json_list(items: list[str]) -> str:
 
 
 def hasse_diagram(p: Parabolic) -> HasseDiagram:
-    """The Hasse diagram W^p, fresh per call, read off `orbits.hasse_rows`:
+    """The Hasse diagram W^p, fresh per call, read off `cosets.hasse_rows`:
     nodes mu = w(rho) with their lengths, sorted by (length, perm, signs)
     of w, and edges i -> j by (source, target), each a nilradical root
     with s_alpha(mu_i) = mu_j and its conformal order bound."""
-    rows = orbits.hasse_rows(p.n, p.crossed)
+    rows = cosets.hasse_rows(p.n, p.crossed)
     nodes = [_node((mu, length)) for _, mu, length, _ in rows]
     edges = [
         _edge((source, target, root, order))

@@ -18,13 +18,14 @@ negative).  The group as signed permutations, with products, inverses,
 reflections and root-counting lengths, is kept as the test oracle in
 tests/weyl_oracle.py.
 
-This is the only layer the crossed-{2} orbit, Penrose and Verma code
-stands on: there E = (1, 1, 0, ..., 0), so a conformal weight is w_1 +
-w_2 and the nilradical is the positive roots whose vectors have w_1 +
-w_2 > 0, with no call into `parabolic`.  The weight families lambda_k
-(on iGr(2, 2n)) and tilde_lambda (on iGr(1, 2n)) and the operator kinds
-STANDARD and NONSTANDARD live here too, so `penrose` loads `weyl` alone
-and no Penrose or Verma command loads `orbits`.
+This is the only layer the crossed-{2} Penrose and Verma code stands
+on, and the orbit code adds only the W^p search (`cosets`): there E =
+(1, 1, 0, ..., 0), so a conformal weight is w_1 + w_2 and the
+nilradical is the positive roots whose vectors have w_1 + w_2 > 0, with
+no call into `parabolic`.  The weight families lambda_k (on iGr(2, 2n))
+and tilde_lambda (on iGr(1, 2n)) and the operator kinds STANDARD and
+NONSTANDARD live here too, so `penrose` loads `weyl` alone and no
+Penrose or Verma command loads `cosets` or `orbits`.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _groups(n: int, crossed: Sequence[int]) -> list[tuple[int, int]]:
 def is_dominant(weight: Sequence[int]) -> bool:
     """g-dominance: x_1 >= ... >= x_n >= 0.
 
-    Levi dominance is never tested here: `orbits.hasse_rows` enumerates
+    Levi dominance is never tested here: `cosets.hasse_rows` enumerates
     the Levi-dominant images of rho by their barred entries, and a
     singular orbit reads its nodes off the placement rule.  The general
     Levi test is kept with the test oracle in tests/weyl_oracle.py.

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import gc
 import json
 import os
 import pathlib
@@ -15,6 +16,29 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 def load_fixture(name):
     """Load a frozen diagram fixture by basename (without extension)."""
     return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+@pytest.fixture(autouse=True)
+def _collector_restored():
+    """`cli.main` turns the cyclic collector off for the rest of its
+    process; a test that calls it in process, or turns the collector off
+    itself, leaves it as it found it for the tests after."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off, as `cli.main` leaves it, with every object
+    made so far frozen out of its collections: `gc.collect()` then walks
+    only what the test makes, and returns the objects it found in cycles."""
+    gc.disable()
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ Test-only reference, two ways:
 
 `orbits.singular_orbit` lists only the placements of the collision set
 and reads their arrows off its per-rank table, the crossed-{2} rows of
-`orbits.hasse_rows`, built without `parabolic`; it is checked against
+`cosets.hasse_rows`, built without `parabolic`; it is checked against
 both.  Each rank's Hasse diagram is built here by
 the all-pairs search of `parabolic_oracle`.
 

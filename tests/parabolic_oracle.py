@@ -13,7 +13,7 @@ Test-only reference:
 - `to_dict`, `text` and `json_text` are the payload, the `bgg hasse`
   listing and `json.dumps(to_dict(hd), indent=1)`, built as before.
 
-`parabolic.hasse_diagram` reads W^p off `orbits.hasse_rows`, which
+`parabolic.hasse_diagram` reads W^p off `cosets.hasse_rows`, which
 skips most (node, root) pairs without reflecting, and
 `HasseDiagram.to_text` / `to_json` write the listings straight from the
 records; each is checked against this.

@@ -403,14 +403,15 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = bgg.cli.main(sys.argv[1:])
 print(rc, *sorted(m for m in sys.modules if m.startswith("bgg.") or m in ("json", "fractions")))
 """
-_ORBIT_LAYERS = ("weyl", "orbits")
+_ORBIT_LAYERS = ("weyl", "cosets", "orbits")
+_HASSE_LAYERS = ("weyl", "cosets", "parabolic")
 _PENROSE_LAYERS = ("weyl", "penrose")
 
 
 @pytest.mark.parametrize(
     "command, layers",
     [
-        ("hasse --n 4", ("weyl", "orbits", "parabolic")),
+        ("hasse --n 4", _HASSE_LAYERS),
         ("regular-orbit --n 3", _ORBIT_LAYERS),
         ("singular-orbit --n 4 --k 2", _ORBIT_LAYERS),
         ("render --what singular --n 4 --k 1 --format dot", _ORBIT_LAYERS + ("render",)),
@@ -419,7 +420,7 @@ _PENROSE_LAYERS = ("weyl", "penrose")
         ("bgg-complex --n 4 --k 1", _PENROSE_LAYERS),
         ("verify-maximal --n 3 --k 1", _PENROSE_LAYERS + ("verma",)),
         ("geometry-check --n 3 --count 2", ("geometry", "fractions")),
-        ("hasse --n 4 --format json", ("weyl", "orbits", "parabolic")),
+        ("hasse --n 4 --format json", _HASSE_LAYERS),
         ("singular-orbit --n 4 --k 2 --format json", _ORBIT_LAYERS + ("render", "json")),
         ("singular-orbit --n 14 --k 7", _ORBIT_LAYERS),
         ("regular-orbit --n 3 --format json", _ORBIT_LAYERS + ("render", "json")),
@@ -427,8 +428,9 @@ _PENROSE_LAYERS = ("weyl", "penrose")
 )
 def test_subcommand_loads_only_its_layers(python, command, layers):
     """A fresh `bgg` process imports only the layers its subcommand runs:
-    `parabolic` only for `hasse` (with `orbits`, whose `hasse_rows` is
-    the one W^p search), `orbits` otherwise only for the orbit commands,
+    `cosets`, whose `hasse_rows` is the one W^p search, for `hasse` and
+    the orbit commands, `parabolic` only for `hasse`, which never loads
+    the orbit diagrams, `orbits` only for the orbit commands,
     `render` only for a diagram not printed as text, `json` only if it
     prints JSON other than a Hasse diagram's (which
     `HasseDiagram.to_json` writes itself), and `fractions` only if it

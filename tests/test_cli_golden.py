@@ -8,6 +8,7 @@ unnoticed.  Rewrite the fixture only for an intended output change:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import gc
 import hashlib
 import io
 import json
@@ -138,6 +139,39 @@ def test_fixture_covers_the_commands(golden):
 def test_output_matches_golden(golden, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert run(command) == golden[command]
+
+
+def _at_rank(command: str, n: int) -> str:
+    words = command.split()
+    words[words.index("--n") + 1] = str(n)
+    return " ".join(words)
+
+
+# the commands that succeed, each of which takes --n
+_SUCCEEDING = [c for c, want in json.loads(FIXTURE.read_text()).items() if want["exit"] == 0]
+
+
+@pytest.mark.parametrize("command", _SUCCEEDING)
+def test_no_cycle_grows_with_rank(collector_off, monkeypatch, command):
+    """`cli.main` turns the cyclic collector off, so a command may leave
+    no reference cycle behind but the argument parser's and, where the
+    json module writes the output, its encoder's per-call closures.  Run
+    in process once to load its layers, then at n and n + 1, it leaves
+    the same garbage at both ranks, and no more than those."""
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    n = int(command.split()[command.split().index("--n") + 1])
+    cli.build_parser()
+    parser = gc.collect()
+    json.dumps({"n": [n]}, indent=1)
+    encoder = gc.collect()
+    assert run(command)["exit"] == 0
+    gc.collect()
+    left = []
+    for rank in (n, n + 1):
+        assert run(_at_rank(command, rank))["exit"] == 0
+        left.append(gc.collect())
+    assert left[0] == left[1]
+    assert left[0] in (parser, parser + encoder)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 import orbits_oracle
 import parabolic_oracle
 import weyl_oracle as oracle
-from bgg import orbits, parabolic, weyl
+from bgg import cosets, orbits, parabolic, weyl
 from bgg.weyl import Root
 
 
@@ -345,7 +345,7 @@ def test_engine_keys_match_brute_force(n, crossed):
     groups = weyl._groups(n, crossed)
     barred = groups[:-1] if crossed[-1] != n else groups
     b = barred[-1][1]
-    nodes, shift = orbits._keyed_nodes(n, barred)
+    nodes, shift = cosets._keyed_nodes(n, barred)
     want = set(parabolic_oracle.ldominant_rho_images(parabolic.parabolic(n, crossed)))
     assert len(nodes) == len(want) and {mu for _, _, mu, _ in nodes} == want
     by_key = []

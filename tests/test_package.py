@@ -77,6 +77,6 @@ def test_every_import_is_used():
     """A subcommand loads only the layers it imports, so an unused
     cross-layer import costs load time."""
     modules = sorted(Path(bgg.__file__).parent.glob("*.py"))
-    assert len(modules) == len(LAYERS) + 2  # __init__ and cli
+    assert len(modules) == len(LAYERS) + 3  # __init__, cli and the W^p search, cosets
     unused = {m.name: _unused_imports(m.read_text()) for m in modules}
     assert {name: names for name, names in unused.items() if names} == {}
