@@ -15,8 +15,8 @@ this module and never `parabolic`; `hasse` loads `cosets` and
 are the placement (m1, m2): per rank one table (`_rank_table`) holds
 each node's weight and out-arrows with roots, orders and forms.
 
-Placement rule.  For a node mu the image w(base) sends each |mu_i| = r
-to f(r) = base[n - r], and f is weakly increasing with one collision:
+Placement rule.  For a node mu, w(lambda_k) sends each |mu_i| = r to
+f(r) = lambda_k[n - r], and f is weakly increasing with one collision:
 f(k) = f(k + 1) for k >= 1, or f(1) = 0 for k = 0.  The tail of a node
 therefore has a strictly descending, positive image unless it holds the
 whole collision set ({k, k + 1}, or {1}).  So a node carries a point of
@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 from bgg import cosets, weyl
 from bgg.weyl import STANDARD, Root, Weight, lambda_k
@@ -160,42 +160,27 @@ def _suppressed(k: int, src: tuple[int, int], tgt: tuple[int, int]) -> bool:
     return False
 
 
-def _collision_set(base: Weight) -> frozenset[int]:
-    """The values r with f(r) = base[n - r] repeated or zero: {k, k + 1}
-    for a repeated pair, {1} for a trailing 0."""
-    n = len(base)
-    return frozenset(
-        r for r in range(1, n + 1) if base[n - r] == 0 or base.count(base[n - r]) > 1
-    )
+def singular_orbit(n: int, k: int) -> OrbitDiagram:
+    """The orbit diagram of lambda_k for crossed={2}.
 
-
-def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
-    """The orbit diagram of a k-singular weight for crossed={2}.
-
-    Nodes are the Hasse-diagram nodes mu = w(rho) whose image w(base) is
-    strictly Levi-dominant, placed at the first two coordinates of mu.
-    They are read off the placement rule (see the module docstring): mu
-    is kept iff |mu_1| or |mu_2| lies in the collision set of base and
-    w(base)_1 > w(base)_2.  Only the placements of the collision set are
-    listed: the four signed placements of each pair of absolute values
-    {r, s} with r in it share the rest of w(base), which is base without
-    its entries at positions n - r and n - s (counting from 0).  The kept
-    placements are put in Hasse order by their rows of the rank table.
-    Arrows are the induced Hasse arrows: identity arrows join the
-    coincidence pairs, the trivially-acting families at k <= 1 are kept
-    but marked suppressed, all others are standard.
+    Nodes are the Hasse-diagram nodes mu = w(rho) whose image
+    w(lambda_k) is strictly Levi-dominant, placed at the first two
+    coordinates of mu.  By the placement rule (see the module docstring)
+    mu is kept iff |mu_1| or |mu_2| lies in the collision set, {k, k + 1}
+    or {1} at k = 0, and the image's first pair descends strictly.  Only
+    the placements of the collision set are listed: the four signed
+    placements of each pair of absolute values {r, s} with r in it share
+    the rest of the image, lambda_k without its entries at positions
+    n - r and n - s (counting from 0).  The kept placements are put in
+    Hasse order by their rows of the rank table.  Arrows are the induced
+    Hasse arrows: identity arrows join the coincidence pairs, the
+    trivially-acting families at k <= 1 are kept but marked suppressed,
+    all others are standard.
     """
-    if base is None:
-        base = lambda_k(n, k)
-    else:
-        base = tuple(base)
-        if len(base) != n:
-            raise ValueError("base must have length n")
-        if infer_k(base) != k:
-            raise ValueError("base weight does not have the k-singular pattern")
+    lam = lambda_k(n, k)
     table = _rank_table(n)
 
-    collide = _collision_set(base)
+    collide = (k, k + 1) if k else (1,)
     kept = []  # (index, placement, image, arrows) in any order
     for r in collide:
         for s in range(1, n + 1):
@@ -203,8 +188,8 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
                 continue
             hi, lo = (r, s) if r > s else (s, r)
             i, j = n - hi, n - lo
-            fh, fl = base[i], base[j]
-            rest = base[:i] + base[i + 1 : j] + base[j + 1 :]
+            fh, fl = lam[i], lam[j]
+            rest = lam[:i] + lam[i + 1 : j] + lam[j + 1 :]
             for p, x in (
                 ((hi, lo), (fh, fl)),
                 ((hi, -lo), (fh, -fl)),
@@ -246,20 +231,3 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
         if len(ix) > 2:
             raise AssertionError("a weight appeared more than twice in an orbit")
     return OrbitDiagram("singular-orbit", n, k, nodes, arrows, coincidences, conjectural=(k == 0))
-
-
-def infer_k(base: Sequence[int]) -> int:
-    """Singularity index of a rho-shifted semi-regular dominant weight:
-    0 for a trailing zero, else n minus the position of the repeated pair."""
-    base = tuple(base)
-    n = len(base)
-    if weyl.classify(base) != weyl.SEMIREGULAR:
-        raise ValueError("base must be semi-regular")
-    if not weyl.is_dominant(base):
-        raise ValueError("base must be g-dominant")
-    if base[-1] == 0:
-        return 0
-    for i in range(n - 1):
-        if base[i] == base[i + 1]:
-            return n - (i + 1)
-    raise AssertionError("semi-regular dominant weight with no pattern")

@@ -27,8 +27,10 @@ records from the parsed JSON through `orbits._node` and
 NamedTuple's own constructor is a Python-level call per record): it
 puts weyl.shared_root's Root, the one the rank tables hold, into the
 parsed arrows in place, then reads every arrow's fields in one pass of
-itemgetter, and refuses a node entry, coincidence or arrow end that is
-not an int.  Diagrams are fresh per call; compare roots with ==.
+itemgetter.  It refuses a node entry, coincidence or arrow end that is
+not an int, and what the writers cannot draw: a placement that is not a
+pair, an arrow end that is no node's index, an unknown arrow kind.
+Diagrams are fresh per call; compare roots with ==.
 """
 
 from __future__ import annotations
@@ -317,7 +319,9 @@ _ROOT_FIELDS = itemgetter("kind", "i", "j")
 def from_json(text: str) -> OrbitDiagram:
     """The diagram to_json wrote.  A node entry, coincidence or arrow end
     that is not an int (JSON true, 1.5, a string) is refused with
-    ValueError naming its field, after a pass of type over the field."""
+    ValueError naming its field, after a pass of type over the field, and
+    so is what to_tikz and to_dot cannot draw: a placement that is not a
+    pair, an arrow end that is no node's index, an unknown arrow kind."""
     import json
 
     data = json.loads(text)
@@ -330,13 +334,22 @@ def from_json(text: str) -> OrbitDiagram:
         r = a["root"]
         a["root"] = shared_root(*_ROOT_FIELDS(r)) if r else None
     arrows = list(map(_arrow, map(_ARROW_FIELDS, arrows)))
-    for name, values in (
-        ("node entries", chain.from_iterable(chain.from_iterable(nodes))),
-        ("coincidences", chain.from_iterable(coincidences)),
-        ("arrow ends", chain(map(itemgetter(0), arrows), map(itemgetter(1), arrows))),
+    entries = chain.from_iterable(chain.from_iterable(nodes))
+    ends = [*map(itemgetter(0), arrows), *map(itemgetter(1), arrows)]
+    kinds = map(itemgetter(2), arrows)
+    for message, values, allowed in (
+        ("node entries must be ints", map(type, entries), {int}),
+        ("coincidences must be ints", map(type, chain.from_iterable(coincidences)), {int}),
+        ("arrow ends must be ints", map(type, ends), {int}),
+        ("node placements must be pairs", map(len, map(itemgetter(0), nodes)), {2}),
+        ("arrow ends must be node indices", ends, range(len(nodes))),
+        ("arrow kinds must be standard, identity or suppressed", kinds, _DOT_STYLES),
     ):
-        types = list(map(type, values))
-        if types.count(int) != len(types):
-            raise ValueError(f"{name} must be ints")
+        try:
+            ok = set(values).issubset(allowed)
+        except TypeError:  # an unhashable kind: a JSON list or object
+            ok = False
+        if not ok:
+            raise ValueError(message)
     kind, n, k = data["kind"], data["n"], data["k"]
     return OrbitDiagram(kind, n, k, nodes, arrows, coincidences, data["conjectural"])

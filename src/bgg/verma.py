@@ -63,23 +63,22 @@ that key.  A word of letters stays in U(u^-), so its normal form
 depends on n alone (PBW): RankTables.normal_form folds the word's
 letters through the straightening table once per rank, and the
 genuine check of a row, its perturbed twin and every later check read
-the same entries.  term_weight subtracts the weight of the monomial's
-own word, kept per rank too (RankTables.word_weight).
+the same entries.  term_weight subtracts the weight vectors of the
+monomial's letters from wt(f).
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
 name: the basis matrices and their leading entries, the letters, the
-integer tables the hot paths read instead of hashing a Root, five memos
-(brackets, straightening, the words of each need, the normal forms of
-letter words and the weights of words) and two that go with their
-rank: the records of the last _MODULES_PER_RANK lam built and the first
-arrows shifted by rho (verify_row).  Every other field is a tuple or a
-read-only mapping, and every value a memo holds is a tuple.  A bracket
-is kept once, by label code, computed through decompose with its
-reconstruction check.  LieData is a
-view of the record by label, and no module takes one.  The nilradical
-letters are checked against `weyl` alone (see _rank), so this module,
-like `penrose`, loads no Hasse code.
+integer tables the hot paths read instead of hashing a Root, four memos
+(brackets, straightening, the words of each need and the normal forms
+of letter words) and two that go with their rank: the records of the
+last _MODULES_PER_RANK lam built and the first arrows shifted by rho
+(verify_row).  Every other field is a tuple or a read-only mapping, and
+every value a memo holds is a tuple.  A bracket is kept once, by label
+code, computed through decompose with its reconstruction check.
+LieData is a view of the record by label, and no module takes one.
+The nilradical letters are checked against `weyl` alone (see _rank), so
+this module, like `penrose`, loads no Hasse code.
 
 A weight space is listed F-first: the tails of the weights of Lambda^j
 near mu's come first, each reads its need's words off one memo, and W
@@ -107,7 +106,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -145,7 +144,7 @@ class RankTables(NamedTuple):
     col, value) entry in the gl(2) block or None, and its entries (r, c,
     v) among the slots, each by its rows as the bit masks (1 << c, 1 << r
     or 0 when r = c, the bits that swap c for r, the bits strictly
-    between r and c) and v (LeviModule._move).  Then the seven memos:
+    between r and c) and v (LeviModule._move).  Then the six memos:
     the brackets by code pair, the one straightening table by (code,
     word), letters included, for every Levi module of the rank (see
     straighten), the words of each need by (grade, tail) (needs, see
@@ -153,8 +152,7 @@ class RankTables(NamedTuple):
     _MODULES_PER_RANK lam built, oldest evicted first: the pair of its
     LeviModule and its rows by monomial (GeneralizedVerma._row), the
     first arrows of the rank by (k, sign), shifted by rho (verify_row),
-    the normal form of each letter word (normal_form) and the weight of
-    each word (word_weight)."""
+    and the normal form of each letter word (normal_form)."""
 
     matrices: Mapping
     leads: Mapping
@@ -172,7 +170,6 @@ class RankTables(NamedTuple):
     modules: dict
     arrows: dict
     normal_forms: dict
-    word_weights: dict
 
     def decompose(self, x: Matrix) -> list[tuple[Label, int]]:
         """Exact expansion of x over the basis, read off the leading
@@ -276,17 +273,6 @@ class RankTables(NamedTuple):
             got = self.normal_forms[word] = tuple(elem.items())
         return got
 
-    def word_weight(self, word: tuple) -> Weight:
-        """The sum of the weight vectors of a word's letters, computed into
-        the memo the first time."""
-        got = self.word_weights.get(word)
-        if got is None:
-            got = (0,) * len(self.vectors[0])
-            for i in word:
-                got = tuple(map(add, got, self.vectors[i]))
-            self.word_weights[word] = got
-        return got
-
 
 @functools.lru_cache(maxsize=8)
 def _rank(n: int) -> RankTables:
@@ -343,7 +329,7 @@ def _rank(n: int) -> RankTables:
         raising=tuple(code["e", r] for r in weyl.simple_roots(n)),
         slots=slots, levi=MappingProxyType(levi),
         brackets={}, straightening={}, needs={}, modules={}, arrows={},
-        normal_forms={}, word_weights={},
+        normal_forms={},
     )
 
 
@@ -608,10 +594,12 @@ class GeneralizedVerma:
         return got
 
     def term_weight(self, key) -> Weight:
-        """wt(f) less the weight of the monomial's word
-        (RankTables.word_weight)."""
+        """wt(f) less the weight vectors of the monomial's letters."""
         word, f = key
-        return tuple(map(sub, self.module.weight(f), self.tables.word_weight(word)))
+        weight, vectors = self.module.weight(f), self.tables.vectors
+        for i in word:
+            weight = tuple(map(sub, weight, vectors[i]))
+        return weight
 
     def check_maximal(self, elem: Element) -> tuple[bool, list[Label]]:
         """An element is maximal iff every simple raising operator and the
@@ -874,7 +862,7 @@ def verify_row(
     a genuine and a perturbed check shift it once.  `lie` is only checked
     against row.n ("rank mismatch") and not used otherwise; it can go
     once the benchmark harness is mended and stops passing it (ROADMAP
-    item 2, mend perfbench/)."""
+    item 3a, mend perfbench/)."""
     n = row.n
     if lie is not None and lie.n != n:
         raise ValueError("rank mismatch")

@@ -15,8 +15,8 @@ by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
 mu alone: `act_from_image` applies it to any weight, and
 `inversion_length` is its length (the number of positive roots it sends
 negative).  The group as signed permutations, with products, inverses,
-reflections and root-counting lengths, is kept as the test oracle in
-tests/weyl_oracle.py.
+reflections and root-counting lengths, and the dominance test for a
+Levi factor are kept as the test oracle in tests/weyl_oracle.py.
 
 This is the only layer the crossed-{2} Penrose and Verma code stands
 on, and the orbit code adds only the W^p search (`cosets`): there E =
@@ -36,10 +36,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 Weight = tuple[int, ...]
-
-REGULAR = "regular"
-SEMIREGULAR = "semi-regular"
-SINGULAR = "singular"
 
 # kinds of invariant operator: a standard operator is a Hasse arrow, the
 # non-standard one bridges the two rows of a Penrose E2 page
@@ -152,29 +148,7 @@ def inversion_length(mu: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# weight classification and dominance
-
-
-def classify(weight: Sequence[int]) -> str:
-    """Regular, semi-regular or singular for the C_n reflection action.
-
-    Regular: absolute values all distinct and nonzero.  Semi-regular:
-    exactly one coincidence |x_i| = |x_j| and no zero, or exactly one
-    zero and no coincidence.  Singular: anything worse.
-    """
-    zeros = sum(1 for x in weight if x == 0)
-    absvals = [abs(x) for x in weight]
-    coincidences = sum(
-        1
-        for i in range(len(weight))
-        for j in range(i + 1, len(weight))
-        if absvals[i] == absvals[j]
-    )
-    if zeros == 0 and coincidences == 0:
-        return REGULAR
-    if (zeros, coincidences) in ((0, 1), (1, 0)):
-        return SEMIREGULAR
-    return SINGULAR
+# parabolics
 
 
 def _groups(n: int, crossed: Sequence[int]) -> list[tuple[int, int]]:
@@ -184,20 +158,6 @@ def _groups(n: int, crossed: Sequence[int]) -> list[tuple[int, int]]:
         raise ValueError("crossed nodes out of range")
     bounds = [0] + cuts + ([n] if (not cuts or cuts[-1] != n) else [])
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
-def is_dominant(weight: Sequence[int]) -> bool:
-    """g-dominance: x_1 >= ... >= x_n >= 0.
-
-    Levi dominance is never tested here: `cosets.hasse_rows` enumerates
-    the Levi-dominant images of rho by their barred entries, and a
-    singular orbit reads its nodes off the placement rule.  The general
-    Levi test is kept with the test oracle in tests/weyl_oracle.py.
-    """
-    n = len(weight)
-    return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and (
-        n == 0 or weight[-1] >= 0
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Test-only reference, two ways:
 - `singular_orbit` applies the placement rule to every node of the
   crossed-{2} Hasse diagram and filters every edge, grading each arrow's
   root with `parabolic.root_grade`;
-- `full_scan_orbit` needs no placement rule: it builds w(base) of every
-  node (`weyl.act_from_image`), keeps the strictly Levi-dominant ones
+- `full_scan_orbit` needs no placement rule: it builds w(lambda_k) of
+  every node (`weyl.act_from_image`), keeps the strictly Levi-dominant ones
   (`weyl_oracle.is_dominant`), and takes each arrow's order as the
   conformal-weight drop (`parabolic.order_bound`).
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import parabolic_oracle
 import weyl_oracle
@@ -88,31 +88,29 @@ def _hasse(n: int) -> parabolic.HasseDiagram:
     return parabolic_oracle.hasse_diagram(parabolic.parabolic(n, (2,)))
 
 
-def _base(n: int, k: int, base: Optional[Weight]) -> Weight:
-    return orbits.lambda_k(n, k) if base is None else tuple(base)
-
-
 def _diagram(n, k, nodes, arrows, coincidences) -> OrbitDiagram:
     return OrbitDiagram(
         "singular-orbit", n, k, nodes, arrows, coincidences, conjectural=(k == 0)
     )
 
 
-def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
-    """The placement rule over every Hasse node and edge."""
-    base = _base(n, k, base)
+def singular_orbit(n: int, k: int) -> OrbitDiagram:
+    """The placement rule over every Hasse node and edge, with the
+    collision set read off lambda_k itself: the values r whose image
+    lambda_k[n - r] is repeated or 0."""
+    lam = orbits.lambda_k(n, k)
     p = parabolic.parabolic(n, (2,))
     hd = _hasse(n)
-    collide = orbits._collision_set(base)
+    collide = {r for r in range(1, n + 1) if lam[n - r] == 0 or lam.count(lam[n - r]) > 1}
     keep = []
     for i, nd in enumerate(hd.nodes):
         m1, m2 = nd.weight[0], nd.weight[1]
         if abs(m1) not in collide and abs(m2) not in collide:
             continue
-        x1 = base[n - m1] if m1 > 0 else -base[n + m1]
-        x2 = base[n - m2] if m2 > 0 else -base[n + m2]
+        x1 = lam[n - m1] if m1 > 0 else -lam[n + m1]
+        x2 = lam[n - m2] if m2 > 0 else -lam[n + m2]
         if x1 > x2:
-            keep.append((i, weyl.act_from_image(nd.weight, base)))
+            keep.append((i, weyl.act_from_image(nd.weight, lam)))
     index = {old: new for new, (old, _) in enumerate(keep)}
     nodes = [OrbitNode(hd.nodes[old].weight[:2], image) for old, image in keep]
 
@@ -136,14 +134,14 @@ def singular_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagra
     return _diagram(n, k, nodes, arrows, coincidences)
 
 
-def full_scan_orbit(n: int, k: int, base: Optional[Weight] = None) -> OrbitDiagram:
-    """w(base) of every Hasse node tested for strict Levi dominance."""
-    base = _base(n, k, base)
+def full_scan_orbit(n: int, k: int) -> OrbitDiagram:
+    """w(lambda_k) of every Hasse node tested for strict Levi dominance."""
+    lam = orbits.lambda_k(n, k)
     p = parabolic.parabolic(n, (2,))
     hd = _hasse(n)
     keep, nodes = {}, []
     for i, nd in enumerate(hd.nodes):
-        image = weyl.act_from_image(nd.weight, base)
+        image = weyl.act_from_image(nd.weight, lam)
         if weyl_oracle.is_dominant(image, (2,)):
             keep[i] = len(nodes)
             nodes.append(OrbitNode(nd.weight[:2], image))

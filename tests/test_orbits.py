@@ -18,8 +18,9 @@ def test_lambda_k():
     for n in (3, 6):
         for k in range(n):
             lam = orbits.lambda_k(n, k)
-            assert weyl.classify(lam) == weyl.SEMIREGULAR
-            assert weyl.is_dominant(lam)
+            assert oracle.is_dominant(lam, (), oracle.FOR_LEVI)  # g-dominant
+            # semi-regular: one repeated pair, at |x| = k, or one 0 and no pair
+            assert sorted(map(abs, lam)) == sorted([*range(1, n), k])
     with pytest.raises(ValueError):
         orbits.lambda_k(5, 5)
     with pytest.raises(ValueError):
@@ -211,21 +212,20 @@ def test_singular_orbit_against_brute_force(n, k):
 
 def test_arrow_orders_match_order_bound():
     """Oracle: each non-identity arrow's order is the conformal-weight drop
-    between its end weights, for n = 2..10, every k and two scaled bases."""
-    cases = [(n, k, None) for n in range(2, 11) for k in range(n)]
-    cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
+    between its end weights, for n = 2..10 and every k."""
     checked = 0
-    for n, k, base in cases:
+    for n in range(2, 11):
         p = parabolic.parabolic(n, (2,))
-        d = orbits.singular_orbit(n, k, base)
-        for a in d.arrows:
-            if a.kind == orbits.IDENTITY:
-                assert a.order is None
-                continue
-            bound = parabolic.order_bound(d.nodes[a.source].weight, d.nodes[a.target].weight, p)
-            assert type(a.order) is int and a.order == bound, (n, k, base, a)
-            checked += 1
-    assert checked == 2104  # 2072 of them at n = 3..10
+        for k in range(n):
+            d = orbits.singular_orbit(n, k)
+            for a in d.arrows:
+                if a.kind == orbits.IDENTITY:
+                    assert a.order is None
+                    continue
+                bound = parabolic.order_bound(d.nodes[a.source].weight, d.nodes[a.target].weight, p)
+                assert type(a.order) is int and a.order == bound, (n, k, a)
+                checked += 1
+    assert checked == 2073  # 2072 of them at n = 3..10
 
 
 def _assert_same_diagram(got, want, label):
@@ -242,48 +242,35 @@ def _assert_same_diagram(got, want, label):
 def test_placement_rule_matches_full_scan():
     """Oracle: the diagram built from the placements of the collision set
     and the rank table equals the one from the placement rule over every
-    Hasse node and edge, and the one from the full scan (w(base) of every
-    node tested for Levi dominance), for n = 2..14, every k and two
-    scaled bases."""
-    cases = [(n, k, None) for n in range(2, 15) for k in range(n)]
-    cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
-    for n, k, base in cases:
-        d = orbits.singular_orbit(n, k, base)
-        _assert_same_diagram(d, orbits_oracle.singular_orbit(n, k, base), (n, k, base))
-        _assert_same_diagram(d, orbits_oracle.full_scan_orbit(n, k, base), (n, k, base))
-        assert len(d.nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
+    Hasse node and edge, and the one from the full scan (w(lambda_k) of
+    every node tested for Levi dominance), for n = 2..14 and every k.
+    The oracle reads its collision set off lambda_k, so this checks the
+    closed form {k, k + 1} (or {1}) too."""
+    for n in range(2, 15):
+        for k in range(n):
+            d = orbits.singular_orbit(n, k)
+            _assert_same_diagram(d, orbits_oracle.singular_orbit(n, k), (n, k))
+            _assert_same_diagram(d, orbits_oracle.full_scan_orbit(n, k), (n, k))
+            assert len(d.nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
 
 
 def test_sliced_images_match_act_from_image():
-    """Each kept node's weight, sliced out of base, is w(base) as
+    """Each kept node's weight, sliced out of lambda_k, is w(lambda_k) as
     weyl.act_from_image computes it for the Hasse node at its placement
-    (a crossed-{2} node is fixed by (mu_1, mu_2)), for n = 2..14, every k
-    and two scaled bases."""
-    cases = [(n, k, orbits.lambda_k(n, k)) for n in range(2, 15) for k in range(n)]
-    cases += [(5, 3, (9, 7, 7, 3, 1)), (4, 0, (12, 5, 2, 0))]
+    (a crossed-{2} node is fixed by (mu_1, mu_2)), for n = 2..14 and
+    every k."""
     checked = 0
-    for n, k, base in cases:
+    for n in range(2, 15):
         hd = parabolic.hasse_diagram(parabolic.parabolic(n, (2,)))
         mus = {mu[:2]: mu for mu, _ in hd.nodes}
         assert len(mus) == 2 * n * (n - 1)
-        for nd in orbits.singular_orbit(n, k, base).nodes:
-            assert nd.weight == weyl.act_from_image(mus[nd.placement], base), (n, k, nd)
-            checked += 1
-    assert checked == sum(2 * (2 * (n - 1) if k == 0 else 4 * n - 7) for n, k, _ in cases)
-
-
-@pytest.mark.parametrize(
-    "n, k, base",
-    [
-        (5, 1, (5, 3, 3)),  # short bases once raised IndexError
-        (3, 0, (1, 0)),
-        (2, 1, (5, 3, 3)),  # long ones a rank mismatch or a wrong pattern
-        (3, 1, (5, 3, 3, 1)),
-    ],
-)
-def test_base_of_the_wrong_length(n, k, base):
-    with pytest.raises(ValueError, match="^base must have length n$"):
-        orbits.singular_orbit(n, k, base)
+        for k in range(n):
+            lam = orbits.lambda_k(n, k)
+            for nd in orbits.singular_orbit(n, k).nodes:
+                assert nd.weight == weyl.act_from_image(mus[nd.placement], lam), (n, k, nd)
+                checked += 1
+    cases = [(n, k) for n in range(2, 15) for k in range(n)]
+    assert checked == sum(2 * (2 * (n - 1) if k == 0 else 4 * n - 7) for n, k in cases)
 
 
 def test_rank_table_matches_hasse_diagram():
@@ -431,38 +418,6 @@ def test_arrow_kind_census():
 def test_conjectural_flag():
     assert orbits.singular_orbit(5, 0).conjectural
     assert not orbits.singular_orbit(5, 2).conjectural
-
-
-def test_infer_k():
-    for n in (4, 6):
-        for k in range(n):
-            assert orbits.infer_k(orbits.lambda_k(n, k)) == k
-    assert orbits.infer_k((9, 7, 7, 3, 1)) == 3
-    with pytest.raises(ValueError):
-        orbits.infer_k((4, 3, 2, 1))  # regular
-    with pytest.raises(ValueError):
-        orbits.infer_k((1, 2, 2))  # not dominant
-
-
-def test_singular_orbit_from_base_invariance():
-    """The diagram structure depends only on the ordering pattern of the
-    base, not its values."""
-    ref = orbits.singular_orbit(5, 3)
-    base = (9, 7, 7, 3, 1)
-    d = orbits.singular_orbit(len(base), orbits.infer_k(base), base)
-    assert d.placements() == ref.placements()
-    # arrow kinds and roots agree; order bounds depend on the actual values
-    assert [(a.source, a.target, a.kind, a.root) for a in d.arrows] == [
-        (a.source, a.target, a.kind, a.root) for a in ref.arrows
-    ]
-    assert all(
-        isinstance(a.order, int) and a.order >= 1
-        for a in d.arrows
-        if a.kind != orbits.IDENTITY
-    )
-    assert d.coincidences == ref.coincidences
-    with pytest.raises(ValueError):
-        orbits.singular_orbit(5, 2, base=(9, 7, 7, 3, 1))
 
 
 def test_singular_conjugates_crossed2_match_orbit():

@@ -157,14 +157,10 @@ def test_json_schema_keys():
 
 
 def _diagrams(n):
-    """Every orbit diagram of rank n: each k, the regular orbit, and the
-    custom bases of tests/test_orbits.py at their ranks."""
+    """Every orbit diagram of rank n: the regular orbit and each k."""
     yield orbits.regular_orbit_projection(n)
     for k in range(n):
         yield orbits.singular_orbit(n, k)
-    for base in ((9, 7, 7, 3, 1), (12, 5, 2, 0)):
-        if len(base) == n:
-            yield orbits.singular_orbit(n, orbits.infer_k(base), base)
 
 
 def _same_json(diagram, indent) -> bool:
@@ -191,16 +187,16 @@ def test_to_json_matches_json_dumps(n):
 
 def _odd_diagram():
     """Strings json must escape, a null k, orders of every JSON type and
-    a node with empty lists."""
+    a node with an empty weight."""
     odd = 'q"uo\\te \u00e9\u2603\n\t\x00\U0001f600'
     roots = [Root(odd, 1, 2), Root("b", 3), Root(odd, 1, 2)]
     return OrbitDiagram(
         odd,
         3,
         None,
-        [OrbitNode((1, -2), (3, -1, 2)), OrbitNode((), ()), OrbitNode((-3, 1), (-3, 1, 2))],
+        [OrbitNode((1, -2), (3, -1, 2)), OrbitNode((2, 1), ()), OrbitNode((-3, 1), (-3, 1, 2))],
         [
-            OrbitArrow(0, 1, odd, roots[0], 2),
+            OrbitArrow(0, 1, orbits.STANDARD, roots[0], 2),
             OrbitArrow(1, 2, orbits.IDENTITY, None, None),
             OrbitArrow(0, 2, orbits.STANDARD, roots[1], True),
             OrbitArrow(2, 0, orbits.SUPPRESSED, roots[2], -1.5),
@@ -212,12 +208,19 @@ def _odd_diagram():
 
 def test_to_json_escapes_like_json_dumps():
     d = _odd_diagram()
+    # an arrow kind and a placement the writers cannot draw: to_json
+    # writes them as json would, and from_json refuses them
+    odd_kind = dataclasses.replace(d, arrows=[d.arrows[0]._replace(kind=d.kind), *d.arrows[1:]])
+    no_pair = dataclasses.replace(d, nodes=[d.nodes[0], OrbitNode((), ()), d.nodes[2]])
     empty = OrbitDiagram("regular-orbit", 2, 0, [], [], [])
-    for diagram in (d, empty):
+    for diagram in (d, odd_kind, no_pair, empty):
         for indent in (None, 0, 1, 2, "\t"):
             assert _same_json(diagram, indent)
     assert render.to_json(d).isascii()
     assert render.from_json(render.to_json(d, 2)) == d
+    for diagram, field in ((odd_kind, "arrow kinds"), (no_pair, "node placements")):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            render.from_json(render.to_json(diagram, 2))
 
 
 def test_to_json_tails_keep_equal_values_of_other_types_apart():
@@ -291,6 +294,30 @@ def test_from_json_refuses_non_int_entries(old, new, field):
     text = render.to_json(orbits.singular_orbit(3, 1))
     assert old in text
     with pytest.raises(ValueError, match=f"^{field} must be ints$"):
+        render.from_json(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ('"placement": [3, 1]', '"placement": [3, 1, 2]', "node placements must be pairs"),
+        ('"placement": [3, 1]', '"placement": [3]', "node placements must be pairs"),
+        ('"source": 0', '"source": 10', "arrow ends must be node indices"),
+        ('"target": 1', '"target": -1', "arrow ends must be node indices"),
+        ('"kind": "standard"', '"kind": "dashed"', "arrow kinds must be standard, identity or suppressed"),
+        ('"kind": "standard"', '"kind": ["standard"]', "arrow kinds must be standard, identity or suppressed"),
+    ],
+)
+def test_from_json_refuses_what_the_writers_cannot_draw(old, new, field):
+    """A placement that is not a pair, an arrow end that is not the index
+    of one of the 10 nodes, and an arrow kind to_dot has no style for are
+    refused with ValueError naming the field: read back, they made
+    to_tikz or to_dot raise TypeError, IndexError or KeyError, or (an
+    end of -1) draw an arrow from the last node."""
+    d = orbits.singular_orbit(3, 1)
+    text = render.to_json(d)
+    assert len(d.nodes) == 10 and old in text
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}$"):
         render.from_json(text.replace(old, new, 1))
 
 

@@ -196,7 +196,7 @@ def test_shared_tables_are_read_only(lie3):
     assert tables is verma._rank(3)
     memos = {
         "brackets", "straightening", "needs", "modules", "arrows",
-        "normal_forms", "word_weights",
+        "normal_forms",
     }
     assert memos <= set(tables._fields)
     for name in tables._fields:
@@ -1333,20 +1333,23 @@ def test_catalogue_word_normal_forms_match_oracle():
             assert dict(mp.tables.normal_form(word)) == _oracle_normal_form(mp, word), (n, word)
 
 
-@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_word_weights_are_sums_of_letter_weights(n):
-    """Each word's weight, normal-ordered or not, is the sum of its
-    letters' root vectors; the memo keeps one tuple per word."""
-    tables = verma._rank(n)
-    letters = range(len(tables.letters))
-    graded = _graded_words([sum(v[:2]) for v in tables.vectors], 3)
-    for word in [*itertools.product(letters, repeat=2), *graded]:
-        want = [0] * n
-        for i in word:
-            want = [a + b for a, b in zip(want, tables.letters[i][1].vector(n))]
-        got = tables.word_weight(word)
-        assert got == tuple(want) and tables.word_weight(word) is got, word
-        assert tables.word_weights[word] is got
+    """term_weight of every monomial of every catalogue vector of rank n
+    (a perturbed vector has the same monomials) is wt(f), read off (a, S)
+    by the oracle, less its word's weight, the sum of its letters' root
+    vectors; and that is the row's mu."""
+    checked = 0
+    for row in _catalogue([n]):
+        mp = verma.GeneralizedVerma(n, row.lam)
+        for word, f in mp.combine(row.terms):
+            want = list(verma_oracle.weight(mp.module, f))
+            for i in word:
+                want = [a - b for a, b in zip(want, mp.letters[i][1].vector(n))]
+            got = mp.term_weight((word, f))
+            assert type(got) is tuple and got == tuple(want) == row.mu, (row.name, word, f)
+            checked += 1
+    assert checked == {3: 11, 4: 12, 5: 16, 6: 20, 8: 28}[n]
 
 
 def test_normal_form_check_can_fail():
@@ -1374,16 +1377,16 @@ def test_normal_form_check_can_fail():
 
 def test_a_perturbed_check_adds_no_normal_form():
     """A perturbed check run after its genuine twin, for every row with
-    n = 3..6, adds no normal form or word weight and replaces none: both
-    read the genuine check's entries."""
+    n = 3..6, adds no normal form and replaces none: both read the
+    genuine check's entries."""
     _clear_rank_tables()
     for row in _catalogue(range(3, 7)):
         assert verma.verify_row(row).ok
         tables = verma._rank(row.n)
-        forms, weights = dict(tables.normal_forms), dict(tables.word_weights)
-        assert forms and weights
+        forms = dict(tables.normal_forms)
+        assert forms
         assert not verma.verify_row(row, perturb=True, kernel=False).maximal_ok
-        assert tables.normal_forms == forms and tables.word_weights == weights
+        assert tables.normal_forms == forms
         assert all(tables.normal_forms[w] is v for w, v in forms.items())
 
 

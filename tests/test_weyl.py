@@ -183,24 +183,6 @@ def test_affine_action():
     assert oracle.affine_action(s, (0, 0, 0)) == (-1, 1, 0)
 
 
-def test_classify():
-    assert weyl.classify((3, 2, 1)) == weyl.REGULAR
-    assert weyl.classify((3, -2, 1)) == weyl.REGULAR
-    assert weyl.classify((2, 2, 1)) == weyl.SEMIREGULAR
-    assert weyl.classify((2, -2, 1)) == weyl.SEMIREGULAR
-    assert weyl.classify((3, 1, 0)) == weyl.SEMIREGULAR
-    assert weyl.classify((2, 2, 0)) == weyl.SINGULAR
-    assert weyl.classify((1, 1, 1)) == weyl.SINGULAR
-    assert weyl.classify((1, 0, 0)) == weyl.SINGULAR
-
-
-def test_dominance_for_g():
-    assert weyl.is_dominant((3, 2, 1))
-    assert weyl.is_dominant((1, 1, 0))
-    assert not weyl.is_dominant((1, 2, 3))
-    assert not weyl.is_dominant((1, 0, -1))
-
-
 def test_dominance_for_levi():
     # crossed {2}: groups (x1, x2 | x3, ..., xn), last group positive
     assert oracle.is_dominant((3, 1, 2), (2,), oracle.STRICTLY_FOR_LEVI)
