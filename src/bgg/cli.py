@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 invalid arguments or unsupported request,
 2 a verification command found a failure or an internal check failed.
 
+Each subcommand makes the option checks that need no layer, calls one
+library function and prints what its result's own writer gives (see
+"Results and their formats" in the README); only the `geometry-check`
+verdict line is written here.
+
 Each subcommand imports the bgg layers it runs when it runs, so one
 `bgg` process loads only what its command needs, and a request the CLI
 itself refuses (a bad combination of options) loads no layer at all.
@@ -24,10 +29,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _wfmt(w) -> str:
-    return "(" + ", ".join(str(v) for v in w) + ")"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -53,19 +54,20 @@ def _skip_list(text: str) -> tuple[int, ...]:
     return columns
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(out) -> int:
+    """Print a result writer's text, which ends in a newline, or a JSON
+    envelope (a dict) as json.dumps(..., indent=1) and a newline, and
+    return 0, the exit code of a command with nothing to verify."""
+    if isinstance(out, dict):
+        import json
 
-
-def _emit_json(payload: dict) -> int:
-    import json
-
-    _emit(json.dumps(payload, indent=1))
+        out = json.dumps(out, indent=1) + "\n"
+    sys.stdout.write(out)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: the CLI's own option checks, one library call, its writer
 
 
 def _cmd_hasse(args) -> int:
@@ -77,105 +79,24 @@ def _cmd_hasse(args) -> int:
     from bgg import parabolic
 
     hd = parabolic.hasse_diagram(parabolic.parabolic(args.n, args.crossed))
-    _emit(hd.to_json() if args.format == "json" else hd.to_text())
-    return 0
-
-
-def _render_config(args) -> render.RenderConfig:
-    from bgg import render
-
-    return render.RenderConfig(
-        skip_columns=args.skip,
-        show_labels=args.labels,
-        show_suppressed=args.suppressed,
-    )
-
-
-def _emit_diagram(diag, args) -> int:
-    fmt = args.format
-    if fmt != "text":
-        from bgg import render
-
-        if fmt == "json":
-            _emit(render.to_json(diag, indent=1))
-        elif fmt == "tikz":
-            _emit(render.to_tikz(diag, _render_config(args)))
-        else:
-            _emit(render.to_dot(diag, _render_config(args)))
-        return 0
-    kinds = {}
-    for a in diag.arrows:
-        kinds[a.kind] = kinds.get(a.kind, 0) + 1
-    head = f"{diag.kind}: n={diag.n}"
-    if diag.k is not None:
-        head += f" k={diag.k}"
-    if diag.conjectural:
-        head += " (conjectural structure)"
-    lines = [head, f"nodes={len(diag.nodes)} arrows={kinds}"]
-    lines.append("nodes (placement  weight):")
-    for nd in diag.nodes:
-        lines.append(f"  {_wfmt(nd.placement):10s} {_wfmt(nd.weight)}")
-    lines.append("arrows:")
-    for a in diag.arrows:
-        s = diag.nodes[a.source].placement
-        t = diag.nodes[a.target].placement
-        extra = f" root={a.root.label()}" if a.root else ""
-        extra += f" order={a.order}" if a.order is not None else ""
-        lines.append(f"  {_wfmt(s)} -> {_wfmt(t)}  {a.kind}{extra}")
-    if diag.coincidences:
-        lines.append("coincidences (node index pairs with equal weight):")
-        for a, b in diag.coincidences:
-            lines.append(
-                f"  {a} ~ {b}  at {_wfmt(diag.nodes[a].placement)}"
-                f" / {_wfmt(diag.nodes[b].placement)}"
-            )
-    _emit("\n".join(lines))
-    return 0
+    return _emit(hd.to_json() if args.format == "json" else hd.to_text())
 
 
 def _cmd_relative_bgg(args) -> int:
     from bgg import penrose
 
-    terms = penrose.relative_bgg(args.n, args.k)
     if args.format == "json":
-        return _emit_json({"n": args.n, "k": args.k, "terms": [t.to_dict() for t in terms]})
-    lines = [f"relative BGG resolution: n={args.n} twistor first coordinate {args.k}"]
-    for t in terms:
-        tail = ", ".join(str(v) for v in t.tail)
-        lines.append(f"  p={t.p:2d}: ({t.first} | {t.middle} | {tail})")
-    _emit("\n".join(lines))
-    return 0
+        terms = penrose.relative_bgg(args.n, args.k)
+        return _emit({"n": args.n, "k": args.k, "terms": [t.to_dict() for t in terms]})
+    return _emit(penrose.relative_bgg_text(args.n, args.k))
 
 
 def _cmd_penrose_e1(args) -> int:
     from bgg import penrose
 
-    if args.page == 1:
-        page = penrose.e1_page(args.n, args.k, args.sign)
-    else:
-        page = penrose.e2_page(args.n, args.k, args.sign)
-    if args.format == "json":
-        return _emit_json(page.to_dict())
-    lines = [f"E{page.r} page: n={page.n} k={page.k} sign={page.sign}"]
-    for q in (1, 0):
-        ps = page.row(q)
-        if not ps:
-            continue
-        cells = []
-        for p in ps:
-            val = page.entries[(p, q)]
-            cells.append(
-                f"p={p} {_wfmt(val) if page.r == 1 else val.text}"
-            )
-        lines.append(f"  q={q}: " + "   ".join(cells))
-    for d in page.differentials:
-        note = f"  [{d.note}]" if d.note else ""
-        lines.append(
-            f"  d: ({d.source[0]},{d.source[1]}) -> ({d.target[0]},{d.target[1]})"
-            f" {d.kind} order<={d.order}{note}"
-        )
-    _emit("\n".join(lines))
-    return 0
+    build = penrose.e1_page if args.page == 1 else penrose.e2_page
+    page = build(args.n, args.k, args.sign)
+    return _emit(page.to_dict() if args.format == "json" else page.to_text())
 
 
 def _cmd_bgg_complex(args) -> int:
@@ -183,25 +104,8 @@ def _cmd_bgg_complex(args) -> int:
         raise ValueError("the k = 0 complex is conjectural; pass conjectural=True")
     from bgg import penrose
 
-    cx = penrose.assemble_singular_bgg(
-        args.n, args.k, args.sign, conjectural=args.conjectural
-    )
-    if args.format == "json":
-        return _emit_json(cx.to_dict())
-    head = f"singular BGG complex: n={cx.n} k={cx.k} sign={cx.sign}"
-    if cx.conjectural:
-        head += "  [CONJECTURAL]"
-    lines = [head, f"resolves: {cx.resolved_object}", "terms:"]
-    for i, t in enumerate(cx.terms):
-        mark = "  (direct-sum column)" if cx.branch and i in cx.branch else ""
-        lines.append(f"  {i}: {_wfmt(t)}{mark}")
-    lines.append("maps:")
-    for m in cx.maps:
-        lines.append(
-            f"  {m.source} -> {m.target}  {m.kind} order<={m.order}"
-        )
-    _emit("\n".join(lines))
-    return 0
+    cx = penrose.assemble_singular_bgg(args.n, args.k, args.sign, conjectural=args.conjectural)
+    return _emit(cx.to_dict() if args.format == "json" else cx.to_text())
 
 
 def _cmd_verify_maximal(args) -> int:
@@ -209,47 +113,14 @@ def _cmd_verify_maximal(args) -> int:
         raise ValueError("the first-operator catalogue needs n >= 3")
     from bgg import verma
 
-    if args.k is not None:
-        rows = [verma.singular_vector_row(args.n, args.k, args.sign or "+")]
-    else:
-        signs = (args.sign,) if args.sign else ("+", "-")
-        rows = [
-            verma.singular_vector_row(args.n, k, sign)
-            for k in range(1, args.n)
-            for sign in signs
-        ]
-    results = [
-        verma.verify_row(row, perturb=args.perturb, kernel=not args.no_kernel)
-        for row in rows
-    ]
+    results = verma.verify_first_operators(
+        args.n, k=args.k, sign=args.sign, perturb=args.perturb, kernel=not args.no_kernel
+    )
     if args.format == "json":
-        _emit_json(
-            {"n": args.n, "perturb": args.perturb, "results": [r.to_dict() for r in results]}
-        )
+        _emit({"n": args.n, "perturb": args.perturb, "results": [r.to_dict() for r in results]})
     else:
-        for r in results:
-            if args.perturb:
-                verdict = "PASS" if r.refuted else "FAIL"
-                if r.refuted:
-                    note = "perturbed vector correctly fails"
-                elif r.maximal_ok:
-                    note = "perturbed vector is unexpectedly maximal"
-                else:
-                    note = "perturbed vector is zero or off weight; nothing was tested"
-            else:
-                verdict = "PASS" if r.ok else "FAIL"
-                kernel = "not checked" if args.no_kernel else r.kernel_dim
-                note = (
-                    f"d1={r.d1_match} weight={r.weight_ok} maximal={r.maximal_ok}"
-                    f" kernel_dim={kernel}"
-                )
-            _emit(
-                f"{verdict} n={r.row.n} k={r.row.k} sign={r.row.sign}  {note}"
-                f"  ({r.row.name})"
-            )
-    if args.perturb:
-        return 0 if all(r.refuted for r in results) else 2
-    return 0 if all(r.ok for r in results) else 2
+        _emit("".join(r.to_text() for r in results))
+    return 0 if all(r.passed for r in results) else 2
 
 
 def _cmd_geometry_check(args) -> int:
@@ -270,7 +141,7 @@ def _cmd_geometry_check(args) -> int:
         failures += plane is None or not geometry.isotropy_check(plane)
     ok = not failures
     if args.format == "json":
-        _emit_json(
+        _emit(
             {
                 "n": args.n,
                 "count": args.count,
@@ -283,7 +154,7 @@ def _cmd_geometry_check(args) -> int:
         verdict = "PASS" if ok else "FAIL"
         _emit(
             f"{verdict} big-cell isotropy and twistor cover: n={args.n} "
-            f"points={args.count} seed={args.seed} failures={failures}"
+            f"points={args.count} seed={args.seed} failures={failures}\n"
         )
     return 0 if ok else 2
 
@@ -299,7 +170,14 @@ def _cmd_render(args) -> int:
         diag = orbits.regular_orbit_projection(args.n)
     else:
         diag = orbits.singular_orbit(args.n, args.k)
-    return _emit_diagram(diag, args)
+    if args.format == "text":
+        return _emit(diag.to_text())
+    from bgg import render
+
+    if args.format == "json":
+        return _emit(render.to_json(diag, indent=1))
+    config = render.RenderConfig(args.skip, args.labels, args.suppressed)
+    return _emit((render.to_tikz if args.format == "tikz" else render.to_dot)(diag, config))
 
 
 # ---------------------------------------------------------------------------

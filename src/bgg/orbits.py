@@ -24,16 +24,16 @@ the singular orbit exactly when |mu_1| or |mu_2| lies in the collision
 set and the image's first pair descends strictly; nothing else of mu
 needs looking at.  A singular orbit lists the placements of its
 collision set and reads the arrows of the kept ones from the table.
-Nodes and arrows are immutable records (NamedTuples) in plain lists,
-built from their field tuples through `_node` and `_arrow`
-(tuple.__new__ bound to the record type: a NamedTuple's own constructor
-is a Python-level call, twice the cost).
+A diagram writes its own text (to_text); its JSON, TikZ and DOT are
+`render`'s.  Diagrams, nodes and arrows are immutable records
+(NamedTuples); nodes and arrows are built from their field tuples
+through `_node` and `_arrow` (tuple.__new__ bound to the record type: a
+NamedTuple's own constructor is a Python-level call, twice the cost).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -91,8 +91,15 @@ _node = functools.partial(tuple.__new__, OrbitNode)
 _arrow = functools.partial(tuple.__new__, OrbitArrow)
 
 
-@dataclass
-class OrbitDiagram:
+class OrbitDiagram(NamedTuple):
+    """An orbit diagram for crossed {2}: kind "regular-orbit" or
+    "singular-orbit", rank n, and the k of lambda_k (None if regular).
+    nodes are OrbitNodes in Hasse order, a placement (m1, m2) and the
+    weight drawn there, w(rho) or w(lambda_k); arrows join them by index,
+    each STANDARD, IDENTITY or SUPPRESSED with its root and order bound
+    (an identity arrow has neither); coincidences are the sorted index
+    pairs of equal weight; conjectural marks k = 0, which has no proof."""
+
     kind: str
     n: int
     k: Optional[int]
@@ -108,6 +115,34 @@ class OrbitDiagram:
         """Regular placements that carry no node (drawn as crosses)."""
         have = set(self.placements())
         return [p for p in _placements(self.n) if p not in have]
+
+    def to_text(self) -> str:
+        """The orbit commands' text listing, followed by a newline: header,
+        arrow counts by kind, nodes, arrows, coincidences."""
+        fmt = weyl.format_weight
+        kinds = {}
+        for a in self.arrows:
+            kinds[a.kind] = kinds.get(a.kind, 0) + 1
+        head = f"{self.kind}: n={self.n}"
+        if self.k is not None:
+            head += f" k={self.k}"
+        if self.conjectural:
+            head += " (conjectural structure)"
+        lines = [head, f"nodes={len(self.nodes)} arrows={kinds}", "nodes (placement  weight):"]
+        lines += [f"  {fmt(placement):10s} {fmt(weight)}" for placement, weight in self.nodes]
+        lines.append("arrows:")
+        for a in self.arrows:
+            extra = f" root={a.root.label()}" if a.root else ""
+            extra += f" order={a.order}" if a.order is not None else ""
+            source, target = self.nodes[a.source].placement, self.nodes[a.target].placement
+            lines.append(f"  {fmt(source)} -> {fmt(target)}  {a.kind}{extra}")
+        if self.coincidences:
+            lines.append("coincidences (node index pairs with equal weight):")
+            lines += [
+                f"  {a} ~ {b}  at {fmt(self.nodes[a].placement)} / {fmt(self.nodes[b].placement)}"
+                for a, b in self.coincidences
+            ]
+        return "\n".join(lines) + "\n"
 
 
 class _Node(NamedTuple):

@@ -11,8 +11,10 @@ searched in `cosets.hasse_rows`, by each node's barred entries; this
 module keeps the grading (2E from `cosets._twice_grading`), conformal
 weights and order bounds, and the diagram's records and writers.
 
-Nodes and edges are immutable records (NamedTuples), built from field
-tuples at C speed; `to_text` and `to_json` write them in one pass each,
+The diagram, its nodes and its edges are immutable records
+(NamedTuples), the nodes and edges built from field tuples at C speed.
+A Parabolic stays a dataclass, since it validates its crossed nodes.
+The diagram's own `to_text` and `to_json` write it in one pass each,
 without the json module, reading every window off a table of the rank
 and making each root's label once.  E, and so every conformal weight, is
 integral unless node n is crossed; fractions (and the decimal module it
@@ -24,7 +26,7 @@ not the orbit diagrams.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
@@ -139,20 +141,19 @@ _node = functools.partial(tuple.__new__, HasseNode)
 _edge = functools.partial(tuple.__new__, HasseEdge)
 
 
-@dataclass
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """W^p with its arrows; base is always rho, of which the node weights
     are the images."""
 
     parabolic: Parabolic
     base: Weight
     nodes: list[HasseNode]
-    edges: list[HasseEdge] = field(default_factory=list)
+    edges: list[HasseEdge]
 
     def _labels(self) -> dict[int, str]:
         """Each edge root's label, made once per Root object.  The memo is
-        keyed by id, not by the dataclass's Python-level hash; the edges
-        keep their roots alive for the call."""
+        keyed by id, not by the Root dataclass's Python-level hash; the
+        edges keep their roots alive for the call."""
         roots = {id(root): root for _, _, root, _ in self.edges}
         return {key: root.label() for key, root in roots.items()}
 

@@ -24,7 +24,8 @@ rank's terms, with the rule of bbw_direct_image applied in the loop;
 the two terms with middles m and -m share one tail tuple.  Every
 vanishing E2 entry is the factory's bullet record, kept at module
 level.  The non-standard operator has one model: the PageMap (on E2)
-and the BggMap of kind "nonstandard".
+and the BggMap of kind "nonstandard".  Pages and complexes write their
+own text and JSON; relative_bgg_text writes the relative resolution.
 
 All weights are rho-shifted integer tuples.  Everything lives on the
 crossed-{2} parabolic, whose grading element is E = (1, 1, 0, ..., 0),
@@ -40,7 +41,8 @@ n >= 3.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from bgg import weyl
@@ -110,6 +112,17 @@ def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     ]
 
 
+def relative_bgg_text(n: int, k_signed: int) -> str:
+    """The `bgg relative-bgg` listing of relative_bgg(n, k_signed), a line
+    per term after a header, followed by a newline."""
+    lines = [f"relative BGG resolution: n={n} twistor first coordinate {k_signed}"]
+    lines += [
+        f"  p={t.p:2d}: ({t.first} | {t.middle} | {', '.join(map(str, t.tail))})"
+        for t in relative_bgg(n, k_signed)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def bbw_direct_image(
     first: int, middle: int, tail: Sequence[int] = ()
 ) -> Optional[tuple[Weight, int]]:
@@ -177,16 +190,27 @@ class SpectralPage:
             "page": self.r,
             "entries": entries,
             "differentials": [
-                {
-                    "source": list(d.source),
-                    "target": list(d.target),
-                    "kind": d.kind,
-                    "order": d.order,
-                    "note": d.note,
-                }
+                asdict(d) | {"source": list(d.source), "target": list(d.target)}
                 for d in self.differentials
             ],
         }
+
+    def to_text(self) -> str:
+        """The `bgg penrose-e1` listing, followed by a newline: each row's
+        cells (q = 1 first), weights on E1 and texts on E2, then the maps."""
+        cell = weyl.format_weight if self.r == 1 else attrgetter("text")
+        lines = [f"E{self.r} page: n={self.n} k={self.k} sign={self.sign}"]
+        for q in (1, 0):
+            ps = self.row(q)
+            if ps:
+                cells = [f"p={p} {cell(self.entries[p, q])}" for p in ps]
+                lines.append(f"  q={q}: " + "   ".join(cells))
+        lines += [
+            f"  d: ({d.source[0]},{d.source[1]}) -> ({d.target[0]},{d.target[1]})"
+            f" {d.kind} order<={d.order}" + (f"  [{d.note}]" if d.note else "")
+            for d in self.differentials
+        ]
+        return "\n".join(lines) + "\n"
 
 
 def _validate(n: int, k: int, sign: str) -> int:
@@ -316,12 +340,23 @@ class BggComplex:
             "conjectural": self.conjectural,
             "resolved_object": self.resolved_object,
             "terms": [list(t) for t in self.terms],
-            "maps": [
-                {"source": m.source, "target": m.target, "kind": m.kind, "order": m.order}
-                for m in self.maps
-            ],
+            "maps": [asdict(m) for m in self.maps],
             "branch": None if self.branch is None else list(self.branch),
         }
+
+    def to_text(self) -> str:
+        """The `bgg bgg-complex` listing, followed by a newline: the resolved
+        object, the terms (direct-sum column marked), then the maps."""
+        head = f"singular BGG complex: n={self.n} k={self.k} sign={self.sign}"
+        if self.conjectural:
+            head += "  [CONJECTURAL]"
+        lines = [head, f"resolves: {self.resolved_object}", "terms:"]
+        for i, t in enumerate(self.terms):
+            mark = "  (direct-sum column)" if self.branch and i in self.branch else ""
+            lines.append(f"  {i}: {weyl.format_weight(t)}{mark}")
+        lines.append("maps:")
+        lines += [f"  {m.source} -> {m.target}  {m.kind} order<={m.order}" for m in self.maps]
+        return "\n".join(lines) + "\n"
 
 
 def format_twistor_weight(n: int, k: int, sign: str = "+") -> str:

@@ -64,7 +64,8 @@ depends on n alone (PBW): RankTables.normal_form folds the word's
 letters through the straightening table once per rank, and the
 genuine check of a row, its perturbed twin and every later check read
 the same entries.  term_weight subtracts the weight vectors of the
-monomial's letters from wt(f).
+monomial's letters from wt(f).  verify_first_operators is the one loop
+over the catalogue; a VerificationResult writes its line and its JSON.
 
 Whatever depends on n alone is one record, RankTables, built once per
 rank and process for the last 8 ranks used (_rank) and read by field
@@ -806,6 +807,7 @@ class VerificationResult(NamedTuple):
     maximal_ok: bool
     kernel_dim: Optional[int]  # None: the kernel was not checked
     failures: list
+    perturbed: bool  # the last coefficient of the row's vector was flipped
 
     @property
     def ok(self) -> bool:
@@ -823,6 +825,11 @@ class VerificationResult(NamedTuple):
         A zero vector is not maximal either, but refutes nothing."""
         return self.weight_ok and bool(self.failures)
 
+    @property
+    def passed(self) -> bool:
+        """A genuine vector is ok, a perturbed one refuted."""
+        return self.refuted if self.perturbed else self.ok
+
     def to_dict(self) -> dict:
         return {
             "name": self.row.name,
@@ -836,6 +843,25 @@ class VerificationResult(NamedTuple):
             "kernel_dim": self.kernel_dim,
             "ok": self.ok,
         }
+
+    def to_text(self) -> str:
+        """The `bgg verify-maximal` line of this check, followed by a
+        newline: PASS if passed, the case, and what each check found."""
+        if not self.perturbed:
+            kernel = "not checked" if self.kernel_dim is None else self.kernel_dim
+            note = (
+                f"d1={self.d1_match} weight={self.weight_ok} maximal={self.maximal_ok}"
+                f" kernel_dim={kernel}"
+            )
+        elif self.refuted:
+            note = "perturbed vector correctly fails"
+        elif self.maximal_ok:
+            note = "perturbed vector is unexpectedly maximal"
+        else:
+            note = "perturbed vector is zero or off weight; nothing was tested"
+        row = self.row
+        verdict = "PASS" if self.passed else "FAIL"
+        return f"{verdict} n={row.n} k={row.k} sign={row.sign}  {note}  ({row.name})\n"
 
 
 def first_arrow(n: int, k: int, sign: str = "+") -> tuple[Weight, Weight]:
@@ -883,16 +909,29 @@ def verify_row(
     weight_ok = {mp.term_weight(key) for key in v} == {row.mu}
     maximal_ok, failures = mp.check_maximal(v)
     dim = mp.maximal_vector_dimension(row.mu) if kernel else None
-    return VerificationResult(row, d1_match, weight_ok, maximal_ok, dim, failures)
+    return VerificationResult(row, d1_match, weight_ok, maximal_ok, dim, failures, perturb)
 
 
-def verify_first_operators(n: int, kernel: bool = True) -> list[VerificationResult]:
-    """Verify every (k, sign) first-operator case at rank n; a rank below
-    3 has none and is refused, not passed with no case checked."""
+def verify_first_operators(
+    n: int,
+    *,
+    k: Optional[int] = None,
+    sign: Optional[str] = None,
+    perturb: bool = False,
+    kernel: bool = True,
+) -> list[VerificationResult]:
+    """verify_row, with perturb and kernel, of case (k, sign) if k is given
+    (sign '+' if None), else of every k in 1..n-1 with sign, or with '+'
+    then '-' if sign is None.  A rank below 3 has no case and is refused,
+    not passed with no case checked; so are a k or a sign with no row."""
     if n < 3:
         raise ValueError("the first-operator catalogue needs n >= 3")
+    signs = ("+", "-") if sign is None else (sign,)
+    if k is not None:  # one case, '+' unless sign says otherwise
+        cases = [(k, signs[0])]
+    else:
+        cases = [(j, s) for j in range(1, n) for s in signs]
     return [
-        verify_row(singular_vector_row(n, k, sign), kernel=kernel)
-        for k in range(1, n)
-        for sign in ("+", "-")
+        verify_row(singular_vector_row(n, j, s), perturb=perturb, kernel=kernel)
+        for j, s in cases
     ]

@@ -43,6 +43,12 @@ STANDARD = "standard"
 NONSTANDARD = "nonstandard"
 
 
+def format_weight(w: Sequence[int]) -> str:
+    """A weight, or a placement, as the orbit and Penrose text writers
+    print it: (a, b, ...)."""
+    return "(" + ", ".join(map(str, w)) + ")"
+
+
 # ---------------------------------------------------------------------------
 # roots
 

@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bgg import cli
+from bgg import cli, orbits, parabolic, penrose, verma
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "cli_golden.json"
 
@@ -172,6 +172,57 @@ def test_no_cycle_grows_with_rank(collector_off, monkeypatch, command):
         left.append(gc.collect())
     assert left[0] == left[1]
     assert left[0] in (parser, parser + encoder)
+
+
+def _library_text(args) -> str:
+    """A text command's stdout from its one library call and the writer
+    its result owns, with no handler of `bgg.cli` in between."""
+    if args.command == "hasse":
+        return parabolic.hasse_diagram(parabolic.parabolic(args.n, args.crossed)).to_text()
+    if args.command == "regular-orbit":
+        return orbits.regular_orbit_projection(args.n).to_text()
+    if args.command == "singular-orbit":
+        return orbits.singular_orbit(args.n, args.k).to_text()
+    if args.command == "relative-bgg":
+        return penrose.relative_bgg_text(args.n, args.k)
+    if args.command == "penrose-e1":
+        page = penrose.e1_page if args.page == 1 else penrose.e2_page
+        return page(args.n, args.k, args.sign).to_text()
+    if args.command == "bgg-complex":
+        cx = penrose.assemble_singular_bgg(args.n, args.k, args.sign, args.conjectural)
+        return cx.to_text()
+    assert args.command == "verify-maximal", args.command
+    results = verma.verify_first_operators(
+        args.n, k=args.k, sign=args.sign, perturb=args.perturb, kernel=not args.no_kernel
+    )
+    return "".join(r.to_text() for r in results)
+
+
+# the succeeding commands that print text, but for geometry-check, whose
+# verdict line the CLI writes itself
+_TEXT = [
+    c
+    for c in _SUCCEEDING
+    if cli.build_parser().parse_args(shlex.split(c)).format == "text"
+    and not c.startswith("geometry-check")
+]
+
+
+def test_every_text_writer_is_covered():
+    commands = {c.split()[0] for c in _TEXT}
+    assert len(_TEXT) == 22
+    assert commands == {
+        "hasse", "regular-orbit", "singular-orbit", "relative-bgg",
+        "penrose-e1", "bgg-complex", "verify-maximal",
+    }
+
+
+@pytest.mark.parametrize("command", _TEXT)
+def test_writers_give_the_golden_text(golden, command):
+    """Each result's own text writer, called in process, prints exactly
+    the stdout of its command."""
+    args = cli.build_parser().parse_args(shlex.split(command))
+    assert _digest(_library_text(args)) == golden[command]["stdout"]
 
 
 if __name__ == "__main__":

@@ -498,6 +498,22 @@ def test_records_are_immutable():
     assert orbits._Node._fields == ("index", "weight", "arrows")
 
 
+def test_diagrams_are_read_only_records():
+    """An orbit diagram and a Hasse diagram are NamedTuples: every field
+    refuses assignment, and no field defaults to a mutable value."""
+    hd = parabolic.hasse_diagram(parabolic.parabolic(4, (1, 3)))
+    for d in (orbits.singular_orbit(5, 2), orbits.regular_orbit_projection(4), hd):
+        for field in d._fields:
+            with pytest.raises(AttributeError):
+                setattr(d, field, getattr(d, field))
+        for value in d._field_defaults.values():
+            _assert_immutable(value)
+    assert orbits.OrbitDiagram._fields == (
+        "kind", "n", "k", "nodes", "arrows", "coincidences", "conjectural"
+    )
+    assert parabolic.HasseDiagram._fields == ("parabolic", "base", "nodes", "edges")
+
+
 def test_returned_diagrams_are_the_callers_own():
     """Changing a diagram's nodes or arrows list leaves the next call's
     diagram as it was."""

@@ -210,8 +210,8 @@ def test_to_json_escapes_like_json_dumps():
     d = _odd_diagram()
     # an arrow kind and a placement the writers cannot draw: to_json
     # writes them as json would, and from_json refuses them
-    odd_kind = dataclasses.replace(d, arrows=[d.arrows[0]._replace(kind=d.kind), *d.arrows[1:]])
-    no_pair = dataclasses.replace(d, nodes=[d.nodes[0], OrbitNode((), ()), d.nodes[2]])
+    odd_kind = d._replace(arrows=[d.arrows[0]._replace(kind=d.kind), *d.arrows[1:]])
+    no_pair = d._replace(nodes=[d.nodes[0], OrbitNode((), ()), d.nodes[2]])
     empty = OrbitDiagram("regular-orbit", 2, 0, [], [], [])
     for diagram in (d, odd_kind, no_pair, empty):
         for indent in (None, 0, 1, 2, "\t"):

@@ -1663,6 +1663,48 @@ def test_verify_first_operators_refuses_small_ranks(n):
         verma.verify_first_operators(n)
 
 
+def _cli_loop(n, k, sign, perturb, kernel):
+    """The catalogue loop `bgg verify-maximal` ran itself before
+    verify_first_operators took its selection."""
+    if k is not None:
+        rows = [verma.singular_vector_row(n, k, sign or "+")]
+    else:
+        signs = (sign,) if sign else ("+", "-")
+        rows = [verma.singular_vector_row(n, kk, s) for kk in range(1, n) for s in signs]
+    return [verma.verify_row(row, perturb=perturb, kernel=kernel) for row in rows]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_first_operators_selects_like_the_cli(n):
+    """Every selection of --k, --sign, --perturb and --no-kernel gives the
+    results of the CLI's old loop, in its order, each marked perturbed
+    as it was checked."""
+    for k, sign, perturb, kernel in itertools.product(
+        [None, *range(1, n)], [None, "+", "-"], [False, True], [True, False]
+    ):
+        got = verma.verify_first_operators(n, k=k, sign=sign, perturb=perturb, kernel=kernel)
+        assert got == _cli_loop(n, k, sign, perturb, kernel), (k, sign, perturb, kernel)
+        assert len(got) == (1 if k else (n - 1) * (1 if sign else 2))
+        assert all(r.perturbed is perturb for r in got)
+        assert all(r.passed is (r.refuted if perturb else r.ok) for r in got)
+
+
+@pytest.mark.parametrize(
+    "k, sign, message",
+    [
+        (0, None, "1 <= k"),
+        (4, "+", "1 <= k"),
+        (-1, "-", "1 <= k"),
+        (2, "x", "sign must be"),
+        (None, "x", "sign must be"),
+        (2, "", "sign must be"),
+    ],
+)
+def test_verify_first_operators_refuses_what_has_no_row(k, sign, message):
+    with pytest.raises(ValueError, match=message):
+        verma.verify_first_operators(4, k=k, sign=sign)
+
+
 @pytest.mark.parametrize("n", [8, 10])
 def test_verify_first_operators_at_scale(n):
     results = verma.verify_first_operators(n)
