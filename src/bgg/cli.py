@@ -14,6 +14,14 @@ itself refuses (a bad combination of options) loads no layer at all.
 Only `hasse` loads `parabolic`, and with it `cosets`, where W^p is
 searched, but not `orbits`; the orbit and render commands load `cosets`
 and `orbits`, and `render` only when the diagram is not printed as text.
+
+`run` is the entry point of a `bgg` process (the `bgg` script and
+`python -m bgg.cli`): it returns `main`'s exit code and freezes the heap
+on the way out, since CPython walks every tracked object in a full
+collection at interpreter exit, with the collector disabled or not, and
+every command's results are acyclic, so that collection frees nothing
+the exiting process needs.  Frozen, the heap is left out of it, which
+saves several milliseconds per process.  `main` itself freezes nothing.
 """
 
 from __future__ import annotations
@@ -276,7 +284,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code.  The cyclic garbage
     collector is turned off for the rest of the process: every command
     builds acyclic results, freed by reference counting alone, and then
-    the process exits, so a collection would only walk live objects."""
+    the process exits, so a collection would only walk live objects.
+    `main` freezes nothing: in process (the tests, a traced child), what
+    it leaves behind stays visible to `gc.collect()`; the `bgg` process
+    goes through `run`."""
     gc.disable()
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -290,5 +301,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The entry point of a `bgg` process: `main()`'s exit code, with the
+    heap frozen (`gc.freeze()`) on every way out: a result printed, an
+    `error:` exit, argparse's SystemExit.  The collection at interpreter
+    exit then walks none of it (see the module docstring).  Unlike
+    `os._exit`, atexit handlers and the final flush of stdout and stderr
+    still run."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

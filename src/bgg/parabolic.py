@@ -41,6 +41,10 @@ Scalar = Union[int, "Fraction"]
 
 @dataclass(frozen=True)
 class Parabolic:
+    """The parabolic of sp(2n, C) with the Dynkin nodes `crossed` crossed,
+    kept sorted and without repeats.  A rank below 2, no crossed node or
+    a node outside 1..n is refused with ValueError."""
+
     n: int
     crossed: tuple[int, ...]
 

@@ -145,6 +145,11 @@ def bbw_direct_image(
 
 @dataclass(frozen=True)
 class PageMap:
+    """A differential of a spectral page, from cell `source` to cell
+    `target` (each a (p, q) pair), standard or non-standard (`kind`),
+    with its order bound, the drop in conformal weight, and a `note`
+    ("" but on the E2 splice map)."""
+
     source: tuple[int, int]
     target: tuple[int, int]
     kind: str
@@ -154,7 +159,10 @@ class PageMap:
 
 @dataclass(frozen=True)
 class E2Entry:
-    kind: str  # "ker" | "coker" | "bullet"
+    """An entry of an E2 page: its `kind`, "ker", "coker" or "bullet", and
+    the `text` printed for it ("Ker d_p", "Coker d_p" or "0")."""
+
+    kind: str
     text: str
 
 
@@ -166,6 +174,11 @@ _e2_entry = functools.lru_cache(maxsize=1024, typed=True)(E2Entry)
 
 @dataclass
 class SpectralPage:
+    """Page `r` (1 or 2) of the direct-image spectral sequence of
+    (n, k, sign): `entries` maps each cell (p, q), in order of p, to its
+    weight on E1 or its E2Entry on E2, and `differentials` are the
+    page's maps."""
+
     n: int
     k: int
     sign: str
@@ -304,6 +317,11 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
 
 @dataclass(frozen=True)
 class BggMap:
+    """A map of a singular BGG complex, from term `source` to term
+    `target` (indices into the complex's terms), standard or
+    non-standard (`kind`), with its order bound, the drop in conformal
+    weight."""
+
     source: int
     target: int
     kind: str

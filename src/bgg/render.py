@@ -321,7 +321,9 @@ def from_json(text: str) -> OrbitDiagram:
     that is not an int (JSON true, 1.5, a string) is refused with
     ValueError naming its field, after a pass of type over the field, and
     so is what to_tikz and to_dot cannot draw: a placement that is not a
-    pair, an arrow end that is no node's index, an unknown arrow kind."""
+    pair, an arrow end that is no node's index, an unknown arrow kind,
+    and an `n` that is not an int equal to the length of every node's
+    weight (to_tikz builds the crosses of every placement of rank n)."""
     import json
 
     data = json.loads(text)
@@ -337,6 +339,7 @@ def from_json(text: str) -> OrbitDiagram:
     entries = chain.from_iterable(chain.from_iterable(nodes))
     ends = [*map(itemgetter(0), arrows), *map(itemgetter(1), arrows)]
     kinds = map(itemgetter(2), arrows)
+    n = data["n"]
     for message, values, allowed in (
         ("node entries must be ints", map(type, entries), {int}),
         ("coincidences must be ints", map(type, chain.from_iterable(coincidences)), {int}),
@@ -344,6 +347,8 @@ def from_json(text: str) -> OrbitDiagram:
         ("node placements must be pairs", map(len, map(itemgetter(0), nodes)), {2}),
         ("arrow ends must be node indices", ends, range(len(nodes))),
         ("arrow kinds must be standard, identity or suppressed", kinds, _DOT_STYLES),
+        ("n must be an int", (type(n),), {int}),
+        ("n must be the length of every node weight", map(len, map(itemgetter(1), nodes)), (n,)),
     ):
         try:
             ok = set(values).issubset(allowed)
@@ -351,5 +356,5 @@ def from_json(text: str) -> OrbitDiagram:
             ok = False
         if not ok:
             raise ValueError(message)
-    kind, n, k = data["kind"], data["n"], data["k"]
+    kind, k = data["kind"], data["k"]
     return OrbitDiagram(kind, n, k, nodes, arrows, coincidences, data["conjectural"])

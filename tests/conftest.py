@@ -46,18 +46,24 @@ def load():
     return load_fixture
 
 
-def run_python(code, *args):
-    """Run `code` in a fresh interpreter with src on the path; a non-zero
-    exit fails the test.  Returns the captured stdout."""
+def spawn_python(code, *args):
+    """Run `code` in a fresh interpreter with src on the path and return
+    the finished process, with its exit code and captured output."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args],
-        check=True,
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
     )
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter with src on the path; a non-zero
+    exit fails the test.  Returns the captured stdout."""
+    done = spawn_python(code, *args)
+    done.check_returncode()
     return done.stdout
 
 

@@ -1,10 +1,13 @@
 """Exit codes and output of the command-line interface."""
 
 import dataclasses
+import gc
 import itertools
 import json
+import re
 
 import pytest
+from conftest import spawn_python
 
 from bgg import cli, geometry, verma
 from bgg.weyl import Root
@@ -595,3 +598,39 @@ def test_boundary_pages(capsys, fmt, page):
         assert rc == 0 and out and not err
     else:
         assert rc == 1 and not out and "error:" in err
+
+
+# a `bgg` process started as `python -m bgg.cli` starts it, whose atexit
+# handler writes to stderr, last, how many objects are frozen when the
+# interpreter begins to exit
+_PROCESS = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen={gc.get_freeze_count()}\\n"))
+runpy.run_module("bgg.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("penrose-e1 --n 5 --k 2 --page 2", 0),
+        ("bgg-complex --n 5 --k 0", 1),
+        ("penrose-e1 --n 5 --k 2 --sign x", 1),
+    ],
+)
+def test_process_entry_freezes_the_heap(capsys, monkeypatch, command, code):
+    """A `bgg` process runs `cli.run`: it prints exactly what `main` prints
+    in process, to stdout and stderr, and exits with its code, on a
+    result, an `error:` exit and an argparse error alike; its atexit
+    handlers still run, with the heap frozen, so the collection at
+    interpreter exit walks none of it.  `main` in process freezes
+    nothing."""
+    monkeypatch.setenv("COLUMNS", "80")
+    frozen = gc.get_freeze_count()
+    want = run_any(capsys, command.split())
+    assert gc.get_freeze_count() == frozen
+    assert want[0] == code and ("error:" in want[2]) == bool(code)
+    done = spawn_python(_PROCESS, *command.split())
+    err, count = re.fullmatch(r"(.*)frozen=(\d+)\n", done.stderr, re.S).groups()
+    assert (done.returncode, done.stdout, err) == want
+    assert int(count) > 0

@@ -186,15 +186,14 @@ def test_to_json_matches_json_dumps(n):
 
 
 def _odd_diagram():
-    """Strings json must escape, a null k, orders of every JSON type and
-    a node with an empty weight."""
+    """Strings json must escape, a null k and orders of every JSON type."""
     odd = 'q"uo\\te \u00e9\u2603\n\t\x00\U0001f600'
     roots = [Root(odd, 1, 2), Root("b", 3), Root(odd, 1, 2)]
     return OrbitDiagram(
         odd,
         3,
         None,
-        [OrbitNode((1, -2), (3, -1, 2)), OrbitNode((2, 1), ()), OrbitNode((-3, 1), (-3, 1, 2))],
+        [OrbitNode((1, -2), (3, -1, 2)), OrbitNode((2, 1), (2, 1, 3)), OrbitNode((-3, 1), (-3, 1, 2))],
         [
             OrbitArrow(0, 1, orbits.STANDARD, roots[0], 2),
             OrbitArrow(1, 2, orbits.IDENTITY, None, None),
@@ -208,8 +207,9 @@ def _odd_diagram():
 
 def test_to_json_escapes_like_json_dumps():
     d = _odd_diagram()
-    # an arrow kind and a placement the writers cannot draw: to_json
-    # writes them as json would, and from_json refuses them
+    # an arrow kind and a placement the writers cannot draw, the latter
+    # with an empty weight: to_json writes them as json would, and
+    # from_json refuses them
     odd_kind = d._replace(arrows=[d.arrows[0]._replace(kind=d.kind), *d.arrows[1:]])
     no_pair = d._replace(nodes=[d.nodes[0], OrbitNode((), ()), d.nodes[2]])
     empty = OrbitDiagram("regular-orbit", 2, 0, [], [], [])
@@ -306,14 +306,22 @@ def test_from_json_refuses_non_int_entries(old, new, field):
         ('"target": 1', '"target": -1', "arrow ends must be node indices"),
         ('"kind": "standard"', '"kind": "dashed"', "arrow kinds must be standard, identity or suppressed"),
         ('"kind": "standard"', '"kind": ["standard"]', "arrow kinds must be standard, identity or suppressed"),
+        ('"n": 3', '"n": null', "n must be an int"),
+        ('"n": 3', '"n": 2.5', "n must be an int"),
+        ('"n": 3', '"n": "3"', "n must be an int"),
+        ('"n": 3', '"n": true', "n must be an int"),
+        ('"n": 3', '"n": 7', "n must be the length of every node weight"),
+        ('"n": 3', '"n": 100000', "n must be the length of every node weight"),
     ],
 )
 def test_from_json_refuses_what_the_writers_cannot_draw(old, new, field):
     """A placement that is not a pair, an arrow end that is not the index
-    of one of the 10 nodes, and an arrow kind to_dot has no style for are
-    refused with ValueError naming the field: read back, they made
-    to_tikz or to_dot raise TypeError, IndexError or KeyError, or (an
-    end of -1) draw an arrow from the last node."""
+    of one of the 10 nodes, an arrow kind to_dot has no style for, and an
+    n that is not the int length of the rank-3 weights are refused with
+    ValueError naming the field: read back, they made to_tikz or to_dot
+    raise TypeError, IndexError or KeyError, or (an end of -1) draw an
+    arrow from the last node, or (n = 7) draw the crosses of rank 7; at
+    n = 100000 to_tikz built the marks of about 2e10 placements."""
     d = orbits.singular_orbit(3, 1)
     text = render.to_json(d)
     assert len(d.nodes) == 10 and old in text
@@ -366,8 +374,9 @@ def test_from_json_builds_each_root_once():
 
 
 def _typed_diagram(one, order):
-    """A hand-built diagram whose scalars and root index are all `one`
-    (1, True or 1.0, equal values json writes apart)."""
+    """A hand-built diagram whose scalars but n and its root index are
+    all `one` (1, True or 1.0, equal values json writes apart); n is 2,
+    the length of its weights, which from_json checks."""
     root = Root("a", one, 2)
     arrows = [
         OrbitArrow(0, 1, orbits.STANDARD, root, order),
@@ -375,7 +384,7 @@ def _typed_diagram(one, order):
         OrbitArrow(0, 1, orbits.IDENTITY, None, order),
     ]
     nodes = [OrbitNode((2, 1), (2, 1)), OrbitNode((2, -1), (2, -1))]
-    return OrbitDiagram("singular-orbit", one, one, nodes, arrows, [(0, 1)], conjectural=one)
+    return OrbitDiagram("singular-orbit", 2, one, nodes, arrows, [(0, 1)], conjectural=one)
 
 
 @pytest.mark.parametrize(
@@ -481,11 +490,10 @@ def _foreign_diagrams():
     """Diagrams whose placements are not all in their rank's table."""
     d = orbits.singular_orbit(5, 2)
     # a rank-5 diagram claiming rank 3: most placements lie outside
-    # rank 3's table, and its crosses are rank 3's
-    yield render.from_json(render.to_json(d).replace('"n": 5', '"n": 3', 1))
-    # a regular diagram read back with no rank at all
-    regular = orbits.regular_orbit_projection(4)
-    yield render.from_json(render.to_json(regular).replace('"n": 4', '"n": null', 1))
+    # rank 3's table, and its crosses are rank 3's (from_json refuses it)
+    yield d._replace(n=3)
+    # a regular diagram with no rank at all (from_json refuses it)
+    yield orbits.regular_orbit_projection(4)._replace(n=None)
     # hand-built: placements off the plane's grid of any small rank
     root = Root("a", 1, 2)
     yield OrbitDiagram(
