@@ -18,11 +18,20 @@ build through it from integers.
 A point keeps one cached view: its integer layout, `_layout(n,
 numerators, d)`, the only place where the layout of the matrix and S
 appear.  It gives the plane's two columns as integer lists x and y over
-the scale m = 2 d^2, and S as s / m.  Both checks, `isotropy_check` and
-the reconstruction check of `twistor_cover_solve`, read these integer
-columns, so neither builds a Fraction.  The public values (the fields
+the scale m = 2 d^2, and S as s / m.  The public values (the fields
 a1 ... c12, `matrix()`, `columns()`, `s_correction()`) build their
 Fractions on each read, from the numerators or the layout.
+
+Isotropy is proved once per rank, not tested per point.  `_layout` and
+`omega` use only ring operations, so run on `_Poly` with the
+numerators and d as variables they give omega(x, y) as a polynomial
+with integer coefficients.  If it is the zero polynomial, it vanishes
+at every point of rank n.  `_isotropic(n)` keeps that verdict, and
+`isotropy_check(point)` returns it for point.n without laying out the
+point.  The reconstruction check of `twistor_cover_solve` stays per
+line: it reads the solved point's integer columns, and the point comes
+from a gcd reduction and `_point`, which are not ring operations in
+gamma.  Neither check builds a Fraction.
 
 The public constructor takes ints or Fractions (finite floats too, at
 their exact value); a value that is not a number raises TypeError and a
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import mul
@@ -220,14 +230,64 @@ def omega(u: Sequence, v: Sequence) -> Scalar:
     return sum(map(mul, u[:n], v[n:])) - sum(map(mul, u[n:], v[:n]))
 
 
+class _Poly(dict):
+    """A polynomial with integer coefficients: monomial -> nonzero
+    coefficient, where a monomial is the sorted tuple of its variables'
+    indices, each repeated by its exponent.  It has +, - and * with
+    another _Poly or an int, and the reflected + and * that `sum` and
+    `2 * d` need.  The zero polynomial is the empty dict, so it is false.
+    """
+
+    __slots__ = ()
+
+    def _terms(self, other):
+        return other.items() if isinstance(other, _Poly) else [((), other)]
+
+    def _plus(self, other, sign):
+        out = dict(self)
+        for mono, c in self._terms(other):
+            out[mono] = out.get(mono, 0) + sign * c
+        return _Poly({mono: c for mono, c in out.items() if c})
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __mul__(self, other):
+        out = {}
+        for mono, c in self._terms(other):
+            for own, e in self.items():
+                key = tuple(sorted(own + mono))
+                out[key] = out.get(key, 0) + e * c
+        return _Poly({mono: c for mono, c in out.items() if c})
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+@lru_cache(maxsize=8)
+def _isotropic(n: int) -> bool:
+    """Whether omega(x, y) of `_layout`'s columns is the zero polynomial
+    in the 4(n-2) + 3 numerators and d of rank n.  Both functions use
+    only ring operations, so it is zero at every point of rank n exactly
+    when it is zero as a polynomial."""
+    count = parameter_count(n)
+    *nums, d = (_Poly({(i,): 1}) for i in range(count + 1))
+    x, y, _, _ = _layout(n, nums, d)
+    return not omega(x, y)
+
+
 def isotropy_check(point: BigCellPoint) -> bool:
-    """Whether the spanned plane is omega-isotropic (exact).
+    """Whether the spanned plane is omega-isotropic (exact): the rank's
+    certificate `_isotropic(point.n)`.
 
     omega of the integer columns x, y is m^2 times omega of the plane's
-    columns, and m > 0, so one is zero exactly when the other is.
+    columns, and m > 0, so one is zero exactly when the other is; the
+    certificate proves the first zero at every point of the rank.
     """
-    x, y, _, _ = point._columns()
-    return omega(x, y) == 0
+    return _isotropic(point.n)
 
 
 def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:

@@ -296,6 +296,31 @@ def test_geometry_check_detects_failure(capsys, monkeypatch):
     assert json.loads(out) == {"n": 3, "count": 4, "seed": 0, "failures": 4, "ok": False}
 
 
+def test_geometry_check_reads_the_certificate(capsys, monkeypatch):
+    """With S dropped from `_layout` the rank's certificate fails, so
+    every point and every solved plane counts as failed; a solved plane
+    has S = 0, so its reconstruction check still passes."""
+    layout = geometry._layout
+
+    def without_s(n, nums, d):
+        x, y, m, s = layout(n, nums, d)
+        y[n] += s
+        x[n + 1] -= s
+        return x, y, m, s
+
+    monkeypatch.setattr(geometry, "_layout", without_s)
+    geometry._isotropic.cache_clear()
+    try:
+        rc, out, _ = run(capsys, "geometry-check", "--n", "4", "--count", "5")
+        assert rc == 2
+        assert out == "FAIL big-cell isotropy and twistor cover: n=4 points=5 seed=0 failures=10\n"
+        rc, out, _ = run(capsys, "geometry-check", "--n", "4", "--count", "5", "--format", "json")
+        assert rc == 2
+        assert json.loads(out) == {"n": 4, "count": 5, "seed": 0, "failures": 10, "ok": False}
+    finally:
+        geometry._isotropic.cache_clear()  # no verdict outlives the patch
+
+
 def test_geometry_check_checks_solved_planes(capsys, monkeypatch):
     """Each round checks the random point and the solved plane; a solved
     plane that is not isotropic counts as a failure."""

@@ -1,5 +1,6 @@
 """Big-cell coordinates, isotropy and the twistor cover."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,72 @@ import geometry_oracle as oracle
 import parabolic_oracle
 from bgg import geometry
 from bgg import parabolic as pmod
+
+
+@pytest.fixture(autouse=True)
+def _fresh_certificates():
+    """Clear the per-rank isotropy verdicts before and after each test,
+    so no verdict of a patched `_layout` outlives its patch."""
+    geometry._isotropic.cache_clear()
+    yield
+    geometry._isotropic.cache_clear()
+
+
+@contextlib.contextmanager
+def _edited_layout(edit):
+    """Run with `_layout` followed by edit(n, x, y, s) on its columns, and
+    with the certificate memo cleared on entry and on exit."""
+    layout = geometry._layout
+
+    def edited(n, nums, d):
+        x, y, m, s = layout(n, nums, d)
+        edit(n, x, y, s)
+        return x, y, m, s
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_layout", edited)
+        geometry._isotropic.cache_clear()
+        try:
+            yield
+        finally:
+            geometry._isotropic.cache_clear()
+
+
+def _drop_s(n, x, y, s):
+    """S out of y[n] = c12 - S and x[n + 1] = c12 + S, over the scale m."""
+    y[n] += s
+    x[n + 1] -= s
+
+
+def _flip_s(n, x, y, s):
+    """y[n] = c12 + S and x[n + 1] = c12 - S."""
+    y[n] += 2 * s
+    x[n + 1] -= 2 * s
+
+
+def _bump(column, i):
+    """An edit that adds 1 to entry i of column 0 (x) or 1 (y)."""
+
+    def bump(n, x, y, s):
+        (x, y)[column][i] += 1
+
+    return bump
+
+
+def _swap(column, i, j):
+    """An edit that swaps entries i and j of column 0 (x) or 1 (y)."""
+
+    def swap(n, x, y, s):
+        c = (x, y)[column]
+        c[i], c[j] = c[j], c[i]
+
+    return swap
+
+
+def _nonzero_point(n):
+    """A point of rank n, built anew, whose coordinates are all nonzero."""
+    values = [(-1) ** i * (i % 7 + 1) for i in range(geometry.parameter_count(n))]
+    return geometry.BigCellPoint(n, *_rows(n, values), *values[-3:])
 
 
 def test_parameter_count_matches_nilradical():
@@ -56,40 +123,49 @@ def test_isotropy_exact():
     assert geometry.isotropy_check(pt)
 
 
-def test_correction_is_load_bearing(monkeypatch):
-    """Dropping the symmetric correction S breaks isotropy."""
-    pt = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
-    s = pt.s_correction()
-    assert s == Fraction(1, 2)
-    assert geometry.isotropy_check(pt)
-    uncorrected = [
-        [1, 0],
-        [0, 1],
-        [1, 0],
-        [0, 0],
-        [0, 0],
-        [0, 1],
-    ]
-    c1 = [r[0] for r in uncorrected]
-    c2 = [r[1] for r in uncorrected]
-    assert geometry.omega(c1, c2) != 0
+def test_correction_is_load_bearing():
+    """Dropping the symmetric correction S breaks isotropy: at every rank
+    3..8 the uncorrected plane fails the certificate.  S is an empty sum
+    at n = 2."""
+    for n in range(3, 9):
+        if n == 3:
+            pt = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
+            assert pt.s_correction() == Fraction(1, 2)
+            uncorrected = [[1, 0], [0, 1], [1, 0], [0, 0], [0, 0], [0, 1]]
+        else:
+            pt = _nonzero_point(n)
+            uncorrected = pt.matrix()
+            uncorrected[n][1] = uncorrected[n + 1][0] = pt.c12
+        assert pt.s_correction() != 0 and geometry.isotropy_check(pt)
+        assert geometry.omega(*zip(*uncorrected)) != 0
 
-    # The same S dropped from the integer columns the checks read: from
-    # y[n] = c12 - S and x[n + 1] = c12 + S, over the scale m.
-    layout = geometry._layout
+        with _edited_layout(_drop_s):
+            # pt has cached its columns; an equal point built now lays them out anew
+            fresh = geometry.BigCellPoint(n, pt.a1, pt.a2, pt.c1, pt.c2, pt.b1, pt.b2, pt.c12)
+            assert fresh == pt
+            assert fresh.matrix() == uncorrected
+            assert not geometry.isotropy_check(fresh), n
+        assert geometry.isotropy_check(fresh)  # the verdict did not outlive the edit
 
-    def without_s(n, nums, d):
-        x, y, m, s = layout(n, nums, d)
-        y[n] += s
-        x[n + 1] -= s
-        return x, y, m, s
 
-    monkeypatch.setattr(geometry, "_layout", without_s)
-    # pt has cached its columns; an equal point built now lays them out anew
-    fresh = geometry.BigCellPoint(3, (1,), (0,), (0,), (1,), 0, 0, 0)
-    assert fresh == pt
-    assert fresh.matrix() == uncorrected
-    assert not geometry.isotropy_check(fresh)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_flipped_sign_of_s_fails(n):
+    """S entered with the wrong sign fails the certificate."""
+    with _edited_layout(_flip_s):
+        assert not geometry.isotropy_check(_nonzero_point(n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swapped_column_entries_fail(n):
+    """Swapping any two entries of one column fails the certificate:
+    no two entries of a column are equal polynomials, and no two
+    entries of the other column that omega pairs them with are."""
+    pt = _nonzero_point(n)
+    for column in (0, 1):
+        for i in range(2 * n):
+            for j in range(i + 1, 2 * n):
+                with _edited_layout(_swap(column, i, j)):
+                    assert not geometry.isotropy_check(pt), (column, i, j)
 
 
 def test_omega_matches_oracle_off_isotropic_input():
@@ -112,40 +188,24 @@ def test_omega_matches_oracle_off_isotropic_input():
     assert nonzero > 0.9 * 12 * 10 * 4
 
 
-def _bump(monkeypatch, column, i):
-    """Make _layout add 1 to entry i of column 0 (x) or 1 (y)."""
-    layout = geometry._layout
-
-    def bumped(n, nums, d):
-        x, y, m, s = layout(n, nums, d)
-        (x, y)[column][i] += 1
-        return x, y, m, s
-
-    monkeypatch.setattr(geometry, "_layout", bumped)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_isotropy_check_reads_every_paired_entry(monkeypatch, n):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_isotropy_check_reads_every_paired_entry(n):
     """omega pairs entry i of one column with entry i +- n of the other,
-    so adding 1 to any entry whose partner is nonzero breaks isotropy.
-    With every coordinate nonzero, only x[n] and y[n + 1] are exempt:
-    they pair with the zeros y[0] and x[1] of rows 1 and 2."""
-    values = [(-1) ** i * (i % 7 + 1) for i in range(geometry.parameter_count(n))]
-
-    def point():  # built anew, so its columns are laid out anew
-        return geometry.BigCellPoint(n, *_rows(n, values), *values[-3:])
-
-    pt = point()
+    so adding 1 to any entry whose partner is not the zero polynomial
+    fails the certificate.  Only x[n] and y[n + 1] are exempt: they pair
+    with the zeros y[0] and x[1] of rows 1 and 2."""
+    pt = _nonzero_point(n)
     assert geometry.isotropy_check(pt)
+    # At a point whose coordinates are all nonzero, the partners that
+    # are zero are the ones that are the zero polynomial.
     x, y, _, _ = geometry._layout(n, pt.numerators, pt.denominator)
     partners = [(0, i, y[(i + n) % (2 * n)]) for i in range(2 * n)]
     partners += [(1, i, x[(i + n) % (2 * n)]) for i in range(2 * n)]
     assert [(c, i) for c, i, p in partners if p == 0] == [(0, n), (1, n + 1)]
     for column, i, partner in partners:
         if partner:
-            with monkeypatch.context() as patch:
-                _bump(patch, column, i)
-                assert not geometry.isotropy_check(point())
+            with _edited_layout(_bump(column, i)):
+                assert not geometry.isotropy_check(pt), (column, i)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -308,8 +368,9 @@ def test_twistor_cover_validation():
 
 
 def test_solved_plane_is_scaled_once(monkeypatch):
-    """The solve's reconstruction check and the caller's isotropy check
-    share one integer layout of the plane."""
+    """The solve's reconstruction check lays the plane out once, and the
+    caller's isotropy check lays out only the rank's certificate, once
+    per rank: a second check and the later readers add no layout."""
     calls = []
     layout = geometry._layout
 
@@ -319,12 +380,15 @@ def test_solved_plane_is_scaled_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "_layout", counting)
     plane = geometry.twistor_cover_solve(geometry.random_line(5, random.Random(4)))
-    assert geometry.isotropy_check(plane)
     key = (plane.n, plane.numerators, plane.denominator)
     assert calls == [key]
-    # later readers share it too
+    assert geometry.isotropy_check(plane)
+    assert len(calls) == 2 and calls[0] == key
+    assert calls[1][0] == 5 and isinstance(calls[1][2], geometry._Poly)
+    # later checks and readers share them
+    assert geometry.isotropy_check(plane) and geometry.isotropy_check(_nonzero_point(5))
     assert plane.s_correction() == 0 and plane.matrix()[0] == [1, 0]
-    assert calls == [key]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("g1", [1, -7])
@@ -345,7 +409,7 @@ def test_twistor_cover_detects_plane_off_line(monkeypatch, g1):
 
 
 @pytest.mark.parametrize("n", range(2, 6))
-def test_reconstruction_check_reads_every_entry(monkeypatch, n):
+def test_reconstruction_check_reads_every_entry(n):
     """With gamma_2 != 0 each of the 4n column entries enters the check
     C_1 + gamma_2 C_2 == gamma, so adding 1 to any one of them fails it."""
     gamma = [-3 * x for x in geometry.random_line(n, random.Random(28 + n))]
@@ -353,8 +417,7 @@ def test_reconstruction_check_reads_every_entry(monkeypatch, n):
     geometry.twistor_cover_solve(gamma)
     for column in (0, 1):
         for i in range(2 * n):
-            with monkeypatch.context() as patch:
-                _bump(patch, column, i)
+            with _edited_layout(_bump(column, i)):
                 with pytest.raises(AssertionError):
                     geometry.twistor_cover_solve(gamma)
 
@@ -397,6 +460,23 @@ def test_matches_fraction_oracle(n):
                     geometry.twistor_cover_solve(gamma),
                     oracle.twistor_cover_solve(gamma),
                 )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_certificate_agrees_with_numeric_omega(n):
+    """The per-point evaluation the certificate replaced, kept as its
+    oracle: at seeded points and solved planes the Fraction reference
+    finds the plane isotropic, omega of `_layout`'s integer columns is 0,
+    and isotropy_check agrees."""
+    rng, old_rng = random.Random(400 + n), random.Random(400 + n)
+    for _ in range(20):
+        pt, old = geometry.random_point(n, rng), oracle.random_point(n, old_rng)
+        line, old_line = geometry.random_line(n, rng), oracle.random_line(n, old_rng)
+        plane = geometry.twistor_cover_solve(line)
+        for point, reference in ((pt, old), (plane, oracle.twistor_cover_solve(old_line))):
+            x, y, _, _ = geometry._layout(n, point.numerators, point.denominator)
+            assert geometry.omega(x, y) == 0
+            assert geometry.isotropy_check(point) is oracle.isotropy_check(reference) is True
 
 
 def _rows(n, values):
