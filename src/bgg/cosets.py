@@ -98,7 +98,7 @@ def _keyed_nodes(n: int, barred: list[tuple[int, int]]) -> tuple[list, int]:
     << shift | perm code << b | sign code, orders by (length, perm,
     signs) of w:
 
-    - the length (inversion_length of mu): ascents of mu_B, plus n - v -
+    - the length (the inversion count of mu): ascents of mu_B, plus n - v -
       #{barred |a| > v} per positive barred v, plus n - b + |v| per
       negative one; summed per entry (`single`), per pair in a run
       (`_signings`) and per pair across groups (`_pair`, folded in rows);

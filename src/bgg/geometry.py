@@ -15,12 +15,11 @@ reduced ratios become numerators over their lcm, and `_point` is the
 one unchecked constructor: `random_point` and `twistor_cover_solve`
 build through it from integers.
 
-A point keeps one cached view: its integer layout, `_layout(n,
-numerators, d)`, the only place where the layout of the matrix and S
-appear.  It gives the plane's two columns as integer lists x and y over
+A point's integer layout, `_layout(n, numerators, d)`, is the only
+place where the layout of the matrix and S appear.  It gives the plane's two columns as integer lists x and y over
 the scale m = 2 d^2, and S as s / m.  The public values (the fields
 a1 ... c12, `matrix()`, `columns()`, `s_correction()`) build their
-Fractions on each read, from the numerators or the layout.
+Fractions on each read, from the numerators or a fresh layout.
 
 Isotropy is proved once per rank, not tested per point.  `_layout` and
 `omega` use only ring operations, so run on `_Poly` with the
@@ -130,7 +129,7 @@ class BigCellPoint:
     b2 and c12 as Fractions.
     """
 
-    __slots__ = ("_n", "_nums", "_d", "_scaled")
+    __slots__ = ("_n", "_nums", "_d")
 
     def __init__(self, n: int, a1, a2, c1, c2, b1, b2, c12):
         _check_rank(n)
@@ -142,7 +141,7 @@ class BigCellPoint:
             return f"{_FIELDS[i // k]}[{i % k}]" if i < 4 * k else _FIELDS[i - 4 * k + 4]
 
         nums, d = _over_lcm(_ratios([*a1, *a2, *c1, *c2, b1, b2, c12], name))
-        self._n, self._nums, self._d, self._scaled = n, tuple(nums), d, None
+        self._n, self._nums, self._d = n, tuple(nums), d
 
     @property
     def n(self) -> int:
@@ -170,17 +169,11 @@ class BigCellPoint:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in ("n", *_FIELDS))
         return f"BigCellPoint({args})"
 
-    def _columns(self) -> tuple[list[int], list[int], int, int]:
-        """_layout(n, numerators, d), computed once.  Callers only read it."""
-        if self._scaled is None:
-            self._scaled = _layout(self._n, self._nums, self._d)
-        return self._scaled
-
     a1, a2, c1, c2, b1, b2, c12 = (_field(i) for i in range(7))
 
     def s_correction(self) -> Scalar:
         """S = (1/2) sum_j (a_1j c_2j - a_2j c_1j)."""
-        _, _, m, s = self._columns()
+        _, _, m, s = _layout(self._n, self._nums, self._d)
         return Fraction(s, m)
 
     def matrix(self) -> list[list[Scalar]]:
@@ -188,7 +181,7 @@ class BigCellPoint:
         return [[p, q] for p, q in zip(*self.columns())]
 
     def columns(self) -> tuple[list, list]:
-        x, y, m, _ = self._columns()
+        x, y, m, _ = _layout(self._n, self._nums, self._d)
         return [Fraction(v, m) for v in x], [Fraction(v, m) for v in y]
 
 
@@ -196,7 +189,7 @@ def _point(n: int, nums: Sequence[int], d: int) -> BigCellPoint:
     """The point with these numerators over d, which must be canonical:
     d > 0 and gcd(nums, d) == 1.  No checks."""
     point = BigCellPoint.__new__(BigCellPoint)
-    point._n, point._nums, point._d, point._scaled = n, tuple(nums), d, None
+    point._n, point._nums, point._d = n, tuple(nums), d
     return point
 
 
@@ -319,7 +312,7 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     r = gcd(*nums, d)
     point = _point(n, [x // r for x in nums], d // r)
     # C_1 + (g1 / g0) C_2 == g / g0 times m * g0, on the point's columns.
-    x, y, m, _ = point._columns()
+    x, y, m, _ = _layout(n, point._nums, point._d)
     if [p * g0 + g1 * q for p, q in zip(x, y)] != [gi * m for gi in g]:
         raise AssertionError("twistor line does not lie on the solved plane")
     return point

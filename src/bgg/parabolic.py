@@ -7,16 +7,17 @@ root's grade is alpha(E): a positive root lies in the Levi factor if its
 grade is 0 and in the nilradical if it is positive.  The Hasse diagram
 W^p consists of the Weyl group elements w for which mu = w(rho) is
 strictly dominant for the Levi factor, and mu determines w.  W^p is
-searched in `cosets.hasse_rows`, by each node's barred entries; this
-module keeps the grading (2E from `cosets._twice_grading`), conformal
-weights and order bounds, and the diagram's records and writers.
+searched in `cosets.hasse_rows`, by each node's barred entries, with
+the integer 2E of `cosets._twice_grading`; this module keeps the
+diagram's records and writers, and `order_bound`.  E, conformal weights
+and root grades are test oracles (tests/parabolic_oracle.py).
 
 The diagram, its nodes and its edges are immutable records
 (NamedTuples), the nodes and edges built from field tuples at C speed.
 A Parabolic stays a dataclass, since it validates its crossed nodes.
 The diagram's own `to_text` and `to_json` write it in one pass each,
 without the json module, reading every window off a table of the rank
-and making each root's label once.  E, and so every conformal weight, is
+and making each root's label once.  E, and so an order bound, is
 integral unless node n is crossed; fractions (and the decimal module it
 loads) is imported only where a Fraction is built or met.  Only the
 `hasse` command imports this module, and with it `weyl` and `cosets`,
@@ -63,19 +64,6 @@ def parabolic(n: int, crossed: Sequence[int]) -> Parabolic:
     return Parabolic(n, tuple(crossed))
 
 
-def grading_element(p: Parabolic) -> tuple[Scalar, ...]:
-    """The element E with <alpha_i, E> = 1 for crossed i and 0 otherwise.
-
-    Entries are integers unless node n is crossed (then they are
-    half-integers, returned as Fractions)."""
-    twice = cosets._twice_grading(p.n, p.crossed)
-    if p.n not in p.crossed:
-        return tuple(x // 2 for x in twice)
-    from fractions import Fraction
-
-    return tuple(Fraction(x, 2) for x in twice)
-
-
 def _half(x: Scalar) -> Scalar:
     """x / 2: an int if it is whole, else a Fraction."""
     if type(x) is int and not x % 2:
@@ -93,23 +81,10 @@ def _twice_pairing(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
     return sum(map(mul, weight, cosets._twice_grading(p.n, p.crossed)))
 
 
-def conformal_weight(weight: Sequence[Scalar], p: Parabolic) -> Scalar:
-    """Pairing of a weight with the grading element, read off 2E and
-    halved once."""
-    return _half(_twice_pairing(weight, p))
-
-
-def root_grade(root: Root, p: Parabolic) -> int:
-    """alpha(E), the pairing of a root with the grading element, in
-    integers: <2E, alpha^vee> is 2 alpha(E) for the short roots a_ij,
-    c_ij and alpha(E) for the long roots b_i."""
-    doubled = weyl.pairing(cosets._twice_grading(p.n, p.crossed), root)
-    return doubled if root.kind == "b" else doubled // 2
-
-
 def order_bound(source: Sequence[Scalar], target: Sequence[Scalar], p: Parabolic) -> Scalar:
     """Conformal-weight drop along an arrow; an upper bound for the order
-    of the corresponding invariant operator."""
+    of the corresponding invariant operator.  No command calls it; it
+    stays because perfbench/tracing.py wraps it by name."""
     return _half(_twice_pairing(source, p) - _twice_pairing(target, p))
 
 

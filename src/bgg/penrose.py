@@ -20,8 +20,8 @@ key is built anew.  Pages and complexes are fresh per call: each builds
 its E1 cells and the conformal weights it needs once (the E2 page only
 those of its bridge) and reads every order bound as the difference of
 two conformal weights.  The E1 cells are read in one pass over the
-rank's terms, with the rule of bbw_direct_image applied in the loop;
-the two terms with middles m and -m share one tail tuple.  Every
+rank's terms, with the Bott-Borel-Weil rule of `_cells` applied in the
+loop; the two terms with middles m and -m share one tail tuple.  Every
 vanishing E2 entry is the factory's bullet record, kept at module
 level.  The non-standard operator has one model: the PageMap (on E2)
 and the BggMap of kind "nonstandard".  Pages and complexes write their
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from bgg import weyl
 from bgg.weyl import NONSTANDARD, STANDARD, Weight
@@ -121,22 +121,6 @@ def relative_bgg_text(n: int, k_signed: int) -> str:
         for t in relative_bgg(n, k_signed)
     ]
     return "\n".join(lines) + "\n"
-
-
-def bbw_direct_image(
-    first: int, middle: int, tail: Sequence[int] = ()
-) -> Optional[tuple[Weight, int]]:
-    """Bott-Borel-Weil along the P^1 fibration, on the leading pair.
-
-    Returns (weight, degree): degree 0 with the pair kept if
-    first > middle, degree 1 with the pair swapped if middle > first,
-    and None (both images vanish) if they are equal.
-    """
-    if first == middle:
-        return None
-    if first > middle:
-        return ((first, middle) + tuple(tail), 0)
-    return ((middle, first) + tuple(tail), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +221,9 @@ def _validate(n: int, k: int, sign: str) -> int:
 def _cells(n: int, k_signed: int) -> dict[tuple[int, int], Weight]:
     """{(p, q): weight} in order of p: the nonzero direct images of the
     terms of the relative resolution of (k_signed | n-1, ..., 1), read
-    in one pass with the rule of bbw_direct_image."""
+    in one pass by Bott-Borel-Weil along the P^1 fibre: degree 0 keeps
+    (k_signed, m) if k_signed > m, degree 1 swaps it if m > k_signed,
+    and an equal pair has none."""
     cells = {}
     for p, m, tail in _relative_terms(n, k_signed):
         if k_signed > m:

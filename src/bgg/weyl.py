@@ -12,11 +12,10 @@ never by identity.
 
 The Weyl group acts by signed permutations, and an element w is fixed
 by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
-mu alone: `act_from_image` applies it to any weight, and
-`inversion_length` is its length (the number of positive roots it sends
-negative).  The group as signed permutations, with products, inverses,
-reflections and root-counting lengths, and the dominance test for a
-Levi factor are kept as the test oracle in tests/weyl_oracle.py.
+mu alone: `weyl.act_from_image` applies it to any weight.  The group as
+signed permutations, with products, inverses, reflections and
+root-counting lengths, the pairing <w, alpha^vee> and the dominance test
+for a Levi factor are kept as the test oracle in tests/weyl_oracle.py.
 
 This is the only layer the crossed-{2} Penrose and Verma code stands
 on, and the orbit code adds only the W^p search (`cosets`): there E =
@@ -30,7 +29,6 @@ Penrose or Verma command loads `cosets` or `orbits`.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -103,15 +101,6 @@ def simple_roots(n: int) -> list[Root]:
     return [Root("a", i, i + 1) for i in range(1, n)] + [Root("b", n)]
 
 
-def pairing(weight: Sequence[int], root: Root) -> int:
-    """<weight, alpha^vee> for a positive root alpha (integer on our lattice)."""
-    if root.kind == "a":
-        return weight[root.i - 1] - weight[root.j - 1]
-    if root.kind == "b":
-        return weight[root.i - 1]
-    return weight[root.i - 1] + weight[root.j - 1]
-
-
 # ---------------------------------------------------------------------------
 # Weyl group, named by the image of rho
 
@@ -132,25 +121,6 @@ def act_from_image(mu: Sequence[int], weight: Sequence[int]) -> Weight:
     if len(weight) != n:
         raise ValueError("rank mismatch between mu and weight")
     return tuple([weight[n - x] if x > 0 else -weight[n + x] for x in mu])
-
-
-def inversion_length(mu: Sequence[int]) -> int:
-    """Length of the w with w(rho) = mu, read off mu alone.
-
-    It is the number of positive roots alpha with <mu, alpha^vee> < 0.
-    For a signed arrangement of rho this count is the number of pairs
-    i < j with mu_i < mu_j plus the sum of |mu_i| over the negative
-    entries (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.1).  The
-    pairs are counted right to left, each entry against a sorted list
-    of the entries after it, in O(n log n) comparisons.
-    """
-    after: list[int] = []
-    count = 0
-    for x in reversed(mu):
-        k = bisect.bisect(after, x)
-        count += len(after) - k
-        after.insert(k, x)
-    return count - sum(x for x in mu if x < 0)
 
 
 # ---------------------------------------------------------------------------

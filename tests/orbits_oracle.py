@@ -4,11 +4,14 @@ Test-only reference, two ways:
 
 - `singular_orbit` applies the placement rule to every node of the
   crossed-{2} Hasse diagram and filters every edge, grading each arrow's
-  root with `parabolic.root_grade`;
+  root with `parabolic_oracle.root_grade`;
 - `full_scan_orbit` needs no placement rule: it builds w(lambda_k) of
   every node (`weyl.act_from_image`), keeps the strictly Levi-dominant ones
   (`weyl_oracle.is_dominant`), and takes each arrow's order as the
-  conformal-weight drop (`parabolic.order_bound`).
+  conformal-weight drop (`parabolic_oracle.order_bound`).
+
+Neither grades with the 2E of `bgg.cosets` that the per-rank table
+reads its orders off.
 
 `orbits.singular_orbit` lists only the placements of the collision set
 and reads their arrows off its per-rank table, the crossed-{2} rows of
@@ -124,7 +127,8 @@ def singular_orbit(n: int, k: int) -> OrbitDiagram:
         else:
             suppressed = orbits._suppressed(k, nodes[s].placement, nodes[t].placement)
             kind = SUPPRESSED if suppressed else STANDARD
-            order = weyl.pairing(nodes[s].weight, e.root) * parabolic.root_grade(e.root, p)
+            grade = parabolic_oracle.root_grade(e.root, p)
+            order = weyl_oracle.pairing(nodes[s].weight, e.root) * grade
         arrows.append(OrbitArrow(s, t, kind, e.root, order))
 
     by_weight: dict[Weight, list[int]] = {}
@@ -153,7 +157,7 @@ def full_scan_orbit(n: int, k: int) -> OrbitDiagram:
                 kind, order = IDENTITY, None
             else:
                 kind = SUPPRESSED if orbits._suppressed(k, ps, pt) else STANDARD
-                order = parabolic.order_bound(ws, wt, p)
+                order = parabolic_oracle.order_bound(ws, wt, p)
             arrows.append(OrbitArrow(keep[e.source], keep[e.target], kind, e.root, order))
     coincidences = [
         (i, j)

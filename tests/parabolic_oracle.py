@@ -2,6 +2,11 @@
 
 Test-only reference:
 
+- `root_grade` sums a root's coefficients on the crossed simple roots
+  (`weyl_oracle.simple_coefficient`), and `grading_element` sums the
+  crossed fundamental coweights, E = sum_c omega_c^vee, which
+  `conformal_weight` and `order_bound` pair with; none reads the 2E of
+  `bgg.cosets`;
 - `levi_roots` and `nilradical_roots` split the positive roots by
   grade;
 - `inversion_length` counts the ascents of mu over all pairs;
@@ -23,22 +28,46 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import mul
 from typing import Sequence
 
 import weyl_oracle
-from bgg import parabolic, weyl
+from bgg import weyl
 from bgg.parabolic import HasseDiagram, HasseEdge, HasseNode, Parabolic
 from bgg.weyl import Root
 
 
+def root_grade(root: Root, p: Parabolic) -> int:
+    """alpha(E): the root's coefficients on the crossed simple roots, summed."""
+    return sum(weyl_oracle.simple_coefficient(root, c, p.n) for c in p.crossed)
+
+
+def grading_element(p: Parabolic) -> tuple:
+    """E = sum of omega_c^vee over the crossed nodes c: ints unless node n
+    is crossed, then Fractions."""
+    return tuple(map(sum, zip(*(weyl_oracle.coweight(c, p.n) for c in p.crossed))))
+
+
+def conformal_weight(weight: Sequence[int], p: Parabolic):
+    """The pairing of a weight with E."""
+    if len(weight) != p.n:
+        raise ValueError("rank mismatch")
+    return sum(map(mul, weight, grading_element(p)))
+
+
+def order_bound(source: Sequence[int], target: Sequence[int], p: Parabolic):
+    """The conformal-weight drop from source to target."""
+    return conformal_weight(source, p) - conformal_weight(target, p)
+
+
 def levi_roots(p: Parabolic) -> list[Root]:
     """Positive roots of grade 0."""
-    return [r for r in weyl.positive_roots(p.n) if parabolic.root_grade(r, p) == 0]
+    return [r for r in weyl.positive_roots(p.n) if root_grade(r, p) == 0]
 
 
 def nilradical_roots(p: Parabolic) -> list[Root]:
     """Positive roots of positive grade."""
-    return [r for r in weyl.positive_roots(p.n) if parabolic.root_grade(r, p) > 0]
+    return [r for r in weyl.positive_roots(p.n) if root_grade(r, p) > 0]
 
 
 def inversion_length(mu: Sequence[int]) -> int:
@@ -91,7 +120,7 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
     index = {nd.weight: i for i, nd in enumerate(nodes)}
     grades = {}
     for r in weyl.positive_roots(n):
-        grade = parabolic.root_grade(r, p)
+        grade = root_grade(r, p)
         if grade > 0:
             grades[r] = grade
     edges = []
@@ -102,7 +131,7 @@ def hasse_diagram(p: Parabolic) -> HasseDiagram:
             if j is not None and nodes[j].length == nd.length + 1:
                 targets.append((j, root))
         for j, root in sorted(targets):
-            order = weyl.pairing(nd.weight, root) * grades[root]
+            order = weyl_oracle.pairing(nd.weight, root) * grades[root]
             if order < 1:
                 raise AssertionError(f"conformal drop {order} < 1 on a Hasse edge")
             edges.append(HasseEdge(i, j, root, order))

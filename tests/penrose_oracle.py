@@ -2,17 +2,21 @@
 
 Test-only reference.  Here every page and complex is built the long way:
 the relative resolution term by term from its definition, the E1
-entries from its `RelativeBggTerm` objects, each page from a fresh E1
-page (the E2 page and every assembled complex build their own), and
-every order bound by a `parabolic.order_bound` call per map.  The
-one-pass builders of `bgg.penrose`, which read the resolution off a
-per-rank table, are checked against these through `to_dict()`.
+entries from its `RelativeBggTerm` objects by the Bott-Borel-Weil
+rule (`bbw_direct_image`, the oracle's own copy of the rule
+`bgg.penrose` applies inline), each page from a fresh E1 page (the E2
+page and every assembled complex build their own), and every order
+bound by a `parabolic_oracle.order_bound` call per map, which pairs
+with the crossed coweights.  The one-pass builders of `bgg.penrose`,
+which read the resolution off a per-rank table, are checked against
+these through `to_dict()`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
+import parabolic_oracle
 from bgg import orbits, penrose
 from bgg import parabolic as parabolic_mod
 from bgg.orbits import NONSTANDARD, STANDARD
@@ -40,11 +44,27 @@ def relative_bgg(n: int, k_signed: int) -> list:
     ]
 
 
+def bbw_direct_image(
+    first: int, middle: int, tail: Sequence[int] = ()
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """Bott-Borel-Weil along the P^1 fibration, on the leading pair.
+
+    Returns (weight, degree): degree 0 with the pair kept if
+    first > middle, degree 1 with the pair swapped if middle > first,
+    and None (both images vanish) if they are equal.
+    """
+    if first == middle:
+        return None
+    if first > middle:
+        return ((first, middle) + tuple(tail), 0)
+    return ((middle, first) + tuple(tail), 1)
+
+
 def e1_entries(n: int, k: int, sign: str = "+") -> dict:
     ks = penrose._validate(n, k, sign)
     entries = {}
     for t in relative_bgg(n, ks):
-        img = penrose.bbw_direct_image(t.first, t.middle, t.tail)
+        img = bbw_direct_image(t.first, t.middle, t.tail)
         if img is None:
             continue
         w, q = img
@@ -64,7 +84,7 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
                     (p, q),
                     (p + 1, q),
                     STANDARD,
-                    parabolic_mod.order_bound(w, nxt, p2),
+                    parabolic_oracle.order_bound(w, nxt, p2),
                 )
             )
     return SpectralPage(n, k, sign, 1, entries, diffs)
@@ -77,7 +97,7 @@ def bridge(page: SpectralPage) -> Optional[tuple]:
         return None
     sp, tp = (top[-1], 1), (bottom[0], 0)
     p2 = parabolic_mod.parabolic(page.n, (2,))
-    return sp, tp, parabolic_mod.order_bound(page.entries[sp], page.entries[tp], p2)
+    return sp, tp, parabolic_oracle.order_bound(page.entries[sp], page.entries[tp], p2)
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -124,7 +144,7 @@ def assemble_singular_bgg(n: int, k: int, sign: str = "+") -> BggComplex:
         (_, qa), wa = a
         (_, qb), wb = b
         kind = STANDARD if qa == qb else NONSTANDARD
-        maps.append(BggMap(i, i + 1, kind, parabolic_mod.order_bound(wa, wb, p2)))
+        maps.append(BggMap(i, i + 1, kind, parabolic_oracle.order_bound(wa, wb, p2)))
     return BggComplex(n, k, sign, terms, maps, _resolved(n, k, sign))
 
 
@@ -138,7 +158,7 @@ def conjectural_k0(n: int) -> BggComplex:
     p2 = parabolic_mod.parabolic(n, (2,))
 
     def bound(i, j):
-        return parabolic_mod.order_bound(terms[i], terms[j], p2)
+        return parabolic_oracle.order_bound(terms[i], terms[j], p2)
 
     # indices: (2,0) = n-3, (1,0) = n-2, (0,-1) = n-1, (0,-2) = n
     maps = [BggMap(i, i + 1, STANDARD, bound(i, i + 1)) for i in range(n - 2)]

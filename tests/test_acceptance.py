@@ -141,16 +141,23 @@ def test_criterion_04_complexes_all_ranks():
 
 
 def test_criterion_05_direct_image_grid():
+    """At n = 11 the relative resolutions of (±k | 10, ..., 1), k = 1..10,
+    have (first, middle) on every pair of [-10,10]^2 with neither 0, and
+    each term's E1 cell follows the swap rule."""
     t0 = time.perf_counter()
-    for first in range(-10, 11):
-        for middle in range(-10, 11):
-            img = penrose.bbw_direct_image(first, middle, (9,))
+    pairs = set()
+    for first in [*range(-10, 0), *range(1, 11)]:
+        cells = penrose.e1_entries(11, abs(first), "+" if first > 0 else "-")
+        for t in penrose.relative_bgg(11, first):
+            middle = t.middle
+            pairs.add((first, middle))
             if first == middle:
-                assert img is None
+                assert (t.p, 0) not in cells and (t.p, 1) not in cells
             elif first > middle:
-                assert img == ((first, middle, 9), 0)
+                assert cells[(t.p, 0)] == (first, middle) + t.tail
             else:
-                assert img == ((middle, first, 9), 1)
+                assert cells[(t.p, 1)] == (middle, first) + t.tail
+    assert len(pairs) == 20 * 20
     _finish(5, "fiberwise direct-image rule on the [-10,10]^2 grid", t0, 1)
 
 

@@ -222,7 +222,8 @@ def test_arrow_orders_match_order_bound():
                 if a.kind == orbits.IDENTITY:
                     assert a.order is None
                     continue
-                bound = parabolic.order_bound(d.nodes[a.source].weight, d.nodes[a.target].weight, p)
+                source, target = d.nodes[a.source].weight, d.nodes[a.target].weight
+                bound = parabolic_oracle.order_bound(source, target, p)
                 assert type(a.order) is int and a.order == bound, (n, k, a)
                 checked += 1
     assert checked == 2073  # 2072 of them at n = 3..10
@@ -252,6 +253,35 @@ def test_placement_rule_matches_full_scan():
             _assert_same_diagram(d, orbits_oracle.singular_orbit(n, k), (n, k))
             _assert_same_diagram(d, orbits_oracle.full_scan_orbit(n, k), (n, k))
             assert len(d.nodes) == 2 * (2 * (n - 1) if k == 0 else 4 * n - 7), (n, k)
+
+
+def test_oracles_catch_a_doubled_grading(monkeypatch):
+    """The oracles grade roots by the crossed coweights, not by the 2E
+    that `cosets` orders the arrows with: with every entry of 2E doubled,
+    the all-pairs Hasse comparison and both orbit-oracle comparisons
+    fail."""
+    twice = cosets._twice_grading
+    monkeypatch.setattr(
+        cosets, "_twice_grading", lambda n, crossed: tuple(2 * x for x in twice(n, crossed))
+    )
+    caches = (orbits._rank_table, orbits_oracle._hasse)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for n in (4, 5, 6):
+            for crossed in ((2,), (1, 3), (2, 5), (4,)):
+                if max(crossed) <= n:
+                    p = parabolic.parabolic(n, crossed)
+                    want = parabolic_oracle.hasse_diagram(p)
+                    assert parabolic.hasse_diagram(p).edges != want.edges, (n, crossed)
+        for n, k in ((4, 1), (5, 2), (6, 0), (6, 5)):
+            d = orbits.singular_orbit(n, k)
+            for build in (orbits_oracle.singular_orbit, orbits_oracle.full_scan_orbit):
+                with pytest.raises(AssertionError):
+                    _assert_same_diagram(d, build(n, k), (n, k))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_sliced_images_match_act_from_image():
@@ -296,9 +326,9 @@ def test_rank_table_matches_hasse_diagram():
         units = [tuple(int(c == m) for c in range(n)) for m in range(n)]
         for node in table.values():
             for _, root, order, (ci, cj, a, b) in node.arrows:
-                grade = parabolic.root_grade(root, p)
+                grade = parabolic_oracle.root_grade(root, p)
                 for w in units:
-                    assert a * w[ci] + b * w[cj] == weyl.pairing(w, root) * grade, (n, root)
+                    assert a * w[ci] + b * w[cj] == oracle.pairing(w, root) * grade, (n, root)
                 assert a * node.weight[ci] + b * node.weight[cj] == order, (n, root)
         d = orbits.regular_orbit_projection(n)
         assert [(nd.placement, nd.weight) for nd in d.nodes] == [
@@ -325,9 +355,9 @@ _ENGINE_CASES = sorted(
 def test_engine_keys_match_brute_force(n, crossed):
     """Every node of W^p, with its length and sort key read off its
     barred entries alone, against brute force: the nodes are the
-    strictly Levi-dominant images of rho, each length is
-    weyl.inversion_length of the whole weight and the root-counting
-    length of w, the mask holds the barred absolute values, and the
+    strictly Levi-dominant images of rho, each length is the all-pairs
+    inversion count of the whole weight and the root-counting length of
+    w, the mask holds the barred absolute values, and the
     keys order the nodes by (length, perm, signs) of w, with no tie."""
     groups = weyl._groups(n, crossed)
     barred = groups[:-1] if crossed[-1] != n else groups
@@ -338,7 +368,7 @@ def test_engine_keys_match_brute_force(n, crossed):
     by_key = []
     for key, barred_entries, mu, mask in nodes:
         w = oracle.from_regular_image(mu)
-        assert key >> shift == weyl.inversion_length(mu) == oracle.length(w), mu
+        assert key >> shift == parabolic_oracle.inversion_length(mu) == oracle.length(w), mu
         assert barred_entries == mu[:b] and mu[b:] == tuple(sorted(mu[b:], reverse=True))
         assert mask == sum(1 << abs(v) for v in barred_entries)
         by_key.append((key, (oracle.length(w), w.perm, w.signs)))

@@ -1,7 +1,9 @@
-"""The `bgg` package loads its layers lazily."""
+"""The `bgg` package: its layers load lazily, each import is used, and
+no public name or documented reference is stale."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,67 @@ def test_every_import_is_used():
     assert len(modules) == len(LAYERS) + 3  # __init__, cli and the W^p search, cosets
     unused = {m.name: _unused_imports(m.read_text()) for m in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def _names_read(path: Path) -> set[str]:
+    """The identifiers that the code of path reads: names, attributes and
+    imported names, and each part of a string that is a dotted name
+    ("parabolic.order_bound", as a tracer keys what it wraps)."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+(\.\w+)+", node.value):
+                read.update(node.value.split("."))
+    return read
+
+
+def test_every_public_name_is_used():
+    """Every public top-level function or class of a layer is read in
+    src/bgg, perfbench/ or scripts/, or named in backticks in README.md:
+    a name that only the tests call belongs in a test oracle."""
+    read = set()
+    for folder in ("src/bgg", "perfbench", "scripts"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            read |= _names_read(path)
+    documented = {w for span in re.findall(r"`([^`]+)`", README) for w in re.findall(r"\w+", span)}
+    unused = []
+    for layer in LAYERS:
+        tree = ast.parse((ROOT / "src" / "bgg" / f"{layer}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if node.name not in read | documented:
+                    unused.append(f"{layer}.{node.name}")
+    assert unused == []
+
+
+def _docstrings(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    return [ast.get_docstring(node) or "" for node in ast.walk(tree) if isinstance(node, kinds)]
+
+
+def test_backticked_names_resolve():
+    """Every `layer.name` in backticks in README.md or in a docstring of
+    src/bgg names an attribute that its module has."""
+    modules = sorted(Path(bgg.__file__).parent.glob("*.py"))
+    stems = [m.stem for m in modules if m.stem != "__init__"]
+    pattern = re.compile(r"`(?:bgg\.)?(%s)\.(\w+)" % "|".join(stems))
+    texts = [README] + [d for m in modules for d in _docstrings(m)]
+    refs = {match.groups() for text in texts for match in pattern.finditer(text)}
+    assert len(refs) >= 20, refs  # the check sees the references
+    missing = sorted(
+        f"{layer}.{name}"
+        for layer, name in refs
+        if not hasattr(importlib.import_module(f"bgg.{layer}"), name)
+    )
+    assert missing == []

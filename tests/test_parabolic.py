@@ -8,8 +8,8 @@ import pytest
 
 import parabolic_oracle
 import weyl_oracle as oracle
+from bgg import cosets, weyl
 from bgg import parabolic as pmod
-from bgg import weyl
 from bgg.weyl import Root
 
 
@@ -35,66 +35,95 @@ def test_levi_nilradical_partition():
         assert not set(levi) & set(nil)
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def test_grading_element():
-    assert pmod.grading_element(pmod.parabolic(5, (2,))) == (1, 1, 0, 0, 0)
-    assert pmod.grading_element(pmod.parabolic(5, (1,))) == (1, 0, 0, 0, 0)
-    assert pmod.grading_element(pmod.parabolic(4, (1, 3))) == (2, 1, 1, 0)
+    """2E, the integer grading `cosets` orders the Hasse arrows with, is
+    twice the oracle's E, the sum of the crossed fundamental coweights,
+    for every nonempty crossed set at n = 2..6."""
+    assert cosets._twice_grading(5, (2,)) == (2, 2, 0, 0, 0)
+    assert cosets._twice_grading(5, (1,)) == (2, 0, 0, 0, 0)
+    assert cosets._twice_grading(4, (1, 3)) == (4, 2, 2, 0)
+    assert cosets._twice_grading(3, (3,)) == (1, 1, 1)
     half = Fraction(1, 2)
-    assert pmod.grading_element(pmod.parabolic(3, (3,))) == (half, half, half)
+    assert parabolic_oracle.grading_element(pmod.parabolic(3, (3,))) == (half, half, half)
+    for n in range(2, 7):
+        for size in range(1, n + 1):
+            for crossed in itertools.combinations(range(1, n + 1), size):
+                e = parabolic_oracle.grading_element(pmod.parabolic(n, crossed))
+                assert cosets._twice_grading(n, crossed) == tuple(2 * x for x in e), crossed
 
 
 @pytest.mark.parametrize("crossed", [(1,), (2,), (3,), (1, 2), (2, 4), (4,)])
 def test_grading_element_defining_property(crossed):
-    """alpha(E) is 1 on crossed simple roots and 0 on the others."""
+    """alpha(E) is 1 on crossed simple roots and 0 on the others, for the
+    oracle's E and for half of `cosets`' 2E."""
     n = 4
     p = pmod.parabolic(n, crossed)
-    e = pmod.grading_element(p)
+    e = parabolic_oracle.grading_element(p)
+    twice = cosets._twice_grading(n, p.crossed)
     for m, s in enumerate(weyl.simple_roots(n), start=1):
-        value = sum(a * b for a, b in zip(s.vector(n), e))
-        assert value == (1 if m in p.crossed else 0)
+        want = 1 if m in p.crossed else 0
+        assert _dot(s.vector(n), e) == want
+        assert _dot(s.vector(n), twice) == 2 * want
 
 
 def test_nilradical_grading_degrees():
-    """For crossed {2} the nilradical has degrees 1 and 2; degree 2 is
-    spanned by b_1, b_2 and c_12."""
+    """For crossed {2} the nilradical has degrees 1 and 2, read off 2E;
+    degree 2 is spanned by b_1, b_2 and c_12."""
     for n in (3, 5):
         p = pmod.parabolic(n, (2,))
-        e = pmod.grading_element(p)
+        twice = cosets._twice_grading(n, p.crossed)
         degrees = {}
         for r in parabolic_oracle.nilradical_roots(p):
-            degrees.setdefault(sum(a * b for a, b in zip(r.vector(n), e)), []).append(r)
+            degrees.setdefault(_dot(r.vector(n), twice) // 2, []).append(r)
         assert set(degrees) == {1, 2}
         assert sorted(degrees[2]) == sorted([Root("b", 1), Root("b", 2), Root("c", 1, 2)])
         assert len(degrees[1]) == 4 * (n - 2)
 
 
 def test_conformal_weight_and_order_bound():
+    """`order_bound` reads 2E and halves once: an int when the drop is
+    whole, equal to the oracle's drop, which pairs with the coweights."""
     p = pmod.parabolic(4, (2,))
-    assert pmod.conformal_weight(weyl.rho(4), p) == 7
+    assert parabolic_oracle.conformal_weight(weyl.rho(4), p) == 7
     assert pmod.order_bound((3, 2, 1, 0), (2, 1, 1, 0), p) == 2
     # half-integer grading element still produces exact values
     p3 = pmod.parabolic(3, (3,))
-    assert pmod.conformal_weight((1, 1, 1), p3) == Fraction(3, 2)
+    assert parabolic_oracle.conformal_weight((1, 1, 1), p3) == Fraction(3, 2)
+    assert pmod.order_bound((1, 1, 1), (0, 0, 0), p3) == Fraction(3, 2)
     drop = pmod.order_bound((2, 2, 2), (2, 2, 0), p3)
     assert drop == 1 and isinstance(drop, int)
     with pytest.raises(ValueError):
-        pmod.conformal_weight((1, 2), p)
+        pmod.order_bound((1, 2), (1, 2), p)
+    with pytest.raises(ValueError):
+        parabolic_oracle.conformal_weight((1, 2), p)
+    weights = list(itertools.product(range(-2, 3), repeat=3))
+    for crossed in ((1,), (2,), (3,), (1, 3), (2, 3)):
+        q = pmod.parabolic(3, crossed)
+        for source in weights[::7]:
+            for target in weights[::11]:
+                want = parabolic_oracle.order_bound(source, target, q)
+                assert pmod.order_bound(source, target, q) == want, (crossed, source, target)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_root_grade_matches_simple_coefficients(n):
-    """alpha(E), computed in integers, is an int equal to alpha's
-    coefficient sum on the crossed simple roots, for every nonempty
-    crossed set (those containing node n, where E is half-integral,
-    included); the grade splits the positive roots as the coefficients
-    do."""
+    """alpha(E) read off `cosets`' integer 2E, (alpha, 2E) / 2, is an
+    integer equal to alpha's coefficient sum on the crossed simple roots
+    (the oracle's grade), for every nonempty crossed set (those
+    containing node n, where E is half-integral, included)."""
     for size in range(1, n + 1):
         for crossed in itertools.combinations(range(1, n + 1), size):
             p = pmod.parabolic(n, crossed)
+            twice = cosets._twice_grading(n, crossed)
             for r in weyl.positive_roots(n):
-                grade = pmod.root_grade(r, p)
+                doubled = _dot(r.vector(n), twice)
                 coeffs = [oracle.simple_coefficient(r, m, n) for m in crossed]
-                assert type(grade) is int and grade == sum(coeffs), (r, crossed)
+                assert doubled == 2 * sum(coeffs), (r, crossed)
+                assert parabolic_oracle.root_grade(r, p) == sum(coeffs), (r, crossed)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -228,14 +257,13 @@ def test_hasse_diagram_returns_fresh_objects():
 @pytest.mark.parametrize("crossed", [(2,), (1,), (1, 3)])
 def test_edge_orders_from_pairing(crossed):
     """The conformal drop along an edge factors as
-    <source weight, alpha^vee> * alpha(E)."""
+    <source weight, alpha^vee> * alpha(E), both from the oracle."""
     p = pmod.parabolic(4, crossed)
     hd = pmod.hasse_diagram(p)
-    e = pmod.grading_element(p)
     for edge in hd.edges:
         mu = hd.nodes[edge.source].weight
-        grading = sum(a * b for a, b in zip(edge.root.vector(4), e))
-        assert edge.order == weyl.pairing(mu, edge.root) * grading
+        grading = parabolic_oracle.root_grade(edge.root, p)
+        assert edge.order == oracle.pairing(mu, edge.root) * grading
         assert isinstance(edge.order, int) and edge.order >= 1
         assert (
             hd.nodes[edge.target].length == hd.nodes[edge.source].length + 1

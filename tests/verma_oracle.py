@@ -357,7 +357,7 @@ def words_for(mp, need: tuple) -> list:
     dropped on entry."""
     p = parabolic.parabolic(mp.n, (2,))
     vectors = [r.vector(mp.n) for _, r in mp.letters]
-    grades = [parabolic.root_grade(r, p) for _, r in mp.letters]
+    grades = [parabolic_oracle.root_grade(r, p) for _, r in mp.letters]
     found = []
 
     def extend(start: int, rest: tuple, word: tuple) -> None:

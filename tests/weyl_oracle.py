@@ -4,10 +4,12 @@ Test-only reference.  `bgg` names a Weyl element w by mu = w(rho) and
 reads everything it needs off mu; here w is a signed permutation with
 its own product, inverse, reflections and root-counting length, so the
 fast paths can be checked against plain group theory.  A root's
-coefficients on the simple roots are kept here too, as the reference for
-the grading `bgg.parabolic` reads off its grading element, and so is
-dominance for the Levi factor of a parabolic, the reference for the
-placement rule `bgg.orbits` reads its nodes off.
+coefficients on the simple roots, the fundamental coweights that read
+them off a root's vector, and the pairing <w, alpha^vee> computed from
+the root's vector are kept here too: the test oracles grade roots and
+weights with them, never with the integer 2E that `bgg.cosets` grades
+its arrows with.  So is dominance for the Levi factor of a parabolic,
+the reference for the placement rule `bgg.orbits` reads its nodes off.
 
 An element w = (perm, signs) acts by
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from bgg import weyl
@@ -55,6 +58,22 @@ def simple_coefficient(root: Root, m: int, n: int) -> int:
     if m < n:
         return sum(v[:m])
     return sum(v) // 2
+
+
+def coweight(m: int, n: int) -> tuple:
+    """The fundamental coweight omega_m^vee in epsilon-coordinates, whose
+    dot product with a root's vector is `simple_coefficient(root, m, n)`:
+    1 on the first m coordinates for m < n, and 1/2 on all n for m = n."""
+    if m < n:
+        return (1,) * m + (0,) * (n - m)
+    return (Fraction(1, 2),) * n
+
+
+def pairing(weight: Sequence[int], root: Root) -> int:
+    """<weight, alpha^vee> = 2 (weight, alpha) / (alpha, alpha), from the
+    root's vector; an integer on the weight lattice."""
+    v = root.vector(len(weight))
+    return 2 * sum(a * b for a, b in zip(weight, v)) // sum(a * a for a in v)
 
 
 FOR_LEVI = "levi"
