@@ -16,21 +16,26 @@ one unchecked constructor: `random_point` and `twistor_cover_solve`
 build through it from integers.
 
 A point's integer layout, `_layout(n, numerators, d)`, is the only
-place where the layout of the matrix and S appear.  It gives the plane's two columns as integer lists x and y over
-the scale m = 2 d^2, and S as s / m.  The public values (the fields
-a1 ... c12, `matrix()`, `columns()`, `s_correction()`) build their
-Fractions on each read, from the numerators or a fresh layout.
+place where the layout of the matrix and S appear.  It gives the
+plane's two columns as integer lists x and y over the scale m = 2 d^2,
+and S as s / m.  The public values (the fields a1 ... c12, `matrix()`,
+`columns()`, `s_correction()`) build their Fractions on each read, from
+the numerators or a fresh layout.
 
-Isotropy is proved once per rank, not tested per point.  `_layout` and
-`omega` use only ring operations, so run on `_Poly` with the
-numerators and d as variables they give omega(x, y) as a polynomial
-with integer coefficients.  If it is the zero polynomial, it vanishes
-at every point of rank n.  `_isotropic(n)` keeps that verdict, and
-`isotropy_check(point)` returns it for point.n without laying out the
-point.  The reconstruction check of `twistor_cover_solve` stays per
-line: it reads the solved point's integer columns, and the point comes
-from a gcd reduction and `_point`, which are not ring operations in
-gamma.  Neither check builds a Fraction.
+Both chart identities are proved once per rank, not tested per point.
+`_layout`, `omega` and `_solution` use only ring operations, so run on
+`_Poly` variables they give polynomials with integer coefficients, and
+a zero polynomial vanishes at every point.  `_isotropic(n)` proves
+omega(x, y) = 0 in the numerators and d, and `isotropy_check(point)`
+returns that verdict for point.n without laying out the point.
+`_reconstructs(n)` proves, in the 2n entries g of an integer line, that
+the layout of `_solution(n, g)` satisfies C_1 + (g1/g0) C_2 = g/g0, and
+that `_layout` is homogeneous of degree 2 in (numerators, d).  A solve
+divides `_solution`'s integers by their gcd r, which is not a ring
+operation; by homogeneity that divides the layout by r^2, and the
+reconstruction identity is linear in the layout, so the reduced plane
+satisfies it too.  `twistor_cover_solve` reads the verdict and lays out
+nothing.  Neither path builds a Fraction.
 
 The public constructor takes ints or Fractions (finite floats too, at
 their exact value); a value that is not a number raises TypeError and a
@@ -227,8 +232,9 @@ class _Poly(dict):
     """A polynomial with integer coefficients: monomial -> nonzero
     coefficient, where a monomial is the sorted tuple of its variables'
     indices, each repeated by its exponent.  It has +, - and * with
-    another _Poly or an int, and the reflected + and * that `sum` and
-    `2 * d` need.  The zero polynomial is the empty dict, so it is false.
+    another _Poly or an int, on either side (`sum` starts from 0, and
+    `_layout` puts an int 0 in its columns).  The zero polynomial is the
+    empty dict, so it is false.
     """
 
     __slots__ = ()
@@ -247,6 +253,9 @@ class _Poly(dict):
 
     def __sub__(self, other):
         return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return self * -1 + other
 
     def __mul__(self, other):
         out = {}
@@ -283,6 +292,45 @@ def isotropy_check(point: BigCellPoint) -> bool:
     return _isotropic(point.n)
 
 
+def _solution(n: int, g: Sequence) -> tuple[list, object]:
+    """The plane through the line g, for g[0] != 0, as numerators over
+    d = g0^2 before reduction.  Only ring operations, so it runs on ints
+    for a line and on `_Poly` variables for `_reconstructs`."""
+    g0, g1 = g[0], g[1]
+    zeros = [0] * (n - 2)
+    nums = [x * g0 for x in g[2:n]]
+    nums += zeros
+    nums += [x * g0 for x in g[n + 2 :]]
+    nums += zeros
+    nums += [g[n] * g0 - g1 * g[n + 1], 0, g[n + 1] * g0]
+    return nums, g0 * g0
+
+
+@lru_cache(maxsize=8)
+def _reconstructs(n: int) -> bool:
+    """Whether every plane `_solution` solves at rank n, and every
+    rescaling of it, contains its line: two polynomial identities in the
+    2n entries of g and one more variable t.
+
+    - x_i g0 + g1 y_i - g_i m is zero for every row i of the layout of
+      `_solution(n, g)`: C_1 + (g1 / g0) C_2 == g / g0 over m g0.
+    - `_layout(n, t nums, t d)` is t^2 times `_layout(n, nums, d)`,
+      entry by entry, m and s included.
+
+    A solve divides the numerators and d by r = gcd(nums, d); by the
+    second identity at t = 1 / r its layout is the first one's over r^2,
+    and the first identity is linear in (x, y, m), so it holds there too.
+    """
+    *g, t = (_Poly({(i,): 1}) for i in range(2 * n + 1))
+    nums, d = _solution(n, g)
+    x, y, m, s = _layout(n, nums, d)
+    if any(p * g[0] + g[1] * q - gi * m for p, q, gi in zip(x, y, g)):
+        return False
+    tx, ty, tm, ts = _layout(n, [t * v for v in nums], t * d)
+    t2 = t * t
+    return not any(a - t2 * b for a, b in zip([*tx, *ty, tm, ts], [*x, *y, m, s]))
+
+
 def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     """The canonical isotropic plane through the line spanned by gamma.
 
@@ -291,6 +339,13 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     a_2j = c_2j = b_2 = 0, a_1j = gamma_j, c_1j = gamma_{n+j},
     c_12 = gamma_{n+2}, b_1 = gamma_{n+1} - gamma_2 gamma_{n+2}, and
     satisfies C_1 + gamma_2 C_2 = gamma.
+
+    That identity is proved once per rank, not checked per line.  The
+    certificate `_reconstructs(n)` proves it for `_solution`'s unreduced
+    plane as a polynomial identity in the line's integers, and proves
+    `_layout` homogeneous of degree 2, so dividing by the gcd keeps it:
+    it covers the returned plane of every line of rank n.  A false
+    certificate raises AssertionError.
     """
     if len(gamma) % 2:
         raise ValueError("gamma must have even length")
@@ -298,24 +353,13 @@ def twistor_cover_solve(gamma: Sequence) -> BigCellPoint:
     _check_rank(n)
     # gamma / gamma_1 == g / g0 with integers g and g0 = g[0].
     g, _ = _over_lcm(_ratios(gamma, "gamma[{}]".format))
-    g0, g1 = g[0], g[1]
-    if g0 == 0:
+    if g[0] == 0:
         raise ValueError("the solve chart needs gamma_1 != 0")
-    # The solution over g0^2, then reduced once.
-    zeros = [0] * (n - 2)
-    nums = [x * g0 for x in g[2:n]]
-    nums += zeros
-    nums += [x * g0 for x in g[n + 2 :]]
-    nums += zeros
-    nums += [g[n] * g0 - g1 * g[n + 1], 0, g[n + 1] * g0]
-    d = g0 * g0
-    r = gcd(*nums, d)
-    point = _point(n, [x // r for x in nums], d // r)
-    # C_1 + (g1 / g0) C_2 == g / g0 times m * g0, on the point's columns.
-    x, y, m, _ = _layout(n, point._nums, point._d)
-    if [p * g0 + g1 * q for p, q in zip(x, y)] != [gi * m for gi in g]:
+    if not _reconstructs(n):
         raise AssertionError("twistor line does not lie on the solved plane")
-    return point
+    nums, d = _solution(n, g)
+    r = gcd(*nums, d)
+    return _point(n, [x // r for x in nums], d // r)
 
 
 def _draw(rng: random.Random, count: int, table: Sequence) -> list:

@@ -13,6 +13,11 @@ from bgg import cli, geometry, verma
 from bgg.weyl import Root
 
 
+def _clear_certificates():
+    geometry._isotropic.cache_clear()
+    geometry._reconstructs.cache_clear()
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -297,9 +302,10 @@ def test_geometry_check_detects_failure(capsys, monkeypatch):
 
 
 def test_geometry_check_reads_the_certificate(capsys, monkeypatch):
-    """With S dropped from `_layout` the rank's certificate fails, so
-    every point and every solved plane counts as failed; a solved plane
-    has S = 0, so its reconstruction check still passes."""
+    """With S dropped from `_layout` the rank's isotropy certificate
+    fails, so every point and every solved plane counts as failed; a
+    solved plane has S = 0, so the reconstruction certificate still
+    holds."""
     layout = geometry._layout
 
     def without_s(n, nums, d):
@@ -309,7 +315,7 @@ def test_geometry_check_reads_the_certificate(capsys, monkeypatch):
         return x, y, m, s
 
     monkeypatch.setattr(geometry, "_layout", without_s)
-    geometry._isotropic.cache_clear()
+    _clear_certificates()
     try:
         rc, out, _ = run(capsys, "geometry-check", "--n", "4", "--count", "5")
         assert rc == 2
@@ -317,8 +323,34 @@ def test_geometry_check_reads_the_certificate(capsys, monkeypatch):
         rc, out, _ = run(capsys, "geometry-check", "--n", "4", "--count", "5", "--format", "json")
         assert rc == 2
         assert json.loads(out) == {"n": 4, "count": 5, "seed": 0, "failures": 10, "ok": False}
+        assert geometry._reconstructs(4)
     finally:
-        geometry._isotropic.cache_clear()  # no verdict outlives the patch
+        _clear_certificates()  # no verdict outlives the patch
+
+
+def test_geometry_check_reads_the_reconstruction_certificate(capsys, monkeypatch):
+    """With b1 moved off the line in `_solution` only the reconstruction
+    certificate fails: every solve raises and counts once, every point
+    passes, and the command exits 2 with no traceback."""
+    solution = geometry._solution
+
+    def off_line(n, g):
+        nums, d = solution(n, g)
+        nums[4 * (n - 2)] += d  # b1 + 1
+        return nums, d
+
+    monkeypatch.setattr(geometry, "_solution", off_line)
+    _clear_certificates()
+    try:
+        rc, out, err = run(capsys, "geometry-check", "--n", "4", "--count", "5")
+        assert rc == 2 and not err
+        assert out == "FAIL big-cell isotropy and twistor cover: n=4 points=5 seed=0 failures=5\n"
+        rc, out, err = run(capsys, "geometry-check", "--n", "4", "--count", "5", "--format", "json")
+        assert rc == 2 and not err
+        assert json.loads(out) == {"n": 4, "count": 5, "seed": 0, "failures": 5, "ok": False}
+        assert geometry._isotropic(4) and not geometry._reconstructs(4)
+    finally:
+        _clear_certificates()  # no verdict outlives the patch
 
 
 def test_geometry_check_checks_solved_planes(capsys, monkeypatch):

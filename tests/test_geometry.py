@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,19 +14,25 @@ from bgg import geometry
 from bgg import parabolic as pmod
 
 
+def _clear_certificates():
+    geometry._isotropic.cache_clear()
+    geometry._reconstructs.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_certificates():
-    """Clear the per-rank isotropy verdicts before and after each test,
-    so no verdict of a patched `_layout` outlives its patch."""
-    geometry._isotropic.cache_clear()
+    """Clear the per-rank isotropy and reconstruction verdicts before and
+    after each test, so no verdict of a patched function outlives its
+    patch."""
+    _clear_certificates()
     yield
-    geometry._isotropic.cache_clear()
+    _clear_certificates()
 
 
 @contextlib.contextmanager
 def _edited_layout(edit):
     """Run with `_layout` followed by edit(n, x, y, s) on its columns, and
-    with the certificate memo cleared on entry and on exit."""
+    with both certificate memos cleared on entry and on exit."""
     layout = geometry._layout
 
     def edited(n, nums, d):
@@ -35,11 +42,11 @@ def _edited_layout(edit):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_layout", edited)
-        geometry._isotropic.cache_clear()
+        _clear_certificates()
         try:
             yield
         finally:
-            geometry._isotropic.cache_clear()
+            _clear_certificates()
 
 
 def _drop_s(n, x, y, s):
@@ -140,7 +147,7 @@ def test_correction_is_load_bearing():
         assert geometry.omega(*zip(*uncorrected)) != 0
 
         with _edited_layout(_drop_s):
-            # pt has cached its columns; an equal point built now lays them out anew
+            # an equal point built anew, under the edit
             fresh = geometry.BigCellPoint(n, pt.a1, pt.a2, pt.c1, pt.c2, pt.b1, pt.b2, pt.c12)
             assert fresh == pt
             assert fresh.matrix() == uncorrected
@@ -368,57 +375,155 @@ def test_twistor_cover_validation():
 
 
 def test_solved_plane_is_scaled_once(monkeypatch):
-    """The solve's reconstruction check lays the plane out once, and the
-    caller's isotropy check lays out only the rank's certificate, once
-    per rank: a second check adds no layout."""
+    """A solve lays out only its rank's reconstruction certificate, once
+    per rank, and never the plane it returns; the caller's isotropy check
+    adds only the isotropy certificate, and a second solve and check at
+    the rank lay out nothing."""
     calls = []
     layout = geometry._layout
 
     def counting(n, nums, d):
-        calls.append((n, nums, d))
+        calls.append((n, d))
         return layout(n, nums, d)
 
     monkeypatch.setattr(geometry, "_layout", counting)
-    plane = geometry.twistor_cover_solve(geometry.random_line(5, random.Random(4)))
-    key = (plane.n, plane.numerators, plane.denominator)
-    assert calls == [key]
-    assert geometry.isotropy_check(plane)
-    assert len(calls) == 2 and calls[0] == key
-    assert calls[1][0] == 5 and isinstance(calls[1][2], geometry._Poly)
-    # later checks at rank 5 read its certificate
-    assert geometry.isotropy_check(plane) and geometry.isotropy_check(_nonzero_point(5))
+    rng = random.Random(4)
+    plane = geometry.twistor_cover_solve(geometry.random_line(5, rng))
+    # the certificate lays out the symbolic solution and its rescaling by t
     assert len(calls) == 2
+    assert all(n == 5 and isinstance(d, geometry._Poly) for n, d in calls)
+    assert geometry.isotropy_check(plane)
+    assert len(calls) == 3 and calls[2][0] == 5 and isinstance(calls[2][1], geometry._Poly)
+    second = geometry.twistor_cover_solve(geometry.random_line(5, rng))
+    assert geometry.isotropy_check(second) and geometry.isotropy_check(_nonzero_point(5))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("g1", [1, -7])
-def test_twistor_cover_detects_plane_off_line(monkeypatch, g1):
-    """A solved plane moved off gamma fails the reconstruction check."""
-    point = geometry._point
+def test_twistor_cover_detects_plane_off_line(g1):
+    """A solution moved off gamma, here by b1 + 1 inside `_solution`,
+    fails the reconstruction certificate, so every solve at the rank
+    raises."""
+    solution = geometry._solution
 
-    def shifted(n, nums, d):
-        nums = list(nums)
+    def shifted(n, g):
+        nums, d = solution(n, g)
         nums[4 * (n - 2)] += d  # b1 + 1
-        return point(n, nums, d)
+        return nums, d
 
     gamma = [g1 * x for x in geometry.random_line(4, random.Random(3))]
     geometry.twistor_cover_solve(gamma)
-    monkeypatch.setattr(geometry, "_point", shifted)
-    with pytest.raises(AssertionError):
-        geometry.twistor_cover_solve(gamma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_solution", shifted)
+        _clear_certificates()
+        assert not geometry._reconstructs(4)
+        with pytest.raises(AssertionError, match="does not lie on the solved plane"):
+            geometry.twistor_cover_solve(gamma)
+    _clear_certificates()
+    assert geometry._reconstructs(4)  # the verdict did not outlive the edit
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_reconstruction_check_reads_every_entry(n):
-    """With gamma_2 != 0 each of the 4n column entries enters the check
-    C_1 + gamma_2 C_2 == gamma, so adding 1 to any one of them fails it."""
+    """Each of the 4n column entries enters the certificate's identity
+    x_i g0 + g1 y_i - g_i m, where g0 and g1 are variables, so adding 1
+    to any one of them makes the certificate false and the solve raise."""
     gamma = [-3 * x for x in geometry.random_line(n, random.Random(28 + n))]
     gamma[1] = Fraction(5, 7)
     geometry.twistor_cover_solve(gamma)
     for column in (0, 1):
         for i in range(2 * n):
             with _edited_layout(_bump(column, i)):
+                assert not geometry._reconstructs(n), (column, i)
                 with pytest.raises(AssertionError):
                     geometry.twistor_cover_solve(gamma)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_swapped_column_entries_break_reconstruction(n):
+    """Swapping two entries of a column that differ as polynomials makes
+    the reconstruction certificate false.  Every two entries of x differ;
+    y holds the solution's zeros, so only its swaps that move m or
+    c12 - S count."""
+    g = [geometry._Poly({(i,): 1}) for i in range(2 * n)]
+    columns = geometry._layout(n, *geometry._solution(n, g))[:2]
+    gamma = geometry.random_line(n, random.Random(n))
+    swapped = [0, 0]
+    for column in (0, 1):
+        c = columns[column]
+        for i in range(2 * n):
+            for j in range(i + 1, 2 * n):
+                if not c[i] - c[j]:
+                    continue
+                swapped[column] += 1
+                with _edited_layout(_swap(column, i, j)):
+                    assert not geometry._reconstructs(n), (column, i, j)
+                    with pytest.raises(AssertionError):
+                        geometry.twistor_cover_solve(gamma)
+    assert swapped == [n * (2 * n - 1), 2 * (2 * n - 2) + 1]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_reconstruction_certificate_needs_homogeneity(monkeypatch, n):
+    """A layout scaled by d + 1 still satisfies the reconstruction
+    identity, which is linear in (x, y, m), but is not homogeneous of
+    degree 2, so it could not cover the gcd reduction: the certificate
+    is false and the solve raises."""
+    layout = geometry._layout
+
+    def rescaled(n, nums, d):
+        x, y, m, s = layout(n, nums, d)
+        w = d + 1
+        return [w * v for v in x], [w * v for v in y], w * m, w * s
+
+    monkeypatch.setattr(geometry, "_layout", rescaled)
+    g = [geometry._Poly({(i,): 1}) for i in range(2 * n)]
+    x, y, m, _ = geometry._layout(n, *geometry._solution(n, g))
+    assert not any(p * g[0] + g[1] * q - gi * m for p, q, gi in zip(x, y, g))
+    assert not geometry._reconstructs(n)
+    with pytest.raises(AssertionError):
+        geometry.twistor_cover_solve(geometry.random_line(n, random.Random(n)))
+
+
+@pytest.mark.parametrize("n", [*range(2, 31), 60])
+def test_certificates_hold_at_every_ci_rank(n):
+    """Both per-rank certificates are true at every rank the tests and
+    the CI smoke runs use."""
+    assert geometry._isotropic(n) and geometry._reconstructs(n)
+
+
+def _evaluate(poly, point):
+    """The value of a `_Poly` or an int at integer values of the variables."""
+    if not isinstance(poly, geometry._Poly):
+        return poly
+    return sum(c * math.prod(point[i] for i in mono) for mono, c in poly.items())
+
+
+def test_poly_matches_int_arithmetic():
+    """+, - and * with a _Poly or an int on either side agree with int
+    arithmetic at seeded integer points, and cancellation leaves the
+    empty polynomial, which is false."""
+    rng = random.Random(48)
+
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            mono = tuple(sorted(rng.choices(range(3), k=rng.randint(0, 3))))
+            terms[mono] = terms.get(mono, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        return geometry._Poly({mono: c for mono, c in terms.items() if c})
+
+    for _ in range(200):
+        p, q, k = random_poly(), random_poly(), rng.randint(-5, 5)
+        points = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(5)]
+        for a, b in ((p, q), (p, k), (k, p)):
+            for op in (operator.add, operator.sub, operator.mul):
+                result = op(a, b)
+                assert isinstance(result, geometry._Poly)
+                assert all(result.values())
+                for point in points:
+                    assert _evaluate(result, point) == op(_evaluate(a, point), _evaluate(b, point))
+        for zero in (p - p, p + p * -1, 0 - p + p, p * 0, 0 * p, k - p - k + p):
+            assert zero == {} and not zero and isinstance(zero, geometry._Poly)
 
 
 def _fields(pt):

@@ -1,5 +1,6 @@
 """Property tests, with hypothesis (a declared test dependency)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geometry_oracle
 import parabolic_oracle
 import penrose_oracle
 import weyl_oracle as oracle
@@ -95,6 +97,34 @@ def test_solved_plane_contains_the_line(gamma):
     c1, c2 = pt.columns()
     g = [x / gamma[0] for x in gamma]
     assert [x + g[1] * y for x, y in zip(c1, c2)] == g
+
+
+entries = st.one_of(rationals, st.integers(-(10**6), 10**6))
+leading = st.one_of(
+    entries, st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**30)
+).filter(bool)
+
+
+@st.composite
+def lines(draw, max_n=8):
+    """A gamma of rank 2..max_n with gamma_1 != 0, int or rational
+    entries, a leading entry of any sign and size, and gamma_2 often 0."""
+    n = draw(st.integers(2, max_n))
+    second = draw(st.one_of(st.just(0), entries))
+    return [draw(leading), second, *draw(st.lists(entries, min_size=2 * n - 2, max_size=2 * n - 2))]
+
+
+@settings(deadline=None, database=None)
+@given(lines())
+def test_solved_plane_matches_the_oracle(gamma):
+    """The certified solve returns the plane that the Fraction reference
+    solves and checks (C_1 + gamma_2 C_2 == gamma) on this very line,
+    field for field, in canonical form."""
+    pt, old = geometry.twistor_cover_solve(gamma), geometry_oracle.twistor_cover_solve(gamma)
+    assert (pt.n, pt.a1, pt.a2, pt.c1, pt.c2, pt.b1, pt.b2, pt.c12) == (
+        old.n, old.a1, old.a2, old.c1, old.c2, old.b1, old.b2, old.c12
+    )
+    assert math.gcd(*pt.numerators, pt.denominator) == 1 and pt.denominator > 0
 
 
 @st.composite
