@@ -9,7 +9,9 @@ orbit of every k = 0..n-1: JSON (compact and indented), the JSON of the
 diagram read back by from_json, TikZ (plain, and with labels and
 suppressed arrows) and DOT.  For every k >= 1 and both signs it adds the
 E1 and E2 pages and the assembled complex, for k = 0 the conjectural
-complex, each as the JSON of its to_dict().
+complex, each as the JSON of its to_dict() and as its to_text().  For
+every signed k = -(n-1)..n-1 it adds the relative resolution, its
+relative_bgg_text and the JSON of its terms' to_dict().
 
 The sweep runs twice.  The first run starts with the per-process tables
 of shared records and texts empty (the script is meant to run in a
@@ -47,6 +49,11 @@ def _diagram_outputs(key: str, diagram) -> list[tuple[str, str]]:
     ]
 
 
+def _penrose_outputs(key: str, result) -> list[tuple[str, str]]:
+    """A page's or complex's JSON under `key`, then its text."""
+    return [(key, json.dumps(result.to_dict())), (f"{key} text", result.to_text())]
+
+
 def outputs(ranks) -> list[tuple[str, str]]:
     """(key, text) of every output of one sweep over the ranks, in order."""
     out = []
@@ -57,15 +64,19 @@ def outputs(ranks) -> list[tuple[str, str]]:
             if k == 0:
                 if n >= 3:
                     cx = penrose.assemble_singular_bgg(n, 0, conjectural=True)
-                    out.append((f"complex n={n} k=0", json.dumps(cx.to_dict())))
+                    out += _penrose_outputs(f"complex n={n} k=0", cx)
                 continue
             for sign in "+-":
                 at = f"n={n} k={k} sign={sign}"
-                out += [
-                    (f"e1 {at}", json.dumps(penrose.e1_page(n, k, sign).to_dict())),
-                    (f"e2 {at}", json.dumps(penrose.e2_page(n, k, sign).to_dict())),
-                    (f"complex {at}", json.dumps(penrose.assemble_singular_bgg(n, k, sign).to_dict())),
-                ]
+                out += _penrose_outputs(f"e1 {at}", penrose.e1_page(n, k, sign))
+                out += _penrose_outputs(f"e2 {at}", penrose.e2_page(n, k, sign))
+                out += _penrose_outputs(f"complex {at}", penrose.assemble_singular_bgg(n, k, sign))
+        for ks in range(-(n - 1), n):
+            terms = [t.to_dict() for t in penrose.relative_bgg(n, ks)]
+            out += [
+                (f"relative n={n} k={ks}", json.dumps(terms)),
+                (f"relative n={n} k={ks} text", penrose.relative_bgg_text(n, ks)),
+            ]
     return out
 
 

@@ -8,24 +8,27 @@ complex of 2n-3 invariant operators: the splice map is the one
 non-standard operator (order two in general, three when k = 1).
 
 The (p, middle, tail) terms of the relative resolution depend on n
-alone: they are one read-only tuple per rank, built once for the 8
-ranks used last (_rank_terms), and every call still checks its (n, k)
-before it reads them.  The frozen leaf records, PageMap, BggMap and
-E2Entry, are shared too: each is built once per process by a factory
+alone: they are one read-only tuple per rank, built once for the 8 ranks
+used last (_rank_terms).  Each public entry checks its (n, k) once, on
+every call, before it reads them: both must be ints, then relative_bgg
+checks n >= 2 and |k| <= n-1, the pages and proven complexes
+1 <= k <= n-1 (_validate), and the k = 0 candidate n >= 3.  The
+Bott-Borel-Weil rule of `_cells` checks nothing.  The frozen leaf records, PageMap, BggMap
+and E2Entry, are shared too: each is built once per process by a factory
 keyed by its field values and their types (_page_map, _bgg_map,
 _e2_entry), in a table with a constant bound (4096, 4096 and 1024 keys
 used last), since a sweep over k and sign meets the same maps again and
 again.  Callers compare records with ==, never by identity: an evicted
 key is built anew.  Pages and complexes are fresh per call: each builds
-its E1 cells and the conformal weights it needs once (the E2 page only
-those of its bridge) and reads every order bound as the difference of
-two conformal weights.  The E1 cells are read in one pass over the
-rank's terms, with the Bott-Borel-Weil rule of `_cells` applied in the
-loop; the two terms with middles m and -m share one tail tuple.  Every
-vanishing E2 entry is the factory's bullet record, kept at module
-level.  The non-standard operator has one model: the PageMap (on E2)
-and the BggMap of kind "nonstandard".  Pages and complexes write their
-own text and JSON; relative_bgg_text writes the relative resolution.
+its E1 cells once, in one pass over the rank's terms (the two terms with
+middles m and -m share one tail tuple).  Every order bound is `_order`,
+the drop in conformal weight between two cells, and both complexes take
+their maps from `_complex`: a map is standard within an E1 row and
+non-standard across the two rows.  Every vanishing E2 entry is the
+factory's bullet record, kept at module level.  The non-standard
+operator has one model: the PageMap (on E2) and the BggMap of kind
+"nonstandard".  Pages and complexes write their own text and JSON;
+relative_bgg_text writes the relative resolution.
 
 All weights are rho-shifted integer tuples.  Everything lives on the
 crossed-{2} parabolic, whose grading element is E = (1, 1, 0, ..., 0),
@@ -89,14 +92,10 @@ def _rank_terms(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     )
 
 
-def _relative_terms(n: int, k_signed: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The terms of relative_bgg as plain (p, middle, tail) tuples, read
-    off the rank's table once (n, k_signed) is checked."""
-    if n < 2:
-        raise ValueError("rank must be at least 2")
-    if not 0 <= abs(k_signed) <= n - 1:
-        raise ValueError("need |k| <= n-1")
-    return _rank_terms(n)
+def _ints(n, k) -> None:
+    """Refuse an n or k that is not an int (a bool included)."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("n and k must be ints")
 
 
 def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
@@ -106,10 +105,12 @@ def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     The middle coordinate runs over n-1, ..., 1, -1, ..., -(n-1); the
     tail is the descending complement of |middle| in {1, ..., n-1}.
     """
-    return [
-        RelativeBggTerm(p, k_signed, m, tail)
-        for p, m, tail in _relative_terms(n, k_signed)
-    ]
+    _ints(n, k_signed)
+    if n < 2:
+        raise ValueError("rank must be at least 2")
+    if abs(k_signed) > n - 1:
+        raise ValueError("need |k| <= n-1")
+    return [RelativeBggTerm(p, k_signed, m, tail) for p, m, tail in _rank_terms(n)]
 
 
 def relative_bgg_text(n: int, k_signed: int) -> str:
@@ -211,6 +212,7 @@ class SpectralPage:
 
 
 def _validate(n: int, k: int, sign: str) -> int:
+    _ints(n, k)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if not 1 <= k <= n - 1:
@@ -223,9 +225,9 @@ def _cells(n: int, k_signed: int) -> dict[tuple[int, int], Weight]:
     terms of the relative resolution of (k_signed | n-1, ..., 1), read
     in one pass by Bott-Borel-Weil along the P^1 fibre: degree 0 keeps
     (k_signed, m) if k_signed > m, degree 1 swaps it if m > k_signed,
-    and an equal pair has none."""
+    and an equal pair has none.  Every caller has checked (n, k_signed)."""
     cells = {}
-    for p, m, tail in _relative_terms(n, k_signed):
+    for p, m, tail in _rank_terms(n):
         if k_signed > m:
             cells[(p, 0)] = (k_signed, m) + tail
         elif m > k_signed:
@@ -241,11 +243,10 @@ def e1_entries(n: int, k: int, sign: str = "+") -> dict[tuple[int, int], Weight]
     return _cells(n, _validate(n, k, sign))
 
 
-def _conformal_weights(entries: dict) -> dict:
-    """The conformal weight w[0] + w[1] of each cell's weight for crossed
-    {2} (see the module docstring); the order bound of a map between two
-    cells is the difference of theirs."""
-    return {cell: w[0] + w[1] for cell, w in entries.items()}
+def _order(source: Weight, target: Weight) -> int:
+    """The order bound of a map from `source` to `target`: the drop in
+    the conformal weight w[0] + w[1] (see the module docstring)."""
+    return source[0] + source[1] - target[0] - target[1]
 
 
 def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -253,10 +254,9 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     e1_entries and the standard differentials along each row, with
     their order bounds."""
     entries = e1_entries(n, k, sign)
-    cw = _conformal_weights(entries)
     diffs = [
-        _page_map((p, q), (p + 1, q), STANDARD, cw[(p, q)] - cw[(p + 1, q)])
-        for p, q in entries
+        _page_map((p, q), (p + 1, q), STANDARD, _order(w, entries[p + 1, q]))
+        for (p, q), w in entries.items()
         if (p + 1, q) in entries
     ]
     return SpectralPage(n, k, sign, 1, entries, diffs)
@@ -290,8 +290,7 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     diffs = []
     if rows[0] and rows[1]:
         source, target = (rows[1][-1], 1), (rows[0][0], 0)
-        src, tgt = e1[source], e1[target]
-        order = src[0] + src[1] - tgt[0] - tgt[1]
+        order = _order(e1[source], e1[target])
         note = "induced splice map; an isomorphism onto its target"
         diffs.append(_page_map(source, target, NONSTANDARD, order, note))
     return SpectralPage(n, k, sign, 2, entries, diffs)
@@ -372,11 +371,23 @@ def _resolved(n: int, k: int, sign: str) -> str:
     return f"Ker d_1 = H^1(Z, O{format_twistor_weight(n, k, sign)})"
 
 
+def _complex(n: int, k: int, sign: str, entries: dict, pairs, **fields) -> BggComplex:
+    """The complex on the E1 cells `entries` (in order of p) with a map
+    i -> j for each index pair (i, j) of `pairs`: standard within an E1
+    row, non-standard across the two rows."""
+    cells, terms = list(entries), list(entries.values())
+    maps = []
+    for i, j in pairs:
+        kind = STANDARD if cells[i][1] == cells[j][1] else NONSTANDARD
+        maps.append(_bgg_map(i, j, kind, _order(terms[i], terms[j])))
+    return BggComplex(n, k, sign, terms, maps, _resolved(n, k, sign), **fields)
+
+
 def assemble_singular_bgg(
     n: int, k: int, sign: str = "+", conjectural: bool = False
 ) -> BggComplex:
     """Splice the E1 rows into the singular BGG complex for the twistor
-    weight (±k | n-1, ..., 1).
+    weight (±k | n-1, ..., 1): a map between each two consecutive cells.
 
     For k = 0 there is no proof and the shape branches; that candidate
     is only returned when conjectural=True, and only for sign '+' (the
@@ -387,39 +398,20 @@ def assemble_singular_bgg(
             raise ValueError(
                 "the k = 0 complex is conjectural; pass conjectural=True"
             )
-        return _conjectural_k0(n, sign)
+        return _conjectural_k0(n, k, sign)
     entries = e1_entries(n, k, sign)
-    cw = _conformal_weights(entries)
-    cells = list(entries)  # in order of p
-    maps = [
-        _bgg_map(i, i + 1, STANDARD if a[1] == b[1] else NONSTANDARD, cw[a] - cw[b])
-        for i, (a, b) in enumerate(zip(cells, cells[1:]))
-    ]
-    return BggComplex(n, k, sign, list(entries.values()), maps, _resolved(n, k, sign))
+    return _complex(n, k, sign, entries, [(i, i + 1) for i in range(len(entries) - 1)])
 
 
-def _conjectural_k0(n: int, sign: str) -> BggComplex:
+def _conjectural_k0(n: int, k: int, sign: str) -> BggComplex:
     """The branched candidate for (0 | n-1, ..., 1), whose terms are all
-    2n-2 cells in order of p: no direct image dies at k = 0."""
+    2n-2 cells in order of p: no direct image dies at k = 0.  Its rows
+    change between the indices n-2 and n-1, which are joined only through
+    the bridges n-3 -> n-1 and n-2 -> n."""
+    _ints(n, k)
     if n < 3:
         raise ValueError("need n >= 3")
     weyl.tilde_lambda(n, 0, sign)  # only '+': k = 0 has a single conjugate
-    entries = _cells(n, 0)
-    terms = list(entries.values())
-    cw = list(_conformal_weights(entries).values())
-
-    def bound(i, j):
-        return cw[i] - cw[j]
-
-    # indices: (2,0) = n-3, (1,0) = n-2, (0,-1) = n-1, (0,-2) = n
-    maps = [_bgg_map(i, i + 1, STANDARD, bound(i, i + 1)) for i in range(n - 2)]
-    maps.append(_bgg_map(n - 3, n - 1, NONSTANDARD, bound(n - 3, n - 1)))
-    maps.append(_bgg_map(n - 2, n, NONSTANDARD, bound(n - 2, n)))
-    maps.extend(
-        _bgg_map(i, i + 1, STANDARD, bound(i, i + 1))
-        for i in range(n - 1, 2 * n - 3)
-    )
-    maps.sort(key=lambda m: (m.source, m.target))
-    return BggComplex(
-        n, 0, "+", terms, maps, _resolved(n, 0, "+"), conjectural=True, branch=(n - 2, n - 1)
-    )
+    pairs = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1), (n - 2, n)]
+    pairs += [(i, i + 1) for i in range(n - 1, 2 * n - 3)]
+    return _complex(n, 0, "+", _cells(n, 0), pairs, conjectural=True, branch=(n - 2, n - 1))

@@ -745,6 +745,8 @@ def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
     """The maximal vector generating the first operator of the singular
     BGG complex for (n, k, sign).  The catalogue starts at n = 3: for
     n = 2 the complex has a single term and no first operator."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("n and k must be ints")
     if n < 3:
         raise ValueError("the first-operator catalogue needs n >= 3")
     if not 1 <= k <= n - 1:

@@ -4,11 +4,11 @@ Weights live in epsilon-coordinates as integer tuples of length n.  The
 positive roots are a_ij = e_i - e_j, b_i = 2e_i and c_ij = e_i + e_j for
 1 <= i < j <= n; the simple roots are a_{i,i+1} (i < n) and b_n.
 
-A Root is a frozen record.  `shared_root` keeps one Root per (kind, i, j)
-per process, in a table bounded at a constant 1024 keys; the orbit rank
-tables and `render.from_json` take their roots from it, so a sweep over
-n, k and sign builds each root once.  Callers compare roots with ==,
-never by identity.
+A Root is a frozen record, not ordered.  `shared_root` keeps one Root
+per (kind, i, j) per process, in a table bounded at a constant 1024
+keys; the orbit rank tables and `render.from_json` take their roots from
+it, so a sweep over n, k and sign builds each root once.  Callers
+compare roots with ==, never by identity.
 
 The Weyl group acts by signed permutations, and an element w is fixed
 by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
@@ -51,7 +51,7 @@ def format_weight(w: Sequence[int]) -> str:
 # roots
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Root:
     """A positive root: kind 'a', 'b' or 'c' with indices i (< j for a, c)."""
 

@@ -11,7 +11,8 @@ Test-only reference, two ways:
   conformal-weight drop (`parabolic_oracle.order_bound`).
 
 Neither grades with the 2E of `bgg.cosets` that the per-rank table
-reads its orders off.
+reads its orders off, and both mark the suppressed arrows by the
+oracle's own copy of the rule (`suppressed`).
 
 `orbits.singular_orbit` lists only the placements of the collision set
 and reads their arrows off its per-rank table, the crossed-{2} rows of
@@ -97,6 +98,17 @@ def _diagram(n, k, nodes, arrows, coincidences) -> OrbitDiagram:
     )
 
 
+def suppressed(k: int, source: tuple[int, int], target: tuple[int, int]) -> bool:
+    """Whether the arrow between two placements acts trivially: at k = 1
+    each crossing of an axis, where one coordinate goes from 1 to -1 and
+    the other stays; at k = 0 the one arrow (2, -1) -> (1, -2)."""
+    if k == 0:
+        return (source, target) == ((2, -1), (1, -2))
+    return k == 1 and any(
+        (source[a], target[a]) == (1, -1) and source[1 - a] == target[1 - a] for a in (0, 1)
+    )
+
+
 def singular_orbit(n: int, k: int) -> OrbitDiagram:
     """The placement rule over every Hasse node and edge, with the
     collision set read off lambda_k itself: the values r whose image
@@ -125,8 +137,8 @@ def singular_orbit(n: int, k: int) -> OrbitDiagram:
         if nodes[s].weight == nodes[t].weight:
             kind, order = IDENTITY, None
         else:
-            suppressed = orbits._suppressed(k, nodes[s].placement, nodes[t].placement)
-            kind = SUPPRESSED if suppressed else STANDARD
+            trivial = suppressed(k, nodes[s].placement, nodes[t].placement)
+            kind = SUPPRESSED if trivial else STANDARD
             grade = parabolic_oracle.root_grade(e.root, p)
             order = weyl_oracle.pairing(nodes[s].weight, e.root) * grade
         arrows.append(OrbitArrow(s, t, kind, e.root, order))
@@ -156,7 +168,7 @@ def full_scan_orbit(n: int, k: int) -> OrbitDiagram:
             if ws == wt:
                 kind, order = IDENTITY, None
             else:
-                kind = SUPPRESSED if orbits._suppressed(k, ps, pt) else STANDARD
+                kind = SUPPRESSED if suppressed(k, ps, pt) else STANDARD
                 order = parabolic_oracle.order_bound(ws, wt, p)
             arrows.append(OrbitArrow(keep[e.source], keep[e.target], kind, e.root, order))
     coincidences = [

@@ -4,7 +4,8 @@ Test-only reference.  Here every page and complex is built the long way:
 the relative resolution term by term from its definition, the E1
 entries from its `RelativeBggTerm` objects by the Bott-Borel-Weil
 rule (`bbw_direct_image`, the oracle's own copy of the rule
-`bgg.penrose` applies inline), each page from a fresh E1 page (the E2
+`bgg.penrose` applies inline) for the twistor coordinate of its own
+window (`twistor_first`), each page from a fresh E1 page (the E2
 page and every assembled complex build their own), and every order
 bound by a `parabolic_oracle.order_bound` call per map, which pairs
 with the crossed coweights.  The one-pass builders of `bgg.penrose`,
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import parabolic_oracle
-from bgg import orbits, penrose
+from bgg import orbits
 from bgg import parabolic as parabolic_mod
 from bgg.orbits import NONSTANDARD, STANDARD
 from bgg.penrose import (
@@ -60,8 +61,16 @@ def bbw_direct_image(
     return ((middle, first) + tuple(tail), 1)
 
 
+def twistor_first(n: int, k: int, sign: str) -> int:
+    """The first coordinate +k or -k of the twistor weight of (n, k,
+    sign), for the proven window: 1 <= k <= n-1, sign '+' or '-'."""
+    if sign not in ("+", "-") or not 1 <= k <= n - 1:
+        raise ValueError(f"no proven page for n={n} k={k} sign={sign!r}")
+    return {"+": k, "-": -k}[sign]
+
+
 def e1_entries(n: int, k: int, sign: str = "+") -> dict:
-    ks = penrose._validate(n, k, sign)
+    ks = twistor_first(n, k, sign)
     entries = {}
     for t in relative_bgg(n, ks):
         img = bbw_direct_image(t.first, t.middle, t.tail)

@@ -284,6 +284,19 @@ def test_oracles_catch_a_doubled_grading(monkeypatch):
             cache.cache_clear()
 
 
+def test_oracles_mark_suppression_by_their_own_rule(monkeypatch):
+    """Both orbit oracles suppress arrows by their own copy of the rule:
+    with `orbits._suppressed` suppressing nothing, the diagrams at k = 0
+    and 1 differ from both oracles'."""
+    monkeypatch.setattr(orbits, "_suppressed", lambda k, source, target: False)
+    for n in (3, 4, 6):
+        for k in (0, 1):
+            d = orbits.singular_orbit(n, k)
+            for build in (orbits_oracle.singular_orbit, orbits_oracle.full_scan_orbit):
+                with pytest.raises(AssertionError):
+                    _assert_same_diagram(d, build(n, k), (n, k))
+
+
 def test_sliced_images_match_act_from_image():
     """Each kept node's weight, sliced out of lambda_k, is w(lambda_k) as
     weyl.act_from_image computes it for the Hasse node at its placement

@@ -392,17 +392,133 @@ def test_relative_bgg_and_e1_entries_match_oracle(n):
             assert penrose.e1_entries(n, k, sign) == oracle.e1_entries(n, k, sign)
 
 
-def test_relative_terms_check_every_call():
-    """(n, k) is checked on every call, also once the rank's terms, or
-    those of an invalid rank, are kept."""
-    assert penrose._relative_terms(5, 0) is penrose._relative_terms(5, 4)
-    for ks in (5, -5, 9):
-        with pytest.raises(ValueError):
-            penrose._relative_terms(5, ks)
-    for n in (1, 0, -1):
+def test_entries_check_every_call():
+    """Every public entry refuses a bad (n, k) or sign on every call, also
+    once the rank's terms, or those of an invalid rank, are kept; the
+    good calls between them still work."""
+    builders = (penrose.e1_entries, penrose.e1_page, penrose.e2_page, penrose.assemble_singular_bgg)
+    for n in (5, 1, 0, -1):
         penrose._rank_terms(n)
-        with pytest.raises(ValueError):
-            penrose._relative_terms(n, 0)
+    for _ in range(2):
+        for n, ks in ((5, 5), (5, -5), (5, 9), (1, 0), (0, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                penrose.relative_bgg(n, ks)
+            with pytest.raises(ValueError):
+                penrose.relative_bgg_text(n, ks)
+        for build in builders:
+            for n, k, sign in ((5, 5, "+"), (5, -1, "-"), (5, 2, "?"), (1, 1, "+"), (2, 2, "-")):
+                with pytest.raises(ValueError):
+                    build(n, k, sign)
+            assert build(5, 4, "-") == build(5, 4, "-")
+        for n, sign in ((2, "+"), (1, "+"), (0, "+"), (5, "-")):
+            with pytest.raises(ValueError):
+                penrose.assemble_singular_bgg(n, 0, sign, conjectural=True)
+        with pytest.raises(ValueError, match="conjectural"):
+            penrose.assemble_singular_bgg(5, 0)
+        assert penrose.relative_bgg(5, -4) == oracle.relative_bgg(5, -4)
+        assert penrose.assemble_singular_bgg(5, 0, conjectural=True).terms[0] == (4, 0, 3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: penrose.e1_page(4, True),
+        lambda: penrose.e1_entries(4, 1.0, "-"),
+        lambda: penrose.e2_page(4.0, 1),
+        lambda: penrose.assemble_singular_bgg(4, 1.0),
+        lambda: penrose.assemble_singular_bgg(True, 1),
+        lambda: penrose.assemble_singular_bgg(4, 0.0, conjectural=True),
+        lambda: penrose.assemble_singular_bgg(4, False, conjectural=True),
+        lambda: penrose.assemble_singular_bgg(4.0, 0, conjectural=True),
+        lambda: penrose.relative_bgg(4, True),
+        lambda: penrose.relative_bgg_text(4, -1.0),
+        lambda: penrose.relative_bgg_text(4.0, 1),
+    ],
+)
+def test_entries_refuse_non_int_n_and_k(call):
+    """A float or bool n or k is refused, not printed as k=1.0 or
+    [3, true, 2, 1]."""
+    with pytest.raises(ValueError, match="^n and k must be ints$"):
+        call()
+
+
+def _relabel(w, n):
+    """w with its entry of absolute value >= n (the regular k) put to +-n."""
+    return tuple(v if abs(v) < n else (n if v > 0 else -n) for v in w)
+
+
+def _regular_misfits(n, cells=penrose._cells):
+    """What breaks the regular control at rank n: for k_signed = +-(n..n+5),
+    the 2(n-1) cells of one row that `cells` gives, each relabelled
+    (|k| to n) a node of the crossed-{2} Hasse diagram, and each
+    consecutive pair a Hasse edge.  Returns the misfits and the number
+    of row maps checked."""
+    hd = pmod.hasse_diagram(pmod.parabolic(n, (2,)))
+    nodes = [nd.weight for nd in hd.nodes]
+    edges = {(nodes[e.source], nodes[e.target]) for e in hd.edges}
+    nodes = set(nodes)
+    misfits, maps = [], 0
+    for k in range(n, n + 6):
+        for ks in (k, -k):
+            got = cells(n, ks)
+            if len(got) != 2 * (n - 1) or len({q for _, q in got}) != 1:
+                misfits.append((ks, "shape", sorted(got)))
+            ws = [_relabel(w, n) for w in got.values()]
+            misfits += [(ks, "node", w) for w in ws if w not in nodes]
+            misfits += [(ks, "edge", a, b) for a, b in zip(ws, ws[1:]) if (a, b) not in edges]
+            maps += len(ws) - 1
+    return misfits, maps
+
+
+def test_cell_rule_matches_the_wp_engine():
+    """The cell rule, checked against `parabolic`, the independent W^p
+    engine, for n = 3..30: the relative resolution is the crossed-{1}
+    Hasse diagram of C_{n-1} in order, and at the regular twistor weights
+    every cell is a crossed-{2} Hasse node and every row map an edge."""
+    maps = 0
+    for n in range(3, 31):
+        hd = pmod.hasse_diagram(pmod.parabolic(n - 1, (1,)))
+        assert [nd.weight for nd in hd.nodes] == [(m,) + t for _, m, t in penrose._rank_terms(n)]
+        misfits, checked = _regular_misfits(n)
+        assert misfits == [], (n, misfits[:3])
+        maps += checked
+    assert maps == 10080
+
+
+def _swapped_cells(n, ks):
+    cells = penrose._cells(n, ks)
+    keys = list(cells)
+    cells[keys[1]], cells[keys[2]] = cells[keys[2]], cells[keys[1]]
+    return cells
+
+
+def _edited_cells(n, ks):
+    cells = penrose._cells(n, ks)
+    key = list(cells)[2]
+    w = cells[key]
+    cells[key] = (w[0], w[1] + 1) + w[2:] if key[1] == 0 else (w[0] + 1,) + w[1:]
+    return cells
+
+
+@pytest.mark.parametrize("cells", [_swapped_cells, _edited_cells])
+def test_regular_control_sees_a_bad_cell(cells):
+    """Two cells swapped, or one middle entry changed, fail the control."""
+    for n in (3, 5, 8):
+        misfits, _ = _regular_misfits(n, cells)
+        assert misfits, n
+
+
+def test_oracle_signs_k_by_its_own_rule(monkeypatch):
+    """The oracle's window signs k itself: with `penrose._validate`
+    ignoring the sign, every '-' page and complex differs from the
+    oracle's for n = 3..6."""
+    real = penrose._validate
+    monkeypatch.setattr(penrose, "_validate", lambda n, k, sign: real(n, k, "+"))
+    for n in range(3, 7):
+        for k in range(1, n):
+            for build in ("e1_page", "e2_page", "assemble_singular_bgg"):
+                got = getattr(penrose, build)(n, k, "-").to_dict()
+                assert got != getattr(oracle, build)(n, k, "-").to_dict(), (n, k, build)
 
 
 def test_returned_results_are_the_callers_own():
@@ -434,30 +550,24 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_builders_compute_each_cell_once(monkeypatch):
-    """An assembled complex builds no E1 page and asks for no PageMap, and
-    reads the conformal weights of its cells once.  The E1 entries build
-    no RelativeBggTerm and read no conformal weight, and a page reads them
-    once and asks the PageMap factory once per differential.  The conjectural k = 0
-    complex reads the conformal weights of its cells once too."""
+    """An assembled complex, the conjectural k = 0 one too, builds no E1
+    page and asks for no PageMap.  The E1 entries build no
+    RelativeBggTerm, and a page asks the PageMap factory once per
+    differential."""
     e1 = _count_calls(monkeypatch, penrose, "e1_page")
     page_maps = _count_calls(monkeypatch, penrose, "_page_map")
     terms = _count_calls(monkeypatch, penrose, "RelativeBggTerm")
-    weights = _count_calls(monkeypatch, penrose, "_conformal_weights")
     n = 7
     for k in range(1, n):
         for sign in "+-":
             cx = penrose.assemble_singular_bgg(n, k, sign)
             assert len(cx.terms) == 2 * n - 3
-            assert len(weights) == 2 * (k - 1) + (sign == "-") + 1
     cx = penrose.assemble_singular_bgg(n, 0, conjectural=True)
     assert len(cx.terms) == 2 * n - 2
     assert e1 == page_maps == []
-    assert len(weights) == 2 * (n - 1) + 1
     assert len(penrose.e1_entries(n, 2, "-")) == 2 * n - 3
     assert terms == []
     page = penrose.e1_page(n, 2, "+")
     assert len(page_maps) == len(page.differentials)
-    assert len(weights) == 2 * (n - 1) + 2
     assert terms == []
     assert len(penrose.relative_bgg(n, 2)) == len(terms) == 2 * n - 2
-    assert len(weights) == 2 * (n - 1) + 2

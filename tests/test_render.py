@@ -435,9 +435,10 @@ def test_shared_tables_are_bounded_and_typed():
 
 
 def test_sweep_is_the_same_cold_and_warm():
-    """One sweep over n = 8, 10, 12 (every k, both signs; JSON, TikZ, DOT
-    and page and complex dicts) in a fresh process gives the same bytes
-    cold and warm, and the same digests under two hash seeds."""
+    """One sweep over n = 8, 10, 12 (every k, both signs; JSON, TikZ, DOT,
+    page and complex dicts and texts, relative resolutions) in a fresh
+    process gives the same bytes cold and warm, and the same digests
+    under two hash seeds."""
     runs = [
         subprocess.run(
             [sys.executable, str(SWEEP)],
@@ -450,7 +451,9 @@ def test_sweep_is_the_same_cold_and_warm():
     ]
     assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.count("\n") == 363
+    # 363 diagram, page and complex dicts; per n, 6n - 5 texts of pages and
+    # complexes and 2(2n - 1) outputs of relative resolutions
+    assert runs[0].stdout.count("\n") == 363 + sum(10 * n - 7 for n in (8, 10, 12)) == 642
 
 
 # ---------------------------------------------------------------------------
@@ -595,5 +598,7 @@ def test_sweep_check_fails_on_a_warm_difference(monkeypatch, capsys):
     monkeypatch.setattr(render, "to_dot", drifting)
     assert script.main(["--n", "3"]) == 1
     out, err = capsys.readouterr()
-    assert out.count("\n") == 4 * 6 + 2 * 3 * 2 + 1
+    # 4 diagrams; 3 Penrose results per (k >= 1, sign) and 1 at k = 0, each
+    # as JSON and text; 5 signed k of the relative resolution, JSON and text
+    assert out.count("\n") == 4 * 6 + (2 * 2 * 3 + 1) * 2 + 5 * 2
     assert err.startswith("error: 4 outputs differ warm: regular n=3 dot, singular n=3 k=0 dot")

@@ -133,6 +133,13 @@ def test_decompose_rejects_outside_sp(lie3):
         lie3.decompose(bad)
 
 
+@pytest.mark.parametrize("n,k", [(4, True), (4, 1.0), (4.0, 1), (True, 1)])
+def test_singular_vector_row_refuses_non_int_n_and_k(n, k):
+    """A float or bool n or k is refused, not kept as the row's k=True."""
+    with pytest.raises(ValueError, match="^n and k must be ints$"):
+        verma.singular_vector_row(n, k)
+
+
 def test_lie_data_validation():
     with pytest.raises(ValueError):
         verma.LieData(1)
@@ -300,7 +307,8 @@ def test_letters_are_the_crossed2_nilradical(n):
     root's (kind, i, j) is its code by label."""
     tables = verma._rank(n)
     nil = parabolic_oracle.nilradical_roots(parabolic_mod.parabolic(n, (2,)))
-    assert sorted(root for _, root in tables.letters) == sorted(nil)
+    by_label = operator.attrgetter("kind", "i", "j")  # roots are not ordered
+    assert sorted((root for _, root in tables.letters), key=by_label) == sorted(nil, key=by_label)
     assert dict(tables.letter_codes) == {
         (r.kind, r.i, r.j): tables.code["y", r] for _, r in tables.letters
     }
