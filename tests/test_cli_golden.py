@@ -108,6 +108,12 @@ COMMANDS = [
     "verify-maximal --n 2",
     "geometry-check --n 4 --count 0",
     "render --what singular --n 4",
+    # bad input that the library refuses: one per input rule the CLI reaches
+    "penrose-e1 --n 4 --k 4",
+    "bgg-complex --n 4 --k 4 --sign -",
+    "verify-maximal --n 4 --k 4",
+    "singular-orbit --n 1 --k 0",
+    "hasse --n 4 --crossed 0",
 ]
 
 
