@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 invalid arguments or unsupported request,
 Each subcommand makes the option checks that need no layer, calls one
 library function and prints what its result's own writer gives (see
 "Results and their formats" in the README); only the `geometry-check`
-verdict line is written here.
+verdict line is written here.  Two of those checks restate a library
+rule with its message, the k = 0 complex's and the catalogue's n >= 3,
+so that a request refused for either loads no layer.
 
 Each subcommand imports the bgg layers it runs when it runs, so one
 `bgg` process loads only what its command needs, and a request the CLI

@@ -84,6 +84,7 @@ def parameter_count(n: int) -> int:
 
 
 def _check_rank(n: int) -> None:
+    """`weyl`'s rank rule, copied since this layer loads no other."""
     if n < 2:
         raise ValueError("rank must be at least 2")
 

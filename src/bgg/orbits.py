@@ -161,17 +161,16 @@ _row = functools.partial(tuple.__new__, _Node)
 
 @functools.lru_cache(maxsize=8)
 def _rank_table(n: int) -> Mapping[tuple[int, int], _Node]:
-    """The crossed-{2} W^p of rank n keyed by placement (its mu_B), in
-    Hasse order, built once per n (for the 8 ranks used last) as a
-    read-only mapping of tuples, so no caller can change it."""
-    if n < 2:
-        raise ValueError("rank must be at least 2")
+    """The crossed-{2} W^p of rank n, n checked by the caller, keyed by
+    placement (its mu_B), in Hasse order, built once per n (for the 8
+    ranks used last) as a read-only mapping no caller can change."""
     rows = enumerate(cosets.hasse_rows(n, (2,)))
     return MappingProxyType({mu: _row((i, weight, arrows)) for i, (mu, weight, _, arrows) in rows})
 
 
 def regular_orbit_projection(n: int) -> OrbitDiagram:
     """The regular orbit of rho for crossed={2}, placed at (m1, m2)."""
+    weyl._check_rank(n)
     table = _rank_table(n)
     nodes = [_node((p, node.weight)) for p, node in table.items()]
     arrows = [

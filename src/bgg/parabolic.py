@@ -43,15 +43,14 @@ Scalar = Union[int, "Fraction"]
 @dataclass(frozen=True)
 class Parabolic:
     """The parabolic of sp(2n, C) with the Dynkin nodes `crossed` crossed,
-    kept sorted and without repeats.  A rank below 2, no crossed node or
-    a node outside 1..n is refused with ValueError."""
+    kept sorted and without repeats.  ValueError refuses a non-int n, a
+    rank below 2, no crossed node or one outside 1..n (checked here alone)."""
 
     n: int
     crossed: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("rank must be at least 2")
+        weyl._check_rank(self.n)
         cs = tuple(sorted(set(self.crossed)))
         if not cs:
             raise ValueError("at least one crossed node is required")

@@ -9,34 +9,30 @@ non-standard operator (order two in general, three when k = 1).
 
 The (p, middle, tail) terms of the relative resolution depend on n
 alone: they are one read-only tuple per rank, built once for the 8 ranks
-used last (_rank_terms).  Each public entry checks its (n, k) once, on
-every call, before it reads them: both must be ints, then relative_bgg
-checks n >= 2 and |k| <= n-1, the pages and proven complexes
-1 <= k <= n-1 (_validate), and the k = 0 candidate n >= 3.  The
-Bott-Borel-Weil rule of `_cells` checks nothing.  The frozen leaf records, PageMap, BggMap
-and E2Entry, are shared too: each is built once per process by a factory
-keyed by its field values and their types (_page_map, _bgg_map,
-_e2_entry), in a table with a constant bound (4096, 4096 and 1024 keys
-used last), since a sweep over k and sign meets the same maps again and
-again.  Callers compare records with ==, never by identity: an evicted
-key is built anew.  Pages and complexes are fresh per call: each builds
-its E1 cells once, in one pass over the rank's terms (the two terms with
-middles m and -m share one tail tuple).  Every order bound is `_order`,
-the drop in conformal weight between two cells, and both complexes take
-their maps from `_complex`: a map is standard within an E1 row and
-non-standard across the two rows.  Every vanishing E2 entry is the
-factory's bullet record, kept at module level.  The non-standard
-operator has one model: the PageMap (on E2) and the BggMap of kind
-"nonstandard".  Pages and complexes write their own text and JSON;
-relative_bgg_text writes the relative resolution.
+used last (_rank_terms).  Each public entry checks (n, k, sign) on every
+call, in the order of `weyl`'s rules; the proven window 1 <= k <= n-1 is
+raised in _validate alone, so the Bott-Borel-Weil rule of `_cells`
+checks nothing.  PageMap and BggMap records are shared: each is built
+once per process by a factory keyed by its field values and their types
+(_page_map, _bgg_map), bounded at the 4096 keys used last, since a sweep
+over k and sign meets the same maps again and again; callers compare
+them with ==, as an evicted key is built anew.  E2 entries are built per
+page, but every vanishing one is the module's bullet record.  Pages and
+complexes are fresh per call, each building its E1 cells in one pass
+over the rank's terms.  Every order bound is `_order`, the drop in
+conformal weight between two cells, and both complexes take their maps
+from `_complex`: standard within an E1 row, non-standard across the two
+rows.  The non-standard operator has one model: the PageMap (on E2) and
+the BggMap of kind "nonstandard".  Pages and complexes write their own
+text and JSON; relative_bgg_text writes the relative resolution.
 
 All weights are rho-shifted integer tuples.  Everything lives on the
 crossed-{2} parabolic, whose grading element is E = (1, 1, 0, ..., 0),
 so the conformal weight of w is w[0] + w[1] and this module needs no
 Hasse or orbit code: it imports `weyl` alone, which also holds the
-twistor weights tilde_lambda and the operator kinds.  At n = 2, E is (1/2, 1/2)
-and w[0] + w[1] is twice the conformal weight, but no order is read
-there: the only n = 2 complex (k = 1) has a single cell, so it has no
+twistor weights tilde_lambda and the operator kinds.  At n = 2, E is
+(1/2, 1/2) and w[0] + w[1] is twice the conformal weight, but no order is
+read there: the only n = 2 complex (k = 1) has a single cell, so it has no
 map, no differential and no bridge, and the k = 0 candidate needs
 n >= 3.
 """
@@ -92,12 +88,6 @@ def _rank_terms(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     )
 
 
-def _ints(n, k) -> None:
-    """Refuse an n or k that is not an int (a bool included)."""
-    if type(n) is not int or type(k) is not int:
-        raise ValueError("n and k must be ints")
-
-
 def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     """The 2(n-1)-term relative BGG resolution of the twistor bundle with
     rho-shifted weight (k_signed | n-1, ..., 1).
@@ -105,9 +95,7 @@ def relative_bgg(n: int, k_signed: int) -> list[RelativeBggTerm]:
     The middle coordinate runs over n-1, ..., 1, -1, ..., -(n-1); the
     tail is the descending complement of |middle| in {1, ..., n-1}.
     """
-    _ints(n, k_signed)
-    if n < 2:
-        raise ValueError("rank must be at least 2")
+    weyl._check_rank(n, k_signed)
     if abs(k_signed) > n - 1:
         raise ValueError("need |k| <= n-1")
     return [RelativeBggTerm(p, k_signed, m, tail) for p, m, tail in _rank_terms(n)]
@@ -154,7 +142,6 @@ class E2Entry:
 # one frozen record per field values and types, per process (see the
 # module docstring)
 _page_map = functools.lru_cache(maxsize=4096, typed=True)(PageMap)
-_e2_entry = functools.lru_cache(maxsize=1024, typed=True)(E2Entry)
 
 
 @dataclass
@@ -212,9 +199,10 @@ class SpectralPage:
 
 
 def _validate(n: int, k: int, sign: str) -> int:
-    _ints(n, k)
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    """The signed k of a proven complex, after `weyl`'s int and sign rules
+    and the proven window 1 <= k <= n-1 (raised here alone; it implies n >= 2)."""
+    weyl._check_ints(n, k)
+    weyl._check_sign(sign)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     return k if sign == "+" else -k
@@ -262,8 +250,8 @@ def e1_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     return SpectralPage(n, k, sign, 1, entries, diffs)
 
 
-# every vanishing E2 entry: the factory's record, which all pages share
-_BULLET_ENTRY = _e2_entry(BULLET, "0")
+# every vanishing E2 entry: one record, which all pages share
+_BULLET_ENTRY = E2Entry(BULLET, "0")
 
 
 def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
@@ -282,11 +270,11 @@ def e2_page(n: int, k: int, sign: str = "+") -> SpectralPage:
     for q, ps in enumerate(rows):
         if not ps:
             continue
-        entries[(ps[0], q)] = _e2_entry(KERNEL, f"Ker d_{ps[0] + 1}")
+        entries[(ps[0], q)] = E2Entry(KERNEL, f"Ker d_{ps[0] + 1}")
         for p in ps[1:-1]:
             entries[(p, q)] = _BULLET_ENTRY
         if len(ps) > 1:
-            entries[(ps[-1], q)] = _e2_entry(COKERNEL, f"Coker d_{ps[-1]}")
+            entries[(ps[-1], q)] = E2Entry(COKERNEL, f"Coker d_{ps[-1]}")
     diffs = []
     if rows[0] and rows[1]:
         source, target = (rows[1][-1], 1), (rows[0][0], 0)
@@ -367,10 +355,6 @@ def format_twistor_weight(n: int, k: int, sign: str = "+") -> str:
     return f"({w[0]} | {', '.join(str(v) for v in w[1:])})"
 
 
-def _resolved(n: int, k: int, sign: str) -> str:
-    return f"Ker d_1 = H^1(Z, O{format_twistor_weight(n, k, sign)})"
-
-
 def _complex(n: int, k: int, sign: str, entries: dict, pairs, **fields) -> BggComplex:
     """The complex on the E1 cells `entries` (in order of p) with a map
     i -> j for each index pair (i, j) of `pairs`: standard within an E1
@@ -380,7 +364,8 @@ def _complex(n: int, k: int, sign: str, entries: dict, pairs, **fields) -> BggCo
     for i, j in pairs:
         kind = STANDARD if cells[i][1] == cells[j][1] else NONSTANDARD
         maps.append(_bgg_map(i, j, kind, _order(terms[i], terms[j])))
-    return BggComplex(n, k, sign, terms, maps, _resolved(n, k, sign), **fields)
+    resolved = f"Ker d_1 = H^1(Z, O{format_twistor_weight(n, k, sign)})"
+    return BggComplex(n, k, sign, terms, maps, resolved, **fields)
 
 
 def assemble_singular_bgg(
@@ -408,7 +393,7 @@ def _conjectural_k0(n: int, k: int, sign: str) -> BggComplex:
     2n-2 cells in order of p: no direct image dies at k = 0.  Its rows
     change between the indices n-2 and n-1, which are joined only through
     the bridges n-3 -> n-1 and n-2 -> n."""
-    _ints(n, k)
+    weyl._check_ints(n, k)
     if n < 3:
         raise ValueError("need n >= 3")
     weyl.tilde_lambda(n, 0, sign)  # only '+': k = 0 has a single conjugate

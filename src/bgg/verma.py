@@ -45,41 +45,32 @@ whatever lam.
 
 Every Levi label, the h_i included, moves a key to at most two others,
 as a per-rank table of its matrix entries says, so a LeviModule keeps
-no memo.  act is the one left action, one loop for every code: each
-entry of the table gives c Y^w2 tensor f for z None and moves f through
-the Levi module otherwise.  Each monomial's row is its images under the
-simple raising operators, through act, and then its contraction.  The
-Levi module of lam and its rows are one record, kept in the rank's
-tables by lam, so every GeneralizedVerma of one (n, lam) reads the same
-rows.  Inducing from p is exact, so the maximal vectors of M_p(lam) are
-those of U(u^-) tensor W that the contraction kills: check_maximal sums
-the rows of an element, and maximal_vector_dimension eliminates the
-rows of a weight space fraction-free over the integers, sparsest
-columns first, in one elimination, with no module of Lambda^{j-2}
-built.  combine reads each root's letter code once, by (kind, i, j),
-maps each catalogue label (a, t) to its key, refusing a label that
-names none, and adds the normal form of the term's letter word tensor
-that key.  A word of letters stays in U(u^-), so its normal form
-depends on n alone (PBW): RankTables.normal_form folds the word's
-letters through the straightening table once per rank, and the
-genuine check of a row, its perturbed twin and every later check read
-the same entries.  term_weight subtracts the weight vectors of the
-monomial's letters from wt(f).  verify_first_operators is the one loop
-over the catalogue; a VerificationResult writes its line and its JSON.
+no memo.  Inducing from p is exact, so the maximal vectors of M_p(lam)
+are those of U(u^-) tensor W that the contraction kills: check_maximal
+sums the rows of an element (a monomial's row is its images under the
+simple raising operators through act, the one left action, then its
+contraction), and maximal_vector_dimension eliminates the rows of a
+weight space fraction-free over the integers, sparsest columns first,
+with no module of Lambda^{j-2} built.  combine maps each catalogue
+label (a, t) to its key, refusing a label that names none, and adds the
+normal form of the term's letter word tensor that key: a word of
+letters stays in U(u^-), so its normal form depends on n alone (PBW),
+and every check of a row reads the same entries.  verify_first_operators
+is the one loop over the catalogue; a VerificationResult writes its
+line and its JSON.
 
-Whatever depends on n alone is one record, RankTables, built once per
-rank and process for the last 8 ranks used (_rank) and read by field
-name: the basis matrices and their leading entries, the letters, the
-integer tables the hot paths read instead of hashing a Root, four memos
-(brackets, straightening, the words of each need and the normal forms
-of letter words) and two that go with their rank: the records of the
-last _MODULES_PER_RANK lam built and the first arrows shifted by rho
-(verify_row).  Every other field is a tuple or a read-only mapping, and
-every value a memo holds is a tuple.  A bracket is kept once, by label
-code, computed through decompose with its reconstruction check.
-LieData is a view of the record by label, and no module takes one.
-The nilradical letters are checked against `weyl` alone (see _rank), so
-this module, like `penrose`, loads no Hasse code.
+Whatever depends on n alone is one record, RankTables (_rank), built
+once per rank and process for the last 8 ranks used and read by field
+name; its docstring lists the fields and the memos.  Every field but a
+memo is a tuple or a read-only mapping, and every value a memo holds is
+a tuple.  LieData is a view of the record by label, and no module takes
+one.  The nilradical letters are checked against `weyl` alone (see
+_rank), so this module, like `penrose`, loads no Hasse code.
+
+Input follows `weyl`'s rules, in their order: LieData and
+GeneralizedVerma refuse a non-int n, and _rank a rank below 2.  A
+catalogue case is checked by _check_catalogue, the one raise site of
+its n >= 3, then by `penrose._validate` (the sign and the proven window).
 
 A weight space is listed F-first: the tails of the weights of Lambda^j
 near mu's come first, each reads its need's words off one memo, and W
@@ -280,8 +271,7 @@ def _rank(n: int) -> RankTables:
     """The tables of rank n, built once per n for the 8 ranks used last.
     The letters are checked against the nilradical read off `weyl`: the
     positive roots alpha with alpha(E) > 0 for E = (1, 1, 0, ..., 0)."""
-    if n < 2:
-        raise ValueError("rank must be at least 2")
+    weyl._check_rank(n)
     m: dict[Label, Matrix] = {}
     # the insertion order is the order of decompose's terms
     for i in range(n):
@@ -343,6 +333,7 @@ class LieData:
     rank: a basis matrix is read-only, and a bracket is kept by code."""
 
     def __init__(self, n: int):
+        weyl._check_ints(n)
         self.n = n
         self.tables = _rank(n)
 
@@ -405,8 +396,7 @@ class LeviModule:
 
     GeneralizedVerma works on the whole of W and cuts F out of it by the
     contraction (contract), one more set of columns in each monomial's
-    row.  The modules of a rank are kept in its tables by lam, each with
-    its rows (GeneralizedVerma), and go when the rank does."""
+    row."""
 
     def __init__(self, n: int, lam: Sequence[int]):
         lam = tuple(lam)
@@ -498,23 +488,21 @@ class GeneralizedVerma:
     in full.
 
     Straightening and the words of weight spaces depend on n alone and
-    are read off `tables`, the record of the rank (_rank): one
-    straightening table for every label code, letters included, and for
-    every Levi module of the rank (on Lambda^0 the labels of sp(2n-4)
-    find no row to move in LeviModule._move).  `module`, the LeviModule
-    F(lam), and the rows (_row) are one record, kept in the rank's tables
-    by lam, so every GeneralizedVerma of one (n, lam) shares them and
-    they go when the rank does, or when _MODULES_PER_RANK later lam of
-    the rank have been built.  act is the one left action on elements,
-    for every code: _row lists each monomial's images under the simple
-    raising operators through it and then its contraction, while
-    combine reads each letter word's normal form off the rank
-    (RankTables.normal_form).  check_maximal and
-    maximal_vector_dimension both read the rows, so a monomial is
-    straightened for them once per process, however many checks share
-    its lam.  `letters` is the rank's letter list."""
+    are read off `tables`, the record of the rank (_rank; see the module
+    docstring).  `module`, the LeviModule F(lam), and the rows (_row) are
+    one record, kept in the rank's tables by lam, so every
+    GeneralizedVerma of one (n, lam) shares them and they go when the
+    rank does, or when _MODULES_PER_RANK later lam of the rank have been
+    built.  act is the one left action on elements, for every code: _row
+    lists each monomial's images under the simple raising operators
+    through it and then its contraction, while combine reads each letter
+    word's normal form off the rank (RankTables.normal_form).
+    check_maximal and maximal_vector_dimension both read the rows, so a
+    monomial is straightened for them once per process, however many
+    checks share its lam.  `letters` is the rank's letter list."""
 
     def __init__(self, n: int, lam: Sequence[int]):
+        weyl._check_ints(n)
         self.n = n
         self.lam = tuple(lam)
         self.tables = _rank(n)
@@ -741,23 +729,25 @@ def _zeros(n: int, lead: Sequence[int]) -> Weight:
     return tuple(lead) + (0,) * (n - len(lead))
 
 
-def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
-    """The maximal vector generating the first operator of the singular
-    BGG complex for (n, k, sign).  The catalogue starts at n = 3: for
-    n = 2 the complex has a single term and no first operator."""
-    if type(n) is not int or type(k) is not int:
-        raise ValueError("n and k must be ints")
+def _check_catalogue(n: int, *ks: int) -> None:
+    """`weyl`'s int rule on n and ks, then the catalogue's rank rule: it
+    starts at n = 3, since at n = 2 the complex has no first operator."""
+    weyl._check_ints(n, *ks)
     if n < 3:
         raise ValueError("the first-operator catalogue needs n >= 3")
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
+
+
+def singular_vector_row(n: int, k: int, sign: str = "+") -> SingularVectorRow:
+    """The maximal vector generating the first operator of the singular
+    BGG complex for (n, k, sign), after _check_catalogue and then the
+    sign and proven window of `penrose._validate`."""
+    _check_catalogue(n, k)
+    penrose._validate(n, k, sign)
     if sign == "-":
         lam = _zeros(n, (-1, -n - k + 1))
         mu = (-2, -n - k + 1, 1) + (0,) * (n - 3)
         terms = ((1, (_A13,), (0, None)), (1, (_A23,), (1, None)))
         return SingularVectorRow("first operator, negative side", n, k, sign, lam, mu, terms)
-    if sign != "+":
-        raise ValueError("sign must be '+' or '-'")
     if n == 3 and k == 1:
         return SingularVectorRow(
             "first operator (order-three splice), n=3 k=1",
@@ -926,8 +916,7 @@ def verify_first_operators(
     (sign '+' if None), else of every k in 1..n-1 with sign, or with '+'
     then '-' if sign is None.  A rank below 3 has no case and is refused,
     not passed with no case checked; so are a k or a sign with no row."""
-    if n < 3:
-        raise ValueError("the first-operator catalogue needs n >= 3")
+    _check_catalogue(n)
     signs = ("+", "-") if sign is None else (sign,)
     if k is not None:  # one case, '+' unless sign says otherwise
         cases = [(k, signs[0])]

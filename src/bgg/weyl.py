@@ -4,18 +4,13 @@ Weights live in epsilon-coordinates as integer tuples of length n.  The
 positive roots are a_ij = e_i - e_j, b_i = 2e_i and c_ij = e_i + e_j for
 1 <= i < j <= n; the simple roots are a_{i,i+1} (i < n) and b_n.
 
-A Root is a frozen record, not ordered.  `shared_root` keeps one Root
-per (kind, i, j) per process, in a table bounded at a constant 1024
-keys; the orbit rank tables and `render.from_json` take their roots from
-it, so a sweep over n, k and sign builds each root once.  Callers
-compare roots with ==, never by identity.
+A Root is a frozen record, not ordered.  The orbit rank tables and
+`render.from_json` take their roots from `shared_root`, so a sweep over
+n, k and sign builds each root once; callers compare roots with ==.
 
 The Weyl group acts by signed permutations, and an element w is fixed
 by mu = w(rho), a signed arrangement of (n, ..., 1).  So w is named by
-mu alone: `weyl.act_from_image` applies it to any weight.  The group as
-signed permutations, with products, inverses, reflections and
-root-counting lengths, the pairing <w, alpha^vee> and the dominance test
-for a Levi factor are kept as the test oracle in tests/weyl_oracle.py.
+mu alone: `weyl.act_from_image` applies it to any weight.
 
 This is the only layer the crossed-{2} Penrose and Verma code stands
 on, and the orbit code adds only the W^p search (`cosets`): there E =
@@ -25,6 +20,12 @@ no call into `parabolic`.  The weight families lambda_k (on iGr(2, 2n))
 and tilde_lambda (on iGr(1, 2n)) and the operator kinds STANDARD and
 NONSTANDARD live here too, so `penrose` loads `weyl` alone and no
 Penrose or Verma command loads `cosets` or `orbits`.
+
+Four input rules on (n, k, sign) are raised here alone, and every layer
+checks them in this order: _check_ints, _check_rank (n >= 2),
+_check_sign and _check_window (0 <= k <= n-1).  The proven window
+1 <= k <= n-1 is `penrose._validate`'s, the catalogue's n >= 3 `verma`'s
+and the crossed nodes `parabolic.Parabolic`'s (README, "Input rules").
 """
 
 from __future__ import annotations
@@ -128,16 +129,40 @@ def act_from_image(mu: Sequence[int], weight: Sequence[int]) -> Weight:
 
 
 def _groups(n: int, crossed: Sequence[int]) -> list[tuple[int, int]]:
-    """Half-open index ranges [start, stop) cut by bars after crossed nodes."""
+    """Half-open index ranges [start, stop) cut by bars after crossed nodes
+    in 1..n, as `parabolic.Parabolic` checks them."""
     cuts = sorted(crossed)
-    if any(c < 1 or c > n for c in cuts):
-        raise ValueError("crossed nodes out of range")
     bounds = [0] + cuts + ([n] if (not cuts or cuts[-1] != n) else [])
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
 # ---------------------------------------------------------------------------
-# weight families
+# weight families, and the input rules each raised here alone
+
+
+def _check_ints(*values) -> None:
+    """The int rule: n and k are ints, not a bool or a float."""
+    if any(type(v) is not int for v in values):
+        raise ValueError("n and k must be ints")
+
+
+def _check_rank(n: int, *ks: int) -> None:
+    """The int rule on n and ks, then the rank rule: n >= 2 for iGr(2, 2n)."""
+    _check_ints(n, *ks)
+    if n < 2:
+        raise ValueError("rank must be at least 2")
+
+
+def _check_sign(sign: str) -> None:
+    """The sign rule: a twistor weight's first entry is +k or -k."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+
+
+def _check_window(n: int, k: int) -> None:
+    """The window of lambda_k and tilde_lambda: 0 <= k <= n-1."""
+    if not 0 <= k <= n - 1:
+        raise ValueError("k must satisfy 0 <= k <= n-1")
 
 
 def lambda_k(n: int, k: int) -> Weight:
@@ -146,8 +171,8 @@ def lambda_k(n: int, k: int) -> Weight:
     (n-1, ..., k+1, k, k, k-1, ..., 1) for 1 <= k <= n-1 and
     (n-1, ..., 1, 0) for k = 0.
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError("k must satisfy 0 <= k <= n-1")
+    _check_rank(n, k)
+    _check_window(n, k)
     if k == 0:
         return tuple(range(n - 1, -1, -1))
     return tuple(range(n - 1, k, -1)) + (k, k) + tuple(range(k - 1, 0, -1))
@@ -155,10 +180,9 @@ def lambda_k(n: int, k: int) -> Weight:
 
 def tilde_lambda(n: int, k: int, sign: str = "+") -> Weight:
     """The rho-shifted twistor weight (±k | n-1, ..., 1) on iGr(1,2n)."""
-    if not 0 <= k <= n - 1:
-        raise ValueError("k must satisfy 0 <= k <= n-1")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    _check_rank(n, k)
+    _check_sign(sign)
+    _check_window(n, k)
     if k == 0 and sign == "-":
         raise ValueError("k = 0 has a single conjugate (sign '+')")
     first = k if sign == "+" else -k

@@ -4,6 +4,7 @@ no public name or documented reference is stale."""
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,45 @@ def test_every_import_is_used():
     assert len(modules) == len(LAYERS) + 3  # __init__, cli and the W^p search, cosets
     unused = {m.name: _unused_imports(m.read_text()) for m in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# the input rules on (n, k, sign) and the crossed nodes, by message
+INPUT_RULES = (
+    "n and k must be ints",
+    "rank must be at least 2",
+    "sign must be '+' or '-'",
+    "k must satisfy 0 <= k <= n-1",
+    "need 1 <= k <= n-1",
+    "the first-operator catalogue needs n >= 3",
+    "crossed nodes out of range",
+)
+
+
+def _value_errors(source: str) -> list[str]:
+    """The messages of the `raise ValueError("...")` statements in source."""
+    return [
+        node.exc.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ValueError"
+        and node.exc.args
+        and isinstance(node.exc.args[0], ast.Constant)
+    ]
+
+
+def test_each_input_rule_is_raised_from_one_place():
+    """`weyl` owns the int, rank, sign and 0 <= k <= n-1 rules,
+    `penrose._validate` the proven window, `verma` the catalogue's
+    n >= 3 and `parabolic.Parabolic` the crossed nodes: each message is
+    raised from one place.  `cli` restates the catalogue's rule, so that
+    a request it refuses loads no layer, and `geometry` the rank rule,
+    since it loads no other layer; both are left out."""
+    sites = Counter()
+    for path in sorted(Path(bgg.__file__).parent.glob("*.py")):
+        if path.name not in ("cli.py", "geometry.py"):
+            sites.update(m for m in _value_errors(path.read_text()) if m in INPUT_RULES)
+    assert sites == dict.fromkeys(INPUT_RULES, 1)
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -96,6 +96,8 @@ def is_dominant(
     if mode not in (FOR_LEVI, STRICTLY_FOR_LEVI):
         raise ValueError(f"unknown dominance mode {mode!r}")
     n = len(weight)
+    if any(c < 1 or c > n for c in crossed):  # `weyl._groups` reads them unchecked
+        raise ValueError("crossed nodes out of range")
     strict = mode == STRICTLY_FOR_LEVI
     groups = weyl._groups(n, crossed)
     has_trailing_bar = bool(crossed) and max(crossed) == n
